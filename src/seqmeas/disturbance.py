@@ -12,6 +12,13 @@ certainty (H maps |+> back to |0>), so the check only ever accepts once the
 measurements have actually disturbed the joint state; that disturbance is
 exactly the signal the procedure feeds on.
 
+Both samplers wrap one core, ``_sequential_runs``, which runs independent
+trials side by side; a single run is a batch of one.  Draw order: the
+input's eigen-ensemble index for every trial in one call; then per
+iteration, for every live trial, a branch uniform, a measurement index and
+an outcome uniform, each drawn as one array in that order (the check branch
+leaves its index unused).
+
 The exact oracle propagates the unnormalised not-yet-halted density operator
 through the k iterations, splitting accept mass into the check-driven and
 measurement-driven parts so the soundness bound 2*k*zeta can be checked
@@ -27,21 +34,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measurement import TwoOutcomeMeasurement
-from .measurement import anti_zeno_sequence
-from .states import DensityOperator, PureState, RegisterShape, eigendecompose
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+from .gates import HADAMARD
+from .measurement import TwoOutcomeMeasurement, anti_zeno_sequence
+from .quantum_or import _ensemble_rows, _exact_fraction
+from .states import DensityOperator, PureState, RegisterShape
 
 MAX_ORACLE_DIM = 64
-
-
-def _exact_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(float(x))
 
 
 def sequential_iteration_count(n: int, eta) -> int:
@@ -96,65 +94,15 @@ class SequentialInstance:
         )
 
 
-def _initial_vectors(inst: SequentialInstance) -> list[tuple[float, np.ndarray]]:
-    """Eigen-ensemble of the initial state as (weight, control (x) system vector)."""
-    dec = eigendecompose(inst.initial.matrix)
+def _sequential_runs(inst: SequentialInstance, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Per-trial accept flags of independent runs, vectorised across live trials."""
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    out = []
-    for p, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if p > 1e-14:
-            out.append((float(p), np.kron(plus, vec)))
-    return out
-
-
-def run_sequential_sampled(inst: SequentialInstance, rng: np.random.Generator) -> bool:
-    """One sampled run.  RNG draw order per iteration: branch uniform; then
-    either one outcome uniform (check branch) or one integer j plus one
-    outcome uniform (measurement branch)."""
-    ensemble = _initial_vectors(inst)
-    weights = np.array([w for w, _ in ensemble])
-    idx = int(rng.choice(len(ensemble), p=weights / weights.sum()))
-    vec = ensemble[idx][1].copy()
-    d = inst.initial.shape.total_dim
-    q = inst.check_probability
-    mats = [m.accept_op.matrix for m in inst.measurements]
-    for _ in range(inst.k):
-        if rng.random() < q:
-            # Hadamard on the control, measure: 0 rejects, 1 accepts.
-            top, bottom = vec[:d], vec[d:]
-            new_bottom = (top - bottom) / math.sqrt(2)
-            p_one = float(min(1.0, max(0.0, np.vdot(new_bottom, new_bottom).real)))
-            return rng.random() < p_one
-        j = int(rng.integers(inst.n))
-        hit = mats[j] @ vec[d:]
-        p_acc = float(min(1.0, max(0.0, np.vdot(hit, hit).real)))
-        if rng.random() < p_acc:
-            return True
-        vec = vec.copy()
-        vec[d:] -= hit
-        vec /= np.linalg.norm(vec)
-    return False
-
-
-def run_sequential_sampled_batch(
-    inst: SequentialInstance, rng: np.random.Generator, trials: int
-) -> int:
-    """Accept count over independent trials, vectorised across live trials.
-
-    Deterministic for fixed (instance, generator state, trials); per
-    iteration it draws the branch uniforms, the measurement indices and the
-    outcome uniforms as whole arrays, in that order.
-    """
-    ensemble = _initial_vectors(inst)
-    weights = np.array([w for w, _ in ensemble])
-    weights /= weights.sum()
-    choice = rng.choice(len(ensemble), p=weights, size=trials)
-    states = np.stack([ensemble[c][1] for c in choice]).astype(np.complex128)
+    states = np.kron(plus, _ensemble_rows(inst.initial, rng, trials))
     d = inst.initial.shape.total_dim
     q = inst.check_probability
     mats = [m.accept_op.matrix for m in inst.measurements]
     alive = np.ones(trials, dtype=bool)
-    accepted = 0
+    accepted = np.zeros(trials, dtype=bool)
     for _ in range(inst.k):
         idx_alive = np.flatnonzero(alive)
         if idx_alive.size == 0:
@@ -167,7 +115,7 @@ def run_sequential_sampled_batch(
         # check branch: p(outcome 1) = ||(top - bottom)/sqrt(2)||^2
         diff = (live[check_mask, :d] - live[check_mask, d:]) / math.sqrt(2)
         p_one = np.clip(np.einsum("ij,ij->i", diff.conj(), diff).real, 0.0, 1.0)
-        accepted += int((u_out[check_mask] < p_one).sum())
+        accepted[idx_alive[check_mask]] = u_out[check_mask] < p_one
         # measurement branch, grouped by the sampled j
         meas_rows = np.flatnonzero(~check_mask)
         still_alive_rows = []
@@ -179,7 +127,7 @@ def run_sequential_sampled_batch(
             hit = bottom @ mats[j].T
             p_acc = np.clip(np.einsum("ij,ij->i", hit.conj(), hit).real, 0.0, 1.0)
             acc = u_out[rows] < p_acc
-            accepted += int(acc.sum())
+            accepted[idx_alive[rows[acc]]] = True
             keep = rows[~acc]
             new = live[keep].copy()
             new[:, d:] -= hit[~acc]
@@ -191,6 +139,18 @@ def run_sequential_sampled_batch(
             new_alive[idx_alive[np.concatenate(still_alive_rows)]] = True
         alive = new_alive
     return accepted
+
+
+def run_sequential_sampled(inst: SequentialInstance, rng: np.random.Generator) -> bool:
+    """One sampled run: a batch of one."""
+    return bool(_sequential_runs(inst, rng, 1)[0])
+
+
+def run_sequential_sampled_batch(
+    inst: SequentialInstance, rng: np.random.Generator, trials: int
+) -> int:
+    """Accept count over independent trials of :func:`run_sequential_sampled`."""
+    return int(np.count_nonzero(_sequential_runs(inst, rng, trials)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +181,7 @@ def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
         raise ValueError(f"oracle recursion capped at dim {MAX_ORACLE_DIM}, got {d}")
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     tau = np.kron(np.outer(plus, plus), inst.initial.matrix)
-    h_ext = np.kron(_H, np.eye(d))
+    h_ext = np.kron(HADAMARD, np.eye(d))
     mats = np.stack([m.accept_op.matrix for m in inst.measurements])
     mean_mat = mats.mean(axis=0)
     q = inst.check_probability

@@ -40,21 +40,6 @@ from .states import (
     trace_distance_pure,
 )
 
-EXPERIMENT_NAMES = (
-    "antizeno",
-    "mw-bounds",
-    "or-test",
-    "disturbance",
-    "union-bound",
-    "gentle",
-    "giso",
-    "membership",
-    "uiso",
-    "genuine-ent",
-    "demerlinize",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -636,55 +621,45 @@ def _exp_demerlinize(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.value("case2_bound", bound2)
     rec.check_le("case2_at_most_2_zeta_ceil", exact2, bound2, slack=1e-9)
 
+    inst = qor.demerlinize_instance(gamma, psi, eta1)
     count = 0
     for t in range(trials):
-        count += qor.demerlinize_test(gamma, psi, eta1, trial_rng(config.seed, 1000 + t))
+        count += qor.run_mw_sampled(inst, trial_rng(config.seed, 1000 + t)).accepted
     rec.check_sampled("sampled_vs_exact", count, trials, exact1)
 
 
-_DEFAULT_TRIALS = {
-    "antizeno": 2000,
-    "mw-bounds": 200,
-    "or-test": 2000,
-    "disturbance": 3000,
-    "union-bound": 30,
-    "gentle": 1000,
-    "giso": 200,
-    "membership": 2000,
-    "uiso": 200,
-    "genuine-ent": 200,
-    "demerlinize": 2000,
+# name -> (runner, default trial count), in CLI listing order
+_EXPERIMENTS: dict[str, tuple[Callable[[ExperimentConfig, _Recorder, int], None], int]] = {
+    "antizeno": (_exp_antizeno, 2000),
+    "mw-bounds": (_exp_mw_bounds, 200),
+    "or-test": (_exp_or_test, 2000),
+    "disturbance": (_exp_disturbance, 3000),
+    "union-bound": (_exp_union_bound, 30),
+    "gentle": (_exp_gentle, 1000),
+    "giso": (_exp_giso, 200),
+    "membership": (_exp_membership, 2000),
+    "uiso": (_exp_uiso, 200),
+    "genuine-ent": (_exp_genuine_ent, 200),
+    "demerlinize": (_exp_demerlinize, 2000),
 }
-
-_RUNNERS: dict[str, Callable[[ExperimentConfig, _Recorder, int], None]] = {
-    "antizeno": _exp_antizeno,
-    "mw-bounds": _exp_mw_bounds,
-    "or-test": _exp_or_test,
-    "disturbance": _exp_disturbance,
-    "union-bound": _exp_union_bound,
-    "gentle": _exp_gentle,
-    "giso": _exp_giso,
-    "membership": _exp_membership,
-    "uiso": _exp_uiso,
-    "genuine-ent": _exp_genuine_ent,
-    "demerlinize": _exp_demerlinize,
-}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Execute one named experiment and return its record."""
     import time
 
-    if config.name not in _RUNNERS:
+    if config.name not in _EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {config.name!r}; known: {', '.join(EXPERIMENT_NAMES)}"
         )
-    trials = config.trials if config.trials is not None else _DEFAULT_TRIALS[config.name]
+    runner, default_trials = _EXPERIMENTS[config.name]
+    trials = config.trials if config.trials is not None else default_trials
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rec = _Recorder()
     start = time.perf_counter()
-    _RUNNERS[config.name](config, rec, trials)
+    runner(config, rec, trials)
     elapsed = time.perf_counter() - start
     return ExperimentRecord(
         experiment=config.name,

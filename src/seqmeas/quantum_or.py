@@ -14,6 +14,14 @@ Its acceptance probability has the closed form
 sum_i |alpha_i|^2 [1 - (1 - lambda_i)^{2N}] over the spectrum of L, which the
 exact oracles below evaluate by eigendecomposition; an independent second
 oracle propagates the residual operator (Delta (I - Pi))^N directly.
+
+Every sampler is a wrapper over one batched core, ``_amplify``, which runs
+independent trials side by side given a Pi-applier on a block of extended
+vectors: ``x @ pi.T`` for a dense Naimark form, the QFT-column form for an
+averaged projector family.  A single run is a batch of one.  Draw order: a
+mixed input first draws every trial's eigen-ensemble index in one call; then
+per round one uniform per live trial for the Pi measurement, then one per
+surviving trial for Delta.
 """
 
 from __future__ import annotations
@@ -26,10 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gates import qft_matrix
-from .measurement import NaimarkForm, TwoOutcomeMeasurement, naimark_form
+from .measurement import POVM_RANGE_ATOL, NaimarkForm, TwoOutcomeMeasurement, naimark_form
 from .states import DensityOperator, HermitianOperator, PureState, RegisterShape, eigendecompose
 
-POVM_RANGE_ATOL = 1e-10
 WEIGHT_ATOL = 1e-14
 
 
@@ -55,89 +62,97 @@ class MWResult:
     halting_step: str | None  # "pi", "delta", or None when rejected
 
 
-def _sample_pure_vector(
-    initial: PureState | DensityOperator, rng: np.random.Generator
+_HALTING_STEPS = (None, "pi", "delta")  # per-trial step codes of the core
+
+
+def _ensemble_rows(
+    initial: PureState | DensityOperator, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """A pure amplitude vector; mixed inputs sample their eigen-ensemble."""
+    """One input vector per trial, as the rows of a (size, d) array.
+
+    A pure input is broadcast without copying.  A mixed input draws each
+    row from its eigen-ensemble (eigenvector i with probability lambda_i) in
+    a single ``rng.choice`` call.
+    """
     if isinstance(initial, PureState):
-        return initial.amplitudes
+        return np.broadcast_to(initial.amplitudes, (size, initial.amplitudes.size))
     dec = eigendecompose(initial.matrix)
     weights = np.clip(dec.eigenvalues, 0.0, None)
-    weights = weights / weights.sum()
-    idx = int(rng.choice(weights.size, p=weights))
-    return dec.eigenvectors[:, idx]
+    idx = rng.choice(weights.size, p=weights / weights.sum(), size=size)
+    return dec.eigenvectors[:, idx].T
+
+
+def _embed(rows: np.ndarray, d_anc: int) -> np.ndarray:
+    """Each row tensored with the ancilla state |0...0> (ancilla index fastest)."""
+    out = np.zeros((rows.shape[0], rows.shape[1] * d_anc), dtype=np.complex128)
+    out[:, ::d_anc] = rows
+    return out
+
+
+def _amplify(
+    apply_pi: Callable[[np.ndarray], np.ndarray],
+    rows: np.ndarray,
+    d_anc: int,
+    n_rounds: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent amplification trials, vectorised across the live ones.
+
+    ``rows`` holds each trial's system vector; ``apply_pi`` maps a block of
+    live extended vectors, shape (live, d_sys * d_anc), to its image under
+    Pi.  Returns per trial the round it halted in (``n_rounds`` if it
+    rejected) and its halting step as an index into ``_HALTING_STEPS``.
+    """
+    trials, d_sys = rows.shape
+    rounds = np.full(trials, n_rounds)
+    steps = np.zeros(trials, dtype=np.int8)
+    idx = np.arange(trials)
+    live = _embed(rows, d_anc)
+    # Uniforms lie in [0, 1), so the outcome probabilities need no clipping.
+    for r in range(1, n_rounds + 1):
+        hit = apply_pi(live)
+        halt = rng.random(idx.size) < np.einsum("ij,ij->i", live.conj(), hit).real
+        if np.count_nonzero(halt):
+            rounds[idx[halt]] = r
+            steps[idx[halt]] = 1
+            live, hit, idx = live[~halt], hit[~halt], idx[~halt]
+        live = live - hit
+        live /= np.sqrt(np.einsum("ij,ij->i", live.conj(), live).real)[:, None]
+        kept = live.reshape(idx.size, d_sys, d_anc)[:, :, 0]
+        p_delta = np.einsum("ij,ij->i", kept.conj(), kept).real
+        halt = rng.random(idx.size) >= p_delta
+        if np.count_nonzero(halt):
+            rounds[idx[halt]] = r
+            steps[idx[halt]] = 2
+            kept, p_delta, idx = kept[~halt], p_delta[~halt], idx[~halt]
+        if idx.size == 0:
+            break
+        live = _embed(kept / np.sqrt(p_delta)[:, None], d_anc)
+    return rounds, steps
+
+
+def _amplify_instance(
+    inst: MWInstance, rng: np.random.Generator, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    pi_t = inst.naimark.pi.T
+    rows = _ensemble_rows(inst.initial, rng, trials)
+    return _amplify(lambda x: x @ pi_t, rows, inst.naimark.ancilla_dim, inst.n_rounds, rng)
+
+
+def _single_result(rounds: np.ndarray, steps: np.ndarray) -> MWResult:
+    step = _HALTING_STEPS[steps[0]]
+    return MWResult(step is not None, int(rounds[0]), step)
 
 
 def run_mw_sampled(inst: MWInstance, rng: np.random.Generator) -> MWResult:
     """Simulate one run of the amplification procedure on a Naimark form."""
-    d_anc = inst.naimark.ancilla_dim
-    psi = _sample_pure_vector(inst.initial, rng)
-    vec = np.zeros(inst.naimark.extended_dim, dtype=np.complex128)
-    vec[::d_anc] = psi  # ancilla registers start in |0...0>
-    pi = inst.naimark.pi
-    for r in range(1, inst.n_rounds + 1):
-        hit = pi @ vec
-        p_pi = float(min(1.0, max(0.0, np.vdot(vec, hit).real)))
-        if rng.random() < p_pi:
-            return MWResult(True, r, "pi")
-        vec = vec - hit
-        vec /= np.linalg.norm(vec)
-        kept = vec.reshape(-1, d_anc)[:, 0]
-        p_delta = float(min(1.0, max(0.0, np.vdot(kept, kept).real)))
-        if rng.random() >= p_delta:
-            return MWResult(True, r, "delta")
-        vec = np.zeros_like(vec)
-        vec[::d_anc] = kept / math.sqrt(p_delta)
-    return MWResult(False, inst.n_rounds, None)
+    return _single_result(*_amplify_instance(inst, rng, 1))
 
 
 def run_mw_sampled_batch(inst: MWInstance, rng: np.random.Generator, trials: int) -> int:
-    """Vectorised accept count over independent trials of :func:`run_mw_sampled`.
-
-    Consumes the generator in a fixed order (initial-state choice, then per
-    round one uniform per live trial for each of the two measurements), so a
-    given (instance, seed, trials) triple is reproducible.
-    """
-    d_anc = inst.naimark.ancilla_dim
-    d_ext = inst.naimark.extended_dim
-    if isinstance(inst.initial, PureState):
-        psis = np.tile(inst.initial.amplitudes, (trials, 1))
-    else:
-        dec = eigendecompose(inst.initial.matrix)
-        weights = np.clip(dec.eigenvalues, 0.0, None)
-        weights /= weights.sum()
-        idx = rng.choice(weights.size, p=weights, size=trials)
-        psis = dec.eigenvectors[:, idx].T
-    states = np.zeros((trials, d_ext), dtype=np.complex128)
-    states[:, ::d_anc] = psis
-    alive = np.ones(trials, dtype=bool)
-    accepted = 0
-    pi_t = inst.naimark.pi.T
-    for _ in range(inst.n_rounds):
-        if not alive.any():
-            break
-        live = states[alive]
-        hit = live @ pi_t
-        p_pi = np.clip(np.einsum("ij,ij->i", live.conj(), hit).real, 0.0, 1.0)
-        u = rng.random(p_pi.size)
-        acc_pi = u < p_pi
-        accepted += int(acc_pi.sum())
-        survivors = live[~acc_pi] - hit[~acc_pi]
-        norms = np.linalg.norm(survivors, axis=1)
-        survivors /= norms[:, None]
-        kept = survivors.reshape(survivors.shape[0], -1, d_anc)[:, :, 0]
-        p_delta = np.clip(np.einsum("ij,ij->i", kept.conj(), kept).real, 0.0, 1.0)
-        u2 = rng.random(p_delta.size)
-        acc_delta = u2 >= p_delta
-        accepted += int(acc_delta.sum())
-        new_states = np.zeros((int((~acc_delta).sum()), d_ext), dtype=np.complex128)
-        new_states[:, ::d_anc] = kept[~acc_delta] / np.sqrt(p_delta[~acc_delta])[:, None]
-        idx_alive = np.flatnonzero(alive)
-        still = idx_alive[~acc_pi][~acc_delta]
-        alive = np.zeros_like(alive)
-        alive[still] = True
-        states[still] = new_states
-    return accepted
+    """Accept count over independent trials of :func:`run_mw_sampled`."""
+    _, steps = _amplify_instance(inst, rng, trials)
+    return int(np.count_nonzero(steps))
 
 
 # -- exact oracles ---------------------------------------------------------------
@@ -181,19 +196,9 @@ def mw_accept_exact(
 ) -> float:
     """Exact acceptance probability via the spectral decomposition of L.
 
-    Mixed inputs are handled by eigendecomposing rho and averaging the
-    pure-state formula over the resulting ensemble (the formula is linear in
-    the input state, so this is the convexity argument made literal).
+    A mixed input enters through its weights <v_i|rho|v_i> on the
+    eigenvectors v_i of L: the formula is linear in the input state.
     """
-    if isinstance(rho, DensityOperator):
-        dec = eigendecompose(rho.matrix)
-        total = 0.0
-        for p, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-            if p < WEIGHT_ATOL:
-                continue
-            evals, weights = _spectral_weights(accept_op, PureState(rho.shape, vec))
-            total += float(p) * mw_accept_from_spectrum(evals, weights, n_rounds)
-        return float(min(1.0, max(0.0, total)))
     evals, weights = _spectral_weights(accept_op, rho)
     return mw_accept_from_spectrum(evals, weights, n_rounds)
 
@@ -265,6 +270,29 @@ def _averaged_operator(measurements: Sequence[TwoOutcomeMeasurement]) -> Hermiti
     return HermitianOperator(shape, mean)
 
 
+def _averaged_pi(
+    appliers: Sequence[Callable[[np.ndarray], np.ndarray]],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Pi = sum_i L_{i+1} (x) Q|i><i|Q^{-1} on a block of extended vectors.
+
+    Applied structurally: Fourier transform each trial's ancilla column
+    index, apply the i-th projector to column i, transform back.
+    """
+    n = len(appliers)
+    q = qft_matrix(n)  # symmetric, so Q.T = Q and (Q^{-1}).T = conj(Q)
+    q_inv_t = q.conj()
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        a = (block.reshape(-1, n) @ q_inv_t).reshape(block.shape[0], -1, n)
+        b = np.empty_like(a)
+        for t in range(a.shape[0]):
+            for i in range(n):
+                b[t, :, i] = appliers[i](np.ascontiguousarray(a[t, :, i]))
+        return (b.reshape(-1, n) @ q).reshape(block.shape)
+
+    return apply
+
+
 def run_averaged_or_sampled(
     appliers: Sequence[Callable[[np.ndarray], np.ndarray]],
     initial: PureState | DensityOperator,
@@ -273,40 +301,13 @@ def run_averaged_or_sampled(
 ) -> MWResult:
     """Amplification run for an averaged projector family, matrix-free.
 
-    Pi = sum_i L_{i+1} (x) Q|i><i|Q^{-1} is applied structurally: Fourier
-    transform the ancilla column index, apply the i-th projector to column i,
-    transform back.  Only per-projector matvecs are needed, so instances are
-    limited by state-vector size rather than dense-operator size.  Draw order
-    per round: one uniform for the Pi measurement, then one for Delta.
+    Only per-projector matvecs are needed, so instances are limited by
+    state-vector size rather than dense-operator size.
     """
-    n = len(appliers)
-    if n == 0:
+    if len(appliers) == 0:
         raise ValueError("need at least one measurement")
-    psi = _sample_pure_vector(initial, rng)
-    d_sys = psi.size
-    q = qft_matrix(n)
-    q_inv_t = q.conj()  # (Q^{-1}).T = conj(Q) for the symmetric QFT matrix
-    q_t = q  # Q.T = Q
-    cols = np.zeros((d_sys, n), dtype=np.complex128)
-    cols[:, 0] = psi
-    for r in range(1, n_rounds + 1):
-        a = cols @ q_inv_t
-        b = np.empty_like(a)
-        for i in range(n):
-            b[:, i] = appliers[i](np.ascontiguousarray(a[:, i]))
-        hit = b @ q_t
-        p_pi = float(min(1.0, max(0.0, np.vdot(cols, hit).real)))
-        if rng.random() < p_pi:
-            return MWResult(True, r, "pi")
-        cols = cols - hit
-        cols /= np.linalg.norm(cols)
-        kept = cols[:, 0]
-        p_delta = float(min(1.0, max(0.0, np.vdot(kept, kept).real)))
-        if rng.random() >= p_delta:
-            return MWResult(True, r, "delta")
-        cols = np.zeros_like(cols)
-        cols[:, 0] = kept / math.sqrt(p_delta)
-    return MWResult(False, n_rounds, None)
+    rows = _ensemble_rows(initial, rng, 1)
+    return _single_result(*_amplify(_averaged_pi(appliers), rows, len(appliers), n_rounds, rng))
 
 
 def or_test(
@@ -391,6 +392,19 @@ def demerlinize_operator(gamma: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(slices[0].shape, mean)
 
 
+def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> MWInstance:
+    """The amplification run of :func:`demerlinize_test`: the averaged slice
+    operator's Naimark form, the message state and N = ceil(d/eta) rounds."""
+    evals = np.linalg.eigvalsh(gamma.matrix)
+    if evals.min() < -POVM_RANGE_ATOL or evals.max() > 1 + POVM_RANGE_ATOL:
+        raise ValueError("gamma is not in [0, I]")
+    lam = demerlinize_operator(gamma)
+    n_rounds = demerlinize_round_count(gamma.shape.dims[-1], eta)
+    is_proj = bool(np.abs(lam.matrix @ lam.matrix - lam.matrix).max() <= 1e-8)
+    measurement = TwoOutcomeMeasurement(lam, is_projector=is_proj)
+    return MWInstance(naimark_form(measurement), psi, n_rounds)
+
+
 def demerlinize_test(
     gamma: HermitianOperator, psi: PureState, eta, rng: np.random.Generator
 ) -> bool:
@@ -402,16 +416,7 @@ def demerlinize_test(
     witness reaches zeta the acceptance probability is at most
     2 zeta ceil(d/eta).
     """
-    evals = np.linalg.eigvalsh(gamma.matrix)
-    if evals.min() < -POVM_RANGE_ATOL or evals.max() > 1 + POVM_RANGE_ATOL:
-        raise ValueError("gamma is not in [0, I]")
-    lam = demerlinize_operator(gamma)
-    d = gamma.shape.dims[-1]
-    n_rounds = demerlinize_round_count(d, eta)
-    is_proj = bool(np.abs(lam.matrix @ lam.matrix - lam.matrix).max() <= 1e-8)
-    measurement = TwoOutcomeMeasurement(lam, is_projector=is_proj)
-    inst = MWInstance(naimark_form(measurement), psi, n_rounds)
-    return run_mw_sampled(inst, rng).accepted
+    return run_mw_sampled(demerlinize_instance(gamma, psi, eta), rng).accepted
 
 
 def demerlinize_accept_exact(gamma: HermitianOperator, psi: PureState, eta) -> float:

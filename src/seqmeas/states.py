@@ -260,10 +260,6 @@ def basis_state(shape: RegisterShape, labels: Sequence[int]) -> PureState:
     return PureState(shape, amps)
 
 
-def state_from_vector(dims: Sequence[int], vector: np.ndarray) -> PureState:
-    return PureState(RegisterShape(tuple(dims)), vector)
-
-
 def product_state(parts: Sequence[PureState]) -> PureState:
     """Tensor product of pure states, registers concatenated in order."""
     dims: list[int] = []

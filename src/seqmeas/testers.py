@@ -191,16 +191,21 @@ class UnitarySet:
         return self.matrices[0].shape[0]
 
 
-def eigen_copies(n_measurements: int, epsilon: float) -> int:
-    """Least k with 4 n (1 - eps/2)^k below the 1/8 wrong-accept budget."""
+def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
+    """Least k >= 1 with 4 n base^k below the 1/8 wrong-accept budget."""
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     k = 1
-    while 4 * n_measurements * (1 - epsilon / 2) ** k > CASE2_BUDGET:
+    while 4 * n_measurements * base**k > CASE2_BUDGET:
         k += 1
         if k > 10**6:
             raise ValueError("copy rule did not converge")
     return k
+
+
+def eigen_copies(n_measurements: int, epsilon: float) -> int:
+    """Least k with 4 n (1 - eps/2)^k below the 1/8 wrong-accept budget."""
+    return _least_copies(n_measurements, epsilon, 1 - epsilon / 2)
 
 
 def eigen_tester_state(psi: PureState, copies_k: int) -> PureState:
@@ -534,14 +539,7 @@ def g_iso_accept_exact(
 
 def membership_copies(n_candidates: int, epsilon: float) -> int:
     """Least k with 4 |P| (1 - eps^2)^k below the 1/8 wrong-accept budget."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    k = 1
-    while 4 * n_candidates * (1 - epsilon**2) ** k > CASE2_BUDGET:
-        k += 1
-        if k > 10**6:
-            raise ValueError("copy rule did not converge")
-    return k
+    return _least_copies(n_candidates, epsilon, 1 - epsilon**2)
 
 
 def state_membership_test(
@@ -764,14 +762,7 @@ def cut_product_test(psi: PureState, cut: Sequence[int], rng: np.random.Generato
 
 def genuine_ent_copies(n_cuts: int, epsilon: float) -> int:
     """Least even k with 4 n_cuts (1 - eps^2/2)^{k/2} below the 1/8 budget."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    half = 1
-    while 4 * n_cuts * (1 - epsilon**2 / 2) ** half > CASE2_BUDGET:
-        half += 1
-        if half > 10**6:
-            raise ValueError("copy rule did not converge")
-    return 2 * half
+    return 2 * _least_copies(n_cuts, epsilon, 1 - epsilon**2 / 2)
 
 
 def _cut_and_applier(

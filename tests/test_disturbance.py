@@ -151,6 +151,11 @@ class TestSampledRuns:
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(count / trials - exact) <= 4 * sigma
 
+    def test_return_types(self):
+        inst = certain_member_instance(2, eta=1.0)
+        assert type(run_sequential_sampled(inst, trial_rng(13, 1))) is bool
+        assert type(run_sequential_sampled_batch(inst, trial_rng(13, 2), 5)) is int
+
     def test_batch_statistics_random_instances(self):
         trials = 10_000
         for t in range(20):

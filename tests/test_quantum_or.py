@@ -9,6 +9,7 @@ import pytest
 from seqmeas import (
     HermitianOperator,
     MWInstance,
+    PureState,
     RegisterShape,
     TwoOutcomeMeasurement,
     anti_zeno_sequence,
@@ -32,12 +33,13 @@ from seqmeas import (
     run_mw_sampled_batch,
     trial_rng,
 )
-from seqmeas.quantum_or import _averaged_operator
+from seqmeas.quantum_or import _averaged_operator, _averaged_pi
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
     random_projector,
     random_pure_state,
+    random_unitary,
 )
 
 QUBIT = RegisterShape((2,))
@@ -76,6 +78,27 @@ class TestExactOracle:
             exact = mw_accept_exact(lam, rho, n_rounds)
             inst = MWInstance(one_ancilla_dilation(lam), rho, n_rounds)
             assert abs(mw_accept_survival(inst) - exact) <= 1e-9
+
+    def test_mixed_input_degenerate_spectrum(self):
+        """Rank-deficient rho and an L with a repeated eigenvalue: the
+        spectral oracle on rho matches the survival oracle and the convex
+        combination of its pure-input values over rho's eigen-ensemble."""
+        rng = trial_rng(78, 0)
+        shape = RegisterShape((4,))
+        u = random_unitary(rng, 4)
+        lam = HermitianOperator(shape, u @ np.diag([0.3, 0.3, 0.8, 0.0]) @ u.conj().T)
+        rho = random_density_operator(rng, shape, rank=2)
+        probs, vecs = np.linalg.eigh(rho.matrix)
+        assert np.sum(probs > 1e-12) == 2
+        for n_rounds in (1, 3, 7):
+            exact = mw_accept_exact(lam, rho, n_rounds)
+            survival = mw_accept_survival(MWInstance(one_ancilla_dilation(lam), rho, n_rounds))
+            convex = sum(
+                max(p, 0.0) * mw_accept_exact(lam, PureState(shape, v), n_rounds)
+                for p, v in zip(probs, vecs.T)
+            )
+            assert abs(exact - survival) <= 1e-10
+            assert abs(exact - convex) <= 1e-10
 
     def test_survival_kernel_state(self):
         lam = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))
@@ -158,6 +181,69 @@ class TestSampledRuns:
             assert abs(count / trials - exact) <= 4 * sigma + 1e-9
 
 
+def _halting_law(evals, weights, n_rounds):
+    """Exact probability of each (rounds_used, halting_step) cell."""
+    lam = np.clip(evals, 0.0, 1.0)
+    law = {}
+    for r in range(1, n_rounds + 1):
+        law[(r, "pi")] = float(np.sum(weights * (1 - lam) ** (2 * r - 2) * lam))
+        law[(r, "delta")] = float(np.sum(weights * (1 - lam) ** (2 * r - 1) * lam))
+    law[(n_rounds, None)] = float(np.sum(weights * (1 - lam) ** (2 * n_rounds)))
+    return law
+
+
+def _spectral_measure(accept_op: HermitianOperator, rho):
+    """Eigenvalues l_i of L and weights w_i = <v_i|rho|v_i>."""
+    mat = rho.density().matrix if isinstance(rho, PureState) else rho.matrix
+    evals, vecs = np.linalg.eigh(accept_op.matrix)
+    weights = np.einsum("ji,jk,ki->i", vecs.conj(), mat, vecs).real
+    return evals, np.clip(weights, 0.0, None)
+
+
+def _assert_histogram(results, law):
+    trials = len(results)
+    counts = {}
+    for res in results:
+        key = (res.rounds_used, res.halting_step)
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(law)
+    assert abs(sum(law.values()) - 1.0) <= 1e-12
+    for key, p in law.items():
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(counts.get(key, 0) / trials - p) <= 4 * sigma + 1e-9, key
+
+
+class TestHaltingLaw:
+    """P(halt at Pi in round r) = sum_i w_i (1 - l_i)^{2r-2} l_i and
+    P(halt at Delta in round r) = sum_i w_i (1 - l_i)^{2r-1} l_i over the
+    spectral measure (l_i, w_i) of L seen from the input."""
+
+    def test_dilated_form_mixed_input(self):
+        rng = trial_rng(79, 0)
+        shape = RegisterShape((4,))
+        u = random_unitary(rng, 4)
+        lam = HermitianOperator(shape, u @ np.diag([0.15, 0.4, 0.7, 0.0]) @ u.conj().T)
+        rho = random_density_operator(rng, shape, rank=3)
+        n_rounds = 3
+        inst = MWInstance(one_ancilla_dilation(lam), rho, n_rounds)
+        runs = [run_mw_sampled(inst, rng) for _ in range(6000)]
+        _assert_histogram(runs, _halting_law(*_spectral_measure(lam, rho), n_rounds))
+
+    def test_averaged_family(self):
+        rng = trial_rng(79, 1)
+        shape = RegisterShape((3,))
+        ms = [
+            TwoOutcomeMeasurement(random_projector(rng, shape, rank=r), is_projector=True)
+            for r in (1, 2, 1)
+        ]
+        psi = random_pure_state(rng, shape)
+        n_rounds = or_round_count(len(ms), 0)
+        appliers = [(lambda v, m=m.accept_op.matrix: m @ v) for m in ms]
+        runs = [run_averaged_or_sampled(appliers, psi, n_rounds, rng) for _ in range(6000)]
+        law = _halting_law(*_spectral_measure(_averaged_operator(ms), psi), n_rounds)
+        _assert_histogram(runs, law)
+
+
 class TestAveragedOrRun:
     def test_structured_pi_matches_dense(self):
         rng = trial_rng(5, 0)
@@ -178,6 +264,10 @@ class TestAveragedOrRun:
         b = np.stack([ms[i].accept_op.matrix @ a[:, i] for i in range(n)], axis=1)
         structured = (b @ qft_matrix(n)).reshape(-1)
         np.testing.assert_allclose(structured, nf.pi @ vec, atol=1e-10)
+        # the sampler's batched applier, on a block of two trials
+        block = np.stack([vec, vec[::-1]])
+        appliers = [(lambda v, m=m.accept_op.matrix: m @ v) for m in ms]
+        np.testing.assert_allclose(_averaged_pi(appliers)(block), block @ nf.pi.T, atol=1e-10)
 
     def test_structured_run_statistics(self):
         n = 8

@@ -71,6 +71,28 @@ F_FAR = FunctionTable(4, 2, (0, 0, 1, 1))
 G_FAR = FunctionTable(4, 2, (0, 1, 1, 0))
 
 
+# Pinned least k of the three copy rules: (n, eps) -> (eigen, membership, genuine-ent).
+COPY_RULE_GRID = {
+    (1, 0.1): (68, 345, 1384),
+    (1, 0.5): (13, 13, 52),
+    (1, 1.0): (5, 1, 10),
+    (3, 0.1): (89, 455, 1822),
+    (3, 0.5): (16, 16, 70),
+    (3, 1.0): (7, 1, 14),
+    (7, 0.1): (106, 539, 2160),
+    (7, 0.5): (19, 19, 82),
+    (7, 1.0): (8, 1, 16),
+}
+
+
+def check_copy_rule(rule, column):
+    for (n, eps), ks in COPY_RULE_GRID.items():
+        assert rule(n, eps) == ks[column], (n, eps)
+    for eps in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            rule(2, eps)
+
+
 class TestFunctionStates:
     def test_equal_functions(self):
         f = FunctionTable(4, 2, (0, 1, 1, 0))
@@ -211,6 +233,7 @@ class TestEigenCircuit:
         assert eigen_copies(2, 0.5) == 15  # least k with 8 (3/4)^k <= 1/8
         assert 4 * 2 * 0.75**15 <= 1 / 8
         assert 4 * 2 * 0.75**14 > 1 / 8
+        check_copy_rule(eigen_copies, 0)
 
 
 class TestJointBitOracle:
@@ -296,6 +319,7 @@ class TestGIso:
 class TestMembership:
     def test_copy_rule(self):
         assert membership_copies(2, 0.5) == 15
+        check_copy_rule(membership_copies, 1)
 
     def test_member_accepts(self):
         phi0, phi1 = basis_state(QUBIT, (0,)), basis_state(QUBIT, (1,))
@@ -485,6 +509,10 @@ class TestGenuineEntanglement:
         k = genuine_ent_copies(3, math.sqrt(0.5))
         exact = genuine_ent_accept_exact(psi, 3, k)
         assert exact >= 1.0 / 7.0
+
+    def test_copy_rule(self):
+        assert genuine_ent_copies(3, math.sqrt(0.5)) == 32
+        check_copy_rule(genuine_ent_copies, 2)
 
     def test_ghz_rejected_at_rule_k(self):
         k = genuine_ent_copies(3, math.sqrt(0.5))
