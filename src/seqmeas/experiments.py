@@ -130,10 +130,13 @@ class _Recorder:
 
 
 def _int_param(config: ExperimentConfig, key: str, default: int, minimum: int | None = None) -> int:
+    raw = config.params.get(key, default)
     try:
-        value = int(config.params.get(key, default))
-    except (TypeError, ValueError):
-        raise ValueError(f"parameter {key!r} must be an integer, got {config.params[key]!r}")
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"parameter {key!r} must be an integer, got {raw!r}")
+    if isinstance(raw, float) and value != raw:
+        raise ValueError(f"parameter {key!r} must be an integer, got {raw!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"parameter {key!r} must be >= {minimum}, got {value}")
     return value
@@ -150,6 +153,8 @@ def _float_param(
         value = float(config.params.get(key, default))
     except (TypeError, ValueError):
         raise ValueError(f"parameter {key!r} must be a number, got {config.params[key]!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {key!r} must be finite, got {value}")
     if low is not None and value <= low:
         raise ValueError(f"parameter {key!r} must be > {low}, got {value}")
     if high is not None and value > high:
@@ -628,19 +633,21 @@ def _exp_demerlinize(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_sampled("sampled_vs_exact", count, trials, exact1)
 
 
-# name -> (runner, default trial count), in CLI listing order
-_EXPERIMENTS: dict[str, tuple[Callable[[ExperimentConfig, _Recorder, int], None], int]] = {
-    "antizeno": (_exp_antizeno, 2000),
-    "mw-bounds": (_exp_mw_bounds, 200),
-    "or-test": (_exp_or_test, 2000),
-    "disturbance": (_exp_disturbance, 3000),
-    "union-bound": (_exp_union_bound, 30),
-    "gentle": (_exp_gentle, 1000),
-    "giso": (_exp_giso, 200),
-    "membership": (_exp_membership, 2000),
-    "uiso": (_exp_uiso, 200),
-    "genuine-ent": (_exp_genuine_ent, 200),
-    "demerlinize": (_exp_demerlinize, 2000),
+# name -> (runner, default trial count, accepted --param keys), in CLI listing order
+_EXPERIMENTS: dict[
+    str, tuple[Callable[[ExperimentConfig, _Recorder, int], None], int, tuple[str, ...]]
+] = {
+    "antizeno": (_exp_antizeno, 2000, ("n",)),
+    "mw-bounds": (_exp_mw_bounds, 200, ()),
+    "or-test": (_exp_or_test, 2000, ("n", "delta")),
+    "disturbance": (_exp_disturbance, 3000, ("case2_instances",)),
+    "union-bound": (_exp_union_bound, 30, ()),
+    "gentle": (_exp_gentle, 1000, ()),
+    "giso": (_exp_giso, 200, ("epsilon",)),
+    "membership": (_exp_membership, 2000, ("epsilon",)),
+    "uiso": (_exp_uiso, 200, ("identity_checks", "epsilon")),
+    "genuine-ent": (_exp_genuine_ent, 200, ("epsilon",)),
+    "demerlinize": (_exp_demerlinize, 2000, ("eta", "zeta")),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
@@ -653,7 +660,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         raise ValueError(
             f"unknown experiment {config.name!r}; known: {', '.join(EXPERIMENT_NAMES)}"
         )
-    runner, default_trials = _EXPERIMENTS[config.name]
+    runner, default_trials, keys = _EXPERIMENTS[config.name]
+    unknown = sorted(set(config.params) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter {', '.join(map(repr, unknown))} for {config.name}; "
+            f"accepted: {', '.join(keys) if keys else 'none'}"
+        )
     trials = config.trials if config.trials is not None else default_trials
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -6,22 +6,28 @@ set, membership of a state in a finite candidate set, the analogous tests
 for unitaries through their channel states, and product/genuine-entanglement
 tests via subsystem swap tests.
 
-Two kinds of exact acceptance oracle back the sampled testers:
+Three kinds of exact acceptance oracle back the sampled testers:
 
 * a Gram-matrix route for averaged rank-one projector families (state
   membership), exact at any copy count;
 * a joint-eigenbasis route for commuting projector families applied per
-  tensor factor (interference measurements with commuting unitaries, swap
-  tests), which reduces the averaged-operator spectrum to a distribution of
-  bit-vector ANDs and is likewise exact at any copy count.
+  tensor factor (interference measurements with commuting unitaries), which
+  reduces the averaged-operator spectrum to a distribution of bit-vector
+  ANDs and is likewise exact at any copy count;
+* a sign-pattern/span route for the genuine-entanglement test: the weights
+  of the joint eigenspaces of the per-register swaps come from subsystem
+  purities, and the averaged eigenvalue depends only on the dimension of
+  the span of the patterns drawn by the copy pairs, so neither swap
+  projectors nor the 2^cuts mask space are ever built.
 
-Both are cross-validated against the dense spectral oracle at small sizes in
-the test suite.
+All three are cross-validated against the dense spectral oracle (or the
+dense joint-eigenbasis route) at small sizes in the test suite.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -51,6 +57,8 @@ MAX_VECTOR_DIM = 1 << 20
 MAX_DENSE_DIM = 1 << 12
 CASE2_BUDGET = 1.0 / 8.0
 COMMUTATOR_ATOL = 1e-9
+PATTERN_ATOL = 1e-15
+MAX_GENUINE_PARTIES = 8
 
 
 # -- classical function tables --------------------------------------------------
@@ -383,43 +391,34 @@ def joint_projector_bits(
     return sorted(weights.items())
 
 
+def _bit_pairs(values: np.ndarray):
+    """Yield, for each bit of the index, views of the entries of a length-2^m
+    array whose index has that bit clear and set, aligned pairwise."""
+    h = 1
+    while h < values.size:
+        v = values.reshape(-1, 2, h)
+        yield v[:, 0], v[:, 1]
+        h *= 2
+
+
 def and_power_distribution(
     atoms: Sequence[tuple[int, float]], n_bits: int, factors: int
 ) -> dict[int, float]:
     """Distribution of the bitwise AND of `factors` iid bit-vectors.
 
     `atoms` gives the single-factor distribution as (mask, probability)
-    pairs.  Uses P(AND superset of m) = P(single superset of m)^factors and a
-    superset Moebius inversion; exact for any factor count.
+    pairs.  Uses P(AND superset of m) = P(single superset of m)^factors: a
+    superset zeta butterfly, the power, and the superset Moebius butterfly,
+    O(n_bits 2^n_bits) in all; exact for any factor count.
     """
-    size = 1 << n_bits
-    q = np.zeros(size)
-    for mask, w in atoms:
-        sub = mask
-        # enumerate submasks of `mask` (each is implied by this atom)
-        while True:
-            q[sub] += w
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-    qk = q**factors
-    dist: dict[int, float] = {}
-    for m in range(size):
-        total = 0.0
-        sup = m
-        # enumerate supersets of m within n_bits
-        free = ((size - 1) ^ m)
-        sub = free
-        while True:
-            s = m | sub
-            sign = -1.0 if (bin(sub).count("1") % 2) else 1.0
-            total += sign * qk[s]
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        if total > 1e-15:
-            dist[m] = total
-    return dist
+    q = np.zeros(1 << n_bits)
+    np.add.at(q, np.array([m for m, _ in atoms], dtype=np.int64), [w for _, w in atoms])
+    for lo, hi in _bit_pairs(q):
+        lo += hi
+    dist = q**factors
+    for lo, hi in _bit_pairs(dist):
+        lo -= hi
+    return {int(m): float(dist[m]) for m in np.flatnonzero(dist > 1e-15)}
 
 
 def averaged_and_measure(
@@ -585,11 +584,11 @@ def membership_accept_exact(
     """
     n = len(candidates)
     rounds = or_round_count(n, 0) if n_rounds is None else n_rounds
-    overlaps = np.array(
-        [[a.overlap(b) for b in candidates] for a in candidates], dtype=np.complex128
-    )
-    gram = overlaps**copies_k
-    t = np.array([c.overlap(psi) ** copies_k for c in candidates], dtype=np.complex128)
+    if any(c.shape != psi.shape for c in candidates):
+        raise ValueError("candidates and input state must share a shape")
+    amps = np.array([c.amplitudes for c in candidates])
+    gram = (amps.conj() @ amps.T) ** copies_k
+    t = (amps.conj() @ psi.amplitudes) ** copies_k
     dec = eigendecompose(gram / n)
     evals, weights = [], []
     for mu, coef in zip(dec.eigenvalues, dec.eigenvectors.T):
@@ -813,7 +812,11 @@ def genuine_ent_test(
 
 
 def _pair_swap_projectors(psi: PureState, cuts: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """Dense (I + SWAP_S)/2 for each cut on the two-copy space of psi."""
+    """Dense (I + SWAP_S)/2 for each cut on the two-copy space of psi.
+
+    With :func:`joint_projector_bits` and :func:`averaged_and_measure` this
+    is the dense reference route for :func:`genuine_ent_accept_exact`.
+    """
     d = psi.shape.total_dim
     if d * d > MAX_DENSE_DIM:
         raise ValueError("two-copy space too large for the dense swap projectors")
@@ -836,20 +839,103 @@ def _pair_swap_projectors(psi: PureState, cuts: Sequence[Sequence[int]]) -> list
     return out
 
 
+def _sign_pattern_weights(psi: PureState) -> np.ndarray:
+    """Weight of psi (x) psi on each joint eigenspace of the per-register swaps.
+
+    Entry s (bit i set: SWAP_i acts as -1) is the Walsh-Hadamard transform
+    of the subsystem purities, w_s = 2^-n sum_T (-1)^|s & T| tr rho_T^2,
+    with tr rho_T^2 = 1 for T empty and for T = all registers.
+    """
+    n = psi.shape.num_registers
+    full = (1 << n) - 1
+    w = np.ones(1 << n)
+    for t in range(1, full):
+        w[t] = subsystem_purity(psi, [i for i in range(n) if t >> i & 1])
+    for lo, hi in _bit_pairs(w):
+        lo[:], hi[:] = lo + hi, lo - hi
+    return w / (1 << n)
+
+
+def _span_moves(
+    basis: tuple[int, ...], patterns: Sequence[int], weights: Sequence[float]
+) -> list[tuple[tuple[int, ...], float]]:
+    """One more draw from span(basis): (new span, probability) per coset.
+
+    A span is keyed by its reduced row-echelon basis (pivot = top bit,
+    sorted), which is canonical.  Reducing a pattern against the basis gives
+    its coset's representative c; c = 0 keeps the span, and otherwise c is
+    the new basis vector, cleared from the others at its pivot.
+    """
+    pivots = [1 << (b.bit_length() - 1) for b in basis]
+    cosets: dict[int, float] = defaultdict(float)
+    for s, w in zip(patterns, weights):
+        for b, top in zip(basis, pivots):
+            if s & top:
+                s ^= b
+        cosets[s] += w
+    moves = []
+    for c, w in cosets.items():
+        if c:
+            top = 1 << (c.bit_length() - 1)
+            moves.append((tuple(sorted([b ^ c if b & top else b for b in basis] + [c])), w))
+        else:
+            moves.append((basis, w))
+    return moves
+
+
+def _span_rank_distribution(
+    patterns: Sequence[int], weights: Sequence[float], draws: int
+) -> dict[int, float]:
+    """Distribution of dim span(s_1..s_draws) over GF(2) for iid draws of
+    the patterns with the given weights: a DP over subspaces whose every
+    probability is a sum of positive terms.  Each span's moves are computed
+    once and reused at later draws."""
+    spans: dict[tuple[int, ...], float] = {(): 1.0}
+    moves: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
+    for _ in range(draws):
+        nxt: dict[tuple[int, ...], float] = defaultdict(float)
+        for basis, p in spans.items():
+            if basis not in moves:
+                moves[basis] = _span_moves(basis, patterns, weights)
+            for key, w in moves[basis]:
+                nxt[key] += p * w
+        spans = nxt
+    ranks: dict[int, float] = defaultdict(float)
+    for basis, p in spans.items():
+        ranks[len(basis)] += p
+    return dict(ranks)
+
+
 def genuine_ent_accept_exact(psi: PureState, n_parts: int, copies_k: int) -> float:
     """Exact acceptance of the genuine-entanglement test at any even copy count.
 
-    The per-cut swap projectors commute (they are built from disjoint
-    register transpositions), so the spectrum of the averaged measurement on
-    psi^k reduces to the AND distribution of per-pair joint swap signs.
+    The per-register swaps SWAP_i on psi (x) psi commute, so each copy pair
+    lands in a joint eigenspace indexed by a sign pattern s in GF(2)^n with
+    weight w_s = 2^-n sum_{T subset [n]} (-1)^|s & T| tr rho_T^2
+    (:func:`_sign_pattern_weights`).  psi (x) psi is fixed by the full swap,
+    so odd-weight patterns carry zero weight; they and patterns with weight
+    at most PATTERN_ATOL are dropped.  The swap test across cut S passes on
+    pattern s iff |s & S| is even, so all k/2 pairs pass S iff 1_S is
+    orthogonal to V, the span of the drawn patterns.  V lies in the
+    even-weight space, and the fraction of the 2^{n-1} - 1 cuts orthogonal
+    to it is
+
+        lambda_r = (2^{n-1-r} - 1) / (2^{n-1} - 1),   r = dim V,
+
+    so the averaged measurement's spectral measure is the distribution of r,
+    found by a DP over subspaces (:func:`_span_rank_distribution`).  The DP
+    visits every subspace of GF(2)^{n-1} in the worst case, which bounds
+    the party count at MAX_GENUINE_PARTIES.
     """
     if n_parts != psi.shape.num_registers:
         raise ValueError("n_parts must match the state's register count")
     if copies_k % 2 != 0 or copies_k < 2:
         raise ValueError("the copy count must be even")
-    cuts = proper_cuts(n_parts)
-    projectors = _pair_swap_projectors(psi, cuts)
-    pair_vec = np.kron(psi.amplitudes, psi.amplitudes)
-    atoms = joint_projector_bits(projectors, pair_vec)
-    evals, weights = averaged_and_measure(atoms, len(cuts), copies_k // 2)
-    return mw_accept_from_spectrum(evals, weights, or_round_count(len(cuts), 0))
+    if n_parts > MAX_GENUINE_PARTIES:
+        raise ValueError(f"{n_parts} parties exceed the exact oracle's cap of {MAX_GENUINE_PARTIES}")
+    n_cuts = len(proper_cuts(n_parts))
+    w = _sign_pattern_weights(psi)
+    patterns = [s for s in range(w.size) if bin(s).count("1") % 2 == 0 and w[s] > PATTERN_ATOL]
+    ranks = _span_rank_distribution(patterns, w[patterns].tolist(), copies_k // 2)
+    evals = [((1 << (n_parts - 1 - r)) - 1) / n_cuts for r in ranks]
+    return mw_accept_from_spectrum(evals, list(ranks.values()), or_round_count(n_cuts, 0))

@@ -8,7 +8,7 @@ import pytest
 
 from seqmeas import ExperimentConfig, run_experiment
 from seqmeas.cli import main as cli_main
-from seqmeas.experiments import EXPERIMENT_NAMES
+from seqmeas.experiments import EXPERIMENT_NAMES, _EXPERIMENTS
 
 
 QUICK = {"trials": 50}
@@ -28,6 +28,35 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(name="antizeno", trials=10, params={"n": 0}))
         with pytest.raises(ValueError, match="'eta'"):
             run_experiment(ExperimentConfig(name="demerlinize", trials=10, params={"eta": 2.0}))
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ValueError, match="'typo'"):
+            run_experiment(ExperimentConfig(name="genuine-ent", trials=10, params={"typo": 5}))
+        with pytest.raises(ValueError, match="'n'"):  # no parameters at all
+            run_experiment(ExperimentConfig(name="gentle", trials=10, params={"n": 3}))
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("or-test", "delta", float("nan")),
+            ("demerlinize", "eta", float("nan")),
+            ("demerlinize", "zeta", float("inf")),
+            ("antizeno", "n", float("inf")),
+            ("antizeno", "n", float("nan")),
+            ("antizeno", "n", 16.5),  # would silently run n = 16
+        ],
+    )
+    def test_non_finite_or_fractional_parameter_rejected(self, name, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            run_experiment(ExperimentConfig(name=name, trials=10, params={key: value}))
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_declared_parameters_are_read(self, name):
+        """Every declared key reaches its runner: a non-numeric value is
+        rejected with an error that names the key."""
+        for key in _EXPERIMENTS[name][2]:
+            with pytest.raises(ValueError, match=repr(key)):
+                run_experiment(ExperimentConfig(name=name, seed=11, trials=1, params={key: "x"}))
 
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
     def test_each_experiment_passes_quick(self, name):
@@ -84,6 +113,20 @@ class TestCli:
         assert code == 0
         body = json.loads(out.read_text())
         assert body["params"]["n"] == 16
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["genuine-ent", "--param", "typo=5"], "typo"),
+            (["or-test", "--param", "delta=nan"], "delta"),
+            (["demerlinize", "--param", "eta=nan"], "eta"),
+        ],
+    )
+    def test_bad_param_exit_code(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "res.json"
+        assert cli_main(argv + ["--trials", "5", "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_experiment_exit_code(self):
         proc = subprocess.run(

@@ -3,9 +3,11 @@ channel-state tests, productness and genuine entanglement."""
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqmeas import (
     FunctionTable,
@@ -47,9 +49,15 @@ from seqmeas import (
     unitary_s_iso_test,
     unitary_set_test,
 )
+from seqmeas import testers as testers_module
 from seqmeas.gates import PAULI_X, PAULI_Z
+from seqmeas.quantum_or import mw_accept_from_spectrum, or_round_count
 from seqmeas.testers import (
+    MAX_GENUINE_PARTIES,
+    _pair_swap_projectors,
+    _sign_pattern_weights,
     and_power_distribution,
+    averaged_and_measure,
     conjugation_unitary,
     eigen_measurement_projector,
     joint_projector_bits,
@@ -83,6 +91,43 @@ COPY_RULE_GRID = {
     (7, 0.5): (19, 19, 82),
     (7, 1.0): (8, 1, 16),
 }
+
+
+def w_state(n):
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[[1 << q for q in range(n)]] = 1.0 / math.sqrt(n)
+    return PureState(RegisterShape((2,) * n), amps)
+
+
+def genuine_ent_cases():
+    """Random states on mixed shapes, GHZ, W, product across a cut and fully product."""
+    rng = trial_rng(47, 0)
+    shapes = ((2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 2, 2))
+    cases = [random_pure_state(rng, RegisterShape(dims)) for dims in shapes]
+    cases += [ghz_state(n) for n in (2, 3, 4)] + [w_state(3), w_state(4)]
+    cases.append(  # product across {0} | {1, 2}
+        product_state([random_pure_state(rng, QUBIT), random_pure_state(rng, RegisterShape((3, 2)))])
+    )
+    cases.append(  # product across {0, 1} | {2, 3}
+        product_state(
+            [random_pure_state(rng, RegisterShape((3, 2))), random_pure_state(rng, RegisterShape((2, 2)))]
+        )
+    )
+    cases.append(product_state([random_pure_state(rng, RegisterShape((d,))) for d in (3, 2, 2, 2)]))
+    return cases
+
+
+def dense_genuine_ent_accept(psi, copies):
+    """The dense route: per-cut two-copy swap projectors, their joint
+    eigenbasis bits and the AND distribution over the k/2 pairs."""
+    cuts = proper_cuts(psi.shape.num_registers)
+    pair = np.kron(psi.amplitudes, psi.amplitudes)
+    atoms = joint_projector_bits(_pair_swap_projectors(psi, cuts), pair)
+    out = []
+    for k in copies:
+        evals, weights = averaged_and_measure(atoms, len(cuts), k // 2)
+        out.append(mw_accept_from_spectrum(evals, weights, or_round_count(len(cuts), 0)))
+    return out
 
 
 def check_copy_rule(rule, column):
@@ -258,6 +303,25 @@ class TestJointBitOracle:
         assert abs(dist[0b11] - 0.25) <= 1e-12
         assert abs(dist[0b10] - 0.75) <= 1e-12
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n_bits=st.integers(0, 4), factors=st.integers(1, 3))
+    def test_and_distribution_matches_enumeration(self, data, n_bits, factors):
+        """The butterfly transform against the sum over all factor tuples,
+        with atoms that always include mask 0 and the all-ones mask."""
+        full = (1 << n_bits) - 1
+        masks = data.draw(st.lists(st.integers(0, full), max_size=5)) + [0, full]
+        raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(masks), max_size=len(masks)))
+        atoms = [(m, w / sum(raw)) for m, w in zip(masks, raw)]
+        brute = [0.0] * (full + 1)
+        for combo in itertools.product(atoms, repeat=factors):
+            brute[reduce(lambda a, b: a & b, (m for m, _ in combo), full)] += math.prod(
+                w for _, w in combo
+            )
+        dist = and_power_distribution(atoms, n_bits, factors)
+        assert set(dist) <= set(range(full + 1))
+        for m in range(full + 1):
+            assert abs(dist.get(m, 0.0) - brute[m]) <= 1e-12, m
+
     def test_oracle_matches_dense_on_commuting_instance(self):
         mats = [pair_swap_unitary(s, 2) for s in DESK_GROUP]
         psi = pair_state(F_FAR, G_FAR)
@@ -368,6 +432,13 @@ class TestMembership:
         )
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(count / trials - exact) <= 4 * sigma + 1e-9
+
+    def test_exact_rejects_shape_mismatch(self):
+        rng = trial_rng(49, 0)
+        psi = random_pure_state(rng, QUBIT)
+        other = random_pure_state(rng, RegisterShape((3,)))
+        with pytest.raises(ValueError):
+            membership_accept_exact([psi, other], psi, 2)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -555,6 +626,58 @@ class TestGenuineEntanglement:
     def test_odd_copy_count_rejected(self):
         with pytest.raises(ValueError):
             genuine_ent_test(ghz_state(3), 3, 0.5, trial_rng(0, 0), copies_k=3)
+
+    def test_span_oracle_matches_dense_route(self):
+        copies = (2, 4, 8, 32)
+        for psi in genuine_ent_cases():
+            n = psi.shape.num_registers
+            dense = dense_genuine_ent_accept(psi, copies)
+            for k, expected in zip(copies, dense):
+                exact = genuine_ent_accept_exact(psi, n, k)
+                assert abs(exact - expected) <= 1e-12, (psi.shape.dims, k)
+
+    def test_sign_pattern_weights(self):
+        for psi in genuine_ent_cases():
+            w = _sign_pattern_weights(psi)
+            odd = [s for s in range(w.size) if bin(s).count("1") % 2]
+            assert w.min() >= -1e-12, psi.shape.dims
+            assert abs(w.sum() - 1.0) <= 1e-12, psi.shape.dims
+            assert np.abs(w[odd]).sum() <= 1e-12, psi.shape.dims
+
+    def test_sign_pattern_weights_ghz(self):
+        """GHZ-n has tr rho_T^2 = 1/2 on every proper cut: w_0 = 1/2 + 2^-n and
+        2^-n on every other even pattern."""
+        n = 4
+        w = _sign_pattern_weights(ghz_state(n))
+        expected = [0.0 if bin(s).count("1") % 2 else 2.0**-n for s in range(1 << n)]
+        expected[0] += 0.5
+        assert np.abs(w - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_rule_k_five_and_six_parties(self, n):
+        k = genuine_ent_copies(2 ** (n - 1) - 1, math.sqrt(0.5))
+        rng = trial_rng(48, n)
+        across = product_state(
+            [random_pure_state(rng, RegisterShape((2, 2))), random_pure_state(rng, RegisterShape((2,) * (n - 2)))]
+        )
+        fully = product_state([random_pure_state(rng, QUBIT) for _ in range(n)])
+        assert genuine_ent_accept_exact(across, n, k) >= 1.0 / 7.0
+        assert abs(genuine_ent_accept_exact(fully, n, k) - 1.0) <= 1e-12
+        assert genuine_ent_accept_exact(ghz_state(n), n, k) <= 1.0 / 8.0
+
+    def test_party_cap(self, monkeypatch):
+        at_cap = basis_state(RegisterShape((2,) * MAX_GENUINE_PARTIES), (0,) * MAX_GENUINE_PARTIES)
+        assert abs(genuine_ent_accept_exact(at_cap, MAX_GENUINE_PARTIES, 2) - 1.0) <= 1e-12
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the oracle started work past its party cap")
+
+        monkeypatch.setattr(testers_module, "subsystem_purity", no_work)
+        monkeypatch.setattr(testers_module, "_span_rank_distribution", no_work)
+        n = MAX_GENUINE_PARTIES + 1
+        psi = basis_state(RegisterShape((2,) * n), (0,) * n)
+        with pytest.raises(ValueError, match="cap"):
+            genuine_ent_accept_exact(psi, n, 2)
 
 
 class TestEigenTestEndToEnd:
