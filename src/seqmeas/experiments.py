@@ -186,7 +186,7 @@ def _exp_antizeno(config: ExperimentConfig, rec: _Recorder, trials: int):
 
     state = states[0]
     for k in range(n):
-        _, _, state = meas.measure_collapse(seq[k].accept_op, state, branch=0)
+        _, _, state = meas.measure_collapse(seq[k], state, branch=0)
     fid = abs(state.overlap(basis_state(state.shape, (1,)))) ** 2
     rec.value("all_reject_final_fidelity", fid)
     rec.check_ge("final_state_is_one", fid, 1.0 - 1e-10)
@@ -204,7 +204,7 @@ def _exp_antizeno(config: ExperimentConfig, rec: _Recorder, trials: int):
         s = states[0]
         fired = False
         for k in range(n):
-            outcome, _, s = meas.measure_collapse(seq[k].accept_op, s, rng=rng)
+            outcome, _, s = meas.measure_collapse(seq[k], s, rng=rng)
             if outcome == 1:
                 fired = True
                 break

@@ -19,6 +19,11 @@ from .states import PureState, RegisterShape
 UNITARY_ATOL = 1e-10
 
 
+def is_unitary(mat: np.ndarray) -> bool:
+    """Whether U @ U^dagger = I to UNITARY_ATOL (a non-finite entry fails)."""
+    return bool(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max() <= UNITARY_ATOL)
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """A unitary on some target registers, optionally controlled.
@@ -37,9 +42,8 @@ class GateSpec:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"gate matrix must be square, got shape {mat.shape}")
-        err = np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max()
-        if err > UNITARY_ATOL:
-            raise ValueError(f"gate matrix is not unitary (deviation {err:.2e})")
+        if not is_unitary(mat):
+            raise ValueError("gate matrix is not unitary within tolerance")
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate target registers")
         ctrl_regs = [r for r, _ in controls]

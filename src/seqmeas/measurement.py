@@ -17,12 +17,11 @@ import numpy as np
 
 from .gates import qft_matrix
 from .states import (
-    DECOMP_ATOL,
     DensityOperator,
     HermitianOperator,
     PureState,
     RegisterShape,
-    STATE_ATOL,
+    _hermitian_matrix,
     eigendecompose,
     trace_distance_matrix,
 )
@@ -37,6 +36,23 @@ PROJECTOR_ATOL = 1e-8
 MAX_ENUMERATION_STEPS = 12
 
 
+def in_unit_interval(evals: np.ndarray) -> bool:
+    """Whether a spectrum lies in [0, 1] to POVM_RANGE_ATOL (NaN fails)."""
+    return bool(evals.min() >= -POVM_RANGE_ATOL and evals.max() <= 1.0 + POVM_RANGE_ATOL)
+
+
+def is_idempotent(mat: np.ndarray) -> bool:
+    """Whether P @ P = P to PROJECTOR_ATOL; with P Hermitian, P is a projector."""
+    return bool(np.abs(mat @ mat - mat).max() <= PROJECTOR_ATOL)
+
+
+def ancilla_zero(d_anc: int) -> np.ndarray:
+    """The ancilla projector |0><0| on a d_anc-dimensional ancilla."""
+    zero = np.zeros((d_anc, d_anc))
+    zero[0, 0] = 1.0
+    return zero
+
+
 @dataclass(frozen=True)
 class TwoOutcomeMeasurement:
     """POVM element L (the accept operator) of the measurement {L, I - L}."""
@@ -47,11 +63,11 @@ class TwoOutcomeMeasurement:
     def __post_init__(self):
         mat = self.accept_op.matrix
         evals = np.linalg.eigvalsh(mat)
-        if evals.min() < -POVM_RANGE_ATOL or evals.max() > 1.0 + POVM_RANGE_ATOL:
+        if not in_unit_interval(evals):
             raise ValueError(
                 f"accept operator eigenvalues outside [0, 1]: [{evals.min()}, {evals.max()}]"
             )
-        if self.is_projector and np.abs(mat @ mat - mat).max() > PROJECTOR_ATOL:
+        if self.is_projector and not is_idempotent(mat):
             raise ValueError("operator flagged as projector is not idempotent within tolerance")
 
     @property
@@ -75,7 +91,7 @@ def accept_probability(m: TwoOutcomeMeasurement, rho: DensityOperator | PureStat
 
 
 def measure_collapse(
-    projector: HermitianOperator,
+    measurement: TwoOutcomeMeasurement,
     psi: PureState,
     *,
     branch: int | None = None,
@@ -83,17 +99,19 @@ def measure_collapse(
 ) -> tuple[int, float, PureState]:
     """Projectively measure {P, I - P} on a pure state.
 
-    Returns (outcome, probability of that outcome, residual state), where
-    outcome 1 means the P branch.  Pass `branch` to force an outcome
-    deterministically, or `rng` to sample it.
+    `measurement` must be a :class:`TwoOutcomeMeasurement` flagged
+    `is_projector`, such as ``TwoOutcomeMeasurement.projector(op)``; its P was
+    checked idempotent at construction.  Returns (outcome, probability of that
+    outcome, residual state), where outcome 1 means the P branch.  Pass
+    `branch` to force an outcome deterministically, or `rng` to sample it.
     """
     if (branch is None) == (rng is None):
         raise ValueError("pass exactly one of branch= or rng=")
-    if psi.shape != projector.shape:
+    if not (isinstance(measurement, TwoOutcomeMeasurement) and measurement.is_projector):
+        raise ValueError("measure_collapse requires a TwoOutcomeMeasurement flagged is_projector")
+    if psi.shape != measurement.shape:
         raise ValueError("projector and state shapes differ")
-    p_mat = projector.matrix
-    if np.abs(p_mat @ p_mat - p_mat).max() > PROJECTOR_ATOL:
-        raise ValueError("measure_collapse requires a projector")
+    p_mat = measurement.accept_op.matrix
     hit = p_mat @ psi.amplitudes
     p1 = float(min(1.0, max(0.0, np.vdot(psi.amplitudes, hit).real)))
     if branch is None:
@@ -157,7 +175,7 @@ def gentle_measurement_gap(rho: DensityOperator, accept_op: HermitianOperator) -
         raise ValueError("state and operator shapes differ")
     dec = eigendecompose(accept_op)
     evals = dec.eigenvalues
-    if evals.min() < -POVM_RANGE_ATOL or evals.max() > 1.0 + POVM_RANGE_ATOL:
+    if not in_unit_interval(evals):
         raise ValueError("accept operator is not in [0, I]")
     p = float(np.trace(accept_op.matrix @ rho.matrix).real)
     if p <= ZERO_BRANCH_ATOL:
@@ -266,38 +284,18 @@ class NaimarkForm:
 
     def __post_init__(self):
         ancilla_dims = tuple(int(d) for d in self.ancilla_dims)
-        pi = np.array(self.pi, dtype=np.complex128)
-        d_sys = self.system_shape.total_dim
-        d_anc = math.prod(ancilla_dims) if ancilla_dims else 1
-        d_ext = d_sys * d_anc
-        if pi.shape != (d_ext, d_ext):
-            raise ValueError(f"Pi has shape {pi.shape}, expected ({d_ext}, {d_ext})")
-        if np.abs(pi - pi.conj().T).max() > STATE_ATOL:
-            raise ValueError("Pi is not Hermitian")
-        if np.abs(pi @ pi - pi).max() > PROJECTOR_ATOL:
+        pi = _hermitian_matrix(RegisterShape(self.system_shape.dims + ancilla_dims), self.pi)
+        if not is_idempotent(pi):
             raise ValueError("Pi is not a projector within tolerance")
-        # Delta Pi Delta must factor as L (x) |0><0| with 0 <= L <= I.
+        # Delta Pi Delta = L (x) |0><0| for every Pi, as Delta is a 0/1 diagonal.
+        d_anc = math.prod(ancilla_dims)
         induced = pi[::d_anc, ::d_anc].copy()
-        zero_proj = np.zeros((d_anc, d_anc))
-        zero_proj[0, 0] = 1.0
-        check = np.kron(induced, zero_proj)
-        delta = self._delta(d_sys, d_anc)
-        if np.abs(delta @ pi @ delta - check).max() > DECOMP_ATOL:
-            raise ValueError("Delta Pi Delta does not factor as L (x) |0><0|^m")
-        evals = np.linalg.eigvalsh(induced)
-        if evals.min() < -POVM_RANGE_ATOL or evals.max() > 1.0 + POVM_RANGE_ATOL:
+        if not in_unit_interval(np.linalg.eigvalsh(induced)):
             raise ValueError("induced operator is not in [0, I]")
-        pi.setflags(write=False)
         induced.setflags(write=False)
         object.__setattr__(self, "ancilla_dims", ancilla_dims)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_induced", induced)
-
-    @staticmethod
-    def _delta(d_sys: int, d_anc: int) -> np.ndarray:
-        zero_proj = np.zeros((d_anc, d_anc))
-        zero_proj[0, 0] = 1.0
-        return np.kron(np.eye(d_sys), zero_proj)
 
     @property
     def m(self) -> int:
@@ -314,7 +312,7 @@ class NaimarkForm:
 
     @property
     def delta(self) -> np.ndarray:
-        return self._delta(self.system_shape.total_dim, self.ancilla_dim)
+        return np.kron(np.eye(self.system_shape.total_dim), ancilla_zero(self.ancilla_dim))
 
     def induced_operator(self) -> HermitianOperator:
         """The accept operator L this form realises."""
@@ -331,9 +329,9 @@ def trivial_naimark(measurement: TwoOutcomeMeasurement) -> NaimarkForm:
 def one_ancilla_dilation(accept_op: HermitianOperator) -> NaimarkForm:
     """Standard one-qubit dilation built from the spectral decomposition of L."""
     dec = eigendecompose(accept_op)
-    evals = np.clip(dec.eigenvalues, 0.0, 1.0)
-    if dec.eigenvalues.min() < -POVM_RANGE_ATOL or dec.eigenvalues.max() > 1.0 + POVM_RANGE_ATOL:
+    if not in_unit_interval(dec.eigenvalues):
         raise ValueError("operator is not in [0, I]")
+    evals = np.clip(dec.eigenvalues, 0.0, 1.0)
     d = accept_op.shape.total_dim
     pi = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for lam, vec in zip(evals, dec.eigenvectors.T):
@@ -368,9 +366,7 @@ def build_averaged_naimark(measurements: Sequence[TwoOutcomeMeasurement]) -> Nai
             raise ValueError("the averaged construction needs projectors")
     n = len(measurements)
     if n == 1:
-        zero_proj = np.zeros((2, 2))
-        zero_proj[0, 0] = 1.0
-        return NaimarkForm(shape, (2,), np.kron(measurements[0].accept_op.matrix, zero_proj))
+        return NaimarkForm(shape, (2,), np.kron(measurements[0].accept_op.matrix, ancilla_zero(2)))
     q = qft_matrix(n)
     d = shape.total_dim
     pi = np.zeros((d * n, d * n), dtype=np.complex128)

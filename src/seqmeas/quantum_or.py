@@ -34,7 +34,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gates import qft_matrix
-from .measurement import POVM_RANGE_ATOL, NaimarkForm, TwoOutcomeMeasurement, naimark_form
+from .measurement import (
+    NaimarkForm,
+    TwoOutcomeMeasurement,
+    ancilla_zero,
+    in_unit_interval,
+    is_idempotent,
+    naimark_form,
+)
 from .states import DensityOperator, HermitianOperator, PureState, RegisterShape, eigendecompose
 
 WEIGHT_ATOL = 1e-14
@@ -76,7 +83,7 @@ def _ensemble_rows(
     """
     if isinstance(initial, PureState):
         return np.broadcast_to(initial.amplitudes, (size, initial.amplitudes.size))
-    dec = eigendecompose(initial.matrix)
+    dec = eigendecompose(initial)
     weights = np.clip(dec.eigenvalues, 0.0, None)
     idx = rng.choice(weights.size, p=weights / weights.sum(), size=size)
     return dec.eigenvectors[:, idx].T
@@ -176,9 +183,8 @@ def mw_accept_from_spectrum(
 def _spectral_weights(
     accept_op: HermitianOperator | np.ndarray, rho: PureState | DensityOperator
 ) -> tuple[np.ndarray, np.ndarray]:
-    mat = accept_op.matrix if isinstance(accept_op, HermitianOperator) else np.asarray(accept_op)
-    dec = eigendecompose(mat)
-    if dec.eigenvalues.min() < -POVM_RANGE_ATOL or dec.eigenvalues.max() > 1 + POVM_RANGE_ATOL:
+    dec = eigendecompose(accept_op)
+    if not in_unit_interval(dec.eigenvalues):
         raise ValueError("accept operator eigenvalues outside [0, 1]")
     if isinstance(rho, PureState):
         weights = np.abs(dec.eigenvectors.conj().T @ rho.amplitudes) ** 2
@@ -220,10 +226,7 @@ def mw_accept_survival(inst: MWInstance) -> float:
             vec = kraus @ vec
         survival = float(np.vdot(vec, vec).real)
     else:
-        d_sys = inst.naimark.system_shape.total_dim
-        zero = np.zeros((d_anc, d_anc))
-        zero[0, 0] = 1.0
-        tau = np.kron(inst.initial.matrix, zero)
+        tau = np.kron(inst.initial.matrix, ancilla_zero(d_anc))
         for _ in range(inst.n_rounds):
             tau = kraus @ tau @ kraus.conj().T
         survival = float(np.trace(tau).real)
@@ -395,13 +398,11 @@ def demerlinize_operator(gamma: HermitianOperator) -> HermitianOperator:
 def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> MWInstance:
     """The amplification run of :func:`demerlinize_test`: the averaged slice
     operator's Naimark form, the message state and N = ceil(d/eta) rounds."""
-    evals = np.linalg.eigvalsh(gamma.matrix)
-    if evals.min() < -POVM_RANGE_ATOL or evals.max() > 1 + POVM_RANGE_ATOL:
+    if not in_unit_interval(np.linalg.eigvalsh(gamma.matrix)):
         raise ValueError("gamma is not in [0, I]")
     lam = demerlinize_operator(gamma)
     n_rounds = demerlinize_round_count(gamma.shape.dims[-1], eta)
-    is_proj = bool(np.abs(lam.matrix @ lam.matrix - lam.matrix).max() <= 1e-8)
-    measurement = TwoOutcomeMeasurement(lam, is_projector=is_proj)
+    measurement = TwoOutcomeMeasurement(lam, is_projector=is_idempotent(lam.matrix))
     return MWInstance(naimark_form(measurement), psi, n_rounds)
 
 

@@ -15,10 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Construction tolerances.  States and operators are validated to 1e-10;
-# decompositions (accumulated arithmetic) to 1e-8.
+# Construction tolerance: states and operators are validated to 1e-10.
 STATE_ATOL = 1e-10
-DECOMP_ATOL = 1e-8
 
 
 def _complex_array(values, ndim: int) -> np.ndarray:
@@ -27,6 +25,11 @@ def _complex_array(values, ndim: int) -> np.ndarray:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def is_hermitian(mat: np.ndarray) -> bool:
+    """Whether mat equals its conjugate transpose to STATE_ATOL (a non-finite entry fails)."""
+    return bool(np.abs(mat - mat.conj().T).max() <= STATE_ATOL)
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class PureState:
                 f"{self.shape.dims} (total dim {self.shape.total_dim})"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > STATE_ATOL:
+        if not abs(norm - 1.0) <= STATE_ATOL:
             raise ValueError(f"state is not normalised: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -99,6 +102,17 @@ class PureState:
         return HermitianOperator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def _hermitian_matrix(shape: RegisterShape, values) -> np.ndarray:
+    """A read-only complex copy of `values`, checked (d, d) for the shape and Hermitian."""
+    mat = _complex_array(values, ndim=2)
+    d = shape.total_dim
+    if mat.shape != (d, d):
+        raise ValueError(f"matrix shape {mat.shape} does not match total dim {d}")
+    if not is_hermitian(mat):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return mat
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian matrix together with the register structure it acts on."""
@@ -107,13 +121,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _complex_array(self.matrix, ndim=2)
-        d = self.shape.total_dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match total dim {d}")
-        if np.abs(mat - mat.conj().T).max() > STATE_ATOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _hermitian_matrix(self.shape, self.matrix))
 
     @classmethod
     def identity(cls, shape: RegisterShape) -> "HermitianOperator":
@@ -128,12 +136,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _complex_array(self.matrix, ndim=2)
-        d = self.shape.total_dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match total dim {d}")
-        if np.abs(mat - mat.conj().T).max() > STATE_ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        mat = _hermitian_matrix(self.shape, self.matrix)
         if abs(np.trace(mat).real - 1.0) > STATE_ATOL or abs(np.trace(mat).imag) > STATE_ATOL:
             raise ValueError(f"density matrix trace is {np.trace(mat)!r}, expected 1")
         if np.linalg.eigvalsh(mat).min() < -STATE_ATOL:
@@ -157,38 +160,39 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _canonical_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first significant entry is real positive."""
-    idx = np.flatnonzero(np.abs(column) > 1e-8)
-    if idx.size == 0:
-        return column
-    pivot = column[idx[0]]
-    return column * (abs(pivot) / pivot)
-
-
-def eigendecompose(op: HermitianOperator | np.ndarray) -> EigenDecomposition:
+def eigendecompose(op: HermitianOperator | DensityOperator | np.ndarray) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix, eigenvalues sorted descending.
 
-    Ties are broken deterministically by the lexicographic order of the
-    phase-canonicalised eigenvectors, so repeated calls on the same input give
-    identical output.
+    Each eigenvector's first entry of modulus above 1e-8 is real positive.
+    Columns whose eigenvalues agree rounded to 12 decimals are sorted stably
+    by their entries rounded to 9 decimals as interleaved (re, im) pairs,
+    compared lexicographically.  A HermitianOperator or DensityOperator is
+    trusted; any other input must be square and Hermitian to STATE_ATOL.
     """
-    mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > STATE_ATOL:
-        raise ValueError("cannot eigendecompose: matrix is not Hermitian within tolerance")
+    if isinstance(op, (HermitianOperator, DensityOperator)):
+        mat = op.matrix
+    else:
+        mat = np.asarray(op, dtype=np.complex128)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if not is_hermitian(mat):
+            raise ValueError("cannot eigendecompose: matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(mat)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        v[:, j] = _canonical_phase(v[:, j])
-
-    def _tie_key(j: int):
-        col = v[:, j]
-        return tuple(np.round(np.column_stack([col.real, col.imag]).ravel(), 9))
-
-    order = sorted(range(w.size), key=lambda j: (-round(float(w[j]), 12), _tie_key(j)))
+    # |p|/p is divided as a scalar: the array ufunc differs in the last bit.
+    pivots = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(w.size)]
+    v *= np.array([abs(p) / p for p in pivots])
+    # eigh sorts its eigenvalues, so each degenerate cluster is a contiguous run.
+    rounded = np.array([round(x, 12) for x in w.tolist()])
+    edges = [0, *(np.flatnonzero(np.diff(rounded)) + 1).tolist(), w.size]
+    order = np.arange(w.size)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        if stop - start > 1:
+            cluster = v[:, start:stop]
+            pairs = np.stack([cluster.real, cluster.imag], axis=1).reshape(-1, stop - start)
+            order[start:stop] = start + np.lexsort(np.round(pairs, 9)[::-1])
+    # Always index: the copy's layout sets the summation order of later einsums.
     w = w[order]
     v = v[:, order]
     w.setflags(write=False)
@@ -213,23 +217,19 @@ def trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def _split_registers(psi: PureState, keep: Sequence[int]) -> np.ndarray:
-    """Amplitudes as a (dim_keep, dim_rest) matrix with `keep` registers first."""
-    keep = [psi.shape.check_register(r) for r in keep]
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate register indices in subset")
+def _split_registers(psi: PureState, registers: Iterable[int]) -> tuple[list[int], np.ndarray]:
+    """The sorted proper subset `keep`, and the amplitudes as a (dim_keep, dim_rest) matrix."""
+    keep = sorted(set(psi.shape.check_register(r) for r in registers))
+    if not keep or len(keep) >= psi.shape.num_registers:
+        raise ValueError("subset must be proper and nonempty")
     rest = [r for r in range(psi.shape.num_registers) if r not in keep]
     tensor = psi.tensor().transpose(keep + rest)
-    d_keep = psi.shape.subset_dim(keep)
-    return tensor.reshape(d_keep, -1)
+    return keep, tensor.reshape(psi.shape.subset_dim(keep), -1)
 
 
 def reduced_density(psi: PureState, registers: Iterable[int]) -> DensityOperator:
     """Partial trace of |psi><psi| down to the given registers."""
-    keep = sorted(set(registers))
-    if not keep or len(keep) >= psi.shape.num_registers:
-        raise ValueError("subset must be proper and nonempty")
-    m = _split_registers(psi, keep)
+    keep, m = _split_registers(psi, registers)
     rho = m @ m.conj().T
     sub_shape = RegisterShape(tuple(psi.shape.dims[r] for r in keep))
     return DensityOperator(sub_shape, rho)
@@ -237,10 +237,7 @@ def reduced_density(psi: PureState, registers: Iterable[int]) -> DensityOperator
 
 def subsystem_purity(psi: PureState, registers: Iterable[int]) -> float:
     """tr(rho_S^2) for the reduced state on the given registers."""
-    keep = sorted(set(registers))
-    if not keep or len(keep) >= psi.shape.num_registers:
-        raise ValueError("subset must be proper and nonempty")
-    m = _split_registers(psi, keep)
+    _, m = _split_registers(psi, registers)
     gram = m @ m.conj().T
     return float(np.sum(gram * gram.conj()).real)
 

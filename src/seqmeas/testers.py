@@ -40,6 +40,7 @@ from .gates import (
     PAULI_X,
     PermutationAction,
     _apply_gate_array,
+    is_unitary,
     permutation_matrix,
 )
 from .measurement import measure_register_collapse
@@ -183,7 +184,7 @@ class UnitarySet:
         for m in mats:
             if m.shape != (d, d):
                 raise ValueError("all unitaries must share one dimension")
-            if np.abs(m @ m.conj().T - np.eye(d)).max() > 1e-10:
+            if not is_unitary(m):
                 raise ValueError("matrix is not unitary within tolerance")
             m.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
@@ -619,7 +620,7 @@ def choi_state(unitary: np.ndarray) -> PureState:
     """The channel state of a unitary, on registers (d, d)."""
     u = np.asarray(unitary, dtype=np.complex128)
     d = u.shape[0]
-    if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-10:
+    if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
     return PureState(RegisterShape((d, d)), choi_vector(u))
 

@@ -133,7 +133,7 @@ def test_criterion_04_anti_zeno():
     closed = 1 - math.cos(math.pi / 128) ** 128
     state = states[0]
     for m in seq:
-        _, _, state = sm.measure_collapse(m.accept_op, state, branch=0)
+        _, _, state = sm.measure_collapse(m, state, branch=0)
     fid = abs(state.overlap(sm.basis_state(QUBIT, (1,)))) ** 2
     tail = all(
         m * sm.anti_zeno_accept_ever(m) <= math.pi**2 / 4 * 1.1 for m in (16, 64, 256)

@@ -7,6 +7,7 @@ import pytest
 
 from seqmeas import (
     HermitianOperator,
+    NaimarkForm,
     RegisterShape,
     TwoOutcomeMeasurement,
     accept_probability,
@@ -66,13 +67,17 @@ class TestAcceptProbability:
 class TestMeasureCollapse:
     def test_certain_branch(self):
         p = proj(np.array([1.0, 0.0]))
-        outcome, prob, residual = measure_collapse(p, basis_state(QUBIT, (0,)), branch=1)
+        outcome, prob, residual = measure_collapse(
+            TwoOutcomeMeasurement.projector(p), basis_state(QUBIT, (0,)), branch=1
+        )
         assert outcome == 1 and prob == 1.0
         np.testing.assert_allclose(residual.amplitudes, [1.0, 0.0])
 
     def test_collapse_to_complement(self):
         p = proj(np.array([1.0, 0.0]))
-        outcome, prob, residual = measure_collapse(p, plus_state(), branch=0)
+        outcome, prob, residual = measure_collapse(
+            TwoOutcomeMeasurement.projector(p), plus_state(), branch=0
+        )
         assert outcome == 0 and abs(prob - 0.5) <= 1e-12
         np.testing.assert_allclose(residual.amplitudes, [0.0, 1.0], atol=1e-12)
 
@@ -81,7 +86,7 @@ class TestMeasureCollapse:
         n = 32
         seq = anti_zeno_sequence(n)
         state = anti_zeno_state(n, 3)
-        _, _, residual = measure_collapse(seq[3].accept_op, state, branch=0)
+        _, _, residual = measure_collapse(seq[3], state, branch=0)
         target = anti_zeno_state(n, 4)
         assert abs(abs(residual.overlap(target)) - 1.0) <= 1e-10
 
@@ -90,8 +95,8 @@ class TestMeasureCollapse:
         shape = RegisterShape((4,))
         psi = random_pure_state(rng, shape)
         p = random_projector(rng, shape, rank=2)
-        _, p1, _ = measure_collapse(p, psi, branch=1)
-        _, p0, _ = measure_collapse(p, psi, branch=0)
+        _, p1, _ = measure_collapse(TwoOutcomeMeasurement.projector(p), psi, branch=1)
+        _, p0, _ = measure_collapse(TwoOutcomeMeasurement.projector(p), psi, branch=0)
         assert abs(p0 + p1 - 1.0) <= 1e-12
 
     def test_residuals_orthogonal(self):
@@ -99,25 +104,33 @@ class TestMeasureCollapse:
         shape = RegisterShape((4,))
         psi = random_pure_state(rng, shape)
         p = random_projector(rng, shape, rank=2)
-        _, _, r1 = measure_collapse(p, psi, branch=1)
-        _, _, r0 = measure_collapse(p, psi, branch=0)
+        _, _, r1 = measure_collapse(TwoOutcomeMeasurement.projector(p), psi, branch=1)
+        _, _, r0 = measure_collapse(TwoOutcomeMeasurement.projector(p), psi, branch=0)
         assert abs(r1.overlap(r0)) <= 1e-10
 
     def test_zero_branch_rejected(self):
         p = proj(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            measure_collapse(p, basis_state(QUBIT, (0,)), branch=0)
+            measure_collapse(
+                TwoOutcomeMeasurement.projector(p), basis_state(QUBIT, (0,)), branch=0
+            )
 
     def test_requires_projector(self):
         with pytest.raises(ValueError):
             measure_collapse(HermitianOperator(QUBIT, np.diag([0.5, 0.0])), plus_state(), branch=1)
+
+    def test_requires_projector_flag(self):
+        # The operator is a projector, but only the flag says it was checked.
+        unflagged = TwoOutcomeMeasurement(proj(np.array([1.0, 0.0])))
+        with pytest.raises(ValueError):
+            measure_collapse(unflagged, plus_state(), branch=1)
 
     def test_register_collapse_matches_dense(self):
         shape = RegisterShape((2, 3))
         rng = np.random.default_rng(2)
         psi = random_pure_state(rng, shape)
         dense = HermitianOperator(shape, np.kron(np.eye(2), np.diag([0.0, 1.0, 0.0])))
-        for_dense = measure_collapse(dense, psi, branch=1)
+        for_dense = measure_collapse(TwoOutcomeMeasurement.projector(dense), psi, branch=1)
         structured = measure_register_collapse(psi, 1, branch=1)
         assert abs(for_dense[1] - structured[1]) <= 1e-12
         np.testing.assert_allclose(
@@ -211,6 +224,21 @@ class TestUnionBound:
 
 
 class TestNaimarkForms:
+    @pytest.mark.parametrize(
+        "ancilla_dims,pi,match",
+        [
+            pytest.param((), np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian", id="non-hermitian"),
+            pytest.param((), np.diag([0.5, 0.0]), "projector", id="non-idempotent"),
+            pytest.param((), np.eye(3), "shape", id="wrong-shape"),
+            pytest.param((2,), np.eye(2), "shape", id="wrong-shape-with-ancilla"),
+            # idempotent to PROJECTOR_ATOL, yet its induced L exceeds 1 + POVM_RANGE_ATOL
+            pytest.param((), np.diag([1.0 + 5e-9, 0.0]), "induced", id="induced-above-one"),
+        ],
+    )
+    def test_rejects_bad_pi(self, ancilla_dims, pi, match):
+        with pytest.raises(ValueError, match=match):
+            NaimarkForm(QUBIT, ancilla_dims, pi)
+
     def test_single_measurement_padding(self):
         p = TwoOutcomeMeasurement(proj(np.array([1.0, 0.0])), is_projector=True)
         nf = build_averaged_naimark([p])
@@ -298,7 +326,7 @@ class TestAntiZeno:
         seq = anti_zeno_sequence(n)
         state = basis_state(QUBIT, (0,))
         for m in seq:
-            _, _, state = measure_collapse(m.accept_op, state, branch=0)
+            _, _, state = measure_collapse(m, state, branch=0)
         assert abs(abs(state.overlap(basis_state(QUBIT, (1,)))) ** 2 - 1.0) <= 1e-10
 
     def test_accept_ever_order_one_over_n(self):

@@ -20,12 +20,67 @@ from seqmeas import (
     subsystem_purity,
     trace_distance_pure,
 )
-from seqmeas.sampling import random_pure_state
+from seqmeas.gates import GateSpec
+from seqmeas.measurement import NaimarkForm
+from seqmeas.sampling import random_density_operator, random_projector, random_pure_state
+from seqmeas.states import STATE_ATOL
+from seqmeas.testers import UnitarySet, choi_state
 
 
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (g + g.conj().T)
+
+
+def _canonical_phase(column):
+    idx = np.flatnonzero(np.abs(column) > 1e-8)
+    if idx.size == 0:
+        return column
+    pivot = column[idx[0]]
+    return column * (abs(pivot) / pivot)
+
+
+def reference_eigendecompose(op):
+    """The per-column loop eigendecompose that the vectorised one replaced."""
+    mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if np.abs(mat - mat.conj().T).max() > STATE_ATOL:
+        raise ValueError("cannot eigendecompose: matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(mat)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    for j in range(v.shape[1]):
+        v[:, j] = _canonical_phase(v[:, j])
+
+    def _tie_key(j: int):
+        col = v[:, j]
+        return tuple(np.round(np.column_stack([col.real, col.imag]).ravel(), 9))
+
+    order = sorted(range(w.size), key=lambda j: (-round(float(w[j]), 12), _tie_key(j)))
+    return w[order], v[:, order]
+
+
+def _reference_inputs():
+    rng = np.random.default_rng(20)
+    cases = []
+    for d in (2, 3, 4, 8, 16, 32):
+        cases += [pytest.param(random_hermitian(rng, d), id=f"hermitian-{d}-{i}") for i in range(4)]
+    for d in range(2, 9):
+        shape = RegisterShape((d,))
+        for rank in range(d + 1):
+            proj = random_projector(rng, shape, rank).matrix
+            cases.append(pytest.param(proj, id=f"projector-{d}-rank{rank}"))
+    phases = np.diag(np.exp(1j * np.arange(5)))
+    cases += [
+        pytest.param(np.eye(6), id="identity-6"),
+        pytest.param(np.diag([0.5, 0.2, 0.5, 0.0, 0.2, 0.5, 0.0]), id="repeated-diagonal"),
+        pytest.param(phases @ np.diag([2.0, 1.0, 2.0, 1.0, 3.0]) @ phases.conj().T, id="phases"),
+    ]
+    return cases
+
+
+REFERENCE_INPUTS = _reference_inputs()
 
 
 class TestRegisterShape:
@@ -109,6 +164,80 @@ class TestEigendecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("mat", REFERENCE_INPUTS)
+    def test_matches_loop_reference_bit_for_bit(self, mat):
+        # The phase |p|/p is divided per column as a scalar, as in the loop, so
+        # eigenvectors are required bit-identical, not merely close.
+        w_ref, v_ref = reference_eigendecompose(mat)
+        dec = eigendecompose(mat)
+        np.testing.assert_array_equal(dec.eigenvalues, w_ref)
+        np.testing.assert_array_equal(dec.eigenvectors, v_ref)
+        # The memory layout sets the summation order of later einsum calls.
+        assert dec.eigenvectors.flags.f_contiguous == v_ref.flags.f_contiguous
+
+    @pytest.mark.parametrize("mat", REFERENCE_INPUTS)
+    def test_phase_and_tie_contract(self, mat):
+        dec = eigendecompose(mat)
+        v = dec.eigenvectors
+        for j in range(v.shape[1]):
+            pivot = v[np.flatnonzero(np.abs(v[:, j]) > 1e-8)[0], j]
+            # p * (|p|/p) is real up to the rounding of one complex product.
+            assert pivot.real > 0.0 and abs(pivot.imag) <= 4 * np.finfo(float).eps * abs(pivot)
+        rounded = [round(float(x), 12) for x in dec.eigenvalues]
+        assert all(a >= b for a, b in zip(rounded, rounded[1:]))
+        keys = [tuple(np.round(np.column_stack([c.real, c.imag]).ravel(), 9)) for c in v.T]
+        for j in range(v.shape[1] - 1):
+            if rounded[j] == rounded[j + 1]:
+                assert keys[j] <= keys[j + 1]
+
+    def test_validated_operators_match_raw_arrays(self):
+        rng = np.random.default_rng(4)
+        shape = RegisterShape((6,))
+        ops = [
+            HermitianOperator(shape, random_hermitian(rng, 6)),
+            random_density_operator(rng, shape, rank=3),
+        ]
+        for op in ops:
+            a, b = eigendecompose(op), eigendecompose(np.array(op.matrix))
+            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+            np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
+
+
+QUBIT = RegisterShape((2,))
+
+
+def _entry_points(bad):
+    """Each library entry point that validates a matrix or vector, fed one bad entry."""
+    return {
+        "PureState": lambda: PureState(QUBIT, np.array([1.0, bad])),
+        "HermitianOperator": lambda: HermitianOperator(QUBIT, np.diag([bad, 0.0])),
+        "DensityOperator": lambda: DensityOperator(QUBIT, np.array([[0.5, bad], [bad, 0.5]])),
+        "eigendecompose": lambda: eigendecompose(np.array([[0.0, bad], [bad, 0.0]])),
+        "NaimarkForm": lambda: NaimarkForm(QUBIT, (), np.diag([bad, 0.0])),
+        "GateSpec": lambda: GateSpec((0,), np.diag([bad, 1.0])),
+        "UnitarySet": lambda: UnitarySet((np.diag([1.0, bad]),)),
+        "choi_state": lambda: choi_state(np.diag([bad, 1.0])),
+    }
+
+
+# PureState has always rejected an infinite entry through its norm, so only
+# NaN is tested there.
+NON_FINITE_CASES = [("nan", name) for name in _entry_points(np.nan)] + [
+    (label, name)
+    for label in ("+inf", "-inf")
+    for name in _entry_points(np.inf)
+    if name != "PureState"
+]
+
+
+@pytest.mark.parametrize("label,entry", NON_FINITE_CASES)
+def test_non_finite_input_rejected(label, entry):
+    bad = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[label]
+    # inf - inf inside a check is NaN by design; numpy's warning about it is
+    # silenced so that the ValueError is what the test sees.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        _entry_points(bad)[entry]()
 
 
 class TestTraceDistance:
