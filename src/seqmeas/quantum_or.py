@@ -278,20 +278,22 @@ def _averaged_pi(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Pi = sum_i L_{i+1} (x) Q|i><i|Q^{-1} on a block of extended vectors.
 
-    Applied structurally: Fourier transform each trial's ancilla column
-    index, apply the i-th projector to column i, transform back.
+    Applied structurally: Fourier transform each trial's ancilla index, move
+    it ahead of the system index with one transpose so that ancilla value i
+    of trial t is the contiguous row ``a[t, i]``, apply the i-th projector to
+    that row in place, and transpose and transform back.
     """
     n = len(appliers)
     q = qft_matrix(n)  # symmetric, so Q.T = Q and (Q^{-1}).T = conj(Q)
     q_inv_t = q.conj()
 
     def apply(block: np.ndarray) -> np.ndarray:
-        a = (block.reshape(-1, n) @ q_inv_t).reshape(block.shape[0], -1, n)
-        b = np.empty_like(a)
-        for t in range(a.shape[0]):
+        trials = block.shape[0]
+        a = (block.reshape(-1, n) @ q_inv_t).reshape(trials, -1, n).transpose(0, 2, 1).copy()
+        for t in range(trials):
             for i in range(n):
-                b[t, :, i] = appliers[i](np.ascontiguousarray(a[t, :, i]))
-        return (b.reshape(-1, n) @ q).reshape(block.shape)
+                a[t, i] = appliers[i](a[t, i])
+        return (a.transpose(0, 2, 1).reshape(-1, n) @ q).reshape(block.shape)
 
     return apply
 

@@ -274,22 +274,28 @@ def eigen_measurement_cycle(
     return outcome, prob, PureState(state.shape, amps)
 
 
-def _eigen_lambda_applier(
-    dims: tuple[int, ...], flag: int, gates: list[GateSpec]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free action of the accept projector V^dag (flag=1) V."""
+def _eigen_accept_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free action of the accept projector V^dag (flag=1) V, factored.
+
+    V = C W, where W applies controlled-U and a Hadamard copy by copy and C
+    flips the flag when every control register is 0, so the projector is
+    (x)_b R (x) |0><0| + (I - (x)_b R) (x) |1><1| with R the block reflection
+    on each contiguous (control, psi) block.  Each of the k steps contracts
+    the leading block axis with R and moves it last; after k steps the copy
+    axes are back in order behind the flag axis, both flag halves at once.
+    """
+    r_t = block_reflection(unitary).T
+    width = r_t.shape[0]
 
     def apply(vec: np.ndarray) -> np.ndarray:
-        out = vec
-        for g in gates:
-            out = _apply_gate_array(out, dims, g)
-        t = np.moveaxis(out.reshape(dims), flag, -1)
-        t = t.copy()
-        t[..., 0] = 0.0
-        out = np.moveaxis(t, -1, flag).reshape(-1)
-        for g in reversed(gates):
-            out = _apply_gate_array(out, dims, g.inverse())
-        return out
+        t = vec
+        for _ in range(copies_k):
+            t = t.reshape(width, -1).T @ r_t
+        t = t.reshape(2, -1)
+        out = np.empty((t.shape[1], 2), dtype=np.complex128)
+        out[:, 0] = t[0]
+        np.subtract(vec.reshape(-1, 2)[:, 1], t[1], out=out[:, 1])
+        return out.reshape(-1)
 
     return apply
 
@@ -329,24 +335,26 @@ def eigen_test(
 ) -> bool:
     """Decide whether some unitary in the set fixes |psi>.
 
-    Builds the k-copy interference state, realises one projective measurement
-    per unitary through the controlled circuit, and feeds the family to the
-    averaged OR run with N equal to the number of unitaries (the exact
-    eigenvector in the positive case means no slack is needed).
+    Builds the k-copy interference state and feeds one projective
+    measurement per unitary to the averaged OR run, with N equal to the
+    number of unitaries (the exact eigenvector in the positive case means no
+    slack is needed).  Each measurement is applied in factored form: k
+    per-copy block reflections and a flag split (see
+    ``_eigen_accept_applier``), never the gate circuit, which
+    :func:`eigen_measurement_cycle` keeps as the independent reference.
     """
-    mats = list(unitaries)
+    mats = unitaries if isinstance(unitaries, UnitarySet) else UnitarySet(tuple(unitaries))
     n = len(mats)
     k = eigen_copies(n, epsilon) if copies_k is None else copies_k
-    dims, flag, _ = _eigen_layout(psi.shape, k)
-    total = 2 * math.prod(dims[:-1])
+    total = 2 * (2 * psi.shape.total_dim) ** k
     if total > MAX_VECTOR_DIM:
         raise ValueError(
             f"tester state dim {total} exceeds the vector cap; use the exact oracle instead"
         )
+    if mats.dim != psi.shape.total_dim:
+        raise ValueError("unitary dimension does not match the state dimension")
     phi = eigen_tester_state(psi, k)
-    appliers = [
-        _eigen_lambda_applier(dims, flag, _eigen_forward_gates(psi.shape, u, k)) for u in mats
-    ]
+    appliers = [_eigen_accept_applier(u, k) for u in mats]
     result = run_averaged_or_sampled(appliers, phi, or_round_count(n, 0), rng)
     return result.accepted
 
@@ -363,13 +371,27 @@ def joint_projector_bits(
     projector on that joint eigenspace and weight is the squared projection of
     `vector` onto it.  Raises if the family does not commute.
     """
+    pair = _noncommuting_pair(projectors)
+    if pair is not None:
+        raise ValueError(f"projectors {pair[0]} and {pair[1]} do not commute")
+    return _joint_bits(projectors, vector)
+
+
+def _noncommuting_pair(projectors: Sequence[np.ndarray]) -> tuple[int, int] | None:
+    """The first pair (i, j) whose commutator exceeds COMMUTATOR_ATOL (a
+    non-finite entry counts as exceeding), or None if the family commutes."""
     n = len(projectors)
-    d = vector.size
     for i in range(n):
         for j in range(i + 1, n):
             comm = projectors[i] @ projectors[j] - projectors[j] @ projectors[i]
-            if np.abs(comm).max() > COMMUTATOR_ATOL:
-                raise ValueError(f"projectors {i} and {j} do not commute")
+            if not np.abs(comm).max() <= COMMUTATOR_ATOL:
+                return i, j
+    return None
+
+
+def _joint_bits(projectors: Sequence[np.ndarray], vector: np.ndarray) -> list[tuple[int, float]]:
+    """:func:`joint_projector_bits` for a family already known to commute."""
+    d = vector.size
     blocks: list[tuple[np.ndarray, int]] = [(np.eye(d, dtype=np.complex128), 0)]
     for idx, proj in enumerate(projectors):
         refined: list[tuple[np.ndarray, int]] = []
@@ -455,16 +477,12 @@ def eigen_or_accept_exact(
     base = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), psi.amplitudes)
     if method not in ("auto", "joint", "dense"):
         raise ValueError("method must be 'auto', 'joint' or 'dense'")
-    use_joint = method == "joint"
-    if method == "auto":
-        use_joint = all(
-            np.abs(reflections[i] @ reflections[j] - reflections[j] @ reflections[i]).max()
-            <= COMMUTATOR_ATOL
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-    if use_joint:
+    atoms = None
+    if method == "joint":
         atoms = joint_projector_bits(reflections, base)
+    elif method == "auto" and _noncommuting_pair(reflections) is None:
+        atoms = _joint_bits(reflections, base)  # each pair checked once, just above
+    if atoms is not None:
         evals, weights = averaged_and_measure(atoms, n, copies_k)
         return mw_accept_from_spectrum(evals, weights, rounds)
     dim = base.size**copies_k

@@ -269,6 +269,27 @@ class TestAveragedOrRun:
         appliers = [(lambda v, m=m.accept_op.matrix: m @ v) for m in ms]
         np.testing.assert_allclose(_averaged_pi(appliers)(block), block @ nf.pi.T, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_batched_pi_matches_naimark(self, n, rows):
+        """The batched applier against the dense Naimark projector, on a
+        contiguous block and on a strided slice of a larger array."""
+        rng = trial_rng(7, 10 * n + rows)
+        shape = RegisterShape((3,))
+        ms = [
+            TwoOutcomeMeasurement(random_projector(rng, shape, rank=1 + i % 2), is_projector=True)
+            for i in range(n)
+        ]
+        pi = build_averaged_naimark(ms).pi
+        if n == 1:  # the one-measurement form carries a two-level ancilla
+            pi = pi[::2, ::2]
+        dim = pi.shape[0]
+        big = rng.normal(size=(2 * rows, 2 * dim)) + 1j * rng.normal(size=(2 * rows, 2 * dim))
+        appliers = [(lambda v, m=m.accept_op.matrix: m @ v) for m in ms]
+        apply_pi = _averaged_pi(appliers)
+        for block in (np.ascontiguousarray(big[:rows, :dim]), big[::2, 1::2]):
+            np.testing.assert_allclose(apply_pi(block), block @ pi.T, rtol=0, atol=1e-12)
+
     def test_structured_run_statistics(self):
         n = 8
         seq = anti_zeno_sequence(n)

@@ -3,6 +3,7 @@ channel-state tests, productness and genuine entanglement."""
 
 import itertools
 import math
+import sys
 from functools import reduce
 
 import numpy as np
@@ -50,14 +51,20 @@ from seqmeas import (
     unitary_set_test,
 )
 from seqmeas import testers as testers_module
-from seqmeas.gates import PAULI_X, PAULI_Z
+from seqmeas import gates as gates_module
+from seqmeas.gates import PAULI_X, PAULI_Z, _apply_gate_array
 from seqmeas.quantum_or import mw_accept_from_spectrum, or_round_count
 from seqmeas.testers import (
     MAX_GENUINE_PARTIES,
+    _eigen_accept_applier,
+    _eigen_forward_gates,
+    _eigen_layout,
+    _noncommuting_pair,
     _pair_swap_projectors,
     _sign_pattern_weights,
     and_power_distribution,
     averaged_and_measure,
+    block_reflection,
     conjugation_unitary,
     eigen_measurement_projector,
     joint_projector_bits,
@@ -128,6 +135,26 @@ def dense_genuine_ent_accept(psi, copies):
         evals, weights = averaged_and_measure(atoms, len(cuts), k // 2)
         out.append(mw_accept_from_spectrum(evals, weights, or_round_count(len(cuts), 0)))
     return out
+
+
+def gate_route_applier(psi_shape, unitary, copies_k):
+    """The accept projector V^dag (flag=1) V applied through the gate circuit,
+    gate by gate: the reference for the factored applier of eigen_test."""
+    dims, flag, _ = _eigen_layout(psi_shape, copies_k)
+    gates = _eigen_forward_gates(psi_shape, unitary, copies_k)
+
+    def apply(vec):
+        out = vec
+        for g in gates:
+            out = _apply_gate_array(out, dims, g)
+        t = np.moveaxis(out.reshape(dims), flag, -1).copy()
+        t[..., 0] = 0.0
+        out = np.moveaxis(t, -1, flag).reshape(-1)
+        for g in reversed(gates):
+            out = _apply_gate_array(out, dims, g.inverse())
+        return out
+
+    return apply
 
 
 def check_copy_rule(rule, column):
@@ -279,6 +306,40 @@ class TestEigenCircuit:
         assert 4 * 2 * 0.75**15 <= 1 / 8
         assert 4 * 2 * 0.75**14 > 1 / 8
         check_copy_rule(eigen_copies, 0)
+
+
+class TestFactoredEigenApplier:
+    """The factored accept projector of eigen_test against the gate circuit."""
+
+    @staticmethod
+    def random_vectors(rng, dim):
+        """Random complex vectors with weight on both flag blocks (the flag is
+        the fastest index), plus one vector in each block alone."""
+        vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        for v in vecs:
+            assert min(np.linalg.norm(v[0::2]), np.linalg.norm(v[1::2])) > 0.3
+        flag0, flag1 = vecs[0].copy(), vecs[1].copy()
+        flag0[1::2] = 0.0
+        flag1[0::2] = 0.0
+        return [*vecs, flag0, flag1]
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    def test_matches_gate_route(self, dims, copies_k):
+        rng = trial_rng(48, 10 * len(dims) + copies_k)
+        shape = RegisterShape(dims)
+        u = random_unitary(rng, shape.total_dim)
+        factored = _eigen_accept_applier(u, copies_k)
+        reference = gate_route_applier(shape, u, copies_k)
+        xs = self.random_vectors(rng, 2 * (2 * shape.total_dim) ** copies_k)
+        for x in xs:
+            np.testing.assert_allclose(factored(x), reference(x), rtol=0, atol=1e-12)
+        for x in xs:
+            lx = factored(x)
+            np.testing.assert_allclose(factored(lx), lx, rtol=0, atol=1e-12)
+            for y in xs:
+                assert abs(np.vdot(x, factored(y)) - np.vdot(lx, y)) <= 1e-12
 
 
 class TestJointBitOracle:
@@ -691,6 +752,49 @@ class TestEigenTestEndToEnd:
         )
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(count / trials - exact) <= 4 * sigma + 1e-9
+
+    def test_noncommuting_family_sampled(self):
+        """Acceptance of the factored sampler at 4 sigma against the dense
+        oracle, on a non-commuting family at k = 2."""
+        rng = trial_rng(49, 0)
+        psi = random_pure_state(rng, RegisterShape((3,)))
+        mats = [random_unitary(rng, 3) for _ in range(3)]
+        assert _noncommuting_pair([block_reflection(u) for u in mats]) is not None
+        exact = eigen_or_accept_exact(mats, psi, 2, method="dense")
+        assert 0.05 < exact < 0.95
+        trials = 3000
+        count = sum(eigen_test(mats, psi, 0.5, trial_rng(49, t + 1), copies_k=2) for t in range(trials))
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(count / trials - exact) <= 4 * sigma
+
+    def test_sampler_applies_no_gates(self, monkeypatch):
+        """eigen_test runs on the factored projector alone: with every binding
+        of the strided gate kernel made to raise it still runs, while the
+        circuit-based measurement cycle fails."""
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("strided gate kernel called")
+
+        original = gates_module._apply_gate_array
+        for name, module in list(sys.modules.items()):
+            if name == "seqmeas" or name.startswith("seqmeas."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, no_gates)
+        rng = trial_rng(50, 0)
+        psi = random_pure_state(rng, RegisterShape((2, 2)))
+        mats = [random_unitary(rng, 4) for _ in range(2)]
+        for t in range(5):
+            eigen_test(mats, psi, 0.5, trial_rng(50, t + 1), copies_k=2)
+        with pytest.raises(AssertionError, match="gate kernel"):
+            eigen_measurement_cycle(eigen_tester_state(psi, 2), mats[0], psi.shape, 2, branch=1)
+
+    def test_rejects_mismatched_or_non_unitary_family(self):
+        psi = random_pure_state(trial_rng(51, 0), QUBIT)
+        with pytest.raises(ValueError, match="dimension"):
+            eigen_test([np.eye(3)], psi, 0.5, trial_rng(51, 1), copies_k=2)
+        with pytest.raises(ValueError, match="unitary"):
+            eigen_test([np.diag([1.0, 2.0])], psi, 0.5, trial_rng(51, 2), copies_k=2)
 
     def test_dimension_guard(self):
         psi = random_pure_state(trial_rng(46, 0), RegisterShape((16,)))

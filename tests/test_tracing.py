@@ -1,0 +1,51 @@
+"""The benchmark's span recorder wraps seqmeas functions by name; every name
+it lists must still resolve, or tracing a run fails at install time.
+
+``perfbench/tracer.py`` is read as text and its ``LAYERS`` table evaluated as
+a literal, so nothing from the benchmark is imported or executed.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _literal(name):
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not found in {TRACER}")
+
+
+LAYERS = _literal("LAYERS")
+TARGETS = sorted({target for targets in LAYERS.values() for target in targets})
+
+
+def test_modules_resolve():
+    for module in _literal("MODULES"):
+        importlib.import_module(f"seqmeas.{module}")
+
+
+@pytest.mark.parametrize("module,attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
+def test_layer_target_resolves(module, attr):
+    mod = importlib.import_module(f"seqmeas.{module}")
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        assert method in vars(getattr(mod, cls_name)), f"{attr} is not defined on the class"
+    else:
+        assert callable(getattr(mod, attr))
+
+
+def test_averaged_sampler_takes_appliers_first():
+    """The recorder wraps each applier by rewriting the first positional argument."""
+    from seqmeas.quantum_or import run_averaged_or_sampled
+
+    assert next(iter(inspect.signature(run_averaged_or_sampled).parameters)) == "appliers"
