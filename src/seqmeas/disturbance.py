@@ -36,7 +36,7 @@ import numpy as np
 
 from .gates import HADAMARD
 from .measurement import TwoOutcomeMeasurement, anti_zeno_sequence
-from .quantum_or import _ensemble_rows, _exact_fraction
+from .quantum_or import _ensemble_rows, _exact_fraction, _row_dot
 from .states import DensityOperator, PureState, RegisterShape
 
 MAX_ORACLE_DIM = 64
@@ -114,7 +114,7 @@ def _sequential_runs(inst: SequentialInstance, rng: np.random.Generator, trials:
         check_mask = u_branch < q
         # check branch: p(outcome 1) = ||(top - bottom)/sqrt(2)||^2
         diff = (live[check_mask, :d] - live[check_mask, d:]) / math.sqrt(2)
-        p_one = np.clip(np.einsum("ij,ij->i", diff.conj(), diff).real, 0.0, 1.0)
+        p_one = np.clip(_row_dot(diff, diff), 0.0, 1.0)
         accepted[idx_alive[check_mask]] = u_out[check_mask] < p_one
         # measurement branch, grouped by the sampled j
         meas_rows = np.flatnonzero(~check_mask)
@@ -125,7 +125,7 @@ def _sequential_runs(inst: SequentialInstance, rng: np.random.Generator, trials:
                 continue
             bottom = live[rows, d:]
             hit = bottom @ mats[j].T
-            p_acc = np.clip(np.einsum("ij,ij->i", hit.conj(), hit).real, 0.0, 1.0)
+            p_acc = np.clip(_row_dot(hit, hit), 0.0, 1.0)
             acc = u_out[rows] < p_acc
             accepted[idx_alive[rows[acc]]] = True
             keep = rows[~acc]

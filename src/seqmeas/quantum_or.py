@@ -12,7 +12,8 @@ operator L and a state rho:
 
 Its acceptance probability has the closed form
 sum_i |alpha_i|^2 [1 - (1 - lambda_i)^{2N}] over the spectrum of L, which the
-exact oracles below evaluate by eigendecomposition; an independent second
+exact oracles below evaluate by eigendecomposition or, for a pure input, as
+1 - ||(I - L)^N psi||^2 by N applications of L; an independent second
 oracle propagates the residual operator (Delta (I - Pi))^N directly.
 
 Every sampler is a wrapper over one batched core, ``_amplify``, which runs
@@ -96,6 +97,12 @@ def _embed(rows: np.ndarray, d_anc: int) -> np.ndarray:
     return out
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a_i, b_i> for each row i, from the real and imaginary views of
+    the two blocks (no conjugated copy is allocated)."""
+    return np.einsum("ij,ij->i", a.real, b.real) + np.einsum("ij,ij->i", a.imag, b.imag)
+
+
 def _amplify(
     apply_pi: Callable[[np.ndarray], np.ndarray],
     rows: np.ndarray,
@@ -118,15 +125,15 @@ def _amplify(
     # Uniforms lie in [0, 1), so the outcome probabilities need no clipping.
     for r in range(1, n_rounds + 1):
         hit = apply_pi(live)
-        halt = rng.random(idx.size) < np.einsum("ij,ij->i", live.conj(), hit).real
+        halt = rng.random(idx.size) < _row_dot(live, hit)
         if np.count_nonzero(halt):
             rounds[idx[halt]] = r
             steps[idx[halt]] = 1
             live, hit, idx = live[~halt], hit[~halt], idx[~halt]
         live = live - hit
-        live /= np.sqrt(np.einsum("ij,ij->i", live.conj(), live).real)[:, None]
+        live /= np.sqrt(_row_dot(live, live))[:, None]
         kept = live.reshape(idx.size, d_sys, d_anc)[:, :, 0]
-        p_delta = np.einsum("ij,ij->i", kept.conj(), kept).real
+        p_delta = _row_dot(kept, kept)
         halt = rng.random(idx.size) >= p_delta
         if np.count_nonzero(halt):
             rounds[idx[halt]] = r
@@ -207,6 +214,23 @@ def mw_accept_exact(
     """
     evals, weights = _spectral_weights(accept_op, rho)
     return mw_accept_from_spectrum(evals, weights, n_rounds)
+
+
+def mw_accept_polynomial(
+    apply_l: Callable[[np.ndarray], np.ndarray], vector: np.ndarray, n_rounds: int
+) -> float:
+    """Exact acceptance on a unit vector v as 1 - ||(I - L)^N v||^2.
+
+    Equals :func:`mw_accept_from_spectrum` on L's spectral measure seen from
+    v, since sum_i w_i (1 - lambda_i)^{2N} = <v|(I - L)^{2N}|v>, but needs
+    only N applications of L: no eigendecomposition and no dense operator.
+    """
+    if n_rounds < 1:
+        raise ValueError("round count must be >= 1")
+    residual = vector
+    for _ in range(n_rounds):
+        residual = residual - apply_l(residual)
+    return float(min(1.0, max(0.0, 1.0 - np.vdot(residual, residual).real)))
 
 
 def mw_accept_survival(inst: MWInstance) -> float:

@@ -20,8 +20,12 @@ Three kinds of exact acceptance oracle back the sampled testers:
   the span of the patterns drawn by the copy pairs, so neither swap
   projectors nor the 2^cuts mask space are ever built.
 
-All three are cross-validated against the dense spectral oracle (or the
-dense joint-eigenbasis route) at small sizes in the test suite.
+Interference measurements with non-commuting unitaries instead take the
+polynomial form 1 - ||(I - L)^N v||^2 (``quantum_or.mw_accept_polynomial``)
+on the sampler's own factored appliers, within the state-vector cap.
+
+All routes are cross-validated against dense spectral references at small
+sizes in the test suite.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .gates import (
     permutation_matrix,
 )
 from .measurement import measure_register_collapse
-from .quantum_or import mw_accept_from_spectrum, or_round_count, run_averaged_or_sampled
+from .quantum_or import mw_accept_from_spectrum, mw_accept_polynomial, or_round_count, run_averaged_or_sampled
 from .states import (
     PureState,
     RegisterShape,
@@ -274,15 +278,15 @@ def eigen_measurement_cycle(
     return outcome, prob, PureState(state.shape, amps)
 
 
-def _eigen_accept_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free action of the accept projector V^dag (flag=1) V, factored.
+def _copy_reflection_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> ((x)_b R) x on k contiguous (control, psi) blocks, R = block_reflection(U).
 
     V = C W, where W applies controlled-U and a Hadamard copy by copy and C
-    flips the flag when every control register is 0, so the projector is
-    (x)_b R (x) |0><0| + (I - (x)_b R) (x) |1><1| with R the block reflection
-    on each contiguous (control, psi) block.  Each of the k steps contracts
-    the leading block axis with R and moves it last; after k steps the copy
-    axes are back in order behind the flag axis, both flag halves at once.
+    flips the flag when every control register is 0, so the accept
+    projector V^dag (flag=1) V is (x)_b R (x) |0><0| + (I - (x)_b R) (x) |1><1|:
+    on the flag-0 block, where the tester state starts and stays, it is
+    (x)_b R.  Each of the k steps contracts the leading block axis with R
+    and moves it last, so after k steps the axes are back in order.
     """
     r_t = block_reflection(unitary).T
     width = r_t.shape[0]
@@ -291,11 +295,7 @@ def _eigen_accept_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.nd
         t = vec
         for _ in range(copies_k):
             t = t.reshape(width, -1).T @ r_t
-        t = t.reshape(2, -1)
-        out = np.empty((t.shape[1], 2), dtype=np.complex128)
-        out[:, 0] = t[0]
-        np.subtract(vec.reshape(-1, 2)[:, 1], t[1], out=out[:, 1])
-        return out.reshape(-1)
+        return t.reshape(-1)
 
     return apply
 
@@ -326,6 +326,29 @@ def analytic_eigen_accept(unitary: np.ndarray, psi: PureState, copies_k: int) ->
     return float((0.5 + 0.5 * overlap.real) ** copies_k)
 
 
+def _eigen_family(unitaries: UnitarySet | Sequence[np.ndarray], psi: PureState) -> UnitarySet:
+    """The family as a validated :class:`UnitarySet` acting on psi's space.
+
+    The factored appliers only reshape, so a unitary of the wrong dimension
+    would pass silently whenever the sizes divide; it is rejected here.
+    """
+    mats = unitaries if isinstance(unitaries, UnitarySet) else UnitarySet(tuple(unitaries))
+    if mats.dim != psi.shape.total_dim:
+        raise ValueError("unitary dimension does not match the state dimension")
+    return mats
+
+
+def _copies_state(psi: PureState, copies_k: int) -> PureState:
+    """((|0>+|1>)/sqrt2 (x) |psi>)^k, the flag-0 block of the tester state,
+    after checking its size against the vector cap."""
+    if copies_k < 1:
+        raise ValueError("need at least one copy")
+    dim = (2 * psi.shape.total_dim) ** copies_k
+    if dim > MAX_VECTOR_DIM:
+        raise ValueError(f"k-copy interference state dim {dim} exceeds the vector cap {MAX_VECTOR_DIM}")
+    return product_state([plus_state(), psi] * copies_k)
+
+
 def eigen_test(
     unitaries: UnitarySet | Sequence[np.ndarray],
     psi: PureState,
@@ -338,23 +361,16 @@ def eigen_test(
     Builds the k-copy interference state and feeds one projective
     measurement per unitary to the averaged OR run, with N equal to the
     number of unitaries (the exact eigenvector in the positive case means no
-    slack is needed).  Each measurement is applied in factored form: k
-    per-copy block reflections and a flag split (see
-    ``_eigen_accept_applier``), never the gate circuit, which
+    slack is needed).  The run stays in the flag-0 block, where each
+    measurement is k per-copy block reflections (see
+    ``_copy_reflection_applier``), never the gate circuit, which
     :func:`eigen_measurement_cycle` keeps as the independent reference.
     """
-    mats = unitaries if isinstance(unitaries, UnitarySet) else UnitarySet(tuple(unitaries))
+    mats = _eigen_family(unitaries, psi)
     n = len(mats)
     k = eigen_copies(n, epsilon) if copies_k is None else copies_k
-    total = 2 * (2 * psi.shape.total_dim) ** k
-    if total > MAX_VECTOR_DIM:
-        raise ValueError(
-            f"tester state dim {total} exceeds the vector cap; use the exact oracle instead"
-        )
-    if mats.dim != psi.shape.total_dim:
-        raise ValueError("unitary dimension does not match the state dimension")
-    phi = eigen_tester_state(psi, k)
-    appliers = [_eigen_accept_applier(u, k) for u in mats]
+    phi = _copies_state(psi, k)
+    appliers = [_copy_reflection_applier(u, k) for u in mats]
     result = run_averaged_or_sampled(appliers, phi, or_round_count(n, 0), rng)
     return result.accepted
 
@@ -465,34 +481,39 @@ def eigen_or_accept_exact(
     """Exact acceptance probability of the OR run over interference measurements.
 
     The averaged accept operator is block-diagonal in the flag qubit and the
-    tester state lives in the flag-0 block, where measurement i acts as the
-    k-fold tensor power of its per-copy projector.  For commuting unitaries
-    the joint-eigenbasis route is exact at any k; otherwise a dense spectrum
-    of the flag-0 block is taken (small k only).
+    tester state lives in the flag-0 block, where measurement i acts as
+    (x)_b R_i, the k-fold tensor power of its block reflection.  For a
+    commuting family the joint-eigenbasis route is exact at any k
+    (``method="joint"`` requires it; ``"auto"`` takes it whenever the family
+    commutes).  Otherwise the acceptance 1 - ||(I - L)^N v||^2 is computed
+    by N applications of the mean of the sampler's factored appliers
+    (:func:`quantum_or.mw_accept_polynomial`), so the flag-0 block must fit
+    under MAX_VECTOR_DIM.
     """
-    mats = list(unitaries)
+    if method not in ("auto", "joint"):
+        raise ValueError("method must be 'auto' or 'joint'")
+    mats = _eigen_family(unitaries, psi)
     n = len(mats)
     rounds = or_round_count(n, 0) if n_rounds is None else n_rounds
     reflections = [block_reflection(u) for u in mats]
     base = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), psi.amplitudes)
-    if method not in ("auto", "joint", "dense"):
-        raise ValueError("method must be 'auto', 'joint' or 'dense'")
-    atoms = None
     if method == "joint":
         atoms = joint_projector_bits(reflections, base)
-    elif method == "auto" and _noncommuting_pair(reflections) is None:
+    elif _noncommuting_pair(reflections) is None:
         atoms = _joint_bits(reflections, base)  # each pair checked once, just above
-    if atoms is not None:
-        evals, weights = averaged_and_measure(atoms, n, copies_k)
-        return mw_accept_from_spectrum(evals, weights, rounds)
-    dim = base.size**copies_k
-    if dim > MAX_DENSE_DIM:
-        raise ValueError("non-commuting family too large for the dense oracle at this k")
-    lam = sum(reduce(np.kron, [r] * copies_k) for r in reflections) / n
-    vec = reduce(np.kron, [base] * copies_k)
-    dec = eigendecompose(lam)
-    weights = np.abs(dec.eigenvectors.conj().T @ vec) ** 2
-    return mw_accept_from_spectrum(dec.eigenvalues, weights, rounds)
+    else:
+        return _eigen_accept_matvec(mats, psi, copies_k, rounds)
+    evals, weights = averaged_and_measure(atoms, n, copies_k)
+    return mw_accept_from_spectrum(evals, weights, rounds)
+
+
+def _eigen_accept_matvec(mats: UnitarySet, psi: PureState, copies_k: int, n_rounds: int) -> float:
+    """The route of :func:`eigen_or_accept_exact` for any family: the
+    polynomial acceptance on the flag-0 block, with L the mean of the
+    factored appliers."""
+    vec = _copies_state(psi, copies_k).amplitudes
+    appliers = [_copy_reflection_applier(u, copies_k) for u in mats]
+    return mw_accept_polynomial(lambda x: sum(a(x) for a in appliers) / len(appliers), vec, n_rounds)
 
 
 # -- function isomorphism under a permutation set ----------------------------------
@@ -588,6 +609,19 @@ def state_membership_test(
     return result.accepted
 
 
+def _elementwise_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k entrywise for an integer k >= 0, by repeated squaring (numpy's
+    complex ``**`` takes the general power routine, far slower at large k)."""
+    result = np.ones_like(x)
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
 def membership_accept_exact(
     candidates: Sequence[PureState],
     psi: PureState,
@@ -606,8 +640,8 @@ def membership_accept_exact(
     if any(c.shape != psi.shape for c in candidates):
         raise ValueError("candidates and input state must share a shape")
     amps = np.array([c.amplitudes for c in candidates])
-    gram = (amps.conj() @ amps.T) ** copies_k
-    t = (amps.conj() @ psi.amplitudes) ** copies_k
+    gram = _elementwise_power(amps.conj() @ amps.T, copies_k)
+    t = _elementwise_power(amps.conj() @ psi.amplitudes, copies_k)
     dec = eigendecompose(gram / n)
     evals, weights = [], []
     for mu, coef in zip(dec.eigenvalues, dec.eigenvectors.T):

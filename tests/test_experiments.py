@@ -163,6 +163,16 @@ class TestCli:
         body = json.loads(out.read_text())
         assert body["values"]["isomorphic_exact_accept"] >= 1.0 / 7.0
 
+    def test_noncommuting_group_past_vector_cap(self, tmp_path, capsys):
+        """Three transpositions of 4 points do not commute; their rule k = 16
+        needs (2 * 16)^16 amplitudes, so the exact oracle must refuse."""
+        group = tmp_path / "group.txt"
+        group.write_text("1 0 2 3\n0 2 1 3\n0 1 3 2\n")
+        out = tmp_path / "res.json"
+        assert cli_main(["giso", "--group", str(group), "--out", str(out)]) == 2
+        assert "vector cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fn_flags_must_pair(self, tmp_path):
         fpath = tmp_path / "f.txt"
         fpath.write_text("0 0\n1 1\n")

@@ -21,6 +21,7 @@ from seqmeas import (
     merlin_best_witness_accept,
     merlin_slice_operators,
     mw_accept_exact,
+    mw_accept_polynomial,
     mw_accept_survival,
     mw_bounds,
     one_ancilla_dilation,
@@ -99,6 +100,25 @@ class TestExactOracle:
             )
             assert abs(exact - survival) <= 1e-10
             assert abs(exact - convex) <= 1e-10
+
+    def test_polynomial_form_random_sweep(self):
+        """1 - ||(I - L)^N psi||^2 by N matvecs against the spectral oracle,
+        on the operators and round counts of the random sweep above."""
+        for t in range(200):
+            lam, _, n_rounds = _random_instance(t)
+            psi = random_pure_state(trial_rng(79, t), lam.shape)
+            poly = mw_accept_polynomial(lambda x, m=lam.matrix: m @ x, psi.amplitudes, n_rounds)
+            assert abs(poly - mw_accept_exact(lam, psi, n_rounds)) <= 1e-12
+
+    def test_polynomial_form_edges(self):
+        proj = np.diag([1.0, 0.0])
+        apply_proj = lambda x: proj @ x  # noqa: E731
+        assert mw_accept_polynomial(apply_proj, basis_state(QUBIT, (0,)).amplitudes, 5) == 1.0
+        assert mw_accept_polynomial(apply_proj, basis_state(QUBIT, (1,)).amplitudes, 5) == 0.0
+        soft = np.diag([0.5, 0.0])
+        assert abs(mw_accept_polynomial(lambda x: soft @ x, plus_state().amplitudes, 2) - 0.46875) <= 1e-12
+        with pytest.raises(ValueError):
+            mw_accept_polynomial(apply_proj, plus_state().amplitudes, 0)
 
     def test_survival_kernel_state(self):
         lam = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))

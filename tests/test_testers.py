@@ -23,6 +23,7 @@ from seqmeas import (
     choi_vector,
     cut_product_accept,
     cut_product_test,
+    eigendecompose,
     eigen_copies,
     eigen_measurement_cycle,
     eigen_or_accept_exact,
@@ -55,8 +56,12 @@ from seqmeas import gates as gates_module
 from seqmeas.gates import PAULI_X, PAULI_Z, _apply_gate_array
 from seqmeas.quantum_or import mw_accept_from_spectrum, or_round_count
 from seqmeas.testers import (
+    MAX_DENSE_DIM,
     MAX_GENUINE_PARTIES,
-    _eigen_accept_applier,
+    MAX_VECTOR_DIM,
+    _copy_reflection_applier,
+    _eigen_accept_matvec,
+    _elementwise_power,
     _eigen_forward_gates,
     _eigen_layout,
     _noncommuting_pair,
@@ -155,6 +160,36 @@ def gate_route_applier(psi_shape, unitary, copies_k):
         return out
 
     return apply
+
+
+def dense_eigen_spectrum(mats, psi, copies_k):
+    """The dense route of eigen_or_accept_exact before the polynomial form:
+    the flag-0 block's averaged operator as a mean of Kronecker powers of
+    the block reflections, and its spectral measure seen from the tester
+    state, for mw_accept_from_spectrum."""
+    reflections = [block_reflection(u) for u in mats]
+    base = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), psi.amplitudes)
+    assert base.size**copies_k <= MAX_DENSE_DIM
+    lam = sum(reduce(np.kron, [r] * copies_k) for r in reflections) / len(mats)
+    vec = reduce(np.kron, [base] * copies_k)
+    dec = eigendecompose(lam)
+    weights = np.abs(dec.eigenvectors.conj().T @ vec) ** 2
+    return dec.eigenvalues, weights
+
+
+def dense_eigen_or_accept(mats, psi, copies_k, n_rounds):
+    return mw_accept_from_spectrum(*dense_eigen_spectrum(mats, psi, copies_k), n_rounds)
+
+
+def z_string(bits, n_qubits):
+    """The Pauli-Z string with Z on the qubits set in `bits` (first qubit = top bit)."""
+    return np.diag([(-1.0) ** bin(bits & x).count("1") for x in range(1 << n_qubits)])
+
+
+def noncommuting_family(rng, dim, size=3):
+    mats = [random_unitary(rng, dim) for _ in range(size)]
+    assert _noncommuting_pair([block_reflection(u) for u in mats]) is not None
+    return mats
 
 
 def check_copy_rule(rule, column):
@@ -309,37 +344,138 @@ class TestEigenCircuit:
 
 
 class TestFactoredEigenApplier:
-    """The factored accept projector of eigen_test against the gate circuit."""
-
-    @staticmethod
-    def random_vectors(rng, dim):
-        """Random complex vectors with weight on both flag blocks (the flag is
-        the fastest index), plus one vector in each block alone."""
-        vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        for v in vecs:
-            assert min(np.linalg.norm(v[0::2]), np.linalg.norm(v[1::2])) > 0.3
-        flag0, flag1 = vecs[0].copy(), vecs[1].copy()
-        flag0[1::2] = 0.0
-        flag1[0::2] = 0.0
-        return [*vecs, flag0, flag1]
+    """The flag-free applier of eigen_test against the gate circuit, whose
+    flag qubit is the fastest index of the tester space."""
 
     @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (2, 2, 2)])
     @pytest.mark.parametrize("copies_k", [1, 2, 3])
     def test_matches_gate_route(self, dims, copies_k):
+        """On vectors with weight on both flag blocks, the gate route's
+        flag-0 output is the applier applied to the flag-0 input."""
         rng = trial_rng(48, 10 * len(dims) + copies_k)
         shape = RegisterShape(dims)
         u = random_unitary(rng, shape.total_dim)
-        factored = _eigen_accept_applier(u, copies_k)
+        factored = _copy_reflection_applier(u, copies_k)
         reference = gate_route_applier(shape, u, copies_k)
-        xs = self.random_vectors(rng, 2 * (2 * shape.total_dim) ** copies_k)
-        for x in xs:
-            np.testing.assert_allclose(factored(x), reference(x), rtol=0, atol=1e-12)
+        dim = (2 * shape.total_dim) ** copies_k
+        full = rng.normal(size=(3, 2 * dim)) + 1j * rng.normal(size=(3, 2 * dim))
+        full /= np.linalg.norm(full, axis=1)[:, None]
+        for v in full:
+            assert min(np.linalg.norm(v[0::2]), np.linalg.norm(v[1::2])) > 0.3
+            np.testing.assert_allclose(factored(v[0::2]), reference(v)[0::2], rtol=0, atol=1e-12)
+        xs = [v[0::2] / np.linalg.norm(v[0::2]) for v in full]
         for x in xs:
             lx = factored(x)
             np.testing.assert_allclose(factored(lx), lx, rtol=0, atol=1e-12)
             for y in xs:
                 assert abs(np.vdot(x, factored(y)) - np.vdot(lx, y)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    def test_gate_route_keeps_flag_zero_input_in_its_block(self, dims, copies_k):
+        """The flag-1 output of the gate route is exactly 0 on flag-0 input:
+        the projector is block-diagonal in the flag, which is what lets the
+        sampler drop the flag qubit."""
+        rng = trial_rng(53, 10 * len(dims) + copies_k)
+        shape = RegisterShape(dims)
+        reference = gate_route_applier(shape, random_unitary(rng, shape.total_dim), copies_k)
+        dim = (2 * shape.total_dim) ** copies_k
+        for _ in range(3):
+            full = np.zeros(2 * dim, dtype=np.complex128)
+            full[0::2] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            out = reference(full)
+            assert np.count_nonzero(out[1::2]) == 0
+            assert np.linalg.norm(out[0::2]) > 1e-3
+
+
+class TestMatvecOracle:
+    """The polynomial route of eigen_or_accept_exact against the dense
+    spectral reference and, past its cap, against the joint route."""
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    def test_matches_dense_reference(self, dims, copies_k):
+        rng = trial_rng(54, 10 * len(dims) + copies_k + 100 * dims[-1])
+        shape = RegisterShape(dims)
+        psi = random_pure_state(rng, shape)
+        mats = noncommuting_family(rng, shape.total_dim)
+        spectrum = dense_eigen_spectrum(mats, psi, copies_k)
+        for rounds in (3, 7):
+            dense = mw_accept_from_spectrum(*spectrum, rounds)
+            assert abs(_eigen_accept_matvec(UnitarySet(mats), psi, copies_k, rounds) - dense) <= 1e-12
+            assert abs(eigen_or_accept_exact(mats, psi, copies_k, n_rounds=rounds) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    def test_degenerate_family(self, copies_k):
+        """A repeated member plus the identity: a repeated eigenvalue of the
+        averaged operator and two equal appliers."""
+        rng = trial_rng(55, copies_k)
+        psi = random_pure_state(rng, RegisterShape((3,)))
+        u = random_unitary(rng, 3)
+        mats = [u, u, np.eye(3)]
+        assert _noncommuting_pair([block_reflection(m) for m in mats]) is not None
+        dense = dense_eigen_or_accept(mats, psi, copies_k, 3)
+        assert abs(eigen_or_accept_exact(mats, psi, copies_k) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    def test_common_fixed_vector_accepts_with_certainty(self, copies_k):
+        """psi = V|0> is fixed by every V (1 (+) A_i) V^dag while the A_i do
+        not commute, so the non-commuting route must give acceptance 1."""
+        rng = trial_rng(56, copies_k)
+        v = random_unitary(rng, 3)
+        mats = []
+        for _ in range(3):
+            inner = np.eye(3, dtype=np.complex128)
+            inner[1:, 1:] = random_unitary(rng, 2)
+            mats.append(v @ inner @ v.conj().T)
+        assert _noncommuting_pair([block_reflection(m) for m in mats]) is not None
+        psi = PureState(RegisterShape((3,)), v[:, 0])
+        exact = eigen_or_accept_exact(mats, psi, copies_k)
+        assert abs(exact - 1.0) <= 1e-12
+        assert abs(exact - dense_eigen_or_accept(mats, psi, copies_k, 3)) <= 1e-12
+
+    def test_past_dense_cap_matches_joint_route(self):
+        """{ZII, IZZ, ZZI} commute, so the joint route is exact; at k = 5 the
+        flag-0 block has (2 * 8)^5 = 2^20 amplitudes, the vector cap itself."""
+        mats = [z_string(bits, 3) for bits in (0b100, 0b011, 0b110)]
+        psi = random_pure_state(trial_rng(57, 0), RegisterShape((2, 2, 2)))
+        assert 16**5 == MAX_VECTOR_DIM > MAX_DENSE_DIM
+        joint = eigen_or_accept_exact(mats, psi, 5, method="joint")
+        assert 0.01 < joint < 0.99
+        assert abs(_eigen_accept_matvec(UnitarySet(mats), psi, 5, 3) - joint) <= 1e-12
+
+    def test_over_cap_raises_before_any_vector(self, monkeypatch):
+        rng = trial_rng(58, 0)
+        psi = random_pure_state(rng, QUBIT)
+        mats = noncommuting_family(rng, 2)
+        copies_k = 11  # 4^11 = 2^22 amplitudes
+
+        def no_vector(*args, **kwargs):
+            raise AssertionError("a k-copy vector was built past the cap")
+
+        monkeypatch.setattr(testers_module, "product_state", no_vector)
+        monkeypatch.setattr(testers_module, "_copy_reflection_applier", no_vector)
+        with pytest.raises(ValueError, match=f"vector cap {MAX_VECTOR_DIM}"):
+            eigen_or_accept_exact(mats, psi, copies_k)
+        with pytest.raises(ValueError, match=f"vector cap {MAX_VECTOR_DIM}"):
+            eigen_test(mats, psi, 0.5, trial_rng(58, 1), copies_k=copies_k)
+
+    def test_rejects_bad_family(self):
+        rng = trial_rng(59, 0)
+        qubit = random_pure_state(rng, QUBIT)
+        two_qubits = random_pure_state(rng, RegisterShape((2, 2)))
+        with pytest.raises(ValueError, match="unitary"):
+            eigen_or_accept_exact([np.diag([1.0, 2.0]), PAULI_X], qubit, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            eigen_or_accept_exact([np.eye(3)], qubit, 2)
+        # a qubit family on a two-qubit state: the sizes divide, so the
+        # factored appliers alone would reshape without complaint
+        with pytest.raises(ValueError, match="dimension"):
+            eigen_or_accept_exact(noncommuting_family(rng, 2), two_qubits, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            eigen_or_accept_exact([PAULI_Z, np.eye(2)], two_qubits, 2, method="joint")
+        with pytest.raises(ValueError, match="method"):
+            eigen_or_accept_exact([PAULI_Z], qubit, 2, method="dense")
 
 
 class TestJointBitOracle:
@@ -388,8 +524,8 @@ class TestJointBitOracle:
         psi = pair_state(F_FAR, G_FAR)
         for k in (1, 2):
             joint = eigen_or_accept_exact(mats, psi, k, method="joint")
-            dense = eigen_or_accept_exact(mats, psi, k, method="dense")
-            assert abs(joint - dense) <= 1e-10
+            matvec = _eigen_accept_matvec(UnitarySet(mats), psi, k, len(mats))
+            assert abs(joint - matvec) <= 1e-10
 
     def test_zero_sector_reduction_matches_full_space(self):
         """The flag-0 block reduction agrees with the dense oracle run on the
@@ -398,7 +534,7 @@ class TestJointBitOracle:
         psi = random_pure_state(rng, QUBIT)
         mats = [random_unitary(rng, 2) for _ in range(2)]
         k = 2
-        reduced = eigen_or_accept_exact(mats, psi, k, method="dense")
+        reduced = _eigen_accept_matvec(UnitarySet(mats), psi, k, len(mats))
         lam = sum(eigen_measurement_projector(u, psi.shape, k) for u in mats) / 2
         phi = eigen_tester_state(psi, k)
         full = mw_accept_exact(lam, phi, 2)
@@ -481,6 +617,14 @@ class TestMembership:
         dense = mw_accept_exact(lam, big, 3)
         gram = membership_accept_exact(candidates, psi, k)
         assert abs(gram - dense) <= 1e-10
+
+    def test_elementwise_power_matches_numpy(self):
+        """Repeated squaring against numpy's complex power, on entries near
+        the unit circle (as Gram entries are) so large k stays representable."""
+        rng = trial_rng(60, 0)
+        x = (1 - 1e-4 * rng.random((4, 5))) * np.exp(2j * math.pi * rng.random((4, 5)))
+        for k in [*range(40), 1000, 99999, 100000]:
+            np.testing.assert_allclose(_elementwise_power(x, k), x**k, rtol=1e-9, atol=0)
 
     def test_sampled_statistics(self):
         phi0, phi1 = basis_state(QUBIT, (0,)), basis_state(QUBIT, (1,))
@@ -760,7 +904,7 @@ class TestEigenTestEndToEnd:
         psi = random_pure_state(rng, RegisterShape((3,)))
         mats = [random_unitary(rng, 3) for _ in range(3)]
         assert _noncommuting_pair([block_reflection(u) for u in mats]) is not None
-        exact = eigen_or_accept_exact(mats, psi, 2, method="dense")
+        exact = _eigen_accept_matvec(UnitarySet(mats), psi, 2, len(mats))
         assert 0.05 < exact < 0.95
         trials = 3000
         count = sum(eigen_test(mats, psi, 0.5, trial_rng(49, t + 1), copies_k=2) for t in range(trials))
@@ -789,10 +933,29 @@ class TestEigenTestEndToEnd:
         with pytest.raises(AssertionError, match="gate kernel"):
             eigen_measurement_cycle(eigen_tester_state(psi, 2), mats[0], psi.shape, 2, branch=1)
 
+    def test_runs_on_flag_zero_block(self, monkeypatch):
+        """The averaged OR run receives ((|0>+|1>)/sqrt2 (x) psi)^k: 2k
+        registers for a one-register psi, and no flag qubit."""
+        seen = []
+        original = testers_module.run_averaged_or_sampled
+
+        def spy(appliers, initial, n_rounds, rng):
+            seen.append(initial.shape.dims)
+            return original(appliers, initial, n_rounds, rng)
+
+        monkeypatch.setattr(testers_module, "run_averaged_or_sampled", spy)
+        rng = trial_rng(52, 0)
+        psi = random_pure_state(rng, RegisterShape((3,)))
+        eigen_test([random_unitary(rng, 3) for _ in range(2)], psi, 0.5, trial_rng(52, 1), copies_k=3)
+        assert seen == [(2, 3) * 3]
+
     def test_rejects_mismatched_or_non_unitary_family(self):
         psi = random_pure_state(trial_rng(51, 0), QUBIT)
         with pytest.raises(ValueError, match="dimension"):
             eigen_test([np.eye(3)], psi, 0.5, trial_rng(51, 1), copies_k=2)
+        two_qubits = random_pure_state(trial_rng(51, 3), RegisterShape((2, 2)))
+        with pytest.raises(ValueError, match="dimension"):
+            eigen_test([PAULI_X], two_qubits, 0.5, trial_rng(51, 4), copies_k=2)
         with pytest.raises(ValueError, match="unitary"):
             eigen_test([np.diag([1.0, 2.0])], psi, 0.5, trial_rng(51, 2), copies_k=2)
 

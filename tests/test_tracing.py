@@ -49,3 +49,15 @@ def test_averaged_sampler_takes_appliers_first():
     from seqmeas.quantum_or import run_averaged_or_sampled
 
     assert next(iter(inspect.signature(run_averaged_or_sampled).parameters)) == "appliers"
+
+
+def test_exact_eigen_oracle_takes_joint_method():
+    """The benchmark's exact interference jobs pass ``method="joint"``."""
+    import numpy as np
+
+    from seqmeas import PureState, RegisterShape
+    from seqmeas.testers import eigen_or_accept_exact
+
+    psi = PureState(RegisterShape((2,)), np.array([1.0, 0.0]))  # fixed by Z and by I
+    family = [np.diag([1.0, -1.0]), np.eye(2)]
+    assert abs(eigen_or_accept_exact(family, psi, 3, method="joint") - 1.0) <= 1e-12
