@@ -5,8 +5,11 @@
             [--fn-f path --fn-g path] [--group path]
 
 Writes the result document (JSON, byte-identical for a fixed configuration)
-to --out or stdout, prints one pass/fail line per assertion on stderr, and
-exits 0 iff every assertion passed.
+to --out or stdout and prints one pass/fail line per assertion on stderr.
+Exits 0 when every assertion passed and 1 when one failed.  Bad input exits
+2 with an ``error:`` line and no document: a malformed argument, an unknown
+or invalid parameter, or an input file that is missing or malformed
+(``error: <path>: <reason>``).
 """
 
 from __future__ import annotations
@@ -33,18 +36,25 @@ def _parse_param(raw: str):
     return key, value
 
 
-def _load_function(path: str) -> FunctionTable:
-    return FunctionTable.from_lines(Path(path).read_text().splitlines())
+def _read_lines(path: str, parse):
+    """parse(the file's lines); an unreadable or malformed file raises
+    ValueError("<path>: <reason>")."""
+    try:
+        return parse(Path(path).read_text().splitlines())
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_group(path: str) -> tuple[PermutationAction, ...]:
+def _parse_group(lines: list[str]) -> tuple[PermutationAction, ...]:
     actions = []
-    for line in Path(path).read_text().splitlines():
+    for line in lines:
         line = line.strip()
         if line:
             actions.append(PermutationAction(tuple(int(x) for x in line.split())))
     if not actions:
-        raise ValueError(f"no permutations found in {path}")
+        raise ValueError("no permutations found")
     return tuple(actions)
 
 
@@ -59,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--param",
         action="append",
         default=[],
+        type=_parse_param,
         metavar="KEY=VALUE",
         help="instance parameter (repeatable)",
     )
@@ -70,31 +81,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    params = dict(_parse_param(p) for p in args.param)
-    fn_f = _load_function(args.fn_f) if args.fn_f else None
-    fn_g = _load_function(args.fn_g) if args.fn_g else None
-    if (fn_f is None) != (fn_g is None):
-        print("error: --fn-f and --fn-g must be given together", file=sys.stderr)
-        return 2
-    if fn_f is not None and fn_f.codomain_size != fn_g.codomain_size:
-        cod = max(fn_f.codomain_size, fn_g.codomain_size)
-        fn_f = FunctionTable(fn_f.domain_size, cod, fn_f.values)
-        fn_g = FunctionTable(fn_g.domain_size, cod, fn_g.values)
-    group = _load_group(args.group) if args.group else None
-
-    config = ExperimentConfig(
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment configuration, with the --fn-f, --fn-g and --group
+    files read and parsed."""
+    if (args.fn_f is None) != (args.fn_g is None):
+        raise ValueError("--fn-f and --fn-g must be given together")
+    fn_f = fn_g = group = None
+    if args.fn_f is not None:
+        fn_f = _read_lines(args.fn_f, FunctionTable.from_lines)
+        fn_g = _read_lines(args.fn_g, FunctionTable.from_lines)
+        if fn_f.codomain_size != fn_g.codomain_size:
+            cod = max(fn_f.codomain_size, fn_g.codomain_size)
+            fn_f = FunctionTable(fn_f.domain_size, cod, fn_f.values)
+            fn_g = FunctionTable(fn_g.domain_size, cod, fn_g.values)
+    if args.group is not None:
+        group = _read_lines(args.group, _parse_group)
+    return ExperimentConfig(
         name=args.experiment,
         seed=args.seed,
         trials=args.trials,
-        params=params,
+        params=dict(args.param),
         function_f=fn_f,
         function_g=fn_g,
         group=group,
     )
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        record = run_experiment(config)
+        record = run_experiment(_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

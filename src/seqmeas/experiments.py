@@ -162,6 +162,28 @@ def _float_param(
     return value
 
 
+def _trial_streams(config: ExperimentConfig, trials: int):
+    """Trial t's generator trial_rng(seed, 1000 + t), built when the trial
+    is reached, so no list of generators is held."""
+    return (trial_rng(config.seed, 1000 + t) for t in range(trials))
+
+
+def _sampled_accepts(inst, config: ExperimentConfig, trials: int) -> int:
+    """Accepts among `trials` runs of one amplification instance, trial t
+    drawing from its own stream."""
+    return sum(run.accepted for run in qor.sample_trials(inst, _trial_streams(config, trials)))
+
+
+def _accept_ever_count(accept_probs: np.ndarray, streams) -> int:
+    """Runs of a measurement sequence, one per generator, that ever accept.
+
+    A run accepts at the first step whose uniform falls below that step's
+    accept probability on the all-reject path (:func:`measurement.reject_path`),
+    so all of a run's uniforms are drawn in one call.
+    """
+    return sum(bool((rng.random(accept_probs.size) < accept_probs).any()) for rng in streams)
+
+
 # -- individual experiments -------------------------------------------------------
 
 
@@ -184,10 +206,10 @@ def _exp_antizeno(config: ExperimentConfig, rec: _Recorder, trials: int):
         product *= 1.0 - meas.accept_probability(seq[k], states[k])
     rec.check_close("accept_ever_product_route", 1.0 - product, accept_ever, 1e-10)
 
-    state = states[0]
-    for k in range(n):
-        _, _, state = meas.measure_collapse(seq[k], state, branch=0)
-    fid = abs(state.overlap(basis_state(state.shape, (1,)))) ** 2
+    accept_probs, final = meas.reject_path(seq, states[0])
+    if final is None:
+        raise ValueError(f"the all-reject path of the n = {n} sequence has probability zero")
+    fid = abs(final.overlap(basis_state(final.shape, (1,)))) ** 2
     rec.value("all_reject_final_fidelity", fid)
     rec.check_ge("final_state_is_one", fid, 1.0 - 1e-10)
 
@@ -198,17 +220,7 @@ def _exp_antizeno(config: ExperimentConfig, rec: _Recorder, trials: int):
             math.pi**2 / 4 * 1.1,
         )
 
-    count = 0
-    for t in range(trials):
-        rng = trial_rng(config.seed, 1000 + t)
-        s = states[0]
-        fired = False
-        for k in range(n):
-            outcome, _, s = meas.measure_collapse(seq[k], s, rng=rng)
-            if outcome == 1:
-                fired = True
-                break
-        count += fired
+    count = _accept_ever_count(accept_probs, _trial_streams(config, trials))
     rec.check_sampled("sampled_accept_ever", count, trials, accept_ever)
     rec.value("sampled_accepts", count)
 
@@ -282,9 +294,7 @@ def _exp_or_test(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.value("case2_bound", 4.0 * delta * n)
     rec.check_le("case2_at_most_4_delta_n", exact2, 4.0 * delta * n, slack=1e-9)
 
-    count = 0
-    for t in range(trials):
-        count += qor.or_test(seq, zero, 0, trial_rng(config.seed, 1000 + t))
+    count = _sampled_accepts(qor.or_test_instance(seq, zero, 0), config, trials)
     rec.check_sampled("sampled_vs_exact", count, trials, exact1)
     rec.value("sampled_accepts", count)
 
@@ -439,10 +449,9 @@ def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
     exact_small = testers.g_iso_accept_exact(*iso_pair, group, epsilon, copies_k=k_small)
     count = 0
     queries = None
-    for t in range(trials):
-        run = testers.g_iso_test(
-            *iso_pair, group, epsilon, trial_rng(config.seed, 1000 + t), copies_k=k_small
-        )
+    for run in testers.g_iso_trials(
+        *iso_pair, group, epsilon, _trial_streams(config, trials), copies_k=k_small
+    ):
         count += run.accepted
         queries = (run.queries_f, run.queries_g)
     rec.check_sampled("sampled_vs_exact_smallk", count, trials, exact_small)
@@ -511,11 +520,8 @@ def _exp_membership(config: ExperimentConfig, rec: _Recorder, trials: int):
 
     k_small = 3
     exact_small = testers.membership_accept_exact(candidates, phi0, k_small)
-    count = 0
-    for t in range(trials):
-        count += testers.state_membership_test(
-            candidates, phi0, epsilon, trial_rng(config.seed, 1000 + t), copies_k=k_small
-        )
+    inst = testers.membership_instance(candidates, phi0, epsilon, copies_k=k_small)
+    count = _sampled_accepts(inst, config, trials)
     rec.check_sampled("sampled_vs_exact_smallk", count, trials, exact_small)
 
 
@@ -556,11 +562,8 @@ def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
 
     k_small = 2
     exact_small = testers.unitary_s_iso_accept_exact(s_set, v, v, epsilon, copies_k=k_small)
-    count = 0
-    for t in range(trials):
-        count += testers.unitary_s_iso_test(
-            s_set, v, v, epsilon, trial_rng(config.seed, 1000 + t), copies_k=k_small
-        )
+    inst = testers.unitary_s_iso_instance(s_set, v, v, epsilon, copies_k=k_small)
+    count = _sampled_accepts(inst, config, trials)
     rec.check_sampled("sampled_vs_exact_smallk", count, trials, exact_small)
 
 
@@ -590,11 +593,8 @@ def _exp_genuine_ent(config: ExperimentConfig, rec: _Recorder, trials: int):
 
     k_small = 4
     exact_small = testers.genuine_ent_accept_exact(partly_product, 3, k_small)
-    count = 0
-    for t in range(trials):
-        count += testers.genuine_ent_test(
-            partly_product, 3, epsilon, trial_rng(config.seed, 1000 + t), copies_k=k_small
-        )
+    inst = testers.genuine_ent_instance(partly_product, 3, epsilon, copies_k=k_small)
+    count = _sampled_accepts(inst, config, trials)
     rec.check_sampled("sampled_vs_exact_smallk", count, trials, exact_small)
 
 
@@ -626,10 +626,7 @@ def _exp_demerlinize(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.value("case2_bound", bound2)
     rec.check_le("case2_at_most_2_zeta_ceil", exact2, bound2, slack=1e-9)
 
-    inst = qor.demerlinize_instance(gamma, psi, eta1)
-    count = 0
-    for t in range(trials):
-        count += qor.run_mw_sampled(inst, trial_rng(config.seed, 1000 + t)).accepted
+    count = _sampled_accepts(qor.demerlinize_instance(gamma, psi, eta1), config, trials)
     rec.check_sampled("sampled_vs_exact", count, trials, exact1)
 
 

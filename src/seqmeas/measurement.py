@@ -90,6 +90,19 @@ def accept_probability(m: TwoOutcomeMeasurement, rho: DensityOperator | PureStat
     return float(min(1.0, max(0.0, p)))
 
 
+def _check_projective(measurement: TwoOutcomeMeasurement, psi: PureState) -> None:
+    if not (isinstance(measurement, TwoOutcomeMeasurement) and measurement.is_projector):
+        raise ValueError("a projective collapse needs a TwoOutcomeMeasurement flagged is_projector")
+    if psi.shape != measurement.shape:
+        raise ValueError("projector and state shapes differ")
+
+
+def _accept_split(p_mat: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """P psi and the accept probability <psi|P|psi>, clipped to [0, 1]."""
+    hit = p_mat @ amps
+    return hit, float(min(1.0, max(0.0, np.vdot(amps, hit).real)))
+
+
 def measure_collapse(
     measurement: TwoOutcomeMeasurement,
     psi: PureState,
@@ -107,13 +120,8 @@ def measure_collapse(
     """
     if (branch is None) == (rng is None):
         raise ValueError("pass exactly one of branch= or rng=")
-    if not (isinstance(measurement, TwoOutcomeMeasurement) and measurement.is_projector):
-        raise ValueError("measure_collapse requires a TwoOutcomeMeasurement flagged is_projector")
-    if psi.shape != measurement.shape:
-        raise ValueError("projector and state shapes differ")
-    p_mat = measurement.accept_op.matrix
-    hit = p_mat @ psi.amplitudes
-    p1 = float(min(1.0, max(0.0, np.vdot(psi.amplitudes, hit).real)))
+    _check_projective(measurement, psi)
+    hit, p1 = _accept_split(measurement.accept_op.matrix, psi.amplitudes)
     if branch is None:
         branch = 1 if rng.random() < p1 else 0
     branch = int(branch)
@@ -125,6 +133,33 @@ def measure_collapse(
     residual = hit if branch == 1 else psi.amplitudes - hit
     residual = residual / np.linalg.norm(residual)
     return branch, prob, PureState(psi.shape, residual)
+
+
+def reject_path(
+    measurements: Sequence[TwoOutcomeMeasurement], psi: PureState
+) -> tuple[np.ndarray, PureState | None]:
+    """The all-reject branch of a sequence of projective measurements on psi.
+
+    Returns the accept probability of each step along that branch, the same
+    values :func:`measure_collapse` compares its uniform against on the
+    branch-0 chain, and the state the last rejection leaves.  A run of the
+    sequence fires at the first step k whose uniform u_k < p_k, so one
+    walk serves every trial.  A step whose rejection has probability below
+    ZERO_BRANCH_ATOL ends the walk without raising: its accept probability
+    is the last entry and the final state is None.
+    """
+    for m in measurements:
+        _check_projective(m, psi)
+    amps = psi.amplitudes
+    probs = []
+    for m in measurements:
+        hit, p1 = _accept_split(m.accept_op.matrix, amps)
+        probs.append(p1)
+        if 1.0 - p1 < ZERO_BRANCH_ATOL:
+            return np.array(probs), None
+        residual = amps - hit
+        amps = residual / np.linalg.norm(residual)
+    return np.array(probs), PureState(psi.shape, amps)
 
 
 def measure_register_collapse(

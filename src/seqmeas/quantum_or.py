@@ -16,13 +16,25 @@ exact oracles below evaluate by eigendecomposition or, for a pure input, as
 1 - ||(I - L)^N psi||^2 by N applications of L; an independent second
 oracle propagates the residual operator (Delta (I - Pi))^N directly.
 
-Every sampler is a wrapper over one batched core, ``_amplify``, which runs
-independent trials side by side given a Pi-applier on a block of extended
-vectors: ``x @ pi.T`` for a dense Naimark form, the QFT-column form for an
-averaged projector family.  A single run is a batch of one.  Draw order: a
-mixed input first draws every trial's eigen-ensemble index in one call; then
-per round one uniform per live trial for the Pi measurement, then one per
-surviving trial for Delta.
+Every sampler reads one core, ``_amplify``.  On a pure input every trial
+sees the same not-yet-halted state, and randomness only decides where it
+halts, so the state path belongs to the instance: ``_amplify`` walks it
+once per distinct input vector (one for a pure input, one per
+eigen-ensemble index drawn for a mixed one), given a Pi-applier on a block
+of extended vectors (``x @ pi.T`` for a dense Naimark form, the QFT-column
+form for an averaged projector family).  Each path is grown lazily, only as
+far as the furthest step some trial reaches, and a trial halts at the first
+step whose halting region holds its uniform.
+
+Draw order.  A single run (:func:`run_mw_sampled`,
+:func:`run_averaged_or_sampled`) draws a mixed input's ensemble index with
+one ``rng.choice``, then one uniform per step taken: the Pi measurement,
+then Delta, round after round.  :func:`sample_trials` gives trial t its own
+generator and draws from it in exactly that order, so each of its results
+equals a single run on that generator, however many trials share the
+paths.  :func:`run_mw_sampled_batch` shares one generator: every trial's
+ensemble index in one call, then per step one uniform per trial still
+running, in trial order.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,30 +76,63 @@ class MWInstance:
 
 
 @dataclass(frozen=True)
+class AveragedInstance:
+    """One matrix-free amplification run on the uniform average of n
+    projectors: one applier per projector (system vector -> P_i vector), an
+    input state and a round count.
+
+    Only per-projector matvecs are needed, so instances are limited by
+    state-vector size rather than dense-operator size.
+    """
+
+    appliers: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    initial: PureState | DensityOperator
+    n_rounds: int
+
+    def __post_init__(self):
+        appliers = tuple(self.appliers)
+        if not appliers:
+            raise ValueError("need at least one measurement")
+        if self.n_rounds < 1:
+            raise ValueError("round count must be >= 1")
+        object.__setattr__(self, "appliers", appliers)
+
+
+@dataclass(frozen=True)
 class MWResult:
     accepted: bool
     rounds_used: int
     halting_step: str | None  # "pi", "delta", or None when rejected
 
 
-_HALTING_STEPS = (None, "pi", "delta")  # per-trial step codes of the core
+_HALTING_STEPS = ("pi", "delta")  # step s is measurement s % 2 of round s // 2 + 1
+
+
+def _ensemble(initial: PureState | DensityOperator) -> tuple[np.ndarray, np.ndarray | None]:
+    """The input's distinct vectors as rows, with their probabilities: the
+    amplitudes alone (None) for a pure input, the eigenvectors with their
+    eigenvalues for a mixed one."""
+    if isinstance(initial, PureState):
+        return initial.amplitudes[None, :], None
+    dec = eigendecompose(initial)
+    weights = np.clip(dec.eigenvalues, 0.0, None)
+    return dec.eigenvectors.T, weights / weights.sum()
+
+
+def _draw_rows(probs: np.ndarray | None, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Each trial's ensemble index: no draw for a pure input (``probs`` None),
+    one ``rng.choice`` over all `size` trials for a mixed one."""
+    if probs is None:
+        return np.zeros(size, dtype=np.intp)
+    return rng.choice(probs.size, p=probs, size=size)
 
 
 def _ensemble_rows(
     initial: PureState | DensityOperator, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """One input vector per trial, as the rows of a (size, d) array.
-
-    A pure input is broadcast without copying.  A mixed input draws each
-    row from its eigen-ensemble (eigenvector i with probability lambda_i) in
-    a single ``rng.choice`` call.
-    """
-    if isinstance(initial, PureState):
-        return np.broadcast_to(initial.amplitudes, (size, initial.amplitudes.size))
-    dec = eigendecompose(initial)
-    weights = np.clip(dec.eigenvalues, 0.0, None)
-    idx = rng.choice(weights.size, p=weights / weights.sum(), size=size)
-    return dec.eigenvectors[:, idx].T
+    """One input vector per trial, as the rows of a (size, d) array."""
+    vectors, probs = _ensemble(initial)
+    return vectors[_draw_rows(probs, rng, size)]
 
 
 def _embed(rows: np.ndarray, d_anc: int) -> np.ndarray:
@@ -105,68 +150,135 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _amplify(
     apply_pi: Callable[[np.ndarray], np.ndarray],
-    rows: np.ndarray,
+    vector: np.ndarray,
     d_anc: int,
     n_rounds: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent amplification trials, vectorised across the live ones.
+) -> Iterator[float]:
+    """The survivor path of one input vector: the run's state while no
+    measurement has halted it.
 
-    ``rows`` holds each trial's system vector; ``apply_pi`` maps a block of
-    live extended vectors, shape (live, d_sys * d_anc), to its image under
-    Pi.  Returns per trial the round it halted in (``n_rounds`` if it
-    rejected) and its halting step as an index into ``_HALTING_STEPS``.
+    Yields, step by step, where the halting region of that step begins: the
+    Pi accept probability (a trial halts if its uniform lies below it), then
+    the Delta keep probability (it halts if its uniform lies at or above
+    it), round after round.  As a generator it computes a step only when the
+    step is read; ``apply_pi`` is called once per round entered, on the
+    vector as a block of one row, shape (1, d_sys * d_anc).  Uniforms lie
+    in [0, 1), so the probabilities need no clipping.
     """
-    trials, d_sys = rows.shape
-    rounds = np.full(trials, n_rounds)
-    steps = np.zeros(trials, dtype=np.int8)
-    idx = np.arange(trials)
-    live = _embed(rows, d_anc)
-    # Uniforms lie in [0, 1), so the outcome probabilities need no clipping.
-    for r in range(1, n_rounds + 1):
+    d_sys = vector.size
+    live = _embed(vector[None, :], d_anc)
+    for _ in range(n_rounds):
         hit = apply_pi(live)
-        halt = rng.random(idx.size) < _row_dot(live, hit)
-        if np.count_nonzero(halt):
-            rounds[idx[halt]] = r
-            steps[idx[halt]] = 1
-            live, hit, idx = live[~halt], hit[~halt], idx[~halt]
+        yield _row_dot(live, hit)[0]
         live = live - hit
         live /= np.sqrt(_row_dot(live, live))[:, None]
-        kept = live.reshape(idx.size, d_sys, d_anc)[:, :, 0]
-        p_delta = _row_dot(kept, kept)
-        halt = rng.random(idx.size) >= p_delta
-        if np.count_nonzero(halt):
-            rounds[idx[halt]] = r
-            steps[idx[halt]] = 2
-            kept, p_delta, idx = kept[~halt], p_delta[~halt], idx[~halt]
-        if idx.size == 0:
-            break
-        live = _embed(kept / np.sqrt(p_delta)[:, None], d_anc)
-    return rounds, steps
+        kept = live.reshape(1, d_sys, d_anc)[:, :, 0]
+        p_keep = _row_dot(kept, kept)
+        yield p_keep[0]
+        live = _embed(kept / np.sqrt(p_keep)[:, None], d_anc)
 
 
-def _amplify_instance(
-    inst: MWInstance, rng: np.random.Generator, trials: int
-) -> tuple[np.ndarray, np.ndarray]:
-    pi_t = inst.naimark.pi.T
-    rows = _ensemble_rows(inst.initial, rng, trials)
-    return _amplify(lambda x: x @ pi_t, rows, inst.naimark.ancilla_dim, inst.n_rounds, rng)
+class _Survivors:
+    """The survivor paths of one instance, shared by all of its trials.
+
+    A pure input has one path; a mixed input has one per eigen-ensemble
+    index some trial drew.  Each path is read from its ``_amplify``
+    generator only as far as the furthest step a trial reached, and a trial
+    halts at the first step whose halting region holds its uniform.
+    """
+
+    def __init__(
+        self,
+        apply_pi: Callable[[np.ndarray], np.ndarray],
+        d_anc: int,
+        initial: PureState | DensityOperator,
+        n_rounds: int,
+    ):
+        self._apply_pi, self._d_anc, self.n_rounds = apply_pi, d_anc, n_rounds
+        self._vectors, self._probs = _ensemble(initial)
+        self._paths: dict[int, tuple[Iterator[float], list[float]]] = {}
+
+    def boundary(self, row: int, step: int) -> float:
+        """Where the halting region of `step` begins on the path of `row`."""
+        if row not in self._paths:
+            path = _amplify(self._apply_pi, self._vectors[row], self._d_anc, self.n_rounds)
+            self._paths[row] = (path, [])
+        path, read = self._paths[row]
+        while len(read) <= step:
+            read.append(next(path))
+        return read[step]
+
+    def run(self, rng: np.random.Generator) -> MWResult:
+        """One trial: its ensemble index, then one uniform per step taken."""
+        row = int(_draw_rows(self._probs, rng, 1)[0])
+        for step in range(2 * self.n_rounds):
+            u = rng.random()
+            boundary = self.boundary(row, step)
+            if (u < boundary) if step % 2 == 0 else (u >= boundary):
+                return MWResult(True, step // 2 + 1, _HALTING_STEPS[step % 2])
+        return MWResult(False, self.n_rounds, None)
+
+    def count(self, rng: np.random.Generator, trials: int) -> int:
+        """Accepts among `trials` trials sharing `rng`: every ensemble index
+        in one call, then per step one uniform per trial still running, in
+        trial order."""
+        rows = _draw_rows(self._probs, rng, trials)
+        boundaries = np.zeros(len(self._vectors))
+        for step in range(2 * self.n_rounds):
+            if rows.size == 0:
+                break
+            for row in np.unique(rows):
+                boundaries[row] = self.boundary(int(row), step)
+            u = rng.random(rows.size)
+            halt = (u < boundaries[rows]) if step % 2 == 0 else (u >= boundaries[rows])
+            rows = rows[~halt]
+        return trials - rows.size
 
 
-def _single_result(rounds: np.ndarray, steps: np.ndarray) -> MWResult:
-    step = _HALTING_STEPS[steps[0]]
-    return MWResult(step is not None, int(rounds[0]), step)
+def _survivors(inst: MWInstance | AveragedInstance) -> _Survivors:
+    if isinstance(inst, MWInstance):
+        pi_t = inst.naimark.pi.T
+        return _Survivors(lambda x: x @ pi_t, inst.naimark.ancilla_dim, inst.initial, inst.n_rounds)
+    return _Survivors(_averaged_pi(inst.appliers), len(inst.appliers), inst.initial, inst.n_rounds)
 
 
 def run_mw_sampled(inst: MWInstance, rng: np.random.Generator) -> MWResult:
     """Simulate one run of the amplification procedure on a Naimark form."""
-    return _single_result(*_amplify_instance(inst, rng, 1))
+    return _survivors(inst).run(rng)
 
 
 def run_mw_sampled_batch(inst: MWInstance, rng: np.random.Generator, trials: int) -> int:
-    """Accept count over independent trials of :func:`run_mw_sampled`."""
-    _, steps = _amplify_instance(inst, rng, trials)
-    return int(np.count_nonzero(steps))
+    """Accept count over independent trials of :func:`run_mw_sampled` that
+    share one generator."""
+    return _survivors(inst).count(rng, trials)
+
+
+def run_averaged_or_sampled(
+    appliers: Sequence[Callable[[np.ndarray], np.ndarray]],
+    initial: PureState | DensityOperator,
+    n_rounds: int,
+    rng: np.random.Generator,
+) -> MWResult:
+    """One amplification run for an averaged projector family, matrix-free
+    (see :class:`AveragedInstance`)."""
+    return _survivors(AveragedInstance(appliers, initial, n_rounds)).run(rng)
+
+
+def sample_trials(
+    inst: MWInstance | AveragedInstance, rngs: Iterable[np.random.Generator]
+) -> Iterator[MWResult]:
+    """Independent runs of one instance, one per generator, on shared
+    survivor paths.
+
+    Trial t draws only from the t-th generator, in a single run's order, so
+    its result equals :func:`run_mw_sampled` (or
+    :func:`run_averaged_or_sampled`) on that generator.  Both `rngs` and the
+    results are consumed lazily, so a generator expression builds each
+    trial's stream only when the trial is reached.
+    """
+    survivors = _survivors(inst)
+    for rng in rngs:
+        yield survivors.run(rng)
 
 
 # -- exact oracles ---------------------------------------------------------------
@@ -322,21 +434,19 @@ def _averaged_pi(
     return apply
 
 
-def run_averaged_or_sampled(
-    appliers: Sequence[Callable[[np.ndarray], np.ndarray]],
-    initial: PureState | DensityOperator,
-    n_rounds: int,
-    rng: np.random.Generator,
-) -> MWResult:
-    """Amplification run for an averaged projector family, matrix-free.
-
-    Only per-projector matvecs are needed, so instances are limited by
-    state-vector size rather than dense-operator size.
-    """
-    if len(appliers) == 0:
-        raise ValueError("need at least one measurement")
-    rows = _ensemble_rows(initial, rng, 1)
-    return _single_result(*_amplify(_averaged_pi(appliers), rows, len(appliers), n_rounds, rng))
+def or_test_instance(
+    measurements: Sequence[TwoOutcomeMeasurement],
+    rho: PureState | DensityOperator,
+    epsilon,
+) -> AveragedInstance:
+    """The amplification run of :func:`or_test`: the averaged projector
+    family applied matrix-free, the input and N = ceil(n/(1-eps)) rounds."""
+    for m in measurements:
+        if not m.is_projector:
+            raise ValueError("or_test requires projective measurements")
+    n_rounds = or_round_count(len(measurements), epsilon)
+    appliers = [(lambda v, mat=m.accept_op.matrix: mat @ v) for m in measurements]
+    return AveragedInstance(appliers, rho, n_rounds)
 
 
 def or_test(
@@ -352,15 +462,8 @@ def or_test(
     probability >= (1-eps)^2/7; an input with mean acceptance <= delta accepts
     with probability <= 4 delta n.
     """
-    for m in measurements:
-        if not m.is_projector:
-            raise ValueError("or_test requires projective measurements")
-    n_rounds = or_round_count(len(measurements), epsilon)
-    appliers = [
-        (lambda v, mat=m.accept_op.matrix: mat @ v) for m in measurements
-    ]
-    result = run_averaged_or_sampled(appliers, rho, n_rounds, rng)
-    return result.accepted
+    inst = or_test_instance(measurements, rho, epsilon)
+    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
 
 
 def or_test_accept_exact(

@@ -34,7 +34,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +48,14 @@ from .gates import (
     permutation_matrix,
 )
 from .measurement import measure_register_collapse
-from .quantum_or import mw_accept_from_spectrum, mw_accept_polynomial, or_round_count, run_averaged_or_sampled
+from .quantum_or import (
+    AveragedInstance,
+    mw_accept_from_spectrum,
+    mw_accept_polynomial,
+    or_round_count,
+    run_averaged_or_sampled,
+    sample_trials,
+)
 from .states import (
     PureState,
     RegisterShape,
@@ -349,6 +356,27 @@ def _copies_state(psi: PureState, copies_k: int) -> PureState:
     return product_state([plus_state(), psi] * copies_k)
 
 
+def _run_once(inst: AveragedInstance, rng: np.random.Generator) -> bool:
+    """Whether one run of the instance accepts, through the single-run sampler."""
+    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
+
+
+def eigen_instance(
+    unitaries: UnitarySet | Sequence[np.ndarray],
+    psi: PureState,
+    epsilon: float,
+    copies_k: int | None = None,
+) -> AveragedInstance:
+    """The amplification run of :func:`eigen_test`: the k-copy interference
+    state, one factored applier per unitary and N = number of unitaries."""
+    mats = _eigen_family(unitaries, psi)
+    n = len(mats)
+    k = eigen_copies(n, epsilon) if copies_k is None else copies_k
+    phi = _copies_state(psi, k)
+    appliers = [_copy_reflection_applier(u, k) for u in mats]
+    return AveragedInstance(appliers, phi, or_round_count(n, 0))
+
+
 def eigen_test(
     unitaries: UnitarySet | Sequence[np.ndarray],
     psi: PureState,
@@ -366,13 +394,7 @@ def eigen_test(
     ``_copy_reflection_applier``), never the gate circuit, which
     :func:`eigen_measurement_cycle` keeps as the independent reference.
     """
-    mats = _eigen_family(unitaries, psi)
-    n = len(mats)
-    k = eigen_copies(n, epsilon) if copies_k is None else copies_k
-    phi = _copies_state(psi, k)
-    appliers = [_copy_reflection_applier(u, k) for u in mats]
-    result = run_averaged_or_sampled(appliers, phi, or_round_count(n, 0), rng)
-    return result.accepted
+    return _run_once(eigen_instance(unitaries, psi, epsilon, copies_k), rng)
 
 
 # -- commuting-family exact oracle -------------------------------------------------
@@ -538,6 +560,21 @@ def _giso_unitaries(
     return [pair_swap_unitary(sigma, f.codomain_size) for sigma in group]
 
 
+def _g_iso_instance(
+    f: FunctionTable,
+    g: FunctionTable,
+    group: Sequence[PermutationAction],
+    epsilon: float,
+    copies_k: int | None,
+) -> tuple[AveragedInstance, int]:
+    """The eigenvector test's run on the two-function superposition state
+    and the per-permutation swap unitaries, with its copy count."""
+    psi = pair_state(f, g)
+    mats = _giso_unitaries(f, g, group)
+    k = eigen_copies(len(mats), epsilon) if copies_k is None else copies_k
+    return eigen_instance(mats, psi, epsilon, copies_k=k), k
+
+
 def g_iso_test(
     f: FunctionTable,
     g: FunctionTable,
@@ -552,11 +589,24 @@ def g_iso_test(
     unitaries, then runs the eigenvector test; each copy of the state costs
     one query to f and one to g, which is the reported query count.
     """
-    psi = pair_state(f, g)
-    mats = _giso_unitaries(f, g, group)
-    k = eigen_copies(len(mats), epsilon) if copies_k is None else copies_k
-    accepted = eigen_test(mats, psi, epsilon, rng, copies_k=k)
-    return GIsoRun(accepted=accepted, copies_used=k, queries_f=k, queries_g=k)
+    inst, k = _g_iso_instance(f, g, group, epsilon, copies_k)
+    return GIsoRun(accepted=_run_once(inst, rng), copies_used=k, queries_f=k, queries_g=k)
+
+
+def g_iso_trials(
+    f: FunctionTable,
+    g: FunctionTable,
+    group: Sequence[PermutationAction],
+    epsilon: float,
+    rngs: Iterable[np.random.Generator],
+    copies_k: int | None = None,
+) -> Iterator[GIsoRun]:
+    """:func:`g_iso_test` once per generator, on one instance built once
+    (see :func:`quantum_or.sample_trials`): run t equals ``g_iso_test`` on
+    the t-th generator."""
+    inst, k = _g_iso_instance(f, g, group, epsilon, copies_k)
+    for run in sample_trials(inst, rngs):
+        yield GIsoRun(accepted=run.accepted, copies_used=k, queries_f=k, queries_g=k)
 
 
 def g_iso_accept_exact(
@@ -581,18 +631,14 @@ def membership_copies(n_candidates: int, epsilon: float) -> int:
     return _least_copies(n_candidates, epsilon, 1 - epsilon**2)
 
 
-def state_membership_test(
+def membership_instance(
     candidates: Sequence[PureState],
     psi: PureState,
     epsilon: float,
-    rng: np.random.Generator,
     copies_k: int | None = None,
-) -> bool:
-    """Decide whether psi is one of the candidate states.
-
-    Measures |phi><phi|^k for each candidate phi on psi^k through the
-    averaged OR run with N = |P| rounds.
-    """
+) -> AveragedInstance:
+    """The amplification run of :func:`state_membership_test`: psi^k, one
+    rank-one applier |phi^k><phi^k| per candidate and N = |P| rounds."""
     if not candidates:
         raise ValueError("candidate set is empty")
     for c in candidates:
@@ -605,8 +651,22 @@ def state_membership_test(
     big = product_state([psi] * k)
     powers = [reduce(np.kron, [c.amplitudes] * k) for c in candidates]
     appliers = [(lambda v, p=p: p * np.vdot(p, v)) for p in powers]
-    result = run_averaged_or_sampled(appliers, big, or_round_count(n, 0), rng)
-    return result.accepted
+    return AveragedInstance(appliers, big, or_round_count(n, 0))
+
+
+def state_membership_test(
+    candidates: Sequence[PureState],
+    psi: PureState,
+    epsilon: float,
+    rng: np.random.Generator,
+    copies_k: int | None = None,
+) -> bool:
+    """Decide whether psi is one of the candidate states.
+
+    Measures |phi><phi|^k for each candidate phi on psi^k through the
+    averaged OR run with N = |P| rounds.
+    """
+    return _run_once(membership_instance(candidates, psi, epsilon, copies_k), rng)
 
 
 def _elementwise_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -737,6 +797,20 @@ def conjugation_unitary(u: np.ndarray) -> np.ndarray:
     return swap @ local
 
 
+def unitary_s_iso_instance(
+    s_set: UnitarySet,
+    v_unitary: np.ndarray,
+    w_unitary: np.ndarray,
+    epsilon: float,
+    copies_k: int | None = None,
+) -> AveragedInstance:
+    """The amplification run of :func:`unitary_s_iso_test`: the eigenvector
+    test on |V>|W> with one conjugation unitary per U and gap eps^2."""
+    psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
+    mats = [conjugation_unitary(u) for u in s_set]
+    return eigen_instance(mats, psi, epsilon**2, copies_k)
+
+
 def unitary_s_iso_test(
     s_set: UnitarySet,
     v_unitary: np.ndarray,
@@ -751,11 +825,7 @@ def unitary_s_iso_test(
     of eps in the normalised Hilbert-Schmidt metric becomes an eigenvector
     gap of eps^2; the conversion is applied explicitly here.
     """
-    psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
-    mats = [conjugation_unitary(u) for u in s_set]
-    gap = epsilon**2
-    k = eigen_copies(len(mats), gap) if copies_k is None else copies_k
-    return eigen_test(mats, psi, gap, rng, copies_k=k)
+    return _run_once(unitary_s_iso_instance(s_set, v_unitary, w_unitary, epsilon, copies_k), rng)
 
 
 def unitary_s_iso_accept_exact(
@@ -835,6 +905,28 @@ def _cut_and_applier(
     return apply
 
 
+def genuine_ent_instance(
+    psi: PureState,
+    n_parts: int,
+    epsilon: float,
+    copies_k: int | None = None,
+) -> AveragedInstance:
+    """The amplification run of :func:`genuine_ent_test`: psi^k, one
+    pairwise swap-test applier per cut and one round per cut."""
+    if n_parts != psi.shape.num_registers:
+        raise ValueError("n_parts must match the state's register count")
+    cuts = proper_cuts(n_parts)
+    k = genuine_ent_copies(len(cuts), epsilon) if copies_k is None else copies_k
+    if k % 2 != 0 or k < 2:
+        raise ValueError("the copy count must be even (copies are consumed in pairs)")
+    if psi.shape.total_dim**k > MAX_VECTOR_DIM:
+        raise ValueError("k-copy state exceeds the vector cap; use the exact oracle instead")
+    big = product_state([psi] * k)
+    dims = psi.shape.dims * k
+    appliers = [_cut_and_applier(dims, n_parts, k, cut) for cut in cuts]
+    return AveragedInstance(appliers, big, or_round_count(len(cuts), 0))
+
+
 def genuine_ent_test(
     psi: PureState,
     n_parts: int,
@@ -849,19 +941,7 @@ def genuine_ent_test(
     cut all accept" on psi^k; the cuts' measurements feed the averaged OR run
     with one round per cut.
     """
-    if n_parts != psi.shape.num_registers:
-        raise ValueError("n_parts must match the state's register count")
-    cuts = proper_cuts(n_parts)
-    k = genuine_ent_copies(len(cuts), epsilon) if copies_k is None else copies_k
-    if k % 2 != 0 or k < 2:
-        raise ValueError("the copy count must be even (copies are consumed in pairs)")
-    if psi.shape.total_dim**k > MAX_VECTOR_DIM:
-        raise ValueError("k-copy state exceeds the vector cap; use the exact oracle instead")
-    big = product_state([psi] * k)
-    dims = psi.shape.dims * k
-    appliers = [_cut_and_applier(dims, n_parts, k, cut) for cut in cuts]
-    result = run_averaged_or_sampled(appliers, big, or_round_count(len(cuts), 0), rng)
-    return result.accepted
+    return _run_once(genuine_ent_instance(psi, n_parts, epsilon, copies_k), rng)
 
 
 def _pair_swap_projectors(psi: PureState, cuts: Sequence[Sequence[int]]) -> list[np.ndarray]:

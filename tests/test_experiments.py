@@ -77,6 +77,33 @@ class TestRunExperiment:
         assert "wall_clock" not in json.dumps(body)
         assert record.wall_clock_seconds > 0
 
+    # Observed sampled_* rates at default trials.  They pin the RNG draw
+    # order: a change that moves any of them changes the draw order, and must
+    # update this table and say so in CHANGES.md.
+    SAMPLED_RATES = {
+        "antizeno": (0.0325, 0.041),
+        "or-test": (0.9785, 0.9875),
+        "demerlinize": (0.9975, 0.998),
+        "membership": (0.9315, 0.9505),
+        "giso": (0.965, 0.96),
+        "uiso": (0.95, 0.95),
+        "genuine-ent": (0.95, 0.965),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_RATES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draw_order_pinned(self, name, seed):
+        record = run_experiment(ExperimentConfig(name=name, seed=seed))
+        observed = [a["observed"] for a in record.assertions if a["name"].startswith("sampled")]
+        assert observed == [self.SAMPLED_RATES[name][seed]]
+        assert record.all_passed
+
+    def test_antizeno_without_reject_path_is_an_error(self):
+        """At n = 1 the one measurement accepts |0> with certainty, so there
+        is no all-reject final state to check."""
+        with pytest.raises(ValueError, match="probability zero"):
+            run_experiment(ExperimentConfig(name="antizeno", trials=10, params={"n": 1}))
+
     def test_seed_changes_sampled_counts(self):
         a = run_experiment(ExperimentConfig(name="antizeno", seed=1, trials=400))
         b = run_experiment(ExperimentConfig(name="antizeno", seed=2, trials=400))
@@ -177,3 +204,38 @@ class TestCli:
         fpath = tmp_path / "f.txt"
         fpath.write_text("0 0\n1 1\n")
         assert cli_main(["giso", "--fn-f", str(fpath)]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, content, reason",
+        [
+            ("--group", None, "No such file or directory"),
+            ("--group", "0 1 x\n", "invalid literal"),
+            ("--group", "0 0 1 2\n", "not a bijection"),
+            ("--fn-f", None, "No such file or directory"),
+            ("--fn-f", "0 0\n1 1 x\n", "expected 'x y'"),
+            ("--fn-g", "0 0\n1 x\n", "invalid literal"),
+        ],
+    )
+    def test_bad_input_file_exit_code(self, flag, content, reason, tmp_path, capsys):
+        """A missing or malformed input file is reported as bad input
+        (exit 2, ``error: <path>: <reason>``), not as a traceback."""
+        good = tmp_path / "f.txt"
+        good.write_text("0 0\n1 1\n2 0\n3 1\n")
+        bad = tmp_path / "bad.txt"
+        if content is not None:
+            bad.write_text(content)
+        files = {"--fn-f": str(good), "--fn-g": str(good)} if flag != "--group" else {}
+        files[flag] = str(bad)
+        argv = ["giso", "--trials", "5", "--out", str(tmp_path / "res.json")]
+        for key, path in files.items():
+            argv += [key, path]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and reason in err
+        assert not (tmp_path / "res.json").exists()
+
+    def test_param_without_value_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["antizeno", "--param", "typo"])
+        assert exc.value.code == 2
+        assert "key=value" in capsys.readouterr().err

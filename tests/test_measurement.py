@@ -22,6 +22,7 @@ from seqmeas import (
     measure_register_collapse,
     one_ancilla_dilation,
     plus_state,
+    reject_path,
     trivial_naimark,
     union_bound_bruteforce,
 )
@@ -332,3 +333,75 @@ class TestAntiZeno:
     def test_accept_ever_order_one_over_n(self):
         for n in (8, 16, 64, 256):
             assert n * anti_zeno_accept_ever(n) <= math.pi**2 / 4 * 1.1
+
+
+class _FixedUniform:
+    """A generator stand-in whose every uniform is `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def _random_sequence(seed: int, dim: int, n: int):
+    rng = np.random.default_rng(seed)
+    shape = RegisterShape((dim,))
+    seq = [
+        TwoOutcomeMeasurement(random_projector(rng, shape, rank=int(rng.integers(1, dim))), is_projector=True)
+        for _ in range(n)
+    ]
+    return seq, random_pure_state(rng, shape)
+
+
+class TestRejectPath:
+    @pytest.mark.parametrize(
+        "seq, psi",
+        [
+            (anti_zeno_sequence(64), anti_zeno_state(64, 0)),
+            _random_sequence(1, 3, 6),
+            _random_sequence(2, 5, 9),
+        ],
+    )
+    def test_matches_branch_zero_chain_bit_for_bit(self, seq, psi):
+        """Each step's probability is the threshold measure_collapse compares
+        its uniform against: a uniform equal to it rejects and the next float
+        below it accepts.  The chain's rejection probabilities and final
+        state agree exactly."""
+        probs, final = reject_path(seq, psi)
+        assert probs.shape == (len(seq),)
+        state = psi
+        for m, p in zip(seq, probs):
+            assert measure_collapse(m, state, rng=_FixedUniform(p))[0] == 0
+            if p > 0.0:
+                assert measure_collapse(m, state, rng=_FixedUniform(np.nextafter(p, 0.0)))[0] == 1
+            _, prob, state = measure_collapse(m, state, branch=0)
+            assert prob == 1.0 - p
+        assert np.array_equal(final.amplitudes, state.amplitudes)
+
+    def test_stops_at_certain_accept_without_raising(self):
+        seq = [
+            TwoOutcomeMeasurement.projector(proj(np.array([0.0, 1.0]))),  # never accepts |0>
+            TwoOutcomeMeasurement.projector(proj(np.array([1.0, 0.0]))),  # always accepts it
+            TwoOutcomeMeasurement.projector(proj(np.array([0.0, 1.0]))),
+        ]
+        probs, final = reject_path(seq, basis_state(QUBIT, (0,)))
+        assert probs.tolist() == [0.0, 1.0] and final is None
+        with pytest.raises(ValueError):
+            measure_collapse(seq[1], basis_state(QUBIT, (0,)), branch=0)
+        probs, final = reject_path(anti_zeno_sequence(1), anti_zeno_state(1, 0))
+        assert probs.tolist() == [1.0] and final is None
+
+    def test_empty_sequence_returns_input(self):
+        probs, final = reject_path([], plus_state())
+        assert probs.size == 0
+        assert np.array_equal(final.amplitudes, plus_state().amplitudes)
+
+    def test_rejects_non_projective_or_mismatched(self):
+        soft = TwoOutcomeMeasurement(HermitianOperator(QUBIT, np.diag([0.5, 0.0])))
+        with pytest.raises(ValueError, match="is_projector"):
+            reject_path([soft], plus_state())
+        qutrit = TwoOutcomeMeasurement.projector(proj(np.array([1.0, 0.0, 0.0]), RegisterShape((3,))))
+        with pytest.raises(ValueError, match="shapes differ"):
+            reject_path([qutrit], plus_state())

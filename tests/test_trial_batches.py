@@ -1,0 +1,357 @@
+"""Batched trials on shared survivor paths against per-trial runs.
+
+``sample_trials`` walks each instance's survivor path once and decides every
+trial's halting step from that trial's own generator.  These tests hold it,
+and the single-run and shared-generator samplers built on the same paths,
+to a frozen copy of the row-block sampler they replaced (``_reference_*``
+below): trial for trial on the same generators, count for count on a
+shared one, and with no more applier calls per single run.  The anti-Zeno
+count taken from one all-reject walk is held to the per-trial
+``measure_collapse`` loop it replaced.
+"""
+
+import numpy as np
+import pytest
+
+from seqmeas import (
+    AveragedInstance,
+    FunctionTable,
+    HermitianOperator,
+    MWInstance,
+    PermutationAction,
+    RegisterShape,
+    TwoOutcomeMeasurement,
+    UnitarySet,
+    anti_zeno_sequence,
+    anti_zeno_state,
+    basis_state,
+    bell_pair,
+    build_averaged_naimark,
+    demerlinize_instance,
+    demerlinize_test,
+    eigen_instance,
+    eigen_test,
+    g_iso_test,
+    g_iso_trials,
+    genuine_ent_instance,
+    genuine_ent_test,
+    measure_collapse,
+    membership_instance,
+    one_ancilla_dilation,
+    or_round_count,
+    or_test,
+    or_test_instance,
+    plus_state,
+    product_state,
+    reject_path,
+    run_averaged_or_sampled,
+    run_mw_sampled,
+    run_mw_sampled_batch,
+    sample_trials,
+    state_membership_test,
+    trial_rng,
+    unitary_s_iso_instance,
+    unitary_s_iso_test,
+)
+from seqmeas.experiments import _accept_ever_count
+from seqmeas.quantum_or import _averaged_pi, _embed, _ensemble_rows, _row_dot
+from seqmeas.sampling import (
+    random_density_operator,
+    random_povm_contraction,
+    random_projector,
+    random_pure_state,
+    random_unitary,
+)
+
+QUBIT = RegisterShape((2,))
+_STEPS = (None, "pi", "delta")
+
+
+# -- the reference: one row per trial, vectorised across the live ones -----------
+
+
+def _reference_amplify(apply_pi, rows, d_anc, n_rounds, rng):
+    """Per trial, the round it halted in (``n_rounds`` if it rejected) and
+    its halting step as an index into ``_STEPS``."""
+    trials, d_sys = rows.shape
+    rounds = np.full(trials, n_rounds)
+    steps = np.zeros(trials, dtype=np.int8)
+    idx = np.arange(trials)
+    live = _embed(rows, d_anc)
+    for r in range(1, n_rounds + 1):
+        hit = apply_pi(live)
+        halt = rng.random(idx.size) < _row_dot(live, hit)
+        if np.count_nonzero(halt):
+            rounds[idx[halt]] = r
+            steps[idx[halt]] = 1
+            live, hit, idx = live[~halt], hit[~halt], idx[~halt]
+        live = live - hit
+        live /= np.sqrt(_row_dot(live, live))[:, None]
+        kept = live.reshape(idx.size, d_sys, d_anc)[:, :, 0]
+        p_delta = _row_dot(kept, kept)
+        halt = rng.random(idx.size) >= p_delta
+        if np.count_nonzero(halt):
+            rounds[idx[halt]] = r
+            steps[idx[halt]] = 2
+            kept, p_delta, idx = kept[~halt], p_delta[~halt], idx[~halt]
+        if idx.size == 0:
+            break
+        live = _embed(kept / np.sqrt(p_delta)[:, None], d_anc)
+    return rounds, steps
+
+
+def _reference_form(inst):
+    """(apply_pi, d_anc) of an instance, built as the reference built them."""
+    if isinstance(inst, MWInstance):
+        pi_t = inst.naimark.pi.T
+        return (lambda x: x @ pi_t), inst.naimark.ancilla_dim
+    return _averaged_pi(inst.appliers), len(inst.appliers)
+
+
+def _reference_run(inst, rng):
+    apply_pi, d_anc = _reference_form(inst)
+    rows = _ensemble_rows(inst.initial, rng, 1)
+    rounds, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
+    return int(rounds[0]), _STEPS[steps[0]]
+
+
+def _reference_count(inst, rng, trials):
+    apply_pi, d_anc = _reference_form(inst)
+    rows = _ensemble_rows(inst.initial, rng, trials)
+    _, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
+    return int(np.count_nonzero(steps))
+
+
+def _single_run(inst, rng):
+    if isinstance(inst, MWInstance):
+        return run_mw_sampled(inst, rng)
+    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng)
+
+
+# -- instances -----------------------------------------------------------------
+
+
+def _projectors(seed, dim, n):
+    rng = trial_rng(91, seed)
+    shape = RegisterShape((dim,))
+    return [
+        TwoOutcomeMeasurement(random_projector(rng, shape, rank=1 + i % (dim - 1)), is_projector=True)
+        for i in range(n)
+    ]
+
+
+def _appliers(measurements):
+    return [(lambda v, m=m.accept_op.matrix: m @ v) for m in measurements]
+
+
+def _dilated(seed, mixed, n_rounds=4):
+    rng = trial_rng(92, seed)
+    shape = RegisterShape((int(rng.integers(2, 6)),))
+    lam = random_povm_contraction(rng, shape)
+    initial = random_density_operator(rng, shape) if mixed else random_pure_state(rng, shape)
+    return MWInstance(one_ancilla_dilation(lam), initial, n_rounds)
+
+
+def _averaged(seed, mixed, n_rounds=None):
+    ms = _projectors(seed, 4, 3)
+    rng = trial_rng(93, seed)
+    shape = ms[0].shape
+    initial = random_density_operator(rng, shape, rank=2) if mixed else random_pure_state(rng, shape)
+    return AveragedInstance(_appliers(ms), initial, n_rounds or or_round_count(len(ms), 0))
+
+
+def _certain_instance():
+    """Input an eigenvector of L at eigenvalue 1: Pi halts every trial in round 1."""
+    proj = TwoOutcomeMeasurement.projector(HermitianOperator(QUBIT, np.diag([1.0, 0.0])))
+    return MWInstance(build_averaged_naimark([proj]), basis_state(QUBIT, (0,)), 3)
+
+
+def _zero_instance():
+    """The zero operator: no trial ever halts."""
+    zero = TwoOutcomeMeasurement.projector(HermitianOperator(QUBIT, np.zeros((2, 2))))
+    return MWInstance(build_averaged_naimark([zero]), plus_state(), 4)
+
+
+def _least_kept_instance():
+    """L with eigenvalue 1 - 2^-20 on the input: after a Pi rejection the
+    Delta keep probability is 2^-20, the least a rejection allows (it is at
+    least 1 - p_Pi, so it reaches 0 only where Pi halts every trial)."""
+    lam = HermitianOperator(QUBIT, np.diag([1.0 - 2.0**-20, 0.0]))
+    return MWInstance(one_ancilla_dilation(lam), basis_state(QUBIT, (0,)), 3)
+
+
+def _always_kept_instance():
+    """A projector family with a one-level ancilla: Delta keeps every trial."""
+    ms = _projectors(7, 3, 1)
+    return AveragedInstance(_appliers(ms), random_pure_state(trial_rng(94, 0), ms[0].shape), 5)
+
+
+CASES = {
+    "dense-pure": lambda: _dilated(0, mixed=False),
+    "dense-mixed": lambda: _dilated(1, mixed=True),
+    "averaged-pure": lambda: _averaged(2, mixed=False),
+    "averaged-mixed": lambda: _averaged(3, mixed=True),
+    "one-round-dense": lambda: _dilated(4, mixed=True, n_rounds=1),
+    "one-round-averaged": lambda: _averaged(5, mixed=False, n_rounds=1),
+    "eigenvalue-one": _certain_instance,
+    "zero-operator": _zero_instance,
+    "least-delta-keep": _least_kept_instance,
+    "delta-always-keeps": _always_kept_instance,
+}
+
+
+def _streams(seed, trials):
+    return (trial_rng(seed, t) for t in range(trials))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("trials", [1, 300])
+def test_trial_streams_match_single_runs(case, trials):
+    """Trial t of the batch equals a single run, new and reference, on the
+    t-th generator: the same round and the same halting step."""
+    inst = CASES[case]()
+    batch = [(r.rounds_used, r.halting_step) for r in sample_trials(inst, _streams(11, trials))]
+    singles = []
+    for rng in _streams(11, trials):
+        r = _single_run(inst, rng)
+        singles.append((r.rounds_used, r.halting_step))
+    assert batch == singles
+    assert batch == [_reference_run(inst, rng) for rng in _streams(11, trials)]
+
+
+def test_edge_cases_halt_where_expected():
+    certain = list(sample_trials(_certain_instance(), _streams(12, 50)))
+    assert all(r.accepted and (r.rounds_used, r.halting_step) == (1, "pi") for r in certain)
+    zero = list(sample_trials(_zero_instance(), _streams(12, 50)))
+    assert all(not r.accepted and r.rounds_used == 4 for r in zero)
+    kept = list(sample_trials(_always_kept_instance(), _streams(12, 200)))
+    assert all(r.halting_step != "delta" for r in kept)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_single_run_consumes_one_uniform_per_step(case):
+    """After a single run the generator is exactly where the reference left it."""
+    inst = CASES[case]()
+    for t in range(40):
+        new, ref = trial_rng(13, t), trial_rng(13, t)
+        _single_run(inst, new)
+        _reference_run(inst, ref)
+        assert new.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_shared_generator_counts_match_reference(seed, mixed):
+    for t in range(3):
+        inst = _dilated(10 * seed + t, mixed=mixed, n_rounds=1 + t)
+        count = run_mw_sampled_batch(inst, trial_rng(seed, t), 400)
+        assert count == _reference_count(inst, trial_rng(seed, t), 400)
+
+
+def _spied(appliers, calls):
+    def spy(a):
+        def apply(v):
+            calls[0] += 1
+            return a(v)
+
+        return apply
+
+    return [spy(a) for a in appliers]
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_single_runs_make_no_more_applier_calls(mixed):
+    inst = _averaged(20, mixed=mixed)
+    new_calls, ref_calls = [0], [0]
+    new = AveragedInstance(_spied(inst.appliers, new_calls), inst.initial, inst.n_rounds)
+    ref = AveragedInstance(_spied(inst.appliers, ref_calls), inst.initial, inst.n_rounds)
+    for t in range(200):
+        run_averaged_or_sampled(new.appliers, new.initial, new.n_rounds, trial_rng(14, t))
+        _reference_run(ref, trial_rng(14, t))
+    assert 0 < new_calls[0] <= ref_calls[0]
+
+
+def test_batch_shares_one_path():
+    """A pure input's batch enters each round once, however many trials reach it."""
+    inst = _averaged(21, mixed=False)
+    calls = [0]
+    spied = AveragedInstance(_spied(inst.appliers, calls), inst.initial, inst.n_rounds)
+    runs = list(sample_trials(spied, _streams(15, 500)))
+    assert calls[0] == len(inst.appliers) * max(r.rounds_used for r in runs)
+
+
+def _tester_pairs():
+    """(instance built once, single-run tester on one generator) per sampled tester."""
+    zero = basis_state(QUBIT, (0,))
+    seq = anti_zeno_sequence(4)
+    gamma = HermitianOperator(RegisterShape((2, 2)), np.diag([0.9, 0.0, 0.2, 0.4]))
+    psi = random_pure_state(trial_rng(95, 0), QUBIT)
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    candidates = [zero, basis_state(QUBIT, (1,))]
+    s_set = UnitarySet((np.eye(2), x))
+    v = random_unitary(trial_rng(95, 1), 2)
+    partly = product_state([zero, bell_pair()])
+    return {
+        "or-test": (or_test_instance(seq, zero, 0), lambda r: or_test(seq, zero, 0, r)),
+        "demerlinize": (
+            demerlinize_instance(gamma, zero, 0.5),
+            lambda r: demerlinize_test(gamma, zero, 0.5, r),
+        ),
+        "eigen": (eigen_instance([z, x], psi, 0.5, 2), lambda r: eigen_test([z, x], psi, 0.5, r, 2)),
+        "membership": (
+            membership_instance(candidates, psi, 0.5, 2),
+            lambda r: state_membership_test(candidates, psi, 0.5, r, 2),
+        ),
+        "uiso": (
+            unitary_s_iso_instance(s_set, v, v, 1.0, 2),
+            lambda r: unitary_s_iso_test(s_set, v, v, 1.0, r, 2),
+        ),
+        "genuine-ent": (
+            genuine_ent_instance(partly, 3, 0.5, 2),
+            lambda r: genuine_ent_test(partly, 3, 0.5, r, 2),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["or-test", "demerlinize", "eigen", "membership", "uiso", "genuine-ent"])
+def test_tester_instances_match_single_testers(name):
+    inst, single = _tester_pairs()[name]
+    batch = [r.accepted for r in sample_trials(inst, _streams(16, 200))]
+    assert batch == [single(rng) for rng in _streams(16, 200)]
+    assert 0 < sum(batch) < 200
+
+
+def test_g_iso_trials_match_single_tests():
+    f = FunctionTable(4, 2, (0, 1, 0, 1))
+    group = (PermutationAction.identity(4), PermutationAction((0, 2, 1, 3)))
+    g = FunctionTable(4, 2, (1, 1, 0, 0))
+    batch = list(g_iso_trials(f, g, group, 0.5, _streams(17, 100), copies_k=2))
+    assert batch == [g_iso_test(f, g, group, 0.5, rng, copies_k=2) for rng in _streams(17, 100)]
+    assert {(r.copies_used, r.queries_f, r.queries_g) for r in batch} == {(2, 2, 2)}
+
+
+# -- the anti-Zeno count from one all-reject walk ------------------------------------
+
+
+def _reference_accept_ever(n, seed, trials):
+    """The per-trial loop: collapse step by step until a measurement fires."""
+    seq = anti_zeno_sequence(n)
+    count = 0
+    for t in range(trials):
+        rng = trial_rng(seed, 1000 + t)
+        s = anti_zeno_state(n, 0)
+        for m in seq:
+            outcome, _, s = measure_collapse(m, s, rng=rng)
+            if outcome == 1:
+                count += 1
+                break
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_antizeno_count_matches_per_trial_loop(n, seed):
+    probs, _ = reject_path(anti_zeno_sequence(n), anti_zeno_state(n, 0))
+    streams = (trial_rng(seed, 1000 + t) for t in range(300))
+    assert _accept_ever_count(probs, streams) == _reference_accept_ever(n, seed, 300)
