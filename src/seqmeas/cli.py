@@ -7,9 +7,10 @@
 Writes the result document (JSON, byte-identical for a fixed configuration)
 to --out or stdout and prints one pass/fail line per assertion on stderr.
 Exits 0 when every assertion passed and 1 when one failed.  Bad input exits
-2 with an ``error:`` line and no document: a malformed argument, an unknown
-or invalid parameter, or an input file that is missing or malformed
-(``error: <path>: <reason>``).
+2 with an ``error:`` line: a malformed argument, an unknown or invalid
+parameter, or an input file that is missing or malformed, with no document;
+or an --out or --csv path that cannot be written.  File errors read
+``error: <path>: <reason>``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
@@ -45,6 +47,17 @@ def _read_lines(path: str, parse):
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _output(path: str, **kwargs):
+    """`path` opened for writing; a failed open or write raises
+    ValueError("<path>: <reason>")."""
+    try:
+        with open(path, "w", **kwargs) as handle:
+            yield handle
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _parse_group(lines: list[str]) -> tuple[PermutationAction, ...]:
@@ -116,15 +129,20 @@ def main(argv=None) -> int:
         return 2
 
     document = record.to_document()
-    if args.out:
-        Path(args.out).write_text(document)
-    else:
-        sys.stdout.write(document)
-    if args.csv and record.csv_rows:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(record.csv_rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(record.csv_rows)
+    try:
+        if args.out:
+            with _output(args.out) as handle:
+                handle.write(document)
+        else:
+            sys.stdout.write(document)
+        if args.csv and record.csv_rows:
+            with _output(args.csv, newline="") as handle:
+                writer = csv.DictWriter(handle, fieldnames=list(record.csv_rows[0].keys()))
+                writer.writeheader()
+                writer.writerows(record.csv_rows)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     for assertion in record.assertions:
         status = "PASS" if assertion["passed"] else "FAIL"

@@ -162,6 +162,23 @@ def reject_path(
     return np.array(probs), PureState(psi.shape, amps)
 
 
+def _register_branch(
+    weights: np.ndarray, branch: int | None, rng: np.random.Generator | None
+) -> tuple[int, float]:
+    """(outcome, probability) of a measurement whose outcome j has
+    probability weights[j]: `branch` if given, else one ``rng.choice`` draw."""
+    probs = np.clip(weights, 0.0, 1.0)
+    if branch is None:
+        branch = int(rng.choice(len(probs), p=probs / probs.sum()))
+    branch = int(branch)
+    if not 0 <= branch < len(probs):
+        raise ValueError("branch value out of range for register")
+    prob = float(probs[branch])
+    if prob < ZERO_BRANCH_ATOL:
+        raise ValueError(f"requested branch {branch} has probability {prob!r} (below threshold)")
+    return branch, prob
+
+
 def measure_register_collapse(
     psi: PureState,
     register: int,
@@ -180,15 +197,7 @@ def measure_register_collapse(
     dims = psi.shape.dims
     tensor = np.moveaxis(psi.amplitudes.reshape(dims), register, -1)
     flat = tensor.reshape(-1, dims[register])
-    probs = np.clip((np.abs(flat) ** 2).sum(axis=0), 0.0, 1.0)
-    if branch is None:
-        branch = int(rng.choice(dims[register], p=probs / probs.sum()))
-    branch = int(branch)
-    if not 0 <= branch < dims[register]:
-        raise ValueError("branch value out of range for register")
-    prob = float(probs[branch])
-    if prob < ZERO_BRANCH_ATOL:
-        raise ValueError(f"requested branch {branch} has probability {prob!r} (below threshold)")
+    branch, prob = _register_branch((np.abs(flat) ** 2).sum(axis=0), branch, rng)
     collapsed = np.zeros_like(flat)
     collapsed[:, branch] = flat[:, branch]
     collapsed /= math.sqrt(prob)

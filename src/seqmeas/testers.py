@@ -40,14 +40,12 @@ import numpy as np
 
 from .gates import (
     GateSpec,
-    HADAMARD,
     PAULI_X,
     PermutationAction,
-    _apply_gate_array,
     is_unitary,
     permutation_matrix,
 )
-from .measurement import measure_register_collapse
+from .measurement import _register_branch
 from .quantum_or import (
     AveragedInstance,
     mw_accept_from_spectrum,
@@ -229,9 +227,13 @@ def eigen_copies(n_measurements: int, epsilon: float) -> int:
 
 
 def eigen_tester_state(psi: PureState, copies_k: int) -> PureState:
-    """((|0>+|1>)/sqrt2 (x) |psi>)^k (x) |0>: k control-tagged copies plus a flag qubit."""
+    """((|0>+|1>)/sqrt2 (x) |psi>)^k (x) |0>: k control-tagged copies plus a
+    flag qubit, after checking its size against the vector cap."""
     if copies_k < 1:
         raise ValueError("need at least one copy")
+    dim = 2 * (2 * psi.shape.total_dim) ** copies_k
+    if dim > MAX_VECTOR_DIM:
+        raise ValueError(f"interference tester state dim {dim} exceeds the vector cap {MAX_VECTOR_DIM}")
     zero = PureState(RegisterShape((2,)), np.array([1.0, 0.0]))
     return product_state([plus_state(), psi] * copies_k + [zero])
 
@@ -244,19 +246,6 @@ def _eigen_layout(psi_shape: RegisterShape, copies_k: int) -> tuple[tuple[int, .
     return dims, len(dims) - 1, controls
 
 
-def _eigen_forward_gates(psi_shape: RegisterShape, unitary: np.ndarray, copies_k: int) -> list[GateSpec]:
-    r = psi_shape.num_registers
-    _, flag, controls = _eigen_layout(psi_shape, copies_k)
-    gates = []
-    for b in range(copies_k):
-        targets = tuple(range(b * (r + 1) + 1, b * (r + 1) + 1 + r))
-        gates.append(GateSpec(targets, unitary, controls=((controls[b], 1),)))
-    for c in controls:
-        gates.append(GateSpec((c,), HADAMARD))
-    gates.append(GateSpec((flag,), PAULI_X, controls=tuple((c, 0) for c in controls)))
-    return gates
-
-
 def eigen_measurement_cycle(
     state: PureState,
     unitary: np.ndarray,
@@ -266,23 +255,26 @@ def eigen_measurement_cycle(
     branch: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[int, float, PureState]:
-    """One full projective measurement for one unitary: apply the controlled
-    interference circuit, measure the flag qubit (1 accepts), then invert the
-    circuit.  Returns (outcome, outcome probability, residual state)."""
-    dims, flag, _ = _eigen_layout(psi_shape, copies_k)
+    """One projective measurement for one unitary on the tester layout,
+    through the factored accept projector shared with the sampler and the
+    oracle (see ``_copy_reflection_applier``).  Returns (outcome, outcome
+    probability, residual state), outcome 1 accepting; the gate-circuit
+    reference lives in the tests."""
+    dims, _, _ = _eigen_layout(psi_shape, copies_k)
     if state.shape.dims != dims:
         raise ValueError("state does not have the tester layout for this psi shape and k")
-    gates = _eigen_forward_gates(psi_shape, unitary, copies_k)
-    amps = state.amplitudes
-    for g in gates:
-        amps = _apply_gate_array(amps, dims, g)
-    outcome, prob, collapsed = measure_register_collapse(
-        PureState(state.shape, amps), flag, branch=branch, rng=rng
-    )
-    amps = collapsed.amplitudes
-    for g in reversed(gates):
-        amps = _apply_gate_array(amps, dims, g.inverse())
-    return outcome, prob, PureState(state.shape, amps)
+    (unitary,) = _eigen_family((unitary,), psi_shape)
+    if (branch is None) == (rng is None):
+        raise ValueError("pass exactly one of branch= or rng=")
+    x = state.amplitudes.reshape(-1, 2).T  # rows: flag 0, flag 1
+    # after the k block steps the flag axis leads: rows (x)R x_0, (x)R x_1
+    rx = _copy_reflection_applier(unitary, copies_k)(state.amplitudes).reshape(2, -1)
+    dx = x - rx
+    branches = ((dx[0], rx[1]), (rx[0], dx[1]))  # (flag-0, flag-1) parts of reject, accept
+    weights = np.array([sum(np.vdot(v, v).real for v in b) for b in branches])
+    branch, prob = _register_branch(weights, branch, rng)
+    residual = np.stack(branches[branch], axis=1).reshape(-1) / math.sqrt(prob)
+    return branch, prob, PureState(state.shape, residual)
 
 
 def _copy_reflection_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -333,14 +325,14 @@ def analytic_eigen_accept(unitary: np.ndarray, psi: PureState, copies_k: int) ->
     return float((0.5 + 0.5 * overlap.real) ** copies_k)
 
 
-def _eigen_family(unitaries: UnitarySet | Sequence[np.ndarray], psi: PureState) -> UnitarySet:
+def _eigen_family(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: RegisterShape) -> UnitarySet:
     """The family as a validated :class:`UnitarySet` acting on psi's space.
 
     The factored appliers only reshape, so a unitary of the wrong dimension
     would pass silently whenever the sizes divide; it is rejected here.
     """
     mats = unitaries if isinstance(unitaries, UnitarySet) else UnitarySet(tuple(unitaries))
-    if mats.dim != psi.shape.total_dim:
+    if mats.dim != psi_shape.total_dim:
         raise ValueError("unitary dimension does not match the state dimension")
     return mats
 
@@ -369,7 +361,7 @@ def eigen_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`eigen_test`: the k-copy interference
     state, one factored applier per unitary and N = number of unitaries."""
-    mats = _eigen_family(unitaries, psi)
+    mats = _eigen_family(unitaries, psi.shape)
     n = len(mats)
     k = eigen_copies(n, epsilon) if copies_k is None else copies_k
     phi = _copies_state(psi, k)
@@ -391,8 +383,9 @@ def eigen_test(
     number of unitaries (the exact eigenvector in the positive case means no
     slack is needed).  The run stays in the flag-0 block, where each
     measurement is k per-copy block reflections (see
-    ``_copy_reflection_applier``), never the gate circuit, which
-    :func:`eigen_measurement_cycle` keeps as the independent reference.
+    ``_copy_reflection_applier``).  This sampler,
+    :func:`eigen_measurement_cycle` and :func:`eigen_or_accept_exact` share
+    that factored projector; the gate-circuit reference lives in the tests.
     """
     return _run_once(eigen_instance(unitaries, psi, epsilon, copies_k), rng)
 
@@ -514,7 +507,7 @@ def eigen_or_accept_exact(
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
-    mats = _eigen_family(unitaries, psi)
+    mats = _eigen_family(unitaries, psi.shape)
     n = len(mats)
     rounds = or_round_count(n, 0) if n_rounds is None else n_rounds
     reflections = [block_reflection(u) for u in mats]

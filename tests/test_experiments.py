@@ -1,8 +1,10 @@
 """Experiment runner and CLI: determinism, assertions, file I/O, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +235,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and reason in err
         assert not (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_exit_code(self, flag, tmp_path, capsys):
+        """An --out or --csv path that cannot be written is reported as bad
+        input (exit 2, ``error: <path>: <reason>``), not as a traceback."""
+        paths = {"--out": str(tmp_path / "res.json"), "--csv": str(tmp_path / "trials.csv")}
+        bad = tmp_path / "missing" / "x"
+        paths[flag] = str(bad)
+        argv = ["mw-bounds", "--seed", "5", "--trials", "5"]
+        for key, path in paths.items():
+            argv += [key, path]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "No such file or directory" in err
+
+    def test_python_m_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqmeas", "--help"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: seqmeas")
 
     def test_param_without_value_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

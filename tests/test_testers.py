@@ -53,7 +53,8 @@ from seqmeas import (
 )
 from seqmeas import testers as testers_module
 from seqmeas import gates as gates_module
-from seqmeas.gates import PAULI_X, PAULI_Z, _apply_gate_array
+from seqmeas.gates import HADAMARD, PAULI_X, PAULI_Z, GateSpec, _apply_gate_array
+from seqmeas.measurement import measure_register_collapse
 from seqmeas.quantum_or import mw_accept_from_spectrum, or_round_count
 from seqmeas.testers import (
     MAX_DENSE_DIM,
@@ -62,7 +63,6 @@ from seqmeas.testers import (
     _copy_reflection_applier,
     _eigen_accept_matvec,
     _elementwise_power,
-    _eigen_forward_gates,
     _eigen_layout,
     _noncommuting_pair,
     _pair_swap_projectors,
@@ -140,6 +140,40 @@ def dense_genuine_ent_accept(psi, copies):
         evals, weights = averaged_and_measure(atoms, len(cuts), k // 2)
         out.append(mw_accept_from_spectrum(evals, weights, or_round_count(len(cuts), 0)))
     return out
+
+
+def _eigen_forward_gates(psi_shape, unitary, copies_k):
+    """The interference circuit V = C W as gates: controlled-U and a
+    Hadamard on each (control, psi) copy, then a flag flip controlled on
+    every control register being 0."""
+    r = psi_shape.num_registers
+    _, flag, controls = _eigen_layout(psi_shape, copies_k)
+    gates = []
+    for b in range(copies_k):
+        targets = tuple(range(b * (r + 1) + 1, b * (r + 1) + 1 + r))
+        gates.append(GateSpec(targets, unitary, controls=((controls[b], 1),)))
+    for c in controls:
+        gates.append(GateSpec((c,), HADAMARD))
+    gates.append(GateSpec((flag,), PAULI_X, controls=tuple((c, 0) for c in controls)))
+    return gates
+
+
+def gate_route_cycle(state, unitary, psi_shape, copies_k, *, branch=None, rng=None):
+    """The measurement cycle through the gate circuit: V gate by gate, the
+    flag register collapsed, then V^dag: the reference for the factored
+    eigen_measurement_cycle."""
+    dims, flag, _ = _eigen_layout(psi_shape, copies_k)
+    gates = _eigen_forward_gates(psi_shape, unitary, copies_k)
+    amps = state.amplitudes
+    for g in gates:
+        amps = _apply_gate_array(amps, dims, g)
+    outcome, prob, collapsed = measure_register_collapse(
+        PureState(state.shape, amps), flag, branch=branch, rng=rng
+    )
+    amps = collapsed.amplitudes
+    for g in reversed(gates):
+        amps = _apply_gate_array(amps, dims, g.inverse())
+    return outcome, prob, PureState(state.shape, amps)
 
 
 def gate_route_applier(psi_shape, unitary, copies_k):
@@ -341,6 +375,111 @@ class TestEigenCircuit:
         assert 4 * 2 * 0.75**15 <= 1 / 8
         assert 4 * 2 * 0.75**14 > 1 / 8
         check_copy_rule(eigen_copies, 0)
+
+
+class TestFactoredMeasurementCycle:
+    """eigen_measurement_cycle on the factored projector against the gate
+    circuit with its flag register collapsed (``gate_route_cycle``)."""
+
+    @staticmethod
+    def layout_states(psi, copies_k, rng):
+        """The tester state and random layout vectors weighted on both flag blocks."""
+        layout = RegisterShape(_eigen_layout(psi.shape, copies_k)[0])
+        states = [eigen_tester_state(psi, copies_k)]
+        for _ in range(2):
+            v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+            v /= np.linalg.norm(v)
+            assert min(np.linalg.norm(v[0::2]), np.linalg.norm(v[1::2])) > 0.3
+            states.append(PureState(layout, v))
+        return states
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_matches_gate_route(self, dims, copies_k, branch):
+        rng = trial_rng(55, 10 * len(dims) + copies_k + 100 * dims[-1])
+        shape = RegisterShape(dims)
+        psi = random_pure_state(rng, shape)
+        u = random_unitary(rng, shape.total_dim)
+        for state in self.layout_states(psi, copies_k, rng):
+            outcome, prob, residual = eigen_measurement_cycle(state, u, shape, copies_k, branch=branch)
+            ref_outcome, ref_prob, ref_residual = gate_route_cycle(state, u, shape, copies_k, branch=branch)
+            assert outcome == ref_outcome == branch
+            assert abs(prob - ref_prob) <= 1e-12
+            assert residual.shape == state.shape
+            np.testing.assert_allclose(residual.amplitudes, ref_residual.amplitudes, rtol=0, atol=1e-12)
+
+    def test_rng_outcomes_match_gate_route(self):
+        """A given generator draws the same outcome on both routes."""
+        rng = trial_rng(56, 0)
+        shape = RegisterShape((2, 2))
+        psi = random_pure_state(rng, shape)
+        u = random_unitary(rng, 4)
+        assert 0.2 < analytic_eigen_accept(u, psi, 2) < 0.8
+        phi = eigen_tester_state(psi, 2)
+        outcomes = []
+        for seed in range(1, 61):
+            outcome, prob, _ = eigen_measurement_cycle(phi, u, shape, 2, rng=trial_rng(56, seed))
+            ref_outcome, ref_prob, _ = gate_route_cycle(phi, u, shape, 2, rng=trial_rng(56, seed))
+            assert outcome == ref_outcome and abs(prob - ref_prob) <= 1e-12
+            outcomes.append(outcome)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    @staticmethod
+    def two_qubit_case():
+        psi = random_pure_state(trial_rng(57, 0), RegisterShape((2, 2)))
+        return psi, eigen_tester_state(psi, 1), random_unitary(trial_rng(57, 1), 4)
+
+    def test_rejects_non_unitary(self):
+        psi, phi, _ = self.two_qubit_case()
+        with pytest.raises(ValueError, match="unitary"):
+            eigen_measurement_cycle(phi, np.diag([1.0, 2.0, 1.0, 1.0]), psi.shape, 1, branch=1)
+
+    def test_rejects_unitary_whose_size_divides_the_state(self):
+        """A 2x2 U on a (2, 2) psi would reshape silently in the applier."""
+        psi, phi, _ = self.two_qubit_case()
+        with pytest.raises(ValueError, match="dimension"):
+            eigen_measurement_cycle(phi, PAULI_X, psi.shape, 1, branch=1)
+
+    def test_rejects_wrong_layout(self):
+        psi, phi, u = self.two_qubit_case()
+        same_size = PureState(RegisterShape((4, 4)), phi.amplitudes)
+        for state, k in ((same_size, 1), (phi, 2)):
+            with pytest.raises(ValueError, match="layout"):
+                eigen_measurement_cycle(state, u, psi.shape, k, branch=1)
+
+    def test_branch_or_rng_exactly_one(self):
+        psi, phi, u = self.two_qubit_case()
+        with pytest.raises(ValueError, match="exactly one"):
+            eigen_measurement_cycle(phi, u, psi.shape, 1)
+        with pytest.raises(ValueError, match="exactly one"):
+            eigen_measurement_cycle(phi, u, psi.shape, 1, branch=1, rng=trial_rng(57, 2))
+
+    def test_rejects_branch_out_of_range(self):
+        psi, phi, u = self.two_qubit_case()
+        with pytest.raises(ValueError, match="out of range"):
+            eigen_measurement_cycle(phi, u, psi.shape, 1, branch=2)
+
+    def test_rejects_zero_probability_branch(self):
+        """The identity fixes every psi, so the reject branch is empty."""
+        psi, phi, _ = self.two_qubit_case()
+        with pytest.raises(ValueError, match="probability"):
+            eigen_measurement_cycle(phi, np.eye(4), psi.shape, 1, branch=0)
+
+    def test_tester_state_vector_cap(self, monkeypatch):
+        """2 (2d)^k amplitudes past the cap fail before any state is built."""
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("product_state reached")
+
+        monkeypatch.setattr(testers_module, "product_state", no_state)
+        qubit = basis_state(QUBIT, (0,))
+        with pytest.raises(ValueError, match="vector cap"):
+            eigen_tester_state(qubit, 10)  # 2 * 4^10 = 2^21 amplitudes
+        with pytest.raises(ValueError, match="vector cap"):
+            eigen_tester_state(basis_state(RegisterShape((16,)), (0,)), 5)
+        with pytest.raises(AssertionError, match="reached"):
+            eigen_tester_state(qubit, 9)  # 2^19 amplitudes, under the cap
 
 
 class TestFactoredEigenApplier:
@@ -912,9 +1051,9 @@ class TestEigenTestEndToEnd:
         assert abs(count / trials - exact) <= 4 * sigma
 
     def test_sampler_applies_no_gates(self, monkeypatch):
-        """eigen_test runs on the factored projector alone: with every binding
-        of the strided gate kernel made to raise it still runs, while the
-        circuit-based measurement cycle fails."""
+        """eigen_test and eigen_measurement_cycle run on the factored
+        projector alone: with every binding of the strided gate kernel made
+        to raise they still run, while a gate application fails."""
 
         def no_gates(*args, **kwargs):
             raise AssertionError("strided gate kernel called")
@@ -930,8 +1069,12 @@ class TestEigenTestEndToEnd:
         mats = [random_unitary(rng, 4) for _ in range(2)]
         for t in range(5):
             eigen_test(mats, psi, 0.5, trial_rng(50, t + 1), copies_k=2)
+        phi = eigen_tester_state(psi, 2)
+        for branch in (0, 1):
+            eigen_measurement_cycle(phi, mats[0], psi.shape, 2, branch=branch)
+        eigen_measurement_cycle(phi, mats[1], psi.shape, 2, rng=trial_rng(50, 6))
         with pytest.raises(AssertionError, match="gate kernel"):
-            eigen_measurement_cycle(eigen_tester_state(psi, 2), mats[0], psi.shape, 2, branch=1)
+            gates_module.apply_gate(phi, GateSpec((0,), PAULI_X))
 
     def test_runs_on_flag_zero_block(self, monkeypatch):
         """The averaged OR run receives ((|0>+|1>)/sqrt2 (x) psi)^k: 2k
