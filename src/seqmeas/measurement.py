@@ -18,11 +18,15 @@ import numpy as np
 from .gates import qft_matrix
 from .states import (
     DensityOperator,
+    EigenDecomposition,
     HermitianOperator,
     PureState,
     RegisterShape,
+    _canonical_eigh,
     _hermitian_matrix,
-    eigendecompose,
+    check_slices,
+    hermitian_stack,
+    state_stack,
     trace_distance_matrix,
 )
 
@@ -36,14 +40,18 @@ PROJECTOR_ATOL = 1e-8
 MAX_ENUMERATION_STEPS = 12
 
 
-def in_unit_interval(evals: np.ndarray) -> bool:
-    """Whether a spectrum lies in [0, 1] to POVM_RANGE_ATOL (NaN fails)."""
-    return bool(evals.min() >= -POVM_RANGE_ATOL and evals.max() <= 1.0 + POVM_RANGE_ATOL)
+def in_unit_interval(evals: np.ndarray) -> bool | np.ndarray:
+    """Whether a spectrum lies in [0, 1] to POVM_RANGE_ATOL (NaN fails); for
+    a (b, d) stack of spectra, one bool per row."""
+    ok = (evals.min(axis=-1) >= -POVM_RANGE_ATOL) & (evals.max(axis=-1) <= 1.0 + POVM_RANGE_ATOL)
+    return bool(ok) if evals.ndim == 1 else ok
 
 
-def is_idempotent(mat: np.ndarray) -> bool:
-    """Whether P @ P = P to PROJECTOR_ATOL; with P Hermitian, P is a projector."""
-    return bool(np.abs(mat @ mat - mat).max() <= PROJECTOR_ATOL)
+def is_idempotent(mat: np.ndarray) -> bool | np.ndarray:
+    """Whether P @ P = P to PROJECTOR_ATOL; with P Hermitian, P is a projector.
+    For a stack of matrices, one bool per slice."""
+    ok = np.abs(mat @ mat - mat).max(axis=(-2, -1)) <= PROJECTOR_ATOL
+    return bool(ok) if mat.ndim == 2 else ok
 
 
 def ancilla_zero(d_anc: int) -> np.ndarray:
@@ -208,27 +216,59 @@ def measure_register_collapse(
 # -- gentle measurement ---------------------------------------------------------
 
 
-def gentle_measurement_gap(rho: DensityOperator, accept_op: HermitianOperator) -> tuple[float, float]:
-    """Both sides of the almost-as-good-as-new bound.
+def _gentle_gaps(
+    rhos: np.ndarray, accept_ops: np.ndarray, dec: EigenDecomposition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The core of :func:`gentle_measurement_gap_stack` on trusted stacks,
+    `dec` being the decomposition stack of `accept_ops`."""
+    evals = dec.eigenvalues
+    check_slices(in_unit_interval(evals), "accept operator", "not in [0, I]")
+    p = np.trace(accept_ops @ rhos, axis1=1, axis2=2).real
+    defined = p > ZERO_BRANCH_ATOL
+    v = dec.eigenvectors
+    sqrt_l = (v * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+    post = sqrt_l @ rhos @ sqrt_l / np.where(defined, p, 1.0)[:, None, None]
+    lhs = trace_distance_matrix(rhos, post)
+    lhs[~defined] = np.nan
+    rhs = np.sqrt(np.maximum(0.0, 1.0 - p))
+    return lhs, rhs, defined
 
-    Returns (lhs, rhs) with lhs the trace distance between rho and its
-    post-acceptance state sqrt(L) rho sqrt(L) / tr(L rho), and
-    rhs = sqrt(tr((I - L) rho)).  Callers assert lhs <= rhs.
+
+def gentle_measurement_gap_stack(
+    rhos, accept_ops
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the almost-as-good-as-new bound for each slice of a
+    (b, d, d) stack of density matrices and the matching accept operators.
+
+    Returns (lhs, rhs, defined), arrays of length b.  Where defined, lhs is
+    the trace distance between rho and its post-acceptance state
+    sqrt(L) rho sqrt(L) / tr(L rho), and rhs = sqrt(tr((I - L) rho));
+    callers assert lhs <= rhs.  A slice with tr(L rho) <= ZERO_BRANCH_ATOL
+    has no post-acceptance state: its `defined` entry is False and its lhs
+    NaN, and the rest of the stack is unaffected.  Each slice's values equal
+    those of a stack holding it alone.  Raises ValueError if the stacks
+    differ in shape, a state is not a density matrix, or an operator is not
+    Hermitian or not in [0, I].
     """
+    rhos = state_stack(rhos)
+    accept_ops = hermitian_stack(accept_ops, "accept operator")
+    if rhos.shape != accept_ops.shape:
+        raise ValueError(f"state and operator shapes differ: {rhos.shape} and {accept_ops.shape}")
+    return _gentle_gaps(rhos, accept_ops, _canonical_eigh(accept_ops))
+
+
+def gentle_measurement_gap(rho: DensityOperator, accept_op: HermitianOperator) -> tuple[float, float]:
+    """Both sides of the almost-as-good-as-new bound, (lhs, rhs): a stack of
+    one for :func:`gentle_measurement_gap_stack`'s core.  Raises ValueError
+    when tr(L rho) is numerically zero, as the post-acceptance state is then
+    undefined."""
     if rho.shape != accept_op.shape:
         raise ValueError("state and operator shapes differ")
-    dec = eigendecompose(accept_op)
-    evals = dec.eigenvalues
-    if not in_unit_interval(evals):
-        raise ValueError("accept operator is not in [0, I]")
-    p = float(np.trace(accept_op.matrix @ rho.matrix).real)
-    if p <= ZERO_BRANCH_ATOL:
+    ops = accept_op.matrix[None]
+    lhs, rhs, defined = _gentle_gaps(rho.matrix[None], ops, _canonical_eigh(ops))
+    if not defined[0]:
         raise ValueError("tr(L rho) is (numerically) zero; post-measurement state undefined")
-    sqrt_l = (dec.eigenvectors * np.sqrt(np.clip(evals, 0.0, None))) @ dec.eigenvectors.conj().T
-    post = sqrt_l @ rho.matrix @ sqrt_l / p
-    lhs = trace_distance_matrix(rho.matrix, post)
-    rhs = math.sqrt(max(0.0, 1.0 - p))
-    return lhs, rhs
+    return float(lhs[0]), float(rhs[0])
 
 
 # -- brute-force quantum union bound --------------------------------------------
@@ -313,6 +353,22 @@ def union_bound_bruteforce(
 # -- Naimark forms ---------------------------------------------------------------
 
 
+def naimark_checks(pis: np.ndarray, d_anc: int) -> np.ndarray:
+    """The induced operators of a Hermitian (b, D, D) stack of Naimark
+    projectors whose ancilla index (dimension d_anc) runs fastest, after
+    checking that each Pi is idempotent and induces an operator in [0, I].
+
+    Delta Pi Delta = L (x) |0><0| for every Pi, as Delta is a 0/1 diagonal,
+    so L is the submatrix of Pi on ancilla value 0.  Errors name the first
+    bad slice.
+    """
+    check_slices(is_idempotent(pis), "Pi", "not a projector within tolerance")
+    induced = pis[:, ::d_anc, ::d_anc].copy()
+    check_slices(in_unit_interval(np.linalg.eigvalsh(induced)), "induced operator", "not in [0, I]")
+    induced.setflags(write=False)
+    return induced
+
+
 @dataclass(frozen=True)
 class NaimarkForm:
     """Projector Pi on an ancilla-extended space realising an accept operator.
@@ -329,14 +385,7 @@ class NaimarkForm:
     def __post_init__(self):
         ancilla_dims = tuple(int(d) for d in self.ancilla_dims)
         pi = _hermitian_matrix(RegisterShape(self.system_shape.dims + ancilla_dims), self.pi)
-        if not is_idempotent(pi):
-            raise ValueError("Pi is not a projector within tolerance")
-        # Delta Pi Delta = L (x) |0><0| for every Pi, as Delta is a 0/1 diagonal.
-        d_anc = math.prod(ancilla_dims)
-        induced = pi[::d_anc, ::d_anc].copy()
-        if not in_unit_interval(np.linalg.eigvalsh(induced)):
-            raise ValueError("induced operator is not in [0, I]")
-        induced.setflags(write=False)
+        induced = naimark_checks(pi[None], math.prod(ancilla_dims))[0]
         object.__setattr__(self, "ancilla_dims", ancilla_dims)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_induced", induced)
@@ -370,17 +419,47 @@ def trivial_naimark(measurement: TwoOutcomeMeasurement) -> NaimarkForm:
     return NaimarkForm(measurement.shape, (), measurement.accept_op.matrix)
 
 
-def one_ancilla_dilation(accept_op: HermitianOperator) -> NaimarkForm:
-    """Standard one-qubit dilation built from the spectral decomposition of L."""
-    dec = eigendecompose(accept_op)
-    if not in_unit_interval(dec.eigenvalues):
-        raise ValueError("operator is not in [0, I]")
+def accept_spectra(accept_ops) -> EigenDecomposition:
+    """The decomposition stack of a (b, d, d) stack of accept operators, each
+    checked Hermitian; a decomposition stack is passed through as it is."""
+    if isinstance(accept_ops, EigenDecomposition):
+        return accept_ops
+    return _canonical_eigh(hermitian_stack(accept_ops, "accept operator"))
+
+
+def _dilation_pis(dec: EigenDecomposition) -> np.ndarray:
+    """Pi = sum_k (v_k v_k^dagger) (x) (w_k w_k^T), w_k = (sqrt(l_k), sqrt(1 - l_k)),
+    for each row of a decomposition stack, summed in eigenvector order."""
+    check_slices(in_unit_interval(dec.eigenvalues), "accept operator", "not in [0, I]")
     evals = np.clip(dec.eigenvalues, 0.0, 1.0)
-    d = accept_op.shape.total_dim
-    pi = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    for lam, vec in zip(evals, dec.eigenvectors.T):
-        w = np.array([math.sqrt(lam), math.sqrt(1.0 - lam)])
-        pi += np.kron(np.outer(vec, vec.conj()), np.outer(w, w))
+    b, d = evals.shape
+    amps = np.stack([np.sqrt(evals), np.sqrt(1.0 - evals)], axis=2)
+    anc = amps[:, :, :, None] * amps[:, :, None, :]  # (b, d, 2, 2): w_k w_k^T per row
+    columns = np.swapaxes(dec.eigenvectors, 1, 2)  # row k of slice i: its k-th eigenvector
+    pi = np.zeros((b, d, 2, d, 2), dtype=np.complex128)
+    for k in range(d):
+        vec = columns[:, k]
+        outer = vec[:, :, None] * vec.conj()[:, None, :]
+        pi += outer[:, :, None, :, None] * anc[:, k, None, :, None, :]
+    return pi.reshape(b, 2 * d, 2 * d)
+
+
+def one_ancilla_dilation_stack(accept_ops) -> np.ndarray:
+    """The Pi of :func:`one_ancilla_dilation` for each slice of a (b, d, d)
+    stack of accept operators, or of the decomposition stack of one
+    (:func:`states.eigendecompose_stack`), as a (b, 2d, 2d) array, ancilla
+    index fastest.  Each Pi passes the :class:`NaimarkForm` checks, run on
+    the stack, and equals the single construction's bit for bit.
+    """
+    pis = _dilation_pis(accept_spectra(accept_ops))
+    naimark_checks(pis, 2)
+    return pis
+
+
+def one_ancilla_dilation(accept_op: HermitianOperator) -> NaimarkForm:
+    """Standard one-qubit dilation built from the spectral decomposition of L:
+    a stack of one for the construction of :func:`one_ancilla_dilation_stack`."""
+    pi = _dilation_pis(_canonical_eigh(accept_op.matrix[None]))[0]
     return NaimarkForm(accept_op.shape, (2,), pi)
 
 

@@ -14,7 +14,11 @@ Its acceptance probability has the closed form
 sum_i |alpha_i|^2 [1 - (1 - lambda_i)^{2N}] over the spectrum of L, which the
 exact oracles below evaluate by eigendecomposition or, for a pure input, as
 1 - ||(I - L)^N psi||^2 by N applications of L; an independent second
-oracle propagates the residual operator (Delta (I - Pi))^N directly.
+oracle propagates the residual operator (Delta (I - Pi))^N directly.  The
+spectral and survival oracles run on stacks of instances with a leading
+batch axis (:func:`spectral_measures`, :func:`mw_accept_from_spectrum`,
+:func:`mw_bounds_from_spectrum`, :func:`mw_accept_survival_stack`); the
+single-instance oracles are the same cores on a stack of one.
 
 Every sampler reads one core, ``_amplify``.  On a pure input every trial
 sees the same not-yet-halted state, and randomness only decides where it
@@ -50,12 +54,24 @@ from .gates import qft_matrix
 from .measurement import (
     NaimarkForm,
     TwoOutcomeMeasurement,
-    ancilla_zero,
+    accept_spectra,
     in_unit_interval,
     is_idempotent,
+    naimark_checks,
     naimark_form,
 )
-from .states import DensityOperator, HermitianOperator, PureState, RegisterShape, eigendecompose
+from .states import (
+    DensityOperator,
+    EigenDecomposition,
+    HermitianOperator,
+    PureState,
+    RegisterShape,
+    _canonical_eigh,
+    check_slices,
+    eigendecompose,
+    hermitian_stack,
+    state_stack,
+)
 
 WEIGHT_ATOL = 1e-14
 
@@ -284,34 +300,114 @@ def sample_trials(
 # -- exact oracles ---------------------------------------------------------------
 
 
-def mw_accept_from_spectrum(
-    eigenvalues: Sequence[float], weights: Sequence[float], n_rounds: int
-) -> float:
-    """sum_i w_i [1 - (1 - lambda_i)^{2N}] for a spectral measure of L."""
-    if n_rounds < 1:
+def _round_counts(n_rounds, rows: int) -> np.ndarray:
+    """One integer round count >= 1 per row, from an int or a length-`rows` array."""
+    counts = np.asarray(n_rounds)
+    if counts.ndim > 1 or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"round counts must be an integer or a 1-d integer array, got {n_rounds!r}")
+    if counts.size and counts.min() < 1:
         raise ValueError("round count must be >= 1")
-    total = 0.0
-    for lam, w in zip(eigenvalues, weights):
-        if w < WEIGHT_ATOL:
-            continue
-        lam = min(1.0, max(0.0, float(lam)))
-        total += float(w) * (1.0 - (1.0 - lam) ** (2 * n_rounds))
-    return float(min(1.0, max(0.0, total)))
+    return np.broadcast_to(counts, (rows,))
 
 
-def _spectral_weights(
+def _spectrum_rows(eigenvalues, weights) -> tuple[np.ndarray, np.ndarray, bool]:
+    """A spectral measure or a (b, d) stack of them as two float (b, d)
+    arrays, and whether the input was a single measure."""
+    evals = np.asarray(eigenvalues, dtype=float)
+    single = evals.ndim == 1
+    evals = evals.reshape(1, -1) if single else evals
+    weights = np.asarray(weights, dtype=float).reshape(evals.shape)
+    if evals.ndim != 2:
+        raise ValueError(f"expected a spectrum or a (b, d) stack of them, got shape {evals.shape}")
+    return evals, weights, single
+
+
+def mw_accept_from_spectrum(eigenvalues, weights, n_rounds):
+    """sum_i w_i [1 - (1 - lambda_i)^{2N}] for a spectral measure of L.
+
+    Also takes a (b, d) stack of measures with one round count per row (an
+    int or a length-b array) and returns an array.  Terms are added left to
+    right and weights below WEIGHT_ATOL skipped, and each power is a Python
+    float power (the C library's pow; numpy's vectorised power may round
+    differently), so a row's value is that of the scalar loop in any stack.
+    """
+    evals, weights, single = _spectrum_rows(eigenvalues, weights)
+    rounds = _round_counts(n_rounds, len(evals))
+    bases = (1.0 - np.clip(evals, 0.0, 1.0)).tolist()
+    decay = np.array(
+        [[x ** (2 * n) for x in row] for row, n in zip(bases, rounds.tolist())]
+    ).reshape(evals.shape)
+    terms = np.where(weights < WEIGHT_ATOL, 0.0, weights * (1.0 - decay))
+    # From 0.0, strictly left to right (add.accumulate), as a scalar loop adds.
+    total = np.add.accumulate(np.column_stack([np.zeros(len(terms)), terms]), axis=1)[:, -1]
+    total = np.clip(total, 0.0, 1.0)
+    return float(total[0]) if single else total
+
+
+def mw_bounds_from_spectrum(eigenvalues, weights, n_rounds):
+    """The sandwich (1 - 1/e) tr(P_{>=1/2N} rho) <= p_acc <= 2N tr(L rho) from
+    a spectral measure of L, as (lower, upper); a (b, d) stack with one round
+    count per row gives two arrays.  Each row's mass and mean are the
+    single-measure numpy expressions, so a row's bounds are the same in any
+    stack."""
+    evals, weights, single = _spectrum_rows(eigenvalues, weights)
+    rounds = _round_counts(n_rounds, len(evals)).tolist()
+    clipped = np.clip(evals, 0.0, 1.0)
+    lower, upper = [], []
+    for lam, w, cl, n in zip(evals, weights, clipped, rounds):
+        mass = float(w[lam >= 1.0 / (2.0 * n)].sum())
+        lower.append((1.0 - math.exp(-1.0)) * mass)
+        upper.append(min(1.0, 2.0 * n * float(np.dot(cl, w))))
+    if single:
+        return lower[0], upper[0]
+    return np.array(lower), np.array(upper)
+
+
+def _spectral(dec: EigenDecomposition, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The core of :func:`spectral_measures` on a trusted decomposition stack
+    and input stack."""
+    check_slices(in_unit_interval(dec.eigenvalues), "accept operator", "not in [0, I]")
+    vh = np.swapaxes(dec.eigenvectors.conj(), 1, 2)
+    if inputs.ndim == 2:
+        weights = np.abs((vh @ inputs[:, :, None])[:, :, 0]) ** 2
+    else:
+        weights = np.einsum("bij,bjk,bki->bi", vh, inputs, dec.eigenvectors).real
+    return dec.eigenvalues, np.clip(weights, 0.0, None)
+
+
+def spectral_measures(accept_ops, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral measure of each accept operator seen from its input.
+
+    `accept_ops` is a (b, d, d) stack, each slice Hermitian and in [0, I],
+    or the decomposition stack of one (:func:`states.eigendecompose_stack`);
+    `inputs` is a (b, d) stack of unit vectors or a (b, d, d) stack of
+    density matrices.  Returns the eigenvalues of each L, descending, and
+    the weights <v_i|rho|v_i> on its eigenvectors (clipped at 0), both
+    (b, d).  Row i equals the measure of a stack holding slice i alone, bit
+    for bit.
+    """
+    dec = accept_spectra(accept_ops)
+    inputs = state_stack(inputs)
+    if inputs.shape[:2] != dec.eigenvalues.shape:
+        raise ValueError(
+            f"accept operator and input stacks differ in shape: "
+            f"{dec.eigenvectors.shape} and {inputs.shape}"
+        )
+    return _spectral(dec, inputs)
+
+
+def _single_measure(
     accept_op: HermitianOperator | np.ndarray, rho: PureState | DensityOperator
 ) -> tuple[np.ndarray, np.ndarray]:
-    dec = eigendecompose(accept_op)
-    if not in_unit_interval(dec.eigenvalues):
-        raise ValueError("accept operator eigenvalues outside [0, 1]")
-    if isinstance(rho, PureState):
-        weights = np.abs(dec.eigenvectors.conj().T @ rho.amplitudes) ** 2
+    """The spectral measure of one operator and input, as a stack of one."""
+    if isinstance(accept_op, HermitianOperator):
+        ops = accept_op.matrix[None]
     else:
-        weights = np.einsum(
-            "ij,jk,ki->i", dec.eigenvectors.conj().T, rho.matrix, dec.eigenvectors
-        ).real
-    return dec.eigenvalues, np.clip(weights, 0.0, None)
+        ops = hermitian_stack(np.asarray(accept_op)[None], "accept operator")
+    state = rho.amplitudes if isinstance(rho, PureState) else rho.matrix
+    if state.shape[0] != ops.shape[1]:
+        raise ValueError("accept operator and input state dimensions differ")
+    return _spectral(_canonical_eigh(ops), state[None])
 
 
 def mw_accept_exact(
@@ -322,10 +418,12 @@ def mw_accept_exact(
     """Exact acceptance probability via the spectral decomposition of L.
 
     A mixed input enters through its weights <v_i|rho|v_i> on the
-    eigenvectors v_i of L: the formula is linear in the input state.
+    eigenvectors v_i of L: the formula is linear in the input state.  A
+    stack of one for the cores of :func:`spectral_measures` and
+    :func:`mw_accept_from_spectrum`, which evaluate many instances at once.
     """
-    evals, weights = _spectral_weights(accept_op, rho)
-    return mw_accept_from_spectrum(evals, weights, n_rounds)
+    evals, weights = _single_measure(accept_op, rho)
+    return mw_accept_from_spectrum(evals[0], weights[0], n_rounds)
 
 
 def mw_accept_polynomial(
@@ -345,28 +443,74 @@ def mw_accept_polynomial(
     return float(min(1.0, max(0.0, 1.0 - np.vdot(residual, residual).real)))
 
 
+def _survival(pis: np.ndarray, d_anc: int, inputs: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """The core of :func:`mw_accept_survival_stack` on trusted stacks.
+
+    The trials run longest first, so the ones still propagating are always
+    a leading block of the stack; each is read at its own round count.
+    """
+    b, dim = pis.shape[:2]
+    order = np.argsort(-rounds, kind="stable")
+    rounds = rounds[order]
+    # Delta (I - Pi): the rows of I - Pi on a nonzero ancilla value cleared.
+    kraus = np.eye(dim) - pis[order]
+    kraus.reshape(b, -1, d_anc, dim)[:, :, 1:] = 0.0
+    if inputs.ndim == 2:
+        state = np.zeros((b, dim), dtype=np.complex128)
+        state[:, ::d_anc] = inputs[order]
+    else:
+        kraus_h = np.swapaxes(kraus.conj(), 1, 2)
+        state = np.zeros((b, dim, dim), dtype=np.complex128)
+        state[:, ::d_anc, ::d_anc] = inputs[order]
+        half = np.empty_like(state)
+    survival = np.empty(b)
+    for n in range(1, int(rounds[0]) + 1):
+        live = int(np.count_nonzero(rounds >= n))
+        if inputs.ndim == 2:
+            state = (kraus[:live] @ state[:live, :, None])[:, :, 0]
+        else:
+            np.matmul(kraus[:live], state[:live], out=half[:live])
+            np.matmul(half[:live], kraus_h[:live], out=state[:live])
+        for i in np.flatnonzero(rounds[:live] == n):
+            s = state[i]
+            survival[order[i]] = np.vdot(s, s).real if inputs.ndim == 2 else np.trace(s).real
+    return np.clip(1.0 - survival, 0.0, 1.0)
+
+
+def mw_accept_survival_stack(pis, ancilla_dim: int, inputs, n_rounds) -> np.ndarray:
+    """Second oracle on a stack: 1 - |(Delta (I - Pi))^N |psi, 0>|^2 per slice.
+
+    `pis` is a (b, D, D) stack of Naimark projectors whose ancilla index
+    (dimension `ancilla_dim`) runs fastest, checked as :class:`NaimarkForm`
+    checks one; `inputs` is a (b, D / ancilla_dim) stack of unit vectors or
+    a (b, d, d) stack of density matrices; `n_rounds` an int or one count
+    >= 1 per slice.  The stack propagates up to its largest N and each
+    slice is read at its own; each value equals the single oracle's bit for
+    bit.  No spectral decomposition of L is used.
+    """
+    pis = hermitian_stack(pis, "Pi")
+    b, dim = pis.shape[:2]
+    if ancilla_dim < 1 or dim % ancilla_dim:
+        raise ValueError(f"ancilla dimension {ancilla_dim} does not divide {dim}")
+    naimark_checks(pis, ancilla_dim)
+    inputs = state_stack(inputs)
+    if inputs.shape[:2] != (b, dim // ancilla_dim):
+        raise ValueError(
+            f"Naimark and input stacks differ in shape: {pis.shape} and {inputs.shape}"
+        )
+    return _survival(pis, ancilla_dim, inputs, _round_counts(n_rounds, b))
+
+
 def mw_accept_survival(inst: MWInstance) -> float:
     """Second oracle: 1 - |(Delta (I - Pi))^N |psi, 0^m>|^2 on the extended space.
 
     Independent of :func:`mw_accept_exact` (no spectral decomposition of L);
-    mixed inputs propagate the extended density operator instead.
+    mixed inputs propagate the extended density operator instead.  A stack
+    of one for :func:`mw_accept_survival_stack`'s core.
     """
-    pi = inst.naimark.pi
-    delta = inst.naimark.delta
-    kraus = delta @ (np.eye(pi.shape[0]) - pi)
-    d_anc = inst.naimark.ancilla_dim
-    if isinstance(inst.initial, PureState):
-        vec = np.zeros(inst.naimark.extended_dim, dtype=np.complex128)
-        vec[::d_anc] = inst.initial.amplitudes
-        for _ in range(inst.n_rounds):
-            vec = kraus @ vec
-        survival = float(np.vdot(vec, vec).real)
-    else:
-        tau = np.kron(inst.initial.matrix, ancilla_zero(d_anc))
-        for _ in range(inst.n_rounds):
-            tau = kraus @ tau @ kraus.conj().T
-        survival = float(np.trace(tau).real)
-    return float(min(1.0, max(0.0, 1.0 - survival)))
+    state = inst.initial.amplitudes if isinstance(inst.initial, PureState) else inst.initial.matrix
+    rounds = np.array([inst.n_rounds])
+    return float(_survival(inst.naimark.pi[None], inst.naimark.ancilla_dim, state[None], rounds)[0])
 
 
 def mw_bounds(
@@ -374,14 +518,11 @@ def mw_bounds(
     rho: PureState | DensityOperator,
     n_rounds: int,
 ) -> tuple[float, float]:
-    """The sandwich (1 - 1/e) tr(P_{>=1/2N} rho) <= p_acc <= 2N tr(L rho)."""
-    evals, weights = _spectral_weights(accept_op, rho)
-    threshold = 1.0 / (2.0 * n_rounds)
-    mass = float(weights[evals >= threshold].sum())
-    lower = (1.0 - math.exp(-1.0)) * mass
-    mean = float(np.dot(np.clip(evals, 0.0, 1.0), weights))
-    upper = min(1.0, 2.0 * n_rounds * mean)
-    return lower, upper
+    """The sandwich (1 - 1/e) tr(P_{>=1/2N} rho) <= p_acc <= 2N tr(L rho): a
+    stack of one for the cores of :func:`spectral_measures` and
+    :func:`mw_bounds_from_spectrum`."""
+    evals, weights = _single_measure(accept_op, rho)
+    return mw_bounds_from_spectrum(evals[0], weights[0], n_rounds)
 
 
 # -- sequential-measurement property test (the OR wrapper) -------------------------

@@ -27,9 +27,21 @@ def _complex_array(values, ndim: int) -> np.ndarray:
     return arr
 
 
-def is_hermitian(mat: np.ndarray) -> bool:
-    """Whether mat equals its conjugate transpose to STATE_ATOL (a non-finite entry fails)."""
-    return bool(np.abs(mat - mat.conj().T).max() <= STATE_ATOL)
+def is_hermitian(mat: np.ndarray) -> bool | np.ndarray:
+    """Whether mat equals its conjugate transpose to STATE_ATOL (a non-finite
+    entry fails); for a stack of matrices, one bool per slice."""
+    ok = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(axis=(-2, -1)) <= STATE_ATOL
+    return bool(ok) if mat.ndim == 2 else ok
+
+
+def check_slices(ok: np.ndarray, name: str, problem: str) -> None:
+    """Raise ValueError "<name> [i of the stack ]is <problem>" for the first
+    slice i of a stack where `ok` is False (the index is left out for a
+    stack of one)."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        which = name if ok.size == 1 else f"{name} {bad[0]} of the stack"
+        raise ValueError(f"{which} is {problem}")
 
 
 @dataclass(frozen=True)
@@ -150,14 +162,88 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
+
+    A stack carries a leading batch axis: eigenvalues (b, d), eigenvectors
+    (b, d, d), one decomposition per row.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def hermitian_stack(values, name: str = "matrix") -> np.ndarray:
+    """`values` as a complex (b, d, d) stack, b, d >= 1, every slice Hermitian
+    to STATE_ATOL; a non-finite entry fails."""
+    mats = np.asarray(values, dtype=np.complex128)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or 0 in mats.shape:
+        raise ValueError(f"expected a (b, d, d) stack of {name}s, got shape {mats.shape}")
+    check_slices(is_hermitian(mats), name, "not Hermitian within tolerance")
+    return mats
+
+
+def state_stack(values) -> np.ndarray:
+    """`values` as a complex stack of states: (b, d) unit vectors (pure) or
+    (b, d, d) density matrices (Hermitian, unit trace, no eigenvalue below
+    -STATE_ATOL), with b, d >= 1."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.ndim == 2 and 0 not in arr.shape:
+        norm_ok = np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= STATE_ATOL
+        check_slices(norm_ok, "state", "not normalised")
+        return arr
+    if arr.ndim != 3:
+        raise ValueError(f"expected a (b, d) or (b, d, d) stack of states, got shape {arr.shape}")
+    arr = hermitian_stack(arr, "state")
+    trace_ok = np.abs(np.trace(arr, axis1=1, axis2=2) - 1.0) <= STATE_ATOL
+    check_slices(trace_ok, "state", "not of unit trace")
+    check_slices(np.linalg.eigvalsh(arr).min(axis=1) >= -STATE_ATOL, "state", "not positive semidefinite")
+    return arr
+
+
+def _canonical_eigh(mats: np.ndarray) -> EigenDecomposition:
+    """The canonical decomposition of each slice of a trusted Hermitian
+    (b, d, d) stack: one ``eigh`` on the stack, then the per-matrix
+    conventions of :func:`eigendecompose`."""
+    w, v = np.linalg.eigh(mats)
+    w = w[:, ::-1].copy()
+    v = v[:, :, ::-1].copy()
+    b, d = w.shape
+    rows = np.arange(b)[:, None]
+    pivots = v[rows, np.argmax(np.abs(v) > 1e-8, axis=1), np.arange(d)]
+    # |p|/p is divided as a scalar: the array ufunc differs in the last bit.
+    v *= np.array([abs(p) / p for p in pivots.ravel()]).reshape(b, 1, d)
+    # eigh sorts its eigenvalues, so each degenerate cluster is a contiguous
+    # run; values equal rounded to 12 decimals differ by less than 1e-11.
+    order = np.tile(np.arange(d), (b, 1))
+    for r in np.flatnonzero((np.diff(w, axis=1) > -1e-11).any(axis=1)):
+        rounded = np.array([round(x, 12) for x in w[r].tolist()])
+        edges = [0, *(np.flatnonzero(np.diff(rounded)) + 1).tolist(), d]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            if stop - start > 1:
+                cluster = v[r, :, start:stop]
+                pairs = np.stack([cluster.real, cluster.imag], axis=1).reshape(-1, stop - start)
+                order[r, start:stop] = start + np.lexsort(np.round(pairs, 9)[::-1])
+    # Always copy, each slice's columns contiguous (Fortran order): the layout
+    # sets the summation order of later einsums.
+    w = w[rows, order]
+    v = np.swapaxes(np.swapaxes(v, 1, 2)[rows, order], 1, 2)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return EigenDecomposition(w, v)
+
+
+def eigendecompose_stack(mats) -> EigenDecomposition:
+    """Eigendecompose each slice of a (b, d, d) stack of Hermitian matrices.
+
+    One ``eigh`` call on the whole stack, then per slice the conventions of
+    :func:`eigendecompose`; row i of the result equals ``eigendecompose``
+    of slice i bit for bit.  Every slice must be Hermitian to STATE_ATOL.
+    """
+    return _canonical_eigh(hermitian_stack(mats))
 
 
 def eigendecompose(op: HermitianOperator | DensityOperator | np.ndarray) -> EigenDecomposition:
@@ -168,6 +254,8 @@ def eigendecompose(op: HermitianOperator | DensityOperator | np.ndarray) -> Eige
     by their entries rounded to 9 decimals as interleaved (re, im) pairs,
     compared lexicographically.  A HermitianOperator or DensityOperator is
     trusted; any other input must be square and Hermitian to STATE_ATOL.
+    The single matrix is a stack of one for :func:`eigendecompose_stack`'s
+    core.
     """
     if isinstance(op, (HermitianOperator, DensityOperator)):
         mat = op.matrix
@@ -177,27 +265,8 @@ def eigendecompose(op: HermitianOperator | DensityOperator | np.ndarray) -> Eige
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         if not is_hermitian(mat):
             raise ValueError("cannot eigendecompose: matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(mat)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # |p|/p is divided as a scalar: the array ufunc differs in the last bit.
-    pivots = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(w.size)]
-    v *= np.array([abs(p) / p for p in pivots])
-    # eigh sorts its eigenvalues, so each degenerate cluster is a contiguous run.
-    rounded = np.array([round(x, 12) for x in w.tolist()])
-    edges = [0, *(np.flatnonzero(np.diff(rounded)) + 1).tolist(), w.size]
-    order = np.arange(w.size)
-    for start, stop in zip(edges[:-1], edges[1:]):
-        if stop - start > 1:
-            cluster = v[:, start:stop]
-            pairs = np.stack([cluster.real, cluster.imag], axis=1).reshape(-1, stop - start)
-            order[start:stop] = start + np.lexsort(np.round(pairs, 9)[::-1])
-    # Always index: the copy's layout sets the summation order of later einsums.
-    w = w[order]
-    v = v[:, order]
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return EigenDecomposition(w, v)
+    dec = _canonical_eigh(mat[None])
+    return EigenDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
 
 def trace_distance_pure(a: PureState, b: PureState) -> float:
@@ -211,10 +280,12 @@ def trace_distance_pure(a: PureState, b: PureState) -> float:
     return math.sqrt(max(0.0, 1.0 - fid / norms))
 
 
-def trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance between Hermitian matrices: half the sum of |eigenvalues| of a - b."""
+def trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Trace distance between Hermitian matrices: half the sum of |eigenvalues|
+    of a - b; for stacks of matrices, one distance per slice."""
     diff = np.asarray(a, dtype=np.complex128) - np.asarray(b, dtype=np.complex128)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return float(dist) if diff.ndim == 2 else dist
 
 
 def _split_registers(psi: PureState, registers: Iterable[int]) -> tuple[list[int], np.ndarray]:
