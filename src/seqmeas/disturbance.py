@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gates import HADAMARD
-from .measurement import TwoOutcomeMeasurement, anti_zeno_sequence
+from .measurement import TwoOutcomeMeasurement, _check_projective, anti_zeno_sequence
 from .quantum_or import _ensemble_rows, _exact_fraction, _row_dot
 from .states import DensityOperator, PureState, RegisterShape
 
@@ -60,16 +60,7 @@ class SequentialInstance:
 
     def __post_init__(self):
         measurements = tuple(self.measurements)
-        if not measurements:
-            raise ValueError("need at least one measurement")
-        shape = measurements[0].shape
-        for m in measurements:
-            if not m.is_projector:
-                raise ValueError("the sequential test takes projective measurements")
-            if m.shape != shape:
-                raise ValueError("all measurements must share one register shape")
-        if self.initial.shape != shape:
-            raise ValueError("initial state shape differs from the measurements'")
+        _check_projective(measurements, self.initial.shape)
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         object.__setattr__(self, "measurements", measurements)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import PureState, RegisterShape
+from .states import PureState, RegisterShape, _trusted
 
 UNITARY_ATOL = 1e-10
 
@@ -88,14 +88,14 @@ def _apply_gate_array(amps: np.ndarray, dims: Sequence[int], gate: GateSpec) -> 
 
 
 def apply_gate(state: PureState, gate: GateSpec) -> PureState:
-    return PureState(state.shape, _apply_gate_array(state.amplitudes, state.shape.dims, gate))
+    return _trusted(PureState, state.shape, _apply_gate_array(state.amplitudes, state.shape.dims, gate))
 
 
 def apply_gates(state: PureState, gates: Iterable[GateSpec]) -> PureState:
     amps = state.amplitudes
     for g in gates:
         amps = _apply_gate_array(amps, state.shape.dims, g)
-    return PureState(state.shape, amps)
+    return _trusted(PureState, state.shape, amps)
 
 
 def dense_gate_matrix(gate: GateSpec, shape: RegisterShape) -> np.ndarray:

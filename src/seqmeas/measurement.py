@@ -23,7 +23,8 @@ from .states import (
     PureState,
     RegisterShape,
     _canonical_eigh,
-    _hermitian_matrix,
+    _complex_array,
+    _trusted,
     check_slices,
     hermitian_stack,
     state_stack,
@@ -68,13 +69,14 @@ class TwoOutcomeMeasurement:
     accept_op: HermitianOperator
     is_projector: bool = False
 
+    def _store(self):
+        object.__setattr__(self, "is_projector", bool(self.is_projector))
+
     def __post_init__(self):
+        self._store()
         mat = self.accept_op.matrix
-        evals = np.linalg.eigvalsh(mat)
-        if not in_unit_interval(evals):
-            raise ValueError(
-                f"accept operator eigenvalues outside [0, 1]: [{evals.min()}, {evals.max()}]"
-            )
+        if not in_unit_interval(np.linalg.eigvalsh(mat)):
+            raise ValueError("accept operator is not in [0, I]")
         if self.is_projector and not is_idempotent(mat):
             raise ValueError("operator flagged as projector is not idempotent within tolerance")
 
@@ -98,11 +100,18 @@ def accept_probability(m: TwoOutcomeMeasurement, rho: DensityOperator | PureStat
     return float(min(1.0, max(0.0, p)))
 
 
-def _check_projective(measurement: TwoOutcomeMeasurement, psi: PureState) -> None:
-    if not (isinstance(measurement, TwoOutcomeMeasurement) and measurement.is_projector):
-        raise ValueError("a projective collapse needs a TwoOutcomeMeasurement flagged is_projector")
-    if psi.shape != measurement.shape:
-        raise ValueError("projector and state shapes differ")
+def _check_projective(measurements: Sequence[TwoOutcomeMeasurement], shape: RegisterShape | None = None):
+    """The check of every procedure on projective measurements: at least one,
+    each a TwoOutcomeMeasurement flagged is_projector, on `shape` (or on the
+    first one's)."""
+    if not measurements:
+        raise ValueError("need at least one measurement")
+    shape = measurements[0].shape if shape is None else shape
+    for m in measurements:
+        if not (isinstance(m, TwoOutcomeMeasurement) and m.is_projector):
+            raise ValueError("the procedure needs TwoOutcomeMeasurements flagged is_projector")
+        if m.shape != shape:
+            raise ValueError(f"shapes differ: a measurement on {m.shape.dims}, expected {shape.dims}")
 
 
 def _accept_split(p_mat: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, float]:
@@ -128,7 +137,7 @@ def measure_collapse(
     """
     if (branch is None) == (rng is None):
         raise ValueError("pass exactly one of branch= or rng=")
-    _check_projective(measurement, psi)
+    _check_projective([measurement], psi.shape)
     hit, p1 = _accept_split(measurement.accept_op.matrix, psi.amplitudes)
     if branch is None:
         branch = 1 if rng.random() < p1 else 0
@@ -140,7 +149,7 @@ def measure_collapse(
         raise ValueError(f"requested branch {branch} has probability {prob!r} (below threshold)")
     residual = hit if branch == 1 else psi.amplitudes - hit
     residual = residual / np.linalg.norm(residual)
-    return branch, prob, PureState(psi.shape, residual)
+    return branch, prob, _trusted(PureState, psi.shape, residual)
 
 
 def reject_path(
@@ -156,8 +165,9 @@ def reject_path(
     ZERO_BRANCH_ATOL ends the walk without raising: its accept probability
     is the last entry and the final state is None.
     """
-    for m in measurements:
-        _check_projective(m, psi)
+    if not measurements:
+        return np.array([]), psi
+    _check_projective(measurements, psi.shape)
     amps = psi.amplitudes
     probs = []
     for m in measurements:
@@ -167,7 +177,7 @@ def reject_path(
             return np.array(probs), None
         residual = amps - hit
         amps = residual / np.linalg.norm(residual)
-    return np.array(probs), PureState(psi.shape, amps)
+    return np.array(probs), _trusted(PureState, psi.shape, amps)
 
 
 def _register_branch(
@@ -175,6 +185,8 @@ def _register_branch(
 ) -> tuple[int, float]:
     """(outcome, probability) of a measurement whose outcome j has
     probability weights[j]: `branch` if given, else one ``rng.choice`` draw."""
+    if (branch is None) == (rng is None):
+        raise ValueError("pass exactly one of branch= or rng=")
     probs = np.clip(weights, 0.0, 1.0)
     if branch is None:
         branch = int(rng.choice(len(probs), p=probs / probs.sum()))
@@ -199,8 +211,6 @@ def measure_register_collapse(
     Same contract as :func:`measure_collapse` but never materialises a dense
     projector, so it scales to large register systems.
     """
-    if (branch is None) == (rng is None):
-        raise ValueError("pass exactly one of branch= or rng=")
     register = psi.shape.check_register(register)
     dims = psi.shape.dims
     tensor = np.moveaxis(psi.amplitudes.reshape(dims), register, -1)
@@ -210,7 +220,7 @@ def measure_register_collapse(
     collapsed[:, branch] = flat[:, branch]
     collapsed /= math.sqrt(prob)
     out = np.moveaxis(collapsed.reshape(tensor.shape), -1, register).reshape(-1)
-    return branch, prob, PureState(psi.shape, out)
+    return branch, prob, _trusted(PureState, psi.shape, out)
 
 
 # -- gentle measurement ---------------------------------------------------------
@@ -303,14 +313,10 @@ def union_bound_bruteforce(
     defaults to the largest single-measurement accept probability on the
     initial state, which is the premise quantity of the union bound.
     """
+    _check_projective(measurements, rho.shape)
     t_steps = len(measurements)
-    if t_steps == 0:
-        raise ValueError("need at least one measurement")
     if t_steps > MAX_ENUMERATION_STEPS:
         raise ValueError(f"T = {t_steps} too large for exhaustive enumeration")
-    for m in measurements:
-        if not m.is_projector:
-            raise ValueError("the union bound check covers projective sequences only")
     rho_op = rho.density() if isinstance(rho, PureState) else rho
     if epsilon is None:
         epsilon = max(accept_probability(m, rho_op) for m in measurements)
@@ -325,7 +331,7 @@ def union_bound_bruteforce(
             prob = float(np.trace(tau).real)
             final = None
             if prob > ZERO_BRANCH_ATOL:
-                final = DensityOperator(shape, 0.5 * (tau + tau.conj().T) / np.trace(tau).real)
+                final = _trusted(DensityOperator, shape, 0.5 * (tau + tau.conj().T) / np.trace(tau).real)
             rec = TrajectoryRecord(outcomes, max(prob, 0.0), final)
             trajectories.append(rec)
             if any(outcomes):
@@ -353,20 +359,18 @@ def union_bound_bruteforce(
 # -- Naimark forms ---------------------------------------------------------------
 
 
-def naimark_checks(pis: np.ndarray, d_anc: int) -> np.ndarray:
-    """The induced operators of a Hermitian (b, D, D) stack of Naimark
-    projectors whose ancilla index (dimension d_anc) runs fastest, after
-    checking that each Pi is idempotent and induces an operator in [0, I].
+def naimark_checks(pis: np.ndarray, d_anc: int) -> None:
+    """Check that each Pi of a Hermitian (b, D, D) stack of Naimark projectors,
+    ancilla index (dimension d_anc) fastest, is idempotent and induces an
+    operator in [0, I].
 
     Delta Pi Delta = L (x) |0><0| for every Pi, as Delta is a 0/1 diagonal,
     so L is the submatrix of Pi on ancilla value 0.  Errors name the first
     bad slice.
     """
     check_slices(is_idempotent(pis), "Pi", "not a projector within tolerance")
-    induced = pis[:, ::d_anc, ::d_anc].copy()
+    induced = pis[:, ::d_anc, ::d_anc]
     check_slices(in_unit_interval(np.linalg.eigvalsh(induced)), "induced operator", "not in [0, I]")
-    induced.setflags(write=False)
-    return induced
 
 
 @dataclass(frozen=True)
@@ -382,13 +386,15 @@ class NaimarkForm:
     ancilla_dims: tuple[int, ...]
     pi: np.ndarray
 
-    def __post_init__(self):
+    def _store(self):
         ancilla_dims = tuple(int(d) for d in self.ancilla_dims)
-        pi = _hermitian_matrix(RegisterShape(self.system_shape.dims + ancilla_dims), self.pi)
-        induced = naimark_checks(pi[None], math.prod(ancilla_dims))[0]
+        dim = RegisterShape(self.system_shape.dims + ancilla_dims).total_dim
         object.__setattr__(self, "ancilla_dims", ancilla_dims)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "_induced", induced)
+        object.__setattr__(self, "pi", _complex_array(self.pi, (dim, dim)))
+
+    def __post_init__(self):
+        self._store()
+        naimark_checks(hermitian_stack(self.pi[None], "Pi"), self.ancilla_dim)
 
     @property
     def m(self) -> int:
@@ -409,14 +415,15 @@ class NaimarkForm:
 
     def induced_operator(self) -> HermitianOperator:
         """The accept operator L this form realises."""
-        return HermitianOperator(self.system_shape, self._induced)
+        d_anc = self.ancilla_dim
+        return _trusted(HermitianOperator, self.system_shape, self.pi[::d_anc, ::d_anc])
 
 
 def trivial_naimark(measurement: TwoOutcomeMeasurement) -> NaimarkForm:
     """The m = 0 form of a projector: Pi = L, Delta = I."""
     if not measurement.is_projector:
         raise ValueError("the trivial Naimark form needs a projector")
-    return NaimarkForm(measurement.shape, (), measurement.accept_op.matrix)
+    return _trusted(NaimarkForm, measurement.shape, (), measurement.accept_op.matrix)
 
 
 def accept_spectra(accept_ops) -> EigenDecomposition:
@@ -448,19 +455,17 @@ def one_ancilla_dilation_stack(accept_ops) -> np.ndarray:
     """The Pi of :func:`one_ancilla_dilation` for each slice of a (b, d, d)
     stack of accept operators, or of the decomposition stack of one
     (:func:`states.eigendecompose_stack`), as a (b, 2d, 2d) array, ancilla
-    index fastest.  Each Pi passes the :class:`NaimarkForm` checks, run on
-    the stack, and equals the single construction's bit for bit.
+    index fastest, equal to the single construction's bit for bit.  Only the
+    spectra are checked (in [0, I]); each Pi is a projector by construction.
     """
-    pis = _dilation_pis(accept_spectra(accept_ops))
-    naimark_checks(pis, 2)
-    return pis
+    return _dilation_pis(accept_spectra(accept_ops))
 
 
 def one_ancilla_dilation(accept_op: HermitianOperator) -> NaimarkForm:
     """Standard one-qubit dilation built from the spectral decomposition of L:
     a stack of one for the construction of :func:`one_ancilla_dilation_stack`."""
     pi = _dilation_pis(_canonical_eigh(accept_op.matrix[None]))[0]
-    return NaimarkForm(accept_op.shape, (2,), pi)
+    return _trusted(NaimarkForm, accept_op.shape, (2,), pi)
 
 
 def naimark_form(measurement: TwoOutcomeMeasurement) -> NaimarkForm:
@@ -479,24 +484,18 @@ def build_averaged_naimark(measurements: Sequence[TwoOutcomeMeasurement]) -> Nai
     uses a dimension-2 ancilla with Pi = L (x) |0><0| (register dimensions
     below 2 are not representable).
     """
-    if not measurements:
-        raise ValueError("need at least one measurement")
+    _check_projective(measurements)
     shape = measurements[0].shape
-    for m in measurements:
-        if m.shape != shape:
-            raise ValueError("all measurements must share one register shape")
-        if not m.is_projector:
-            raise ValueError("the averaged construction needs projectors")
     n = len(measurements)
     if n == 1:
-        return NaimarkForm(shape, (2,), np.kron(measurements[0].accept_op.matrix, ancilla_zero(2)))
+        return _trusted(NaimarkForm, shape, (2,), np.kron(measurements[0].accept_op.matrix, ancilla_zero(2)))
     q = qft_matrix(n)
     d = shape.total_dim
     pi = np.zeros((d * n, d * n), dtype=np.complex128)
     for i, m in enumerate(measurements):
         anc = np.outer(q[:, i], q[:, i].conj())
         pi += np.kron(m.accept_op.matrix, anc)
-    return NaimarkForm(shape, (n,), pi)
+    return _trusted(NaimarkForm, shape, (n,), pi)
 
 
 # -- the anti-Zeno example sequence ----------------------------------------------
@@ -505,7 +504,7 @@ def build_averaged_naimark(measurements: Sequence[TwoOutcomeMeasurement]) -> Nai
 def anti_zeno_state(n: int, k: int) -> PureState:
     """|psi_k> = cos(pi k / 2n)|0> + sin(pi k / 2n)|1>."""
     theta = math.pi * k / (2 * n)
-    return PureState(RegisterShape((2,)), np.array([math.cos(theta), math.sin(theta)]))
+    return _trusted(PureState, RegisterShape((2,)), np.array([math.cos(theta), math.sin(theta)]))
 
 
 def anti_zeno_sequence(n: int) -> list[TwoOutcomeMeasurement]:
@@ -522,7 +521,7 @@ def anti_zeno_sequence(n: int) -> list[TwoOutcomeMeasurement]:
     for k in range(1, n + 1):
         psi_k = anti_zeno_state(n, k)
         lam = np.eye(2) - np.outer(psi_k.amplitudes, psi_k.amplitudes.conj())
-        out.append(TwoOutcomeMeasurement(HermitianOperator(shape, lam), is_projector=True))
+        out.append(_trusted(TwoOutcomeMeasurement, _trusted(HermitianOperator, shape, lam), True))
     return out
 
 

@@ -54,6 +54,7 @@ from .gates import qft_matrix
 from .measurement import (
     NaimarkForm,
     TwoOutcomeMeasurement,
+    _check_projective,
     accept_spectra,
     in_unit_interval,
     is_idempotent,
@@ -67,6 +68,7 @@ from .states import (
     PureState,
     RegisterShape,
     _canonical_eigh,
+    _trusted,
     check_slices,
     eigendecompose,
     hermitian_stack,
@@ -85,8 +87,7 @@ class MWInstance:
     n_rounds: int
 
     def __post_init__(self):
-        if self.n_rounds < 1:
-            raise ValueError("round count must be >= 1")
+        _round_counts(self.n_rounds, 1)
         if self.initial.shape != self.naimark.system_shape:
             raise ValueError("initial state must live on the pre-ancilla system space")
 
@@ -109,8 +110,7 @@ class AveragedInstance:
         appliers = tuple(self.appliers)
         if not appliers:
             raise ValueError("need at least one measurement")
-        if self.n_rounds < 1:
-            raise ValueError("round count must be >= 1")
+        _round_counts(self.n_rounds, 1)
         object.__setattr__(self, "appliers", appliers)
 
 
@@ -301,7 +301,8 @@ def sample_trials(
 
 
 def _round_counts(n_rounds, rows: int) -> np.ndarray:
-    """One integer round count >= 1 per row, from an int or a length-`rows` array."""
+    """One integer round count >= 1 per row, from an int or a length-`rows`
+    array: the round-count check of every amplification entry point."""
     counts = np.asarray(n_rounds)
     if counts.ndim > 1 or not np.issubdtype(counts.dtype, np.integer):
         raise ValueError(f"round counts must be an integer or a 1-d integer array, got {n_rounds!r}")
@@ -434,9 +435,10 @@ def mw_accept_polynomial(
     Equals :func:`mw_accept_from_spectrum` on L's spectral measure seen from
     v, since sum_i w_i (1 - lambda_i)^{2N} = <v|(I - L)^{2N}|v>, but needs
     only N applications of L: no eigendecomposition and no dense operator.
+    v must have unit norm to STATE_ATOL (:func:`states.state_stack`).
     """
-    if n_rounds < 1:
-        raise ValueError("round count must be >= 1")
+    _round_counts(n_rounds, 1)
+    state_stack(np.asarray(vector)[None])
     residual = vector
     for _ in range(n_rounds):
         residual = residual - apply_l(residual)
@@ -545,9 +547,8 @@ def or_round_count(n: int, epsilon) -> int:
 
 
 def _averaged_operator(measurements: Sequence[TwoOutcomeMeasurement]) -> HermitianOperator:
-    shape = measurements[0].shape
     mean = sum(m.accept_op.matrix for m in measurements) / len(measurements)
-    return HermitianOperator(shape, mean)
+    return _trusted(HermitianOperator, measurements[0].shape, mean)
 
 
 def _averaged_pi(
@@ -582,9 +583,7 @@ def or_test_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`or_test`: the averaged projector
     family applied matrix-free, the input and N = ceil(n/(1-eps)) rounds."""
-    for m in measurements:
-        if not m.is_projector:
-            raise ValueError("or_test requires projective measurements")
+    _check_projective(measurements, rho.shape)
     n_rounds = or_round_count(len(measurements), epsilon)
     appliers = [(lambda v, mat=m.accept_op.matrix: mat @ v) for m in measurements]
     return AveragedInstance(appliers, rho, n_rounds)
@@ -613,6 +612,7 @@ def or_test_accept_exact(
     epsilon,
 ) -> float:
     """Exact acceptance probability of :func:`or_test` on this instance."""
+    _check_projective(measurements, rho.shape)
     n_rounds = or_round_count(len(measurements), epsilon)
     return mw_accept_exact(_averaged_operator(measurements), rho, n_rounds)
 
@@ -631,7 +631,17 @@ def merlin_slice_operators(gamma: HermitianOperator) -> list[HermitianOperator]:
         raise ValueError("gamma must act on a message (x) witness system")
     d = dims[-1]
     sys_shape = RegisterShape(dims[:-1])
-    return [HermitianOperator(sys_shape, gamma.matrix[j::d, j::d].copy()) for j in range(d)]
+    return [_trusted(HermitianOperator, sys_shape, gamma.matrix[j::d, j::d]) for j in range(d)]
+
+
+def _check_gamma(gamma: HermitianOperator, psi: PureState) -> None:
+    """The instance check of :func:`demerlinize_instance`,
+    :func:`demerlinize_accept_exact` and :func:`merlin_best_witness_accept`:
+    Gamma in [0, I] on message (x) witness, psi on the message registers."""
+    if psi.shape.dims != gamma.shape.dims[:-1]:
+        raise ValueError("psi must live on the message registers of gamma's message (x) witness system")
+    if not in_unit_interval(np.linalg.eigvalsh(gamma.matrix)):
+        raise ValueError("gamma is not in [0, I]")
 
 
 def merlin_best_witness_accept(gamma: HermitianOperator, psi: PureState) -> float:
@@ -640,11 +650,8 @@ def merlin_best_witness_accept(gamma: HermitianOperator, psi: PureState) -> floa
     Equals the top eigenvalue of the witness-side operator obtained by
     contracting Gamma with |psi><psi| on the message side.
     """
-    dims = gamma.shape.dims
-    d = dims[-1]
-    d_sys = gamma.shape.total_dim // d
-    if psi.shape.total_dim != d_sys:
-        raise ValueError("psi must live on the message space")
+    _check_gamma(gamma, psi)
+    d_sys, d = psi.shape.total_dim, gamma.shape.dims[-1]
     g = gamma.matrix.reshape(d_sys, d, d_sys, d)
     t = np.einsum("a,abcd,c->bd", psi.amplitudes.conj(), g, psi.amplitudes)
     return float(np.linalg.eigvalsh(0.5 * (t + t.conj().T)).max())
@@ -662,17 +669,17 @@ def demerlinize_operator(gamma: HermitianOperator) -> HermitianOperator:
     """The averaged accept operator (1/d) sum_j Gamma_j on the message space."""
     slices = merlin_slice_operators(gamma)
     mean = sum(s.matrix for s in slices) / len(slices)
-    return HermitianOperator(slices[0].shape, mean)
+    return _trusted(HermitianOperator, slices[0].shape, mean)
 
 
 def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> MWInstance:
     """The amplification run of :func:`demerlinize_test`: the averaged slice
-    operator's Naimark form, the message state and N = ceil(d/eta) rounds."""
-    if not in_unit_interval(np.linalg.eigvalsh(gamma.matrix)):
-        raise ValueError("gamma is not in [0, I]")
+    operator's Naimark form (trivial when that operator is a projector), the
+    message state and N = ceil(d/eta) rounds."""
+    _check_gamma(gamma, psi)
     lam = demerlinize_operator(gamma)
     n_rounds = demerlinize_round_count(gamma.shape.dims[-1], eta)
-    measurement = TwoOutcomeMeasurement(lam, is_projector=is_idempotent(lam.matrix))
+    measurement = _trusted(TwoOutcomeMeasurement, lam, is_idempotent(lam.matrix))
     return MWInstance(naimark_form(measurement), psi, n_rounds)
 
 
@@ -692,6 +699,6 @@ def demerlinize_test(
 
 def demerlinize_accept_exact(gamma: HermitianOperator, psi: PureState, eta) -> float:
     """Exact acceptance probability of :func:`demerlinize_test`."""
+    _check_gamma(gamma, psi)
     lam = demerlinize_operator(gamma)
-    d = gamma.shape.dims[-1]
-    return mw_accept_exact(lam, psi, demerlinize_round_count(d, eta))
+    return mw_accept_exact(lam, psi, demerlinize_round_count(gamma.shape.dims[-1], eta))

@@ -1,16 +1,20 @@
-"""Seeded random instance generators shared by the test suite and experiments."""
+"""Seeded random instance generators shared by the test suite and experiments.
+
+Each generator builds a value that is valid by construction, so it takes
+the trusted construction path of :mod:`states`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityOperator, HermitianOperator, PureState, RegisterShape
+from .states import DensityOperator, HermitianOperator, PureState, RegisterShape, _trusted
 
 
 def random_pure_state(rng: np.random.Generator, shape: RegisterShape) -> PureState:
     d = shape.total_dim
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(shape, v / np.linalg.norm(v))
+    return _trusted(PureState, shape, v / np.linalg.norm(v))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -31,7 +35,7 @@ def random_density_operator(
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(shape, rho)
+    return _trusted(DensityOperator, shape, rho)
 
 
 def random_projector(rng: np.random.Generator, shape: RegisterShape, rank: int) -> HermitianOperator:
@@ -39,10 +43,10 @@ def random_projector(rng: np.random.Generator, shape: RegisterShape, rank: int) 
     if not 0 <= rank <= d:
         raise ValueError("projector rank out of range")
     if rank == 0:
-        return HermitianOperator(shape, np.zeros((d, d)))
+        return _trusted(HermitianOperator, shape, np.zeros((d, d)))
     u = random_unitary(rng, d)
     cols = u[:, :rank]
-    return HermitianOperator(shape, cols @ cols.conj().T)
+    return _trusted(HermitianOperator, shape, cols @ cols.conj().T)
 
 
 def random_povm_contraction(rng: np.random.Generator, shape: RegisterShape) -> HermitianOperator:
@@ -53,4 +57,4 @@ def random_povm_contraction(rng: np.random.Generator, shape: RegisterShape) -> H
     h /= np.linalg.eigvalsh(h).max()
     h *= rng.uniform(0.05, 1.0)
     h = 0.5 * (h + h.conj().T)
-    return HermitianOperator(shape, h)
+    return _trusted(HermitianOperator, shape, h)

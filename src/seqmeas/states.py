@@ -19,10 +19,11 @@ import numpy as np
 STATE_ATOL = 1e-10
 
 
-def _complex_array(values, ndim: int) -> np.ndarray:
+def _complex_array(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only complex128 copy of `values`, checked to have `shape`."""
     arr = np.array(values, dtype=np.complex128)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"array shape {arr.shape} does not match the register shape's {shape}")
     arr.setflags(write=False)
     return arr
 
@@ -86,17 +87,13 @@ class PureState:
     shape: RegisterShape
     amplitudes: np.ndarray
 
+    def _store(self):
+        object.__setattr__(self, "amplitudes", _complex_array(self.amplitudes, (self.shape.total_dim,)))
+
     def __post_init__(self):
-        amps = _complex_array(self.amplitudes, ndim=1)
-        if amps.size != self.shape.total_dim:
-            raise ValueError(
-                f"amplitude vector length {amps.size} does not match shape "
-                f"{self.shape.dims} (total dim {self.shape.total_dim})"
-            )
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= STATE_ATOL:
-            raise ValueError(f"state is not normalised: |psi| = {norm!r}")
-        object.__setattr__(self, "amplitudes", amps)
+        self._store()
+        if not abs(np.linalg.norm(self.amplitudes) - 1.0) <= STATE_ATOL:
+            raise ValueError("state is not normalised")
 
     def tensor(self) -> np.ndarray:
         """Amplitudes viewed as a tensor with one axis per register."""
@@ -108,21 +105,10 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _trusted(DensityOperator, self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def projector(self) -> "HermitianOperator":
-        return HermitianOperator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-def _hermitian_matrix(shape: RegisterShape, values) -> np.ndarray:
-    """A read-only complex copy of `values`, checked (d, d) for the shape and Hermitian."""
-    mat = _complex_array(values, ndim=2)
-    d = shape.total_dim
-    if mat.shape != (d, d):
-        raise ValueError(f"matrix shape {mat.shape} does not match total dim {d}")
-    if not is_hermitian(mat):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return mat
+        return _trusted(HermitianOperator, self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -132,12 +118,17 @@ class HermitianOperator:
     shape: RegisterShape
     matrix: np.ndarray
 
+    def _store(self):
+        object.__setattr__(self, "matrix", _complex_array(self.matrix, (self.shape.total_dim,) * 2))
+
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _hermitian_matrix(self.shape, self.matrix))
+        self._store()
+        if not is_hermitian(self.matrix):
+            raise ValueError("matrix is not Hermitian within tolerance")
 
     @classmethod
     def identity(cls, shape: RegisterShape) -> "HermitianOperator":
-        return cls(shape, np.eye(shape.total_dim))
+        return _trusted(cls, shape, np.eye(shape.total_dim))
 
 
 @dataclass(frozen=True)
@@ -147,17 +138,29 @@ class DensityOperator:
     shape: RegisterShape
     matrix: np.ndarray
 
+    _store = HermitianOperator._store
+
     def __post_init__(self):
-        mat = _hermitian_matrix(self.shape, self.matrix)
-        if abs(np.trace(mat).real - 1.0) > STATE_ATOL or abs(np.trace(mat).imag) > STATE_ATOL:
-            raise ValueError(f"density matrix trace is {np.trace(mat)!r}, expected 1")
-        if np.linalg.eigvalsh(mat).min() < -STATE_ATOL:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-        object.__setattr__(self, "matrix", mat)
+        HermitianOperator.__post_init__(self)
+        if not abs(np.trace(self.matrix) - 1.0) <= STATE_ATOL:
+            raise ValueError("state is not of unit trace")
+        if not np.linalg.eigvalsh(self.matrix).min() >= -STATE_ATOL:
+            raise ValueError("state is not positive semidefinite")
 
     @classmethod
     def pure(cls, psi: PureState) -> "DensityOperator":
         return psi.density()
+
+
+def _trusted(cls, *values):
+    """The value type `cls` from all its field values, in order, for data the
+    package built from checked data (valid by construction): ``cls._store``
+    keeps the storage invariants, the checks of ``__post_init__`` are skipped."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    obj._store()
+    return obj
 
 
 @dataclass(frozen=True)
@@ -258,14 +261,10 @@ def eigendecompose(op: HermitianOperator | DensityOperator | np.ndarray) -> Eige
     core.
     """
     if isinstance(op, (HermitianOperator, DensityOperator)):
-        mat = op.matrix
+        mats = op.matrix[None]
     else:
-        mat = np.asarray(op, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if not is_hermitian(mat):
-            raise ValueError("cannot eigendecompose: matrix is not Hermitian within tolerance")
-    dec = _canonical_eigh(mat[None])
+        mats = hermitian_stack(np.asarray(op)[None])
+    dec = _canonical_eigh(mats)
     return EigenDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
 
@@ -303,7 +302,7 @@ def reduced_density(psi: PureState, registers: Iterable[int]) -> DensityOperator
     keep, m = _split_registers(psi, registers)
     rho = m @ m.conj().T
     sub_shape = RegisterShape(tuple(psi.shape.dims[r] for r in keep))
-    return DensityOperator(sub_shape, rho)
+    return _trusted(DensityOperator, sub_shape, rho)
 
 
 def subsystem_purity(psi: PureState, registers: Iterable[int]) -> float:
@@ -325,7 +324,7 @@ def basis_state(shape: RegisterShape, labels: Sequence[int]) -> PureState:
             raise ValueError(f"label {v} out of range for register {r}")
     amps = np.zeros(shape.total_dim, dtype=np.complex128)
     amps[int(np.ravel_multi_index(tuple(labels), shape.dims))] = 1.0
-    return PureState(shape, amps)
+    return _trusted(PureState, shape, amps)
 
 
 def product_state(parts: Sequence[PureState]) -> PureState:
@@ -335,17 +334,17 @@ def product_state(parts: Sequence[PureState]) -> PureState:
     for p in parts:
         dims.extend(p.shape.dims)
         amps = np.kron(amps, p.amplitudes)
-    return PureState(RegisterShape(tuple(dims)), amps)
+    return _trusted(PureState, RegisterShape(tuple(dims)), amps)
 
 
 def plus_state() -> PureState:
-    return PureState(RegisterShape((2,)), np.array([1.0, 1.0]) / math.sqrt(2))
+    return _trusted(PureState, RegisterShape((2,)), np.array([1.0, 1.0]) / math.sqrt(2))
 
 
 def bell_pair() -> PureState:
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = amps[3] = 1.0 / math.sqrt(2)
-    return PureState(RegisterShape((2, 2)), amps)
+    return _trusted(PureState, RegisterShape((2, 2)), amps)
 
 
 def ghz_state(n_parts: int, dim: int = 2) -> PureState:
@@ -355,4 +354,4 @@ def ghz_state(n_parts: int, dim: int = 2) -> PureState:
     amps = np.zeros(shape.total_dim, dtype=np.complex128)
     for v in range(dim):
         amps[int(np.ravel_multi_index((v,) * n_parts, shape.dims))] = 1.0 / math.sqrt(dim)
-    return PureState(shape, amps)
+    return _trusted(PureState, shape, amps)

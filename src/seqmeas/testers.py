@@ -38,13 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gates import (
-    GateSpec,
-    PAULI_X,
-    PermutationAction,
-    is_unitary,
-    permutation_matrix,
-)
+from .gates import PermutationAction, is_unitary
 from .measurement import _register_branch
 from .quantum_or import (
     AveragedInstance,
@@ -57,6 +51,9 @@ from .quantum_or import (
 from .states import (
     PureState,
     RegisterShape,
+    _split_registers,
+    _trusted,
+    basis_state,
     eigendecompose,
     product_state,
     plus_state,
@@ -136,7 +133,7 @@ def function_state(f: FunctionTable) -> PureState:
     amps = np.zeros(shape.total_dim, dtype=np.complex128)
     for x, y in enumerate(f.values):
         amps[x * f.codomain_size + y] = 1.0
-    return PureState(shape, amps / math.sqrt(f.domain_size))
+    return _trusted(PureState, shape, amps / math.sqrt(f.domain_size))
 
 
 def pair_state(f: FunctionTable, g: FunctionTable) -> PureState:
@@ -145,7 +142,7 @@ def pair_state(f: FunctionTable, g: FunctionTable) -> PureState:
         raise ValueError("f and g must share domain and codomain")
     fs, gs = function_state(f), function_state(g)
     amps = np.concatenate([fs.amplitudes, gs.amplitudes]) / math.sqrt(2)
-    return PureState(RegisterShape((2, f.domain_size, f.codomain_size)), amps)
+    return _trusted(PureState, RegisterShape((2, f.domain_size, f.codomain_size)), amps)
 
 
 def pair_swap_unitary(sigma: PermutationAction, codomain_size: int) -> np.ndarray:
@@ -163,17 +160,6 @@ def pair_swap_unitary(sigma: PermutationAction, codomain_size: int) -> np.ndarra
             mat[(1 * n_x + inv(x)) * n_y + y, (0 * n_x + x) * n_y + y] = 1.0
             mat[(0 * n_x + sigma(x)) * n_y + y, (1 * n_x + x) * n_y + y] = 1.0
     return mat
-
-
-def pair_swap_gates(sigma: PermutationAction) -> list[GateSpec]:
-    """The same unitary as a flag flip plus two controlled label permutations."""
-    u_sigma = permutation_matrix(sigma)
-    u_sigma_inv = permutation_matrix(sigma.inverse())
-    return [
-        GateSpec((0,), PAULI_X),
-        GateSpec((1,), u_sigma_inv, controls=((0, 1),)),
-        GateSpec((1,), u_sigma, controls=((0, 0),)),
-    ]
 
 
 # -- the interference (eigenvector) tester ---------------------------------------
@@ -226,16 +212,17 @@ def eigen_copies(n_measurements: int, epsilon: float) -> int:
     return _least_copies(n_measurements, epsilon, 1 - epsilon / 2)
 
 
+def _check_copies(copies_k: int) -> None:
+    """The copy-count check of every k-copy tester."""
+    if copies_k < 1:
+        raise ValueError("need at least one copy")
+
+
 def eigen_tester_state(psi: PureState, copies_k: int) -> PureState:
     """((|0>+|1>)/sqrt2 (x) |psi>)^k (x) |0>: k control-tagged copies plus a
     flag qubit, after checking its size against the vector cap."""
-    if copies_k < 1:
-        raise ValueError("need at least one copy")
-    dim = 2 * (2 * psi.shape.total_dim) ** copies_k
-    if dim > MAX_VECTOR_DIM:
-        raise ValueError(f"interference tester state dim {dim} exceeds the vector cap {MAX_VECTOR_DIM}")
-    zero = PureState(RegisterShape((2,)), np.array([1.0, 0.0]))
-    return product_state([plus_state(), psi] * copies_k + [zero])
+    _check_copies(copies_k)
+    return _copies_state([plus_state(), psi], copies_k, [basis_state(RegisterShape((2,)), (0,))])
 
 
 def _eigen_layout(psi_shape: RegisterShape, copies_k: int) -> tuple[tuple[int, ...], int, list[int]]:
@@ -263,9 +250,7 @@ def eigen_measurement_cycle(
     dims, _, _ = _eigen_layout(psi_shape, copies_k)
     if state.shape.dims != dims:
         raise ValueError("state does not have the tester layout for this psi shape and k")
-    (unitary,) = _eigen_family((unitary,), psi_shape)
-    if (branch is None) == (rng is None):
-        raise ValueError("pass exactly one of branch= or rng=")
+    (unitary,) = _eigen_check((unitary,), psi_shape, copies_k)
     x = state.amplitudes.reshape(-1, 2).T  # rows: flag 0, flag 1
     # after the k block steps the flag axis leads: rows (x)R x_0, (x)R x_1
     rx = _copy_reflection_applier(unitary, copies_k)(state.amplitudes).reshape(2, -1)
@@ -274,7 +259,7 @@ def eigen_measurement_cycle(
     weights = np.array([sum(np.vdot(v, v).real for v in b) for b in branches])
     branch, prob = _register_branch(weights, branch, rng)
     residual = np.stack(branches[branch], axis=1).reshape(-1) / math.sqrt(prob)
-    return branch, prob, PureState(state.shape, residual)
+    return branch, prob, _trusted(PureState, state.shape, residual)
 
 
 def _copy_reflection_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -307,45 +292,31 @@ def block_reflection(unitary: np.ndarray) -> np.ndarray:
     return 0.5 * np.vstack([top, bottom])
 
 
-def eigen_measurement_projector(unitary: np.ndarray, psi_shape: RegisterShape, copies_k: int) -> np.ndarray:
-    """Dense accept projector of the interference measurement (small sizes only)."""
-    r = block_reflection(unitary)
-    b = reduce(np.kron, [r] * copies_k)
-    dim = b.shape[0] * 2
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dense projector dim {dim} exceeds cap {MAX_DENSE_DIM}")
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    return np.kron(b, p0) + np.kron(np.eye(b.shape[0]) - b, p1)
-
-
 def analytic_eigen_accept(unitary: np.ndarray, psi: PureState, copies_k: int) -> float:
     """Closed-form single-measurement acceptance (1/2 + Re<psi|U|psi>/2)^k."""
     overlap = np.vdot(psi.amplitudes, unitary @ psi.amplitudes)
     return float((0.5 + 0.5 * overlap.real) ** copies_k)
 
 
-def _eigen_family(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: RegisterShape) -> UnitarySet:
-    """The family as a validated :class:`UnitarySet` acting on psi's space.
-
-    The factored appliers only reshape, so a unitary of the wrong dimension
-    would pass silently whenever the sizes divide; it is rejected here.
-    """
+def _eigen_check(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: RegisterShape, copies_k: int):
+    """The family as a :class:`UnitarySet` on psi's space, after the instance
+    check of :func:`eigen_instance`, :func:`eigen_or_accept_exact` and
+    :func:`eigen_measurement_cycle`: k >= 1, and unitaries of psi's dimension
+    (the factored appliers only reshape, so others could pass silently)."""
+    _check_copies(copies_k)
     mats = unitaries if isinstance(unitaries, UnitarySet) else UnitarySet(tuple(unitaries))
     if mats.dim != psi_shape.total_dim:
         raise ValueError("unitary dimension does not match the state dimension")
     return mats
 
 
-def _copies_state(psi: PureState, copies_k: int) -> PureState:
-    """((|0>+|1>)/sqrt2 (x) |psi>)^k, the flag-0 block of the tester state,
-    after checking its size against the vector cap."""
-    if copies_k < 1:
-        raise ValueError("need at least one copy")
-    dim = (2 * psi.shape.total_dim) ** copies_k
+def _copies_state(parts: list[PureState], copies_k: int, tail: Sequence[PureState] = ()) -> PureState:
+    """(parts)^{(x)k} (x) tail, the state of every k-copy tester, after
+    checking its size against the vector cap (k is checked by the caller)."""
+    dim = math.prod(p.shape.total_dim for p in parts) ** copies_k * math.prod(p.shape.total_dim for p in tail)
     if dim > MAX_VECTOR_DIM:
-        raise ValueError(f"k-copy interference state dim {dim} exceeds the vector cap {MAX_VECTOR_DIM}")
-    return product_state([plus_state(), psi] * copies_k)
+        raise ValueError(f"k-copy state dim {dim} exceeds the vector cap {MAX_VECTOR_DIM}")
+    return product_state(parts * copies_k + list(tail))
 
 
 def _run_once(inst: AveragedInstance, rng: np.random.Generator) -> bool:
@@ -361,12 +332,11 @@ def eigen_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`eigen_test`: the k-copy interference
     state, one factored applier per unitary and N = number of unitaries."""
-    mats = _eigen_family(unitaries, psi.shape)
-    n = len(mats)
-    k = eigen_copies(n, epsilon) if copies_k is None else copies_k
-    phi = _copies_state(psi, k)
+    k = eigen_copies(len(unitaries), epsilon) if copies_k is None else copies_k
+    mats = _eigen_check(unitaries, psi.shape, k)
+    phi = _copies_state([plus_state(), psi], k)
     appliers = [_copy_reflection_applier(u, k) for u in mats]
-    return AveragedInstance(appliers, phi, or_round_count(n, 0))
+    return AveragedInstance(appliers, phi, or_round_count(len(mats), 0))
 
 
 def eigen_test(
@@ -507,7 +477,7 @@ def eigen_or_accept_exact(
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
-    mats = _eigen_family(unitaries, psi.shape)
+    mats = _eigen_check(unitaries, psi.shape, copies_k)
     n = len(mats)
     rounds = or_round_count(n, 0) if n_rounds is None else n_rounds
     reflections = [block_reflection(u) for u in mats]
@@ -526,7 +496,7 @@ def _eigen_accept_matvec(mats: UnitarySet, psi: PureState, copies_k: int, n_roun
     """The route of :func:`eigen_or_accept_exact` for any family: the
     polynomial acceptance on the flag-0 block, with L the mean of the
     factored appliers."""
-    vec = _copies_state(psi, copies_k).amplitudes
+    vec = _copies_state([plus_state(), psi], copies_k).amplitudes
     appliers = [_copy_reflection_applier(u, copies_k) for u in mats]
     return mw_accept_polynomial(lambda x: sum(a(x) for a in appliers) / len(appliers), vec, n_rounds)
 
@@ -542,30 +512,18 @@ class GIsoRun:
     queries_g: int
 
 
-def _giso_unitaries(
-    f: FunctionTable, g: FunctionTable, group: Sequence[PermutationAction]
-) -> list[np.ndarray]:
+def _g_iso_parts(f: FunctionTable, g: FunctionTable, group, epsilon: float, copies_k: int | None):
+    """The swap unitaries, the superposition state and k: the eigenvector
+    test's inputs, shared by the g-isomorphism sampler and exact oracle."""
     if not group:
         raise ValueError("need at least one permutation")
     for sigma in group:
         if sigma.size != f.domain_size:
             raise ValueError("permutation size does not match the function domain")
-    return [pair_swap_unitary(sigma, f.codomain_size) for sigma in group]
-
-
-def _g_iso_instance(
-    f: FunctionTable,
-    g: FunctionTable,
-    group: Sequence[PermutationAction],
-    epsilon: float,
-    copies_k: int | None,
-) -> tuple[AveragedInstance, int]:
-    """The eigenvector test's run on the two-function superposition state
-    and the per-permutation swap unitaries, with its copy count."""
     psi = pair_state(f, g)
-    mats = _giso_unitaries(f, g, group)
+    mats = [pair_swap_unitary(sigma, f.codomain_size) for sigma in group]
     k = eigen_copies(len(mats), epsilon) if copies_k is None else copies_k
-    return eigen_instance(mats, psi, epsilon, copies_k=k), k
+    return mats, psi, k
 
 
 def g_iso_test(
@@ -582,8 +540,7 @@ def g_iso_test(
     unitaries, then runs the eigenvector test; each copy of the state costs
     one query to f and one to g, which is the reported query count.
     """
-    inst, k = _g_iso_instance(f, g, group, epsilon, copies_k)
-    return GIsoRun(accepted=_run_once(inst, rng), copies_used=k, queries_f=k, queries_g=k)
+    return next(g_iso_trials(f, g, group, epsilon, [rng], copies_k))
 
 
 def g_iso_trials(
@@ -597,8 +554,8 @@ def g_iso_trials(
     """:func:`g_iso_test` once per generator, on one instance built once
     (see :func:`quantum_or.sample_trials`): run t equals ``g_iso_test`` on
     the t-th generator."""
-    inst, k = _g_iso_instance(f, g, group, epsilon, copies_k)
-    for run in sample_trials(inst, rngs):
+    mats, psi, k = _g_iso_parts(f, g, group, epsilon, copies_k)
+    for run in sample_trials(eigen_instance(mats, psi, epsilon, k), rngs):
         yield GIsoRun(accepted=run.accepted, copies_used=k, queries_f=k, queries_g=k)
 
 
@@ -610,10 +567,7 @@ def g_iso_accept_exact(
     copies_k: int | None = None,
 ) -> float:
     """Exact acceptance probability of :func:`g_iso_test` on this instance."""
-    psi = pair_state(f, g)
-    mats = _giso_unitaries(f, g, group)
-    k = eigen_copies(len(mats), epsilon) if copies_k is None else copies_k
-    return eigen_or_accept_exact(mats, psi, k)
+    return eigen_or_accept_exact(*_g_iso_parts(f, g, group, epsilon, copies_k))
 
 
 # -- membership of a state in a finite set -----------------------------------------
@@ -632,16 +586,10 @@ def membership_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`state_membership_test`: psi^k, one
     rank-one applier |phi^k><phi^k| per candidate and N = |P| rounds."""
-    if not candidates:
-        raise ValueError("candidate set is empty")
-    for c in candidates:
-        if c.shape != psi.shape:
-            raise ValueError("candidates and input state must share a shape")
     n = len(candidates)
     k = membership_copies(n, epsilon) if copies_k is None else copies_k
-    if psi.shape.total_dim**k > MAX_VECTOR_DIM:
-        raise ValueError("k-copy state exceeds the vector cap; use the exact oracle instead")
-    big = product_state([psi] * k)
+    _membership_check(candidates, psi, k)
+    big = _copies_state([psi], k)
     powers = [reduce(np.kron, [c.amplitudes] * k) for c in candidates]
     appliers = [(lambda v, p=p: p * np.vdot(p, v)) for p in powers]
     return AveragedInstance(appliers, big, or_round_count(n, 0))
@@ -660,6 +608,16 @@ def state_membership_test(
     averaged OR run with N = |P| rounds.
     """
     return _run_once(membership_instance(candidates, psi, epsilon, copies_k), rng)
+
+
+def _membership_check(candidates: Sequence[PureState], psi: PureState, copies_k: int) -> None:
+    """The instance check of :func:`membership_instance` and
+    :func:`membership_accept_exact`: candidates on psi's shape, k >= 1."""
+    if not candidates:
+        raise ValueError("candidate set is empty")
+    if any(c.shape != psi.shape for c in candidates):
+        raise ValueError("candidates and input state must share a shape")
+    _check_copies(copies_k)
 
 
 def _elementwise_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -688,10 +646,9 @@ def membership_accept_exact(
     initial-state weights follow from the candidate overlaps, so no k-copy
     space is ever built.
     """
+    _membership_check(candidates, psi, copies_k)
     n = len(candidates)
     rounds = or_round_count(n, 0) if n_rounds is None else n_rounds
-    if any(c.shape != psi.shape for c in candidates):
-        raise ValueError("candidates and input state must share a shape")
     amps = np.array([c.amplitudes for c in candidates])
     gram = _elementwise_power(amps.conj() @ amps.T, copies_k)
     t = _elementwise_power(amps.conj() @ psi.amplitudes, copies_k)
@@ -727,7 +684,7 @@ def choi_state(unitary: np.ndarray) -> PureState:
     d = u.shape[0]
     if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    return PureState(RegisterShape((d, d)), choi_vector(u))
+    return _trusted(PureState, RegisterShape((d, d)), choi_vector(u))
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -790,6 +747,15 @@ def conjugation_unitary(u: np.ndarray) -> np.ndarray:
     return swap @ local
 
 
+def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies_k: int | None):
+    """The conjugation unitaries, |V>|W> and k at gap eps^2: the eigenvector
+    test's inputs, shared by the S-isomorphism sampler and exact oracle."""
+    psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
+    mats = [conjugation_unitary(u) for u in s_set]
+    k = eigen_copies(len(mats), epsilon**2) if copies_k is None else copies_k
+    return mats, psi, k
+
+
 def unitary_s_iso_instance(
     s_set: UnitarySet,
     v_unitary: np.ndarray,
@@ -799,9 +765,8 @@ def unitary_s_iso_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`unitary_s_iso_test`: the eigenvector
     test on |V>|W> with one conjugation unitary per U and gap eps^2."""
-    psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
-    mats = [conjugation_unitary(u) for u in s_set]
-    return eigen_instance(mats, psi, epsilon**2, copies_k)
+    mats, psi, k = _u_iso_parts(s_set, v_unitary, w_unitary, epsilon, copies_k)
+    return eigen_instance(mats, psi, epsilon**2, k)
 
 
 def unitary_s_iso_test(
@@ -828,11 +793,8 @@ def unitary_s_iso_accept_exact(
     epsilon: float,
     copies_k: int | None = None,
 ) -> float:
-    psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
-    mats = [conjugation_unitary(u) for u in s_set]
-    gap = epsilon**2
-    k = eigen_copies(len(mats), gap) if copies_k is None else copies_k
-    return eigen_or_accept_exact(mats, psi, k)
+    """Exact acceptance probability of :func:`unitary_s_iso_test` on this instance."""
+    return eigen_or_accept_exact(*_u_iso_parts(s_set, v_unitary, w_unitary, epsilon, copies_k))
 
 
 # -- productness across cuts and genuine multipartite entanglement ------------------
@@ -853,9 +815,7 @@ def proper_cuts(n_parts: int) -> list[tuple[int, ...]]:
 def swap_overlap_two_copies(psi: PureState, cut: Sequence[int]) -> float:
     """<psi(x)psi| SWAP_S |psi(x)psi>, computed on the explicit two-copy state."""
     n = psi.shape.num_registers
-    cut = sorted(set(psi.shape.check_register(c) for c in cut))
-    if not cut or len(cut) >= n:
-        raise ValueError("cut must be a proper nonempty subset of the parts")
+    cut, _ = _split_registers(psi, cut)
     two = np.kron(psi.amplitudes, psi.amplitudes).reshape(psi.shape.dims * 2)
     perm = list(range(2 * n))
     for c in cut:
@@ -898,6 +858,20 @@ def _cut_and_applier(
     return apply
 
 
+def _genuine_cuts(psi: PureState, n_parts: int, copies_k: int | None, epsilon: float | None = None):
+    """The cuts and k (the rule's for `epsilon` if None), after the instance
+    check of :func:`genuine_ent_instance` and :func:`genuine_ent_accept_exact`:
+    one part per register of psi and an even k >= 2."""
+    if n_parts != psi.shape.num_registers:
+        raise ValueError("n_parts must match the state's register count")
+    cuts = proper_cuts(n_parts)
+    k = genuine_ent_copies(len(cuts), epsilon) if copies_k is None else copies_k
+    _check_copies(k)
+    if k % 2 != 0:
+        raise ValueError("the copy count must be even (copies are consumed in pairs)")
+    return cuts, k
+
+
 def genuine_ent_instance(
     psi: PureState,
     n_parts: int,
@@ -906,15 +880,8 @@ def genuine_ent_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`genuine_ent_test`: psi^k, one
     pairwise swap-test applier per cut and one round per cut."""
-    if n_parts != psi.shape.num_registers:
-        raise ValueError("n_parts must match the state's register count")
-    cuts = proper_cuts(n_parts)
-    k = genuine_ent_copies(len(cuts), epsilon) if copies_k is None else copies_k
-    if k % 2 != 0 or k < 2:
-        raise ValueError("the copy count must be even (copies are consumed in pairs)")
-    if psi.shape.total_dim**k > MAX_VECTOR_DIM:
-        raise ValueError("k-copy state exceeds the vector cap; use the exact oracle instead")
-    big = product_state([psi] * k)
+    cuts, k = _genuine_cuts(psi, n_parts, copies_k, epsilon)
+    big = _copies_state([psi], k)
     dims = psi.shape.dims * k
     appliers = [_cut_and_applier(dims, n_parts, k, cut) for cut in cuts]
     return AveragedInstance(appliers, big, or_round_count(len(cuts), 0))
@@ -1053,13 +1020,9 @@ def genuine_ent_accept_exact(psi: PureState, n_parts: int, copies_k: int) -> flo
     visits every subspace of GF(2)^{n-1} in the worst case, which bounds
     the party count at MAX_GENUINE_PARTIES.
     """
-    if n_parts != psi.shape.num_registers:
-        raise ValueError("n_parts must match the state's register count")
-    if copies_k % 2 != 0 or copies_k < 2:
-        raise ValueError("the copy count must be even")
+    n_cuts = len(_genuine_cuts(psi, n_parts, copies_k)[0])
     if n_parts > MAX_GENUINE_PARTIES:
         raise ValueError(f"{n_parts} parties exceed the exact oracle's cap of {MAX_GENUINE_PARTIES}")
-    n_cuts = len(proper_cuts(n_parts))
     w = _sign_pattern_weights(psi)
     patterns = [s for s in range(w.size) if bin(s).count("1") % 2 == 0 and w[s] > PATTERN_ATOL]
     ranks = _span_rank_distribution(patterns, w[patterns].tolist(), copies_k // 2)

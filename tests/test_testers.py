@@ -71,14 +71,12 @@ from seqmeas.testers import (
     averaged_and_measure,
     block_reflection,
     conjugation_unitary,
-    eigen_measurement_projector,
     joint_projector_bits,
-    pair_swap_gates,
     pair_swap_unitary,
     per_candidate_accept,
     swap_overlap_two_copies,
 )
-from seqmeas.gates import dense_gate_matrix
+from seqmeas.gates import dense_gate_matrix, permutation_matrix
 from seqmeas.sampling import random_pure_state, random_unitary
 
 QUBIT = RegisterShape((2,))
@@ -194,6 +192,29 @@ def gate_route_applier(psi_shape, unitary, copies_k):
         return out
 
     return apply
+
+
+def eigen_measurement_projector(unitary, psi_shape, copies_k):
+    """Dense accept projector of the interference measurement (small sizes only)."""
+    r = block_reflection(unitary)
+    b = reduce(np.kron, [r] * copies_k)
+    dim = b.shape[0] * 2
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"dense projector dim {dim} exceeds cap {MAX_DENSE_DIM}")
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    return np.kron(b, p0) + np.kron(np.eye(b.shape[0]) - b, p1)
+
+
+def pair_swap_gates(sigma):
+    """pair_swap_unitary as a flag flip plus two controlled label permutations."""
+    u_sigma = permutation_matrix(sigma)
+    u_sigma_inv = permutation_matrix(sigma.inverse())
+    return [
+        GateSpec((0,), PAULI_X),
+        GateSpec((1,), u_sigma_inv, controls=((0, 1),)),
+        GateSpec((1,), u_sigma, controls=((0, 0),)),
+    ]
 
 
 def dense_eigen_spectrum(mats, psi, copies_k):
