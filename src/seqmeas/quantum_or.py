@@ -24,11 +24,11 @@ Every sampler reads one core, ``_amplify``.  On a pure input every trial
 sees the same not-yet-halted state, and randomness only decides where it
 halts, so the state path belongs to the instance: ``_amplify`` walks it
 once per distinct input vector (one for a pure input, one per
-eigen-ensemble index drawn for a mixed one), given a Pi-applier on a block
-of extended vectors (``x @ pi.T`` for a dense Naimark form, the QFT-column
-form for an averaged projector family).  Each path is grown lazily, only as
-far as the furthest step some trial reaches, and a trial halts at the first
-step whose halting region holds its uniform.
+eigen-ensemble index drawn for a mixed one) on the system space, given an
+L-applier (the path depends on Pi only through L; Pi itself is exercised by
+the survival oracle).  Each path is grown lazily, only as far as the
+furthest step some trial reaches, and a trial halts at the first step whose
+halting region holds its uniform.
 
 Draw order.  A single run (:func:`run_mw_sampled`,
 :func:`run_averaged_or_sampled`) draws a mixed input's ensemble index with
@@ -50,7 +50,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gates import qft_matrix
 from .measurement import (
     NaimarkForm,
     TwoOutcomeMeasurement,
@@ -151,13 +150,6 @@ def _ensemble_rows(
     return vectors[_draw_rows(probs, rng, size)]
 
 
-def _embed(rows: np.ndarray, d_anc: int) -> np.ndarray:
-    """Each row tensored with the ancilla state |0...0> (ancilla index fastest)."""
-    out = np.zeros((rows.shape[0], rows.shape[1] * d_anc), dtype=np.complex128)
-    out[:, ::d_anc] = rows
-    return out
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re<a_i, b_i> for each row i, from the real and imaginary views of
     the two blocks (no conjugated copy is allocated)."""
@@ -165,33 +157,33 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _amplify(
-    apply_pi: Callable[[np.ndarray], np.ndarray],
-    vector: np.ndarray,
-    d_anc: int,
-    n_rounds: int,
+    apply_l: Callable[[np.ndarray], np.ndarray], vector: np.ndarray, n_rounds: int
 ) -> Iterator[float]:
     """The survivor path of one input vector: the run's state while no
-    measurement has halted it.
+    measurement has halted it, walked on the system space.
+
+    Every Naimark form has Delta Pi Delta = L (x) |0><0|, so from |v, 0> the
+    Pi measurement accepts with <v|L|v>, Delta keeps a rejection with
+    ||(I - L) v||^2 / (1 - <v|L|v>), and the next round starts from
+    (I - L) v, normalised: the path depends on Pi only through L.
 
     Yields, step by step, where the halting region of that step begins: the
     Pi accept probability (a trial halts if its uniform lies below it), then
     the Delta keep probability (it halts if its uniform lies at or above
     it), round after round.  As a generator it computes a step only when the
-    step is read; ``apply_pi`` is called once per round entered, on the
-    vector as a block of one row, shape (1, d_sys * d_anc).  Uniforms lie
-    in [0, 1), so the probabilities need no clipping.
+    step is read; ``apply_l`` is called once per round entered.  Uniforms
+    lie in [0, 1), so the probabilities need no clipping, and a Delta step
+    is read only after a Pi accept probability below 1.
     """
-    d_sys = vector.size
-    live = _embed(vector[None, :], d_anc)
+    live = vector
     for _ in range(n_rounds):
-        hit = apply_pi(live)
-        yield _row_dot(live, hit)[0]
+        hit = apply_l(live)
+        p_pi = np.vdot(live, hit).real
+        yield p_pi
         live = live - hit
-        live /= np.sqrt(_row_dot(live, live))[:, None]
-        kept = live.reshape(1, d_sys, d_anc)[:, :, 0]
-        p_keep = _row_dot(kept, kept)
-        yield p_keep[0]
-        live = _embed(kept / np.sqrt(p_keep)[:, None], d_anc)
+        p_rest = np.vdot(live, live).real
+        yield p_rest / (1.0 - p_pi)
+        live = live / math.sqrt(p_rest)
 
 
 class _Survivors:
@@ -205,20 +197,18 @@ class _Survivors:
 
     def __init__(
         self,
-        apply_pi: Callable[[np.ndarray], np.ndarray],
-        d_anc: int,
+        apply_l: Callable[[np.ndarray], np.ndarray],
         initial: PureState | DensityOperator,
         n_rounds: int,
     ):
-        self._apply_pi, self._d_anc, self.n_rounds = apply_pi, d_anc, n_rounds
+        self._apply_l, self.n_rounds = apply_l, n_rounds
         self._vectors, self._probs = _ensemble(initial)
         self._paths: dict[int, tuple[Iterator[float], list[float]]] = {}
 
     def boundary(self, row: int, step: int) -> float:
         """Where the halting region of `step` begins on the path of `row`."""
         if row not in self._paths:
-            path = _amplify(self._apply_pi, self._vectors[row], self._d_anc, self.n_rounds)
-            self._paths[row] = (path, [])
+            self._paths[row] = (_amplify(self._apply_l, self._vectors[row], self.n_rounds), [])
         path, read = self._paths[row]
         while len(read) <= step:
             read.append(next(path))
@@ -252,10 +242,13 @@ class _Survivors:
 
 
 def _survivors(inst: MWInstance | AveragedInstance) -> _Survivors:
+    """The instance's survivor paths, walked with L: a Naimark form's induced
+    operator, or the mean of an averaged family's appliers."""
     if isinstance(inst, MWInstance):
-        pi_t = inst.naimark.pi.T
-        return _Survivors(lambda x: x @ pi_t, inst.naimark.ancilla_dim, inst.initial, inst.n_rounds)
-    return _Survivors(_averaged_pi(inst.appliers), len(inst.appliers), inst.initial, inst.n_rounds)
+        lam = inst.naimark.induced_operator().matrix
+        return _Survivors(lambda v: lam @ v, inst.initial, inst.n_rounds)
+    appliers = inst.appliers
+    return _Survivors(lambda v: sum(a(v) for a in appliers) / len(appliers), inst.initial, inst.n_rounds)
 
 
 def run_mw_sampled(inst: MWInstance, rng: np.random.Generator) -> MWResult:
@@ -549,31 +542,6 @@ def or_round_count(n: int, epsilon) -> int:
 def _averaged_operator(measurements: Sequence[TwoOutcomeMeasurement]) -> HermitianOperator:
     mean = sum(m.accept_op.matrix for m in measurements) / len(measurements)
     return _trusted(HermitianOperator, measurements[0].shape, mean)
-
-
-def _averaged_pi(
-    appliers: Sequence[Callable[[np.ndarray], np.ndarray]],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Pi = sum_i L_{i+1} (x) Q|i><i|Q^{-1} on a block of extended vectors.
-
-    Applied structurally: Fourier transform each trial's ancilla index, move
-    it ahead of the system index with one transpose so that ancilla value i
-    of trial t is the contiguous row ``a[t, i]``, apply the i-th projector to
-    that row in place, and transpose and transform back.
-    """
-    n = len(appliers)
-    q = qft_matrix(n)  # symmetric, so Q.T = Q and (Q^{-1}).T = conj(Q)
-    q_inv_t = q.conj()
-
-    def apply(block: np.ndarray) -> np.ndarray:
-        trials = block.shape[0]
-        a = (block.reshape(-1, n) @ q_inv_t).reshape(trials, -1, n).transpose(0, 2, 1).copy()
-        for t in range(trials):
-            for i in range(n):
-                a[t, i] = appliers[i](a[t, i])
-        return (a.transpose(0, 2, 1).reshape(-1, n) @ q).reshape(block.shape)
-
-    return apply
 
 
 def or_test_instance(

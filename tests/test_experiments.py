@@ -202,6 +202,93 @@ class TestCli:
         assert "vector cap" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _giso_files(tmp_path, case):
+        """Input files of one giso case: an 8-point pair g = f o sigma with
+        sigma = (1 2)(5 6) under the group {id, sigma}, or the group
+        {id, (0 1)} on the desk's 4 points, under which the desk
+        "isomorphic" pair is 1/2-far."""
+        if case == "user-8-points":
+            f = [x % 2 for x in range(8)]
+            sigma = [0, 2, 1, 3, 4, 6, 5, 7]
+            files = {
+                "--fn-f": "".join(f"{x} {f[x]}\n" for x in range(8)),
+                "--fn-g": "".join(f"{x} {f[sigma[x]]}\n" for x in range(8)),
+                "--group": "0 1 2 3 4 5 6 7\n" + " ".join(map(str, sigma)) + "\n",
+            }
+        else:
+            files = {"--group": "0 1 2 3\n1 0 2 3\n"}
+        argv = []
+        for flag, text in files.items():
+            path = tmp_path / f"{flag.strip('-')}.txt"
+            path.write_text(text)
+            argv += [flag, str(path)]
+        return argv
+
+    @pytest.mark.parametrize(
+        "case, assertion",
+        [
+            ("user-8-points", "isomorphic_at_least_one_seventh"),
+            ("swap-group", "isomorphic_at_most_one_eighth"),
+        ],
+    )
+    def test_giso_scores_pairs_by_group_distance(self, case, assertion, tmp_path):
+        """Each pair is bounded by its own distance under the group in use,
+        and the desk far pair is left out when the group acts on another
+        domain."""
+        out = tmp_path / "res.json"
+        argv = ["giso", "--trials", "20", "--out", str(out)] + self._giso_files(tmp_path, case)
+        assert cli_main(argv) == 0
+        body = json.loads(out.read_text())
+        names = [a["name"] for a in body["assertions"]]
+        assert assertion in names
+        assert ("far_exact_accept" in body["values"]) == (case == "swap-group")
+
+    def test_giso_user_pair_between_bounds_is_recorded(self, tmp_path):
+        """A pair at 0 < d_G < epsilon gets its exact acceptance and distance
+        recorded, with no bound."""
+        files = self._giso_files(tmp_path, "user-8-points")
+        (tmp_path / "fn-g.txt").write_text("0 0\n1 1\n2 0\n3 0\n4 0\n5 1\n6 0\n7 1\n")
+        out = tmp_path / "res.json"
+        assert cli_main(["giso", "--trials", "20", "--out", str(out)] + files) == 0
+        body = json.loads(out.read_text())
+        assert body["values"]["isomorphic_group_distance"] == 0.125
+        assert 0.0 < body["values"]["isomorphic_exact_accept"] < 1.0
+        assert not any(a["name"].startswith("isomorphic_at") for a in body["assertions"])
+
+    EPSILON_CAPS = {
+        "giso": "<= 0.5 (the desk far pair's distance to G-isomorphism)",
+        "membership": "<= 0.7071067811865476 (1/sqrt(2)",
+        "genuine-ent": "<= 0.7071067811865476 (sqrt(1/2)",
+    }
+
+    @pytest.mark.parametrize(
+        "experiment, epsilon, past_cap",
+        [
+            ("giso", "0.5", False),
+            ("giso", "0.9", True),
+            ("membership", "0.3", False),
+            ("membership", repr(0.5**0.5), False),
+            ("membership", "0.7072", True),
+            ("membership", "0.8", True),
+            ("genuine-ent", repr(0.5**0.5), False),
+            ("genuine-ent", "0.7072", True),
+            ("genuine-ent", "0.9", True),
+        ],
+    )
+    def test_epsilon_up_to_its_cap(self, experiment, epsilon, past_cap, tmp_path, capsys):
+        """Every bound holds at non-default epsilon up to the experiment's
+        cap; past it the run exits 2 with an error naming the cap."""
+        out = tmp_path / "res.json"
+        argv = [experiment, "--trials", "50", "--param", f"epsilon={epsilon}", "--out", str(out)]
+        if past_cap:
+            assert cli_main(argv) == 2
+            assert self.EPSILON_CAPS[experiment] in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert cli_main(argv) == 0
+            assert json.loads(out.read_text())["all_passed"]
+
     def test_fn_flags_must_pair(self, tmp_path):
         fpath = tmp_path / "f.txt"
         fpath.write_text("0 0\n1 1\n")

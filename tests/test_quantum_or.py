@@ -34,7 +34,7 @@ from seqmeas import (
     run_mw_sampled_batch,
     trial_rng,
 )
-from seqmeas.quantum_or import _averaged_operator, _averaged_pi
+from seqmeas.quantum_or import _averaged_operator
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -42,6 +42,7 @@ from seqmeas.sampling import (
     random_pure_state,
     random_unitary,
 )
+from test_trial_batches import _averaged_pi
 
 QUBIT = RegisterShape((2,))
 

@@ -1,11 +1,15 @@
 """Batched trials on shared survivor paths against per-trial runs.
 
 ``sample_trials`` walks each instance's survivor path once and decides every
-trial's halting step from that trial's own generator.  These tests hold it,
+trial's halting step from that trial's own generator, walking the path on
+the system space with the accept operator L alone.  These tests hold it,
 and the single-run and shared-generator samplers built on the same paths,
 to a frozen copy of the row-block sampler they replaced (``_reference_*``
-below): trial for trial on the same generators, count for count on a
-shared one, and with no more applier calls per single run.  The anti-Zeno
+below), which walks the ancilla-extended space with Pi itself: trial for
+trial on the same generators, count for count on a shared one, and with no
+more applier calls per single run.  The cases include Naimark forms of one
+L that differ off the ancilla-0 block, so the two walks agree only because
+Delta Pi Delta = L (x) |0><0| for every form.  The anti-Zeno
 count taken from one all-reject walk is held to the per-trial
 ``measure_collapse`` loop it replaced.
 """
@@ -18,6 +22,7 @@ from seqmeas import (
     FunctionTable,
     HermitianOperator,
     MWInstance,
+    NaimarkForm,
     PermutationAction,
     RegisterShape,
     TwoOutcomeMeasurement,
@@ -43,6 +48,7 @@ from seqmeas import (
     or_test_instance,
     plus_state,
     product_state,
+    qft_matrix,
     reject_path,
     run_averaged_or_sampled,
     run_mw_sampled,
@@ -54,7 +60,7 @@ from seqmeas import (
     unitary_s_iso_test,
 )
 from seqmeas.experiments import _accept_ever_count
-from seqmeas.quantum_or import _averaged_pi, _embed, _ensemble_rows, _row_dot
+from seqmeas.quantum_or import _ensemble_rows, _row_dot
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -68,6 +74,36 @@ _STEPS = (None, "pi", "delta")
 
 
 # -- the reference: one row per trial, vectorised across the live ones -----------
+
+
+def _embed(rows: np.ndarray, d_anc: int) -> np.ndarray:
+    """Each row tensored with the ancilla state |0...0> (ancilla index fastest)."""
+    out = np.zeros((rows.shape[0], rows.shape[1] * d_anc), dtype=np.complex128)
+    out[:, ::d_anc] = rows
+    return out
+
+
+def _averaged_pi(appliers):
+    """Pi = sum_i L_{i+1} (x) Q|i><i|Q^{-1} on a block of extended vectors.
+
+    Applied structurally: Fourier transform each trial's ancilla index, move
+    it ahead of the system index with one transpose so that ancilla value i
+    of trial t is the contiguous row ``a[t, i]``, apply the i-th projector to
+    that row in place, and transpose and transform back.
+    """
+    n = len(appliers)
+    q = qft_matrix(n)  # symmetric, so Q.T = Q and (Q^{-1}).T = conj(Q)
+    q_inv_t = q.conj()
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        trials = block.shape[0]
+        a = (block.reshape(-1, n) @ q_inv_t).reshape(trials, -1, n).transpose(0, 2, 1).copy()
+        for t in range(trials):
+            for i in range(n):
+                a[t, i] = appliers[i](a[t, i])
+        return (a.transpose(0, 2, 1).reshape(-1, n) @ q).reshape(block.shape)
+
+    return apply
 
 
 def _reference_amplify(apply_pi, rows, d_anc, n_rounds, rng):
@@ -160,6 +196,20 @@ def _averaged(seed, mixed, n_rounds=None):
     return AveragedInstance(_appliers(ms), initial, n_rounds or or_round_count(len(ms), 0))
 
 
+def _reformed(inst, isometry):
+    """The same L through Pi' = (I (x) V) Pi (I (x) V^dagger), V an isometry
+    from the form's ancilla that fixes |0>: Pi' differs from Pi off the
+    ancilla-0 block, while Delta Pi' Delta = Delta Pi Delta = L (x) |0><0|."""
+    big = np.kron(np.eye(inst.naimark.system_shape.total_dim), isometry)
+    pi = big @ inst.naimark.pi @ big.conj().T
+    form = NaimarkForm(inst.naimark.system_shape, (isometry.shape[0],), pi)
+    return MWInstance(form, inst.initial, inst.n_rounds)
+
+
+_ANCILLA_PHASE = np.diag([1.0, np.exp(0.7j)])  # a phase on ancilla value 1
+_QUTRIT_ANCILLA = np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8j]])  # |1> -> 0.6|1> + 0.8i|2>
+
+
 def _certain_instance():
     """Input an eigenvector of L at eigenvalue 1: Pi halts every trial in round 1."""
     proj = TwoOutcomeMeasurement.projector(HermitianOperator(QUBIT, np.diag([1.0, 0.0])))
@@ -189,6 +239,10 @@ def _always_kept_instance():
 CASES = {
     "dense-pure": lambda: _dilated(0, mixed=False),
     "dense-mixed": lambda: _dilated(1, mixed=True),
+    "ancilla-phase-pure": lambda: _reformed(_dilated(0, mixed=False), _ANCILLA_PHASE),
+    "ancilla-phase-mixed": lambda: _reformed(_dilated(1, mixed=True), _ANCILLA_PHASE),
+    "qutrit-ancilla-pure": lambda: _reformed(_dilated(0, mixed=False), _QUTRIT_ANCILLA),
+    "qutrit-ancilla-mixed": lambda: _reformed(_dilated(1, mixed=True), _QUTRIT_ANCILLA),
     "averaged-pure": lambda: _averaged(2, mixed=False),
     "averaged-mixed": lambda: _averaged(3, mixed=True),
     "one-round-dense": lambda: _dilated(4, mixed=True, n_rounds=1),
