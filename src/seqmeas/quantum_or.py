@@ -28,7 +28,9 @@ eigen-ensemble index drawn for a mixed one) on the system space, given an
 L-applier (the path depends on Pi only through L; Pi itself is exercised by
 the survival oracle).  Each path is grown lazily, only as far as the
 furthest step some trial reaches, and a trial halts at the first step whose
-halting region holds its uniform.
+halting region holds its uniform.  The OR test and de-Merlinization both
+run an averaged family (:class:`AveragedInstance`), L the mean of one matvec
+per member; their exact oracles decompose the same mean.
 
 Draw order.  A single run (:func:`run_mw_sampled`,
 :func:`run_averaged_or_sampled`) draws a mixed input's ensemble index with
@@ -56,9 +58,7 @@ from .measurement import (
     _check_projective,
     accept_spectra,
     in_unit_interval,
-    is_idempotent,
     naimark_checks,
-    naimark_form,
 )
 from .states import (
     DensityOperator,
@@ -94,10 +94,10 @@ class MWInstance:
 @dataclass(frozen=True)
 class AveragedInstance:
     """One matrix-free amplification run on the uniform average of n
-    projectors: one applier per projector (system vector -> P_i vector), an
-    input state and a round count.
+    operators A_i in [0, I]: one applier per operator (system vector -> A_i
+    vector), an input state and a round count.
 
-    Only per-projector matvecs are needed, so instances are limited by
+    Only per-operator matvecs are needed, so instances are limited by
     state-vector size rather than dense-operator size.
     """
 
@@ -268,8 +268,8 @@ def run_averaged_or_sampled(
     n_rounds: int,
     rng: np.random.Generator,
 ) -> MWResult:
-    """One amplification run for an averaged projector family, matrix-free
-    (see :class:`AveragedInstance`)."""
+    """One amplification run for an averaged family, matrix-free (see
+    :class:`AveragedInstance`)."""
     return _survivors(AveragedInstance(appliers, initial, n_rounds)).run(rng)
 
 
@@ -539,9 +539,17 @@ def or_round_count(n: int, epsilon) -> int:
     return math.ceil(Fraction(n) / (1 - eps))
 
 
-def _averaged_operator(measurements: Sequence[TwoOutcomeMeasurement]) -> HermitianOperator:
-    mean = sum(m.accept_op.matrix for m in measurements) / len(measurements)
-    return _trusted(HermitianOperator, measurements[0].shape, mean)
+def _averaged_operator(family) -> HermitianOperator:
+    """The exact oracles' L = (1/n) sum_i A_i over a family of measurements
+    or of operators A_i, added left to right."""
+    ops = [getattr(m, "accept_op", m) for m in family]
+    return _trusted(HermitianOperator, ops[0].shape, sum(op.matrix for op in ops) / len(ops))
+
+
+def _family_instance(family, rho: PureState | DensityOperator, n_rounds: int) -> AveragedInstance:
+    """The samplers' run on the same family: one matvec applier per A_i."""
+    mats = [getattr(m, "accept_op", m).matrix for m in family]
+    return AveragedInstance([(lambda v, mat=mat: mat @ v) for mat in mats], rho, n_rounds)
 
 
 def or_test_instance(
@@ -552,9 +560,7 @@ def or_test_instance(
     """The amplification run of :func:`or_test`: the averaged projector
     family applied matrix-free, the input and N = ceil(n/(1-eps)) rounds."""
     _check_projective(measurements, rho.shape)
-    n_rounds = or_round_count(len(measurements), epsilon)
-    appliers = [(lambda v, mat=m.accept_op.matrix: mat @ v) for m in measurements]
-    return AveragedInstance(appliers, rho, n_rounds)
+    return _family_instance(measurements, rho, or_round_count(len(measurements), epsilon))
 
 
 def or_test(
@@ -633,22 +639,13 @@ def demerlinize_round_count(d: int, eta) -> int:
     return math.ceil(Fraction(d) / eta_f)
 
 
-def demerlinize_operator(gamma: HermitianOperator) -> HermitianOperator:
-    """The averaged accept operator (1/d) sum_j Gamma_j on the message space."""
-    slices = merlin_slice_operators(gamma)
-    mean = sum(s.matrix for s in slices) / len(slices)
-    return _trusted(HermitianOperator, slices[0].shape, mean)
-
-
-def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> MWInstance:
-    """The amplification run of :func:`demerlinize_test`: the averaged slice
-    operator's Naimark form (trivial when that operator is a projector), the
-    message state and N = ceil(d/eta) rounds."""
+def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> AveragedInstance:
+    """The amplification run of :func:`demerlinize_test`: the averaged family
+    of witness slices applied matrix-free, the message state and
+    N = ceil(d/eta) rounds."""
     _check_gamma(gamma, psi)
-    lam = demerlinize_operator(gamma)
     n_rounds = demerlinize_round_count(gamma.shape.dims[-1], eta)
-    measurement = _trusted(TwoOutcomeMeasurement, lam, is_idempotent(lam.matrix))
-    return MWInstance(naimark_form(measurement), psi, n_rounds)
+    return _family_instance(merlin_slice_operators(gamma), psi, n_rounds)
 
 
 def demerlinize_test(
@@ -656,17 +653,18 @@ def demerlinize_test(
 ) -> bool:
     """Search the witness register by amplification instead of trusting it.
 
-    Runs the amplification procedure once on the averaged slice operator with
-    N = ceil(d/eta).  A gamma that accepts psi with some witness at
-    probability >= eta leads to acceptance with probability >= eta^2/7; if no
-    witness reaches zeta the acceptance probability is at most
-    2 zeta ceil(d/eta).
+    Runs the amplification procedure once on the averaged slice family
+    (1/d) sum_j Gamma_j with N = ceil(d/eta).  A gamma that accepts psi with
+    some witness at probability >= eta leads to acceptance with probability
+    >= eta^2/7; if no witness reaches zeta the acceptance probability is at
+    most 2 zeta ceil(d/eta).
     """
-    return run_mw_sampled(demerlinize_instance(gamma, psi, eta), rng).accepted
+    inst = demerlinize_instance(gamma, psi, eta)
+    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
 
 
 def demerlinize_accept_exact(gamma: HermitianOperator, psi: PureState, eta) -> float:
     """Exact acceptance probability of :func:`demerlinize_test`."""
     _check_gamma(gamma, psi)
-    lam = demerlinize_operator(gamma)
+    lam = _averaged_operator(merlin_slice_operators(gamma))
     return mw_accept_exact(lam, psi, demerlinize_round_count(gamma.shape.dims[-1], eta))

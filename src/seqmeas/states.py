@@ -92,8 +92,7 @@ class PureState:
 
     def __post_init__(self):
         self._store()
-        if not abs(np.linalg.norm(self.amplitudes) - 1.0) <= STATE_ATOL:
-            raise ValueError("state is not normalised")
+        state_stack(self.amplitudes[None])
 
     def tensor(self) -> np.ndarray:
         """Amplitudes viewed as a tensor with one axis per register."""
@@ -123,8 +122,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         self._store()
-        if not is_hermitian(self.matrix):
-            raise ValueError("matrix is not Hermitian within tolerance")
+        hermitian_stack(self.matrix[None])
 
     @classmethod
     def identity(cls, shape: RegisterShape) -> "HermitianOperator":
@@ -141,11 +139,8 @@ class DensityOperator:
     _store = HermitianOperator._store
 
     def __post_init__(self):
-        HermitianOperator.__post_init__(self)
-        if not abs(np.trace(self.matrix) - 1.0) <= STATE_ATOL:
-            raise ValueError("state is not of unit trace")
-        if not np.linalg.eigvalsh(self.matrix).min() >= -STATE_ATOL:
-            raise ValueError("state is not positive semidefinite")
+        self._store()
+        state_stack(self.matrix[None])
 
     @classmethod
     def pure(cls, psi: PureState) -> "DensityOperator":

@@ -171,18 +171,20 @@ class UnitarySet:
 
     matrices: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
+    def _store(self):
         mats = tuple(np.array(m, dtype=np.complex128) for m in self.matrices)
         if not mats:
             raise ValueError("need at least one unitary")
-        d = mats[0].shape[0]
         for m in mats:
-            if m.shape != (d, d):
+            if m.shape != (mats[0].shape[0],) * 2:
                 raise ValueError("all unitaries must share one dimension")
-            if not is_unitary(m):
-                raise ValueError("matrix is not unitary within tolerance")
             m.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
+
+    def __post_init__(self):
+        self._store()
+        if not all(is_unitary(m) for m in self.matrices):
+            raise ValueError("matrix is not unitary within tolerance")
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -460,7 +462,6 @@ def eigen_or_accept_exact(
     unitaries: UnitarySet | Sequence[np.ndarray],
     psi: PureState,
     copies_k: int,
-    n_rounds: int | None = None,
     method: str = "auto",
 ) -> float:
     """Exact acceptance probability of the OR run over interference measurements.
@@ -470,16 +471,15 @@ def eigen_or_accept_exact(
     (x)_b R_i, the k-fold tensor power of its block reflection.  For a
     commuting family the joint-eigenbasis route is exact at any k
     (``method="joint"`` requires it; ``"auto"`` takes it whenever the family
-    commutes).  Otherwise the acceptance 1 - ||(I - L)^N v||^2 is computed
-    by N applications of the mean of the sampler's factored appliers
-    (:func:`quantum_or.mw_accept_polynomial`), so the flag-0 block must fit
-    under MAX_VECTOR_DIM.
+    commutes).  Otherwise the acceptance 1 - ||(I - L)^N v||^2, N the family
+    size as in the sampler, is computed by N applications of the mean of its
+    factored appliers (:func:`quantum_or.mw_accept_polynomial`), so the
+    flag-0 block must fit under MAX_VECTOR_DIM.
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
     mats = _eigen_check(unitaries, psi.shape, copies_k)
-    n = len(mats)
-    rounds = or_round_count(n, 0) if n_rounds is None else n_rounds
+    rounds = or_round_count(len(mats), 0)
     reflections = [block_reflection(u) for u in mats]
     base = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), psi.amplitudes)
     if method == "joint":
@@ -488,7 +488,7 @@ def eigen_or_accept_exact(
         atoms = _joint_bits(reflections, base)  # each pair checked once, just above
     else:
         return _eigen_accept_matvec(mats, psi, copies_k, rounds)
-    evals, weights = averaged_and_measure(atoms, n, copies_k)
+    evals, weights = averaged_and_measure(atoms, len(mats), copies_k)
     return mw_accept_from_spectrum(evals, weights, rounds)
 
 
@@ -513,15 +513,15 @@ class GIsoRun:
 
 
 def _g_iso_parts(f: FunctionTable, g: FunctionTable, group, epsilon: float, copies_k: int | None):
-    """The swap unitaries, the superposition state and k: the eigenvector
-    test's inputs, shared by the g-isomorphism sampler and exact oracle."""
+    """The swap unitaries (permutations: trusted), the superposition state and
+    k: the eigenvector test's inputs, shared by its sampler and exact oracle."""
     if not group:
         raise ValueError("need at least one permutation")
     for sigma in group:
         if sigma.size != f.domain_size:
             raise ValueError("permutation size does not match the function domain")
     psi = pair_state(f, g)
-    mats = [pair_swap_unitary(sigma, f.codomain_size) for sigma in group]
+    mats = _trusted(UnitarySet, tuple(pair_swap_unitary(sigma, f.codomain_size) for sigma in group))
     k = eigen_copies(len(mats), epsilon) if copies_k is None else copies_k
     return mats, psi, k
 
@@ -637,9 +637,9 @@ def membership_accept_exact(
     candidates: Sequence[PureState],
     psi: PureState,
     copies_k: int,
-    n_rounds: int | None = None,
 ) -> float:
-    """Exact acceptance of the membership test at any copy count.
+    """Exact acceptance of the membership test at any copy count, with
+    N = |P| rounds as in its sampler.
 
     The averaged operator has rank at most |P|; its nonzero spectrum is that
     of the k-th-power Gram matrix of the candidates divided by |P|, and the
@@ -648,7 +648,6 @@ def membership_accept_exact(
     """
     _membership_check(candidates, psi, copies_k)
     n = len(candidates)
-    rounds = or_round_count(n, 0) if n_rounds is None else n_rounds
     amps = np.array([c.amplitudes for c in candidates])
     gram = _elementwise_power(amps.conj() @ amps.T, copies_k)
     t = _elementwise_power(amps.conj() @ psi.amplitudes, copies_k)
@@ -660,7 +659,7 @@ def membership_accept_exact(
         amp = np.dot(coef.conj(), t) / math.sqrt(n * mu)
         evals.append(float(mu))
         weights.append(float(abs(amp) ** 2))
-    return mw_accept_from_spectrum(evals, weights, rounds)
+    return mw_accept_from_spectrum(evals, weights, or_round_count(n, 0))
 
 
 def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) -> float:
@@ -748,10 +747,12 @@ def conjugation_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies_k: int | None):
-    """The conjugation unitaries, |V>|W> and k at gap eps^2: the eigenvector
-    test's inputs, shared by the S-isomorphism sampler and exact oracle."""
+    """The conjugation unitaries (of checked unitaries: trusted), |V>|W> and k
+    at gap eps^2: the eigenvector test's inputs, shared by its sampler and
+    exact oracle."""
     psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
-    mats = [conjugation_unitary(u) for u in s_set]
+    s_set = s_set if isinstance(s_set, UnitarySet) else UnitarySet(tuple(s_set))
+    mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in s_set))
     k = eigen_copies(len(mats), epsilon**2) if copies_k is None else copies_k
     return mats, psi, k
 
@@ -858,18 +859,21 @@ def _cut_and_applier(
     return apply
 
 
-def _genuine_cuts(psi: PureState, n_parts: int, copies_k: int | None, epsilon: float | None = None):
-    """The cuts and k (the rule's for `epsilon` if None), after the instance
-    check of :func:`genuine_ent_instance` and :func:`genuine_ent_accept_exact`:
-    one part per register of psi and an even k >= 2."""
+def _genuine_check(psi: PureState, n_parts: int, copies_k: int | None, epsilon: float | None = None):
+    """The cut count 2^{n-1} - 1 (no cut is listed, so the callers' caps come
+    first) and k (the rule's for `epsilon` if None), after the instance check
+    of :func:`genuine_ent_instance` and :func:`genuine_ent_accept_exact`: one
+    part per register of psi, at least two parts and an even k >= 2."""
     if n_parts != psi.shape.num_registers:
         raise ValueError("n_parts must match the state's register count")
-    cuts = proper_cuts(n_parts)
-    k = genuine_ent_copies(len(cuts), epsilon) if copies_k is None else copies_k
+    if n_parts < 2:
+        raise ValueError("need at least two parts")
+    n_cuts = (1 << (n_parts - 1)) - 1
+    k = genuine_ent_copies(n_cuts, epsilon) if copies_k is None else copies_k
     _check_copies(k)
     if k % 2 != 0:
         raise ValueError("the copy count must be even (copies are consumed in pairs)")
-    return cuts, k
+    return n_cuts, k
 
 
 def genuine_ent_instance(
@@ -880,11 +884,11 @@ def genuine_ent_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`genuine_ent_test`: psi^k, one
     pairwise swap-test applier per cut and one round per cut."""
-    cuts, k = _genuine_cuts(psi, n_parts, copies_k, epsilon)
+    n_cuts, k = _genuine_check(psi, n_parts, copies_k, epsilon)
     big = _copies_state([psi], k)
     dims = psi.shape.dims * k
-    appliers = [_cut_and_applier(dims, n_parts, k, cut) for cut in cuts]
-    return AveragedInstance(appliers, big, or_round_count(len(cuts), 0))
+    appliers = [_cut_and_applier(dims, n_parts, k, cut) for cut in proper_cuts(n_parts)]
+    return AveragedInstance(appliers, big, or_round_count(n_cuts, 0))
 
 
 def genuine_ent_test(
@@ -1020,7 +1024,7 @@ def genuine_ent_accept_exact(psi: PureState, n_parts: int, copies_k: int) -> flo
     visits every subspace of GF(2)^{n-1} in the worst case, which bounds
     the party count at MAX_GENUINE_PARTIES.
     """
-    n_cuts = len(_genuine_cuts(psi, n_parts, copies_k)[0])
+    n_cuts, _ = _genuine_check(psi, n_parts, copies_k)
     if n_parts > MAX_GENUINE_PARTIES:
         raise ValueError(f"{n_parts} parties exceed the exact oracle's cap of {MAX_GENUINE_PARTIES}")
     w = _sign_pattern_weights(psi)

@@ -237,3 +237,30 @@ def test_library_built_values_skip_the_checks(monkeypatch):
     one_ancilla_dilation(lam)
     build_averaged_naimark(ms)
     demerlinize_instance(GAMMA_OK, ZERO, 0.5)
+
+
+def test_library_built_unitary_families_skip_the_check(monkeypatch):
+    """The swap unitaries of g-isomorphism and the conjugation unitaries of
+    S-isomorphism are built from checked data and skip ``UnitarySet``'s
+    check; a family from outside the package is checked once, as a plain
+    list of raw matrices too."""
+    checked = []
+    original = UnitarySet.__post_init__
+
+    def spy(self):
+        checked.append(len(self.matrices))
+        original(self)
+
+    monkeypatch.setattr(UnitarySet, "__post_init__", spy)
+    f, g = FunctionTable(4, 2, (0, 1, 0, 1)), FunctionTable(4, 2, (1, 1, 0, 0))
+    group = (PermutationAction.identity(4), PermutationAction((0, 2, 1, 3)))
+    g_iso_accept_exact(f, g, group, 0.5, copies_k=2)
+    g_iso_test(f, g, group, 0.5, trial_rng(90, 2), copies_k=2)
+    assert checked == []
+    s_set = UnitarySet((np.eye(2), PAULI_X))
+    unitary_s_iso_accept_exact(s_set, PAULI_X, PAULI_X, 0.5, copies_k=2)
+    unitary_s_iso_instance(s_set, PAULI_X, PAULI_X, 0.5, copies_k=2)
+    eigen_or_accept_exact([PAULI_X], ZERO, 2)
+    assert checked == [2, 1]
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_s_iso_accept_exact([np.eye(2), 2.0 * PAULI_X], PAULI_X, PAULI_X, 0.5, copies_k=2)

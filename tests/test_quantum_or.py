@@ -16,6 +16,7 @@ from seqmeas import (
     basis_state,
     build_averaged_naimark,
     demerlinize_accept_exact,
+    demerlinize_instance,
     demerlinize_round_count,
     demerlinize_test,
     merlin_best_witness_accept,
@@ -32,9 +33,10 @@ from seqmeas import (
     run_averaged_or_sampled,
     run_mw_sampled,
     run_mw_sampled_batch,
+    sample_trials,
     trial_rng,
 )
-from seqmeas.quantum_or import _averaged_operator
+from seqmeas.quantum_or import _averaged_operator, _survivors
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -469,6 +471,43 @@ class TestDemerlinize:
         count = sum(demerlinize_test(gamma, psi, eta, rng) for _ in range(trials))
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(count / trials - exact) <= 4 * sigma + 1e-9
+
+    @staticmethod
+    def _random_case(message_dims, witness):
+        """Seeded random Gamma in [0, I] on message (x) witness, and a message state."""
+        rng = trial_rng(98, witness)
+        gamma = random_povm_contraction(rng, RegisterShape((*message_dims, witness)))
+        return gamma, random_pure_state(rng, RegisterShape(message_dims))
+
+    @pytest.mark.parametrize("message_dims,witness", [((2, 2), 3), ((3,), 2)])
+    def test_random_gamma_sampled_statistics(self, message_dims, witness):
+        gamma, psi = self._random_case(message_dims, witness)
+        exact = demerlinize_accept_exact(gamma, psi, 0.5)
+        trials = 4000
+        runs = sample_trials(demerlinize_instance(gamma, psi, 0.5), (trial_rng(99, t) for t in range(trials)))
+        count = sum(r.accepted for r in runs)
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(count / trials - exact) <= 4 * sigma + 1e-9
+
+    @pytest.mark.parametrize("case", ["desk", ((2, 2), 3), ((3,), 2)], ids=["desk", "2x2-3", "3-2"])
+    def test_instance_walks_the_oracle_operator(self, case):
+        """The sampler's L-applier, the mean of the instance's per-slice
+        matvecs, has the oracle's L = (1/d) sum_j Gamma_j as its matrix bit
+        for bit (read column by column on the basis vectors), and the oracle
+        decomposes that same L.  On a general vector the two products sum
+        in different orders, so they agree to rounding only."""
+        gamma, psi = self._case1() if case == "desk" else self._random_case(*case)
+        witness = gamma.shape.dims[-1]
+        slices = merlin_slice_operators(gamma)
+        lam = sum(s.matrix for s in slices) / witness
+        inst = demerlinize_instance(gamma, psi, 0.5)
+        assert (len(inst.appliers), inst.n_rounds) == (witness, demerlinize_round_count(witness, 0.5))
+        apply_l = _survivors(inst)._apply_l
+        eye = np.eye(lam.shape[0], dtype=np.complex128)
+        assert np.array_equal(np.stack([apply_l(e) for e in eye], axis=1), lam)
+        np.testing.assert_allclose(apply_l(psi.amplitudes), lam @ psi.amplitudes, rtol=0, atol=1e-15)
+        exact = mw_accept_exact(HermitianOperator(psi.shape, lam), psi, inst.n_rounds)
+        assert demerlinize_accept_exact(gamma, psi, 0.5) == exact
 
 
 def test_averaged_operator_helper():

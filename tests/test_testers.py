@@ -34,6 +34,7 @@ from seqmeas import (
     g_iso_test,
     genuine_ent_accept_exact,
     genuine_ent_copies,
+    genuine_ent_instance,
     genuine_ent_test,
     ghz_state,
     hs_distance,
@@ -563,7 +564,8 @@ class TestMatvecOracle:
         for rounds in (3, 7):
             dense = mw_accept_from_spectrum(*spectrum, rounds)
             assert abs(_eigen_accept_matvec(UnitarySet(mats), psi, copies_k, rounds) - dense) <= 1e-12
-            assert abs(eigen_or_accept_exact(mats, psi, copies_k, n_rounds=rounds) - dense) <= 1e-12
+        dense = mw_accept_from_spectrum(*spectrum, len(mats))  # the default N = family size
+        assert abs(eigen_or_accept_exact(mats, psi, copies_k) - dense) <= 1e-12
 
     @pytest.mark.parametrize("copies_k", [1, 2, 3])
     def test_degenerate_family(self, copies_k):
@@ -1043,6 +1045,21 @@ class TestGenuineEntanglement:
         psi = basis_state(RegisterShape((2,) * n), (0,) * n)
         with pytest.raises(ValueError, match="cap"):
             genuine_ent_accept_exact(psi, n, 2)
+
+    def test_caps_checked_before_listing_cuts(self, monkeypatch):
+        """GHZ-12 has 2^11 - 1 cuts; the party cap, the copy rule and the
+        vector cap are all checked from that count, before any cut is listed."""
+
+        def no_cuts(n_parts):
+            raise AssertionError("the cuts were listed before the caps were checked")
+
+        monkeypatch.setattr(testers_module, "proper_cuts", no_cuts)
+        psi = ghz_state(12)
+        with pytest.raises(ValueError, match="12 parties exceed the exact oracle's cap"):
+            genuine_ent_accept_exact(psi, 12, 2)
+        for copies_k in (None, 2):
+            with pytest.raises(ValueError, match="exceeds the vector cap"):
+                genuine_ent_instance(psi, 12, 0.5, copies_k)
 
 
 class TestEigenTestEndToEnd:

@@ -61,3 +61,27 @@ def test_exact_eigen_oracle_takes_joint_method():
     psi = PureState(RegisterShape((2,)), np.array([1.0, 0.0]))  # fixed by Z and by I
     family = [np.diag([1.0, -1.0]), np.eye(2)]
     assert abs(eigen_or_accept_exact(family, psi, 3, method="joint") - 1.0) <= 1e-12
+
+
+# The library call shapes of ``perfbench/workloads.py``, as (module, function,
+# positional arguments, keyword arguments); only the names are bound.
+WORKLOAD_CALLS = [
+    ("testers", "eigen_or_accept_exact", ("family", "psi", "k"), {"method": "joint"}),
+    ("testers", "membership_accept_exact", ("candidates", "psi", "k"), {}),
+    ("testers", "genuine_ent_accept_exact", ("psi", "n", "k"), {}),
+    ("testers", "eigen_tester_state", ("psi", "k"), {}),
+    ("testers", "analytic_eigen_accept", ("u", "psi", "k"), {}),
+    ("testers", "eigen_measurement_cycle", ("phi", "u", "shape", "k"), {"rng": "rng"}),
+    ("testers", "eigen_test", ("family", "psi", "eps", "rng"), {"copies_k": "k"}),
+    ("states", "ghz_state", ("n",), {}),
+]
+
+
+@pytest.mark.parametrize("module,name,args,kwargs", WORKLOAD_CALLS, ids=[c[1] for c in WORKLOAD_CALLS])
+def test_workload_call_shapes_bind(module, name, args, kwargs):
+    """A signature change that breaks a benchmark call fails here, not in the benchmark run."""
+    import seqmeas
+
+    fn = getattr(importlib.import_module(f"seqmeas.{module}"), name)
+    assert getattr(seqmeas, name) is fn
+    inspect.signature(fn).bind(*args, **kwargs)

@@ -5,7 +5,9 @@ trial's halting step from that trial's own generator, walking the path on
 the system space with the accept operator L alone.  These tests hold it,
 and the single-run and shared-generator samplers built on the same paths,
 to a frozen copy of the row-block sampler they replaced (``_reference_*``
-below), which walks the ancilla-extended space with Pi itself: trial for
+below), which walks the ancilla-extended space with Pi itself (for an
+averaged family of non-projectors, such as de-Merlinization's witness
+slices, the Pi of the one-ancilla dilation of its mean): trial for
 trial on the same generators, count for count on a shared one, and with no
 more applier calls per single run.  The cases include Naimark forms of one
 L that differ off the ancilla-0 block, so the two walks agree only because
@@ -42,6 +44,7 @@ from seqmeas import (
     genuine_ent_test,
     measure_collapse,
     membership_instance,
+    merlin_slice_operators,
     one_ancilla_dilation,
     or_round_count,
     or_test,
@@ -60,6 +63,7 @@ from seqmeas import (
     unitary_s_iso_test,
 )
 from seqmeas.experiments import _accept_ever_count
+from seqmeas.measurement import is_idempotent
 from seqmeas.quantum_or import _ensemble_rows, _row_dot
 from seqmeas.sampling import (
     random_density_operator,
@@ -137,11 +141,21 @@ def _reference_amplify(apply_pi, rows, d_anc, n_rounds, rng):
 
 
 def _reference_form(inst):
-    """(apply_pi, d_anc) of an instance, built as the reference built them."""
+    """(apply_pi, d_anc) of an instance, built as the reference built them.
+
+    ``_averaged_pi`` dilates a family of projectors only; any other averaged
+    family (de-Merlinization's witness slices) walks the one-ancilla
+    dilation of its mean, read off the appliers column by column.
+    """
     if isinstance(inst, MWInstance):
         pi_t = inst.naimark.pi.T
         return (lambda x: x @ pi_t), inst.naimark.ancilla_dim
-    return _averaged_pi(inst.appliers), len(inst.appliers)
+    eye = np.eye(inst.initial.shape.total_dim, dtype=np.complex128)
+    mats = [np.stack([a(e) for e in eye], axis=1) for a in inst.appliers]
+    if all(is_idempotent(m) for m in mats):
+        return _averaged_pi(inst.appliers), len(inst.appliers)
+    lam = HermitianOperator(inst.initial.shape, sum(mats) / len(mats))
+    return _reference_form(MWInstance(one_ancilla_dilation(lam), inst.initial, inst.n_rounds))
 
 
 def _reference_run(inst, rng):
@@ -236,6 +250,19 @@ def _always_kept_instance():
     return AveragedInstance(_appliers(ms), random_pure_state(trial_rng(94, 0), ms[0].shape), 5)
 
 
+def _demerlinize_desk():
+    """The CLI's de-Merlinization instance: Gamma = P_a (x) |0><0|, psi = |0>."""
+    gamma = HermitianOperator(RegisterShape((4, 2)), np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([1.0, 0.0])))
+    return gamma, basis_state(RegisterShape((4,)), (0,)), 2.0 / 3.0
+
+
+def _demerlinize_random(message_dims=(2, 2), witness=3):
+    """Seeded random Gamma in [0, I]: witness slices that are not projectors."""
+    rng = trial_rng(96, witness)
+    gamma = random_povm_contraction(rng, RegisterShape((*message_dims, witness)))
+    return gamma, random_pure_state(rng, RegisterShape(message_dims)), 0.5
+
+
 CASES = {
     "dense-pure": lambda: _dilated(0, mixed=False),
     "dense-mixed": lambda: _dilated(1, mixed=True),
@@ -251,6 +278,8 @@ CASES = {
     "zero-operator": _zero_instance,
     "least-delta-keep": _least_kept_instance,
     "delta-always-keeps": _always_kept_instance,
+    "demerlinize-desk": lambda: demerlinize_instance(*_demerlinize_desk()),
+    "demerlinize-random": lambda: demerlinize_instance(*_demerlinize_random()),
 }
 
 
@@ -271,6 +300,21 @@ def test_trial_streams_match_single_runs(case, trials):
         singles.append((r.rounds_used, r.halting_step))
     assert batch == singles
     assert batch == [_reference_run(inst, rng) for rng in _streams(11, trials)]
+
+
+def test_demerlinize_desk_matches_dilated_reference():
+    """The desk slices are projectors, so ``CASES`` holds them to
+    ``_averaged_pi``; here their runs are held, trial for trial, to the
+    walk on the one-ancilla dilation of the slice mean as well, the
+    reference every non-projective family takes."""
+    gamma, psi, eta = _demerlinize_desk()
+    inst = demerlinize_instance(gamma, psi, eta)
+    slices = merlin_slice_operators(gamma)
+    lam = HermitianOperator(psi.shape, sum(s.matrix for s in slices) / len(slices))
+    dilated = MWInstance(one_ancilla_dilation(lam), psi, inst.n_rounds)
+    batch = [(r.rounds_used, r.halting_step) for r in sample_trials(inst, _streams(18, 300))]
+    assert batch == [_reference_run(dilated, rng) for rng in _streams(18, 300)]
+    assert 0 < sum(step is not None for _, step in batch) < 300
 
 
 def test_edge_cases_halt_where_expected():
@@ -346,11 +390,16 @@ def _tester_pairs():
     s_set = UnitarySet((np.eye(2), x))
     v = random_unitary(trial_rng(95, 1), 2)
     partly = product_state([zero, bell_pair()])
+    random_case = _demerlinize_random((3,), 2)
     return {
         "or-test": (or_test_instance(seq, zero, 0), lambda r: or_test(seq, zero, 0, r)),
         "demerlinize": (
             demerlinize_instance(gamma, zero, 0.5),
             lambda r: demerlinize_test(gamma, zero, 0.5, r),
+        ),
+        "demerlinize-random": (
+            demerlinize_instance(*random_case),
+            lambda r: demerlinize_test(*random_case, r),
         ),
         "eigen": (eigen_instance([z, x], psi, 0.5, 2), lambda r: eigen_test([z, x], psi, 0.5, r, 2)),
         "membership": (
@@ -368,7 +417,9 @@ def _tester_pairs():
     }
 
 
-@pytest.mark.parametrize("name", ["or-test", "demerlinize", "eigen", "membership", "uiso", "genuine-ent"])
+@pytest.mark.parametrize(
+    "name", ["or-test", "demerlinize", "demerlinize-random", "eigen", "membership", "uiso", "genuine-ent"]
+)
 def test_tester_instances_match_single_testers(name):
     inst, single = _tester_pairs()[name]
     batch = [r.accepted for r in sample_trials(inst, _streams(16, 200))]
