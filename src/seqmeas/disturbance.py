@@ -28,50 +28,52 @@ against either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .gates import HADAMARD
-from .measurement import TwoOutcomeMeasurement, _check_projective, anti_zeno_sequence
-from .quantum_or import _ensemble_rows, _exact_fraction, _row_dot
-from .states import DensityOperator, PureState, RegisterShape
+from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
+from .quantum_or import _check_eta, _ensemble_rows
+from .states import DensityOperator, PureState, RegisterShape, _trusted
 
 MAX_ORACLE_DIM = 64
+_PLUS = np.array([1.0, 1.0]) / math.sqrt(2)  # the control qubit's |+>
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a_i, b_i> for each row i, from the real and imaginary views of
+    the two blocks (no conjugated copy is allocated)."""
+    return np.einsum("ij,ij->i", a.real, b.real) + np.einsum("ij,ij->i", a.imag, b.imag)
 
 
 def sequential_iteration_count(n: int, eta) -> int:
     """k = ceil(5n/eta + 5/eta^2) in exact rational arithmetic."""
-    eta_f = _exact_fraction(eta)
-    if not 0 < eta_f <= 1:
-        raise ValueError("eta must lie in (0, 1]")
+    eta_f = _check_eta(eta)
     return math.ceil(Fraction(5 * n) / eta_f + Fraction(5) / eta_f**2)
 
 
 @dataclass(frozen=True)
 class SequentialInstance:
-    """Measurements, input state and eta; k is derived, never stored stale."""
+    """Measurements, input state and eta; k is derived from n and eta once,
+    at construction, which is also where eta is checked."""
 
     measurements: tuple[TwoOutcomeMeasurement, ...]
     initial: DensityOperator
     eta: float
+    k: int = field(init=False)
 
     def __post_init__(self):
         measurements = tuple(self.measurements)
         _check_projective(measurements, self.initial.shape)
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
         object.__setattr__(self, "measurements", measurements)
+        object.__setattr__(self, "k", sequential_iteration_count(len(measurements), self.eta))
 
     @property
     def n(self) -> int:
         return len(self.measurements)
-
-    @property
-    def k(self) -> int:
-        return sequential_iteration_count(self.n, self.eta)
 
     @property
     def check_probability(self) -> float:
@@ -79,16 +81,12 @@ class SequentialInstance:
 
     def zeta(self) -> float:
         """max_j tr(L_j rho), the quantity the soundness case constrains."""
-        return max(
-            float(np.trace(m.accept_op.matrix @ self.initial.matrix).real)
-            for m in self.measurements
-        )
+        return max(accept_probability(m, self.initial) for m in self.measurements)
 
 
 def _sequential_runs(inst: SequentialInstance, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Per-trial accept flags of independent runs, vectorised across live trials."""
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    states = np.kron(plus, _ensemble_rows(inst.initial, rng, trials))
+    states = np.kron(_PLUS, _ensemble_rows(inst.initial, rng, trials))
     d = inst.initial.shape.total_dim
     q = inst.check_probability
     mats = [m.accept_op.matrix for m in inst.measurements]
@@ -170,8 +168,7 @@ def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
     d = inst.initial.shape.total_dim
     if d > MAX_ORACLE_DIM:
         raise ValueError(f"oracle recursion capped at dim {MAX_ORACLE_DIM}, got {d}")
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    tau = np.kron(np.outer(plus, plus), inst.initial.matrix)
+    tau = np.kron(np.outer(_PLUS, _PLUS), inst.initial.matrix)
     h_ext = np.kron(HADAMARD, np.eye(d))
     mats = np.stack([m.accept_op.matrix for m in inst.measurements])
     mean_mat = mats.mean(axis=0)
@@ -235,8 +232,8 @@ def certain_member_instance(n: int, eta: float = 0.5, dim: int = 2) -> Sequentia
     shape = RegisterShape((dim,))
     amps = np.zeros(dim, dtype=np.complex128)
     amps[0] = 1.0
-    psi = PureState(shape, amps)
-    proj = TwoOutcomeMeasurement(psi.projector(), is_projector=True)
+    psi = _trusted(PureState, shape, amps)
+    proj = _trusted(TwoOutcomeMeasurement, psi.projector(), True)
     return SequentialInstance((proj,) * n, psi.density(), eta)
 
 

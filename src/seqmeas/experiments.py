@@ -273,7 +273,7 @@ def _exp_mw_bounds(config: ExperimentConfig, rec: _Recorder, trials: int):
 
 
 def _case2_or_instance(rng, n: int, dim: int, delta: float):
-    """n rank-one projectors each accepting a fixed state with probability delta."""
+    """n rank-one projectors |v><v| each accepting a fixed state with probability delta."""
     shape = RegisterShape((dim,))
     psi = random_pure_state(rng, shape)
     measurements = []
@@ -282,11 +282,8 @@ def _case2_or_instance(rng, n: int, dim: int, delta: float):
         w = w - np.vdot(psi.amplitudes, w) * psi.amplitudes
         w /= np.linalg.norm(w)
         v = math.sqrt(delta) * psi.amplitudes + math.sqrt(1.0 - delta) * w
-        measurements.append(
-            meas.TwoOutcomeMeasurement(
-                HermitianOperator(shape, np.outer(v, v.conj())), is_projector=True
-            )
-        )
+        projector = _trusted(HermitianOperator, shape, np.outer(v, v.conj()))
+        measurements.append(_trusted(meas.TwoOutcomeMeasurement, projector, True))
     return psi, measurements
 
 
@@ -472,7 +469,7 @@ def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
         if distance == 0.0:
             rec.check_ge(f"{label}_at_least_one_seventh", exact, 1.0 / 7.0, slack=1e-9)
         elif distance >= epsilon:
-            rec.check_le(f"{label}_at_most_one_eighth", exact, 1.0 / 8.0, slack=1e-9)
+            rec.check_le(f"{label}_at_most_one_eighth", exact, testers.CASE2_BUDGET, slack=1e-9)
         else:
             rec.value(f"{label}_group_distance", distance)
 
@@ -553,7 +550,7 @@ def _exp_membership(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_close("per_measurement_far_probability", per, (1 - epsilon**2) ** k, 1e-10)
     far_exact = testers.membership_accept_exact(candidates, far, k)
     rec.value("far_exact_accept", far_exact)
-    rec.check_le("far_at_most_one_eighth", far_exact, 1.0 / 8.0, slack=1e-9)
+    rec.check_le("far_at_most_one_eighth", far_exact, testers.CASE2_BUDGET, slack=1e-9)
 
     k_small = 3
     exact_small = testers.membership_accept_exact(candidates, phi0, k_small)
@@ -595,7 +592,7 @@ def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_ge("conjugate_at_least_one_seventh", iso_exact, 1.0 / 7.0, slack=1e-9)
     far_exact = testers.unitary_s_iso_accept_exact(s_set, np.eye(2), PAULI_Z, epsilon)
     rec.value("far_exact_accept", far_exact)
-    rec.check_le("far_at_most_one_eighth", far_exact, 1.0 / 8.0, slack=1e-9)
+    rec.check_le("far_at_most_one_eighth", far_exact, testers.CASE2_BUDGET, slack=1e-9)
 
     k_small = 2
     exact_small = testers.unitary_s_iso_accept_exact(s_set, v, v, epsilon, copies_k=k_small)
@@ -629,7 +626,7 @@ def _exp_genuine_ent(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_ge("product_case_at_least_one_seventh", case1, 1.0 / 7.0, slack=1e-9)
     case2 = testers.genuine_ent_accept_exact(ghz, 3, k_rule)
     rec.value("ghz_exact_accept", case2)
-    rec.check_le("ghz_at_most_one_eighth", case2, 1.0 / 8.0, slack=1e-9)
+    rec.check_le("ghz_at_most_one_eighth", case2, testers.CASE2_BUDGET, slack=1e-9)
 
     k_small = 4
     exact_small = testers.genuine_ent_accept_exact(partly_product, 3, k_small)

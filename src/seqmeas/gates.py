@@ -169,10 +169,10 @@ class PermutationAction:
 
 
 def permutation_matrix(sigma: PermutationAction) -> np.ndarray:
+    """The unitary |x> -> |sigma(x)>, for every basis permutation of the testers."""
     n = sigma.size
     mat = np.zeros((n, n), dtype=np.complex128)
-    for x in range(n):
-        mat[sigma(x), x] = 1.0
+    mat[sigma.mapping, np.arange(n)] = 1.0
     return mat
 
 

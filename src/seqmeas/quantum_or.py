@@ -150,12 +150,6 @@ def _ensemble_rows(
     return vectors[_draw_rows(probs, rng, size)]
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re<a_i, b_i> for each row i, from the real and imaginary views of
-    the two blocks (no conjugated copy is allocated)."""
-    return np.einsum("ij,ij->i", a.real, b.real) + np.einsum("ij,ij->i", a.imag, b.imag)
-
-
 def _amplify(
     apply_l: Callable[[np.ndarray], np.ndarray], vector: np.ndarray, n_rounds: int
 ) -> Iterator[float]:
@@ -247,8 +241,12 @@ def _survivors(inst: MWInstance | AveragedInstance) -> _Survivors:
     if isinstance(inst, MWInstance):
         lam = inst.naimark.induced_operator().matrix
         return _Survivors(lambda v: lam @ v, inst.initial, inst.n_rounds)
-    appliers = inst.appliers
-    return _Survivors(lambda v: sum(a(v) for a in appliers) / len(appliers), inst.initial, inst.n_rounds)
+    return _Survivors(_mean_applier(inst.appliers), inst.initial, inst.n_rounds)
+
+
+def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> (1/n) sum_i A_i v added left to right: an averaged family's L."""
+    return lambda v: sum(a(v) for a in appliers) / len(appliers)
 
 
 def run_mw_sampled(inst: MWInstance, rng: np.random.Generator) -> MWResult:
@@ -271,6 +269,11 @@ def run_averaged_or_sampled(
     """One amplification run for an averaged family, matrix-free (see
     :class:`AveragedInstance`)."""
     return _survivors(AveragedInstance(appliers, initial, n_rounds)).run(rng)
+
+
+def _run_once(inst: AveragedInstance, rng: np.random.Generator) -> bool:
+    """Whether one run of an averaged instance accepts (every single-run wrapper)."""
+    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
 
 
 def sample_trials(
@@ -531,6 +534,13 @@ def _exact_fraction(x) -> Fraction:
     return Fraction(float(x))  # exact binary value of the float
 
 
+def _check_eta(eta) -> Fraction:
+    """eta as an exact fraction, after the check 0 < eta <= 1 (NaN fails)."""
+    if not 0 < eta <= 1:
+        raise ValueError("eta must lie in (0, 1]")
+    return _exact_fraction(eta)
+
+
 def or_round_count(n: int, epsilon) -> int:
     """N = ceil(n / (1 - eps)), evaluated in exact rational arithmetic."""
     eps = _exact_fraction(epsilon)
@@ -576,8 +586,7 @@ def or_test(
     probability >= (1-eps)^2/7; an input with mean acceptance <= delta accepts
     with probability <= 4 delta n.
     """
-    inst = or_test_instance(measurements, rho, epsilon)
-    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
+    return _run_once(or_test_instance(measurements, rho, epsilon), rng)
 
 
 def or_test_accept_exact(
@@ -633,10 +642,7 @@ def merlin_best_witness_accept(gamma: HermitianOperator, psi: PureState) -> floa
 
 def demerlinize_round_count(d: int, eta) -> int:
     """N = ceil(d / eta) in exact rational arithmetic."""
-    eta_f = _exact_fraction(eta)
-    if not 0 < eta_f <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    return math.ceil(Fraction(d) / eta_f)
+    return math.ceil(Fraction(d) / _check_eta(eta))
 
 
 def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> AveragedInstance:
@@ -659,8 +665,7 @@ def demerlinize_test(
     >= eta^2/7; if no witness reaches zeta the acceptance probability is at
     most 2 zeta ceil(d/eta).
     """
-    inst = demerlinize_instance(gamma, psi, eta)
-    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
+    return _run_once(demerlinize_instance(gamma, psi, eta), rng)
 
 
 def demerlinize_accept_exact(gamma: HermitianOperator, psi: PureState, eta) -> float:

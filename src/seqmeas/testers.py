@@ -38,14 +38,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gates import PermutationAction, is_unitary
+from .gates import PermutationAction, is_unitary, permutation_matrix
 from .measurement import _register_branch
 from .quantum_or import (
     AveragedInstance,
+    _mean_applier,
+    _run_once,
     mw_accept_from_spectrum,
     mw_accept_polynomial,
     or_round_count,
-    run_averaged_or_sampled,
     sample_trials,
 )
 from .states import (
@@ -64,8 +65,9 @@ MAX_VECTOR_DIM = 1 << 20
 MAX_DENSE_DIM = 1 << 12
 CASE2_BUDGET = 1.0 / 8.0
 COMMUTATOR_ATOL = 1e-9
-PATTERN_ATOL = 1e-15
+PATTERN_ATOL = 1e-15  # weight floor of the joint-eigenspace and pattern distributions
 MAX_GENUINE_PARTIES = 8
+MAX_GENUINE_DRAWS = 10**6  # copy pairs k/2 the genuine oracle's span DP walks
 
 
 # -- classical function tables --------------------------------------------------
@@ -151,15 +153,9 @@ def pair_swap_unitary(sigma: PermutationAction, codomain_size: int) -> np.ndarra
     A pure permutation of the (flag, domain, codomain) basis:
     (0, x, y) -> (1, sigma^-1(x), y) and (1, x, y) -> (0, sigma(x), y).
     """
-    n_x, n_y = sigma.size, codomain_size
-    dim = 2 * n_x * n_y
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    inv = sigma.inverse()
-    for x in range(n_x):
-        for y in range(n_y):
-            mat[(1 * n_x + inv(x)) * n_y + y, (0 * n_x + x) * n_y + y] = 1.0
-            mat[(0 * n_x + sigma(x)) * n_y + y, (1 * n_x + x) * n_y + y] = 1.0
-    return mat
+    labels = np.arange(2 * sigma.size * codomain_size).reshape(2, sigma.size, codomain_size)
+    image = np.stack([labels[1][list(sigma.inverse().mapping)], labels[0][list(sigma.mapping)]])
+    return permutation_matrix(PermutationAction(image.reshape(-1)))
 
 
 # -- the interference (eigenvector) tester ---------------------------------------
@@ -198,15 +194,16 @@ class UnitarySet:
 
 
 def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
-    """Least k >= 1 with 4 n base^k below the 1/8 wrong-accept budget."""
+    """Least k >= 1 with 4 n base^k below the 1/8 wrong-accept budget: k from
+    the logarithm, confirmed at k - 1 and k on that predicate itself."""
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    k = 1
-    while 4 * n_measurements * base**k > CASE2_BUDGET:
-        k += 1
-        if k > 10**6:
-            raise ValueError("copy rule did not converge")
-    return k
+    if 4 * n_measurements * base <= CASE2_BUDGET:
+        return 1
+    if base >= 1.0:
+        raise ValueError(f"epsilon {epsilon} is too small: the copy rule's base rounds to 1, so no k meets the budget")
+    k = math.ceil(math.log(CASE2_BUDGET / (4 * n_measurements)) / math.log(base))
+    return next((j for j in (k - 1, k) if 4 * n_measurements * base**j <= CASE2_BUDGET), k + 1)
 
 
 def eigen_copies(n_measurements: int, epsilon: float) -> int:
@@ -300,13 +297,18 @@ def analytic_eigen_accept(unitary: np.ndarray, psi: PureState, copies_k: int) ->
     return float((0.5 + 0.5 * overlap.real) ** copies_k)
 
 
+def _unitary_set(unitaries: UnitarySet | Sequence[np.ndarray]) -> UnitarySet:
+    """A :class:`UnitarySet` as it is, a plain list checked into one."""
+    return unitaries if isinstance(unitaries, UnitarySet) else UnitarySet(tuple(unitaries))
+
+
 def _eigen_check(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: RegisterShape, copies_k: int):
     """The family as a :class:`UnitarySet` on psi's space, after the instance
     check of :func:`eigen_instance`, :func:`eigen_or_accept_exact` and
     :func:`eigen_measurement_cycle`: k >= 1, and unitaries of psi's dimension
     (the factored appliers only reshape, so others could pass silently)."""
     _check_copies(copies_k)
-    mats = unitaries if isinstance(unitaries, UnitarySet) else UnitarySet(tuple(unitaries))
+    mats = _unitary_set(unitaries)
     if mats.dim != psi_shape.total_dim:
         raise ValueError("unitary dimension does not match the state dimension")
     return mats
@@ -319,11 +321,6 @@ def _copies_state(parts: list[PureState], copies_k: int, tail: Sequence[PureStat
     if dim > MAX_VECTOR_DIM:
         raise ValueError(f"k-copy state dim {dim} exceeds the vector cap {MAX_VECTOR_DIM}")
     return product_state(parts * copies_k + list(tail))
-
-
-def _run_once(inst: AveragedInstance, rng: np.random.Generator) -> bool:
-    """Whether one run of the instance accepts, through the single-run sampler."""
-    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
 
 
 def eigen_instance(
@@ -412,7 +409,7 @@ def _joint_bits(projectors: Sequence[np.ndarray], vector: np.ndarray) -> list[tu
     weights: dict[int, float] = {}
     for basis, mask in blocks:
         w = float(np.linalg.norm(basis.conj().T @ vector) ** 2)
-        if w > 1e-15:
+        if w > PATTERN_ATOL:
             weights[mask] = weights.get(mask, 0.0) + w
     return sorted(weights.items())
 
@@ -444,7 +441,7 @@ def and_power_distribution(
     dist = q**factors
     for lo, hi in _bit_pairs(dist):
         lo -= hi
-    return {int(m): float(dist[m]) for m in np.flatnonzero(dist > 1e-15)}
+    return {int(m): float(dist[m]) for m in np.flatnonzero(dist > PATTERN_ATOL)}
 
 
 def averaged_and_measure(
@@ -498,7 +495,7 @@ def _eigen_accept_matvec(mats: UnitarySet, psi: PureState, copies_k: int, n_roun
     factored appliers."""
     vec = _copies_state([plus_state(), psi], copies_k).amplitudes
     appliers = [_copy_reflection_applier(u, copies_k) for u in mats]
-    return mw_accept_polynomial(lambda x: sum(a(x) for a in appliers) / len(appliers), vec, n_rounds)
+    return mw_accept_polynomial(_mean_applier(appliers), vec, n_rounds)
 
 
 # -- function isomorphism under a permutation set ----------------------------------
@@ -719,10 +716,14 @@ def unitary_set_test(
     """Membership of an unknown unitary in a finite set, via channel states.
 
     Each copy of the channel state costs one use of the unknown unitary, so
-    the reported oracle-use count equals the copy count.
+    the reported oracle-use count equals the copy count.  The candidates are
+    checked once, as a :class:`UnitarySet`, and their channel states built
+    unchecked.
     """
     target = choi_state(oracle_unitary)
-    cand_states = [choi_state(u) for u in candidates]
+    candidates = _unitary_set(candidates)
+    shape = RegisterShape((candidates.dim,) * 2)
+    cand_states = [_trusted(PureState, shape, choi_vector(u)) for u in candidates]
     k = membership_copies(len(cand_states), epsilon) if copies_k is None else copies_k
     accepted = state_membership_test(cand_states, target, epsilon, rng, copies_k=k)
     return UnitarySetRun(accepted=accepted, copies_used=k, oracle_uses=k)
@@ -738,12 +739,8 @@ def conjugation_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     d = u.shape[0]
     local = np.kron(np.kron(u, u.conj()), np.kron(u.conj().T, u.T))
-    dd = d * d
-    swap = np.zeros((dd * dd, dd * dd))
-    for a in range(dd):
-        for b in range(dd):
-            swap[b * dd + a, a * dd + b] = 1.0
-    return swap @ local
+    swap = np.arange(d**4).reshape(d * d, d * d).T
+    return permutation_matrix(PermutationAction(swap.reshape(-1))) @ local
 
 
 def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies_k: int | None):
@@ -751,8 +748,7 @@ def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies
     at gap eps^2: the eigenvector test's inputs, shared by its sampler and
     exact oracle."""
     psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
-    s_set = s_set if isinstance(s_set, UnitarySet) else UnitarySet(tuple(s_set))
-    mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in s_set))
+    mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in _unitary_set(s_set)))
     k = eigen_copies(len(mats), epsilon**2) if copies_k is None else copies_k
     return mats, psi, k
 
@@ -813,15 +809,22 @@ def proper_cuts(n_parts: int) -> list[tuple[int, ...]]:
     return cuts
 
 
+def _cut_swap_order(n_axes: int, first: int, n_parts: int, cut: Iterable[int]) -> list[int]:
+    """The transpose of an `n_axes`-axis tensor that is SWAP_S across two
+    adjacent copies of an `n_parts`-register state, the first at axis `first`."""
+    order = list(range(n_axes))
+    for c in cut:
+        a, b = first + c, first + n_parts + c
+        order[a], order[b] = order[b], order[a]
+    return order
+
+
 def swap_overlap_two_copies(psi: PureState, cut: Sequence[int]) -> float:
     """<psi(x)psi| SWAP_S |psi(x)psi>, computed on the explicit two-copy state."""
     n = psi.shape.num_registers
     cut, _ = _split_registers(psi, cut)
     two = np.kron(psi.amplitudes, psi.amplitudes).reshape(psi.shape.dims * 2)
-    perm = list(range(2 * n))
-    for c in cut:
-        perm[c], perm[n + c] = perm[n + c], perm[c]
-    swapped = two.transpose(perm)
+    swapped = two.transpose(_cut_swap_order(2 * n, 0, n, cut))
     return float(np.vdot(two.reshape(-1), swapped.reshape(-1)).real)
 
 
@@ -845,15 +848,12 @@ def _cut_and_applier(
     dims: tuple[int, ...], n_parts: int, copies_k: int, cut: Sequence[int]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Product over disjoint copy pairs of (I + SWAP_S)/2, applied by axis swaps."""
+    orders = [_cut_swap_order(len(dims), 2 * p * n_parts, n_parts, cut) for p in range(copies_k // 2)]
 
     def apply(vec: np.ndarray) -> np.ndarray:
         t = vec.reshape(dims)
-        for p in range(copies_k // 2):
-            perm = list(range(len(dims)))
-            a, b = 2 * p * n_parts, (2 * p + 1) * n_parts
-            for c in cut:
-                perm[a + c], perm[b + c] = perm[b + c], perm[a + c]
-            t = 0.5 * (t + t.transpose(perm))
+        for order in orders:
+            t = 0.5 * (t + t.transpose(order))
         return t.reshape(-1)
 
     return apply
@@ -917,22 +917,12 @@ def _pair_swap_projectors(psi: PureState, cuts: Sequence[Sequence[int]]) -> list
     d = psi.shape.total_dim
     if d * d > MAX_DENSE_DIM:
         raise ValueError("two-copy space too large for the dense swap projectors")
-    dims = psi.shape.dims
-    n = len(dims)
+    n = psi.shape.num_registers
+    labels = np.arange(d * d).reshape(psi.shape.dims * 2)
     out = []
     for cut in cuts:
-        cut = set(cut)
-        perm = np.zeros((d * d, d * d))
-        for a in range(d):
-            for b in range(d):
-                la = list(np.unravel_index(a, dims))
-                lb = list(np.unravel_index(b, dims))
-                for c in cut:
-                    la[c], lb[c] = lb[c], la[c]
-                a2 = int(np.ravel_multi_index(tuple(la), dims))
-                b2 = int(np.ravel_multi_index(tuple(lb), dims))
-                perm[a2 * d + b2, a * d + b] = 1.0
-        out.append(0.5 * (np.eye(d * d) + perm))
+        swap = labels.transpose(_cut_swap_order(2 * n, 0, n, cut)).reshape(-1)
+        out.append(0.5 * (np.eye(d * d) + permutation_matrix(PermutationAction(swap))))
     return out
 
 
@@ -1022,11 +1012,14 @@ def genuine_ent_accept_exact(psi: PureState, n_parts: int, copies_k: int) -> flo
     so the averaged measurement's spectral measure is the distribution of r,
     found by a DP over subspaces (:func:`_span_rank_distribution`).  The DP
     visits every subspace of GF(2)^{n-1} in the worst case, which bounds
-    the party count at MAX_GENUINE_PARTIES.
+    the party count at MAX_GENUINE_PARTIES, and takes one step per copy
+    pair, which bounds k/2 at MAX_GENUINE_DRAWS; both are checked first.
     """
     n_cuts, _ = _genuine_check(psi, n_parts, copies_k)
     if n_parts > MAX_GENUINE_PARTIES:
         raise ValueError(f"{n_parts} parties exceed the exact oracle's cap of {MAX_GENUINE_PARTIES}")
+    if copies_k // 2 > MAX_GENUINE_DRAWS:
+        raise ValueError(f"{copies_k // 2} copy pairs exceed the draw cap MAX_GENUINE_DRAWS = {MAX_GENUINE_DRAWS}")
     w = _sign_pattern_weights(psi)
     patterns = [s for s in range(w.size) if bin(s).count("1") % 2 == 0 and w[s] > PATTERN_ATOL]
     ranks = _span_rank_distribution(patterns, w[patterns].tolist(), copies_k // 2)

@@ -1,5 +1,6 @@
 """Experiment runner and CLI: determinism, assertions, file I/O, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -289,6 +290,14 @@ class TestCli:
             assert cli_main(argv) == 0
             assert json.loads(out.read_text())["all_passed"]
 
+    def test_copy_rule_past_a_million_copies(self, tmp_path):
+        """At epsilon = 0.001 the membership rule asks for about 4.2e6
+        copies; the rule is finite and the oracle exact at that k."""
+        out = tmp_path / "res.json"
+        assert cli_main(["membership", "--param", "epsilon=0.001", "--out", str(out)]) == 0
+        body = json.loads(out.read_text())
+        assert body["all_passed"] and body["values"]["copies_rule_k"] > 10**6
+
     def test_fn_flags_must_pair(self, tmp_path):
         fpath = tmp_path / "f.txt"
         fpath.write_text("0 0\n1 1\n")
@@ -351,3 +360,48 @@ class TestCli:
             cli_main(["antizeno", "--param", "typo"])
         assert exc.value.code == 2
         assert "key=value" in capsys.readouterr().err
+
+
+class TestPinnedDocuments:
+    """The default document and CSV of every experiment at seeds 0 and 1.
+
+    Each entry is the SHA-256 of the ``--out`` document and of the ``--csv``
+    file (None where the experiment writes no rows).  A change that moves
+    any of them changes a result, and must update this table and say so in
+    CHANGES.md.
+    """
+
+    SHA256 = {
+        ("antizeno", 0): ("78a7413aa3df46637c1b0da0181f5262e37dff2c87a7f4d27e3080dba6edee2d", None),
+        ("antizeno", 1): ("8a0a3e88841f6ff79f114ac867570500e7cc96cce3a2be95711542f497163c0d", None),
+        ("mw-bounds", 0): ("0c0662fcbfcb2bea54d9f7aa72581899013b2082a8bc83dd59078400f36e5dc1", "ce70be1b3de051df2ee66db4c78421d3f7b52a6e0816ca2bf6602c7bdc6daadc"),
+        ("mw-bounds", 1): ("1dbb7e5fd27b7f7076af5eb6e1f33a007d6cc8d40abcb8e2a3fd50e4f0fd7e9e", "d96b789ca747051f431064071ed31dbae04ec81c50b73f649caed374f0c815bf"),
+        ("or-test", 0): ("e7656fe56b0d520ea7ee9d62bc0590ccbdeff2871fba83f886266151bf936901", None),
+        ("or-test", 1): ("6119fc9e096413b0051c0146b2e4d47808347a0e7875e606d1899bdd0aae2919", None),
+        ("disturbance", 0): ("97f2d715e027fc20534856963f47dac20c5c3077598e574db0db18c7de2893da", None),
+        ("disturbance", 1): ("00569360a7e254717acf8d4340b17d06899959b6c48ee5f76f9bd37f16f13b18", None),
+        ("union-bound", 0): ("f0e8e66b825339f78522068488b98c4288a33fc4d4742e671bd84992e3093c3e", "d3c0308fd1a292636aae0b750e340e5467ce4cad81f9829d6be3a0b6d7cabf6b"),
+        ("union-bound", 1): ("ad40a626cf45810353f6c7fb09f547f9c9429f1434341e2b031e1188b63f9cc9", "8b12bd9ae66f2d16c10396127bcd8a71653594042406d4fc92459d2d954eab22"),
+        ("gentle", 0): ("35233c2910c8319a46e84ca1523497dcbee9a722bff1ea6ccfc36791c0eebc31", None),
+        ("gentle", 1): ("e0f1573b711a5ed414227f99a56e9097175b641d74fa288ce3d00030b7793587", None),
+        ("giso", 0): ("436cb14050af2561757c3caa84bf897bab0b5a398f971c0b3eea08fea44e5e28", None),
+        ("giso", 1): ("b7c5e20cc6063ad7f8ee8d4b6f01626d00fb570cb9df9eef97caed07a8212611", None),
+        ("membership", 0): ("31df4421daa4663772dda81f16437bc05368928b3ece1c32f8f54c766a0c51ea", None),
+        ("membership", 1): ("856777b3a883a23013f55e1a5faf661c88a8b868e504e0d244121d7f65a8120b", None),
+        ("uiso", 0): ("15abf0032131bbc748607f8c745dd0aa602105af6d765c0d8c6c0a2879517652", None),
+        ("uiso", 1): ("486fa4a46b8bdb7950fa513679743cbda45aacc2844598e71cafc3b859ae1deb", None),
+        ("genuine-ent", 0): ("ecb29f012ca05e4172c0dbc8bf5c167967d167fbaddcb913931d8a52f1c6c1f9", None),
+        ("genuine-ent", 1): ("6405fff351949f49d48c7692a1be68a26f821b7d3b01be5650264ac4351086c2", None),
+        ("demerlinize", 0): ("2d1075353a6dce51828f82d3349a79669940ff714fcfe8c2686f787e24ce3b26", None),
+        ("demerlinize", 1): ("c76eecbebddedbd48a2002398840f2987cc7b561e6b78095334e15deb3fe2e3a", None),
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(SHA256))
+    def test_default_document_pinned(self, name, seed, tmp_path):
+        out, csv_path = tmp_path / "doc.json", tmp_path / "trials.csv"
+        argv = [name, "--seed", str(seed), "--out", str(out), "--csv", str(csv_path)]
+        assert cli_main(argv) == 0
+        doc_sha, csv_sha = self.SHA256[name, seed]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == doc_sha, f"{name} seed {seed}: document changed"
+        observed_csv = hashlib.sha256(csv_path.read_bytes()).hexdigest() if csv_path.exists() else None
+        assert observed_csv == csv_sha, f"{name} seed {seed}: CSV changed"

@@ -53,8 +53,13 @@ from seqmeas import (
     union_bound_bruteforce,
     unitary_s_iso_accept_exact,
     unitary_s_iso_instance,
+    unitary_set_test,
 )
+from seqmeas import testers as testers_module
+from seqmeas.disturbance import certain_member_instance
+from seqmeas.experiments import _case2_or_instance
 from seqmeas.gates import HADAMARD, PAULI_X, GateSpec
+from seqmeas.measurement import is_idempotent
 from seqmeas.quantum_or import mw_accept_polynomial
 from seqmeas.sampling import (
     random_density_operator,
@@ -264,3 +269,38 @@ def test_library_built_unitary_families_skip_the_check(monkeypatch):
     assert checked == [2, 1]
     with pytest.raises(ValueError, match="not unitary"):
         unitary_s_iso_accept_exact([np.eye(2), 2.0 * PAULI_X], PAULI_X, PAULI_X, 0.5, copies_k=2)
+
+
+def test_unitary_set_test_checks_each_unitary_once(monkeypatch):
+    """A pre-built set's candidates are not re-checked when their channel
+    states are built; only the unknown unitary is."""
+    candidates = UnitarySet((np.eye(2), PAULI_X))
+    calls = []
+    original = testers_module.is_unitary
+
+    def spy(mat):
+        calls.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(testers_module, "is_unitary", spy)
+    unitary_set_test(candidates, PAULI_X, 0.5, trial_rng(91, 0), copies_k=2)
+    assert calls == [(2, 2)]
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_set_test([np.eye(2), 2.0 * PAULI_X], PAULI_X, 0.5, trial_rng(91, 1), copies_k=2)
+
+
+def test_by_construction_projectors_skip_the_checks(monkeypatch):
+    """The or-test case-2 family and the certain-member instance are rank-one
+    projectors of unit vectors, built without a value check."""
+    rng = trial_rng(92, 0)
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} re-checked")
+
+    for cls in (PureState, HermitianOperator, TwoOutcomeMeasurement):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+
+    psi, family = _case2_or_instance(rng, 8, 4, 1.0 / 1024.0)
+    assert all(m.is_projector and is_idempotent(m.accept_op.matrix) for m in family)
+    inst = certain_member_instance(4, eta=1.0, dim=3)
+    assert all(is_idempotent(m.accept_op.matrix) for m in inst.measurements)

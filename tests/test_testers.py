@@ -54,17 +54,21 @@ from seqmeas import (
 )
 from seqmeas import testers as testers_module
 from seqmeas import gates as gates_module
+from seqmeas import quantum_or as quantum_or_module
 from seqmeas.gates import HADAMARD, PAULI_X, PAULI_Z, GateSpec, _apply_gate_array
 from seqmeas.measurement import measure_register_collapse
 from seqmeas.quantum_or import mw_accept_from_spectrum, or_round_count
 from seqmeas.testers import (
+    CASE2_BUDGET,
     MAX_DENSE_DIM,
+    MAX_GENUINE_DRAWS,
     MAX_GENUINE_PARTIES,
     MAX_VECTOR_DIM,
     _copy_reflection_applier,
     _eigen_accept_matvec,
     _elementwise_power,
     _eigen_layout,
+    _least_copies,
     _noncommuting_pair,
     _pair_swap_projectors,
     _sign_pattern_weights,
@@ -254,6 +258,89 @@ def check_copy_rule(rule, column):
     for eps in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             rule(2, eps)
+
+
+def reference_least_copies(n_measurements, base):
+    """The copy rule as a step-by-step search for the least k."""
+    k = 1
+    while 4 * n_measurements * base**k > CASE2_BUDGET:
+        k += 1
+    return k
+
+
+# Base 1/2 with n a power of two, and base 1/4 with n = 2, 8, 32, put
+# 4 n base^k exactly on the budget at some k; the rest are generic, up to
+# about 18000 copies.
+COPY_RULE_BASES = (0.0, 0.25, 0.5, 0.75, 1 - 0.1 / 2, 1 - 0.1**2, 1 - 0.1**2 / 2, 0.999, 1 - 2.0**-10)
+
+
+@pytest.mark.parametrize("base", COPY_RULE_BASES)
+def test_copy_rule_closed_form_matches_search(base):
+    for n in (0, 1, 2, 3, 4, 7, 8, 16, 31, 32, 1000, 1 << 20):
+        assert _least_copies(n, 0.5, base) == reference_least_copies(n, base), (n, base)
+
+
+def test_copy_rule_past_a_million_steps():
+    """Rules far past the old step limit are finite and sit on the
+    budget's edge: k fits, k - 1 does not."""
+    for n, eps in ((2, 0.001), (3, 1e-4), (7, 1e-6)):
+        base = 1 - eps**2
+        k = membership_copies(n, eps)
+        assert k > 10**6
+        assert 4 * n * base**k <= CASE2_BUDGET < 4 * n * base ** (k - 1)
+    with pytest.raises(ValueError, match="too small"):
+        membership_copies(2, 1e-9)
+
+
+# Loop-built references for the basis permutations that the testers take
+# from gates.permutation_matrix; the entries must agree exactly.
+
+
+def reference_pair_swap(sigma, n_y):
+    n_x = sigma.size
+    mat = np.zeros((2 * n_x * n_y,) * 2)
+    for x in range(n_x):
+        for y in range(n_y):
+            mat[(n_x + sigma.inverse()(x)) * n_y + y, x * n_y + y] = 1.0
+            mat[sigma(x) * n_y + y, (n_x + x) * n_y + y] = 1.0
+    return mat
+
+
+def reference_channel_swap(d):
+    dd = d * d
+    mat = np.zeros((dd * dd,) * 2)
+    for a in range(dd):
+        for b in range(dd):
+            mat[b * dd + a, a * dd + b] = 1.0
+    return mat
+
+
+def reference_cut_swap(dims, cut):
+    d = math.prod(dims)
+    mat = np.zeros((d * d,) * 2)
+    for a in range(d):
+        for b in range(d):
+            la, lb = list(np.unravel_index(a, dims)), list(np.unravel_index(b, dims))
+            for c in cut:
+                la[c], lb[c] = lb[c], la[c]
+            mat[np.ravel_multi_index(la, dims) * d + np.ravel_multi_index(lb, dims), a * d + b] = 1.0
+    return mat
+
+
+def test_permutation_builders_match_loop_references():
+    rng = trial_rng(53, 0)
+    for n_x, n_y in ((2, 2), (3, 2), (4, 3)):
+        sigma = PermutationAction(tuple(rng.permutation(n_x)))
+        assert np.array_equal(pair_swap_unitary(sigma, n_y), reference_pair_swap(sigma, n_y))
+    for d in (2, 3):
+        u = random_unitary(rng, d)
+        local = np.kron(np.kron(u, u.conj()), np.kron(u.conj().T, u.T))
+        assert np.array_equal(conjugation_unitary(u), reference_channel_swap(d) @ local)
+    for dims in ((2, 2), (2, 3, 2), (2, 2, 2, 2)):
+        psi = random_pure_state(rng, RegisterShape(dims))
+        cuts = proper_cuts(len(dims))
+        for cut, proj in zip(cuts, _pair_swap_projectors(psi, cuts)):
+            assert np.array_equal(proj, 0.5 * (np.eye(proj.shape[0]) + reference_cut_swap(dims, cut)))
 
 
 class TestFunctionStates:
@@ -1046,6 +1133,27 @@ class TestGenuineEntanglement:
         with pytest.raises(ValueError, match="cap"):
             genuine_ent_accept_exact(psi, n, 2)
 
+    def test_draw_cap(self, monkeypatch):
+        """k/2 copy pairs are one DP step each; past MAX_GENUINE_DRAWS the
+        oracle fails before any work, with an error naming the cap."""
+        draws = []
+
+        def record(patterns, weights, n_draws):
+            draws.append(n_draws)
+            return {0: 1.0}
+
+        monkeypatch.setattr(testers_module, "_span_rank_distribution", record)
+        genuine_ent_accept_exact(ghz_state(3), 3, 2 * MAX_GENUINE_DRAWS)
+        assert draws == [MAX_GENUINE_DRAWS]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the oracle started work past its draw cap")
+
+        monkeypatch.setattr(testers_module, "subsystem_purity", no_work)
+        monkeypatch.setattr(testers_module, "_span_rank_distribution", no_work)
+        with pytest.raises(ValueError, match="draw cap MAX_GENUINE_DRAWS"):
+            genuine_ent_accept_exact(ghz_state(3), 3, 2 * MAX_GENUINE_DRAWS + 2)
+
     def test_caps_checked_before_listing_cuts(self, monkeypatch):
         """GHZ-12 has 2^11 - 1 cuts; the party cap, the copy rule and the
         vector cap are all checked from that count, before any cut is listed."""
@@ -1118,13 +1226,13 @@ class TestEigenTestEndToEnd:
         """The averaged OR run receives ((|0>+|1>)/sqrt2 (x) psi)^k: 2k
         registers for a one-register psi, and no flag qubit."""
         seen = []
-        original = testers_module.run_averaged_or_sampled
+        original = quantum_or_module.run_averaged_or_sampled
 
         def spy(appliers, initial, n_rounds, rng):
             seen.append(initial.shape.dims)
             return original(appliers, initial, n_rounds, rng)
 
-        monkeypatch.setattr(testers_module, "run_averaged_or_sampled", spy)
+        monkeypatch.setattr(quantum_or_module, "run_averaged_or_sampled", spy)
         rng = trial_rng(52, 0)
         psi = random_pure_state(rng, RegisterShape((3,)))
         eigen_test([random_unitary(rng, 3) for _ in range(2)], psi, 0.5, trial_rng(52, 1), copies_k=3)

@@ -64,7 +64,8 @@ from seqmeas import (
 )
 from seqmeas.experiments import _accept_ever_count
 from seqmeas.measurement import is_idempotent
-from seqmeas.quantum_or import _ensemble_rows, _row_dot
+from seqmeas.disturbance import _row_dot
+from seqmeas.quantum_or import _ensemble_rows
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
