@@ -195,15 +195,17 @@ class UnitarySet:
 
 def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
     """Least k >= 1 with 4 n base^k below the 1/8 wrong-accept budget: k from
-    the logarithm, confirmed at k - 1 and k on that predicate itself."""
+    the logarithm, confirmed among k - 1, k and k + 1 on that predicate
+    itself.  Past 2^53 floats cannot tell k from k + 1: epsilon is too small."""
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if 4 * n_measurements * base <= CASE2_BUDGET:
         return 1
-    if base >= 1.0:
-        raise ValueError(f"epsilon {epsilon} is too small: the copy rule's base rounds to 1, so no k meets the budget")
-    k = math.ceil(math.log(CASE2_BUDGET / (4 * n_measurements)) / math.log(base))
-    return next((j for j in (k - 1, k) if 4 * n_measurements * base**j <= CASE2_BUDGET), k + 1)
+    if base < 1.0 and (k := math.ceil(math.log(CASE2_BUDGET / (4 * n_measurements)) / math.log(base))) <= 1 << 53:
+        for j in (k - 1, k, k + 1):
+            if 4 * n_measurements * base**j <= CASE2_BUDGET:
+                return j
+    raise ValueError(f"epsilon {epsilon} is too small: the copy rule's k is not a float-exact count")
 
 
 def eigen_copies(n_measurements: int, epsilon: float) -> int:
@@ -316,10 +318,12 @@ def _eigen_check(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: Regist
 
 def _copies_state(parts: list[PureState], copies_k: int, tail: Sequence[PureState] = ()) -> PureState:
     """(parts)^{(x)k} (x) tail, the state of every k-copy tester, after
-    checking its size against the vector cap (k is checked by the caller)."""
-    dim = math.prod(p.shape.total_dim for p in parts) ** copies_k * math.prod(p.shape.total_dim for p in tail)
-    if dim > MAX_VECTOR_DIM:
-        raise ValueError(f"k-copy state dim {dim} exceeds the vector cap {MAX_VECTOR_DIM}")
+    checking its size against the vector cap (k is checked by the caller;
+    every register has dim >= 2, so a k past the cap's bit length fails
+    before any power is taken)."""
+    per_copy, tail_dim = (math.prod(p.shape.total_dim for p in ps) for ps in (parts, tail))
+    if copies_k > MAX_VECTOR_DIM.bit_length() or per_copy**copies_k * tail_dim > MAX_VECTOR_DIM:
+        raise ValueError(f"k-copy state dim {per_copy}^{copies_k} * {tail_dim} exceeds the vector cap {MAX_VECTOR_DIM}")
     return product_state(parts * copies_k + list(tail))
 
 
@@ -677,10 +681,14 @@ def choi_vector(matrix: np.ndarray) -> np.ndarray:
 def choi_state(unitary: np.ndarray) -> PureState:
     """The channel state of a unitary, on registers (d, d)."""
     u = np.asarray(unitary, dtype=np.complex128)
-    d = u.shape[0]
     if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    return _trusted(PureState, RegisterShape((d, d)), choi_vector(u))
+    return _choi_state(u)
+
+
+def _choi_state(u: np.ndarray) -> PureState:
+    """The channel state of a unitary already checked as one."""
+    return _trusted(PureState, RegisterShape((u.shape[0],) * 2), choi_vector(u))
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -721,9 +729,7 @@ def unitary_set_test(
     unchecked.
     """
     target = choi_state(oracle_unitary)
-    candidates = _unitary_set(candidates)
-    shape = RegisterShape((candidates.dim,) * 2)
-    cand_states = [_trusted(PureState, shape, choi_vector(u)) for u in candidates]
+    cand_states = [_choi_state(u) for u in _unitary_set(candidates)]
     k = membership_copies(len(cand_states), epsilon) if copies_k is None else copies_k
     accepted = state_membership_test(cand_states, target, epsilon, rng, copies_k=k)
     return UnitarySetRun(accepted=accepted, copies_used=k, oracle_uses=k)
@@ -919,11 +925,8 @@ def _pair_swap_projectors(psi: PureState, cuts: Sequence[Sequence[int]]) -> list
         raise ValueError("two-copy space too large for the dense swap projectors")
     n = psi.shape.num_registers
     labels = np.arange(d * d).reshape(psi.shape.dims * 2)
-    out = []
-    for cut in cuts:
-        swap = labels.transpose(_cut_swap_order(2 * n, 0, n, cut)).reshape(-1)
-        out.append(0.5 * (np.eye(d * d) + permutation_matrix(PermutationAction(swap))))
-    return out
+    swaps = [labels.transpose(_cut_swap_order(2 * n, 0, n, cut)).reshape(-1) for cut in cuts]
+    return [0.5 * (np.eye(d * d) + permutation_matrix(PermutationAction(s)).real) for s in swaps]
 
 
 def _sign_pattern_weights(psi: PureState) -> np.ndarray:

@@ -292,6 +292,36 @@ def test_copy_rule_past_a_million_steps():
         membership_copies(2, 1e-9)
 
 
+def test_copy_rule_past_float_exact_counts():
+    """Where the rule's k passes 2^53, floats cannot tell k from k + 1, so
+    the rule refuses epsilon as too small; just under it, k still fits."""
+    for eps in (1.05e-8, 1.5e-8, 2e-8):
+        with pytest.raises(ValueError, match="too small"):
+            membership_copies(2, eps)
+    k = membership_copies(2, 3e-8)
+    assert k < 1 << 53
+    assert 4 * 2 * (1 - 3e-8**2) ** k <= CASE2_BUDGET
+
+
+def test_rule_copy_counts_hit_the_vector_cap_at_once():
+    """A tester run at the rule's k, billions of copies at small epsilon,
+    fails on the vector cap before any power of that size is taken."""
+    import time
+
+    phi0, phi1 = basis_state(QUBIT, (0,)), basis_state(QUBIT, (1,))
+    runs = (
+        lambda: state_membership_test([phi0, phi1], phi0, 1e-5, trial_rng(0, 0)),
+        lambda: genuine_ent_test(ghz_state(3), 3, 1e-3, trial_rng(0, 0)),
+        lambda: genuine_ent_test(ghz_state(3), 3, 1e-5, trial_rng(0, 0)),
+        lambda: eigen_test([np.eye(2)], phi0, 1e-5, trial_rng(0, 0)),
+    )
+    for run in runs:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the vector cap"):
+            run()
+        assert time.perf_counter() - start < 1.0
+
+
 # Loop-built references for the basis permutations that the testers take
 # from gates.permutation_matrix; the entries must agree exactly.
 
@@ -341,6 +371,13 @@ def test_permutation_builders_match_loop_references():
         cuts = proper_cuts(len(dims))
         for cut, proj in zip(cuts, _pair_swap_projectors(psi, cuts)):
             assert np.array_equal(proj, 0.5 * (np.eye(proj.shape[0]) + reference_cut_swap(dims, cut)))
+
+
+def test_pair_swap_projectors_stay_real():
+    """The dense swap projectors hold real entries, at half a complex
+    matrix's memory."""
+    psi = ghz_state(3)
+    assert all(proj.dtype == np.float64 for proj in _pair_swap_projectors(psi, proper_cuts(3)))
 
 
 class TestFunctionStates:
