@@ -74,7 +74,7 @@ def _parse_group(lines: list[str]) -> tuple[PermutationAction, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqmeas", description=__doc__)
     parser.add_argument("experiment", choices=EXPERIMENT_NAMES)
-    parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    parser.add_argument("--seed", type=int, default=0, help="master seed (any non-negative integer)")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--out", type=str, default=None, help="result document path")
     parser.add_argument("--csv", type=str, default=None, help="per-trial CSV path")

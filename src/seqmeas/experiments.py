@@ -22,7 +22,7 @@ from . import measurement as meas
 from . import quantum_or as qor
 from . import testers
 from .gates import PAULI_X, PAULI_Z, PermutationAction
-from .rng import trial_rng
+from .rng import trial_rng, trial_rngs
 from .sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -169,9 +169,10 @@ def _float_param(
 
 
 def _trial_streams(config: ExperimentConfig, trials: int):
-    """Trial t's generator trial_rng(seed, 1000 + t), built when the trial
-    is reached, so no list of generators is held."""
-    return (trial_rng(config.seed, 1000 + t) for t in range(trials))
+    """Trial t's generator trial_rng(seed, 1000 + t), from one lazy
+    :func:`rng.trial_rngs` run: each generator is built when its trial is
+    reached, so no list of generators is held."""
+    return trial_rngs(config.seed, range(1000, 1000 + trials))
 
 
 def _sampled_accepts(inst, config: ExperimentConfig, trials: int) -> int:
@@ -239,8 +240,7 @@ def _exp_mw_bounds(config: ExperimentConfig, rec: _Recorder, trials: int):
     increasing order, each group's instances dropped once stacked."""
     groups: dict[int, list] = {}
     dims, rounds = np.empty(trials, dtype=int), np.empty(trials, dtype=int)
-    for t in range(trials):
-        rng = trial_rng(config.seed, t)
+    for t, rng in enumerate(trial_rngs(config.seed, range(trials))):
         dims[t] = dim = int(rng.integers(2, 17))
         shape = RegisterShape((dim,))
         lam = random_povm_contraction(rng, shape).matrix
@@ -335,8 +335,7 @@ def _exp_disturbance(config: ExperimentConfig, rec: _Recorder, trials: int):
     worst_conservation = 0.0
     case2_ok = 0
     n_case2 = _int_param(config, "case2_instances", 10, minimum=1)
-    for t in range(n_case2):
-        rng = trial_rng(config.seed, 100 + t)
+    for rng in trial_rngs(config.seed, range(100, 100 + n_case2)):
         dim = int(rng.integers(2, 9))
         shape = RegisterShape((dim,))
         n = int(rng.integers(1, 5))
@@ -361,8 +360,7 @@ def _exp_disturbance(config: ExperimentConfig, rec: _Recorder, trials: int):
 def _exp_union_bound(config: ExperimentConfig, rec: _Recorder, trials: int):
     ok = 0
     worst_sum = 0.0
-    for t in range(trials):
-        rng = trial_rng(config.seed, t)
+    for t, rng in enumerate(trial_rngs(config.seed, range(trials))):
         dim = int(rng.integers(2, 9))
         shape = RegisterShape((dim,))
         t_steps = int(rng.integers(1, 7))
@@ -395,8 +393,7 @@ def _exp_gentle(config: ExperimentConfig, rec: _Recorder, trials: int):
     """Trial t's instance (rho, L) comes from its own stream trial_rng(seed, t);
     the gap is then evaluated once per dimension on the stacked instances."""
     groups: dict[int, list] = {}
-    for t in range(trials):
-        rng = trial_rng(config.seed, t)
+    for rng in trial_rngs(config.seed, range(trials)):
         dim = int(rng.integers(2, 9))
         shape = RegisterShape((dim,))
         rho = random_density_operator(rng, shape).matrix
@@ -564,8 +561,7 @@ def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
     worst_inner = worst_ab = 0.0
     from .sampling import random_unitary
 
-    for t in range(n_random):
-        rng = trial_rng(config.seed, t)
+    for rng in trial_rngs(config.seed, range(n_random)):
         d = int(rng.integers(2, 5))
         u, v = random_unitary(rng, d), random_unitary(rng, d)
         su, sv = testers.choi_state(u), testers.choi_state(v)
@@ -701,6 +697,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
             f"unknown parameter {', '.join(map(repr, unknown))} for {config.name}; "
             f"accepted: {', '.join(keys) if keys else 'none'}"
         )
+    # the streams read the seed as an integer: 1.5 or True would run another seed's streams
+    if isinstance(config.seed, bool) or not isinstance(config.seed, int) or config.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     trials = config.trials if config.trials is not None else default_trials
     if trials < 1:
         raise ValueError("trials must be >= 1")

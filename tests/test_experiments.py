@@ -107,6 +107,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="probability zero"):
             run_experiment(ExperimentConfig(name="antizeno", trials=10, params={"n": 1}))
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+    def test_bad_seed_rejected_before_running(self, seed, monkeypatch):
+        """A fractional or boolean seed would run another seed's streams, and
+        a negative one would fail only at the first stream."""
+
+        def runner(config, rec, trials):
+            raise AssertionError("runner called")
+
+        monkeypatch.setitem(_EXPERIMENTS, "gentle", (runner, 10, ()))
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            run_experiment(ExperimentConfig(name="gentle", seed=seed))
+
+    def test_seed_past_64_bits_runs(self):
+        record = run_experiment(ExperimentConfig(name="antizeno", seed=2**70 + 1, trials=50))
+        assert record.all_passed
+        assert json.loads(record.to_document())["seed"] == 2**70 + 1
+
     def test_seed_changes_sampled_counts(self):
         a = run_experiment(ExperimentConfig(name="antizeno", seed=1, trials=400))
         b = run_experiment(ExperimentConfig(name="antizeno", seed=2, trials=400))
@@ -156,6 +173,16 @@ class TestCli:
         out = tmp_path / "res.json"
         assert cli_main(argv + ["--trials", "5", "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch):
+        def runner(config, rec, trials):
+            raise AssertionError("runner called")
+
+        monkeypatch.setitem(_EXPERIMENTS, "antizeno", (runner, 10, ("n",)))
+        out = tmp_path / "res.json"
+        assert cli_main(["antizeno", "--seed", "-1", "--out", str(out)]) == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_experiment_exit_code(self):
