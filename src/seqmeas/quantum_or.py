@@ -245,8 +245,20 @@ def _survivors(inst: MWInstance | AveragedInstance) -> _Survivors:
 
 
 def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> (1/n) sum_i A_i v added left to right: an averaged family's L."""
-    return lambda v: sum(a(v) for a in appliers) / len(appliers)
+    """v -> (1/n) sum_i A_i v added left to right: an averaged family's L.
+
+    The sum accumulates in place in an owned copy of the first output, so an
+    applier that returns its input (or a cached array) is never written to."""
+    first, rest = appliers[0], appliers[1:]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        total = np.array(first(v), dtype=np.complex128)
+        for a in rest:
+            total += a(v)
+        total /= len(appliers)
+        return total
+
+    return apply
 
 
 def run_mw_sampled(inst: MWInstance, rng: np.random.Generator) -> MWResult:

@@ -259,8 +259,10 @@ def eigen_measurement_cycle(
     branches = ((dx[0], rx[1]), (rx[0], dx[1]))  # (flag-0, flag-1) parts of reject, accept
     weights = np.array([sum(np.vdot(v, v).real for v in b) for b in branches])
     branch, prob = _register_branch(weights, branch, rng)
-    residual = np.stack(branches[branch], axis=1).reshape(-1) / math.sqrt(prob)
-    return branch, prob, _trusted(PureState, state.shape, residual)
+    residual = np.empty((x.shape[1], 2), dtype=np.complex128)  # columns: flag 0, flag 1
+    for col, part in enumerate(branches[branch]):
+        np.divide(part, math.sqrt(prob), out=residual[:, col])
+    return branch, prob, _trusted(PureState, state.shape, residual.reshape(-1))
 
 
 def _copy_reflection_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -270,16 +272,27 @@ def _copy_reflection_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np
     flips the flag when every control register is 0, so the accept
     projector V^dag (flag=1) V is (x)_b R (x) |0><0| + (I - (x)_b R) (x) |1><1|:
     on the flag-0 block, where the tester state starts and stays, it is
-    (x)_b R.  Each of the k steps contracts the leading block axis with R
-    and moves it last, so after k steps the axes are back in order.
+    (x)_b R.  R has rank d: R = 1/2 W W^dag with W = [I; U^dag] (2d x d), so
+    each block is applied in two phases, every step one matmul that
+    contracts the leading axis and moves it last.  The k down steps apply
+    1/2 W^dag, each halving the vector; one transpose then puts any trailing
+    axes (the cycle's flag) back behind the k system axes, on a vector 2^-k
+    of the input's size; the k up steps apply W.  A trailing axis of the
+    input therefore leads in the output: (b_1, ..., b_k, f) -> (f, b_1, ..., b_k).
     """
-    r_t = block_reflection(unitary).T
-    width = r_t.shape[0]
+    d = unitary.shape[0]
+    eye = np.eye(d)
+    down = 0.5 * np.vstack([eye, unitary.T])  # (1/2 W^dag)^T
+    up = np.hstack([eye, unitary.conj()])  # W^T
+    system = d**copies_k
 
     def apply(vec: np.ndarray) -> np.ndarray:
         t = vec
         for _ in range(copies_k):
-            t = t.reshape(width, -1).T @ r_t
+            t = t.reshape(2 * d, -1).T @ down
+        t = t.reshape(-1, system).T
+        for _ in range(copies_k):
+            t = t.reshape(d, -1).T @ up
         return t.reshape(-1)
 
     return apply
@@ -294,7 +307,10 @@ def block_reflection(unitary: np.ndarray) -> np.ndarray:
 
 
 def analytic_eigen_accept(unitary: np.ndarray, psi: PureState, copies_k: int) -> float:
-    """Closed-form single-measurement acceptance (1/2 + Re<psi|U|psi>/2)^k."""
+    """Closed-form single-measurement acceptance (1/2 + Re<psi|U|psi>/2)^k,
+    after the instance check of the interference test (k >= 1, a unitary of
+    psi's dimension)."""
+    (unitary,) = _eigen_check((unitary,), psi.shape, copies_k)
     overlap = np.vdot(psi.amplitudes, unitary @ psi.amplitudes)
     return float((0.5 + 0.5 * overlap.real) ** copies_k)
 
@@ -306,8 +322,8 @@ def _unitary_set(unitaries: UnitarySet | Sequence[np.ndarray]) -> UnitarySet:
 
 def _eigen_check(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: RegisterShape, copies_k: int):
     """The family as a :class:`UnitarySet` on psi's space, after the instance
-    check of :func:`eigen_instance`, :func:`eigen_or_accept_exact` and
-    :func:`eigen_measurement_cycle`: k >= 1, and unitaries of psi's dimension
+    check of :func:`eigen_instance`, :func:`eigen_or_accept_exact`,
+    :func:`eigen_measurement_cycle` and :func:`analytic_eigen_accept`: k >= 1, and unitaries of psi's dimension
     (the factored appliers only reshape, so others could pass silently)."""
     _check_copies(copies_k)
     mats = _unitary_set(unitaries)
@@ -355,7 +371,8 @@ def eigen_test(
     measurement per unitary to the averaged OR run, with N equal to the
     number of unitaries (the exact eigenvector in the positive case means no
     slack is needed).  The run stays in the flag-0 block, where each
-    measurement is k per-copy block reflections (see
+    measurement is the k-fold power of the block reflection R = 1/2 W W^dag,
+    applied as k rank-d contractions by 1/2 W^dag and k by W (see
     ``_copy_reflection_applier``).  This sampler,
     :func:`eigen_measurement_cycle` and :func:`eigen_or_accept_exact` share
     that factored projector; the gate-circuit reference lives in the tests.
@@ -664,7 +681,9 @@ def membership_accept_exact(
 
 
 def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) -> float:
-    """|<phi|psi>|^{2k}: the single-measurement acceptance on psi^k."""
+    """|<phi|psi>|^{2k}: the single-measurement acceptance on psi^k (k >= 1;
+    the two states must share one register shape)."""
+    _check_copies(copies_k)
     return float(abs(candidate.overlap(psi)) ** (2 * copies_k))
 
 

@@ -36,7 +36,7 @@ from seqmeas import (
     sample_trials,
     trial_rng,
 )
-from seqmeas.quantum_or import _averaged_operator, _survivors
+from seqmeas.quantum_or import _averaged_operator, _mean_applier, _survivors
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -515,3 +515,27 @@ def test_averaged_operator_helper():
     avg = _averaged_operator(seq)
     expected = sum(m.accept_op.matrix for m in seq) / 3
     np.testing.assert_allclose(avg.matrix, expected)
+
+
+def test_mean_applier_accumulates_in_a_copy():
+    """L = (1/n) sum_i A_i v built in place: an identity applier (which
+    returns its input) and an applier that returns one cached array keep
+    their arrays, and the result equals sum(...)/n on every nonzero entry
+    (only the sign of an exact zero may differ)."""
+    rng = trial_rng(90, 0)
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    v[[2, 7]] = 0.0
+    cached = rng.normal(size=12) + 1j * rng.normal(size=12)
+    mat = random_unitary(rng, 12)
+    appliers = [lambda x: x, lambda x: cached, lambda x: mat @ x, lambda x: -x]
+    v_before, cached_before = v.copy(), cached.copy()
+    out = _mean_applier(appliers)(v)
+    assert np.array_equal(v, v_before) and np.array_equal(cached, cached_before)
+    expected = sum(a(v) for a in appliers) / len(appliers)
+    assert out.dtype == np.complex128 and out is not v
+    nonzero = expected != 0
+    assert np.array_equal(out[nonzero], expected[nonzero])
+    assert np.count_nonzero(out[~nonzero]) == 0
+    # one identity applier alone: a copy of the input, which stays as it was
+    alone = _mean_applier([lambda x: x])(v)
+    assert alone is not v and np.array_equal(alone, v) and np.array_equal(v, v_before)

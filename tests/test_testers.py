@@ -43,6 +43,7 @@ from seqmeas import (
     membership_copies,
     mw_accept_exact,
     pair_state,
+    plus_state,
     product_state,
     proper_cuts,
     state_membership_test,
@@ -571,6 +572,25 @@ class TestFactoredMeasurementCycle:
             outcomes.append(outcome)
         assert 0 < sum(outcomes) < len(outcomes)
 
+    @pytest.mark.parametrize("dims, copies_k", [((2,), 1), ((3,), 2), ((2, 2), 2)])
+    def test_residual_matches_stacked_rows(self, dims, copies_k):
+        """Both branches' residuals, written row by row into one array, are
+        bit-identical to interleaving the two flag rows with np.stack and
+        dividing by the branch amplitude."""
+        rng = trial_rng(91, 10 * len(dims) + copies_k + dims[0])
+        shape = RegisterShape(dims)
+        psi = random_pure_state(rng, shape)
+        u = random_unitary(rng, shape.total_dim)
+        full = rng.normal(size=2 * (2 * shape.total_dim) ** copies_k) * (1 + 0.5j)
+        state = PureState(eigen_tester_state(psi, copies_k).shape, full / np.linalg.norm(full))
+        x = state.amplitudes.reshape(-1, 2).T
+        rx = _copy_reflection_applier(u, copies_k)(state.amplitudes).reshape(2, -1)
+        branches = ((x[0] - rx[0], rx[1]), (rx[0], x[1] - rx[1]))
+        for branch in (0, 1):
+            _, prob, residual = eigen_measurement_cycle(state, u, shape, copies_k, branch=branch)
+            stacked = np.stack(branches[branch], axis=1).reshape(-1) / math.sqrt(prob)
+            assert np.array_equal(residual.amplitudes, stacked)
+
     @staticmethod
     def two_qubit_case():
         psi = random_pure_state(trial_rng(57, 0), RegisterShape((2, 2)))
@@ -671,6 +691,69 @@ class TestFactoredEigenApplier:
             out = reference(full)
             assert np.count_nonzero(out[1::2]) == 0
             assert np.linalg.norm(out[0::2]) > 1e-3
+
+
+class TestRankFactorApplier:
+    """The applier against the dense k-fold kron of block_reflection, on
+    inputs with trailing axes (the cycle's flag is one of size 2)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("copies_k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("trailing", [1, 2, 3])
+    def test_matches_dense_kron(self, d, copies_k, trailing):
+        """Axes (b_1, ..., b_k, f) in, (f, b_1, ..., b_k) out: the trailing
+        axis leads, each of its slices mapped by (x)_b R."""
+        rng = trial_rng(92, 100 * d + 10 * copies_k + trailing)
+        u = random_unitary(rng, d)
+        dense = reduce(np.kron, [block_reflection(u)] * copies_k)
+        dim = dense.shape[0]
+        vec = rng.normal(size=dim * trailing) + 1j * rng.normal(size=dim * trailing)
+        out = _copy_reflection_applier(u, copies_k)(vec)
+        expected = (dense @ vec.reshape(dim, trailing)).T.reshape(-1)
+        assert out.shape == vec.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("copies_k", [1, 3])
+    def test_strided_input_left_untouched(self, copies_k):
+        """A strided view (every other entry of a longer vector) is read
+        correctly, and neither it nor its base is written to."""
+        rng = trial_rng(93, copies_k)
+        u = random_unitary(rng, 3)
+        dense = reduce(np.kron, [block_reflection(u)] * copies_k)
+        base = rng.normal(size=2 * dense.shape[0]) + 1j * rng.normal(size=2 * dense.shape[0])
+        before = base.copy()
+        view = base[0::2]
+        out = _copy_reflection_applier(u, copies_k)(view)
+        np.testing.assert_allclose(out, dense @ before[0::2], rtol=0, atol=1e-12)
+        assert np.array_equal(base, before)
+        contiguous = before[0::2].copy()
+        _copy_reflection_applier(u, copies_k)(contiguous)
+        assert np.array_equal(contiguous, before[0::2])
+
+
+class TestClosedFormChecks:
+    """The single-measurement closed forms refuse what their testers refuse."""
+
+    @pytest.mark.parametrize("copies_k", [0, -1])
+    def test_copy_count(self, copies_k):
+        plus = plus_state()
+        with pytest.raises(ValueError, match="at least one copy"):
+            analytic_eigen_accept(PAULI_X, plus, copies_k)
+        with pytest.raises(ValueError, match="at least one copy"):
+            per_candidate_accept(plus, plus, copies_k)
+
+    def test_non_unitary(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            analytic_eigen_accept(2 * PAULI_X, plus_state(), 1)
+
+    def test_wrong_dimension(self):
+        plus = plus_state()
+        with pytest.raises(ValueError, match="dimension does not match"):
+            analytic_eigen_accept(np.eye(3), plus, 1)
+        with pytest.raises(ValueError, match="dimension does not match"):
+            analytic_eigen_accept(PAULI_X, product_state([plus, plus]), 1)
+        with pytest.raises(ValueError, match="register shapes"):
+            per_candidate_accept(plus, product_state([plus, plus]), 1)
 
 
 class TestMatvecOracle:
