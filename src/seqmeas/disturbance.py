@@ -152,10 +152,6 @@ class SequentialExactResult:
     reject: float
     max_conservation_error: float
 
-    @property
-    def residual(self) -> float:
-        return 1.0 - self.total_accept - self.reject
-
 
 def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
     """Propagate the unnormalised not-yet-halted operator through all k iterations.
@@ -242,7 +238,6 @@ class SweepRow:
     n: int
     eta: float
     accept_exact: float
-    target: float  # eta^2/7
     threshold: float  # eta^2/7 - 1/n
 
 
@@ -254,14 +249,7 @@ def completeness_bound_sweep(
     for n in n_values:
         inst = family(n)
         res = exact_sequential_accept(inst)
-        target = inst.eta**2 / 7.0
         rows.append(
-            SweepRow(
-                n=n,
-                eta=inst.eta,
-                accept_exact=res.total_accept,
-                target=target,
-                threshold=target - 1.0 / n,
-            )
+            SweepRow(n=n, eta=inst.eta, accept_exact=res.total_accept, threshold=inst.eta**2 / 7.0 - 1.0 / n)
         )
     return rows

@@ -76,10 +76,6 @@ class RegisterShape:
         return math.prod(self.dims[self.check_register(r)] for r in registers)
 
 
-def qubit_shape(n: int) -> RegisterShape:
-    return RegisterShape((2,) * n)
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalised complex amplitude vector over a :class:`RegisterShape`."""
@@ -141,10 +137,6 @@ class DensityOperator:
     def __post_init__(self):
         self._store()
         state_stack(self.matrix[None])
-
-    @classmethod
-    def pure(cls, psi: PureState) -> "DensityOperator":
-        return psi.density()
 
 
 def _trusted(cls, *values):

@@ -11,9 +11,10 @@ Three kinds of exact acceptance oracle back the sampled testers:
 * a Gram-matrix route for averaged rank-one projector families (state
   membership), exact at any copy count;
 * a joint-eigenbasis route for commuting projector families applied per
-  tensor factor (interference measurements with commuting unitaries), which
-  reduces the averaged-operator spectrum to a distribution of bit-vector
-  ANDs and is likewise exact at any copy count;
+  tensor factor (interference measurements with commuting unitaries): one
+  ``eigh`` of sum_i 2^i P_i gives every joint eigenspace's bitmask and
+  certifies the family, and the averaged-operator spectrum reduces to a
+  distribution of bit-vector ANDs, likewise exact at any copy count;
 * a sign-pattern/span route for the genuine-entanglement test: the weights
   of the joint eigenspaces of the per-register swaps come from subsystem
   purities, and the averaged eigenvalue depends only on the dimension of
@@ -56,6 +57,7 @@ from .states import (
     _trusted,
     basis_state,
     eigendecompose,
+    hermitian_stack,
     product_state,
     plus_state,
     subsystem_purity,
@@ -388,14 +390,20 @@ def joint_projector_bits(
 ) -> list[tuple[int, float]]:
     """Joint eigenbasis weights of a commuting projector family seen from a vector.
 
-    Returns (bitmask, weight) pairs where bit i is the eigenvalue of the i-th
-    projector on that joint eigenspace and weight is the squared projection of
-    `vector` onto it.  Raises if the family does not commute.
+    Returns (bitmask, weight) pairs sorted by mask, where bit i is the
+    eigenvalue of the i-th projector on that joint eigenspace and weight is
+    the squared projection of `vector` onto it.  The stack must be finite and
+    Hermitian; a family that fails the certificate of :func:`_joint_bits`
+    raises, naming a non-commuting pair if there is one.
     """
-    pair = _noncommuting_pair(projectors)
-    if pair is not None:
+    mats = hermitian_stack(projectors, "projector")
+    atoms = _joint_bits(mats, vector)
+    if atoms is None:
+        pair = _noncommuting_pair(mats)
+        if pair is None:
+            raise ValueError("not a projector family")
         raise ValueError(f"projectors {pair[0]} and {pair[1]} do not commute")
-    return _joint_bits(projectors, vector)
+    return atoms
 
 
 def _noncommuting_pair(projectors: Sequence[np.ndarray]) -> tuple[int, int] | None:
@@ -410,29 +418,35 @@ def _noncommuting_pair(projectors: Sequence[np.ndarray]) -> tuple[int, int] | No
     return None
 
 
-def _joint_bits(projectors: Sequence[np.ndarray], vector: np.ndarray) -> list[tuple[int, float]]:
-    """:func:`joint_projector_bits` for a family already known to commute."""
-    d = vector.size
-    blocks: list[tuple[np.ndarray, int]] = [(np.eye(d, dtype=np.complex128), 0)]
-    for idx, proj in enumerate(projectors):
-        refined: list[tuple[np.ndarray, int]] = []
-        for basis, mask in blocks:
-            m = basis.conj().T @ proj @ basis
-            w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-            if ((w > 1e-6) & (w < 1 - 1e-6)).any():
-                raise ValueError("non-idempotent restriction; input is not a projector family")
-            ones = w > 0.5
-            if (~ones).any():
-                refined.append((basis @ v[:, ~ones], mask))
-            if ones.any():
-                refined.append((basis @ v[:, ones], mask | (1 << idx)))
-        blocks = refined
+def _check_mask_space(n_bits: int) -> None:
+    """Refuse 2^n_bits masks past MAX_VECTOR_DIM (which also keeps the norm of
+    sum_i 2^i P_i below 2^20, where rounding its spectrum is exact)."""
+    if n_bits >= MAX_VECTOR_DIM.bit_length():
+        raise ValueError(f"2^{n_bits} bitmasks exceed the vector cap {MAX_VECTOR_DIM}")
+
+
+def _joint_bits(projectors: Sequence[np.ndarray], vector: np.ndarray) -> list[tuple[int, float]] | None:
+    """:func:`joint_projector_bits` on finite Hermitian matrices, or None if
+    they are not commuting projectors.
+
+    H = sum_i 2^i P_i is its bitmask on each joint eigenspace, so one ``eigh``
+    of H gives every mask (its rounded spectrum) and weight (|V^dag vector|^2
+    summed per mask).  Its eigenbasis V certifies the family:
+    P_i V = V diag(bit i of each mask) to COMMUTATOR_ATOL for every i holds
+    exactly when the P_i are commuting Hermitian projectors.
+    """
+    n = len(projectors)
+    _check_mask_space(n)
+    w, v = np.linalg.eigh(sum(2.0**i * p for i, p in enumerate(projectors)))
+    # clipped so that any spectrum casts; an out-of-range mask fails the certificate
+    masks = np.clip(np.rint(w), 0, (1 << n) - 1).astype(np.int64)
+    bits = (masks >> np.arange(n)[:, None]) & 1
+    if not all(np.abs(p @ v - v * b).max() <= COMMUTATOR_ATOL for p, b in zip(projectors, bits)):
+        return None
     weights: dict[int, float] = {}
-    for basis, mask in blocks:
-        w = float(np.linalg.norm(basis.conj().T @ vector) ** 2)
-        if w > PATTERN_ATOL:
-            weights[mask] = weights.get(mask, 0.0) + w
-    return sorted(weights.items())
+    for mask, weight in zip(masks.tolist(), (np.abs(v.conj().T @ vector) ** 2).tolist()):
+        weights[mask] = weights.get(mask, 0.0) + weight
+    return sorted((m, w) for m, w in weights.items() if w > PATTERN_ATOL)
 
 
 def _bit_pairs(values: np.ndarray):
@@ -453,8 +467,10 @@ def and_power_distribution(
     `atoms` gives the single-factor distribution as (mask, probability)
     pairs.  Uses P(AND superset of m) = P(single superset of m)^factors: a
     superset zeta butterfly, the power, and the superset Moebius butterfly,
-    O(n_bits 2^n_bits) in all; exact for any factor count.
+    O(n_bits 2^n_bits) in all, 2^n_bits <= MAX_VECTOR_DIM; exact for any
+    factor count.
     """
+    _check_mask_space(n_bits)
     q = np.zeros(1 << n_bits)
     np.add.at(q, np.array([m for m, _ in atoms], dtype=np.int64), [w for _, w in atoms])
     for lo, hi in _bit_pairs(q):
@@ -486,13 +502,14 @@ def eigen_or_accept_exact(
 
     The averaged accept operator is block-diagonal in the flag qubit and the
     tester state lives in the flag-0 block, where measurement i acts as
-    (x)_b R_i, the k-fold tensor power of its block reflection.  For a
-    commuting family the joint-eigenbasis route is exact at any k
-    (``method="joint"`` requires it; ``"auto"`` takes it whenever the family
-    commutes).  Otherwise the acceptance 1 - ||(I - L)^N v||^2, N the family
-    size as in the sampler, is computed by N applications of the mean of its
-    factored appliers (:func:`quantum_or.mw_accept_polynomial`), so the
-    flag-0 block must fit under MAX_VECTOR_DIM.
+    (x)_b R_i, the k-fold tensor power of its block reflection.  The
+    joint-eigenbasis route (:func:`_joint_bits`, 2^n <= MAX_VECTOR_DIM) is
+    exact at any k when its certificate shows the R_i commute
+    (``method="joint"`` requires that; ``"auto"`` takes it whenever it holds).
+    Otherwise the acceptance 1 - ||(I - L)^N v||^2, N the family size as in
+    the sampler, is computed by N applications of the mean of its factored
+    appliers (:func:`quantum_or.mw_accept_polynomial`), so the flag-0 block
+    must fit under MAX_VECTOR_DIM.
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
@@ -502,10 +519,10 @@ def eigen_or_accept_exact(
     base = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), psi.amplitudes)
     if method == "joint":
         atoms = joint_projector_bits(reflections, base)
-    elif _noncommuting_pair(reflections) is None:
-        atoms = _joint_bits(reflections, base)  # each pair checked once, just above
     else:
-        return _eigen_accept_matvec(mats, psi, copies_k, rounds)
+        atoms = _joint_bits(reflections, base)
+        if atoms is None:
+            return _eigen_accept_matvec(mats, psi, copies_k, rounds)
     evals, weights = averaged_and_measure(atoms, len(mats), copies_k)
     return mw_accept_from_spectrum(evals, weights, rounds)
 

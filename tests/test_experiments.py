@@ -12,6 +12,7 @@ import pytest
 from seqmeas import ExperimentConfig, run_experiment
 from seqmeas.cli import main as cli_main
 from seqmeas.experiments import EXPERIMENT_NAMES, _EXPERIMENTS
+from seqmeas.testers import MAX_VECTOR_DIM
 
 
 QUICK = {"trials": 50}
@@ -229,6 +230,21 @@ class TestCli:
         assert cli_main(["giso", "--group", str(group), "--out", str(out)]) == 2
         assert "vector cap" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines,code", [(20, 0), (21, 2)])
+    def test_identity_group_mask_cap(self, lines, code, tmp_path, capsys):
+        """n copies of the identity commute, so the exact oracle takes the
+        joint route, whose AND distribution has 2^n masks: 2^20 is the vector
+        cap itself and runs, 2^21 is past it and refused."""
+        group = tmp_path / "group.txt"
+        group.write_text("0 1 2 3\n" * lines)
+        out = tmp_path / "res.json"
+        assert cli_main(["giso", "--group", str(group), "--trials", "20", "--out", str(out)]) == code
+        if code == 0:
+            assert 0.0 <= json.loads(out.read_text())["values"]["isomorphic_exact_accept"] <= 1.0
+        else:
+            assert f"2^21 bitmasks exceed the vector cap {MAX_VECTOR_DIM}" in capsys.readouterr().err
+            assert not out.exists()
 
     @staticmethod
     def _giso_files(tmp_path, case):

@@ -4,6 +4,7 @@ channel-state tests, productness and genuine entanglement."""
 import itertools
 import math
 import sys
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -65,10 +66,12 @@ from seqmeas.testers import (
     MAX_GENUINE_DRAWS,
     MAX_GENUINE_PARTIES,
     MAX_VECTOR_DIM,
+    PATTERN_ATOL,
     _copy_reflection_applier,
     _eigen_accept_matvec,
     _elementwise_power,
     _eigen_layout,
+    _joint_bits,
     _least_copies,
     _noncommuting_pair,
     _pair_swap_projectors,
@@ -251,6 +254,41 @@ def noncommuting_family(rng, dim, size=3):
     mats = [random_unitary(rng, dim) for _ in range(size)]
     assert _noncommuting_pair([block_reflection(u) for u in mats]) is not None
     return mats
+
+
+def _reference_joint_bits(projectors, vector):
+    """The earlier joint-bit route, kept as a reference: refine an orthonormal
+    basis one projector at a time, one ``eigh`` per block, and weigh each
+    final block by the squared norm of the vector's projection onto it."""
+    d = vector.size
+    blocks = [(np.eye(d, dtype=np.complex128), 0)]
+    for idx, proj in enumerate(projectors):
+        refined = []
+        for basis, mask in blocks:
+            m = basis.conj().T @ proj @ basis
+            w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+            if ((w > 1e-6) & (w < 1 - 1e-6)).any():
+                raise ValueError("non-idempotent restriction; input is not a projector family")
+            ones = w > 0.5
+            if (~ones).any():
+                refined.append((basis @ v[:, ~ones], mask))
+            if ones.any():
+                refined.append((basis @ v[:, ones], mask | (1 << idx)))
+        blocks = refined
+    weights = {}
+    for basis, mask in blocks:
+        w = float(np.linalg.norm(basis.conj().T @ vector) ** 2)
+        if w > PATTERN_ATOL:
+            weights[mask] = weights.get(mask, 0.0) + w
+    return sorted(weights.items())
+
+
+def rotated_projector_family(rng, dim, n_bits):
+    """n_bits commuting projectors V diag(bit i of mask_j) V^dag over a random
+    unitary V and random masks: a family with no axis-aligned basis."""
+    v = random_unitary(rng, dim)
+    masks = rng.integers(0, 1 << n_bits, size=dim)
+    return [(v * (masks >> i & 1)) @ v.conj().T for i in range(n_bits)]
 
 
 def check_copy_rule(rule, column):
@@ -908,6 +946,139 @@ class TestJointBitOracle:
         phi = eigen_tester_state(psi, k)
         full = mw_accept_exact(lam, phi, 2)
         assert abs(reduced - full) <= 1e-10
+
+
+def assert_matches_reference(projectors, vector):
+    got = joint_projector_bits(projectors, vector)
+    ref = _reference_joint_bits(projectors, vector)
+    assert [m for m, _ in got] == [m for m, _ in ref]
+    assert all(isinstance(m, int) and isinstance(w, float) for m, w in got)
+    assert max(abs(a - b) for (_, a), (_, b) in zip(got, ref)) <= 1e-12
+
+
+def flag_base(psi):
+    """The flag-0 block vector of the interference oracle, |+> (x) psi."""
+    return np.kron(np.array([1.0, 1.0]) / math.sqrt(2), psi.amplitudes)
+
+
+class TestJointBitCertificate:
+    """The one-``eigh`` joint-bit route (spectrum of sum 2^i P_i, certified by
+    its eigenbasis) against the per-projector refinement it replaced."""
+
+    def test_desk_tables_match_reference(self):
+        reflections = [block_reflection(pair_swap_unitary(s, 2)) for s in DESK_GROUP]
+        for pair in ((F_ISO, G_ISO), (F_FAR, G_FAR)):
+            assert_matches_reference(reflections, flag_base(pair_state(*pair)))
+        z_family = [block_reflection(z_string(bits, 3)) for bits in (0b100, 0b011, 0b110)]
+        assert_matches_reference(z_family, flag_base(random_pure_state(trial_rng(57, 0), RegisterShape((2, 2, 2)))))
+
+    def test_genuine_cut_projectors_match_reference(self):
+        for psi in genuine_ent_cases():
+            cuts = proper_cuts(psi.shape.num_registers)
+            assert_matches_reference(_pair_swap_projectors(psi, cuts), np.kron(psi.amplitudes, psi.amplitudes))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_and_identity_members(self, seed):
+        """Repeated members and identity members leave some masks empty and
+        make others carry several eigenvectors."""
+        rng = trial_rng(60, seed)
+        z = [z_string(int(b), 3) for b in rng.integers(1, 8, size=3)]
+        family = [z[0], z[0], np.eye(8), z[1], z[2], np.eye(8), z[1]]
+        psi = random_pure_state(rng, RegisterShape((2, 2, 2)))
+        assert_matches_reference([block_reflection(u) for u in family], flag_base(psi))
+        assert_matches_reference([0.5 * (np.eye(8) + u) for u in family], psi.amplitudes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_z_strings_match_reference(self, seed):
+        rng = trial_rng(61, seed)
+        strings = [z_string(int(b), 5) for b in rng.integers(0, 32, size=12)]
+        psi = random_pure_state(rng, RegisterShape((2,) * 5))
+        assert_matches_reference([0.5 * (np.eye(32) + u) for u in strings], psi.amplitudes)
+        psi4 = random_pure_state(rng, RegisterShape((2,) * 4))
+        strings4 = [z_string(int(b), 4) for b in rng.integers(0, 16, size=12)]
+        assert_matches_reference([block_reflection(u) for u in strings4], flag_base(psi4))
+
+    def test_rotated_family_at_the_mask_cap(self):
+        rng = trial_rng(62, 0)
+        n_bits = MAX_VECTOR_DIM.bit_length() - 1
+        family = rotated_projector_family(rng, 48, n_bits)
+        assert_matches_reference(family, random_pure_state(rng, RegisterShape((48,))).amplitudes)
+
+    @pytest.mark.parametrize(
+        "family,message",
+        [
+            ([np.diag([2.0, -1.0]), np.eye(2)], "not a projector family"),
+            ([np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2)], "not Hermitian"),
+            ([np.array([[np.nan, 0.0], [0.0, 1.0]])], "not Hermitian"),
+            ([np.diag([1e30, 0.0])], "not a projector family"),  # its mask is no int64
+        ],
+        ids=["not-idempotent", "not-hermitian", "nan", "huge"],
+    )
+    def test_non_projector_input_raises(self, family, message, monkeypatch):
+        """Input the earlier route accepted with made-up atoms; the raw stack
+        is refused before any ``eigh``, the non-projector by the certificate."""
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        with pytest.raises(ValueError, match=message):
+            joint_projector_bits(family, np.array([1.0, 0.0]))
+        assert len(calls) == (message == "not a projector family")
+
+    def test_noncommuting_pair_named(self):
+        p0 = np.diag([1.0, 0.0])
+        plus = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="projectors 0 and 2 do not commute"):
+            joint_projector_bits([p0, np.eye(2), plus], np.array([1.0, 0.0]))
+        assert _joint_bits([p0, np.eye(2), plus], np.array([1.0, 0.0])) is None
+
+    def test_one_eigh_and_no_pair_search_on_success(self, monkeypatch):
+        rng = trial_rng(63, 0)
+        psi = random_pure_state(rng, RegisterShape((2, 2)))
+        commuting = [z_string(b, 2) for b in (0b10, 0b01, 0b11)]
+        noncommuting = noncommuting_family(rng, 4)
+        reflections = [block_reflection(u) for u in commuting]
+        eigh = np.linalg.eigh
+        calls, pairs = [], []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        real_pair = testers_module._noncommuting_pair
+        monkeypatch.setattr(testers_module, "_noncommuting_pair", lambda m: pairs.append(m) or real_pair(m))
+        for route in (_joint_bits, joint_projector_bits):
+            calls.clear()
+            route(reflections, flag_base(psi))
+            assert len(calls) == 1
+        eigen_or_accept_exact(commuting, psi, 3)
+        eigen_or_accept_exact(commuting, psi, 3, method="joint")
+        eigen_or_accept_exact(noncommuting, psi, 2)
+        assert pairs == []
+        with pytest.raises(ValueError, match="do not commute"):
+            eigen_or_accept_exact(noncommuting, psi, 2, method="joint")
+        assert len(pairs) == 1
+
+    def test_mask_cap_refused_before_allocation(self, monkeypatch):
+        n_bits = MAX_VECTOR_DIM.bit_length()
+        message = f"2\\^{n_bits} bitmasks exceed the vector cap {MAX_VECTOR_DIM}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                and_power_distribution([(0, 1.0)], n_bits, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 2^21 float mask array alone is 16 MiB
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh ran past the mask cap")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(ValueError, match=message):
+            joint_projector_bits([np.eye(2)] * n_bits, np.array([1.0, 0.0]))
+
+    def test_mask_space_at_the_cap_runs(self):
+        n_bits = MAX_VECTOR_DIM.bit_length() - 1
+        full = (1 << n_bits) - 1
+        dist = and_power_distribution([(0, 0.25), (full, 0.75)], n_bits, 2)
+        assert dist.keys() == {0, full}
+        assert abs(dist[full] - 0.5625) <= 1e-12 and abs(dist[0] - 0.4375) <= 1e-12
 
 
 class TestGIso:

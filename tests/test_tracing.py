@@ -85,3 +85,27 @@ def test_workload_call_shapes_bind(module, name, args, kwargs):
     fn = getattr(importlib.import_module(f"seqmeas.{module}"), name)
     assert getattr(seqmeas, name) is fn
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+# The arguments the count hooks of ``perfbench/tracer.py`` read, as (module,
+# function, positional arguments, keyword arguments, parameter): the hook reads
+# the value passed for `parameter` from exactly that position or keyword
+# (``joint_projector_bits``: the projector list, first positional;
+# ``and_power_distribution``: ``n_bits``, keyword or second positional).
+HOOK_CALLS = [
+    ("testers", "joint_projector_bits", ("projectors", "vector"), {}, "projectors"),
+    ("testers", "and_power_distribution", ("atoms", "n_bits", "factors"), {}, "n_bits"),
+    ("testers", "and_power_distribution", ("atoms",), {"n_bits": "n_bits", "factors": "factors"}, "n_bits"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,args,kwargs,parameter",
+    HOOK_CALLS,
+    ids=[f"{c[1]}-{len(c[2])}-positional" for c in HOOK_CALLS],
+)
+def test_count_hook_arguments_bind(module, name, args, kwargs, parameter):
+    """A signature change that moves an argument a count hook reads fails here,
+    not in a ``--trace 1`` run."""
+    fn = getattr(importlib.import_module(f"seqmeas.{module}"), name)
+    assert inspect.signature(fn).bind(*args, **kwargs).arguments[parameter] == parameter
