@@ -24,6 +24,9 @@ from . import testers
 from .gates import PAULI_X, PAULI_Z, PermutationAction
 from .rng import trial_rng, trial_rngs
 from .sampling import (
+    contraction_from_ginibre,
+    density_from_ginibre,
+    ginibre,
     random_density_operator,
     random_povm_contraction,
     random_projector,
@@ -390,18 +393,24 @@ def _exp_union_bound(config: ExperimentConfig, rec: _Recorder, trials: int):
 
 
 def _exp_gentle(config: ExperimentConfig, rec: _Recorder, trials: int):
-    """Trial t's instance (rho, L) comes from its own stream trial_rng(seed, t);
-    the gap is then evaluated once per dimension on the stacked instances."""
+    """Trial t draws from its own stream trial_rng(seed, t), in the order of
+    one ``random_density_operator`` and one ``random_povm_contraction`` call:
+    the dimension, rho's Ginibre matrix, L's, then L's top eigenvalue.  Per
+    dimension the draws are then stacked: ``density_from_ginibre`` and
+    ``contraction_from_ginibre`` build every (rho, L) of the group at once,
+    bit for bit as the per-trial calls would, and the gap is evaluated once
+    on the stack."""
     groups: dict[int, list] = {}
     for rng in trial_rngs(config.seed, range(trials)):
         dim = int(rng.integers(2, 9))
-        shape = RegisterShape((dim,))
-        rho = random_density_operator(rng, shape).matrix
-        groups.setdefault(dim, []).append((rho, random_povm_contraction(rng, shape).matrix))
+        g_rho, g_lam = ginibre(rng, (dim, dim)), ginibre(rng, (dim, dim))
+        groups.setdefault(dim, []).append((g_rho, g_lam, rng.uniform(0.05, 1.0)))
     ok = 0
     for dim in sorted(groups):
-        rhos, lams = zip(*groups.pop(dim))
-        lhs, rhs, defined = meas.gentle_measurement_gap_stack(np.stack(rhos), np.stack(lams))
+        g_rhos, g_lams, tops = zip(*groups.pop(dim))
+        rho = density_from_ginibre(np.stack(g_rhos))
+        lam = contraction_from_ginibre(np.stack(g_lams), np.array(tops))
+        lhs, rhs, defined = meas.gentle_measurement_gap_stack(rho, lam)
         # tr(L rho) numerically zero: the bound is trivial and the trial skipped
         ok += int(np.count_nonzero(~defined | (lhs <= rhs + 1e-10)))
     rec.value("sweep_passes", ok)

@@ -1,4 +1,9 @@
-"""The control-qubit sequential test: exact recursion, bounds, sampled runs."""
+"""The control-qubit sequential test: exact recursion, bounds, sampled runs.
+
+``_reference_sequential_accept`` below is the block recursion the exact
+oracle used before it became one stacked Kraus step; the oracle is held to it
+on random, multi-register, rank-deficient and degenerate-family instances.
+"""
 
 import math
 from fractions import Fraction
@@ -20,10 +25,63 @@ from seqmeas import (
     completeness_bound_sweep,
     trial_rng,
 )
-from seqmeas.disturbance import anti_zeno_sequential_instance, certain_member_instance
-from seqmeas.sampling import random_density_operator, random_projector
+from seqmeas.disturbance import SequentialExactResult, anti_zeno_sequential_instance, certain_member_instance
+from seqmeas.gates import HADAMARD
+from seqmeas.sampling import random_density_operator, random_projector, random_pure_state
 
 QUBIT = RegisterShape((2,))
+RESULT_FIELDS = ("total_accept", "check_accept", "measurement_accept", "reject")
+
+
+def _reference_sequential_accept(inst):
+    """The block recursion, frozen: per iteration, conjugate tau by H (x) I for
+    the check, and update the control-1 block and the off-diagonal blocks of
+    the surviving operator one by one."""
+    d = inst.initial.shape.total_dim
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    tau = np.kron(np.outer(plus, plus), inst.initial.matrix)
+    h_ext = np.kron(HADAMARD, np.eye(d))
+    mats = np.stack([m.accept_op.matrix for m in inst.measurements])
+    mean_mat = mats.mean(axis=0)
+    q = inst.check_probability
+    check_acc = meas_acc = reject = worst = 0.0
+    for _ in range(inst.k):
+        before = float(np.trace(tau).real)
+        rotated = h_ext @ tau @ h_ext
+        p_check_one = float(np.trace(rotated[d:, d:]).real)
+        check_acc += q * p_check_one
+        reject += q * (before - p_check_one)
+        block = tau[d:, d:]
+        hit_mass = float(np.trace(mean_mat @ block).real)
+        meas_acc += (1.0 - q) * hit_mass
+        sandwich = np.einsum("jab,bc,jcd->ad", mats, block, mats) / inst.n
+        new_tau = tau.copy()
+        new_tau[d:, d:] = block - mean_mat @ block - block @ mean_mat + sandwich
+        new_tau[:d, d:] = tau[:d, d:] - tau[:d, d:] @ mean_mat
+        new_tau[d:, :d] = tau[d:, :d] - mean_mat @ tau[d:, :d]
+        tau = (1.0 - q) * new_tau
+        after = float(np.trace(tau).real)
+        worst = max(worst, abs(before - q * before - (1.0 - q) * hit_mass - after))
+    reject += float(np.trace(tau).real)
+    total = check_acc + meas_acc
+    return SequentialExactResult(min(1.0, total), check_acc, meas_acc, min(1.0, reject), worst)
+
+
+def _random_instance(rng, shape, n, eta=0.5, rank=None):
+    """n random projective measurements of rank 1..d-1 and a random state of the given rank."""
+    d = shape.total_dim
+    ms = tuple(
+        TwoOutcomeMeasurement(random_projector(rng, shape, rank=int(rng.integers(1, d))), is_projector=True)
+        for _ in range(n)
+    )
+    return SequentialInstance(ms, random_density_operator(rng, shape, rank=rank), eta=eta)
+
+
+def _table_instance(seed, t):
+    """Trial t of the seed-11 and seed-12 tables below."""
+    rng = trial_rng(seed, t)
+    dim = int(rng.integers(2, 9))
+    return _random_instance(rng, RegisterShape((dim,)), int(rng.integers(1, 5)))
 
 
 def _zero_measurement(shape=QUBIT):
@@ -68,36 +126,13 @@ class TestExactRecursion:
 
     def test_probability_conservation(self):
         for t in range(20):
-            rng = trial_rng(11, t)
-            dim = int(rng.integers(2, 9))
-            shape = RegisterShape((dim,))
-            n = int(rng.integers(1, 5))
-            ms = tuple(
-                TwoOutcomeMeasurement(
-                    random_projector(rng, shape, rank=int(rng.integers(1, dim))),
-                    is_projector=True,
-                )
-                for _ in range(n)
-            )
-            inst = SequentialInstance(ms, random_density_operator(rng, shape), eta=0.5)
-            res = exact_sequential_accept(inst)
+            res = exact_sequential_accept(_table_instance(11, t))
             assert res.max_conservation_error <= 1e-9
             assert abs(res.total_accept + res.reject - 1.0) <= 1e-9
 
     def test_case2_soundness_bound(self):
         for t in range(20):
-            rng = trial_rng(12, t)
-            dim = int(rng.integers(2, 9))
-            shape = RegisterShape((dim,))
-            n = int(rng.integers(1, 5))
-            ms = tuple(
-                TwoOutcomeMeasurement(
-                    random_projector(rng, shape, rank=int(rng.integers(1, dim))),
-                    is_projector=True,
-                )
-                for _ in range(n)
-            )
-            inst = SequentialInstance(ms, random_density_operator(rng, shape), eta=0.5)
+            inst = _table_instance(12, t)
             res = exact_sequential_accept(inst)
             bound = 2.0 * inst.k * inst.zeta()
             assert res.measurement_accept <= bound + 1e-9
@@ -119,6 +154,70 @@ class TestExactRecursion:
         rho = DensityOperator(shape, np.eye(65) / 65)
         with pytest.raises(ValueError):
             exact_sequential_accept(SequentialInstance((m,), rho, eta=1.0))
+
+
+def _identity_measurement(shape):
+    return TwoOutcomeMeasurement(HermitianOperator.identity(shape), is_projector=True)
+
+
+def _assert_matches_reference(inst):
+    res, ref = exact_sequential_accept(inst), _reference_sequential_accept(inst)
+    for name in RESULT_FIELDS:
+        assert abs(getattr(res, name) - getattr(ref, name)) <= 1e-12, name
+    assert res.max_conservation_error <= 1e-9
+
+
+class TestAgainstBlockRecursion:
+    """The stacked Kraus step against the frozen block recursion, to 1e-12 on
+    every result field."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_random_tables(self, seed):
+        for t in range(20):
+            _assert_matches_reference(_table_instance(seed, t))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_multi_register_shapes(self, dims):
+        rng = trial_rng(18, len(dims) * 10 + dims[-1])
+        _assert_matches_reference(_random_instance(rng, RegisterShape(dims), 3))
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_rank_deficient_states(self, rank):
+        rng = trial_rng(19, rank)
+        _assert_matches_reference(_random_instance(rng, RegisterShape((5,)), 2, rank=rank))
+
+    def test_pure_state_input(self):
+        rng = trial_rng(19, 10)
+        shape = RegisterShape((3, 2))
+        inst = _random_instance(rng, shape, 2)
+        pure = SequentialInstance(inst.measurements, random_pure_state(rng, shape).density(), eta=0.5)
+        _assert_matches_reference(pure)
+
+    @pytest.mark.parametrize("kind", ["zero", "identity", "repeated"])
+    def test_degenerate_families(self, kind):
+        rng = trial_rng(20, ["zero", "identity", "repeated"].index(kind))
+        shape = RegisterShape((4,))
+        ms = _random_instance(rng, shape, 2).measurements
+        extra = {
+            "zero": (_zero_measurement(shape),),
+            "identity": (_identity_measurement(shape),),
+            "repeated": ms * 2,
+        }[kind]
+        inst = SequentialInstance(ms + extra, random_density_operator(rng, shape), eta=0.5)
+        _assert_matches_reference(inst)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 0.1])
+    def test_eta_values(self, eta):
+        rng = trial_rng(21, int(10 * eta))
+        _assert_matches_reference(_random_instance(rng, RegisterShape((3,)), 3, eta=eta))
+
+    def test_dimension_sixteen(self):
+        rng = trial_rng(22, 0)
+        _assert_matches_reference(_random_instance(rng, RegisterShape((16,)), 2, eta=1.0))
+
+    def test_case_one_families(self):
+        for inst in (anti_zeno_sequential_instance(8), certain_member_instance(16)):
+            _assert_matches_reference(inst)
 
 
 class TestCaseOneFamilies:

@@ -11,7 +11,9 @@ hold the cores to the single-instance calls bit for bit on the hard cases
 inputs, N = 1, mixed round counts), hold both experiments to a frozen copy of
 the per-trial loops and oracles they replaced (``_reference_*`` below),
 document for document, and check that every stacked entry point rejects bad
-input loudly.
+input loudly.  ``gentle`` also builds its instances on the stack
+(``density_from_ginibre``, ``contraction_from_ginibre``); those helpers are
+held to one call per slice, bit for bit.
 """
 
 import csv
@@ -49,6 +51,9 @@ from seqmeas import (
 from seqmeas import cli, experiments
 from seqmeas.experiments import _Recorder
 from seqmeas.sampling import (
+    contraction_from_ginibre,
+    density_from_ginibre,
+    ginibre,
     random_density_operator,
     random_povm_contraction,
     random_projector,
@@ -240,19 +245,49 @@ def test_batched_sweep_documents_byte_identical(name, seed, trials):
     assert _csv_text(record.csv_rows) == csv_text
 
 
+def _beyond_identity(d):
+    return np.diag([1.5] + [0.5] * (d - 1))
+
+
+# gentle builds its accept operators as one stack per dimension, mw-bounds one per trial
+_BEYOND_IDENTITY = {
+    "gentle": (
+        "contraction_from_ginibre",
+        lambda g, top: np.broadcast_to(_beyond_identity(g.shape[-1]), g.shape).astype(np.complex128),
+    ),
+    "mw-bounds": (
+        "random_povm_contraction",
+        lambda rng, shape: HermitianOperator(shape, _beyond_identity(shape.total_dim)),
+    ),
+}
+
+
 @pytest.mark.parametrize("name", ["gentle", "mw-bounds"])
 def test_out_of_range_accept_operator_fails_the_sweep(monkeypatch, capsys, name):
     """An accept operator with eigenvalue 1.5 is an error, not a skipped trial."""
-
-    def beyond_identity(rng, shape):
-        d = shape.total_dim
-        return HermitianOperator(shape, np.diag([1.5] + [0.5] * (d - 1)))
-
-    monkeypatch.setattr(experiments, "random_povm_contraction", beyond_identity)
+    monkeypatch.setattr(experiments, *_BEYOND_IDENTITY[name])
     with pytest.raises(ValueError, match=r"accept operator .*not in \[0, I\]"):
         run_experiment(ExperimentConfig(name, seed=0, trials=5))
     assert cli.main([name, "--trials", "5"]) == 2
     assert "not in [0, I]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_stacked_generation_matches_per_slice_calls(d):
+    """Both generation helpers on a (b, d, d) Ginibre stack equal one call per
+    slice, bit for bit."""
+    rng = trial_rng(23, d)
+    g, top = ginibre(rng, (5, d, d)), rng.uniform(0.05, 1.0, size=5)
+    rho, lam = density_from_ginibre(g), contraction_from_ginibre(g, top)
+    for i in range(5):
+        assert np.array_equal(rho[i], density_from_ginibre(g[i]))
+        assert np.array_equal(lam[i], contraction_from_ginibre(g[i], top[i]))
+
+
+@pytest.mark.parametrize("rank", [0, -1, 4])
+def test_density_rank_out_of_range_rejected(rank):
+    with pytest.raises(ValueError, match="density rank out of range"):
+        random_density_operator(trial_rng(24, 0), RegisterShape((3,)), rank=rank)
 
 
 def test_zero_branch_trial_is_skipped_not_fatal():

@@ -91,11 +91,16 @@ def test_workload_call_shapes_bind(module, name, args, kwargs):
 # function, positional arguments, keyword arguments, parameter): the hook reads
 # the value passed for `parameter` from exactly that position or keyword
 # (``joint_projector_bits``: the projector list, first positional;
-# ``and_power_distribution``: ``n_bits``, keyword or second positional).
+# ``and_power_distribution``: ``n_bits``, keyword or second positional;
+# ``exact_sequential_accept``: the instance, first positional;
+# ``run_sequential_sampled_batch``: ``trials``, keyword or third positional).
 HOOK_CALLS = [
     ("testers", "joint_projector_bits", ("projectors", "vector"), {}, "projectors"),
     ("testers", "and_power_distribution", ("atoms", "n_bits", "factors"), {}, "n_bits"),
     ("testers", "and_power_distribution", ("atoms",), {"n_bits": "n_bits", "factors": "factors"}, "n_bits"),
+    ("disturbance", "exact_sequential_accept", ("inst",), {}, "inst"),
+    ("disturbance", "run_sequential_sampled_batch", ("inst", "rng", "trials"), {}, "trials"),
+    ("disturbance", "run_sequential_sampled_batch", ("inst", "rng"), {"trials": "trials"}, "trials"),
 ]
 
 
