@@ -38,9 +38,11 @@ def _parse_param(raw: str):
     return key, value
 
 
-def _read_lines(path: str, parse):
-    """parse(the file's lines); an unreadable or malformed file raises
-    ValueError("<path>: <reason>")."""
+def _read_lines(path: str | None, parse):
+    """parse(the file's lines), or None for no path; an unreadable or
+    malformed file raises ValueError("<path>: <reason>")."""
+    if path is None:
+        return None
     try:
         return parse(Path(path).read_text().splitlines())
     except OSError as exc:
@@ -95,20 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
-    """The experiment configuration, with the --fn-f, --fn-g and --group
-    files read and parsed."""
-    if (args.fn_f is None) != (args.fn_g is None):
-        raise ValueError("--fn-f and --fn-g must be given together")
-    fn_f = fn_g = group = None
-    if args.fn_f is not None:
-        fn_f = _read_lines(args.fn_f, FunctionTable.from_lines)
-        fn_g = _read_lines(args.fn_g, FunctionTable.from_lines)
-        if fn_f.codomain_size != fn_g.codomain_size:
-            cod = max(fn_f.codomain_size, fn_g.codomain_size)
-            fn_f = FunctionTable(fn_f.domain_size, cod, fn_f.values)
-            fn_g = FunctionTable(fn_g.domain_size, cod, fn_g.values)
-    if args.group is not None:
-        group = _read_lines(args.group, _parse_group)
+    """The experiment configuration, with each given --fn-f, --fn-g and
+    --group file read and parsed; run_experiment checks which it may take."""
+    fn_f = _read_lines(args.fn_f, FunctionTable.from_lines)
+    fn_g = _read_lines(args.fn_g, FunctionTable.from_lines)
+    if fn_f is not None and fn_g is not None and fn_f.codomain_size != fn_g.codomain_size:
+        cod = max(fn_f.codomain_size, fn_g.codomain_size)
+        fn_f = FunctionTable(fn_f.domain_size, cod, fn_f.values)
+        fn_g = FunctionTable(fn_g.domain_size, cod, fn_g.values)
+    group = _read_lines(args.group, _parse_group)
     return ExperimentConfig(
         name=args.experiment,
         seed=args.seed,

@@ -19,6 +19,15 @@ iteration, for every live trial, a branch uniform, a measurement index and
 an outcome uniform, each drawn as one array in that order (the check branch
 leaves its index unused).
 
+Each iteration is one step over all live trials.  Every row gets the
+probability of the branch it drew -- the check's outcome-1 mass
+||(top - bottom)/sqrt(2)||^2 or the hit mass ||L_j bottom||^2 of its member
+-- and accepts when its outcome uniform falls below it.  The rows that
+neither ran the check nor accepted keep their residual, renormalised, and
+the live trials shrink to them; the loop over members only fills each
+row's L_j bottom.  Sampler and oracle read the L_j from the instance's
+``accept_ops`` stack.
+
 The exact oracle propagates the unnormalised not-yet-halted density operator
 tau on control (x) system through the k iterations.  The measurement branch
 is one Kraus channel on all of tau, tau <- (1 - q)/n sum_j K_j tau K_j with
@@ -41,10 +50,9 @@ import numpy as np
 
 from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
 from .quantum_or import _check_eta, _ensemble_rows
-from .states import DensityOperator, PureState, RegisterShape, _trusted
+from .states import DensityOperator, PureState, RegisterShape, _trusted, plus_state
 
 MAX_ORACLE_DIM = 64
-_PLUS = np.array([1.0, 1.0]) / math.sqrt(2)  # the control qubit's |+>
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,18 +70,24 @@ def sequential_iteration_count(n: int, eta) -> int:
 @dataclass(frozen=True)
 class SequentialInstance:
     """Measurements, input state and eta; k is derived from n and eta once,
-    at construction, which is also where eta is checked."""
+    at construction, which is also where eta is checked.  ``accept_ops`` is
+    the read-only (n, d, d) stack of the checked accept operators L_j, built
+    once for the sampler and the oracle."""
 
     measurements: tuple[TwoOutcomeMeasurement, ...]
     initial: DensityOperator
     eta: float
     k: int = field(init=False)
+    accept_ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         measurements = tuple(self.measurements)
         _check_projective(measurements, self.initial.shape)
+        accept_ops = np.stack([m.accept_op.matrix for m in measurements])
+        accept_ops.setflags(write=False)
         object.__setattr__(self, "measurements", measurements)
         object.__setattr__(self, "k", sequential_iteration_count(len(measurements), self.eta))
+        object.__setattr__(self, "accept_ops", accept_ops)
 
     @property
     def n(self) -> int:
@@ -89,48 +103,34 @@ class SequentialInstance:
 
 
 def _sequential_runs(inst: SequentialInstance, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Per-trial accept flags of independent runs, vectorised across live trials."""
-    states = np.kron(_PLUS, _ensemble_rows(inst.initial, rng, trials))
+    """Per-trial accept flags of independent runs, one step per iteration
+    over every live trial."""
     d = inst.initial.shape.total_dim
     q = inst.check_probability
-    mats = [m.accept_op.matrix for m in inst.measurements]
-    alive = np.ones(trials, dtype=bool)
+    states = np.kron(plus_state().amplitudes, _ensemble_rows(inst.initial, rng, trials))
+    live = np.arange(trials)  # the trial of each row of `states`
     accepted = np.zeros(trials, dtype=bool)
     for _ in range(inst.k):
-        idx_alive = np.flatnonzero(alive)
-        if idx_alive.size == 0:
+        if live.size == 0:
             break
-        u_branch = rng.random(idx_alive.size)
-        js = rng.integers(inst.n, size=idx_alive.size)
-        u_out = rng.random(idx_alive.size)
-        live = states[idx_alive]
-        check_mask = u_branch < q
-        # check branch: p(outcome 1) = ||(top - bottom)/sqrt(2)||^2
-        diff = (live[check_mask, :d] - live[check_mask, d:]) / math.sqrt(2)
-        p_one = np.clip(_row_dot(diff, diff), 0.0, 1.0)
-        accepted[idx_alive[check_mask]] = u_out[check_mask] < p_one
-        # measurement branch, grouped by the sampled j
-        meas_rows = np.flatnonzero(~check_mask)
-        still_alive_rows = []
+        u_branch = rng.random(live.size)
+        js = rng.integers(inst.n, size=live.size)
+        u_out = rng.random(live.size)
+        check = u_branch < q
+        top, bottom = states[:, :d], states[:, d:]
+        hit = np.zeros_like(bottom)
         for j in range(inst.n):
-            rows = meas_rows[js[meas_rows] == j]
-            if rows.size == 0:
-                continue
-            bottom = live[rows, d:]
-            hit = bottom @ mats[j].T
-            p_acc = np.clip(_row_dot(hit, hit), 0.0, 1.0)
-            acc = u_out[rows] < p_acc
-            accepted[idx_alive[rows[acc]]] = True
-            keep = rows[~acc]
-            new = live[keep].copy()
-            new[:, d:] -= hit[~acc]
-            new /= np.linalg.norm(new, axis=1)[:, None]
-            states[idx_alive[keep]] = new
-            still_alive_rows.append(keep)
-        new_alive = np.zeros(trials, dtype=bool)
-        if still_alive_rows:
-            new_alive[idx_alive[np.concatenate(still_alive_rows)]] = True
-        alive = new_alive
+            rows = (js == j) & ~check
+            hit[rows] = bottom[rows] @ inst.accept_ops[j].T
+        # check branch: p(outcome 1) = ||(top - bottom)/sqrt(2)||^2; measurement: ||L_j bottom||^2
+        diff = (top - bottom) / math.sqrt(2)
+        p_accept = np.clip(np.where(check, _row_dot(diff, diff), _row_dot(hit, hit)), 0.0, 1.0)
+        acc = u_out < p_accept
+        accepted[live[acc]] = True
+        keep = ~(check | acc)
+        live, states = live[keep], states[keep]
+        states[:, d:] -= hit[keep]
+        states /= np.linalg.norm(states, axis=1)[:, None]
     return accepted
 
 
@@ -173,8 +173,8 @@ def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
     d = inst.initial.shape.total_dim
     if d > MAX_ORACLE_DIM:
         raise ValueError(f"oracle recursion capped at dim {MAX_ORACLE_DIM}, got {d}")
-    tau = np.kron(np.outer(_PLUS, _PLUS), inst.initial.matrix)
-    mats = np.stack([m.accept_op.matrix for m in inst.measurements])
+    tau = np.kron(plus_state().density().matrix, inst.initial.matrix)
+    mats = inst.accept_ops
     kraus = np.broadcast_to(np.eye(2 * d), (inst.n, 2 * d, 2 * d)).astype(mats.dtype)
     kraus[:, d:, d:] -= mats
     minus = np.kron(np.array([[0.5, -0.5], [-0.5, 0.5]]), np.eye(d))  # |-><-| (x) I

@@ -10,8 +10,11 @@ significant digits, so a rerun with the same configuration is byte-identical
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +34,7 @@ from .sampling import (
     random_povm_contraction,
     random_projector,
     random_pure_state,
+    random_unitary,
 )
 from .states import (
     HermitianOperator,
@@ -41,6 +45,7 @@ from .states import (
     basis_state,
     eigendecompose_stack,
     ghz_state,
+    plus_state,
     product_state,
     trace_distance_pure,
 )
@@ -322,18 +327,9 @@ def _random_projective(rng, shape: RegisterShape) -> meas.TwoOutcomeMeasurement:
 def _exp_disturbance(config: ExperimentConfig, rec: _Recorder, trials: int):
     rows = dist.completeness_bound_sweep(dist.anti_zeno_sequential_instance, (4, 8, 16))
     rows += dist.completeness_bound_sweep(dist.certain_member_instance, (8, 16, 32))
-    table = []
     for row in rows:
-        table.append(
-            {
-                "n": row.n,
-                "eta": row.eta,
-                "accept_exact": row.accept_exact,
-                "threshold": row.threshold,
-            }
-        )
         rec.check_ge(f"case1_n{row.n}_eta{row.eta}", row.accept_exact, row.threshold, slack=1e-9)
-    rec.value("case1_sweep", table)
+    rec.value("case1_sweep", [dataclasses.asdict(row) for row in rows])
 
     worst_conservation = 0.0
     case2_ok = 0
@@ -416,10 +412,8 @@ def _exp_gentle(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.value("sweep_passes", ok)
     rec.check("sweep_all", ok == trials, ok, trials)
 
-    shape = RegisterShape((2,))
-    plus = PureState(shape, np.array([1.0, 1.0]) / math.sqrt(2))
-    zero_proj = HermitianOperator(shape, np.diag([1.0, 0.0]))
-    lhs, rhs = meas.gentle_measurement_gap(plus.density(), zero_proj)
+    zero_proj = HermitianOperator(RegisterShape((2,)), np.diag([1.0, 0.0]))
+    lhs, rhs = meas.gentle_measurement_gap(plus_state().density(), zero_proj)
     rec.value("equality_case_lhs", lhs)
     rec.value("equality_case_rhs", rhs)
     rec.check_close("equality_case_lhs_value", lhs, 1.0 / math.sqrt(2), 1e-10)
@@ -449,7 +443,7 @@ def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
     and no bound in between.  The desk far pair is scored only when the
     group acts on its 4 points, and then caps epsilon at its d_G."""
     group, iso_pair, far_pair = _desk_giso_instance()
-    if config.function_f is not None and config.function_g is not None:
+    if config.function_f is not None:
         iso_pair = (config.function_f, config.function_g)
     if config.group is not None:
         group = config.group
@@ -459,7 +453,7 @@ def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
     distances = {label: _group_distance(*pair, group) for label, pair in pairs.items()}
 
     # overlap identity, exhaustive at |X| = 4, |Y| = 2
-    sigmas = [PermutationAction(p) for p in _all_permutations(4)]
+    sigmas = [PermutationAction(p) for p in itertools.permutations(range(4))]
     worst = _giso_overlap_identity_error(4, 2, sigmas)
     rec.check_le("overlap_identity_error", worst, 1e-10)
 
@@ -492,17 +486,11 @@ def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check("one_query_per_copy", queries == (k_small, k_small), list(queries), k_small)
 
 
-def _all_permutations(n: int):
-    import itertools
-
-    return list(itertools.permutations(range(n)))
-
-
 def _giso_overlap_identity_error(nx: int, ny: int, sigmas) -> float:
     """max over all (f, g, sigma) of |<psi|U'|psi> - (1 - d(f o sigma, g))|."""
     tables = [
         testers.FunctionTable(nx, ny, values)
-        for values in _all_value_lists(nx, ny)
+        for values in itertools.product(range(ny), repeat=nx)
     ]
     states = np.stack([testers.function_state(f).amplitudes for f in tables])
     worst = 0.0
@@ -522,12 +510,6 @@ def _giso_overlap_identity_error(nx: int, ny: int, sigmas) -> float:
             expected = composed[i].conj() @ states.T  # <f o sigma | g> for all g
             worst = max(worst, np.abs(vals - expected.real).max())
     return float(worst)
-
-
-def _all_value_lists(nx: int, ny: int):
-    import itertools
-
-    return itertools.product(range(ny), repeat=nx)
 
 
 def _exp_membership(config: ExperimentConfig, rec: _Recorder, trials: int):
@@ -568,8 +550,6 @@ def _exp_membership(config: ExperimentConfig, rec: _Recorder, trials: int):
 def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
     n_random = _int_param(config, "identity_checks", 100, minimum=1)
     worst_inner = worst_ab = 0.0
-    from .sampling import random_unitary
-
     for rng in trial_rngs(config.seed, range(n_random)):
         d = int(rng.integers(2, 5))
         u, v = random_unitary(rng, d), random_unitary(rng, d)
@@ -689,12 +669,12 @@ _EXPERIMENTS: dict[
     "demerlinize": (_exp_demerlinize, 2000, ("eta", "zeta")),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+# the inputs only giso reads, each with the CLI flag that supplies it
+_GISO_INPUTS = {"function_f": "--fn-f", "function_g": "--fn-g", "group": "--group"}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Execute one named experiment and return its record."""
-    import time
-
     if config.name not in _EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {config.name!r}; known: {', '.join(EXPERIMENT_NAMES)}"
@@ -712,6 +692,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     trials = config.trials if config.trials is not None else default_trials
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    given = [f"{name} ({flag})" for name, flag in _GISO_INPUTS.items() if getattr(config, name) is not None]
+    if given and config.name != "giso":
+        raise ValueError(f"{config.name} takes no giso input; got {', '.join(given)}")
+    if (config.function_f is None) != (config.function_g is None):
+        raise ValueError("function_f (--fn-f) and function_g (--fn-g) must be given together")
     rec = _Recorder()
     start = time.perf_counter()
     runner(config, rec, trials)

@@ -68,6 +68,7 @@ MAX_DENSE_DIM = 1 << 12
 CASE2_BUDGET = 1.0 / 8.0
 COMMUTATOR_ATOL = 1e-9
 PATTERN_ATOL = 1e-15  # weight floor of the joint-eigenspace and pattern distributions
+GRAM_ATOL = 1e-14  # eigenvalue floor of the membership oracle's Gram matrix
 MAX_GENUINE_PARTIES = 8
 MAX_GENUINE_DRAWS = 10**6  # copy pairs k/2 the genuine oracle's span DP walks
 
@@ -516,7 +517,7 @@ def eigen_or_accept_exact(
     mats = _eigen_check(unitaries, psi.shape, copies_k)
     rounds = or_round_count(len(mats), 0)
     reflections = [block_reflection(u) for u in mats]
-    base = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), psi.amplitudes)
+    base = np.kron(plus_state().amplitudes, psi.amplitudes)
     if method == "joint":
         atoms = joint_projector_bits(reflections, base)
     else:
@@ -689,7 +690,7 @@ def membership_accept_exact(
     dec = eigendecompose(gram / n)
     evals, weights = [], []
     for mu, coef in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if mu <= 1e-14:
+        if mu <= GRAM_ATOL:
             continue
         amp = np.dot(coef.conj(), t) / math.sqrt(n * mu)
         evals.append(float(mu))

@@ -3,6 +3,8 @@
 ``_reference_sequential_accept`` below is the block recursion the exact
 oracle used before it became one stacked Kraus step; the oracle is held to it
 on random, multi-register, rank-deficient and degenerate-family instances.
+``_reference_sequential_runs`` is the sampler loop that split the live trials
+by member; the one-step sampler is held to it flag for flag and draw for draw.
 """
 
 import math
@@ -25,8 +27,14 @@ from seqmeas import (
     completeness_bound_sweep,
     trial_rng,
 )
-from seqmeas.disturbance import SequentialExactResult, anti_zeno_sequential_instance, certain_member_instance
+from seqmeas.disturbance import (
+    SequentialExactResult,
+    _sequential_runs,
+    anti_zeno_sequential_instance,
+    certain_member_instance,
+)
 from seqmeas.gates import HADAMARD
+from seqmeas.quantum_or import _ensemble_rows
 from seqmeas.sampling import random_density_operator, random_projector, random_pure_state
 
 QUBIT = RegisterShape((2,))
@@ -218,6 +226,114 @@ class TestAgainstBlockRecursion:
     def test_case_one_families(self):
         for inst in (anti_zeno_sequential_instance(8), certain_member_instance(16)):
             _assert_matches_reference(inst)
+
+
+def _reference_sequential_runs(inst, rng, trials):
+    """The per-member sampler loop, frozen: the check rows are scored
+    together, the measurement rows member by member, and the survivors
+    written back through hand-kept index lists."""
+    def row_dot(a, b):
+        return np.einsum("ij,ij->i", a.real, b.real) + np.einsum("ij,ij->i", a.imag, b.imag)
+
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    states = np.kron(plus, _ensemble_rows(inst.initial, rng, trials))
+    d = inst.initial.shape.total_dim
+    q = inst.check_probability
+    mats = [m.accept_op.matrix for m in inst.measurements]
+    alive = np.ones(trials, dtype=bool)
+    accepted = np.zeros(trials, dtype=bool)
+    for _ in range(inst.k):
+        idx_alive = np.flatnonzero(alive)
+        if idx_alive.size == 0:
+            break
+        u_branch = rng.random(idx_alive.size)
+        js = rng.integers(inst.n, size=idx_alive.size)
+        u_out = rng.random(idx_alive.size)
+        live = states[idx_alive]
+        check_mask = u_branch < q
+        diff = (live[check_mask, :d] - live[check_mask, d:]) / math.sqrt(2)
+        p_one = np.clip(row_dot(diff, diff), 0.0, 1.0)
+        accepted[idx_alive[check_mask]] = u_out[check_mask] < p_one
+        meas_rows = np.flatnonzero(~check_mask)
+        still_alive_rows = []
+        for j in range(inst.n):
+            rows = meas_rows[js[meas_rows] == j]
+            if rows.size == 0:
+                continue
+            bottom = live[rows, d:]
+            hit = bottom @ mats[j].T
+            p_acc = np.clip(row_dot(hit, hit), 0.0, 1.0)
+            acc = u_out[rows] < p_acc
+            accepted[idx_alive[rows[acc]]] = True
+            keep = rows[~acc]
+            new = live[keep].copy()
+            new[:, d:] -= hit[~acc]
+            new /= np.linalg.norm(new, axis=1)[:, None]
+            states[idx_alive[keep]] = new
+            still_alive_rows.append(keep)
+        new_alive = np.zeros(trials, dtype=bool)
+        if still_alive_rows:
+            new_alive[idx_alive[np.concatenate(still_alive_rows)]] = True
+        alive = new_alive
+    return accepted
+
+
+SAMPLER_CASES = [
+    "single-member", "repeated-members", "zero-and-identity", "identity-only", "pure",
+    "rank-deficient", "full-rank", "eta-1", "eta-1/2", "eta-1/10", "cli-certain-member",
+]
+
+
+def _sampler_case(name):
+    """The instances the one-step sampler is held to the frozen loop on.  An
+    L = 0 member, and an L = I member once it has missed (the miss zeroes the
+    control-1 block), put the hit probability exactly at 0."""
+    rng = trial_rng(23, SAMPLER_CASES.index(name))
+    shape = RegisterShape((4,))
+    if name == "single-member":
+        return _random_instance(rng, RegisterShape((3,)), 1)
+    if name == "repeated-members":
+        ms = _random_instance(rng, shape, 2).measurements
+        return SequentialInstance(ms * 2, random_density_operator(rng, shape), eta=0.5)
+    if name == "zero-and-identity":
+        ms = (_zero_measurement(shape), _identity_measurement(shape))
+        return SequentialInstance(ms, random_density_operator(rng, shape), eta=0.5)
+    if name == "identity-only":
+        return SequentialInstance((_identity_measurement(shape),), random_pure_state(rng, shape).density(), eta=1.0)
+    if name == "pure":
+        inst = _random_instance(rng, RegisterShape((3, 2)), 2)
+        return SequentialInstance(inst.measurements, random_pure_state(rng, inst.initial.shape).density(), eta=0.5)
+    if name == "rank-deficient":
+        return _random_instance(rng, RegisterShape((5,)), 3, rank=2)
+    if name == "full-rank":
+        return _random_instance(rng, RegisterShape((5,)), 3, rank=5)
+    if name.startswith("eta-"):
+        return _random_instance(rng, RegisterShape((3,)), 3, eta=float(Fraction(name[4:])))
+    assert name == "cli-certain-member"
+    return certain_member_instance(4, eta=1.0)
+
+
+def _assert_sampler_matches_reference(inst, seed, trials):
+    rng, ref_rng = trial_rng(seed, trials), trial_rng(seed, trials)
+    flags = _sequential_runs(inst, rng, trials)
+    assert np.array_equal(flags, _reference_sequential_runs(inst, ref_rng, trials))
+    assert rng.random() == ref_rng.random()
+
+
+class TestSamplerAgainstMemberLoop:
+    """The one-step sampler against the frozen per-member loop: the same
+    accept flag for every trial, and the generator left at the same draw."""
+
+    @pytest.mark.parametrize("trials", [1, 400])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_random_tables(self, seed, trials):
+        for t in range(20):
+            _assert_sampler_matches_reference(_table_instance(seed, t), 100 * seed + t, trials)
+
+    @pytest.mark.parametrize("trials", [1, 400])
+    @pytest.mark.parametrize("name", SAMPLER_CASES)
+    def test_cases(self, name, trials):
+        _assert_sampler_matches_reference(_sampler_case(name), 24, trials)
 
 
 class TestCaseOneFamilies:

@@ -12,7 +12,8 @@ import pytest
 from seqmeas import ExperimentConfig, run_experiment
 from seqmeas.cli import main as cli_main
 from seqmeas.experiments import EXPERIMENT_NAMES, _EXPERIMENTS
-from seqmeas.testers import MAX_VECTOR_DIM
+from seqmeas.gates import PermutationAction
+from seqmeas.testers import MAX_VECTOR_DIM, FunctionTable
 
 
 QUICK = {"trials": 50}
@@ -119,6 +120,22 @@ class TestRunExperiment:
         monkeypatch.setitem(_EXPERIMENTS, "gentle", (runner, 10, ()))
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
             run_experiment(ExperimentConfig(name="gentle", seed=seed))
+
+    @pytest.mark.parametrize("name", [n for n in EXPERIMENT_NAMES if n != "giso"])
+    @pytest.mark.parametrize("field", ["function_f", "function_g", "group"])
+    def test_giso_input_refused_elsewhere(self, name, field):
+        """A function table or group given to another experiment would be
+        ignored, so it is refused before the experiment runs."""
+        value = (PermutationAction.identity(4),) if field == "group" else FunctionTable(4, 2, (0, 1, 0, 1))
+        with pytest.raises(ValueError, match=rf"{name} takes no giso input; got {field} \("):
+            run_experiment(ExperimentConfig(name=name, trials=1, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["function_f", "function_g"])
+    def test_function_table_without_its_pair_refused(self, field):
+        """One table alone would leave giso on the desk pair."""
+        table = FunctionTable(4, 2, (0, 1, 0, 1))
+        with pytest.raises(ValueError, match="must be given together"):
+            run_experiment(ExperimentConfig(name="giso", trials=5, **{field: table}))
 
     def test_seed_past_64_bits_runs(self):
         record = run_experiment(ExperimentConfig(name="antizeno", seed=2**70 + 1, trials=50))
@@ -341,10 +358,24 @@ class TestCli:
         body = json.loads(out.read_text())
         assert body["all_passed"] and body["values"]["copies_rule_k"] > 10**6
 
-    def test_fn_flags_must_pair(self, tmp_path):
+    def test_fn_flags_must_pair(self, tmp_path, capsys):
         fpath = tmp_path / "f.txt"
         fpath.write_text("0 0\n1 1\n")
-        assert cli_main(["giso", "--fn-f", str(fpath)]) == 2
+        for flag in ("--fn-f", "--fn-g"):
+            assert cli_main(["giso", flag, str(fpath), "--out", str(tmp_path / "res.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and flag in err and "must be given together" in err
+            assert not (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--fn-f", "--fn-g", "--group"])
+    def test_giso_flag_refused_elsewhere(self, flag, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text("0 1 2 3\n" if flag == "--group" else "0 0\n1 1\n")
+        out = tmp_path / "res.json"
+        assert cli_main(["antizeno", flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: antizeno takes no giso input") and f"({flag})" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, content, reason",
