@@ -69,13 +69,13 @@ def sequential_iteration_count(n: int, eta) -> int:
 
 @dataclass(frozen=True)
 class SequentialInstance:
-    """Measurements, input state and eta; k is derived from n and eta once,
-    at construction, which is also where eta is checked.  ``accept_ops`` is
-    the read-only (n, d, d) stack of the checked accept operators L_j, built
-    once for the sampler and the oracle."""
+    """Measurements, input state (pure or mixed) and eta; k is derived from n
+    and eta once, at construction, which is also where eta is checked.
+    ``accept_ops`` is the read-only (n, d, d) stack of the checked accept
+    operators L_j, built once for the sampler and the oracle."""
 
     measurements: tuple[TwoOutcomeMeasurement, ...]
-    initial: DensityOperator
+    initial: PureState | DensityOperator
     eta: float
     k: int = field(init=False)
     accept_ops: np.ndarray = field(init=False, repr=False, compare=False)
@@ -173,7 +173,8 @@ def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
     d = inst.initial.shape.total_dim
     if d > MAX_ORACLE_DIM:
         raise ValueError(f"oracle recursion capped at dim {MAX_ORACLE_DIM}, got {d}")
-    tau = np.kron(plus_state().density().matrix, inst.initial.matrix)
+    rho = inst.initial.density() if isinstance(inst.initial, PureState) else inst.initial
+    tau = np.kron(plus_state().density().matrix, rho.matrix)
     mats = inst.accept_ops
     kraus = np.broadcast_to(np.eye(2 * d), (inst.n, 2 * d, 2 * d)).astype(mats.dtype)
     kraus[:, d:, d:] -= mats

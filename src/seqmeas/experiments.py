@@ -493,22 +493,18 @@ def _giso_overlap_identity_error(nx: int, ny: int, sigmas) -> float:
         for values in itertools.product(range(ny), repeat=nx)
     ]
     states = np.stack([testers.function_state(f).amplitudes for f in tables])
+    # psi = (|0>|f> + |1>|g>)/sqrt2 for every pair, row f * n + g
+    n = len(tables)
+    pairs = np.hstack([np.repeat(states, n, axis=0), np.tile(states, (n, 1))]) / math.sqrt(2)
     worst = 0.0
     for sigma in sigmas:
         u = testers.pair_swap_unitary(sigma, ny)
         composed = np.stack(
             [testers.function_state(f.compose(sigma)).amplitudes for f in tables]
         )
-        # <psi|U'|psi> for psi = (|0>|f> + |1>|g>)/sqrt2, vectorised over all pairs
-        dim = states.shape[1]
-        for i, f in enumerate(tables):
-            psi_block = np.zeros((len(tables), 2 * dim), dtype=np.complex128)
-            psi_block[:, :dim] = states[i]
-            psi_block[:, dim:] = states
-            psi_block /= math.sqrt(2)
-            vals = np.einsum("ij,ij->i", psi_block.conj(), psi_block @ u.T)
-            expected = composed[i].conj() @ states.T  # <f o sigma | g> for all g
-            worst = max(worst, np.abs(vals - expected.real).max())
+        vals = np.einsum("ij,ij->i", pairs.conj(), pairs @ u.T)  # <psi|U'|psi>
+        expected = composed.conj() @ states.T  # <f o sigma | g>, row f
+        worst = max(worst, np.abs(vals - expected.real.reshape(-1)).max())
     return float(worst)
 
 

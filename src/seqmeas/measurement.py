@@ -308,46 +308,46 @@ def union_bound_bruteforce(
 ) -> UnionBoundResult:
     """Exact probability that a sequential run ever accepts, versus 4*T*eps.
 
-    Enumerates the full 2^T trajectory tree (T <= 12), propagating the
-    unnormalised post-measurement operator down every branch.  `epsilon`
-    defaults to the largest single-measurement accept probability on the
-    initial state, which is the premise quantity of the union bound.
+    Enumerates the 2^T trajectory tree (T <= 12) depth by depth, on a stack
+    of the live branches' unnormalised post-measurement operators: each row
+    splits into its accept and reject child, side by side, so the rows keep
+    depth-first order.  A branch of trace below 1e-15 leaves the stack as a
+    truncated zero-probability record.  `epsilon`, in [0, 1], defaults to
+    the largest single-measurement accept probability on the initial state,
+    which is the premise quantity of the union bound.
     """
     _check_projective(measurements, rho.shape)
     t_steps = len(measurements)
     if t_steps > MAX_ENUMERATION_STEPS:
         raise ValueError(f"T = {t_steps} too large for exhaustive enumeration")
+    if epsilon is not None and not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     rho_op = rho.density() if isinstance(rho, PureState) else rho
     if epsilon is None:
         epsilon = max(accept_probability(m, rho_op) for m in measurements)
     shape = rho_op.shape
+    d = shape.total_dim
+    taus = rho_op.matrix[None]
+    outcomes: list[tuple[int, ...]] = [()]
     trajectories: list[TrajectoryRecord] = []
+    for m in measurements:
+        lam = m.accept_op.matrix
+        hit = lam @ taus @ lam
+        miss = taus - lam @ taus - taus @ lam + hit
+        taus = np.stack([hit, miss], axis=1).reshape(-1, d, d)
+        outcomes = [o + (outcome,) for o in outcomes for outcome in (1, 0)]
+        live = np.trace(taus, axis1=1, axis2=2).real >= 1e-15
+        trajectories += [TrajectoryRecord(o, 0.0, None) for o, ok in zip(outcomes, live) if not ok]
+        taus, outcomes = taus[live], [o for o, ok in zip(outcomes, live) if ok]
+    probs = np.trace(taus, axis1=1, axis2=2).real
+    finals = 0.5 * (taus + taus.conj().transpose(0, 2, 1)) / probs[:, None, None]
     p_any = 0.0
-
-    def descend(tau: np.ndarray, outcomes: tuple[int, ...]):
-        nonlocal p_any
-        depth = len(outcomes)
-        if depth == t_steps:
-            prob = float(np.trace(tau).real)
-            final = None
-            if prob > ZERO_BRANCH_ATOL:
-                final = _trusted(DensityOperator, shape, 0.5 * (tau + tau.conj().T) / np.trace(tau).real)
-            rec = TrajectoryRecord(outcomes, max(prob, 0.0), final)
-            trajectories.append(rec)
-            if any(outcomes):
-                p_any += rec.probability
-            return
-        lam = measurements[depth].accept_op.matrix
-        hit = lam @ tau @ lam
-        miss = tau - lam @ tau - tau @ lam + hit
-        for outcome, branch_tau in ((1, hit), (0, miss)):
-            if np.trace(branch_tau).real < 1e-15:
-                # Pruned subtree: zero probability, recorded truncated.
-                trajectories.append(TrajectoryRecord(outcomes + (outcome,), 0.0, None))
-                continue
-            descend(branch_tau, outcomes + (outcome,))
-
-    descend(rho_op.matrix.copy(), ())
+    for o, prob, final in zip(outcomes, probs.tolist(), finals):
+        final = _trusted(DensityOperator, shape, final) if prob > ZERO_BRANCH_ATOL else None
+        trajectories.append(TrajectoryRecord(o, prob, final))
+        if any(o):
+            p_any += prob
+    trajectories.sort(key=lambda rec: rec.outcomes, reverse=True)
     return UnionBoundResult(
         p_any_one=min(1.0, p_any),
         bound=4.0 * t_steps * epsilon,

@@ -406,6 +406,26 @@ class TestSampledRuns:
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(count / trials - exact) <= 4 * sigma
 
+    def test_pure_initial_state(self):
+        """A PureState input: the oracle propagates its density operator, bit
+        for bit, and the sampler (which draws no ensemble index for it)
+        agrees at 4 sigma."""
+        rng = trial_rng(16, 2)
+        shape = RegisterShape((3,))
+        ms = (
+            TwoOutcomeMeasurement(random_projector(rng, shape, rank=1), is_projector=True),
+            TwoOutcomeMeasurement(random_projector(rng, shape, rank=2), is_projector=True),
+        )
+        psi = random_pure_state(rng, shape)
+        inst = SequentialInstance(ms, psi, eta=0.5)
+        res = exact_sequential_accept(inst)
+        assert res == exact_sequential_accept(SequentialInstance(ms, psi.density(), eta=0.5))
+        exact = res.total_accept
+        trials = 10_000
+        count = run_sequential_sampled_batch(inst, trial_rng(16, 3), trials)
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(count / trials - exact) <= 4 * sigma
+
 
 class TestValidation:
     def test_requires_projectors(self):

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqmeas import (
+    DensityOperator,
     HermitianOperator,
     NaimarkForm,
+    PureState,
     RegisterShape,
+    TrajectoryRecord,
     TwoOutcomeMeasurement,
+    UnionBoundResult,
     accept_probability,
     anti_zeno_accept_ever,
     anti_zeno_sequence,
@@ -26,12 +31,16 @@ from seqmeas import (
     trivial_naimark,
     union_bound_bruteforce,
 )
+from seqmeas.experiments import _random_projective
+from seqmeas.measurement import ZERO_BRANCH_ATOL
+from seqmeas.rng import trial_rngs
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
     random_projector,
     random_pure_state,
 )
+from seqmeas.states import _trusted
 
 QUBIT = RegisterShape((2,))
 
@@ -222,6 +231,139 @@ class TestUnionBound:
         soft = TwoOutcomeMeasurement(HermitianOperator(QUBIT, np.diag([0.5, 0.0])))
         with pytest.raises(ValueError):
             union_bound_bruteforce([soft], plus_state())
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, 2.0], ids=["negative", "nan", "above-one"])
+    def test_rejects_epsilon_outside_unit_interval(self, epsilon):
+        one = TwoOutcomeMeasurement.projector(proj(np.array([1.0, 0.0])))
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            union_bound_bruteforce([one] * 3, plus_state(), epsilon=epsilon)
+
+
+def _reference_union_bound(measurements, rho, epsilon=None) -> UnionBoundResult:
+    """The depth-first recursion union_bound_bruteforce replaced, kept as the
+    reference: one call per tree node, accept child first, a branch of trace
+    below 1e-15 recorded truncated in place."""
+    rho_op = rho.density() if isinstance(rho, PureState) else rho
+    if epsilon is None:
+        epsilon = max(accept_probability(m, rho_op) for m in measurements)
+    trajectories = []
+    p_any = 0.0
+
+    def descend(tau, outcomes):
+        nonlocal p_any
+        depth = len(outcomes)
+        if depth == len(measurements):
+            prob = float(np.trace(tau).real)
+            final = None
+            if prob > ZERO_BRANCH_ATOL:
+                final = _trusted(DensityOperator, rho_op.shape, 0.5 * (tau + tau.conj().T) / np.trace(tau).real)
+            rec = TrajectoryRecord(outcomes, max(prob, 0.0), final)
+            trajectories.append(rec)
+            if any(outcomes):
+                p_any += rec.probability
+            return
+        lam = measurements[depth].accept_op.matrix
+        hit = lam @ tau @ lam
+        miss = tau - lam @ tau - tau @ lam + hit
+        for outcome, branch_tau in ((1, hit), (0, miss)):
+            if np.trace(branch_tau).real < 1e-15:
+                trajectories.append(TrajectoryRecord(outcomes + (outcome,), 0.0, None))
+                continue
+            descend(branch_tau, outcomes + (outcome,))
+
+    descend(rho_op.matrix.copy(), ())
+    return UnionBoundResult(min(1.0, p_any), 4.0 * len(measurements) * epsilon, float(epsilon), tuple(trajectories))
+
+
+def _assert_same_result(got: UnionBoundResult, ref: UnionBoundResult):
+    assert (got.p_any_one, got.bound, got.epsilon) == (ref.p_any_one, ref.bound, ref.epsilon)
+    assert [r.outcomes for r in got.trajectories] == [r.outcomes for r in ref.trajectories]
+    for g, r in zip(got.trajectories, ref.trajectories):
+        assert g.probability == r.probability
+        if r.final_state is None:
+            assert g.final_state is None
+        else:
+            assert g.final_state.shape == r.final_state.shape
+            assert np.array_equal(g.final_state.matrix, r.final_state.matrix)
+
+
+def _cli_tables(seed: int, pure: bool):
+    """The union-bound experiment's 30 random sequences at `seed`, each with
+    its mixed input or, drawn after it, a pure one."""
+    cases = []
+    for rng in trial_rngs(seed, range(30)):
+        shape = RegisterShape((int(rng.integers(2, 9)),))
+        measurements = [_random_projective(rng, shape) for _ in range(int(rng.integers(1, 7)))]
+        rho = random_density_operator(rng, shape)
+        cases.append((measurements, random_pure_state(rng, shape) if pure else rho))
+    return cases
+
+
+class TestUnionBoundAgainstRecursion:
+    """The depth-by-depth pass gives the recursion's records, in its order:
+    outcome tuples, probability bits, final-state matrices, p_any_one and
+    the bound."""
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cli_tables(self, seed, pure):
+        for measurements, rho in _cli_tables(seed, pure):
+            _assert_same_result(union_bound_bruteforce(measurements, rho), _reference_union_bound(measurements, rho))
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 12])
+    def test_anti_zeno(self, n):
+        seq, zero, eps = anti_zeno_sequence(n), basis_state(QUBIT, (0,)), math.sin(math.pi / (2 * n)) ** 2
+        res = union_bound_bruteforce(seq, zero, epsilon=eps)
+        assert sum(2 ** (n - len(r.outcomes)) for r in res.trajectories) == 2**n
+        _assert_same_result(res, _reference_union_bound(seq, zero, eps))
+
+    def test_pruned_tree(self):
+        """Four |0><0| on |+>: after the first step every accept branch stays
+        in |0> and every reject branch in |1>, so all mixed-outcome branches
+        are truncated."""
+        zero = TwoOutcomeMeasurement.projector(proj(np.array([1.0, 0.0])))
+        res = union_bound_bruteforce([zero] * 4, plus_state())
+        assert [r.outcomes for r in res.trajectories] == [
+            (1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0), (1, 0), (0, 1), (0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0)
+        ]
+        _assert_same_result(res, _reference_union_bound([zero] * 4, plus_state()))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_input(self, rank):
+        rng = np.random.default_rng(50 + rank)
+        shape = RegisterShape((4,))
+        ms = [TwoOutcomeMeasurement.projector(random_projector(rng, shape, rank=2)) for _ in range(5)]
+        rho = random_density_operator(rng, shape, rank=rank)
+        _assert_same_result(union_bound_bruteforce(ms, rho), _reference_union_bound(ms, rho))
+
+    def test_member_never_accepting_on_the_input(self):
+        rng = np.random.default_rng(60)
+        shape = RegisterShape((3,))
+        null = TwoOutcomeMeasurement.projector(HermitianOperator(shape, np.zeros((3, 3))))
+        ms = [null] + [TwoOutcomeMeasurement.projector(random_projector(rng, shape, rank=1)) for _ in range(3)] + [null]
+        rho = random_density_operator(rng, shape)
+        res = union_bound_bruteforce(ms, rho)
+        assert all(r.outcomes[0] == 0 for r in res.trajectories[1:])
+        _assert_same_result(res, _reference_union_bound(ms, rho))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.integers(2, 4), t_steps=st.integers(1, 6))
+def test_union_bound_properties(seed, d, t_steps):
+    """On random projective sequences (ranks 0..d) the records conserve
+    probability and tile the 2^T tree, truncated ones carry nothing, and the
+    bound holds."""
+    rng = np.random.default_rng(seed)
+    shape = RegisterShape((d,))
+    ranks = rng.integers(0, d + 1, size=t_steps)
+    ms = [TwoOutcomeMeasurement.projector(random_projector(rng, shape, rank=int(r))) for r in ranks]
+    res = union_bound_bruteforce(ms, random_density_operator(rng, shape, rank=int(rng.integers(1, d + 1))))
+    assert abs(sum(r.probability for r in res.trajectories) - 1.0) <= 1e-9
+    assert res.p_any_one <= res.bound
+    assert sum(2 ** (t_steps - len(r.outcomes)) for r in res.trajectories) == 2**t_steps
+    for r in res.trajectories:
+        if len(r.outcomes) < t_steps:
+            assert r.probability == 0.0 and r.final_state is None
 
 
 class TestNaimarkForms:
