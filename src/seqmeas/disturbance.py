@@ -164,7 +164,8 @@ def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
     branch's share q tr tau, of which 1/2 tr(A - B - B^dagger + D) accepts,
     and the measurement branch's hit mass (1 - q) tr(Mbar D), Mbar the mean
     of the L_j; the rest goes on as tau <- (1 - q)/n sum_j K_j tau K_j,
-    K_j = I (+) (I - L_j), one stacked Kraus step of n (2d)^3 products.  One
+    K_j = I (+) (I - L_j), one stacked Kraus step of (2d)^3 products per
+    distinct member, summed over all n members in their order.  One
     (3, 4d^2) matvec reads the three masses off each iterate; they are
     summed once after the loop.  Probability is conserved exactly; the worst
     drift between tr tau before and after an iteration and the mass that
@@ -186,9 +187,12 @@ def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
     functionals = np.stack([np.eye(2 * d), minus.T, hit.T]).reshape(3, -1)
     q = inst.check_probability
     masses = np.empty((inst.k + 1, 3))
+    # K_j tau K_j once per distinct member, summed back in member order
+    distinct, member = np.unique(kraus, axis=0, return_inverse=True)
+    member = member.reshape(-1)
     for i in range(inst.k):
         masses[i] = (functionals @ tau.reshape(-1)).real
-        tau = (1.0 - q) / inst.n * (kraus @ tau @ kraus).sum(axis=0)
+        tau = (1.0 - q) / inst.n * (distinct @ tau @ distinct)[member].sum(axis=0)
     masses[inst.k] = (functionals @ tau.reshape(-1)).real
     before, check_one, hit_mass = masses[:-1].T
     after = masses[1:, 0]

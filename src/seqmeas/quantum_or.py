@@ -93,12 +93,15 @@ class MWInstance:
 
 @dataclass(frozen=True)
 class AveragedInstance:
-    """One matrix-free amplification run on the uniform average of n
-    operators A_i in [0, I]: one applier per operator (system vector -> A_i
-    vector), an input state and a round count.
+    """One matrix-free amplification run on L = (1/n) sum_i A_i, the uniform
+    average of n operators A_i in [0, I]: appliers (system vector -> vector)
+    whose mean is L, an input state and the round count N.
 
-    Only per-operator matvecs are needed, so instances are limited by
-    state-vector size rather than dense-operator size.
+    Usually there is one applier per operator; a single applier may already
+    be a whole family's mean (the interference test's, see
+    ``testers._copy_reflection_applier``), in which case n_rounds still
+    carries the N of that family.  Only matvecs are needed, so instances are
+    limited by state-vector size rather than dense-operator size.
     """
 
     appliers: tuple[Callable[[np.ndarray], np.ndarray], ...]
@@ -168,16 +171,19 @@ def _amplify(
     step is read; ``apply_l`` is called once per round entered.  Uniforms
     lie in [0, 1), so the probabilities need no clipping, and a Delta step
     is read only after a Pi accept probability below 1.
+
+    The first round's difference is a new array, which later rounds update
+    in place; neither `vector` nor any array ``apply_l`` returns is written.
     """
     live = vector
     for _ in range(n_rounds):
         hit = apply_l(live)
         p_pi = np.vdot(live, hit).real
         yield p_pi
-        live = live - hit
+        live = np.subtract(live, hit, out=None if live is vector else live)
         p_rest = np.vdot(live, live).real
         yield p_rest / (1.0 - p_pi)
-        live = live / math.sqrt(p_rest)
+        np.divide(live, math.sqrt(p_rest), out=live)
 
 
 class _Survivors:
@@ -237,11 +243,13 @@ class _Survivors:
 
 def _survivors(inst: MWInstance | AveragedInstance) -> _Survivors:
     """The instance's survivor paths, walked with L: a Naimark form's induced
-    operator, or the mean of an averaged family's appliers."""
+    operator, or the mean of an averaged family's appliers; a single applier
+    is L itself (it may already be a whole family's mean)."""
     if isinstance(inst, MWInstance):
         lam = inst.naimark.induced_operator().matrix
         return _Survivors(lambda v: lam @ v, inst.initial, inst.n_rounds)
-    return _Survivors(_mean_applier(inst.appliers), inst.initial, inst.n_rounds)
+    apply_l = inst.appliers[0] if len(inst.appliers) == 1 else _mean_applier(inst.appliers)
+    return _Survivors(apply_l, inst.initial, inst.n_rounds)
 
 
 def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:

@@ -320,7 +320,7 @@ def product_state(parts: Sequence[PureState]) -> PureState:
     amps = np.array([1.0], dtype=np.complex128)
     for p in parts:
         dims.extend(p.shape.dims)
-        amps = np.kron(amps, p.amplitudes)
+        amps = np.multiply.outer(amps, p.amplitudes).reshape(-1)
     return _trusted(PureState, RegisterShape(tuple(dims)), amps)
 
 

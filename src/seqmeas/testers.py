@@ -23,7 +23,7 @@ Three kinds of exact acceptance oracle back the sampled testers:
 
 Interference measurements with non-commuting unitaries instead take the
 polynomial form 1 - ||(I - L)^N v||^2 (``quantum_or.mw_accept_polynomial``)
-on the sampler's own factored appliers, within the state-vector cap.
+on the sampler's own family applier, within the state-vector cap.
 
 All routes are cross-validated against dense spectral references at small
 sizes in the test suite.
@@ -32,6 +32,7 @@ sizes in the test suite.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
@@ -43,7 +44,6 @@ from .gates import PermutationAction, is_unitary, permutation_matrix
 from .measurement import _register_branch
 from .quantum_or import (
     AveragedInstance,
-    _mean_applier,
     _run_once,
     mw_accept_from_spectrum,
     mw_accept_polynomial,
@@ -217,7 +217,14 @@ def eigen_copies(n_measurements: int, epsilon: float) -> int:
 
 
 def _check_copies(copies_k: int) -> None:
-    """The copy-count check of every k-copy tester."""
+    """The copy-count check of every k-copy tester: an integer k >= 1 (a
+    bool or a float, even an integral one, is refused)."""
+    if isinstance(copies_k, (bool, np.bool_)):
+        raise ValueError(f"copy count k must be an integer, got {copies_k!r}")
+    try:
+        operator.index(copies_k)
+    except TypeError:
+        raise ValueError(f"copy count k must be an integer, got {copies_k!r}") from None
     if copies_k < 1:
         raise ValueError("need at least one copy")
 
@@ -251,13 +258,13 @@ def eigen_measurement_cycle(
     oracle (see ``_copy_reflection_applier``).  Returns (outcome, outcome
     probability, residual state), outcome 1 accepting; the gate-circuit
     reference lives in the tests."""
+    (unitary,) = _eigen_check((unitary,), psi_shape, copies_k)
     dims, _, _ = _eigen_layout(psi_shape, copies_k)
     if state.shape.dims != dims:
         raise ValueError("state does not have the tester layout for this psi shape and k")
-    (unitary,) = _eigen_check((unitary,), psi_shape, copies_k)
     x = state.amplitudes.reshape(-1, 2).T  # rows: flag 0, flag 1
     # after the k block steps the flag axis leads: rows (x)R x_0, (x)R x_1
-    rx = _copy_reflection_applier(unitary, copies_k)(state.amplitudes).reshape(2, -1)
+    rx = _copy_reflection_applier((unitary,), copies_k)(state.amplitudes).reshape(2, -1)
     dx = x - rx
     branches = ((dx[0], rx[1]), (rx[0], dx[1]))  # (flag-0, flag-1) parts of reject, accept
     weights = np.array([sum(np.vdot(v, v).real for v in b) for b in branches])
@@ -268,8 +275,11 @@ def eigen_measurement_cycle(
     return branch, prob, _trusted(PureState, state.shape, residual.reshape(-1))
 
 
-def _copy_reflection_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> ((x)_b R) x on k contiguous (control, psi) blocks, R = block_reflection(U).
+def _copy_reflection_applier(
+    unitaries: Sequence[np.ndarray], copies_k: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> L x, L = (1/n) sum_i (x)_b R_i on k contiguous (control, psi)
+    blocks, R_i = block_reflection(U_i), over the n members of the family.
 
     V = C W, where W applies controlled-U and a Hadamard copy by copy and C
     flips the flag when every control register is 0, so the accept
@@ -282,21 +292,48 @@ def _copy_reflection_applier(unitary: np.ndarray, copies_k: int) -> Callable[[np
     axes (the cycle's flag) back behind the k system axes, on a vector 2^-k
     of the input's size; the k up steps apply W.  A trailing axis of the
     input therefore leads in the output: (b_1, ..., b_k, f) -> (f, b_1, ..., b_k).
+
+    Each member runs its k down steps and k - 1 up steps, the last of which
+    writes into the member's row of an (n, size/2) stack (at k = 1 the
+    transposed vector is copied there).  The n last up steps and the 1/n
+    are then one matmul, ``stack.reshape(n d, -1).T @ vstack(W_i^T)/n``:
+    the stack's transpose is already laid out as that operand, so no copy
+    is made.  A stack holds at most MAX_VECTOR_DIM amplitudes (or one
+    member), so a larger family takes its members a group at a time and
+    adds the groups' matmuls: the memory one application takes does not
+    grow with n.  The cycle calls this on a family of one.
     """
-    d = unitary.shape[0]
+    mats = tuple(unitaries)
+    d = mats[0].shape[0]
     eye = np.eye(d)
-    down = 0.5 * np.vstack([eye, unitary.T])  # (1/2 W^dag)^T
-    up = np.hstack([eye, unitary.conj()])  # W^T
+    downs = [0.5 * np.vstack([eye, u.T]) for u in mats]  # (1/2 W_i^dag)^T
+    ups = [np.hstack([eye, u.conj()]) for u in mats]  # W_i^T
+    last = np.vstack(ups) / len(mats)
     system = d**copies_k
 
     def apply(vec: np.ndarray) -> np.ndarray:
-        t = vec
-        for _ in range(copies_k):
-            t = t.reshape(2 * d, -1).T @ down
-        t = t.reshape(-1, system).T
-        for _ in range(copies_k):
-            t = t.reshape(d, -1).T @ up
-        return t.reshape(-1)
+        half = vec.size // 2
+        group = max(1, MAX_VECTOR_DIM // half)  # members per stack
+        stack = np.empty((min(group, len(mats)), half), dtype=np.complex128)
+        for lo in range(0, len(mats), group):
+            rows = stack[: len(mats) - lo]
+            for row, down, up in zip(rows, downs[lo:], ups[lo:]):
+                t = vec
+                for _ in range(copies_k):
+                    t = t.reshape(2 * d, -1).T @ down
+                t = t.reshape(-1, system).T
+                if copies_k == 1:
+                    row.reshape(t.shape)[...] = t
+                    continue
+                for _ in range(copies_k - 2):
+                    t = t.reshape(d, -1).T @ up
+                np.matmul(t.reshape(d, -1).T, up, out=row.reshape(-1, 2 * d))
+            part = rows.reshape(len(rows) * d, -1).T @ last[lo * d : (lo + len(rows)) * d]
+            if lo == 0:
+                out = part
+            else:
+                out += part
+        return out.reshape(-1)
 
     return apply
 
@@ -327,7 +364,7 @@ def _eigen_check(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: Regist
     """The family as a :class:`UnitarySet` on psi's space, after the instance
     check of :func:`eigen_instance`, :func:`eigen_or_accept_exact`,
     :func:`eigen_measurement_cycle` and :func:`analytic_eigen_accept`: k >= 1, and unitaries of psi's dimension
-    (the factored appliers only reshape, so others could pass silently)."""
+    (the factored applier only reshapes, so others could pass silently)."""
     _check_copies(copies_k)
     mats = _unitary_set(unitaries)
     if mats.dim != psi_shape.total_dim:
@@ -353,12 +390,12 @@ def eigen_instance(
     copies_k: int | None = None,
 ) -> AveragedInstance:
     """The amplification run of :func:`eigen_test`: the k-copy interference
-    state, one factored applier per unitary and N = number of unitaries."""
+    state, one applier that is already the family's mean L (see
+    ``_copy_reflection_applier``) and N = number of unitaries."""
     k = eigen_copies(len(unitaries), epsilon) if copies_k is None else copies_k
     mats = _eigen_check(unitaries, psi.shape, k)
     phi = _copies_state([plus_state(), psi], k)
-    appliers = [_copy_reflection_applier(u, k) for u in mats]
-    return AveragedInstance(appliers, phi, or_round_count(len(mats), 0))
+    return AveragedInstance((_copy_reflection_applier(mats, k),), phi, or_round_count(len(mats), 0))
 
 
 def eigen_test(
@@ -375,10 +412,12 @@ def eigen_test(
     number of unitaries (the exact eigenvector in the positive case means no
     slack is needed).  The run stays in the flag-0 block, where each
     measurement is the k-fold power of the block reflection R = 1/2 W W^dag,
-    applied as k rank-d contractions by 1/2 W^dag and k by W (see
-    ``_copy_reflection_applier``).  This sampler,
-    :func:`eigen_measurement_cycle` and :func:`eigen_or_accept_exact` share
-    that factored projector; the gate-circuit reference lives in the tests.
+    applied as k rank-d contractions by 1/2 W^dag and k by W.  One family
+    applier (``_copy_reflection_applier``) gives the mean L of all the
+    measurements per round, their last up steps and the 1/n in one matmul.
+    This sampler, :func:`eigen_measurement_cycle` and
+    :func:`eigen_or_accept_exact` share that applier; the gate-circuit
+    reference lives in the tests.
     """
     return _run_once(eigen_instance(unitaries, psi, epsilon, copies_k), rng)
 
@@ -508,8 +547,8 @@ def eigen_or_accept_exact(
     exact at any k when its certificate shows the R_i commute
     (``method="joint"`` requires that; ``"auto"`` takes it whenever it holds).
     Otherwise the acceptance 1 - ||(I - L)^N v||^2, N the family size as in
-    the sampler, is computed by N applications of the mean of its factored
-    appliers (:func:`quantum_or.mw_accept_polynomial`), so the flag-0 block
+    the sampler, is computed by N applications of the sampler's family
+    applier (:func:`quantum_or.mw_accept_polynomial`), so the flag-0 block
     must fit under MAX_VECTOR_DIM.
     """
     if method not in ("auto", "joint"):
@@ -530,11 +569,9 @@ def eigen_or_accept_exact(
 
 def _eigen_accept_matvec(mats: UnitarySet, psi: PureState, copies_k: int, n_rounds: int) -> float:
     """The route of :func:`eigen_or_accept_exact` for any family: the
-    polynomial acceptance on the flag-0 block, with L the mean of the
-    factored appliers."""
+    polynomial acceptance on the flag-0 block, with L the family applier."""
     vec = _copies_state([plus_state(), psi], copies_k).amplitudes
-    appliers = [_copy_reflection_applier(u, copies_k) for u in mats]
-    return mw_accept_polynomial(_mean_applier(appliers), vec, n_rounds)
+    return mw_accept_polynomial(_copy_reflection_applier(mats, copies_k), vec, n_rounds)
 
 
 # -- function isomorphism under a permutation set ----------------------------------

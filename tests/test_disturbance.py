@@ -3,6 +3,9 @@
 ``_reference_sequential_accept`` below is the block recursion the exact
 oracle used before it became one stacked Kraus step; the oracle is held to it
 on random, multi-register, rank-deficient and degenerate-family instances.
+``_per_member_sequential_accept`` is the Kraus step with one product per
+member; the oracle, which multiplies each distinct member once, is held to
+it bit for bit.
 ``_reference_sequential_runs`` is the sampler loop that split the live trials
 by member; the one-step sampler is held to it flag for flag and draw for draw.
 """
@@ -16,11 +19,13 @@ import pytest
 from seqmeas import (
     DensityOperator,
     HermitianOperator,
+    PureState,
     RegisterShape,
     SequentialInstance,
     TwoOutcomeMeasurement,
     basis_state,
     exact_sequential_accept,
+    plus_state,
     run_sequential_sampled,
     run_sequential_sampled_batch,
     sequential_iteration_count,
@@ -226,6 +231,62 @@ class TestAgainstBlockRecursion:
     def test_case_one_families(self):
         for inst in (anti_zeno_sequential_instance(8), certain_member_instance(16)):
             _assert_matches_reference(inst)
+
+
+def _per_member_sequential_accept(inst):
+    """The stacked Kraus step with one K_j tau K_j per member, frozen: the
+    oracle before it multiplied each distinct member once."""
+    d = inst.initial.shape.total_dim
+    rho = inst.initial.density() if isinstance(inst.initial, PureState) else inst.initial
+    tau = np.kron(plus_state().density().matrix, rho.matrix)
+    mats = inst.accept_ops
+    kraus = np.broadcast_to(np.eye(2 * d), (inst.n, 2 * d, 2 * d)).astype(mats.dtype)
+    kraus[:, d:, d:] -= mats
+    minus = np.kron(np.array([[0.5, -0.5], [-0.5, 0.5]]), np.eye(d))
+    hit = np.zeros((2 * d, 2 * d), dtype=mats.dtype)
+    hit[d:, d:] = mats.mean(axis=0)
+    functionals = np.stack([np.eye(2 * d), minus.T, hit.T]).reshape(3, -1)
+    q = inst.check_probability
+    masses = np.empty((inst.k + 1, 3))
+    for i in range(inst.k):
+        masses[i] = (functionals @ tau.reshape(-1)).real
+        tau = (1.0 - q) / inst.n * (kraus @ tau @ kraus).sum(axis=0)
+    masses[inst.k] = (functionals @ tau.reshape(-1)).real
+    before, check_one, hit_mass = masses[:-1].T
+    after = masses[1:, 0]
+    drift = np.abs(before - q * before - (1.0 - q) * hit_mass - after)
+    check_acc = q * check_one.sum()
+    meas_acc = (1.0 - q) * hit_mass.sum()
+    reject = q * (before - check_one).sum() + masses[inst.k, 0]
+    total = check_acc + meas_acc
+    return SequentialExactResult(
+        float(min(1.0, total)), float(check_acc), float(meas_acc), float(min(1.0, reject)), float(drift.max())
+    )
+
+
+def _interleaved_instance():
+    """Members A, B, A, B: two distinct Kraus operators, each used twice,
+    not adjacent."""
+    rng = trial_rng(23, 0)
+    shape = RegisterShape((3,))
+    a, b = (TwoOutcomeMeasurement(random_projector(rng, shape, rank=1), is_projector=True) for _ in range(2))
+    return SequentialInstance((a, b, a, b), random_density_operator(rng, shape), eta=0.5)
+
+
+DISTINCT_MEMBER_CASES = {
+    **{f"certain-member-{n}": (lambda n=n: certain_member_instance(n)) for n in (8, 16, 32)},
+    **{f"anti-zeno-{n}": (lambda n=n: anti_zeno_sequential_instance(n)) for n in (4, 8, 16)},
+    "interleaved-abab": _interleaved_instance,
+    **{f"case2-{t}": (lambda t=t: _table_instance(12, t)) for t in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", list(DISTINCT_MEMBER_CASES))
+def test_distinct_members_bit_identical_to_per_member_step(case):
+    """One K tau K per distinct member, summed back in member order, gives
+    every result field bit for bit."""
+    inst = DISTINCT_MEMBER_CASES[case]()
+    assert exact_sequential_accept(inst) == _per_member_sequential_accept(inst)
 
 
 def _reference_sequential_runs(inst, rng, trials):

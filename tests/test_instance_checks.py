@@ -8,6 +8,8 @@ value types' checks fail loudly and show that the package's own constructions
 never reach them, while still storing read-only complex128 arrays.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from seqmeas import (
     RegisterShape,
     TwoOutcomeMeasurement,
     UnitarySet,
+    analytic_eigen_accept,
     anti_zeno_sequence,
     apply_gate,
     apply_gates,
@@ -31,11 +34,14 @@ from seqmeas import (
     eigen_instance,
     eigen_measurement_cycle,
     eigen_or_accept_exact,
+    eigen_test,
     eigen_tester_state,
     g_iso_accept_exact,
     g_iso_test,
+    g_iso_trials,
     genuine_ent_accept_exact,
     genuine_ent_instance,
+    genuine_ent_test,
     ghz_state,
     measure_collapse,
     measure_register_collapse,
@@ -48,11 +54,13 @@ from seqmeas import (
     plus_state,
     product_state,
     reject_path,
+    state_membership_test,
     trial_rng,
     trivial_naimark,
     union_bound_bruteforce,
     unitary_s_iso_accept_exact,
     unitary_s_iso_instance,
+    unitary_s_iso_test,
     unitary_set_test,
 )
 from seqmeas import testers as testers_module
@@ -182,6 +190,51 @@ def test_negative_copy_counts_rejected(copies_k):
         genuine_ent_accept_exact(ghz_state(3), 3, copies_k)
     with pytest.raises(ValueError, match="at least one copy"):
         eigen_tester_state(ZERO, copies_k)
+
+
+# every k-copy entry point, as a function of k
+COPY_COUNT_CALLS = {
+    "analytic_eigen_accept": lambda k: analytic_eigen_accept(PAULI_X, ZERO, k),
+    "eigen_tester_state": lambda k: eigen_tester_state(ZERO, k),
+    "eigen_measurement_cycle": lambda k: eigen_measurement_cycle(
+        eigen_tester_state(ZERO, 2), PAULI_X, QUBIT, k, branch=1
+    ),
+    "eigen_instance": lambda k: eigen_instance([PAULI_X], ZERO, 0.5, copies_k=k),
+    "eigen_test": lambda k: eigen_test([PAULI_X], ZERO, 0.5, trial_rng(0, 0), copies_k=k),
+    "eigen_or_accept_exact": lambda k: eigen_or_accept_exact([PAULI_X], ZERO, k),
+    "g_iso_test": lambda k: g_iso_test(F_TABLE, F_TABLE, GROUP, 0.5, trial_rng(0, 0), copies_k=k),
+    "g_iso_trials": lambda k: next(g_iso_trials(F_TABLE, F_TABLE, GROUP, 0.5, [trial_rng(0, 0)], copies_k=k)),
+    "g_iso_accept_exact": lambda k: g_iso_accept_exact(F_TABLE, F_TABLE, GROUP, 0.5, copies_k=k),
+    "membership_instance": lambda k: membership_instance(CANDIDATES, ZERO, 0.5, copies_k=k),
+    "state_membership_test": lambda k: state_membership_test(CANDIDATES, ZERO, 0.5, trial_rng(0, 0), copies_k=k),
+    "membership_accept_exact": lambda k: membership_accept_exact(CANDIDATES, ZERO, k),
+    "per_candidate_accept": lambda k: testers_module.per_candidate_accept(ZERO, plus_state(), k),
+    "unitary_set_test": lambda k: unitary_set_test(S_SET, np.eye(2), 0.5, trial_rng(0, 0), copies_k=k),
+    "unitary_s_iso_instance": lambda k: unitary_s_iso_instance(S_SET, PAULI_X, PAULI_X, 0.5, copies_k=k),
+    "unitary_s_iso_test": lambda k: unitary_s_iso_test(S_SET, PAULI_X, PAULI_X, 0.5, trial_rng(0, 0), copies_k=k),
+    "unitary_s_iso_accept_exact": lambda k: unitary_s_iso_accept_exact(S_SET, PAULI_X, PAULI_X, 0.5, copies_k=k),
+    "genuine_ent_instance": lambda k: genuine_ent_instance(ghz_state(3), 3, 0.5, copies_k=k),
+    "genuine_ent_test": lambda k: genuine_ent_test(ghz_state(3), 3, 0.5, trial_rng(0, 0), copies_k=k),
+    "genuine_ent_accept_exact": lambda k: genuine_ent_accept_exact(ghz_state(3), 3, k),
+}
+
+
+@pytest.mark.parametrize("copies_k", [True, 2.0, 2.5, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(COPY_COUNT_CALLS))
+def test_non_integer_copy_counts_rejected(entry, copies_k):
+    """A bool once ran as k = 1, a fractional k gave a number (the closed
+    forms took a real power) and an integral float failed later with an
+    unrelated TypeError: each is refused up front, naming k."""
+    with pytest.raises(ValueError, match=re.escape(f"copy count k must be an integer, got {copies_k!r}")):
+        COPY_COUNT_CALLS[entry](copies_k)
+
+
+@pytest.mark.parametrize("entry", sorted(COPY_COUNT_CALLS))
+def test_numpy_integer_copy_count_accepted(entry):
+    """np.int64(2) runs as k = 2: the exact values equal those at int 2."""
+    value = COPY_COUNT_CALLS[entry](np.int64(2))
+    if isinstance(value, float):
+        assert value == COPY_COUNT_CALLS[entry](2)
 
 
 def test_polynomial_oracle_rejects_non_unit_vectors():

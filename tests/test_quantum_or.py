@@ -19,6 +19,7 @@ from seqmeas import (
     demerlinize_instance,
     demerlinize_round_count,
     demerlinize_test,
+    eigen_instance,
     merlin_best_witness_accept,
     merlin_slice_operators,
     mw_accept_exact,
@@ -36,7 +37,7 @@ from seqmeas import (
     sample_trials,
     trial_rng,
 )
-from seqmeas.quantum_or import _averaged_operator, _mean_applier, _survivors
+from seqmeas.quantum_or import AveragedInstance, _amplify, _averaged_operator, _mean_applier, _survivors
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -539,3 +540,69 @@ def test_mean_applier_accumulates_in_a_copy():
     # one identity applier alone: a copy of the input, which stays as it was
     alone = _mean_applier([lambda x: x])(v)
     assert alone is not v and np.array_equal(alone, v) and np.array_equal(v, v_before)
+
+
+def out_of_place_amplify(apply_l, vector, n_rounds):
+    """The survivor path with a new array per update (the form ``_amplify``
+    had before it updated its vector in place), all 2 n_rounds boundaries."""
+    live, out = vector, []
+    for _ in range(n_rounds):
+        hit = apply_l(live)
+        p_pi = np.vdot(live, hit).real
+        out.append(p_pi)
+        live = live - hit
+        p_rest = np.vdot(live, live).real
+        out.append(p_rest / (1.0 - p_pi))
+        live = live / math.sqrt(p_rest)
+    return out
+
+
+class TestAmplifyInPlace:
+    """``_amplify`` updates its survivor vector in place: its boundaries equal
+    the out-of-place walk bit for bit, and neither the input vector nor an
+    array an applier returns is written to."""
+
+    @staticmethod
+    def appliers(rng, d):
+        """A fresh matvec, a cached array handed out on every call and the
+        cached array of a second fixed matvec: valid or not as an L, each
+        keeps every boundary finite."""
+        lam = _averaged_operator([random_projector(rng, RegisterShape((d,)), 1 + i % (d - 1)) for i in range(3)])
+        other = random_unitary(rng, d)
+        cached = 0.3 * (other @ random_pure_state(rng, RegisterShape((d,))).amplitudes)
+        return [lambda v, m=lam.matrix: m @ v, lambda v: cached], cached
+
+    def test_boundaries_match_out_of_place_walk(self):
+        rng = trial_rng(96, 0)
+        for d in (2, 3, 7):
+            (fresh, cached_applier), cached = self.appliers(rng, d)
+            cached_before = cached.copy()
+            for apply_l in (fresh, cached_applier, _mean_applier([fresh, cached_applier])):
+                vector = random_pure_state(rng, RegisterShape((d,))).amplitudes.copy()
+                vector_before = vector.copy()
+                got = list(_amplify(apply_l, vector, 6))
+                assert np.array_equal(got, out_of_place_amplify(apply_l, vector_before, 6))
+                assert np.array_equal(vector, vector_before)
+                assert np.array_equal(cached, cached_before)
+
+    def test_survivor_paths_match_out_of_place_walk(self):
+        """Through ``_survivors``: a single applier is taken as L itself, a
+        family through ``_mean_applier``; the eigen family applier walks a
+        complex tester state."""
+        rng = trial_rng(96, 1)
+        (fresh, cached_applier), cached = self.appliers(rng, 4)
+        cached_before = cached.copy()
+        psi = random_pure_state(rng, RegisterShape((4,)))
+        eigen = eigen_instance([random_unitary(rng, 2) for _ in range(3)], random_pure_state(rng, QUBIT), 0.5, 2)
+        instances = [
+            AveragedInstance([fresh], psi, 4),
+            AveragedInstance([cached_applier], psi, 4),
+            AveragedInstance([fresh, cached_applier, fresh], psi, 4),
+            eigen,
+        ]
+        for inst in instances:
+            survivors = _survivors(inst)
+            got = [survivors.boundary(0, step) for step in range(2 * inst.n_rounds)]
+            expected = out_of_place_amplify(_mean_applier(inst.appliers), inst.initial.amplitudes, inst.n_rounds)
+            assert np.array_equal(got, expected)
+        assert np.array_equal(cached, cached_before)

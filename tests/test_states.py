@@ -1,6 +1,7 @@
 """Core state/operator types, eigendecomposition, distances, reductions."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -267,6 +268,27 @@ class TestTraceDistance:
             assert trace_distance_pure(a, c) <= (
                 trace_distance_pure(a, b) + trace_distance_pure(b, c) + 1e-9
             )
+
+
+class TestProductState:
+    def test_matches_kron_fold_bit_for_bit(self):
+        """The outer-product build equals the np.kron fold it replaced, to
+        the bit, on real-amplitude parts (plus, basis, Bell, GHZ), complex
+        random parts and multi-register shapes."""
+        rng = np.random.default_rng(310)
+        cases = [
+            [plus_state(), random_pure_state(rng, RegisterShape((2, 3)))] * 3
+            + [basis_state(RegisterShape((2,)), (0,))],
+            [random_pure_state(rng, RegisterShape((3,))), bell_pair(), plus_state(), ghz_state(3)],
+            [basis_state(RegisterShape((2, 2)), (1, 0)), random_pure_state(rng, RegisterShape((2, 2, 2)))],
+            [random_pure_state(rng, RegisterShape((4,)))],
+        ]
+        for parts in cases:
+            psi = product_state(parts)
+            expected = reduce(np.kron, [p.amplitudes for p in parts], np.array([1.0], dtype=np.complex128))
+            assert psi.shape.dims == sum((p.shape.dims for p in parts), ())
+            assert psi.amplitudes.dtype == expected.dtype
+            assert psi.amplitudes.tobytes() == expected.tobytes()
 
 
 class TestSubsystemPurity:

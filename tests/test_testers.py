@@ -622,7 +622,7 @@ class TestFactoredMeasurementCycle:
         full = rng.normal(size=2 * (2 * shape.total_dim) ** copies_k) * (1 + 0.5j)
         state = PureState(eigen_tester_state(psi, copies_k).shape, full / np.linalg.norm(full))
         x = state.amplitudes.reshape(-1, 2).T
-        rx = _copy_reflection_applier(u, copies_k)(state.amplitudes).reshape(2, -1)
+        rx = _copy_reflection_applier((u,), copies_k)(state.amplitudes).reshape(2, -1)
         branches = ((x[0] - rx[0], rx[1]), (rx[0], x[1] - rx[1]))
         for branch in (0, 1):
             _, prob, residual = eigen_measurement_cycle(state, u, shape, copies_k, branch=branch)
@@ -698,7 +698,7 @@ class TestFactoredEigenApplier:
         rng = trial_rng(48, 10 * len(dims) + copies_k)
         shape = RegisterShape(dims)
         u = random_unitary(rng, shape.total_dim)
-        factored = _copy_reflection_applier(u, copies_k)
+        factored = _copy_reflection_applier((u,), copies_k)
         reference = gate_route_applier(shape, u, copies_k)
         dim = (2 * shape.total_dim) ** copies_k
         full = rng.normal(size=(3, 2 * dim)) + 1j * rng.normal(size=(3, 2 * dim))
@@ -731,42 +731,127 @@ class TestFactoredEigenApplier:
             assert np.linalg.norm(out[0::2]) > 1e-3
 
 
-class TestRankFactorApplier:
-    """The applier against the dense k-fold kron of block_reflection, on
-    inputs with trailing axes (the cycle's flag is one of size 2)."""
+def _members_param(name, values, members):
+    """`name` crossed with a family size n, for parametrize: n = 1 keeps the
+    bare id of `name`'s value, a larger n appends ``-n<size>``."""
+    cases = [(v, n) for n in members for v in values]
+    ids = [f"{v}" if n == 1 else f"{v}-n{n}" for v, n in cases]
+    return pytest.mark.parametrize(f"{name}, n_members", cases, ids=ids)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+
+def dense_family_mean_apply(unitaries, copies_k, columns):
+    """(1/n) sum_i B_i @ columns, B_i the dense k-fold kron of
+    block_reflection(U_i), each B_i built, applied and dropped in turn."""
+    total = sum(reduce(np.kron, [block_reflection(u)] * copies_k) @ columns for u in unitaries)
+    return total / len(unitaries)
+
+
+class TestRankFactorApplier:
+    """The family applier against the mean of the dense k-fold krons of
+    block_reflection, on inputs with trailing axes (the cycle's flag is one
+    of size 2)."""
+
+    @_members_param("d", [2, 3, 4], [1, 3])
     @pytest.mark.parametrize("copies_k", [1, 2, 3, 4])
     @pytest.mark.parametrize("trailing", [1, 2, 3])
-    def test_matches_dense_kron(self, d, copies_k, trailing):
+    def test_matches_dense_kron(self, d, n_members, copies_k, trailing):
         """Axes (b_1, ..., b_k, f) in, (f, b_1, ..., b_k) out: the trailing
-        axis leads, each of its slices mapped by (x)_b R."""
+        axis leads, each of its slices mapped by (1/n) sum_i (x)_b R_i."""
         rng = trial_rng(92, 100 * d + 10 * copies_k + trailing)
-        u = random_unitary(rng, d)
-        dense = reduce(np.kron, [block_reflection(u)] * copies_k)
-        dim = dense.shape[0]
+        mats = [random_unitary(rng, d) for _ in range(n_members)]
+        dim = (2 * d) ** copies_k
         vec = rng.normal(size=dim * trailing) + 1j * rng.normal(size=dim * trailing)
-        out = _copy_reflection_applier(u, copies_k)(vec)
-        expected = (dense @ vec.reshape(dim, trailing)).T.reshape(-1)
+        out = _copy_reflection_applier(mats, copies_k)(vec)
+        expected = dense_family_mean_apply(mats, copies_k, vec.reshape(dim, trailing)).T.reshape(-1)
         assert out.shape == vec.shape
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("copies_k", [1, 3])
-    def test_strided_input_left_untouched(self, copies_k):
+    @_members_param("copies_k", [1, 3], [1, 3])
+    def test_strided_input_left_untouched(self, copies_k, n_members):
         """A strided view (every other entry of a longer vector) is read
         correctly, and neither it nor its base is written to."""
         rng = trial_rng(93, copies_k)
-        u = random_unitary(rng, 3)
-        dense = reduce(np.kron, [block_reflection(u)] * copies_k)
-        base = rng.normal(size=2 * dense.shape[0]) + 1j * rng.normal(size=2 * dense.shape[0])
+        mats = [random_unitary(rng, 3) for _ in range(n_members)]
+        dim = 6**copies_k
+        base = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
         before = base.copy()
         view = base[0::2]
-        out = _copy_reflection_applier(u, copies_k)(view)
-        np.testing.assert_allclose(out, dense @ before[0::2], rtol=0, atol=1e-12)
+        out = _copy_reflection_applier(mats, copies_k)(view)
+        expected = dense_family_mean_apply(mats, copies_k, before[0::2])
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
         assert np.array_equal(base, before)
         contiguous = before[0::2].copy()
-        _copy_reflection_applier(u, copies_k)(contiguous)
+        _copy_reflection_applier(mats, copies_k)(contiguous)
         assert np.array_equal(contiguous, before[0::2])
+
+
+def single_reflection_applier(unitary, copies_k):
+    """The applier of one unitary as it was before the family applier, kept
+    as the reference: x -> ((x)_b R) x, k down steps by 1/2 W^dag, one
+    transpose, k up steps by W."""
+    d = unitary.shape[0]
+    eye = np.eye(d)
+    down = 0.5 * np.vstack([eye, unitary.T])
+    up = np.hstack([eye, unitary.conj()])
+    system = d**copies_k
+
+    def apply(vec):
+        t = vec
+        for _ in range(copies_k):
+            t = t.reshape(2 * d, -1).T @ down
+        t = t.reshape(-1, system).T
+        for _ in range(copies_k):
+            t = t.reshape(d, -1).T @ up
+        return t.reshape(-1)
+
+    return apply
+
+
+class TestFamilyApplier:
+    """The family applier against the mean of the single-unitary reference
+    appliers under ``quantum_or._mean_applier``."""
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    @pytest.mark.parametrize("n_members", [1, 2, 3, 5])
+    def test_matches_mean_of_members(self, dims, copies_k, n_members):
+        """Trailing axes 1..3, each input a strided view that is read
+        correctly and left unwritten, as is its base."""
+        rng = trial_rng(95, 100 * n_members + 10 * copies_k + len(dims) + dims[-1])
+        d = RegisterShape(dims).total_dim
+        mats = [random_unitary(rng, d) for _ in range(n_members)]
+        family = _copy_reflection_applier(mats, copies_k)
+        reference = quantum_or_module._mean_applier([single_reflection_applier(u, copies_k) for u in mats])
+        for trailing in (1, 2, 3):
+            size = (2 * d) ** copies_k * trailing
+            base = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
+            before = base.copy()
+            out = family(base[0::2])
+            assert out.shape == (size,)
+            np.testing.assert_allclose(out, reference(before[0::2]), rtol=0, atol=1e-12)
+            assert np.array_equal(base, before)
+
+    @pytest.mark.parametrize("trailing", [1, 2])
+    def test_members_grouped_under_the_vector_cap(self, monkeypatch, trailing):
+        """Past MAX_VECTOR_DIM amplitudes of stack the members go a group at
+        a time (two per stack at trailing 1, one at trailing 2): the result
+        still matches the mean, and the memory one application allocates
+        stops growing with n once there are three groups."""
+        monkeypatch.setattr(testers_module, "MAX_VECTOR_DIM", 1024)
+        rng = trial_rng(97, trailing)
+        size = 8**3 * 2 * trailing
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        peaks = {}
+        for n_members in (1, 2, 3, 5, 12):
+            mats = [random_unitary(rng, 4) for _ in range(n_members)]
+            family = _copy_reflection_applier(mats, 3)
+            reference = quantum_or_module._mean_applier([single_reflection_applier(u, 3) for u in mats])
+            np.testing.assert_allclose(family(vec), reference(vec), rtol=0, atol=1e-12)
+            tracemalloc.start()
+            family(vec)
+            peaks[n_members] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[12] <= peaks[5] + vec.nbytes // 8, peaks
 
 
 class TestClosedFormChecks:
