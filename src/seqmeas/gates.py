@@ -1,20 +1,21 @@
-"""Structured unitary application on multi-register pure states.
+"""Unitaries of the procedures, and a strided gate kernel for circuit checks.
 
-Gates are applied by striding over the amplitude tensor (transpose, reshape,
-one matmul on the target axes) instead of building the full operator, which
-keeps ~20-qubit tester circuits cheap.  Dense operators never appear unless a
-caller explicitly asks for one via :func:`dense_gate_matrix`.
+The procedures take the unitarity predicate, basis permutations
+(:class:`PermutationAction`, :func:`permutation_matrix`) and the Z_n Fourier
+matrix from here.  :class:`GateSpec` and :func:`_apply_gate_array` apply a
+(controlled) gate by striding over the amplitude tensor (transpose, reshape,
+one matmul on the target axes) instead of building the full operator; no
+procedure calls them, and the tests use them as the gate-circuit reference
+of the interference test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .states import PureState, RegisterShape, _trusted
 
 UNITARY_ATOL = 1e-10
 
@@ -87,27 +88,6 @@ def _apply_gate_array(amps: np.ndarray, dims: Sequence[int], gate: GateSpec) -> 
     return arr.reshape(-1)
 
 
-def apply_gate(state: PureState, gate: GateSpec) -> PureState:
-    return _trusted(PureState, state.shape, _apply_gate_array(state.amplitudes, state.shape.dims, gate))
-
-
-def apply_gates(state: PureState, gates: Iterable[GateSpec]) -> PureState:
-    amps = state.amplitudes
-    for g in gates:
-        amps = _apply_gate_array(amps, state.shape.dims, g)
-    return _trusted(PureState, state.shape, amps)
-
-
-def dense_gate_matrix(gate: GateSpec, shape: RegisterShape) -> np.ndarray:
-    """The full operator a gate realises on `shape`.  Test/diagnostic use only."""
-    d = shape.total_dim
-    out = np.zeros((d, d), dtype=np.complex128)
-    basis = np.eye(d, dtype=np.complex128)
-    for j in range(d):
-        out[:, j] = _apply_gate_array(basis[:, j], shape.dims, gate)
-    return out
-
-
 # -- standard gate constructors ----------------------------------------------
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
@@ -121,15 +101,6 @@ def qft_matrix(n: int) -> np.ndarray:
         raise ValueError("QFT dimension must be >= 1")
     j = np.arange(n)
     return np.exp(2j * math.pi * np.outer(j, j) / n) / math.sqrt(n)
-
-
-def qft_zn(state: PureState, register: int, inverse: bool = False) -> PureState:
-    """Apply the Z_n Fourier transform (or its inverse) to one register."""
-    register = state.shape.check_register(register)
-    q = qft_matrix(state.shape.dims[register])
-    if inverse:
-        q = q.conj().T
-    return apply_gate(state, GateSpec((register,), q))
 
 
 @dataclass(frozen=True)
@@ -175,7 +146,3 @@ def permutation_matrix(sigma: PermutationAction) -> np.ndarray:
     mat[sigma.mapping, np.arange(n)] = 1.0
     return mat
 
-
-def permutation_unitary(sigma: PermutationAction, register: int) -> GateSpec:
-    """Gate mapping basis state |x> of one register to |sigma(x)>."""
-    return GateSpec((register,), permutation_matrix(sigma))

@@ -502,7 +502,12 @@ def build_averaged_naimark(measurements: Sequence[TwoOutcomeMeasurement]) -> Nai
 
 
 def anti_zeno_state(n: int, k: int) -> PureState:
-    """|psi_k> = cos(pi k / 2n)|0> + sin(pi k / 2n)|1>."""
+    """|psi_k> = cos(pi k / 2n)|0> + sin(pi k / 2n)|1>, for n >= 1 and
+    0 <= k <= n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k = {k} for n = {n}")
     theta = math.pi * k / (2 * n)
     return _trusted(PureState, RegisterShape((2,)), np.array([math.cos(theta), math.sin(theta)]))
 
@@ -526,5 +531,8 @@ def anti_zeno_sequence(n: int) -> list[TwoOutcomeMeasurement]:
 
 
 def anti_zeno_accept_ever(n: int) -> float:
-    """Closed form 1 - cos(pi/2n)^{2n} for the sequential accept-ever probability."""
+    """Closed form 1 - cos(pi/2n)^{2n} for the sequential accept-ever
+    probability, n >= 1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     return 1.0 - math.cos(math.pi / (2 * n)) ** (2 * n)

@@ -28,19 +28,22 @@ eigen-ensemble index drawn for a mixed one) on the system space, given an
 L-applier (the path depends on Pi only through L; Pi itself is exercised by
 the survival oracle).  Each path is grown lazily, only as far as the
 furthest step some trial reaches, and a trial halts at the first step whose
-halting region holds its uniform.  The OR test and de-Merlinization both
-run an averaged family (:class:`AveragedInstance`), L the mean of one matvec
-per member; their exact oracles decompose the same mean.
+halting region holds its uniform.  Every run is an
+:class:`AveragedInstance`, L the mean of its appliers: the OR test and
+de-Merlinization give one matvec per member, and their exact oracles
+decompose the same mean; a Naimark form's run is the single applier
+``lambda v: L @ v`` of its induced operator.
 
-Draw order.  A single run (:func:`run_mw_sampled`,
-:func:`run_averaged_or_sampled`) draws a mixed input's ensemble index with
-one ``rng.choice``, then one uniform per step taken: the Pi measurement,
-then Delta, round after round.  :func:`sample_trials` gives trial t its own
-generator and draws from it in exactly that order, so each of its results
-equals a single run on that generator, however many trials share the
-paths.  :func:`run_mw_sampled_batch` shares one generator: every trial's
-ensemble index in one call, then per step one uniform per trial still
-running, in trial order.
+Draw order.  A single run (:func:`run_mw_sampled`, or
+:func:`run_averaged_or_sampled` on the instance's fields) draws a mixed
+input's ensemble index with one ``rng.choice``, then one uniform per step
+taken: the Pi measurement, then Delta, round after round.
+:func:`sample_trials` gives trial t its own generator and draws from it in
+exactly that order, so each of its results equals a single run on that
+generator, however many trials share the paths.
+:func:`run_mw_sampled_batch` shares one generator: every trial's ensemble
+index in one call, then per step one uniform per trial still running, in
+trial order.
 """
 
 from __future__ import annotations
@@ -75,20 +78,6 @@ from .states import (
 )
 
 WEIGHT_ATOL = 1e-14
-
-
-@dataclass(frozen=True)
-class MWInstance:
-    """One amplification run: a Naimark form, an input state and a round count."""
-
-    naimark: NaimarkForm
-    initial: PureState | DensityOperator
-    n_rounds: int
-
-    def __post_init__(self):
-        _round_counts(self.n_rounds, 1)
-        if self.initial.shape != self.naimark.system_shape:
-            raise ValueError("initial state must live on the pre-ancilla system space")
 
 
 @dataclass(frozen=True)
@@ -241,13 +230,10 @@ class _Survivors:
         return trials - rows.size
 
 
-def _survivors(inst: MWInstance | AveragedInstance) -> _Survivors:
-    """The instance's survivor paths, walked with L: a Naimark form's induced
-    operator, or the mean of an averaged family's appliers; a single applier
-    is L itself (it may already be a whole family's mean)."""
-    if isinstance(inst, MWInstance):
-        lam = inst.naimark.induced_operator().matrix
-        return _Survivors(lambda v: lam @ v, inst.initial, inst.n_rounds)
+def _survivors(inst: AveragedInstance) -> _Survivors:
+    """The instance's survivor paths, walked with L: the mean of its
+    appliers, or its single applier, which is L itself (it may already be a
+    whole family's mean)."""
     apply_l = inst.appliers[0] if len(inst.appliers) == 1 else _mean_applier(inst.appliers)
     return _Survivors(apply_l, inst.initial, inst.n_rounds)
 
@@ -269,12 +255,12 @@ def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.nda
     return apply
 
 
-def run_mw_sampled(inst: MWInstance, rng: np.random.Generator) -> MWResult:
-    """Simulate one run of the amplification procedure on a Naimark form."""
+def run_mw_sampled(inst: AveragedInstance, rng: np.random.Generator) -> MWResult:
+    """Simulate one run of the amplification procedure."""
     return _survivors(inst).run(rng)
 
 
-def run_mw_sampled_batch(inst: MWInstance, rng: np.random.Generator, trials: int) -> int:
+def run_mw_sampled_batch(inst: AveragedInstance, rng: np.random.Generator, trials: int) -> int:
     """Accept count over independent trials of :func:`run_mw_sampled` that
     share one generator."""
     return _survivors(inst).count(rng, trials)
@@ -296,17 +282,14 @@ def _run_once(inst: AveragedInstance, rng: np.random.Generator) -> bool:
     return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
 
 
-def sample_trials(
-    inst: MWInstance | AveragedInstance, rngs: Iterable[np.random.Generator]
-) -> Iterator[MWResult]:
+def sample_trials(inst: AveragedInstance, rngs: Iterable[np.random.Generator]) -> Iterator[MWResult]:
     """Independent runs of one instance, one per generator, on shared
     survivor paths.
 
     Trial t draws only from the t-th generator, in a single run's order, so
-    its result equals :func:`run_mw_sampled` (or
-    :func:`run_averaged_or_sampled`) on that generator.  Both `rngs` and the
-    results are consumed lazily, so a generator expression builds each
-    trial's stream only when the trial is reached.
+    its result equals :func:`run_mw_sampled` on that generator.  Both `rngs`
+    and the results are consumed lazily, so a generator expression builds
+    each trial's stream only when the trial is reached.
     """
     survivors = _survivors(inst)
     for rng in rngs:
@@ -519,16 +502,21 @@ def mw_accept_survival_stack(pis, ancilla_dim: int, inputs, n_rounds) -> np.ndar
     return _survival(pis, ancilla_dim, inputs, _round_counts(n_rounds, b))
 
 
-def mw_accept_survival(inst: MWInstance) -> float:
+def mw_accept_survival(
+    naimark: NaimarkForm, initial: PureState | DensityOperator, n_rounds: int
+) -> float:
     """Second oracle: 1 - |(Delta (I - Pi))^N |psi, 0^m>|^2 on the extended space.
 
     Independent of :func:`mw_accept_exact` (no spectral decomposition of L);
-    mixed inputs propagate the extended density operator instead.  A stack
-    of one for :func:`mw_accept_survival_stack`'s core.
+    mixed inputs propagate the extended density operator instead.  The input
+    lives on the form's pre-ancilla system space.  A stack of one for
+    :func:`mw_accept_survival_stack`'s core.
     """
-    state = inst.initial.amplitudes if isinstance(inst.initial, PureState) else inst.initial.matrix
-    rounds = np.array([inst.n_rounds])
-    return float(_survival(inst.naimark.pi[None], inst.naimark.ancilla_dim, state[None], rounds)[0])
+    rounds = _round_counts(n_rounds, 1)
+    if initial.shape != naimark.system_shape:
+        raise ValueError("initial state must live on the pre-ancilla system space")
+    state = initial.amplitudes if isinstance(initial, PureState) else initial.matrix
+    return float(_survival(naimark.pi[None], naimark.ancilla_dim, state[None], rounds)[0])
 
 
 def mw_bounds(
@@ -562,7 +550,9 @@ def _check_eta(eta) -> Fraction:
 
 
 def or_round_count(n: int, epsilon) -> int:
-    """N = ceil(n / (1 - eps)), evaluated in exact rational arithmetic."""
+    """N = ceil(n / (1 - eps)), evaluated in exact rational arithmetic, for
+    an integer n >= 1."""
+    _round_counts(n, 1)
     eps = _exact_fraction(epsilon)
     if not 0 <= eps <= Fraction(1, 2):
         raise ValueError("epsilon must lie in [0, 1/2]")
@@ -661,7 +651,8 @@ def merlin_best_witness_accept(gamma: HermitianOperator, psi: PureState) -> floa
 
 
 def demerlinize_round_count(d: int, eta) -> int:
-    """N = ceil(d / eta) in exact rational arithmetic."""
+    """N = ceil(d / eta) in exact rational arithmetic, for an integer d >= 1."""
+    _round_counts(d, 1)
     return math.ceil(Fraction(d) / _check_eta(eta))
 
 

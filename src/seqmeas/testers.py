@@ -545,11 +545,11 @@ def eigen_or_accept_exact(
     (x)_b R_i, the k-fold tensor power of its block reflection.  The
     joint-eigenbasis route (:func:`_joint_bits`, 2^n <= MAX_VECTOR_DIM) is
     exact at any k when its certificate shows the R_i commute
-    (``method="joint"`` requires that; ``"auto"`` takes it whenever it holds).
-    Otherwise the acceptance 1 - ||(I - L)^N v||^2, N the family size as in
-    the sampler, is computed by N applications of the sampler's family
-    applier (:func:`quantum_or.mw_accept_polynomial`), so the flag-0 block
-    must fit under MAX_VECTOR_DIM.
+    (``method="joint"`` requires that; ``"auto"`` takes it whenever it holds
+    and the 2^n masks fit).  Otherwise the acceptance 1 - ||(I - L)^N v||^2,
+    N the family size as in the sampler, is computed by N applications of
+    the sampler's family applier (:func:`quantum_or.mw_accept_polynomial`),
+    so the flag-0 block must fit under MAX_VECTOR_DIM.
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
@@ -560,7 +560,8 @@ def eigen_or_accept_exact(
     if method == "joint":
         atoms = joint_projector_bits(reflections, base)
     else:
-        atoms = _joint_bits(reflections, base)
+        masks_fit = len(mats) < MAX_VECTOR_DIM.bit_length()  # as _check_mask_space
+        atoms = _joint_bits(reflections, base) if masks_fit else None
         if atoms is None:
             return _eigen_accept_matvec(mats, psi, copies_k, rounds)
     evals, weights = averaged_and_measure(atoms, len(mats), copies_k)

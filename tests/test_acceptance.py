@@ -78,8 +78,8 @@ def test_criterion_02_oracle_agreement(mw_instances):
     worst = 0.0
     for lam, rho, n_rounds in mw_instances:
         exact = sm.mw_accept_exact(lam, rho, n_rounds)
-        inst = sm.MWInstance(sm.one_ancilla_dilation(lam), rho, n_rounds)
-        worst = max(worst, abs(sm.mw_accept_survival(inst) - exact))
+        survival = sm.mw_accept_survival(sm.one_ancilla_dilation(lam), rho, n_rounds)
+        worst = max(worst, abs(survival - exact))
     report(
         "criterion-02 oracle agreement",
         worst <= 1e-9,
@@ -101,7 +101,8 @@ def test_criterion_03_monte_carlo_consistency():
         exact = sm.mw_accept_exact(lam, rho, n_rounds)
         if not 0.05 <= exact <= 0.95:
             continue  # keep binomial sigma informative
-        inst = sm.MWInstance(sm.one_ancilla_dilation(lam), rho, n_rounds)
+        induced = sm.one_ancilla_dilation(lam).induced_operator().matrix
+        inst = sm.AveragedInstance((lambda v, m=induced: m @ v,), rho, n_rounds)
         if checked < 3:  # exercise the single-run path on a few instances
             gen = trial_rng(SEED, 600 + t)
             count = sum(sm.run_mw_sampled(inst, gen).accepted for _ in range(trials))

@@ -29,7 +29,6 @@ from seqmeas import (
     ExperimentConfig,
     ExperimentRecord,
     HermitianOperator,
-    MWInstance,
     PureState,
     RegisterShape,
     eigendecompose,
@@ -435,7 +434,7 @@ def test_survival_stack_matches_single(d, pure):
     for i in range(b):
         state = PureState(shape, inputs[i]) if pure else DensityOperator(shape, inputs[i])
         naimark = one_ancilla_dilation(HermitianOperator(shape, ops[i]))
-        single = mw_accept_survival(MWInstance(naimark, state, int(rounds[i])))
+        single = mw_accept_survival(naimark, state, int(rounds[i]))
         assert survival[i] == single == _reference_survival(pis[i], inputs[i], int(rounds[i]))
 
 

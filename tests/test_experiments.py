@@ -251,8 +251,10 @@ class TestCli:
     @pytest.mark.parametrize("lines,code", [(20, 0), (21, 2)])
     def test_identity_group_mask_cap(self, lines, code, tmp_path, capsys):
         """n copies of the identity commute, so the exact oracle takes the
-        joint route, whose AND distribution has 2^n masks: 2^20 is the vector
-        cap itself and runs, 2^21 is past it and refused."""
+        joint route while its AND distribution's 2^n masks fit: 2^20 is the
+        vector cap itself and runs.  2^21 is past it, so 21 lines take the
+        matvec route, whose k-copy vector at the rule's k is past the vector
+        cap and refused."""
         group = tmp_path / "group.txt"
         group.write_text("0 1 2 3\n" * lines)
         out = tmp_path / "res.json"
@@ -260,7 +262,7 @@ class TestCli:
         if code == 0:
             assert 0.0 <= json.loads(out.read_text())["values"]["isomorphic_exact_accept"] <= 1.0
         else:
-            assert f"2^21 bitmasks exceed the vector cap {MAX_VECTOR_DIM}" in capsys.readouterr().err
+            assert f"exceeds the vector cap {MAX_VECTOR_DIM}" in capsys.readouterr().err
             assert not out.exists()
 
     @staticmethod

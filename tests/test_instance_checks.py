@@ -25,12 +25,11 @@ from seqmeas import (
     UnitarySet,
     analytic_eigen_accept,
     anti_zeno_sequence,
-    apply_gate,
-    apply_gates,
     basis_state,
     build_averaged_naimark,
     demerlinize_accept_exact,
     demerlinize_instance,
+    demerlinize_round_count,
     eigen_instance,
     eigen_measurement_cycle,
     eigen_or_accept_exact,
@@ -49,11 +48,14 @@ from seqmeas import (
     membership_instance,
     merlin_best_witness_accept,
     one_ancilla_dilation,
+    or_round_count,
     or_test_accept_exact,
     or_test_instance,
     plus_state,
     product_state,
+    qft_matrix,
     reject_path,
+    sequential_iteration_count,
     state_membership_test,
     trial_rng,
     trivial_naimark,
@@ -66,7 +68,7 @@ from seqmeas import (
 from seqmeas import testers as testers_module
 from seqmeas.disturbance import certain_member_instance
 from seqmeas.experiments import _case2_or_instance
-from seqmeas.gates import HADAMARD, PAULI_X, GateSpec
+from seqmeas.gates import HADAMARD, PAULI_X, GateSpec, _apply_gate_array, permutation_matrix
 from seqmeas.measurement import is_idempotent
 from seqmeas.quantum_or import mw_accept_polynomial
 from seqmeas.sampling import (
@@ -237,6 +239,32 @@ def test_numpy_integer_copy_count_accepted(entry):
         assert value == COPY_COUNT_CALLS[entry](2)
 
 
+# every count rule, as a function of its count n (measurements, or witness
+# dimension for de-Merlinization)
+COUNT_RULES = {
+    "or_round_count": lambda n: or_round_count(n, 0),
+    "demerlinize_round_count": lambda n: demerlinize_round_count(n, 0.5),
+    "sequential_iteration_count": lambda n: sequential_iteration_count(n, 0.5),
+}
+
+
+@pytest.mark.parametrize("n", [-2, -1, 0, 2.5, 2.0, True], ids=repr)
+@pytest.mark.parametrize("rule", sorted(COUNT_RULES))
+def test_count_rules_refuse_counts_that_are_not_integers_at_least_one(rule, n):
+    """or_round_count(-1, 0) once returned -1, (0, 0) returned 0 and
+    (2.5, 0) returned 3; demerlinize_round_count(0, 0.5) and
+    sequential_iteration_count(-2, 0.5) returned 0.  Each count goes through
+    the amplification round-count check."""
+    with pytest.raises(ValueError, match="round count"):
+        COUNT_RULES[rule](n)
+
+
+@pytest.mark.parametrize("rule", sorted(COUNT_RULES))
+def test_count_rules_take_integer_counts(rule):
+    assert COUNT_RULES[rule](np.int64(3)) == COUNT_RULES[rule](3) >= 3
+    assert COUNT_RULES[rule](1) >= 1
+
+
 def test_polynomial_oracle_rejects_non_unit_vectors():
     half = lambda x: 0.5 * x  # noqa: E731
     with pytest.raises(ValueError, match="not normalised"):
@@ -283,8 +311,9 @@ def test_library_built_values_skip_the_checks(monkeypatch):
     measure_collapse(ms[0], plus_state(), branch=1)
     reject_path(anti_zeno_sequence(4), ZERO)
     measure_register_collapse(psi, 1, branch=0)
-    apply_gate(psi, GateSpec((0,), HADAMARD))
-    apply_gates(psi, [GateSpec((0,), HADAMARD), GateSpec((1,), PAULI_X)])
+    _apply_gate_array(psi.amplitudes, psi.shape.dims, GateSpec((0,), HADAMARD))
+    qft_matrix(3)
+    permutation_matrix(PermutationAction((1, 0)))
     eigen_measurement_cycle(phi, PAULI_X, QUBIT, 2, rng=trial_rng(90, 1))
     product_state([psi, plus_state()]).density()
     random_density_operator(rng, TWO_QUBITS)

@@ -476,6 +476,23 @@ class TestAntiZeno:
         for n in (8, 16, 64, 256):
             assert n * anti_zeno_accept_ever(n) <= math.pi**2 / 4 * 1.1
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_refuses_fewer_than_one_measurement(self, n):
+        """anti_zeno_accept_ever(-3) once returned -1.37, and n = 0 divided
+        by zero: like anti_zeno_sequence, every entry point refuses n < 1."""
+        for call in (anti_zeno_accept_ever, anti_zeno_sequence, lambda n: anti_zeno_state(n, 0)):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                call(n)
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_state_refuses_step_outside_zero_to_n(self, k):
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            anti_zeno_state(4, k)
+
+    def test_state_endpoints(self):
+        np.testing.assert_allclose(anti_zeno_state(4, 0).amplitudes, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(anti_zeno_state(4, 4).amplitudes, [0.0, 1.0], atol=1e-15)
+
 
 class _FixedUniform:
     """A generator stand-in whose every uniform is `u`."""

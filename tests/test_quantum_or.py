@@ -8,7 +8,6 @@ import pytest
 
 from seqmeas import (
     HermitianOperator,
-    MWInstance,
     PureState,
     RegisterShape,
     TwoOutcomeMeasurement,
@@ -45,7 +44,7 @@ from seqmeas.sampling import (
     random_pure_state,
     random_unitary,
 )
-from test_trial_batches import _averaged_pi
+from test_trial_batches import _averaged_pi, _form_instance
 
 QUBIT = RegisterShape((2,))
 
@@ -81,8 +80,8 @@ class TestExactOracle:
         for t in range(200):
             lam, rho, n_rounds = _random_instance(t)
             exact = mw_accept_exact(lam, rho, n_rounds)
-            inst = MWInstance(one_ancilla_dilation(lam), rho, n_rounds)
-            assert abs(mw_accept_survival(inst) - exact) <= 1e-9
+            survival = mw_accept_survival(one_ancilla_dilation(lam), rho, n_rounds)
+            assert abs(survival - exact) <= 1e-9
 
     def test_mixed_input_degenerate_spectrum(self):
         """Rank-deficient rho and an L with a repeated eigenvalue: the
@@ -97,7 +96,7 @@ class TestExactOracle:
         assert np.sum(probs > 1e-12) == 2
         for n_rounds in (1, 3, 7):
             exact = mw_accept_exact(lam, rho, n_rounds)
-            survival = mw_accept_survival(MWInstance(one_ancilla_dilation(lam), rho, n_rounds))
+            survival = mw_accept_survival(one_ancilla_dilation(lam), rho, n_rounds)
             convex = sum(
                 max(p, 0.0) * mw_accept_exact(lam, PureState(shape, v), n_rounds)
                 for p, v in zip(probs, vecs.T)
@@ -127,12 +126,22 @@ class TestExactOracle:
     def test_survival_kernel_state(self):
         lam = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))
         m = TwoOutcomeMeasurement(lam, is_projector=True)
-        inst = MWInstance(build_averaged_naimark([m]), basis_state(QUBIT, (1,)), 4)
-        assert mw_accept_survival(inst) <= 1e-12
+        assert mw_accept_survival(build_averaged_naimark([m]), basis_state(QUBIT, (1,)), 4) <= 1e-12
 
     def test_round_count_positive(self):
-        with pytest.raises(ValueError):
-            MWInstance(one_ancilla_dilation(HermitianOperator(QUBIT, np.diag([0.5, 0.0]))), plus_state(), 0)
+        form = one_ancilla_dilation(HermitianOperator(QUBIT, np.diag([0.5, 0.0])))
+        with pytest.raises(ValueError, match="round count must be >= 1"):
+            mw_accept_survival(form, plus_state(), 0)
+        with pytest.raises(ValueError, match="round count must be >= 1"):
+            _form_instance(form, plus_state(), 0)
+
+    def test_survival_input_on_system_space(self):
+        """The input lives on the form's pre-ancilla system space: a state on
+        the extended space, or on another system, is refused."""
+        form = one_ancilla_dilation(HermitianOperator(QUBIT, np.diag([0.5, 0.0])))
+        for initial in (basis_state(RegisterShape((2, 2)), (0, 0)), basis_state(RegisterShape((3,)), (0,))):
+            with pytest.raises(ValueError, match="pre-ancilla system space"):
+                mw_accept_survival(form, initial, 2)
 
     def test_monotone_in_rounds(self):
         for t in range(50):
@@ -168,7 +177,7 @@ class TestSampledRuns:
     def test_eigenvalue_one_always_accepts(self):
         lam = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))
         m = TwoOutcomeMeasurement(lam, is_projector=True)
-        inst = MWInstance(build_averaged_naimark([m]), basis_state(QUBIT, (0,)), 1)
+        inst, _ = _form_instance(build_averaged_naimark([m]), basis_state(QUBIT, (0,)), 1)
         rng = trial_rng(0, 0)
         for _ in range(50):
             res = run_mw_sampled(inst, rng)
@@ -176,7 +185,7 @@ class TestSampledRuns:
 
     def test_zero_operator_never_accepts(self):
         zero = TwoOutcomeMeasurement(HermitianOperator(QUBIT, np.zeros((2, 2))), is_projector=True)
-        inst = MWInstance(build_averaged_naimark([zero]), plus_state(), 4)
+        inst, _ = _form_instance(build_averaged_naimark([zero]), plus_state(), 4)
         rng = trial_rng(0, 1)
         for _ in range(50):
             res = run_mw_sampled(inst, rng)
@@ -185,7 +194,7 @@ class TestSampledRuns:
     def test_single_run_statistics(self):
         lam = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))
         m = TwoOutcomeMeasurement(lam, is_projector=True)
-        inst = MWInstance(build_averaged_naimark([m]), plus_state(), 1)
+        inst, _ = _form_instance(build_averaged_naimark([m]), plus_state(), 1)
         exact = mw_accept_exact(lam, plus_state(), 1)
         rng = trial_rng(0, 2)
         trials = 10_000
@@ -199,7 +208,7 @@ class TestSampledRuns:
             lam, rho, _ = _random_instance(3000 + t, max_dim=6, max_rounds=6)
             n_rounds = 3
             exact = mw_accept_exact(lam, rho, n_rounds)
-            inst = MWInstance(one_ancilla_dilation(lam), rho, n_rounds)
+            inst, _ = _form_instance(one_ancilla_dilation(lam), rho, n_rounds)
             count = run_mw_sampled_batch(inst, trial_rng(1, t), trials)
             sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
             assert abs(count / trials - exact) <= 4 * sigma + 1e-9
@@ -249,7 +258,7 @@ class TestHaltingLaw:
         lam = HermitianOperator(shape, u @ np.diag([0.15, 0.4, 0.7, 0.0]) @ u.conj().T)
         rho = random_density_operator(rng, shape, rank=3)
         n_rounds = 3
-        inst = MWInstance(one_ancilla_dilation(lam), rho, n_rounds)
+        inst, _ = _form_instance(one_ancilla_dilation(lam), rho, n_rounds)
         runs = [run_mw_sampled(inst, rng) for _ in range(6000)]
         _assert_histogram(runs, _halting_law(*_spectral_measure(lam, rho), n_rounds))
 

@@ -85,8 +85,9 @@ from seqmeas.testers import (
     per_candidate_accept,
     swap_overlap_two_copies,
 )
-from seqmeas.gates import dense_gate_matrix, permutation_matrix
+from seqmeas.gates import permutation_matrix
 from seqmeas.sampling import random_pure_state, random_unitary
+from test_gates import dense_gate_reference
 
 QUBIT = RegisterShape((2,))
 
@@ -464,7 +465,7 @@ class TestPairSwapUnitary:
             dense = pair_swap_unitary(sigma, 2)
             composed = np.eye(16, dtype=complex)
             for gate in pair_swap_gates(sigma):
-                composed = dense_gate_matrix(gate, shape) @ composed
+                composed = dense_gate_reference(gate, shape.dims) @ composed
             np.testing.assert_allclose(composed, dense, atol=1e-12)
 
     def test_overlap_identity_exhaustive(self):
@@ -935,6 +936,21 @@ class TestMatvecOracle:
         joint = eigen_or_accept_exact(mats, psi, 5, method="joint")
         assert 0.01 < joint < 0.99
         assert abs(_eigen_accept_matvec(UnitarySet(mats), psi, 5, 3) - joint) <= 1e-12
+
+    def test_family_past_the_mask_space(self):
+        """21 members have 2^21 masks, past the joint route's mask space:
+        ``auto`` goes straight to the matvec route (before, it raised on the
+        mask cap), while ``joint`` still refuses."""
+        rng = trial_rng(58, 2)
+        n = MAX_VECTOR_DIM.bit_length()
+        assert n == 21
+        mats = noncommuting_family(rng, 2, size=n)
+        psi = random_pure_state(rng, QUBIT)
+        auto = eigen_or_accept_exact(mats, psi, 2)
+        assert 0.0 < auto <= 1.0
+        assert auto == _eigen_accept_matvec(UnitarySet(mats), psi, 2, or_round_count(n, 0))
+        with pytest.raises(ValueError, match=f"2\\^21 bitmasks exceed the vector cap {MAX_VECTOR_DIM}"):
+            eigen_or_accept_exact(mats, psi, 2, method="joint")
 
     def test_over_cap_raises_before_any_vector(self, monkeypatch):
         rng = trial_rng(58, 0)
@@ -1596,7 +1612,7 @@ class TestEigenTestEndToEnd:
             eigen_measurement_cycle(phi, mats[0], psi.shape, 2, branch=branch)
         eigen_measurement_cycle(phi, mats[1], psi.shape, 2, rng=trial_rng(50, 6))
         with pytest.raises(AssertionError, match="gate kernel"):
-            gates_module.apply_gate(phi, GateSpec((0,), PAULI_X))
+            gates_module._apply_gate_array(phi.amplitudes, phi.shape.dims, GateSpec((0,), PAULI_X))
 
     def test_runs_on_flag_zero_block(self, monkeypatch):
         """The averaged OR run receives ((|0>+|1>)/sqrt2 (x) psi)^k: 2k

@@ -9,9 +9,11 @@ below), which walks the ancilla-extended space with Pi itself (for an
 averaged family of non-projectors, such as de-Merlinization's witness
 slices, the Pi of the one-ancilla dilation of its mean): trial for
 trial on the same generators, count for count on a shared one, and with no
-more applier calls per single run.  The cases include Naimark forms of one
-L that differ off the ancilla-0 block, so the two walks agree only because
-Delta Pi Delta = L (x) |0><0| for every form.  The anti-Zeno
+more applier calls per single run.  A Naimark form's run is the
+single-applier instance of its induced L, and the reference receives the
+form alongside it and walks the form's Pi.  The cases include Naimark forms
+of one L that differ off the ancilla-0 block, so the two walks agree only
+because Delta Pi Delta = L (x) |0><0| for every form.  The anti-Zeno
 count taken from one all-reject walk is held to the per-trial
 ``measure_collapse`` loop it replaced.
 """
@@ -23,7 +25,6 @@ from seqmeas import (
     AveragedInstance,
     FunctionTable,
     HermitianOperator,
-    MWInstance,
     NaimarkForm,
     PermutationAction,
     RegisterShape,
@@ -141,45 +142,51 @@ def _reference_amplify(apply_pi, rows, d_anc, n_rounds, rng):
     return rounds, steps
 
 
-def _reference_form(inst):
+def _reference_form(inst, form=None):
     """(apply_pi, d_anc) of an instance, built as the reference built them.
 
-    ``_averaged_pi`` dilates a family of projectors only; any other averaged
-    family (de-Merlinization's witness slices) walks the one-ancilla
-    dilation of its mean, read off the appliers column by column.
+    A Naimark form given with the instance is walked with its own Pi.
+    Otherwise ``_averaged_pi`` dilates a family of projectors only; any
+    other averaged family (de-Merlinization's witness slices) walks the
+    one-ancilla dilation of its mean, read off the appliers column by column.
     """
-    if isinstance(inst, MWInstance):
-        pi_t = inst.naimark.pi.T
-        return (lambda x: x @ pi_t), inst.naimark.ancilla_dim
+    if form is not None:
+        pi_t = form.pi.T
+        return (lambda x: x @ pi_t), form.ancilla_dim
     eye = np.eye(inst.initial.shape.total_dim, dtype=np.complex128)
     mats = [np.stack([a(e) for e in eye], axis=1) for a in inst.appliers]
     if all(is_idempotent(m) for m in mats):
         return _averaged_pi(inst.appliers), len(inst.appliers)
     lam = HermitianOperator(inst.initial.shape, sum(mats) / len(mats))
-    return _reference_form(MWInstance(one_ancilla_dilation(lam), inst.initial, inst.n_rounds))
+    return _reference_form(inst, one_ancilla_dilation(lam))
 
 
-def _reference_run(inst, rng):
-    apply_pi, d_anc = _reference_form(inst)
+def _reference_run(inst, rng, form=None):
+    apply_pi, d_anc = _reference_form(inst, form)
     rows = _ensemble_rows(inst.initial, rng, 1)
     rounds, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
     return int(rounds[0]), _STEPS[steps[0]]
 
 
-def _reference_count(inst, rng, trials):
-    apply_pi, d_anc = _reference_form(inst)
+def _reference_count(inst, rng, trials, form=None):
+    apply_pi, d_anc = _reference_form(inst, form)
     rows = _ensemble_rows(inst.initial, rng, trials)
     _, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
     return int(np.count_nonzero(steps))
 
 
-def _single_run(inst, rng):
-    if isinstance(inst, MWInstance):
-        return run_mw_sampled(inst, rng)
-    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng)
+def _outcome(result):
+    return result.rounds_used, result.halting_step
 
 
 # -- instances -----------------------------------------------------------------
+
+
+def _form_instance(form, initial, n_rounds):
+    """A Naimark form's run, (instance, form): the single applier of its
+    induced operator L, with the form kept for the reference's walk on Pi."""
+    lam = form.induced_operator().matrix
+    return AveragedInstance((lambda v: lam @ v,), initial, n_rounds), form
 
 
 def _projectors(seed, dim, n):
@@ -200,7 +207,7 @@ def _dilated(seed, mixed, n_rounds=4):
     shape = RegisterShape((int(rng.integers(2, 6)),))
     lam = random_povm_contraction(rng, shape)
     initial = random_density_operator(rng, shape) if mixed else random_pure_state(rng, shape)
-    return MWInstance(one_ancilla_dilation(lam), initial, n_rounds)
+    return _form_instance(one_ancilla_dilation(lam), initial, n_rounds)
 
 
 def _averaged(seed, mixed, n_rounds=None):
@@ -211,14 +218,16 @@ def _averaged(seed, mixed, n_rounds=None):
     return AveragedInstance(_appliers(ms), initial, n_rounds or or_round_count(len(ms), 0))
 
 
-def _reformed(inst, isometry):
+def _reformed(case, isometry):
     """The same L through Pi' = (I (x) V) Pi (I (x) V^dagger), V an isometry
     from the form's ancilla that fixes |0>: Pi' differs from Pi off the
     ancilla-0 block, while Delta Pi' Delta = Delta Pi Delta = L (x) |0><0|."""
-    big = np.kron(np.eye(inst.naimark.system_shape.total_dim), isometry)
-    pi = big @ inst.naimark.pi @ big.conj().T
-    form = NaimarkForm(inst.naimark.system_shape, (isometry.shape[0],), pi)
-    return MWInstance(form, inst.initial, inst.n_rounds)
+    inst, form = case
+    big = np.kron(np.eye(form.system_shape.total_dim), isometry)
+    pi = big @ form.pi @ big.conj().T
+    return _form_instance(
+        NaimarkForm(form.system_shape, (isometry.shape[0],), pi), inst.initial, inst.n_rounds
+    )
 
 
 _ANCILLA_PHASE = np.diag([1.0, np.exp(0.7j)])  # a phase on ancilla value 1
@@ -228,13 +237,13 @@ _QUTRIT_ANCILLA = np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8j]])  # |1> -> 0.6|
 def _certain_instance():
     """Input an eigenvector of L at eigenvalue 1: Pi halts every trial in round 1."""
     proj = TwoOutcomeMeasurement.projector(HermitianOperator(QUBIT, np.diag([1.0, 0.0])))
-    return MWInstance(build_averaged_naimark([proj]), basis_state(QUBIT, (0,)), 3)
+    return _form_instance(build_averaged_naimark([proj]), basis_state(QUBIT, (0,)), 3)
 
 
 def _zero_instance():
     """The zero operator: no trial ever halts."""
     zero = TwoOutcomeMeasurement.projector(HermitianOperator(QUBIT, np.zeros((2, 2))))
-    return MWInstance(build_averaged_naimark([zero]), plus_state(), 4)
+    return _form_instance(build_averaged_naimark([zero]), plus_state(), 4)
 
 
 def _least_kept_instance():
@@ -242,13 +251,14 @@ def _least_kept_instance():
     Delta keep probability is 2^-20, the least a rejection allows (it is at
     least 1 - p_Pi, so it reaches 0 only where Pi halts every trial)."""
     lam = HermitianOperator(QUBIT, np.diag([1.0 - 2.0**-20, 0.0]))
-    return MWInstance(one_ancilla_dilation(lam), basis_state(QUBIT, (0,)), 3)
+    return _form_instance(one_ancilla_dilation(lam), basis_state(QUBIT, (0,)), 3)
 
 
 def _always_kept_instance():
     """A projector family with a one-level ancilla: Delta keeps every trial."""
     ms = _projectors(7, 3, 1)
-    return AveragedInstance(_appliers(ms), random_pure_state(trial_rng(94, 0), ms[0].shape), 5)
+    inst = AveragedInstance(_appliers(ms), random_pure_state(trial_rng(94, 0), ms[0].shape), 5)
+    return inst, None
 
 
 def _demerlinize_desk():
@@ -271,16 +281,16 @@ CASES = {
     "ancilla-phase-mixed": lambda: _reformed(_dilated(1, mixed=True), _ANCILLA_PHASE),
     "qutrit-ancilla-pure": lambda: _reformed(_dilated(0, mixed=False), _QUTRIT_ANCILLA),
     "qutrit-ancilla-mixed": lambda: _reformed(_dilated(1, mixed=True), _QUTRIT_ANCILLA),
-    "averaged-pure": lambda: _averaged(2, mixed=False),
-    "averaged-mixed": lambda: _averaged(3, mixed=True),
+    "averaged-pure": lambda: (_averaged(2, mixed=False), None),
+    "averaged-mixed": lambda: (_averaged(3, mixed=True), None),
     "one-round-dense": lambda: _dilated(4, mixed=True, n_rounds=1),
-    "one-round-averaged": lambda: _averaged(5, mixed=False, n_rounds=1),
+    "one-round-averaged": lambda: (_averaged(5, mixed=False, n_rounds=1), None),
     "eigenvalue-one": _certain_instance,
     "zero-operator": _zero_instance,
     "least-delta-keep": _least_kept_instance,
     "delta-always-keeps": _always_kept_instance,
-    "demerlinize-desk": lambda: demerlinize_instance(*_demerlinize_desk()),
-    "demerlinize-random": lambda: demerlinize_instance(*_demerlinize_random()),
+    "demerlinize-desk": lambda: (demerlinize_instance(*_demerlinize_desk()), None),
+    "demerlinize-random": lambda: (demerlinize_instance(*_demerlinize_random()), None),
 }
 
 
@@ -291,16 +301,15 @@ def _streams(seed, trials):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("trials", [1, 300])
 def test_trial_streams_match_single_runs(case, trials):
-    """Trial t of the batch equals a single run, new and reference, on the
-    t-th generator: the same round and the same halting step."""
-    inst = CASES[case]()
-    batch = [(r.rounds_used, r.halting_step) for r in sample_trials(inst, _streams(11, trials))]
-    singles = []
-    for rng in _streams(11, trials):
-        r = _single_run(inst, rng)
-        singles.append((r.rounds_used, r.halting_step))
-    assert batch == singles
-    assert batch == [_reference_run(inst, rng) for rng in _streams(11, trials)]
+    """Trial t of the batch equals a single run, through either entry point
+    and the reference, on the t-th generator: the same round and the same
+    halting step."""
+    inst, form = CASES[case]()
+    batch = [_outcome(r) for r in sample_trials(inst, _streams(11, trials))]
+    assert batch == [_outcome(run_mw_sampled(inst, rng)) for rng in _streams(11, trials)]
+    fields = inst.appliers, inst.initial, inst.n_rounds
+    assert batch == [_outcome(run_averaged_or_sampled(*fields, rng)) for rng in _streams(11, trials)]
+    assert batch == [_reference_run(inst, rng, form) for rng in _streams(11, trials)]
 
 
 def test_demerlinize_desk_matches_dilated_reference():
@@ -312,29 +321,29 @@ def test_demerlinize_desk_matches_dilated_reference():
     inst = demerlinize_instance(gamma, psi, eta)
     slices = merlin_slice_operators(gamma)
     lam = HermitianOperator(psi.shape, sum(s.matrix for s in slices) / len(slices))
-    dilated = MWInstance(one_ancilla_dilation(lam), psi, inst.n_rounds)
-    batch = [(r.rounds_used, r.halting_step) for r in sample_trials(inst, _streams(18, 300))]
-    assert batch == [_reference_run(dilated, rng) for rng in _streams(18, 300)]
+    dilation = one_ancilla_dilation(lam)
+    batch = [_outcome(r) for r in sample_trials(inst, _streams(18, 300))]
+    assert batch == [_reference_run(inst, rng, dilation) for rng in _streams(18, 300)]
     assert 0 < sum(step is not None for _, step in batch) < 300
 
 
 def test_edge_cases_halt_where_expected():
-    certain = list(sample_trials(_certain_instance(), _streams(12, 50)))
-    assert all(r.accepted and (r.rounds_used, r.halting_step) == (1, "pi") for r in certain)
-    zero = list(sample_trials(_zero_instance(), _streams(12, 50)))
+    certain = list(sample_trials(_certain_instance()[0], _streams(12, 50)))
+    assert all(r.accepted and _outcome(r) == (1, "pi") for r in certain)
+    zero = list(sample_trials(_zero_instance()[0], _streams(12, 50)))
     assert all(not r.accepted and r.rounds_used == 4 for r in zero)
-    kept = list(sample_trials(_always_kept_instance(), _streams(12, 200)))
+    kept = list(sample_trials(_always_kept_instance()[0], _streams(12, 200)))
     assert all(r.halting_step != "delta" for r in kept)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_single_run_consumes_one_uniform_per_step(case):
     """After a single run the generator is exactly where the reference left it."""
-    inst = CASES[case]()
+    inst, form = CASES[case]()
     for t in range(40):
         new, ref = trial_rng(13, t), trial_rng(13, t)
-        _single_run(inst, new)
-        _reference_run(inst, ref)
+        run_mw_sampled(inst, new)
+        _reference_run(inst, ref, form)
         assert new.random() == ref.random()
 
 
@@ -342,9 +351,9 @@ def test_single_run_consumes_one_uniform_per_step(case):
 @pytest.mark.parametrize("mixed", [False, True])
 def test_shared_generator_counts_match_reference(seed, mixed):
     for t in range(3):
-        inst = _dilated(10 * seed + t, mixed=mixed, n_rounds=1 + t)
+        inst, form = _dilated(10 * seed + t, mixed=mixed, n_rounds=1 + t)
         count = run_mw_sampled_batch(inst, trial_rng(seed, t), 400)
-        assert count == _reference_count(inst, trial_rng(seed, t), 400)
+        assert count == _reference_count(inst, trial_rng(seed, t), 400, form)
 
 
 def _spied(appliers, calls):
