@@ -25,7 +25,7 @@ from . import measurement as meas
 from . import quantum_or as qor
 from . import testers
 from .gates import PAULI_X, PAULI_Z, PermutationAction
-from .rng import trial_rng, trial_rngs
+from .rng import trial_blocks, trial_rng, trial_rngs
 from .sampling import (
     contraction_from_ginibre,
     density_from_ginibre,
@@ -176,27 +176,47 @@ def _float_param(
     return value
 
 
+_FIRST_TRIAL_INDEX = 1000  # trial t samples from stream trial_rng(seed, 1000 + t)
+
+
 def _trial_streams(config: ExperimentConfig, trials: int):
     """Trial t's generator trial_rng(seed, 1000 + t), from one lazy
     :func:`rng.trial_rngs` run: each generator is built when its trial is
     reached, so no list of generators is held."""
-    return trial_rngs(config.seed, range(1000, 1000 + trials))
+    return trial_rngs(config.seed, range(_FIRST_TRIAL_INDEX, _FIRST_TRIAL_INDEX + trials))
+
+
+def _trial_blocks(config: ExperimentConfig, trials: int):
+    """The streams of :func:`_trial_streams` as lazy stream blocks, one per
+    chunk of trials (:func:`rng.trial_blocks`); no generator is built."""
+    return trial_blocks(config.seed, range(_FIRST_TRIAL_INDEX, _FIRST_TRIAL_INDEX + trials))
 
 
 def _sampled_accepts(inst, config: ExperimentConfig, trials: int) -> int:
     """Accepts among `trials` runs of one amplification instance, trial t
-    drawing from its own stream."""
-    return sum(run.accepted for run in qor.sample_trials(inst, _trial_streams(config, trials)))
+    drawing from its own stream, decided a block of trials at a time."""
+    n_steps = 2 * inst.n_rounds
+    blocks = qor.sample_blocks(inst, _trial_blocks(config, trials))
+    return sum(int(np.count_nonzero(steps < n_steps)) for steps in blocks)
 
 
-def _accept_ever_count(accept_probs: np.ndarray, streams) -> int:
-    """Runs of a measurement sequence, one per generator, that ever accept.
+def _accept_ever_count(accept_probs: np.ndarray, blocks) -> int:
+    """Runs of a measurement sequence, one per stream-block row, that ever
+    accept.
 
     A run accepts at the first step whose uniform falls below that step's
-    accept probability on the all-reject path (:func:`measurement.reject_path`),
-    so all of a run's uniforms are drawn in one call.
+    accept probability on the all-reject path (:func:`measurement.reject_path`).
+    Every row draws one uniform per step, as one ``rng.random(n)`` call
+    draws them; a row that has accepted keeps drawing, but its later
+    uniforms cannot change the count.
     """
-    return sum(bool((rng.random(accept_probs.size) < accept_probs).any()) for rng in streams)
+    count = 0
+    for block in blocks:
+        accepted = np.zeros(block.size, dtype=bool)
+        for p in accept_probs:
+            accepted |= block.random() < p
+        count += int(np.count_nonzero(accepted))
+    return count
 
 
 # -- individual experiments -------------------------------------------------------
@@ -235,7 +255,7 @@ def _exp_antizeno(config: ExperimentConfig, rec: _Recorder, trials: int):
             math.pi**2 / 4 * 1.1,
         )
 
-    count = _accept_ever_count(accept_probs, _trial_streams(config, trials))
+    count = _accept_ever_count(accept_probs, _trial_blocks(config, trials))
     rec.check_sampled("sampled_accept_ever", count, trials, accept_ever)
     rec.value("sampled_accepts", count)
 

@@ -34,20 +34,29 @@ de-Merlinization give one matvec per member, and their exact oracles
 decompose the same mean; a Naimark form's run is the single applier
 ``lambda v: L @ v`` of its induced operator.
 
-Draw order.  A single run (:func:`run_mw_sampled`, or
-:func:`run_averaged_or_sampled` on the instance's fields) draws a mixed
-input's ensemble index with one ``rng.choice``, then one uniform per step
-taken: the Pi measurement, then Delta, round after round.
-:func:`sample_trials` gives trial t its own generator and draws from it in
-exactly that order, so each of its results equals a single run on that
-generator, however many trials share the paths.
-:func:`run_mw_sampled_batch` shares one generator: every trial's ensemble
-index in one call, then per step one uniform per trial still running, in
-trial order.
+Draw order.  Every sampler is one halting core
+(``_Survivors.halting_steps``) fed by one of four draw sources.  A single
+run (:func:`run_mw_sampled`, or :func:`run_averaged_or_sampled` on the
+instance's fields) draws a mixed input's ensemble index from one uniform,
+by ``Generator.choice``'s rule (``cdf.searchsorted(u, side="right")`` on
+the normalised cumulative sum), then one uniform per step taken: the Pi
+measurement, then Delta, round after round.  :func:`sample_trials` gives
+trial t its own generator and draws from it in exactly that order, reading
+the generators a chunk at a time; :func:`sample_blocks` does the same on the
+rows of stream blocks (:func:`rng.trial_blocks`), with no ``Generator``
+per trial.  So each of their results equals a single run on that trial's
+stream, however many trials share the paths.  :func:`run_mw_sampled_batch`
+shares one generator: every trial's ensemble index in one call, then per
+step one uniform per trial still running, in trial order.  The core checks
+the path it reads: a Pi accept probability outside [0, 1], a kept mass
+||(I - L) v||^2 above 1 - <v|L|v>, or an applier that does not map the
+input's vectors to vectors of the same shape raises ValueError naming the
+round, so appliers whose mean is no operator in [0, I] are not sampled.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +72,9 @@ from .measurement import (
     in_unit_interval,
     naimark_checks,
 )
+from .rng import _CHUNK, StreamBlock
 from .states import (
+    STATE_ATOL,
     DensityOperator,
     EigenDecomposition,
     HermitianOperator,
@@ -163,10 +174,19 @@ def _amplify(
 
     The first round's difference is a new array, which later rounds update
     in place; neither `vector` nor any array ``apply_l`` returns is written.
+    An applier that fails on the vector, or returns another shape, raises
+    ValueError naming the round.
     """
     live = vector
-    for _ in range(n_rounds):
-        hit = apply_l(live)
+    for r in range(1, n_rounds + 1):
+        try:
+            hit = apply_l(live)
+        except ValueError as err:
+            raise ValueError(f"round {r}: the L-applier failed on a vector of shape {live.shape}: {err}") from err
+        if np.shape(hit) != live.shape:
+            raise ValueError(
+                f"round {r}: the L-applier returned shape {np.shape(hit)} for a vector of shape {live.shape}"
+            )
         p_pi = np.vdot(live, hit).real
         yield p_pi
         live = np.subtract(live, hit, out=None if live is vector else live)
@@ -193,6 +213,10 @@ class _Survivors:
         self._apply_l, self.n_rounds = apply_l, n_rounds
         self._vectors, self._probs = _ensemble(initial)
         self._paths: dict[int, tuple[Iterator[float], list[float]]] = {}
+        if self._probs is not None:
+            # Generator.choice's rule: the index of a uniform in the cdf
+            self._cdf = self._probs.cumsum()
+            self._cdf /= self._cdf[-1]
 
     def boundary(self, row: int, step: int) -> float:
         """Where the halting region of `step` begins on the path of `row`."""
@@ -203,31 +227,79 @@ class _Survivors:
             read.append(next(path))
         return read[step]
 
+    def _checked_boundary(self, row: int, step: int) -> float:
+        """:meth:`boundary`, after the check that L lies in [0, I] on the
+        path: a Pi accept probability p in [0, 1] and, at a Delta step,
+        ||(I - L) v||^2 <= 1 - p (for 0 <= L <= I, <L^2> <= <L>), both to
+        STATE_ATOL.  The second is checked on the kept mass, not on the keep
+        ratio, which is ill-conditioned as p nears 1."""
+        boundary, r = self.boundary(row, step), step // 2 + 1
+        if step % 2 == 0:
+            if not -STATE_ATOL <= boundary <= 1.0 + STATE_ATOL:
+                raise ValueError(f"round {r}: Pi accept probability {boundary:.6g} is outside [0, 1]: L is not in [0, I]")
+        else:
+            rest = 1.0 - self.boundary(row, step - 1)
+            if not boundary * rest <= rest + STATE_ATOL:
+                raise ValueError(
+                    f"round {r}: ||(I - L) v||^2 = {boundary * rest:.6g} exceeds 1 - <v|L|v> = {rest:.6g}: "
+                    "L is not in [0, I]"
+                )
+        return boundary
+
+    def halting_steps(self, draw: Callable[[np.ndarray], np.ndarray], trials: int) -> np.ndarray:
+        """The halting core: each of `trials` trials' halting step, 2N for a
+        rejection (step s is measurement s % 2 of round s // 2 + 1).
+
+        ``draw(live)`` returns one uniform for each trial in the index array
+        `live`, in that order.  A mixed input first draws every trial's
+        ensemble index from one uniform each, by ``Generator.choice``'s
+        rule; then each step reads its boundaries, draws one uniform per
+        trial still running and drops the trials that halted.
+        """
+        n_steps = 2 * self.n_rounds
+        live = np.arange(trials)
+        halted = np.empty(trials, dtype=np.intp)
+        if self._probs is not None:
+            rows = self._cdf.searchsorted(draw(live), side="right")
+            boundaries = np.zeros(len(self._vectors))
+        for step in range(n_steps):
+            if live.size == 0:
+                break
+            if self._probs is None:
+                limit = self._checked_boundary(0, step)
+            else:
+                live_rows = rows[live]
+                for row in np.flatnonzero(np.bincount(live_rows)).tolist():
+                    boundaries[row] = self._checked_boundary(row, step)
+                limit = boundaries[live_rows]
+            u = draw(live)
+            halt = (u < limit) if step % 2 == 0 else (u >= limit)
+            halted[live[halt]] = step
+            live = live[~halt]
+        halted[live] = n_steps
+        return halted
+
+    def results(self, steps: np.ndarray) -> list[MWResult]:
+        """One :class:`MWResult` per halting step."""
+        n = self.n_rounds
+        return [
+            MWResult(True, s // 2 + 1, _HALTING_STEPS[s % 2]) if s < 2 * n else MWResult(False, n, None)
+            for s in steps.tolist()
+        ]
+
+    def shared_steps(self, rng: np.random.Generator, trials: int) -> np.ndarray:
+        """The halting steps of `trials` trials sharing `rng`: every ensemble
+        index from one call, then per step one uniform per trial still
+        running, in trial order.  One trial draws as a single run does."""
+        return self.halting_steps(lambda live: rng.random(live.size), trials)
+
     def run(self, rng: np.random.Generator) -> MWResult:
         """One trial: its ensemble index, then one uniform per step taken."""
-        row = int(_draw_rows(self._probs, rng, 1)[0])
-        for step in range(2 * self.n_rounds):
-            u = rng.random()
-            boundary = self.boundary(row, step)
-            if (u < boundary) if step % 2 == 0 else (u >= boundary):
-                return MWResult(True, step // 2 + 1, _HALTING_STEPS[step % 2])
-        return MWResult(False, self.n_rounds, None)
+        return self.results(self.shared_steps(rng, 1))[0]
 
     def count(self, rng: np.random.Generator, trials: int) -> int:
-        """Accepts among `trials` trials sharing `rng`: every ensemble index
-        in one call, then per step one uniform per trial still running, in
-        trial order."""
-        rows = _draw_rows(self._probs, rng, trials)
-        boundaries = np.zeros(len(self._vectors))
-        for step in range(2 * self.n_rounds):
-            if rows.size == 0:
-                break
-            for row in np.unique(rows):
-                boundaries[row] = self.boundary(int(row), step)
-            u = rng.random(rows.size)
-            halt = (u < boundaries[rows]) if step % 2 == 0 else (u >= boundaries[rows])
-            rows = rows[~halt]
-        return trials - rows.size
+        """Accepts among `trials` trials sharing `rng`."""
+        return int(np.count_nonzero(self.shared_steps(rng, trials) < 2 * self.n_rounds))
 
 
 def _survivors(inst: AveragedInstance) -> _Survivors:
@@ -287,13 +359,32 @@ def sample_trials(inst: AveragedInstance, rngs: Iterable[np.random.Generator]) -
     survivor paths.
 
     Trial t draws only from the t-th generator, in a single run's order, so
-    its result equals :func:`run_mw_sampled` on that generator.  Both `rngs`
-    and the results are consumed lazily, so a generator expression builds
-    each trial's stream only when the trial is reached.
+    its result equals :func:`run_mw_sampled` on that generator (the
+    generators must be distinct objects).  `rngs` is read one chunk of
+    ``_CHUNK`` generators at a time and the chunk's results are yielded
+    before the next is read, so an endless iterable is fine and memory stays
+    flat.
+    """
+    survivors, rngs = _survivors(inst), iter(rngs)
+    while chunk := list(itertools.islice(rngs, _CHUNK)):
+
+        def draw(live: np.ndarray) -> np.ndarray:
+            return np.array([chunk[t].random() for t in live.tolist()])
+
+        yield from survivors.results(survivors.halting_steps(draw, len(chunk)))
+
+
+def sample_blocks(inst: AveragedInstance, blocks: Iterable[StreamBlock]) -> Iterator[np.ndarray]:
+    """Independent runs of one instance, one per row of each stream block
+    (:func:`rng.trial_blocks`), on shared survivor paths: per block, each
+    row's halting step, 2N for a rejection (see ``_Survivors.halting_steps``).
+
+    Row t draws only from its own stream, in a single run's order, so its
+    outcome equals :func:`run_mw_sampled` on that stream's generator.
     """
     survivors = _survivors(inst)
-    for rng in rngs:
-        yield survivors.run(rng)
+    for block in blocks:
+        yield survivors.halting_steps(block.random, block.size)
 
 
 # -- exact oracles ---------------------------------------------------------------
@@ -342,6 +433,32 @@ def mw_accept_from_spectrum(eigenvalues, weights, n_rounds):
     total = np.add.accumulate(np.column_stack([np.zeros(len(terms)), terms]), axis=1)[:, -1]
     total = np.clip(total, 0.0, 1.0)
     return float(total[0]) if single else total
+
+
+def mw_halting_law(eigenvalues, weights, n_rounds):
+    """The law of a run's halting step from a spectral measure of L: entry s
+    < 2N is the probability sum_i w_i lambda_i (1 - lambda_i)^s that step s
+    halts it, entry 2N the rejection probability sum_i w_i (1 - lambda_i)^{2N}.
+
+    Every step halts an eigenvector's run with probability lambda: Pi
+    accepts with <v|L|v> and Delta halts with 1 - ||(I - L) v||^2 / (1 -
+    <v|L|v>), both lambda.  The halting entries add up to
+    :func:`mw_accept_from_spectrum`, which clips and skips as this does.
+    Also takes a (b, d) stack with one round count per row and returns a
+    (b, 2 max(N) + 1) array, row i's law in its first 2 N_i + 1 entries and
+    zeros after.
+    """
+    evals, weights, single = _spectrum_rows(eigenvalues, weights)
+    rounds = _round_counts(n_rounds, len(evals))
+    lam = np.clip(evals, 0.0, 1.0)
+    weights = np.where(weights < WEIGHT_ATOL, 0.0, weights)
+    n_steps = 2 * int(rounds.max())
+    decay = (1.0 - lam)[:, :, None] ** np.arange(n_steps + 1)  # (b, d, steps)
+    law = np.einsum("bi,bis->bs", weights * lam, decay)
+    for row, n in enumerate(rounds.tolist()):
+        law[row, 2 * n] = weights[row] @ decay[row, :, 2 * n]
+        law[row, 2 * n + 1 :] = 0.0
+    return law[0] if single else law
 
 
 def mw_bounds_from_spectrum(eigenvalues, weights, n_rounds):

@@ -22,6 +22,16 @@ operations over a fixed-size chunk of indices.  Each row of the result
 seeds PCG64 through an ``ISeedSequence`` that returns it, so the bit
 generator's state equals the one ``trial_rng`` gives (``tests/test_rng.py``
 checks this against numpy).
+
+:func:`trial_blocks` gives the same streams without a ``Generator`` per
+trial: each chunk of indices is one :class:`StreamBlock`, numpy's PCG64 run
+on arrays with one row per stream.  A row is seeded from its four seed
+words as numpy's ``pcg64_set_seed`` does (state w0 2^64 + w1, increment
+2 (w2 2^64 + w3) + 1, then srandom's two LCG steps); each draw is one
+128-bit LCG step in two uint64 limbs, the XSL-RR output and
+(x >> 11) 2^-53, as ``Generator.random`` computes it.  A draw advances
+only the rows it is asked for, so row t's i-th value is the i-th
+``trial_rng(seed, index_t).random()``, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +52,18 @@ _XSHIFT = 16
 _POOL_SIZE = 4
 # indices hashed per array pass: memory stays flat for any number of streams
 _CHUNK = 1024
+
+# numpy PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), as
+# 64-bit limbs and the low limb's 32-bit halves.  Array operands only: numpy
+# warns on a uint64 scalar overflow, but wraps array arithmetic silently.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64((_PCG_MULT >> 32) & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+_ONE, _SHIFT11, _SHIFT32, _SHIFT58, _SHIFT63 = (np.uint64(n) for n in (1, 11, 32, 58, 63))
+_ROTATE_MASK = np.uint64(63)
+_DOUBLE_UNIT = 2.0**-53
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -59,8 +82,71 @@ def trial_rngs(seed: int, indices):
     A negative seed raises ValueError at the call; an index outside
     [0, 2^64) raises ValueError when its chunk is reached.
     """
-    pool, spawn_constants = _seed_pool(seed)
-    return _streams(pool, spawn_constants, iter(indices))
+    return _streams(_word_chunks(seed, indices))
+
+
+def trial_blocks(seed: int, indices) -> Iterator[StreamBlock]:
+    """The streams trial_rng(seed, i) for each i of `indices`, as one
+    :class:`StreamBlock` per chunk of up to ``_CHUNK`` indices, in order.
+
+    Read lazily and checked as :func:`trial_rngs` reads and checks them.
+    """
+    return map(StreamBlock, _word_chunks(seed, indices))
+
+
+class StreamBlock:
+    """PCG64 streams on arrays, one row per stream, seeded from rows of four
+    uint64 seed words (``SeedSequence.generate_state(4, uint64)``).
+
+    :meth:`random` draws what ``Generator.random`` would draw from each
+    row's own generator, so a block built by :func:`trial_blocks` replays
+    ``trial_rng`` stream for stream, however its draws are spread over rows.
+    """
+
+    __slots__ = ("_hi", "_lo", "_inc_hi", "_inc_lo")
+
+    def __init__(self, words: np.ndarray):
+        w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).reshape(-1, _POOL_SIZE).T
+        # pcg_setseq_128_srandom_r: inc = 2 (w2 2^64 + w3) + 1, state = 0;
+        # step; state += w0 2^64 + w1; step
+        self._inc_hi = (w2 << _ONE) | (w3 >> _SHIFT63)
+        self._inc_lo = (w3 << _ONE) | _ONE
+        lo = self._inc_lo + w1
+        hi = self._inc_hi + w0 + (lo < w1)
+        self._hi, self._lo = self._step(hi, lo, self._inc_hi, self._inc_lo)
+
+    @property
+    def size(self) -> int:
+        return self._lo.size
+
+    @staticmethod
+    def _step(hi, lo, inc_hi, inc_lo):
+        """state * multiplier + inc modulo 2^128, on (high, low) limb arrays."""
+        # the low limb times the multiplier's low limb, 64 x 64 -> 128 bits
+        # from 32-bit halves, each partial product below 2^64
+        a0, a1 = lo & _LOW32, lo >> _SHIFT32
+        p00, p01, p10 = a0 * _MULT_LO0, a0 * _MULT_LO1, a1 * _MULT_LO0
+        mid = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+        low = (p00 & _LOW32) | (mid << _SHIFT32)
+        high = a1 * _MULT_LO1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+        high += hi * _MULT_LO + lo * _MULT_HI
+        low += inc_lo
+        high += inc_hi + (low < inc_lo)
+        return high, low
+
+    def random(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The next ``Generator.random()`` of each row in `rows` (distinct
+        row indices; every row when None), in that order.  Only those rows
+        advance."""
+        if rows is None:
+            hi, lo = self._hi, self._lo = self._step(self._hi, self._lo, self._inc_hi, self._inc_lo)
+        else:
+            hi, lo = self._step(self._hi[rows], self._lo[rows], self._inc_hi[rows], self._inc_lo[rows])
+            self._hi[rows], self._lo[rows] = hi, lo
+        # XSL-RR: the two limbs xored, rotated right by the state's top 6 bits
+        x, rot = hi ^ lo, hi >> _SHIFT58
+        x = (x >> rot) | (x << ((-rot) & _ROTATE_MASK))
+        return (x >> _SHIFT11).astype(np.float64) * _DOUBLE_UNIT
 
 
 @functools.cache
@@ -160,11 +246,23 @@ def _seed_words(pool: list[int], spawn_constants, indices: list[int]) -> np.ndar
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _streams(pool: list[int], spawn_constants, indices):
+def _word_chunks(seed: int, indices) -> Iterator[np.ndarray]:
+    """The seed-word rows of each chunk of `indices`.  The seed is checked at
+    the call; `indices` is read and checked one chunk at a time."""
+    pool, spawn_constants = _seed_pool(seed)
+    return _chunk_words(pool, spawn_constants, iter(indices))
+
+
+def _chunk_words(pool: list[int], spawn_constants, indices) -> Iterator[np.ndarray]:
     while chunk := [operator.index(i) for i in itertools.islice(indices, _CHUNK)]:
         low, high = min(chunk), max(chunk)
         if low < 0 or high >= 1 << 64:
             raise ValueError(f"stream index must be in [0, 2**64), got {low if low < 0 else high}")
+        yield _seed_words(pool, spawn_constants, chunk)
+
+
+def _streams(chunks: Iterator[np.ndarray]):
+    for chunk in chunks:
         state, pcg64, generator = _state_type(), np.random.PCG64, np.random.Generator
-        for words in _seed_words(pool, spawn_constants, chunk):
+        for words in chunk:
             yield generator(pcg64(state(words)))

@@ -25,6 +25,7 @@ from seqmeas import (
     mw_accept_polynomial,
     mw_accept_survival,
     mw_bounds,
+    mw_halting_law,
     one_ancilla_dilation,
     or_round_count,
     or_test,
@@ -33,7 +34,9 @@ from seqmeas import (
     run_averaged_or_sampled,
     run_mw_sampled,
     run_mw_sampled_batch,
+    sample_blocks,
     sample_trials,
+    trial_blocks,
     trial_rng,
 )
 from seqmeas.quantum_or import AveragedInstance, _amplify, _averaged_operator, _mean_applier, _survivors
@@ -275,6 +278,71 @@ class TestHaltingLaw:
         runs = [run_averaged_or_sampled(appliers, psi, n_rounds, rng) for _ in range(6000)]
         law = _halting_law(*_spectral_measure(_averaged_operator(ms), psi), n_rounds)
         _assert_histogram(runs, law)
+
+
+    def test_library_law_matches_cells(self):
+        """``mw_halting_law`` step s is cell (s // 2 + 1, pi or delta) of the
+        law above, and its last entry the rejection cell."""
+        for seed in range(4):
+            lam, rho, n_rounds = _random_instance(4000 + seed, max_dim=6, max_rounds=5)
+            evals, weights = _spectral_measure(lam, rho)
+            cells = _halting_law(evals, weights, n_rounds)
+            keys = [(s // 2 + 1, ("pi", "delta")[s % 2]) for s in range(2 * n_rounds)] + [(n_rounds, None)]
+            law = mw_halting_law(evals, weights, n_rounds)
+            np.testing.assert_allclose(law, [cells[k] for k in keys], rtol=1e-12, atol=1e-15)
+
+
+class TestApplierChecks:
+    """A sampled run refuses appliers whose mean is no operator in [0, I] on
+    the path, or that do not map the input's vectors to vectors of the same
+    shape, naming the round, through every draw source."""
+
+    @staticmethod
+    def _sources(inst):
+        return {
+            "single": lambda: run_mw_sampled(inst, trial_rng(0, 0)),
+            "shared": lambda: run_mw_sampled_batch(inst, trial_rng(0, 0), 50),
+            "trials": lambda: list(sample_trials(inst, (trial_rng(0, t) for t in range(50)))),
+            "blocks": lambda: list(sample_blocks(inst, trial_blocks(0, range(50)))),
+        }
+
+    @pytest.mark.parametrize(
+        "applier,initial,message",
+        [
+            (lambda v: np.diag([1.5, 0.0]) @ v, basis_state(QUBIT, (0,)), r"round 1: Pi accept probability 1\.5"),
+            (lambda v: -0.5 * v, plus_state(), r"round 1: Pi accept probability -0\.5"),
+            (lambda v: np.eye(3) @ v, plus_state(), r"round 1: the L-applier failed on a vector of shape \(2,\)"),
+            (lambda v: 0.5 * v[:, None], plus_state(), r"round 1: the L-applier returned shape \(2, 1\)"),
+            # <v|L|v> = 0.7 passes, but ||(I - L) v||^2 = 0.34 > 1 - 0.7
+            (lambda v: np.diag([0.2, 1.2]) @ v, plus_state(), r"round 1: \|\|\(I - L\) v\|\|\^2 = 0\.34"),
+        ],
+        ids=["diag-1.5", "negative", "3x3-on-qubit", "column", "kept-mass"],
+    )
+    def test_refused_in_round_one(self, applier, initial, message):
+        inst = AveragedInstance((applier,), initial, 3)
+        for source in self._sources(inst).values():
+            with pytest.raises(ValueError, match=message):
+                source()
+
+    def test_names_a_later_round(self):
+        """A family whose mean turns negative in round 2."""
+        calls = []
+
+        def turning(v):
+            calls.append(1)
+            return 0.2 * v if len(calls) == 1 else -0.9 * v
+
+        inst = AveragedInstance((turning, lambda v: 0.2 * v), plus_state(), 3)
+        with pytest.raises(ValueError, match=r"round 2: Pi accept probability -0\.35 "):
+            list(sample_blocks(inst, trial_blocks(0, range(500))))
+
+    def test_tolerance_admits_rounding(self):
+        """A Pi probability one rounding past 1 (an eigenvalue-1 input whose
+        L carries a 1e-12 excess) still runs, and halts every trial."""
+        lam = np.diag([1.0 + 1e-12, 0.0])
+        inst = AveragedInstance((lambda v: lam @ v,), basis_state(QUBIT, (0,)), 2)
+        steps = np.concatenate(list(sample_blocks(inst, trial_blocks(0, range(50)))))
+        assert not steps.any()
 
 
 class TestAveragedOrRun:

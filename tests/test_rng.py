@@ -1,4 +1,5 @@
-"""trial_rngs against numpy's own SeedSequence construction in trial_rng."""
+"""trial_rngs and trial_blocks against numpy's own SeedSequence and PCG64
+construction in trial_rng."""
 
 import itertools
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqmeas import trial_rng, trial_rngs
+from seqmeas import StreamBlock, trial_blocks, trial_rng, trial_rngs
 from seqmeas.rng import _CHUNK
 
 # more than 4 entropy words last: the words past the pool mix after the cross-mix
@@ -88,3 +90,98 @@ def test_import_leaves_numpy_random_unloaded():
     code = "import sys, seqmeas; assert 'numpy.random' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- stream blocks: PCG64 on arrays ------------------------------------------------
+
+
+def _reference_draws(seed, indices, n):
+    return np.array([trial_rng(seed, i).random(n) for i in indices]).reshape(len(indices), n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_matches_trial_rng(seed):
+    """Every row's draws are its generator's, bit for bit, for one-word and
+    two-word indices alike (2^32 and 2^64 - 1 included)."""
+    indices = INDICES + [2**64 - 1]
+    (block,) = trial_blocks(seed, indices)
+    got = np.column_stack([block.random() for _ in range(20)])
+    assert np.array_equal(got, _reference_draws(seed, indices, 20))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**140)),
+    indices=st.lists(
+        st.one_of(st.integers(0, 2**32 + 5), st.sampled_from([2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    ),
+    data=st.data(),
+)
+def test_ragged_draws_match_trial_rng(seed, indices, data):
+    """Draws on ragged live subsets: a row advances only when it is drawn,
+    so its k-th value is its generator's k-th, whatever the other rows did."""
+    (block,) = trial_blocks(seed, indices)
+    rngs = [trial_rng(seed, i) for i in indices]
+    for _ in range(data.draw(st.integers(1, 8))):
+        rows = data.draw(st.lists(st.integers(0, len(indices) - 1), unique=True))
+        got = block.random(np.array(rows, dtype=np.intp))
+        assert np.array_equal(got, [rngs[r].random() for r in rows])
+    assert np.array_equal(block.random(), [rng.random() for rng in rngs])
+
+
+@pytest.mark.parametrize("seed", [0, 2**130 + 7])
+def test_blocks_across_a_chunk_boundary(seed):
+    """Consecutive blocks continue the run where the last chunk ended, also
+    where the indices pass from one spawn word to two inside a block."""
+    start = 2**32 - _CHUNK - 5
+    indices = range(start, start + _CHUNK + 11)
+    blocks = list(trial_blocks(seed, indices))
+    assert [b.size for b in blocks] == [_CHUNK, 11]
+    got = np.concatenate([np.column_stack([b.random() for _ in range(3)]) for b in blocks])
+    assert np.array_equal(got, _reference_draws(seed, indices, 3))
+
+
+def test_block_from_seed_words_matches_pcg64():
+    """Seeded from any four words as numpy's PCG64 seeds itself from a seed
+    sequence's words: all-ones words make every 128-bit addition carry."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    words = np.array([[2**64 - 1] * 4, [0, 0, 0, 0], [1, 2**63, 2**64 - 1, 5]], dtype=np.uint64)
+    block = StreamBlock(words)
+    got = np.column_stack([block.random() for _ in range(6)])
+    for row, w in zip(got, words):
+        assert np.array_equal(row, np.random.Generator(np.random.PCG64(Words(w))).random(6))
+
+
+def test_block_is_checked_as_trial_rngs():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        trial_blocks(-1, range(3))
+    with pytest.raises(ValueError, match="stream index must be in"):
+        next(trial_blocks(0, [0, 2**64]))
+    with pytest.raises(TypeError):
+        next(trial_blocks(0, [1.5]))
+    assert list(trial_blocks(0, [])) == []
+    assert next(trial_blocks(0, itertools.count(1000))).size == _CHUNK
+
+
+@pytest.mark.parametrize("probs", [[1.0], [0.5, 0.5], [0.1, 0.0, 0.35, 0.55], [0.0, 1.0, 0.0], [1e-12, 1 - 1e-12]])
+def test_ensemble_index_rule_matches_choice(probs):
+    """The samplers' mixed-input index, cdf.searchsorted(u, side="right") on
+    the normalised cumulative sum, is Generator.choice(n, p=p) on the same
+    stream."""
+    p = np.array(probs) / np.sum(probs)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    (block,) = trial_blocks(4, range(500))
+    got = cdf.searchsorted(block.random(), side="right")
+    assert np.array_equal(got, [trial_rng(4, t).choice(p.size, p=p) for t in range(500)])

@@ -9,14 +9,22 @@ below), which walks the ancilla-extended space with Pi itself (for an
 averaged family of non-projectors, such as de-Merlinization's witness
 slices, the Pi of the one-ancilla dilation of its mean): trial for
 trial on the same generators, count for count on a shared one, and with no
-more applier calls per single run.  A Naimark form's run is the
+more applier calls per single run.  Every draw source of the one halting
+core is held to them: single runs, a shared generator, ``sample_trials``
+(one generator per trial, read a chunk at a time) and ``sample_blocks``
+(one stream-block row per trial).  A Naimark form's run is the
 single-applier instance of its induced L, and the reference receives the
 form alongside it and walks the form's Pi.  The cases include Naimark forms
 of one L that differ off the ancilla-0 block, so the two walks agree only
 because Delta Pi Delta = L (x) |0><0| for every form.  The anti-Zeno
-count taken from one all-reject walk is held to the per-trial
-``measure_collapse`` loop it replaced.
+count taken from one all-reject walk, over stream blocks, is held to the
+per-trial ``measure_collapse`` loop it replaced.  Last, the halting steps
+the core draws are held to the exact halting law ``mw_halting_law``.
 """
+
+import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +54,8 @@ from seqmeas import (
     measure_collapse,
     membership_instance,
     merlin_slice_operators,
+    mw_accept_from_spectrum,
+    mw_halting_law,
     one_ancilla_dilation,
     or_round_count,
     or_test,
@@ -57,16 +67,21 @@ from seqmeas import (
     run_averaged_or_sampled,
     run_mw_sampled,
     run_mw_sampled_batch,
+    sample_blocks,
     sample_trials,
+    spectral_measures,
     state_membership_test,
+    trial_blocks,
     trial_rng,
+    trial_rngs,
     unitary_s_iso_instance,
     unitary_s_iso_test,
 )
 from seqmeas.experiments import _accept_ever_count
 from seqmeas.measurement import is_idempotent
 from seqmeas.disturbance import _row_dot
-from seqmeas.quantum_or import _ensemble_rows
+from seqmeas.quantum_or import _ensemble_rows, _mean_applier, _survivors
+from seqmeas.rng import _CHUNK
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -168,15 +183,33 @@ def _reference_run(inst, rng, form=None):
     return int(rounds[0]), _STEPS[steps[0]]
 
 
-def _reference_count(inst, rng, trials, form=None):
+def _reference_shared(inst, rng, trials, form=None):
+    """Each trial's (round, halting step) when `trials` trials share `rng`."""
     apply_pi, d_anc = _reference_form(inst, form)
     rows = _ensemble_rows(inst.initial, rng, trials)
-    _, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
-    return int(np.count_nonzero(steps))
+    rounds, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
+    return [(int(r), _STEPS[s]) for r, s in zip(rounds, steps)]
+
+
+def _reference_count(inst, rng, trials, form=None):
+    return sum(step is not None for _, step in _reference_shared(inst, rng, trials, form))
 
 
 def _outcome(result):
     return result.rounds_used, result.halting_step
+
+
+def _step_outcomes(steps, n_rounds):
+    """The core's halting steps (2N for a rejection) as (round, halting step)."""
+    return [
+        (int(s) // 2 + 1, _STEPS[int(s) % 2 + 1]) if s < 2 * n_rounds else (n_rounds, None) for s in steps
+    ]
+
+
+def _block_outcomes(inst, seed, indices):
+    """Trial t's outcome on row t of the stream blocks of `indices`."""
+    steps = np.concatenate(list(sample_blocks(inst, trial_blocks(seed, indices))))
+    return _step_outcomes(steps, inst.n_rounds)
 
 
 # -- instances -----------------------------------------------------------------
@@ -301,15 +334,53 @@ def _streams(seed, trials):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("trials", [1, 300])
 def test_trial_streams_match_single_runs(case, trials):
-    """Trial t of the batch equals a single run, through either entry point
-    and the reference, on the t-th generator: the same round and the same
-    halting step."""
+    """Trial t of the batch equals a single run, through either entry point,
+    the reference and row t of the stream blocks, on the t-th stream: the
+    same round and the same halting step."""
     inst, form = CASES[case]()
-    batch = [_outcome(r) for r in sample_trials(inst, _streams(11, trials))]
-    assert batch == [_outcome(run_mw_sampled(inst, rng)) for rng in _streams(11, trials)]
+    expected = [_reference_run(inst, rng, form) for rng in _streams(11, trials)]
+    assert [_outcome(r) for r in sample_trials(inst, _streams(11, trials))] == expected
+    assert [_outcome(run_mw_sampled(inst, rng)) for rng in _streams(11, trials)] == expected
     fields = inst.appliers, inst.initial, inst.n_rounds
-    assert batch == [_outcome(run_averaged_or_sampled(*fields, rng)) for rng in _streams(11, trials)]
-    assert batch == [_reference_run(inst, rng, form) for rng in _streams(11, trials)]
+    assert [_outcome(run_averaged_or_sampled(*fields, rng)) for rng in _streams(11, trials)] == expected
+    assert _block_outcomes(inst, 11, range(trials)) == expected
+
+
+@pytest.mark.parametrize("case", ["dense-mixed", "averaged-pure", "demerlinize-random"])
+def test_chunked_sources_across_chunk_boundaries(case):
+    """Past one chunk: ``sample_trials`` reads its generators and
+    ``trial_blocks`` its indices ``_CHUNK`` at a time, and every trial still
+    equals the reference on its own stream.  The run's indices start at
+    500, not 0: blocks are cut by position in the run, not by index."""
+    inst, form = CASES[case]()
+    indices = range(500, 500 + 2 * _CHUNK + 7)
+    expected = [_reference_run(inst, trial_rng(19, i), form) for i in indices]
+    streams = (trial_rng(19, i) for i in indices)
+    assert [_outcome(r) for r in sample_trials(inst, streams)] == expected
+    assert _block_outcomes(inst, 19, indices) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_shared_generator_trials_match_reference(case):
+    """Trials sharing one generator, trial for trial against the reference
+    on the same generator, and ``run_mw_sampled_batch``'s count of them."""
+    inst, form = CASES[case]()
+    for t in range(2):
+        steps = _survivors(inst).shared_steps(trial_rng(20, t), 300)
+        expected = _reference_shared(inst, trial_rng(20, t), 300, form)
+        assert _step_outcomes(steps, inst.n_rounds) == expected
+        count = run_mw_sampled_batch(inst, trial_rng(20, t), 300)
+        assert count == sum(step is not None for _, step in expected)
+
+
+def test_sample_trials_reads_an_endless_run_lazily():
+    """One chunk of an endless run of generators is read before the first
+    result, which equals a single run on the first stream."""
+    inst, _ = CASES["dense-mixed"]()
+    start = time.perf_counter()
+    first = next(sample_trials(inst, trial_rngs(0, itertools.count())))
+    assert time.perf_counter() - start < 1.0
+    assert first == run_mw_sampled(inst, trial_rng(0, 0))
 
 
 def test_demerlinize_desk_matches_dilated_reference():
@@ -327,13 +398,27 @@ def test_demerlinize_desk_matches_dilated_reference():
     assert 0 < sum(step is not None for _, step in batch) < 300
 
 
+def _source_outcomes(inst, trials):
+    """Each draw source's outcomes on one instance: per-trial generators,
+    stream blocks and one shared generator."""
+    return {
+        "trials": [_outcome(r) for r in sample_trials(inst, _streams(12, trials))],
+        "blocks": _block_outcomes(inst, 12, range(trials)),
+        "shared": _step_outcomes(_survivors(inst).shared_steps(trial_rng(12, 0), trials), inst.n_rounds),
+    }
+
+
 def test_edge_cases_halt_where_expected():
-    certain = list(sample_trials(_certain_instance()[0], _streams(12, 50)))
-    assert all(r.accepted and _outcome(r) == (1, "pi") for r in certain)
-    zero = list(sample_trials(_zero_instance()[0], _streams(12, 50)))
-    assert all(not r.accepted and r.rounds_used == 4 for r in zero)
-    kept = list(sample_trials(_always_kept_instance()[0], _streams(12, 200)))
-    assert all(r.halting_step != "delta" for r in kept)
+    """Boundaries of exactly 1 (Pi on an eigenvalue-1 input), 0 (the zero
+    operator) and a Delta keep of exactly 1 (a one-level ancilla), through
+    every draw source."""
+    for outcomes in _source_outcomes(_certain_instance()[0], 50).values():
+        assert outcomes == [(1, "pi")] * 50
+    for outcomes in _source_outcomes(_zero_instance()[0], 50).values():
+        assert outcomes == [(4, None)] * 50
+    for outcomes in _source_outcomes(_always_kept_instance()[0], 200).values():
+        assert all(step != "delta" for _, step in outcomes)
+        assert 0 < sum(step == "pi" for _, step in outcomes) < 200
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -468,5 +553,101 @@ def _reference_accept_ever(n, seed, trials):
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_antizeno_count_matches_per_trial_loop(n, seed):
     probs, _ = reject_path(anti_zeno_sequence(n), anti_zeno_state(n, 0))
-    streams = (trial_rng(seed, 1000 + t) for t in range(300))
-    assert _accept_ever_count(probs, streams) == _reference_accept_ever(n, seed, 300)
+    blocks = trial_blocks(seed, range(1000, 1300))
+    assert _accept_ever_count(probs, blocks) == _reference_accept_ever(n, seed, 300)
+
+
+def test_antizeno_count_across_chunk_boundaries():
+    probs, _ = reject_path(anti_zeno_sequence(4), anti_zeno_state(4, 0))
+    trials = 2 * _CHUNK + 9
+    blocks = trial_blocks(2, range(1000, 1000 + trials))
+    assert _accept_ever_count(probs, blocks) == _reference_accept_ever(4, 2, trials)
+
+
+# -- the halting steps against the exact halting law ---------------------------------
+
+
+def _law_instances():
+    """(name, instance) for the CLI's OR-test and membership instances and a
+    random d = 6 instance on a mixed input."""
+    zero = basis_state(QUBIT, (0,))
+    candidates = [zero, basis_state(QUBIT, (1,))]
+    far = random_pure_state(trial_rng(97, 0), QUBIT)
+    rng = trial_rng(97, 1)
+    shape = RegisterShape((6,))
+    lam = random_povm_contraction(rng, shape).matrix
+    mixed = random_density_operator(rng, shape)
+    return {
+        "or-test": or_test_instance(anti_zeno_sequence(8), zero, 0),
+        "membership": membership_instance(candidates, far, 0.5, 3),
+        "random-d6": AveragedInstance((lambda v: lam @ v,), mixed, 3),
+    }
+
+
+def _spectral_measure(inst):
+    """L's spectral measure seen from the input, L read off the appliers'
+    mean column by column."""
+    apply_l = _mean_applier(inst.appliers)
+    eye = np.eye(inst.initial.shape.total_dim, dtype=np.complex128)
+    lam = np.stack([apply_l(e) for e in eye], axis=1)
+    state = getattr(inst.initial, "amplitudes", None)
+    state = inst.initial.matrix if state is None else state
+    evals, weights = spectral_measures(lam[None], state[None])
+    return evals[0], weights[0]
+
+
+@pytest.mark.parametrize("name", ["or-test", "membership", "random-d6"])
+def test_halting_law_totals_the_accept_probability(name):
+    inst = _law_instances()[name]
+    evals, weights = _spectral_measure(inst)
+    law = mw_halting_law(evals, weights, inst.n_rounds)
+    assert law.shape == (2 * inst.n_rounds + 1,) and law.min() >= 0.0
+    accept = mw_accept_from_spectrum(evals, weights, inst.n_rounds)
+    assert abs(math.fsum(law[:-1]) - accept) <= 1e-15
+    assert abs(math.fsum(law) - 1.0) <= 1e-14
+
+
+def test_halting_law_stacks_rows():
+    """A stack with one round count per row: each row is its single law,
+    zero-padded past its 2N + 1 entries."""
+    lam, w = _spectral_measure(_law_instances()["random-d6"])
+    evals, weights = np.stack([lam, lam[::-1]]), np.stack([w, w])
+    stacked = mw_halting_law(evals, weights, [2, 5])
+    assert stacked.shape == (2, 11)
+    assert np.array_equal(stacked[0, :5], mw_halting_law(evals[0], weights[0], 2))
+    assert not stacked[0, 5:].any()
+    assert np.allclose(stacked[1], mw_halting_law(evals[1], weights[1], 5), rtol=0, atol=1e-16)
+
+
+def _merged_cells(observed, expected, least=5.0):
+    """Adjacent cells merged left to right until each expects at least
+    `least` counts; a short tail joins the last cell."""
+    cells, obs, exp = [], 0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= least:
+            cells.append([obs, exp])
+            obs, exp = 0, 0.0
+    if cells:
+        cells[-1][0] += obs
+        cells[-1][1] += exp
+    else:
+        cells.append([obs, exp])
+    return cells
+
+
+@pytest.mark.parametrize("name", ["or-test", "membership", "random-d6"])
+def test_halting_steps_follow_the_law(name):
+    """The core's halting-step counts over stream blocks, cell by cell within
+    4 sigma of the exact law."""
+    inst = _law_instances()[name]
+    law = mw_halting_law(*_spectral_measure(inst), inst.n_rounds)
+    trials = 20000
+    steps = np.concatenate(list(sample_blocks(inst, trial_blocks(21, range(trials)))))
+    counts = np.bincount(steps, minlength=law.size)
+    assert counts.size == law.size
+    cells = _merged_cells(counts, trials * law)
+    assert len(cells) >= 3
+    for obs, exp in cells:
+        p = exp / trials
+        assert abs(obs - exp) <= 4.0 * math.sqrt(trials * p * (1.0 - p)) + 1e-9, (obs, exp)
