@@ -141,6 +141,8 @@ class _Recorder:
 
 def _int_param(config: ExperimentConfig, key: str, default: int, minimum: int | None = None) -> int:
     raw = config.params.get(key, default)
+    if isinstance(raw, bool):
+        raise ValueError(f"parameter {key!r} must be an integer, got {raw!r}")
     try:
         value = int(raw)
     except (TypeError, ValueError, OverflowError):
@@ -162,10 +164,13 @@ def _float_param(
 ) -> float:
     """The parameter as a finite float in (low, high]; `high_reason`, if
     given, says in the error what the upper limit is."""
+    raw = config.params.get(key, default)
+    if isinstance(raw, bool):
+        raise ValueError(f"parameter {key!r} must be a number, got {raw!r}")
     try:
-        value = float(config.params.get(key, default))
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"parameter {key!r} must be a number, got {config.params[key]!r}")
+        raise ValueError(f"parameter {key!r} must be a number, got {raw!r}")
     if not math.isfinite(value):
         raise ValueError(f"parameter {key!r} must be finite, got {value}")
     if low is not None and value <= low:
@@ -179,16 +184,9 @@ def _float_param(
 _FIRST_TRIAL_INDEX = 1000  # trial t samples from stream trial_rng(seed, 1000 + t)
 
 
-def _trial_streams(config: ExperimentConfig, trials: int):
-    """Trial t's generator trial_rng(seed, 1000 + t), from one lazy
-    :func:`rng.trial_rngs` run: each generator is built when its trial is
-    reached, so no list of generators is held."""
-    return trial_rngs(config.seed, range(_FIRST_TRIAL_INDEX, _FIRST_TRIAL_INDEX + trials))
-
-
 def _trial_blocks(config: ExperimentConfig, trials: int):
-    """The streams of :func:`_trial_streams` as lazy stream blocks, one per
-    chunk of trials (:func:`rng.trial_blocks`); no generator is built."""
+    """Trial t's stream trial_rng(seed, 1000 + t), as lazy stream blocks, one
+    per chunk of trials (:func:`rng.trial_blocks`); no generator is built."""
     return trial_blocks(config.seed, range(_FIRST_TRIAL_INDEX, _FIRST_TRIAL_INDEX + trials))
 
 
@@ -495,15 +493,13 @@ def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
 
     k_small = 2
     exact_small = testers.g_iso_accept_exact(*iso_pair, group, epsilon, copies_k=k_small)
-    count = 0
-    queries = None
-    for run in testers.g_iso_trials(
-        *iso_pair, group, epsilon, _trial_streams(config, trials), copies_k=k_small
-    ):
-        count += run.accepted
-        queries = (run.queries_f, run.queries_g)
+    count = _sampled_accepts(testers.g_iso_instance(*iso_pair, group, epsilon, copies_k=k_small), config, trials)
     rec.check_sampled("sampled_vs_exact_smallk", count, trials, exact_small)
-    rec.check("one_query_per_copy", queries == (k_small, k_small), list(queries), k_small)
+    run = testers.g_iso_test(
+        *iso_pair, group, epsilon, trial_rng(config.seed, _FIRST_TRIAL_INDEX), copies_k=k_small
+    )
+    queries = [run.queries_f, run.queries_g]
+    rec.check("one_query_per_copy", queries == [k_small, k_small], queries, k_small)
 
 
 def _giso_overlap_identity_error(nx: int, ny: int, sigmas) -> float:
@@ -706,6 +702,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     if isinstance(config.seed, bool) or not isinstance(config.seed, int) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     trials = config.trials if config.trials is not None else default_trials
+    # the document records trials as given, and True would run as one trial
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     given = [f"{name} ({flag})" for name, flag in _GISO_INPUTS.items() if getattr(config, name) is not None]

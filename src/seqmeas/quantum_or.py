@@ -35,19 +35,18 @@ decompose the same mean; a Naimark form's run is the single applier
 ``lambda v: L @ v`` of its induced operator.
 
 Draw order.  Every sampler is one halting core
-(``_Survivors.halting_steps``) fed by one of four draw sources.  A single
+(``_Survivors.halting_steps``) fed by one of three draw sources.  A single
 run (:func:`run_mw_sampled`, or :func:`run_averaged_or_sampled` on the
 instance's fields) draws a mixed input's ensemble index from one uniform,
 by ``Generator.choice``'s rule (``cdf.searchsorted(u, side="right")`` on
 the normalised cumulative sum), then one uniform per step taken: the Pi
-measurement, then Delta, round after round.  :func:`sample_trials` gives
-trial t its own generator and draws from it in exactly that order, reading
-the generators a chunk at a time; :func:`sample_blocks` does the same on the
-rows of stream blocks (:func:`rng.trial_blocks`), with no ``Generator``
-per trial.  So each of their results equals a single run on that trial's
-stream, however many trials share the paths.  :func:`run_mw_sampled_batch`
-shares one generator: every trial's ensemble index in one call, then per
-step one uniform per trial still running, in trial order.  The core checks
+measurement, then Delta, round after round.  :func:`sample_blocks` gives
+trial t its own row of a stream block (:func:`rng.trial_blocks`) and draws
+from it in exactly that order, with no ``Generator`` per trial, so each of
+its outcomes equals a single run on that trial's stream, however many
+trials share the paths.  :func:`run_mw_sampled_batch` shares one
+generator: every trial's ensemble index in one call, then per step one
+uniform per trial still running, in trial order.  The core checks
 the path it reads: a Pi accept probability outside [0, 1], a kept mass
 ||(I - L) v||^2 above 1 - <v|L|v>, or an applier that does not map the
 input's vectors to vectors of the same shape raises ValueError naming the
@@ -56,7 +55,6 @@ round, so appliers whose mean is no operator in [0, I] are not sampled.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +70,7 @@ from .measurement import (
     in_unit_interval,
     naimark_checks,
 )
-from .rng import _CHUNK, StreamBlock
+from .rng import StreamBlock
 from .states import (
     STATE_ATOL,
     DensityOperator,
@@ -352,26 +350,6 @@ def run_averaged_or_sampled(
 def _run_once(inst: AveragedInstance, rng: np.random.Generator) -> bool:
     """Whether one run of an averaged instance accepts (every single-run wrapper)."""
     return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
-
-
-def sample_trials(inst: AveragedInstance, rngs: Iterable[np.random.Generator]) -> Iterator[MWResult]:
-    """Independent runs of one instance, one per generator, on shared
-    survivor paths.
-
-    Trial t draws only from the t-th generator, in a single run's order, so
-    its result equals :func:`run_mw_sampled` on that generator (the
-    generators must be distinct objects).  `rngs` is read one chunk of
-    ``_CHUNK`` generators at a time and the chunk's results are yielded
-    before the next is read, so an endless iterable is fine and memory stays
-    flat.
-    """
-    survivors, rngs = _survivors(inst), iter(rngs)
-    while chunk := list(itertools.islice(rngs, _CHUNK)):
-
-        def draw(live: np.ndarray) -> np.ndarray:
-            return np.array([chunk[t].random() for t in live.tolist()])
-
-        yield from survivors.results(survivors.halting_steps(draw, len(chunk)))
 
 
 def sample_blocks(inst: AveragedInstance, blocks: Iterable[StreamBlock]) -> Iterator[np.ndarray]:

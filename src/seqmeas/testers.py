@@ -36,7 +36,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .quantum_or import (
     mw_accept_from_spectrum,
     mw_accept_polynomial,
     or_round_count,
-    sample_trials,
 )
 from .states import (
     PureState,
@@ -600,6 +599,20 @@ def _g_iso_parts(f: FunctionTable, g: FunctionTable, group, epsilon: float, copi
     return mats, psi, k
 
 
+def g_iso_instance(
+    f: FunctionTable,
+    g: FunctionTable,
+    group: Sequence[PermutationAction],
+    epsilon: float,
+    copies_k: int | None = None,
+) -> AveragedInstance:
+    """The amplification run of :func:`g_iso_test`: the eigenvector test on
+    the two-function superposition state with one swap unitary per
+    permutation."""
+    mats, psi, k = _g_iso_parts(f, g, group, epsilon, copies_k)
+    return eigen_instance(mats, psi, epsilon, k)
+
+
 def g_iso_test(
     f: FunctionTable,
     g: FunctionTable,
@@ -614,23 +627,8 @@ def g_iso_test(
     unitaries, then runs the eigenvector test; each copy of the state costs
     one query to f and one to g, which is the reported query count.
     """
-    return next(g_iso_trials(f, g, group, epsilon, [rng], copies_k))
-
-
-def g_iso_trials(
-    f: FunctionTable,
-    g: FunctionTable,
-    group: Sequence[PermutationAction],
-    epsilon: float,
-    rngs: Iterable[np.random.Generator],
-    copies_k: int | None = None,
-) -> Iterator[GIsoRun]:
-    """:func:`g_iso_test` once per generator, on one instance built once
-    (see :func:`quantum_or.sample_trials`): run t equals ``g_iso_test`` on
-    the t-th generator."""
     mats, psi, k = _g_iso_parts(f, g, group, epsilon, copies_k)
-    for run in sample_trials(eigen_instance(mats, psi, epsilon, k), rngs):
-        yield GIsoRun(accepted=run.accepted, copies_used=k, queries_f=k, queries_g=k)
+    return GIsoRun(_run_once(eigen_instance(mats, psi, epsilon, k), rng), k, k, k)
 
 
 def g_iso_accept_exact(

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqmeas import ExperimentConfig, run_experiment
@@ -53,6 +55,20 @@ class TestRunExperiment:
     )
     def test_non_finite_or_fractional_parameter_rejected(self, name, key, value):
         with pytest.raises(ValueError, match=repr(key)):
+            run_experiment(ExperimentConfig(name=name, trials=10, params={key: value}))
+
+    @pytest.mark.parametrize(
+        "name, key, value, kind",
+        [
+            ("antizeno", "n", True, "an integer"),  # was read as n = 1
+            ("or-test", "n", False, "an integer"),
+            ("uiso", "epsilon", True, "a number"),  # would run at 1.0 and write true
+            ("demerlinize", "eta", True, "a number"),
+        ],
+    )
+    def test_bool_parameter_rejected(self, name, key, value, kind):
+        message = f"parameter {key!r} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(ExperimentConfig(name=name, trials=10, params={key: value}))
 
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -120,6 +136,18 @@ class TestRunExperiment:
         monkeypatch.setitem(_EXPERIMENTS, "gentle", (runner, 10, ()))
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
             run_experiment(ExperimentConfig(name="gentle", seed=seed))
+
+    @pytest.mark.parametrize("trials", [True, 2.5, np.float64(3.0)], ids=repr)
+    def test_non_integer_trials_rejected_before_running(self, trials, monkeypatch):
+        """True ran one trial and wrote "trials": true into the document, and
+        2.5 failed with a TypeError deep inside the run."""
+
+        def runner(config, rec, trials):
+            raise AssertionError("runner called")
+
+        monkeypatch.setitem(_EXPERIMENTS, "or-test", (runner, 10, ()))
+        with pytest.raises(ValueError, match=re.escape(f"trials must be an integer, got {trials!r}")):
+            run_experiment(ExperimentConfig(name="or-test", trials=trials))
 
     @pytest.mark.parametrize("name", [n for n in EXPERIMENT_NAMES if n != "giso"])
     @pytest.mark.parametrize("field", ["function_f", "function_g", "group"])

@@ -36,8 +36,8 @@ from seqmeas import (
     eigen_test,
     eigen_tester_state,
     g_iso_accept_exact,
+    g_iso_instance,
     g_iso_test,
-    g_iso_trials,
     genuine_ent_accept_exact,
     genuine_ent_instance,
     genuine_ent_test,
@@ -138,7 +138,10 @@ BAD_INSTANCES = {
         [lambda: eigen_or_accept_exact([PAULI_X], ZERO, 0)],
     ),
     "g-iso-zero-copies": (
-        [lambda: g_iso_test(F_TABLE, F_TABLE, GROUP, 0.5, trial_rng(0, 0), copies_k=0)],
+        [
+            lambda: g_iso_instance(F_TABLE, F_TABLE, GROUP, 0.5, copies_k=0),
+            lambda: g_iso_test(F_TABLE, F_TABLE, GROUP, 0.5, trial_rng(0, 0), copies_k=0),
+        ],
         [lambda: g_iso_accept_exact(F_TABLE, F_TABLE, GROUP, 0.5, copies_k=0)],
     ),
     "u-iso-zero-copies": (
@@ -205,7 +208,7 @@ COPY_COUNT_CALLS = {
     "eigen_test": lambda k: eigen_test([PAULI_X], ZERO, 0.5, trial_rng(0, 0), copies_k=k),
     "eigen_or_accept_exact": lambda k: eigen_or_accept_exact([PAULI_X], ZERO, k),
     "g_iso_test": lambda k: g_iso_test(F_TABLE, F_TABLE, GROUP, 0.5, trial_rng(0, 0), copies_k=k),
-    "g_iso_trials": lambda k: next(g_iso_trials(F_TABLE, F_TABLE, GROUP, 0.5, [trial_rng(0, 0)], copies_k=k)),
+    "g_iso_instance": lambda k: g_iso_instance(F_TABLE, F_TABLE, GROUP, 0.5, copies_k=k),
     "g_iso_accept_exact": lambda k: g_iso_accept_exact(F_TABLE, F_TABLE, GROUP, 0.5, copies_k=k),
     "membership_instance": lambda k: membership_instance(CANDIDATES, ZERO, 0.5, copies_k=k),
     "state_membership_test": lambda k: state_membership_test(CANDIDATES, ZERO, 0.5, trial_rng(0, 0), copies_k=k),
@@ -342,6 +345,7 @@ def test_library_built_unitary_families_skip_the_check(monkeypatch):
     f, g = FunctionTable(4, 2, (0, 1, 0, 1)), FunctionTable(4, 2, (1, 1, 0, 0))
     group = (PermutationAction.identity(4), PermutationAction((0, 2, 1, 3)))
     g_iso_accept_exact(f, g, group, 0.5, copies_k=2)
+    g_iso_instance(f, g, group, 0.5, copies_k=2)
     g_iso_test(f, g, group, 0.5, trial_rng(90, 2), copies_k=2)
     assert checked == []
     s_set = UnitarySet((np.eye(2), PAULI_X))

@@ -35,7 +35,6 @@ from seqmeas import (
     run_mw_sampled,
     run_mw_sampled_batch,
     sample_blocks,
-    sample_trials,
     trial_blocks,
     trial_rng,
 )
@@ -302,7 +301,6 @@ class TestApplierChecks:
         return {
             "single": lambda: run_mw_sampled(inst, trial_rng(0, 0)),
             "shared": lambda: run_mw_sampled_batch(inst, trial_rng(0, 0), 50),
-            "trials": lambda: list(sample_trials(inst, (trial_rng(0, t) for t in range(50)))),
             "blocks": lambda: list(sample_blocks(inst, trial_blocks(0, range(50)))),
         }
 
@@ -562,8 +560,9 @@ class TestDemerlinize:
         gamma, psi = self._random_case(message_dims, witness)
         exact = demerlinize_accept_exact(gamma, psi, 0.5)
         trials = 4000
-        runs = sample_trials(demerlinize_instance(gamma, psi, 0.5), (trial_rng(99, t) for t in range(trials)))
-        count = sum(r.accepted for r in runs)
+        inst = demerlinize_instance(gamma, psi, 0.5)
+        blocks = sample_blocks(inst, trial_blocks(99, range(trials)))
+        count = sum(int(np.count_nonzero(steps < 2 * inst.n_rounds)) for steps in blocks)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(count / trials - exact) <= 4 * sigma + 1e-9
 

@@ -1,25 +1,24 @@
 """Batched trials on shared survivor paths against per-trial runs.
 
-``sample_trials`` walks each instance's survivor path once and decides every
-trial's halting step from that trial's own generator, walking the path on
-the system space with the accept operator L alone.  These tests hold it,
-and the single-run and shared-generator samplers built on the same paths,
-to a frozen copy of the row-block sampler they replaced (``_reference_*``
-below), which walks the ancilla-extended space with Pi itself (for an
-averaged family of non-projectors, such as de-Merlinization's witness
-slices, the Pi of the one-ancilla dilation of its mean): trial for
+``sample_blocks`` walks each instance's survivor path once and decides every
+trial's halting step from that trial's own stream-block row, walking the
+path on the system space with the accept operator L alone.  These tests hold
+it, and the single-run and shared-generator samplers built on the same
+paths, to a frozen copy of the row-block sampler they replaced
+(``_reference_*`` below), which walks the ancilla-extended space with Pi
+itself (for an averaged family of non-projectors, such as de-Merlinization's
+witness slices, the Pi of the one-ancilla dilation of its mean): trial for
 trial on the same generators, count for count on a shared one, and with no
 more applier calls per single run.  Every draw source of the one halting
-core is held to them: single runs, a shared generator, ``sample_trials``
-(one generator per trial, read a chunk at a time) and ``sample_blocks``
-(one stream-block row per trial).  A Naimark form's run is the
-single-applier instance of its induced L, and the reference receives the
-form alongside it and walks the form's Pi.  The cases include Naimark forms
-of one L that differ off the ancilla-0 block, so the two walks agree only
-because Delta Pi Delta = L (x) |0><0| for every form.  The anti-Zeno
-count taken from one all-reject walk, over stream blocks, is held to the
-per-trial ``measure_collapse`` loop it replaced.  Last, the halting steps
-the core draws are held to the exact halting law ``mw_halting_law``.
+core is held to them: single runs, a shared generator and ``sample_blocks``
+(one stream-block row per trial, read a block at a time).  A Naimark form's
+run is the single-applier instance of its induced L, and the reference
+receives the form alongside it and walks the form's Pi.  The cases include
+Naimark forms of one L that differ off the ancilla-0 block, so the two walks
+agree only because Delta Pi Delta = L (x) |0><0| for every form.  The
+anti-Zeno count taken from one all-reject walk, over stream blocks, is held
+to the per-trial ``measure_collapse`` loop it replaced.  Last, the halting
+steps the core draws are held to the exact halting law ``mw_halting_law``.
 """
 
 import itertools
@@ -47,8 +46,8 @@ from seqmeas import (
     demerlinize_test,
     eigen_instance,
     eigen_test,
+    g_iso_instance,
     g_iso_test,
-    g_iso_trials,
     genuine_ent_instance,
     genuine_ent_test,
     measure_collapse,
@@ -68,12 +67,10 @@ from seqmeas import (
     run_mw_sampled,
     run_mw_sampled_batch,
     sample_blocks,
-    sample_trials,
     spectral_measures,
     state_membership_test,
     trial_blocks,
     trial_rng,
-    trial_rngs,
     unitary_s_iso_instance,
     unitary_s_iso_test,
 )
@@ -339,7 +336,6 @@ def test_trial_streams_match_single_runs(case, trials):
     same round and the same halting step."""
     inst, form = CASES[case]()
     expected = [_reference_run(inst, rng, form) for rng in _streams(11, trials)]
-    assert [_outcome(r) for r in sample_trials(inst, _streams(11, trials))] == expected
     assert [_outcome(run_mw_sampled(inst, rng)) for rng in _streams(11, trials)] == expected
     fields = inst.appliers, inst.initial, inst.n_rounds
     assert [_outcome(run_averaged_or_sampled(*fields, rng)) for rng in _streams(11, trials)] == expected
@@ -348,15 +344,13 @@ def test_trial_streams_match_single_runs(case, trials):
 
 @pytest.mark.parametrize("case", ["dense-mixed", "averaged-pure", "demerlinize-random"])
 def test_chunked_sources_across_chunk_boundaries(case):
-    """Past one chunk: ``sample_trials`` reads its generators and
-    ``trial_blocks`` its indices ``_CHUNK`` at a time, and every trial still
-    equals the reference on its own stream.  The run's indices start at
-    500, not 0: blocks are cut by position in the run, not by index."""
+    """Past one chunk: ``trial_blocks`` reads its indices ``_CHUNK`` at a
+    time, and every trial still equals the reference on its own stream.
+    The run's indices start at 500, not 0: blocks are cut by position in
+    the run, not by index."""
     inst, form = CASES[case]()
     indices = range(500, 500 + 2 * _CHUNK + 7)
     expected = [_reference_run(inst, trial_rng(19, i), form) for i in indices]
-    streams = (trial_rng(19, i) for i in indices)
-    assert [_outcome(r) for r in sample_trials(inst, streams)] == expected
     assert _block_outcomes(inst, 19, indices) == expected
 
 
@@ -373,14 +367,15 @@ def test_shared_generator_trials_match_reference(case):
         assert count == sum(step is not None for _, step in expected)
 
 
-def test_sample_trials_reads_an_endless_run_lazily():
-    """One chunk of an endless run of generators is read before the first
-    result, which equals a single run on the first stream."""
+def test_sample_blocks_reads_an_endless_run_lazily():
+    """One block of an endless run of streams is read before the first
+    result, whose first row equals a single run on the first stream."""
     inst, _ = CASES["dense-mixed"]()
     start = time.perf_counter()
-    first = next(sample_trials(inst, trial_rngs(0, itertools.count())))
+    first = next(sample_blocks(inst, trial_blocks(0, itertools.count())))
     assert time.perf_counter() - start < 1.0
-    assert first == run_mw_sampled(inst, trial_rng(0, 0))
+    assert first.size == _CHUNK
+    assert _step_outcomes(first[:1], inst.n_rounds) == [_outcome(run_mw_sampled(inst, trial_rng(0, 0)))]
 
 
 def test_demerlinize_desk_matches_dilated_reference():
@@ -393,16 +388,15 @@ def test_demerlinize_desk_matches_dilated_reference():
     slices = merlin_slice_operators(gamma)
     lam = HermitianOperator(psi.shape, sum(s.matrix for s in slices) / len(slices))
     dilation = one_ancilla_dilation(lam)
-    batch = [_outcome(r) for r in sample_trials(inst, _streams(18, 300))]
+    batch = _block_outcomes(inst, 18, range(300))
     assert batch == [_reference_run(inst, rng, dilation) for rng in _streams(18, 300)]
     assert 0 < sum(step is not None for _, step in batch) < 300
 
 
 def _source_outcomes(inst, trials):
-    """Each draw source's outcomes on one instance: per-trial generators,
-    stream blocks and one shared generator."""
+    """Each draw source's outcomes on one instance: stream blocks and one
+    shared generator."""
     return {
-        "trials": [_outcome(r) for r in sample_trials(inst, _streams(12, trials))],
         "blocks": _block_outcomes(inst, 12, range(trials)),
         "shared": _step_outcomes(_survivors(inst).shared_steps(trial_rng(12, 0), trials), inst.n_rounds),
     }
@@ -469,8 +463,8 @@ def test_batch_shares_one_path():
     inst = _averaged(21, mixed=False)
     calls = [0]
     spied = AveragedInstance(_spied(inst.appliers, calls), inst.initial, inst.n_rounds)
-    runs = list(sample_trials(spied, _streams(15, 500)))
-    assert calls[0] == len(inst.appliers) * max(r.rounds_used for r in runs)
+    runs = _block_outcomes(spied, 15, range(500))
+    assert calls[0] == len(inst.appliers) * max(rounds for rounds, _ in runs)
 
 
 def _tester_pairs():
@@ -517,18 +511,20 @@ def _tester_pairs():
 )
 def test_tester_instances_match_single_testers(name):
     inst, single = _tester_pairs()[name]
-    batch = [r.accepted for r in sample_trials(inst, _streams(16, 200))]
+    batch = [step is not None for _, step in _block_outcomes(inst, 16, range(200))]
     assert batch == [single(rng) for rng in _streams(16, 200)]
     assert 0 < sum(batch) < 200
 
 
-def test_g_iso_trials_match_single_tests():
+def test_g_iso_instance_matches_single_tests():
     f = FunctionTable(4, 2, (0, 1, 0, 1))
     group = (PermutationAction.identity(4), PermutationAction((0, 2, 1, 3)))
     g = FunctionTable(4, 2, (1, 1, 0, 0))
-    batch = list(g_iso_trials(f, g, group, 0.5, _streams(17, 100), copies_k=2))
-    assert batch == [g_iso_test(f, g, group, 0.5, rng, copies_k=2) for rng in _streams(17, 100)]
-    assert {(r.copies_used, r.queries_f, r.queries_g) for r in batch} == {(2, 2, 2)}
+    inst = g_iso_instance(f, g, group, 0.5, copies_k=2)
+    batch = _block_outcomes(inst, 17, range(100))
+    singles = [g_iso_test(f, g, group, 0.5, rng, copies_k=2) for rng in _streams(17, 100)]
+    assert [step is not None for _, step in batch] == [r.accepted for r in singles]
+    assert {(r.copies_used, r.queries_f, r.queries_g) for r in singles} == {(2, 2, 2)}
 
 
 # -- the anti-Zeno count from one all-reject walk ------------------------------------
