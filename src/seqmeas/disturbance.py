@@ -13,11 +13,12 @@ measurements have actually disturbed the joint state; that disturbance is
 exactly the signal the procedure feeds on.
 
 Both samplers wrap one core, ``_sequential_runs``, which runs independent
-trials side by side; a single run is a batch of one.  Draw order: the
-input's eigen-ensemble index for every trial in one call; then per
-iteration, for every live trial, a branch uniform, a measurement index and
-an outcome uniform, each drawn as one array in that order (the check branch
-leaves its index unused).
+trials side by side; a single run is a batch of one.  Draw order: a mixed
+input's eigen-ensemble index for every trial from one array of uniforms by
+``quantum_or._draw_rows`` (what ``rng.choice`` draws; a pure input draws
+none); then per iteration, for every live trial, a branch uniform, a
+measurement index and an outcome uniform, each drawn as one array in that
+order (the check branch leaves its index unused).
 
 Each iteration is one step over all live trials.  Every row gets the
 probability of the branch it drew -- the check's outcome-1 mass
@@ -49,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
-from .quantum_or import _check_eta, _ensemble_rows, _round_counts
+from .quantum_or import _check_eta, _draw_rows, _ensemble, _round_counts
 from .states import DensityOperator, PureState, RegisterShape, _trusted, plus_state
 
 MAX_ORACLE_DIM = 64
@@ -109,8 +110,9 @@ def _sequential_runs(inst: SequentialInstance, rng: np.random.Generator, trials:
     over every live trial."""
     d = inst.initial.shape.total_dim
     q = inst.check_probability
-    states = np.kron(plus_state().amplitudes, _ensemble_rows(inst.initial, rng, trials))
     live = np.arange(trials)  # the trial of each row of `states`
+    vectors, cdf = _ensemble(inst.initial)
+    states = np.kron(plus_state().amplitudes, vectors[_draw_rows(cdf, lambda rows: rng.random(rows.size), live)])
     accepted = np.zeros(trials, dtype=bool)
     for _ in range(inst.k):
         if live.size == 0:

@@ -504,20 +504,16 @@ def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
 
 def _giso_overlap_identity_error(nx: int, ny: int, sigmas) -> float:
     """max over all (f, g, sigma) of |<psi|U'|psi> - (1 - d(f o sigma, g))|."""
-    tables = [
-        testers.FunctionTable(nx, ny, values)
-        for values in itertools.product(range(ny), repeat=nx)
-    ]
-    states = np.stack([testers.function_state(f).amplitudes for f in tables])
+    tables = itertools.product(range(ny), repeat=nx)
+    states = np.stack([testers.function_state(testers.FunctionTable(nx, ny, f)).amplitudes for f in tables])
     # psi = (|0>|f> + |1>|g>)/sqrt2 for every pair, row f * n + g
-    n = len(tables)
+    n = len(states)
     pairs = np.hstack([np.repeat(states, n, axis=0), np.tile(states, (n, 1))]) / math.sqrt(2)
     worst = 0.0
     for sigma in sigmas:
         u = testers.pair_swap_unitary(sigma, ny)
-        composed = np.stack(
-            [testers.function_state(f.compose(sigma)).amplitudes for f in tables]
-        )
+        # |f o sigma> has amplitude <sigma(x), y|f> at (x, y): the x-slices of |f> permuted
+        composed = states.reshape(n, nx, ny)[:, list(sigma.mapping)].reshape(n, -1)
         vals = np.einsum("ij,ij->i", pairs.conj(), pairs @ u.T)  # <psi|U'|psi>
         expected = composed.conj() @ states.T  # <f o sigma | g>, row f
         worst = max(worst, np.abs(vals - expected.real.reshape(-1)).max())
@@ -582,7 +578,7 @@ def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
     epsilon = _float_param(config, "epsilon", 1.0, low=0.0, high=1.0)
     rng = trial_rng(config.seed, 5000)
     v = random_unitary(rng, 2)
-    k_rule = testers.eigen_copies(len(s_set), epsilon**2)
+    k_rule = testers.unitary_s_iso_copies(len(s_set), epsilon)
     rec.value("copies_rule_k", k_rule)
     iso_exact = testers.unitary_s_iso_accept_exact(s_set, v, v, epsilon)
     rec.value("conjugate_exact_accept", iso_exact)
@@ -699,14 +695,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
             f"accepted: {', '.join(keys) if keys else 'none'}"
         )
     # the streams read the seed as an integer: 1.5 or True would run another seed's streams
-    if isinstance(config.seed, bool) or not isinstance(config.seed, int) or config.seed < 0:
+    if isinstance(config.seed, bool) or not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     trials = config.trials if config.trials is not None else default_trials
-    # the document records trials as given, and True would run as one trial
-    if isinstance(trials, bool) or not isinstance(trials, int):
+    # True would run as one trial; numpy integers are recorded as ints
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    config, trials = dataclasses.replace(config, seed=int(config.seed)), int(trials)
     given = [f"{name} ({flag})" for name, flag in _GISO_INPUTS.items() if getattr(config, name) is not None]
     if given and config.name != "giso":
         raise ValueError(f"{config.name} takes no giso input; got {', '.join(given)}")

@@ -37,10 +37,11 @@ decompose the same mean; a Naimark form's run is the single applier
 Draw order.  Every sampler is one halting core
 (``_Survivors.halting_steps``) fed by one of three draw sources.  A single
 run (:func:`run_mw_sampled`, or :func:`run_averaged_or_sampled` on the
-instance's fields) draws a mixed input's ensemble index from one uniform,
-by ``Generator.choice``'s rule (``cdf.searchsorted(u, side="right")`` on
-the normalised cumulative sum), then one uniform per step taken: the Pi
-measurement, then Delta, round after round.  :func:`sample_blocks` gives
+instance's fields) draws a mixed input's ensemble index from one uniform
+by ``_draw_rows``, the rule the sequential test (``disturbance``) reads
+too: ``Generator.choice``'s, on its cdf (a pure input is one row and draws
+no index); then one uniform per step taken: the Pi measurement, then
+Delta, round after round.  :func:`sample_blocks` gives
 trial t its own row of a stream block (:func:`rng.trial_blocks`) and draws
 from it in exactly that order, with no ``Generator`` per trial, so each of
 its outcomes equals a single run on that trial's stream, however many
@@ -125,30 +126,25 @@ _HALTING_STEPS = ("pi", "delta")  # step s is measurement s % 2 of round s // 2 
 
 
 def _ensemble(initial: PureState | DensityOperator) -> tuple[np.ndarray, np.ndarray | None]:
-    """The input's distinct vectors as rows, with their probabilities: the
-    amplitudes alone (None) for a pure input, the eigenvectors with their
-    eigenvalues for a mixed one."""
+    """The input's distinct vectors as rows, with the cdf of their
+    probabilities: None for a pure input, else the normalised eigenvalues'
+    cumulative sum over its last entry, as ``Generator.choice`` forms it."""
     if isinstance(initial, PureState):
         return initial.amplitudes[None, :], None
     dec = eigendecompose(initial)
     weights = np.clip(dec.eigenvalues, 0.0, None)
-    return dec.eigenvectors.T, weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return dec.eigenvectors.T, cdf
 
 
-def _draw_rows(probs: np.ndarray | None, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Each trial's ensemble index: no draw for a pure input (``probs`` None),
-    one ``rng.choice`` over all `size` trials for a mixed one."""
-    if probs is None:
-        return np.zeros(size, dtype=np.intp)
-    return rng.choice(probs.size, p=probs, size=size)
-
-
-def _ensemble_rows(
-    initial: PureState | DensityOperator, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """One input vector per trial, as the rows of a (size, d) array."""
-    vectors, probs = _ensemble(initial)
-    return vectors[_draw_rows(probs, rng, size)]
+def _draw_rows(cdf: np.ndarray | None, draw: Callable, live: np.ndarray) -> np.ndarray:
+    """The ensemble index of each trial in the index array `live`: 0 and no
+    draw for a pure input, else ``Generator.choice``'s rule on the uniforms
+    ``draw(live)``, so ``rng.random`` draws what ``rng.choice`` would."""
+    if cdf is None:
+        return np.zeros(live.size, dtype=np.intp)
+    return cdf.searchsorted(draw(live), side="right")
 
 
 def _amplify(
@@ -209,12 +205,8 @@ class _Survivors:
         n_rounds: int,
     ):
         self._apply_l, self.n_rounds = apply_l, n_rounds
-        self._vectors, self._probs = _ensemble(initial)
+        self._vectors, self._cdf = _ensemble(initial)
         self._paths: dict[int, tuple[Iterator[float], list[float]]] = {}
-        if self._probs is not None:
-            # Generator.choice's rule: the index of a uniform in the cdf
-            self._cdf = self._probs.cumsum()
-            self._cdf /= self._cdf[-1]
 
     def boundary(self, row: int, step: int) -> float:
         """Where the halting region of `step` begins on the path of `row`."""
@@ -250,40 +242,28 @@ class _Survivors:
 
         ``draw(live)`` returns one uniform for each trial in the index array
         `live`, in that order.  A mixed input first draws every trial's
-        ensemble index from one uniform each, by ``Generator.choice``'s
-        rule; then each step reads its boundaries, draws one uniform per
-        trial still running and drops the trials that halted.
+        ensemble index (``_draw_rows``); then each step reads the boundaries
+        of the rows still running, draws one uniform per trial still running
+        and drops the trials that halted.  A pure input is the one row 0.
         """
         n_steps = 2 * self.n_rounds
         live = np.arange(trials)
         halted = np.empty(trials, dtype=np.intp)
-        if self._probs is not None:
-            rows = self._cdf.searchsorted(draw(live), side="right")
-            boundaries = np.zeros(len(self._vectors))
+        rows = _draw_rows(self._cdf, draw, live)
+        boundaries = np.zeros(len(self._vectors))
         for step in range(n_steps):
             if live.size == 0:
                 break
-            if self._probs is None:
-                limit = self._checked_boundary(0, step)
-            else:
-                live_rows = rows[live]
-                for row in np.flatnonzero(np.bincount(live_rows)).tolist():
-                    boundaries[row] = self._checked_boundary(row, step)
-                limit = boundaries[live_rows]
+            live_rows = rows[live]
+            for row in np.flatnonzero(np.bincount(live_rows)).tolist():
+                boundaries[row] = self._checked_boundary(row, step)
+            limit = boundaries[live_rows]
             u = draw(live)
             halt = (u < limit) if step % 2 == 0 else (u >= limit)
             halted[live[halt]] = step
             live = live[~halt]
         halted[live] = n_steps
         return halted
-
-    def results(self, steps: np.ndarray) -> list[MWResult]:
-        """One :class:`MWResult` per halting step."""
-        n = self.n_rounds
-        return [
-            MWResult(True, s // 2 + 1, _HALTING_STEPS[s % 2]) if s < 2 * n else MWResult(False, n, None)
-            for s in steps.tolist()
-        ]
 
     def shared_steps(self, rng: np.random.Generator, trials: int) -> np.ndarray:
         """The halting steps of `trials` trials sharing `rng`: every ensemble
@@ -293,11 +273,9 @@ class _Survivors:
 
     def run(self, rng: np.random.Generator) -> MWResult:
         """One trial: its ensemble index, then one uniform per step taken."""
-        return self.results(self.shared_steps(rng, 1))[0]
-
-    def count(self, rng: np.random.Generator, trials: int) -> int:
-        """Accepts among `trials` trials sharing `rng`."""
-        return int(np.count_nonzero(self.shared_steps(rng, trials) < 2 * self.n_rounds))
+        (step,) = self.shared_steps(rng, 1).tolist()
+        n = self.n_rounds
+        return MWResult(True, step // 2 + 1, _HALTING_STEPS[step % 2]) if step < 2 * n else MWResult(False, n, None)
 
 
 def _survivors(inst: AveragedInstance) -> _Survivors:
@@ -333,7 +311,7 @@ def run_mw_sampled(inst: AveragedInstance, rng: np.random.Generator) -> MWResult
 def run_mw_sampled_batch(inst: AveragedInstance, rng: np.random.Generator, trials: int) -> int:
     """Accept count over independent trials of :func:`run_mw_sampled` that
     share one generator."""
-    return _survivors(inst).count(rng, trials)
+    return int(np.count_nonzero(_survivors(inst).shared_steps(rng, trials) < 2 * inst.n_rounds))
 
 
 def run_averaged_or_sampled(
@@ -372,6 +350,11 @@ def _round_counts(n_rounds, rows: int) -> np.ndarray:
     """One integer round count >= 1 per row, from an int or a length-`rows`
     array: the round-count check of every amplification entry point."""
     counts = np.asarray(n_rounds)
+    # numpy holds Python ints past int64 as uint64 or as objects
+    wide = counts.reshape(-1).tolist() if counts.dtype.kind in "Ou" else []
+    top = max([c for c in wide if isinstance(c, int)], default=0)
+    if top > 2**63 - 1:
+        raise ValueError(f"round count must be at most the int64 cap 2**63 - 1, got a {top.bit_length()}-bit integer")
     if counts.ndim > 1 or not np.issubdtype(counts.dtype, np.integer):
         raise ValueError(f"round counts must be an integer or a 1-d integer array, got {n_rounds!r}")
     if counts.size and counts.min() < 1:

@@ -68,8 +68,8 @@ _DOUBLE_UNIT = 2.0**-53
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """The generator for stream `index` derived from the master seed (both
-    integers; a float raises TypeError rather than running another stream)."""
-    seq = np.random.SeedSequence(entropy=operator.index(seed), spawn_key=(operator.index(index),))
+    integers; a float or a bool seed raises TypeError, not another stream)."""
+    seq = np.random.SeedSequence(entropy=_seed_int(seed), spawn_key=(operator.index(index),))
     return np.random.default_rng(seq)
 
 
@@ -78,7 +78,8 @@ def trial_rngs(seed: int, indices):
 
     Each generator is built when it is reached, and `indices` is read one
     chunk at a time, so an endless iterable is fine.  The seed and the
-    indices must be integers (``operator.index``; a float raises TypeError).
+    indices must be integers (``operator.index``; a float or a bool seed
+    raises TypeError).
     A negative seed raises ValueError at the call; an index outside
     [0, 2^64) raises ValueError when its chunk is reached.
     """
@@ -205,10 +206,17 @@ def _hash_constants(hash_const: int, mult: int, n: int) -> list[tuple[int, int]]
 _OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
+def _seed_int(seed: int) -> int:
+    """The master seed as an int; a bool would run seed 0 or 1 (TypeError)."""
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, not a bool ({seed!r})")
+    return operator.index(seed)
+
+
 def _seed_pool(seed: int) -> tuple[list[int], list[tuple[int, int]]]:
     """SeedSequence's pool after the seed's entropy words, and the hash
     constants of the spawn-key words (four per word, up to two words)."""
-    seed = operator.index(seed)
+    seed = _seed_int(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]

@@ -199,6 +199,7 @@ def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
     """Least k >= 1 with 4 n base^k below the 1/8 wrong-accept budget: k from
     the logarithm, confirmed among k - 1, k and k + 1 on that predicate
     itself.  Past 2^53 floats cannot tell k from k + 1: epsilon is too small."""
+    _check_copies(n_measurements, "family size", "member")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if 4 * n_measurements * base <= CASE2_BUDGET:
@@ -215,17 +216,18 @@ def eigen_copies(n_measurements: int, epsilon: float) -> int:
     return _least_copies(n_measurements, epsilon, 1 - epsilon / 2)
 
 
-def _check_copies(copies_k: int) -> None:
-    """The copy-count check of every k-copy tester: an integer k >= 1 (a
-    bool or a float, even an integral one, is refused)."""
+def _check_copies(copies_k: int, name: str = "copy count k", unit: str = "copy") -> None:
+    """The copy-count check of every k-copy tester and copy rule's family
+    size: an integer >= 1 (a bool or a float, even an integral one, is
+    refused)."""
     if isinstance(copies_k, (bool, np.bool_)):
-        raise ValueError(f"copy count k must be an integer, got {copies_k!r}")
+        raise ValueError(f"{name} must be an integer, got {copies_k!r}")
     try:
         operator.index(copies_k)
     except TypeError:
-        raise ValueError(f"copy count k must be an integer, got {copies_k!r}") from None
+        raise ValueError(f"{name} must be an integer, got {copies_k!r}") from None
     if copies_k < 1:
-        raise ValueError("need at least one copy")
+        raise ValueError(f"need at least one {unit}")
 
 
 def eigen_tester_state(psi: PureState, copies_k: int) -> PureState:
@@ -822,13 +824,19 @@ def conjugation_unitary(u: np.ndarray) -> np.ndarray:
     return permutation_matrix(PermutationAction(swap.reshape(-1))) @ local
 
 
+def unitary_s_iso_copies(n_unitaries: int, epsilon: float) -> int:
+    """Least k with 4 |S| (1 - eps^2/2)^k below the 1/8 wrong-accept budget:
+    :func:`eigen_copies` at the gap eps^2, with errors that quote eps."""
+    return _least_copies(n_unitaries, epsilon, 1 - epsilon**2 / 2)
+
+
 def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies_k: int | None):
     """The conjugation unitaries (of checked unitaries: trusted), |V>|W> and k
     at gap eps^2: the eigenvector test's inputs, shared by its sampler and
     exact oracle."""
     psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
     mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in _unitary_set(s_set)))
-    k = eigen_copies(len(mats), epsilon**2) if copies_k is None else copies_k
+    k = unitary_s_iso_copies(len(mats), epsilon) if copies_k is None else copies_k
     return mats, psi, k
 
 

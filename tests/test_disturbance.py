@@ -39,8 +39,8 @@ from seqmeas.disturbance import (
     certain_member_instance,
 )
 from seqmeas.gates import HADAMARD
-from seqmeas.quantum_or import _ensemble_rows
-from seqmeas.sampling import random_density_operator, random_projector, random_pure_state
+from seqmeas.sampling import random_density_operator, random_projector, random_pure_state, random_unitary
+from test_trial_batches import _choice_rows
 
 QUBIT = RegisterShape((2,))
 RESULT_FIELDS = ("total_accept", "check_accept", "measurement_accept", "reject")
@@ -297,7 +297,7 @@ def _reference_sequential_runs(inst, rng, trials):
         return np.einsum("ij,ij->i", a.real, b.real) + np.einsum("ij,ij->i", a.imag, b.imag)
 
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    states = np.kron(plus, _ensemble_rows(inst.initial, rng, trials))
+    states = np.kron(plus, _choice_rows(inst.initial, rng, trials))
     d = inst.initial.shape.total_dim
     q = inst.check_probability
     mats = [m.accept_op.matrix for m in inst.measurements]
@@ -342,6 +342,7 @@ def _reference_sequential_runs(inst, rng, trials):
 SAMPLER_CASES = [
     "single-member", "repeated-members", "zero-and-identity", "identity-only", "pure",
     "rank-deficient", "full-rank", "eta-1", "eta-1/2", "eta-1/10", "cli-certain-member",
+    "degenerate-rank-deficient", "pure-state",
 ]
 
 
@@ -370,6 +371,14 @@ def _sampler_case(name):
         return _random_instance(rng, RegisterShape((5,)), 3, rank=5)
     if name.startswith("eta-"):
         return _random_instance(rng, RegisterShape((3,)), 3, eta=float(Fraction(name[4:])))
+    if name == "degenerate-rank-deficient":
+        # spectrum (1/2, 1/2, 0, 0): a plateau in the ensemble cdf
+        v = random_unitary(rng, 4)[:, :2]
+        ms = _random_instance(rng, shape, 3).measurements
+        return SequentialInstance(ms, DensityOperator(shape, v @ v.conj().T / 2), eta=0.5)
+    if name == "pure-state":
+        ms = _random_instance(rng, shape, 3).measurements
+        return SequentialInstance(ms, random_pure_state(rng, shape), eta=0.5)
     assert name == "cli-certain-member"
     return certain_member_instance(4, eta=1.0)
 

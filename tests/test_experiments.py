@@ -1,6 +1,7 @@
 """Experiment runner and CLI: determinism, assertions, file I/O, exit codes."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from seqmeas import ExperimentConfig, run_experiment
 from seqmeas.cli import main as cli_main
-from seqmeas.experiments import EXPERIMENT_NAMES, _EXPERIMENTS
+from seqmeas.experiments import EXPERIMENT_NAMES, _EXPERIMENTS, _giso_overlap_identity_error
 from seqmeas.gates import PermutationAction
 from seqmeas.testers import MAX_VECTOR_DIM, FunctionTable
 
@@ -149,6 +150,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(f"trials must be an integer, got {trials!r}")):
             run_experiment(ExperimentConfig(name="or-test", trials=trials))
 
+    def test_numpy_integer_seed_and_trials_run_as_ints(self):
+        """np.int64(0) was refused as "must be ... an integer"; it runs as 0
+        and the record holds Python ints."""
+        record = run_experiment(ExperimentConfig(name="or-test", seed=np.int64(1), trials=np.int64(50)))
+        assert type(record.seed) is int and type(record.trials) is int
+        assert record.to_document() == run_experiment(ExperimentConfig(name="or-test", seed=1, trials=50)).to_document()
+
     @pytest.mark.parametrize("name", [n for n in EXPERIMENT_NAMES if n != "giso"])
     @pytest.mark.parametrize("field", ["function_f", "function_g", "group"])
     def test_giso_input_refused_elsewhere(self, name, field):
@@ -175,6 +183,14 @@ class TestRunExperiment:
         b = run_experiment(ExperimentConfig(name="antizeno", seed=2, trials=400))
         # exact values agree; the sampled count is allowed to differ
         assert a.values["accept_ever_exact"] == b.values["accept_ever_exact"]
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 3), (3, 3), (4, 2)])
+def test_giso_overlap_identity_on_every_table(nx, ny):
+    """<psi|U'|psi> = <f o sigma|g> over every pair of tables and every
+    permutation, |f o sigma> taken as the permuted x-slices of |f>."""
+    sigmas = [PermutationAction(p) for p in itertools.permutations(range(nx))]
+    assert _giso_overlap_identity_error(nx, ny, sigmas) < 1e-12
 
 
 class TestCli:
@@ -219,6 +235,21 @@ class TestCli:
         out = tmp_path / "res.json"
         assert cli_main(argv + ["--trials", "5", "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_round_count_past_int64_names_the_cap(self, tmp_path, capsys):
+        """eta = 1e-300 gives N = ceil(2/eta), past int64: the error named no
+        cap and printed all 300 digits of N."""
+        out = tmp_path / "res.json"
+        assert cli_main(["demerlinize", "--param", "eta=1e-300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "int64 cap 2**63 - 1" in err and not re.search(r"\d{30}", err)
+        assert not out.exists()
+
+    def test_uiso_epsilon_too_small_is_quoted_as_given(self, tmp_path, capsys):
+        out = tmp_path / "res.json"
+        assert cli_main(["uiso", "--param", "epsilon=1e-10", "--out", str(out)]) == 2
+        assert "epsilon 1e-10 is too small" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch):

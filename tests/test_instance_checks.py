@@ -268,6 +268,73 @@ def test_count_rules_take_integer_counts(rule):
     assert COUNT_RULES[rule](1) >= 1
 
 
+@pytest.mark.parametrize("rule", sorted(COUNT_RULES))
+def test_count_rules_name_the_int64_cap(rule):
+    """A count past int64 was reported as "must be an integer or a 1-d
+    integer array"; the error now names the cap and the count's size."""
+    with pytest.raises(ValueError, match=re.escape("int64 cap 2**63 - 1, got a 71-bit integer")):
+        COUNT_RULES[rule](2**70)
+
+
+def test_round_counts_up_to_the_int64_cap_pass_the_check():
+    assert or_round_count(2**63 - 1, 0) == 2**63 - 1
+    with pytest.raises(ValueError, match=re.escape("int64 cap 2**63 - 1, got a 64-bit integer")):
+        or_round_count(2**63, 0)
+
+
+# every copy rule, as a function of its family size
+COPY_RULES = {
+    "eigen_copies": testers_module.eigen_copies,
+    "membership_copies": testers_module.membership_copies,
+    "genuine_ent_copies": testers_module.genuine_ent_copies,
+    "unitary_s_iso_copies": testers_module.unitary_s_iso_copies,
+}
+
+
+@pytest.mark.parametrize("n", [0, -2], ids=repr)
+@pytest.mark.parametrize("rule", sorted(COPY_RULES))
+def test_copy_rules_refuse_empty_families(rule, n):
+    """eigen_copies(0, .5) returned 1, membership_copies(-2, .5) 1 and
+    genuine_ent_copies(0, .5) 2: a rule for no measurement at all."""
+    with pytest.raises(ValueError, match="need at least one member"):
+        COPY_RULES[rule](n, 0.5)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 2.5, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("rule", sorted(COPY_RULES))
+def test_copy_rules_refuse_non_integer_family_sizes(rule, n):
+    """eigen_copies(True, .5) returned 13, the rule at n = 1."""
+    with pytest.raises(ValueError, match=re.escape(f"family size must be an integer, got {n!r}")):
+        COPY_RULES[rule](n, 0.5)
+
+
+@pytest.mark.parametrize("rule", sorted(COPY_RULES))
+def test_copy_rules_take_numpy_integer_family_sizes(rule):
+    assert COPY_RULES[rule](np.int64(3), 0.5) == COPY_RULES[rule](3, 0.5)
+
+
+UISO_CALLS = {
+    "unitary_s_iso_copies": lambda eps: testers_module.unitary_s_iso_copies(2, eps),
+    "unitary_s_iso_instance": lambda eps: unitary_s_iso_instance(S_SET, PAULI_X, PAULI_X, eps),
+    "unitary_s_iso_test": lambda eps: unitary_s_iso_test(S_SET, PAULI_X, PAULI_X, eps, trial_rng(0, 0)),
+    "unitary_s_iso_accept_exact": lambda eps: unitary_s_iso_accept_exact(S_SET, PAULI_X, PAULI_X, eps),
+}
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-10], ids=repr)
+@pytest.mark.parametrize("entry", sorted(UISO_CALLS))
+def test_uiso_copy_rule_errors_quote_the_given_epsilon(entry, epsilon):
+    """The rule ran at eps^2, so 1e-300 read "epsilon must lie in (0, 1]"
+    and 1e-10 read "epsilon 1.0000000000000001e-20 is too small"."""
+    with pytest.raises(ValueError, match=re.escape(f"epsilon {epsilon!r} is too small")):
+        UISO_CALLS[entry](epsilon)
+
+
+def test_uiso_copy_rule_is_the_eigen_rule_at_the_squared_gap():
+    for eps in (1.0, 0.5, 0.3, 0.01, 1e-3):
+        assert testers_module.unitary_s_iso_copies(2, eps) == testers_module.eigen_copies(2, eps**2)
+
+
 def test_polynomial_oracle_rejects_non_unit_vectors():
     half = lambda x: 0.5 * x  # noqa: E731
     with pytest.raises(ValueError, match="not normalised"):

@@ -61,6 +61,22 @@ def test_negative_seed_raises_at_the_call():
         trial_rngs(-1, range(3))
 
 
+@pytest.mark.parametrize("seed", [True, False], ids=repr)
+def test_bool_seed_is_refused(seed):
+    """operator.index(True) is 1, so a bool seed silently ran seed 1 (or 0)."""
+    with pytest.raises(TypeError, match="seed must be an integer, not a bool"):
+        trial_rng(seed, 0)
+    with pytest.raises(TypeError, match="seed must be an integer, not a bool"):
+        trial_rngs(seed, range(3))
+    with pytest.raises(TypeError, match="seed must be an integer, not a bool"):
+        trial_blocks(seed, range(3))
+
+
+def test_numpy_integer_seed_runs_the_int_seed():
+    (block,) = trial_blocks(np.int64(3), [5])
+    assert block.random()[0] == trial_rng(np.int64(3), 5).random() == trial_rng(3, 5).random()
+
+
 def test_fractional_index_or_seed_is_refused():
     """int() would truncate 1.5 and run stream 1 silently."""
     with pytest.raises(TypeError):

@@ -316,8 +316,10 @@ COPY_RULE_BASES = (0.0, 0.25, 0.5, 0.75, 1 - 0.1 / 2, 1 - 0.1**2, 1 - 0.1**2 / 2
 
 @pytest.mark.parametrize("base", COPY_RULE_BASES)
 def test_copy_rule_closed_form_matches_search(base):
-    for n in (0, 1, 2, 3, 4, 7, 8, 16, 31, 32, 1000, 1 << 20):
+    for n in (1, 2, 3, 4, 7, 8, 16, 31, 32, 1000, 1 << 20):
         assert _least_copies(n, 0.5, base) == reference_least_copies(n, base), (n, base)
+    with pytest.raises(ValueError, match="need at least one member"):
+        _least_copies(0, 0.5, base)
 
 
 def test_copy_rule_past_a_million_steps():

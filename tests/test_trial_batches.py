@@ -34,6 +34,7 @@ from seqmeas import (
     HermitianOperator,
     NaimarkForm,
     PermutationAction,
+    PureState,
     RegisterShape,
     TwoOutcomeMeasurement,
     UnitarySet,
@@ -77,8 +78,9 @@ from seqmeas import (
 from seqmeas.experiments import _accept_ever_count
 from seqmeas.measurement import is_idempotent
 from seqmeas.disturbance import _row_dot
-from seqmeas.quantum_or import _ensemble_rows, _mean_applier, _survivors
+from seqmeas.quantum_or import _draw_rows, _ensemble, _mean_applier, _survivors
 from seqmeas.rng import _CHUNK
+from seqmeas.states import DensityOperator, eigendecompose
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -173,9 +175,20 @@ def _reference_form(inst, form=None):
     return _reference_form(inst, one_ancilla_dilation(lam))
 
 
+def _choice_rows(initial, rng, size):
+    """One input vector per trial, as numpy draws from an ensemble: no draw
+    for a pure input, one ``rng.choice`` over the eigen-ensemble for a
+    mixed one."""
+    if isinstance(initial, PureState):
+        return np.repeat(initial.amplitudes[None, :], size, axis=0)
+    dec = eigendecompose(initial)
+    weights = np.clip(dec.eigenvalues, 0.0, None)
+    return dec.eigenvectors.T[rng.choice(weights.size, p=weights / weights.sum(), size=size)]
+
+
 def _reference_run(inst, rng, form=None):
     apply_pi, d_anc = _reference_form(inst, form)
-    rows = _ensemble_rows(inst.initial, rng, 1)
+    rows = _choice_rows(inst.initial, rng, 1)
     rounds, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
     return int(rounds[0]), _STEPS[steps[0]]
 
@@ -183,7 +196,7 @@ def _reference_run(inst, rng, form=None):
 def _reference_shared(inst, rng, trials, form=None):
     """Each trial's (round, halting step) when `trials` trials share `rng`."""
     apply_pi, d_anc = _reference_form(inst, form)
-    rows = _ensemble_rows(inst.initial, rng, trials)
+    rows = _choice_rows(inst.initial, rng, trials)
     rounds, steps = _reference_amplify(apply_pi, rows, d_anc, inst.n_rounds, rng)
     return [(int(r), _STEPS[s]) for r, s in zip(rounds, steps)]
 
@@ -246,6 +259,16 @@ def _averaged(seed, mixed, n_rounds=None):
     shape = ms[0].shape
     initial = random_density_operator(rng, shape, rank=2) if mixed else random_pure_state(rng, shape)
     return AveragedInstance(_appliers(ms), initial, n_rounds or or_round_count(len(ms), 0))
+
+
+def _degenerate(seed, n_rounds=4):
+    """A random L on a rank-deficient input with the degenerate spectrum
+    (1/2, 1/2, 0, 0): its ensemble cdf has a plateau at the zero eigenvalue."""
+    rng = trial_rng(97, seed)
+    shape = RegisterShape((4,))
+    v = random_unitary(rng, 4)[:, :2]
+    initial = DensityOperator(shape, v @ v.conj().T / 2)
+    return _form_instance(one_ancilla_dilation(random_povm_contraction(rng, shape)), initial, n_rounds)
 
 
 def _reformed(case, isometry):
@@ -313,6 +336,7 @@ CASES = {
     "qutrit-ancilla-mixed": lambda: _reformed(_dilated(1, mixed=True), _QUTRIT_ANCILLA),
     "averaged-pure": lambda: (_averaged(2, mixed=False), None),
     "averaged-mixed": lambda: (_averaged(3, mixed=True), None),
+    "degenerate-mixed": lambda: _degenerate(0),
     "one-round-dense": lambda: _dilated(4, mixed=True, n_rounds=1),
     "one-round-averaged": lambda: (_averaged(5, mixed=False, n_rounds=1), None),
     "eigenvalue-one": _certain_instance,
@@ -326,6 +350,23 @@ CASES = {
 
 def _streams(seed, trials):
     return (trial_rng(seed, t) for t in range(trials))
+
+
+@pytest.mark.parametrize("case", ["dense-pure", "dense-mixed", "averaged-mixed", "degenerate-mixed"])
+def test_draw_rows_is_numpy_choice(case):
+    """The one ensemble rule, ``_draw_rows`` on ``_ensemble``'s cdf, draws
+    what numpy's ``rng.choice`` draws, index for index, and leaves the
+    generator where it leaves it (a pure input draws nothing).  A zero
+    eigenvalue, a plateau of the cdf, is never drawn."""
+    initial = CASES[case]()[0].initial
+    vectors, cdf = _ensemble(initial)
+    for size in (1, 7, 2000):
+        rng, ref = trial_rng(31, size), trial_rng(31, size)
+        rows = _draw_rows(cdf, lambda live: rng.random(live.size), np.arange(size))
+        assert np.array_equal(vectors[rows], _choice_rows(initial, ref, size))
+        assert rng.random() == ref.random()
+        if cdf is not None:
+            assert np.all(np.diff(cdf, prepend=0.0)[rows] > 0.0)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
