@@ -57,6 +57,7 @@ round, so appliers whose mean is no operator in [0, I] are not sampled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -612,28 +613,32 @@ def mw_bounds(
 # -- sequential-measurement property test (the OR wrapper) -------------------------
 
 
-def _exact_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+def _exact_fraction(x) -> Fraction | None:
+    """x as an exact fraction (a float by its exact binary value), or None
+    for a bool, a value that is not a real number and a non-finite float."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        return None
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    return Fraction(float(x))  # exact binary value of the float
+    return Fraction(x) if math.isfinite(x := float(x)) else None
 
 
 def _check_eta(eta) -> Fraction:
-    """eta as an exact fraction, after the check 0 < eta <= 1 (NaN fails)."""
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    return _exact_fraction(eta)
+    """eta as an exact fraction, after the check 0 < eta <= 1 (NaN, +-inf,
+    a bool and a non-real are refused)."""
+    value = _exact_fraction(eta)
+    if value is None or not 0 < value <= 1:
+        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+    return value
 
 
 def or_round_count(n: int, epsilon) -> int:
     """N = ceil(n / (1 - eps)), evaluated in exact rational arithmetic, for
-    an integer n >= 1."""
+    an integer n >= 1 and a real eps in [0, 1/2]."""
     _round_counts(n, 1)
     eps = _exact_fraction(epsilon)
-    if not 0 <= eps <= Fraction(1, 2):
-        raise ValueError("epsilon must lie in [0, 1/2]")
+    if eps is None or not 0 <= eps <= Fraction(1, 2):
+        raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon!r}")
     return math.ceil(Fraction(n) / (1 - eps))
 
 

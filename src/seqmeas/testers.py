@@ -32,6 +32,7 @@ sizes in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
@@ -200,8 +201,7 @@ def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
     the logarithm, confirmed among k - 1, k and k + 1 on that predicate
     itself.  Past 2^53 floats cannot tell k from k + 1: epsilon is too small."""
     _check_copies(n_measurements, "family size", "member")
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
+    _check_epsilon(epsilon)
     if 4 * n_measurements * base <= CASE2_BUDGET:
         return 1
     if base < 1.0 and (k := math.ceil(math.log(CASE2_BUDGET / (4 * n_measurements)) / math.log(base))) <= 1 << 53:
@@ -214,6 +214,23 @@ def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
 def eigen_copies(n_measurements: int, epsilon: float) -> int:
     """Least k with 4 n (1 - eps/2)^k below the 1/8 wrong-accept budget."""
     return _least_copies(n_measurements, epsilon, 1 - epsilon / 2)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """The distance check of every k-copy tester and copy rule: a real
+    epsilon in (0, 1] (NaN and +-inf fail the comparison; a bool is refused)."""
+    if isinstance(epsilon, (bool, np.bool_)) or not isinstance(epsilon, numbers.Real) or not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+
+
+def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copies_k: int | None) -> int:
+    """The copy count of a k-copy tester on a family of n: the rule's k at
+    epsilon if copies_k is None, else copies_k.  Epsilon is checked on both
+    paths (the rule checks n first, so its errors come first)."""
+    k = rule(n, epsilon) if copies_k is None else copies_k
+    _check_epsilon(epsilon)
+    _check_copies(k)
+    return k
 
 
 def _check_copies(copies_k: int, name: str = "copy count k", unit: str = "copy") -> None:
@@ -390,13 +407,17 @@ def eigen_instance(
     epsilon: float,
     copies_k: int | None = None,
 ) -> AveragedInstance:
-    """The amplification run of :func:`eigen_test`: the k-copy interference
-    state, one applier that is already the family's mean L (see
-    ``_copy_reflection_applier``) and N = number of unitaries."""
-    k = eigen_copies(len(unitaries), epsilon) if copies_k is None else copies_k
-    mats = _eigen_check(unitaries, psi.shape, k)
-    phi = _copies_state([plus_state(), psi], k)
-    return AveragedInstance((_copy_reflection_applier(mats, k),), phi, or_round_count(len(mats), 0))
+    """The amplification run of :func:`eigen_test` at the k of :func:`_copy_count`."""
+    return _eigen_builder(unitaries, psi, _copy_count(eigen_copies, len(unitaries), epsilon, copies_k))
+
+
+def _eigen_builder(unitaries: UnitarySet | Sequence[np.ndarray], psi: PureState, copies_k: int) -> AveragedInstance:
+    """The eigenvector test's run at a resolved k, for every eigen-family
+    builder: the k-copy interference state, one applier that is already the
+    family's mean L (``_copy_reflection_applier``) and N = number of unitaries."""
+    mats = _eigen_check(unitaries, psi.shape, copies_k)
+    phi = _copies_state([plus_state(), psi], copies_k)
+    return AveragedInstance((_copy_reflection_applier(mats, copies_k),), phi, or_round_count(len(mats), 0))
 
 
 def eigen_test(
@@ -597,8 +618,7 @@ def _g_iso_parts(f: FunctionTable, g: FunctionTable, group, epsilon: float, copi
             raise ValueError("permutation size does not match the function domain")
     psi = pair_state(f, g)
     mats = _trusted(UnitarySet, tuple(pair_swap_unitary(sigma, f.codomain_size) for sigma in group))
-    k = eigen_copies(len(mats), epsilon) if copies_k is None else copies_k
-    return mats, psi, k
+    return mats, psi, _copy_count(eigen_copies, len(mats), epsilon, copies_k)
 
 
 def g_iso_instance(
@@ -611,8 +631,7 @@ def g_iso_instance(
     """The amplification run of :func:`g_iso_test`: the eigenvector test on
     the two-function superposition state with one swap unitary per
     permutation."""
-    mats, psi, k = _g_iso_parts(f, g, group, epsilon, copies_k)
-    return eigen_instance(mats, psi, epsilon, k)
+    return _eigen_builder(*_g_iso_parts(f, g, group, epsilon, copies_k))
 
 
 def g_iso_test(
@@ -630,7 +649,7 @@ def g_iso_test(
     one query to f and one to g, which is the reported query count.
     """
     mats, psi, k = _g_iso_parts(f, g, group, epsilon, copies_k)
-    return GIsoRun(_run_once(eigen_instance(mats, psi, epsilon, k), rng), k, k, k)
+    return GIsoRun(_run_once(_eigen_builder(mats, psi, k), rng), k, k, k)
 
 
 def g_iso_accept_exact(
@@ -661,7 +680,7 @@ def membership_instance(
     """The amplification run of :func:`state_membership_test`: psi^k, one
     rank-one applier |phi^k><phi^k| per candidate and N = |P| rounds."""
     n = len(candidates)
-    k = membership_copies(n, epsilon) if copies_k is None else copies_k
+    k = _copy_count(membership_copies, n, epsilon, copies_k)
     _membership_check(candidates, psi, k)
     big = _copies_state([psi], k)
     powers = [reduce(np.kron, [c.amplitudes] * k) for c in candidates]
@@ -747,10 +766,12 @@ def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) ->
 
 
 def choi_vector(matrix: np.ndarray) -> np.ndarray:
-    """(M (x) I)|Phi> as a raw vector: amplitudes M[i, j]/sqrt(d)."""
+    """(M (x) I)|Phi> as a raw vector: amplitudes M[i, j]/sqrt(d), for a
+    nonempty square M."""
     m = np.asarray(matrix, dtype=np.complex128)
-    d = m.shape[0]
-    return m.reshape(-1) / math.sqrt(d)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"choi_vector needs a nonempty square matrix, got shape {m.shape}")
+    return m.reshape(-1) / math.sqrt(m.shape[0])
 
 
 def choi_state(unitary: np.ndarray) -> PureState:
@@ -776,10 +797,14 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     """sqrt(1 - |tr(a^dag b)/d|^2); equals the trace distance of the channel states.
 
     The inner product is normalised by tr(a^dag a) tr(b^dag b)/d^2 (both 1 for
-    unitaries up to rounding) so identical inputs give exactly 0.
+    unitaries up to rounding) so identical inputs give exactly 0; an input of
+    zero norm has no distance and is refused.
     """
-    norms = hs_inner(a, a).real * hs_inner(b, b).real
-    return math.sqrt(max(0.0, 1.0 - abs(hs_inner(a, b)) ** 2 / norms))
+    norms = hs_inner(a, a).real, hs_inner(b, b).real
+    for name, norm in zip("ab", norms):
+        if not norm > 0:
+            raise ValueError(f"hs_distance: {name} has zero norm, tr({name}^dag {name})/d = {norm!r}")
+    return math.sqrt(max(0.0, 1.0 - abs(hs_inner(a, b)) ** 2 / (norms[0] * norms[1])))
 
 
 @dataclass(frozen=True)
@@ -805,7 +830,7 @@ def unitary_set_test(
     """
     target = choi_state(oracle_unitary)
     cand_states = [_choi_state(u) for u in _unitary_set(candidates)]
-    k = membership_copies(len(cand_states), epsilon) if copies_k is None else copies_k
+    k = _copy_count(membership_copies, len(cand_states), epsilon, copies_k)
     accepted = state_membership_test(cand_states, target, epsilon, rng, copies_k=k)
     return UnitarySetRun(accepted=accepted, copies_used=k, oracle_uses=k)
 
@@ -836,8 +861,7 @@ def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies
     exact oracle."""
     psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
     mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in _unitary_set(s_set)))
-    k = unitary_s_iso_copies(len(mats), epsilon) if copies_k is None else copies_k
-    return mats, psi, k
+    return mats, psi, _copy_count(unitary_s_iso_copies, len(mats), epsilon, copies_k)
 
 
 def unitary_s_iso_instance(
@@ -849,8 +873,7 @@ def unitary_s_iso_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`unitary_s_iso_test`: the eigenvector
     test on |V>|W> with one conjugation unitary per U and gap eps^2."""
-    mats, psi, k = _u_iso_parts(s_set, v_unitary, w_unitary, epsilon, copies_k)
-    return eigen_instance(mats, psi, epsilon**2, k)
+    return _eigen_builder(*_u_iso_parts(s_set, v_unitary, w_unitary, epsilon, copies_k))
 
 
 def unitary_s_iso_test(
@@ -946,21 +969,24 @@ def _cut_and_applier(
     return apply
 
 
-def _genuine_check(psi: PureState, n_parts: int, copies_k: int | None, epsilon: float | None = None):
+def _genuine_check(psi: PureState, n_parts: int) -> int:
     """The cut count 2^{n-1} - 1 (no cut is listed, so the callers' caps come
-    first) and k (the rule's for `epsilon` if None), after the instance check
-    of :func:`genuine_ent_instance` and :func:`genuine_ent_accept_exact`: one
-    part per register of psi, at least two parts and an even k >= 2."""
+    first), after the part check of :func:`genuine_ent_instance` and
+    :func:`genuine_ent_accept_exact`: one part per register of psi and at
+    least two parts.  Their copy check is :func:`_check_pairs`."""
     if n_parts != psi.shape.num_registers:
         raise ValueError("n_parts must match the state's register count")
     if n_parts < 2:
         raise ValueError("need at least two parts")
-    n_cuts = (1 << (n_parts - 1)) - 1
-    k = genuine_ent_copies(n_cuts, epsilon) if copies_k is None else copies_k
-    _check_copies(k)
-    if k % 2 != 0:
+    return (1 << (n_parts - 1)) - 1
+
+
+def _check_pairs(copies_k: int) -> int:
+    """k after the copy check of the genuine-entanglement test: an even k >= 2."""
+    _check_copies(copies_k)
+    if copies_k % 2 != 0:
         raise ValueError("the copy count must be even (copies are consumed in pairs)")
-    return n_cuts, k
+    return copies_k
 
 
 def genuine_ent_instance(
@@ -971,7 +997,8 @@ def genuine_ent_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`genuine_ent_test`: psi^k, one
     pairwise swap-test applier per cut and one round per cut."""
-    n_cuts, k = _genuine_check(psi, n_parts, copies_k, epsilon)
+    n_cuts = _genuine_check(psi, n_parts)
+    k = _check_pairs(_copy_count(genuine_ent_copies, n_cuts, epsilon, copies_k))
     big = _copies_state([psi], k)
     dims = psi.shape.dims * k
     appliers = [_cut_and_applier(dims, n_parts, k, cut) for cut in proper_cuts(n_parts)]
@@ -1099,7 +1126,8 @@ def genuine_ent_accept_exact(psi: PureState, n_parts: int, copies_k: int) -> flo
     the party count at MAX_GENUINE_PARTIES, and takes one step per copy
     pair, which bounds k/2 at MAX_GENUINE_DRAWS; both are checked first.
     """
-    n_cuts, _ = _genuine_check(psi, n_parts, copies_k)
+    n_cuts = _genuine_check(psi, n_parts)
+    _check_pairs(copies_k)
     if n_parts > MAX_GENUINE_PARTIES:
         raise ValueError(f"{n_parts} parties exceed the exact oracle's cap of {MAX_GENUINE_PARTIES}")
     if copies_k // 2 > MAX_GENUINE_DRAWS:

@@ -3,17 +3,24 @@ builder and its exact oracle, and one trusted construction path for values
 the package builds from already checked data.
 
 The table below feeds each procedure's builder and exact oracle the same bad
-input; both must reject it with ValueError.  The trusted-path tests make the
-value types' checks fail loudly and show that the package's own constructions
-never reach them, while still storing read-only complex128 arrays.
+input; both must reject it with ValueError.  The procedure parameters (epsilon,
+eta, the copy count k) are held to one check each, on every entry point that
+takes them; a table of those entries is kept complete by a signature walk.
+The trusted-path tests make the value types' checks fail loudly and show
+that the package's own constructions never reach them, while still storing
+read-only complex128 arrays.
 """
 
+import inspect
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqmeas import (
+    AveragedInstance,
     DensityOperator,
     FunctionTable,
     HermitianOperator,
@@ -21,6 +28,7 @@ from seqmeas import (
     PermutationAction,
     PureState,
     RegisterShape,
+    SequentialInstance,
     TwoOutcomeMeasurement,
     UnitarySet,
     analytic_eigen_accept,
@@ -242,6 +250,75 @@ def test_numpy_integer_copy_count_accepted(entry):
         assert value == COPY_COUNT_CALLS[entry](2)
 
 
+# every public (epsilon, copies_k) entry point, as a function of epsilon at k = 2
+EPSILON_CALLS = {
+    "eigen_instance": lambda eps: eigen_instance([PAULI_X], ZERO, eps, copies_k=2),
+    "eigen_test": lambda eps: eigen_test([PAULI_X], ZERO, eps, trial_rng(0, 0), copies_k=2),
+    "g_iso_instance": lambda eps: g_iso_instance(F_TABLE, F_TABLE, GROUP, eps, copies_k=2),
+    "g_iso_test": lambda eps: g_iso_test(F_TABLE, F_TABLE, GROUP, eps, trial_rng(0, 0), copies_k=2),
+    "g_iso_accept_exact": lambda eps: g_iso_accept_exact(F_TABLE, F_TABLE, GROUP, eps, copies_k=2),
+    "membership_instance": lambda eps: membership_instance(CANDIDATES, ZERO, eps, copies_k=2),
+    "state_membership_test": lambda eps: state_membership_test(CANDIDATES, ZERO, eps, trial_rng(0, 0), copies_k=2),
+    "unitary_set_test": lambda eps: unitary_set_test(S_SET, np.eye(2), eps, trial_rng(0, 0), copies_k=2),
+    "unitary_s_iso_instance": lambda eps: unitary_s_iso_instance(S_SET, PAULI_X, PAULI_X, eps, copies_k=2),
+    "unitary_s_iso_test": lambda eps: unitary_s_iso_test(S_SET, PAULI_X, PAULI_X, eps, trial_rng(0, 0), copies_k=2),
+    "unitary_s_iso_accept_exact": lambda eps: unitary_s_iso_accept_exact(S_SET, PAULI_X, PAULI_X, eps, copies_k=2),
+    "genuine_ent_instance": lambda eps: genuine_ent_instance(ghz_state(3), 3, eps, copies_k=2),
+    "genuine_ent_test": lambda eps: genuine_ent_test(ghz_state(3), 3, eps, trial_rng(0, 0), copies_k=2),
+}
+BAD_EPSILONS = [1.5, -1.0, 0.0, math.nan, math.inf, True]
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(EPSILON_CALLS))
+def test_epsilon_checked_at_a_given_copy_count(entry, epsilon):
+    """With copies_k given, every entry once ran at any epsilon: only the
+    copy rule checked it.  ``testers._copy_count`` checks it on both paths."""
+    with pytest.raises(ValueError, match=re.escape(f"epsilon must lie in (0, 1], got {epsilon!r}")):
+        EPSILON_CALLS[entry](epsilon)
+
+
+@pytest.mark.parametrize("entry", sorted(EPSILON_CALLS))
+def test_tiny_epsilon_runs_at_a_given_copy_count(entry):
+    """1e-300 is a valid epsilon, and at a given k it changes nothing: no
+    builder squares it on the way (1e-300**2 underflows to 0.0)."""
+    value, reference = EPSILON_CALLS[entry](1e-300), EPSILON_CALLS[entry](0.5)
+    if isinstance(value, AveragedInstance):
+        assert value.n_rounds == reference.n_rounds and len(value.appliers) == len(reference.appliers)
+        assert np.array_equal(value.initial.amplitudes, reference.initial.amplitudes)
+    else:
+        assert value == reference
+
+
+def test_epsilon_table_lists_every_copy_count_entry():
+    """Every public callable of ``testers`` that takes both epsilon and
+    copies_k is in EPSILON_CALLS, so a new one is held to the epsilon check."""
+    takes_both = set()
+    for name, obj in vars(testers_module).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        if {"epsilon", "copies_k"} <= params.keys():
+            takes_both.add(name)
+    assert takes_both == set(EPSILON_CALLS)
+
+
+def test_copy_count_decision_is_written_once():
+    """"The rule's k, or the given copies_k" is decided in
+    ``testers._copy_count`` alone: a new k-copy tester reuses it."""
+    package = Path(testers_module.__file__).parent
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(package.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if "if copies_k is None else" in line
+    ]
+    assert len(hits) <= 1, hits
+
+
 # every count rule, as a function of its count n (measurements, or witness
 # dimension for de-Merlinization)
 COUNT_RULES = {
@@ -276,6 +353,31 @@ def test_count_rules_name_the_int64_cap(rule):
         COUNT_RULES[rule](2**70)
 
 
+@pytest.mark.parametrize("epsilon", [False, True, "0.1", math.inf, -math.inf, math.nan, -0.5, 0.75], ids=repr)
+def test_or_round_count_refuses_epsilon_outside_the_interval(epsilon):
+    """or_round_count(2, False) returned 2 and (2, "0.1") 3; inf raised
+    OverflowError and NaN Fraction's "cannot convert NaN to integer ratio"."""
+    with pytest.raises(ValueError, match=re.escape(f"epsilon must lie in [0, 1/2], got {epsilon!r}")):
+        or_round_count(2, epsilon)
+
+
+# every entry that takes eta, as a function of eta
+ETA_CALLS = {
+    "demerlinize_round_count": lambda eta: demerlinize_round_count(2, eta),
+    "sequential_iteration_count": lambda eta: sequential_iteration_count(2, eta),
+    "SequentialInstance": lambda eta: SequentialInstance([P_QUBIT], ZERO, eta),
+    "demerlinize_instance": lambda eta: demerlinize_instance(GAMMA_OK, ZERO, eta),
+}
+
+
+@pytest.mark.parametrize("eta", [True, np.True_, "0.5", math.nan, math.inf, 0.0, 1.5], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ETA_CALLS))
+def test_eta_refused_outside_the_interval(entry, eta):
+    """A bool once ran as eta = 1, and a string raised TypeError."""
+    with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, 1], got {eta!r}")):
+        ETA_CALLS[entry](eta)
+
+
 def test_round_counts_up_to_the_int64_cap_pass_the_check():
     assert or_round_count(2**63 - 1, 0) == 2**63 - 1
     with pytest.raises(ValueError, match=re.escape("int64 cap 2**63 - 1, got a 64-bit integer")):
@@ -306,6 +408,14 @@ def test_copy_rules_refuse_non_integer_family_sizes(rule, n):
     """eigen_copies(True, .5) returned 13, the rule at n = 1."""
     with pytest.raises(ValueError, match=re.escape(f"family size must be an integer, got {n!r}")):
         COPY_RULES[rule](n, 0.5)
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS, ids=repr)
+@pytest.mark.parametrize("rule", sorted(COPY_RULES))
+def test_copy_rules_refuse_epsilon_outside_the_interval(rule, epsilon):
+    """eigen_copies(2, True) returned 6, the rule at epsilon = 1."""
+    with pytest.raises(ValueError, match=re.escape(f"epsilon must lie in (0, 1], got {epsilon!r}")):
+        COPY_RULES[rule](2, epsilon)
 
 
 @pytest.mark.parametrize("rule", sorted(COPY_RULES))

@@ -3,6 +3,7 @@ channel-state tests, productness and genuine entanglement."""
 
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from functools import reduce
@@ -1304,6 +1305,19 @@ class TestChoi:
 
     def test_identity_vs_pauli_z(self):
         assert abs(hs_distance(np.eye(2), PAULI_Z) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0)], ids=repr)
+    def test_choi_vector_refuses_non_square_input(self, shape):
+        """A 2 x 3 matrix once gave 6 amplitudes divided by sqrt(2)."""
+        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+            choi_vector(np.ones(shape))
+
+    @pytest.mark.parametrize("zero_side", ["a", "b"])
+    def test_hs_distance_names_a_zero_norm_input(self, zero_side):
+        """A zero matrix once raised ZeroDivisionError."""
+        a, b = (np.zeros((2, 2)), np.eye(2)) if zero_side == "a" else (np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=f"hs_distance: {zero_side} has zero norm"):
+            hs_distance(a, b)
 
     def test_inner_product_identity_random(self):
         for t in range(100):

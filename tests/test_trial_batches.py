@@ -43,12 +43,15 @@ from seqmeas import (
     basis_state,
     bell_pair,
     build_averaged_naimark,
+    demerlinize_accept_exact,
     demerlinize_instance,
     demerlinize_test,
     eigen_instance,
     eigen_test,
+    g_iso_accept_exact,
     g_iso_instance,
     g_iso_test,
+    genuine_ent_accept_exact,
     genuine_ent_instance,
     genuine_ent_test,
     measure_collapse,
@@ -72,15 +75,27 @@ from seqmeas import (
     state_membership_test,
     trial_blocks,
     trial_rng,
+    unitary_s_iso_accept_exact,
     unitary_s_iso_instance,
     unitary_s_iso_test,
 )
-from seqmeas.experiments import _accept_ever_count
+from seqmeas.experiments import _accept_ever_count, _demerlinize_case1, _desk_giso_instance
+from seqmeas.gates import PAULI_X
 from seqmeas.measurement import is_idempotent
 from seqmeas.disturbance import _row_dot
-from seqmeas.quantum_or import _draw_rows, _ensemble, _mean_applier, _survivors
+from seqmeas.quantum_or import _averaged_operator, _draw_rows, _ensemble, _mean_applier, _survivors
 from seqmeas.rng import _CHUNK
 from seqmeas.states import DensityOperator, eigendecompose
+from seqmeas.testers import (
+    PATTERN_ATOL,
+    _g_iso_parts,
+    _joint_bits,
+    _sign_pattern_weights,
+    _span_rank_distribution,
+    _u_iso_parts,
+    averaged_and_measure,
+    block_reflection,
+)
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -673,12 +688,76 @@ def _merged_cells(observed, expected, least=5.0):
     return cells
 
 
-@pytest.mark.parametrize("name", ["or-test", "membership", "random-d6"])
-def test_halting_steps_follow_the_law(name):
+def _joint_measure(mats, psi, copies_k):
+    """The eigen oracle's joint route: _joint_bits on the block reflections,
+    then the AND-power measure of the averaged family."""
+    atoms = _joint_bits([block_reflection(u) for u in mats], np.kron(plus_state().amplitudes, psi.amplitudes))
+    assert atoms is not None  # the family passes the joint certificate
+    return averaged_and_measure(atoms, len(mats), copies_k)
+
+
+def _span_measure(psi, n_parts, copies_k):
+    """The genuine oracle's route: the span-rank distribution of the
+    sign patterns drawn by the k/2 copy pairs."""
+    w = _sign_pattern_weights(psi)
+    patterns = [s for s in range(w.size) if bin(s).count("1") % 2 == 0 and w[s] > PATTERN_ATOL]
+    ranks = _span_rank_distribution(patterns, w[patterns].tolist(), copies_k // 2)
+    n_cuts = (1 << (n_parts - 1)) - 1
+    return [((1 << (n_parts - 1 - r)) - 1) / n_cuts for r in ranks], list(ranks.values())
+
+
+def _oracle_cases():
+    """(instance, spectral measure of its L from its exact oracle's own
+    route, that oracle's acceptance) for the remaining sampled CLI checks,
+    each at the CLI's small k: the desk isomorphic giso pair and the uiso
+    conjugate pair at k = 2 (joint route), the partly-product state at
+    k = 4 (span ranks) and de-Merlinization case 1 at eta = 2/3 (the
+    averaged slice operator's spectral measure)."""
+    group, iso_pair, _ = _desk_giso_instance()
+    s_set = UnitarySet((np.eye(2), PAULI_X))
+    v = random_unitary(trial_rng(0, 5000), 2)
+    partly = product_state([basis_state(QUBIT, (0,)), bell_pair()])
+    gamma, psi, eta = _demerlinize_case1(2.0 / 3.0)
+    lam = _averaged_operator(merlin_slice_operators(gamma)).matrix
+    evals, weights = spectral_measures(lam[None], psi.amplitudes[None])
+    return {
+        "giso": (
+            g_iso_instance(*iso_pair, group, 1.0, copies_k=2),
+            _joint_measure(*_g_iso_parts(*iso_pair, group, 1.0, 2)),
+            g_iso_accept_exact(*iso_pair, group, 1.0, copies_k=2),
+        ),
+        "uiso": (
+            unitary_s_iso_instance(s_set, v, v, 1.0, copies_k=2),
+            _joint_measure(*_u_iso_parts(s_set, v, v, 1.0, 2)),
+            unitary_s_iso_accept_exact(s_set, v, v, 1.0, copies_k=2),
+        ),
+        "genuine-ent": (
+            genuine_ent_instance(partly, 3, 0.5, copies_k=4),
+            _span_measure(partly, 3, 4),
+            genuine_ent_accept_exact(partly, 3, 4),
+        ),
+        "demerlinize": (
+            demerlinize_instance(gamma, psi, eta),
+            (evals[0], weights[0]),
+            demerlinize_accept_exact(gamma, psi, eta),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["giso", "uiso", "genuine-ent", "demerlinize"])
+def test_oracle_measures_give_the_law_and_the_oracle(name):
+    """Each oracle's measure gives a law whose halting entries total
+    mw_accept_from_spectrum on it, which is the oracle's acceptance."""
+    inst, (evals, weights), exact = _oracle_cases()[name]
+    law = mw_halting_law(evals, weights, inst.n_rounds)
+    accept = mw_accept_from_spectrum(evals, weights, inst.n_rounds)
+    assert abs(math.fsum(law[:-1]) - accept) <= 1e-15
+    assert abs(accept - exact) <= 1e-15
+
+
+def _assert_steps_follow(inst, law):
     """The core's halting-step counts over stream blocks, cell by cell within
-    4 sigma of the exact law."""
-    inst = _law_instances()[name]
-    law = mw_halting_law(*_spectral_measure(inst), inst.n_rounds)
+    4 sigma of the law."""
     trials = 20000
     steps = np.concatenate(list(sample_blocks(inst, trial_blocks(21, range(trials)))))
     counts = np.bincount(steps, minlength=law.size)
@@ -688,3 +767,19 @@ def test_halting_steps_follow_the_law(name):
     for obs, exp in cells:
         p = exp / trials
         assert abs(obs - exp) <= 4.0 * math.sqrt(trials * p * (1.0 - p)) + 1e-9, (obs, exp)
+
+
+@pytest.mark.parametrize("name", ["or-test", "membership", "random-d6"])
+def test_halting_steps_follow_the_law(name):
+    """The core's halting-step counts over stream blocks, cell by cell within
+    4 sigma of the exact law."""
+    inst = _law_instances()[name]
+    _assert_steps_follow(inst, mw_halting_law(*_spectral_measure(inst), inst.n_rounds))
+
+
+@pytest.mark.parametrize("name", ["giso", "uiso", "genuine-ent", "demerlinize"])
+def test_halting_steps_follow_the_oracle_law(name):
+    """The same, on the remaining sampled CLI checks, with the law from the
+    measure each exact oracle builds."""
+    inst, measure, _ = _oracle_cases()[name]
+    _assert_steps_follow(inst, mw_halting_law(*measure, inst.n_rounds))
