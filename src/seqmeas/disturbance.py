@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
-from .quantum_or import _check_eta, _draw_rows, _ensemble, _round_counts
+from .quantum_or import _check_copies, _check_eta, _draw_rows, _ensemble, _round_counts
 from .states import DensityOperator, PureState, RegisterShape, _trusted, plus_state
 
 MAX_ORACLE_DIM = 64
@@ -64,7 +64,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sequential_iteration_count(n: int, eta) -> int:
     """k = ceil(5n/eta + 5/eta^2) in exact rational arithmetic, for an
-    integer n >= 1."""
+    integer n >= 1 (within the int64 cap)."""
+    _check_copies(n, "family size", "member")
     _round_counts(n, 1)
     eta_f = _check_eta(eta)
     return math.ceil(Fraction(5 * n) / eta_f + Fraction(5) / eta_f**2)

@@ -10,6 +10,7 @@ Naimark form Delta Pi Delta = L (x) |0><0|^m on an ancilla-extended space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -320,7 +321,8 @@ def union_bound_bruteforce(
     t_steps = len(measurements)
     if t_steps > MAX_ENUMERATION_STEPS:
         raise ValueError(f"T = {t_steps} too large for exhaustive enumeration")
-    if epsilon is not None and not 0.0 <= epsilon <= 1.0:
+    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, (bool, np.bool_))
+    if epsilon is not None and not (real and 0.0 <= epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     rho_op = rho.density() if isinstance(rho, PureState) else rho
     if epsilon is None:

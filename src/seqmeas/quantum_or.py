@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -632,9 +633,24 @@ def _check_eta(eta) -> Fraction:
     return value
 
 
+def _check_copies(copies_k: int, name: str = "copy count k", unit: str = "copy") -> None:
+    """The copy-count check of every k-copy tester, and the family-size check
+    of every round or copy rule: an integer >= 1 (a bool or a float, even an
+    integral one, is refused)."""
+    if isinstance(copies_k, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {copies_k!r}")
+    try:
+        operator.index(copies_k)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {copies_k!r}") from None
+    if copies_k < 1:
+        raise ValueError(f"need at least one {unit}")
+
+
 def or_round_count(n: int, epsilon) -> int:
     """N = ceil(n / (1 - eps)), evaluated in exact rational arithmetic, for
-    an integer n >= 1 and a real eps in [0, 1/2]."""
+    an integer n >= 1 (within the int64 cap) and a real eps in [0, 1/2]."""
+    _check_copies(n, "family size", "member")
     _round_counts(n, 1)
     eps = _exact_fraction(epsilon)
     if eps is None or not 0 <= eps <= Fraction(1, 2):
@@ -734,7 +750,9 @@ def merlin_best_witness_accept(gamma: HermitianOperator, psi: PureState) -> floa
 
 
 def demerlinize_round_count(d: int, eta) -> int:
-    """N = ceil(d / eta) in exact rational arithmetic, for an integer d >= 1."""
+    """N = ceil(d / eta) in exact rational arithmetic, for an integer d >= 1
+    (within the int64 cap)."""
+    _check_copies(d, "witness dimension", "witness basis state")
     _round_counts(d, 1)
     return math.ceil(Fraction(d) / _check_eta(eta))
 

@@ -6,24 +6,21 @@ set, membership of a state in a finite candidate set, the analogous tests
 for unitaries through their channel states, and product/genuine-entanglement
 tests via subsystem swap tests.
 
-Three kinds of exact acceptance oracle back the sampled testers:
+Each exact oracle is one private function returning the spectral measure
+(eigenvalues, weights) of the tester's L seen from its input, fed to
+``quantum_or.mw_accept_from_spectrum``; the halting-law tests read the
+same function.  All three are exact at any copy count:
 
-* a Gram-matrix route for averaged rank-one projector families (state
-  membership), exact at any copy count;
-* a joint-eigenbasis route for commuting projector families applied per
-  tensor factor (interference measurements with commuting unitaries): one
-  ``eigh`` of sum_i 2^i P_i gives every joint eigenspace's bitmask and
-  certifies the family, and the averaged-operator spectrum reduces to a
-  distribution of bit-vector ANDs, likewise exact at any copy count;
-* a sign-pattern/span route for the genuine-entanglement test: the weights
-  of the joint eigenspaces of the per-register swaps come from subsystem
-  purities, and the averaged eigenvalue depends only on the dimension of
-  the span of the patterns drawn by the copy pairs, so neither swap
-  projectors nor the 2^cuts mask space are ever built.
+* ``_membership_measure``: the Gram matrix of the candidates' k-th powers;
+* ``_eigen_measure``: commuting interference measurements, whose joint
+  bitmasks one ``eigh`` of sum_i 2^i P_i gives and certifies, and whose
+  averaged spectrum is a distribution of bit-vector ANDs;
+* ``_genuine_measure``: the rank of the span of the per-register swap sign
+  patterns the copy pairs draw, weighted from subsystem purities.
 
-Interference measurements with non-commuting unitaries instead take the
-polynomial form 1 - ||(I - L)^N v||^2 (``quantum_or.mw_accept_polynomial``)
-on the sampler's own family applier, within the state-vector cap.
+The one exception is interference with non-commuting unitaries, which
+takes 1 - ||(I - L)^N v||^2 (``quantum_or.mw_accept_polynomial``) on the
+sampler's own family applier, within the state-vector cap.
 
 All routes are cross-validated against dense spectral references at small
 sizes in the test suite.
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
@@ -45,6 +41,7 @@ from .gates import PermutationAction, is_unitary, permutation_matrix
 from .measurement import _register_branch
 from .quantum_or import (
     AveragedInstance,
+    _check_copies,
     _run_once,
     mw_accept_from_spectrum,
     mw_accept_polynomial,
@@ -231,20 +228,6 @@ def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copie
     _check_epsilon(epsilon)
     _check_copies(k)
     return k
-
-
-def _check_copies(copies_k: int, name: str = "copy count k", unit: str = "copy") -> None:
-    """The copy-count check of every k-copy tester and copy rule's family
-    size: an integer >= 1 (a bool or a float, even an integral one, is
-    refused)."""
-    if isinstance(copies_k, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {copies_k!r}")
-    try:
-        operator.index(copies_k)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {copies_k!r}") from None
-    if copies_k < 1:
-        raise ValueError(f"need at least one {unit}")
 
 
 def eigen_tester_state(psi: PureState, copies_k: int) -> PureState:
@@ -458,10 +441,14 @@ def joint_projector_bits(
     Hermitian; a family that fails the certificate of :func:`_joint_bits`
     raises, naming a non-commuting pair if there is one.
     """
-    mats = hermitian_stack(projectors, "projector")
-    atoms = _joint_bits(mats, vector)
+    return _certified_bits(hermitian_stack(projectors, "projector"), vector)
+
+
+def _certified_bits(projectors: Sequence[np.ndarray], vector: np.ndarray) -> list[tuple[int, float]]:
+    """:func:`_joint_bits`, raising :func:`joint_projector_bits`'s errors where it returns None."""
+    atoms = _joint_bits(projectors, vector)
     if atoms is None:
-        pair = _noncommuting_pair(mats)
+        pair = _noncommuting_pair(projectors)
         if pair is None:
             raise ValueError("not a projector family")
         raise ValueError(f"projectors {pair[0]} and {pair[1]} do not commute")
@@ -565,7 +552,7 @@ def eigen_or_accept_exact(
     The averaged accept operator is block-diagonal in the flag qubit and the
     tester state lives in the flag-0 block, where measurement i acts as
     (x)_b R_i, the k-fold tensor power of its block reflection.  The
-    joint-eigenbasis route (:func:`_joint_bits`, 2^n <= MAX_VECTOR_DIM) is
+    joint-eigenbasis route (:func:`_eigen_measure`, 2^n <= MAX_VECTOR_DIM) is
     exact at any k when its certificate shows the R_i commute
     (``method="joint"`` requires that; ``"auto"`` takes it whenever it holds
     and the 2^n masks fit).  Otherwise the acceptance 1 - ||(I - L)^N v||^2,
@@ -577,17 +564,24 @@ def eigen_or_accept_exact(
         raise ValueError("method must be 'auto' or 'joint'")
     mats = _eigen_check(unitaries, psi.shape, copies_k)
     rounds = or_round_count(len(mats), 0)
+    measure = _eigen_measure(mats, psi, copies_k, method)
+    if measure is None:
+        return _eigen_accept_matvec(mats, psi, copies_k, rounds)
+    return mw_accept_from_spectrum(*measure, rounds)
+
+
+def _eigen_measure(mats: UnitarySet, psi: PureState, copies_k: int, method: str = "auto") -> tuple[list, list] | None:
+    """The joint route's measure of :func:`eigen_or_accept_exact`; under
+    ``"auto"`` None if the certificate fails or the 2^n masks do not fit."""
     reflections = [block_reflection(u) for u in mats]
     base = np.kron(plus_state().amplitudes, psi.amplitudes)
     if method == "joint":
-        atoms = joint_projector_bits(reflections, base)
+        atoms = _certified_bits(reflections, base)
     else:
-        masks_fit = len(mats) < MAX_VECTOR_DIM.bit_length()  # as _check_mask_space
-        atoms = _joint_bits(reflections, base) if masks_fit else None
+        atoms = _joint_bits(reflections, base) if len(mats) < MAX_VECTOR_DIM.bit_length() else None
         if atoms is None:
-            return _eigen_accept_matvec(mats, psi, copies_k, rounds)
-    evals, weights = averaged_and_measure(atoms, len(mats), copies_k)
-    return mw_accept_from_spectrum(evals, weights, rounds)
+            return None
+    return averaged_and_measure(atoms, len(mats), copies_k)
 
 
 def _eigen_accept_matvec(mats: UnitarySet, psi: PureState, copies_k: int, n_rounds: int) -> float:
@@ -740,6 +734,12 @@ def membership_accept_exact(
     space is ever built.
     """
     _membership_check(candidates, psi, copies_k)
+    return mw_accept_from_spectrum(*_membership_measure(candidates, psi, copies_k), or_round_count(len(candidates), 0))
+
+
+def _membership_measure(candidates: Sequence[PureState], psi: PureState, copies_k: int) -> tuple[list, list]:
+    """The Gram route's measure of :func:`membership_accept_exact` (an
+    eigenvalue rounded past 1 is clipped, as every reader of a measure does)."""
     n = len(candidates)
     amps = np.array([c.amplitudes for c in candidates])
     gram = _elementwise_power(amps.conj() @ amps.T, copies_k)
@@ -750,9 +750,9 @@ def membership_accept_exact(
         if mu <= GRAM_ATOL:
             continue
         amp = np.dot(coef.conj(), t) / math.sqrt(n * mu)
-        evals.append(float(mu))
+        evals.append(min(float(mu), 1.0))
         weights.append(float(abs(amp) ** 2))
-    return mw_accept_from_spectrum(evals, weights, or_round_count(n, 0))
+    return evals, weights
 
 
 def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) -> float:
@@ -1132,8 +1132,13 @@ def genuine_ent_accept_exact(psi: PureState, n_parts: int, copies_k: int) -> flo
         raise ValueError(f"{n_parts} parties exceed the exact oracle's cap of {MAX_GENUINE_PARTIES}")
     if copies_k // 2 > MAX_GENUINE_DRAWS:
         raise ValueError(f"{copies_k // 2} copy pairs exceed the draw cap MAX_GENUINE_DRAWS = {MAX_GENUINE_DRAWS}")
+    return mw_accept_from_spectrum(*_genuine_measure(psi, n_parts, copies_k), or_round_count(n_cuts, 0))
+
+
+def _genuine_measure(psi: PureState, n_parts: int, copies_k: int) -> tuple[list, list]:
+    """The span route's measure of :func:`genuine_ent_accept_exact` (after its caps)."""
     w = _sign_pattern_weights(psi)
     patterns = [s for s in range(w.size) if bin(s).count("1") % 2 == 0 and w[s] > PATTERN_ATOL]
     ranks = _span_rank_distribution(patterns, w[patterns].tolist(), copies_k // 2)
-    evals = [((1 << (n_parts - 1 - r)) - 1) / n_cuts for r in ranks]
-    return mw_accept_from_spectrum(evals, list(ranks.values()), or_round_count(n_cuts, 0))
+    n_cuts = (1 << (n_parts - 1)) - 1
+    return [((1 << (n_parts - 1 - r)) - 1) / n_cuts for r in ranks], list(ranks.values())

@@ -326,6 +326,12 @@ COUNT_RULES = {
     "demerlinize_round_count": lambda n: demerlinize_round_count(n, 0.5),
     "sequential_iteration_count": lambda n: sequential_iteration_count(n, 0.5),
 }
+# what each rule's errors call its n, and the unit of an empty count
+COUNT_NAMES = {
+    "or_round_count": ("family size", "member"),
+    "demerlinize_round_count": ("witness dimension", "witness basis state"),
+    "sequential_iteration_count": ("family size", "member"),
+}
 
 
 @pytest.mark.parametrize("n", [-2, -1, 0, 2.5, 2.0, True], ids=repr)
@@ -333,9 +339,16 @@ COUNT_RULES = {
 def test_count_rules_refuse_counts_that_are_not_integers_at_least_one(rule, n):
     """or_round_count(-1, 0) once returned -1, (0, 0) returned 0 and
     (2.5, 0) returned 3; demerlinize_round_count(0, 0.5) and
-    sequential_iteration_count(-2, 0.5) returned 0.  Each count goes through
-    the amplification round-count check."""
-    with pytest.raises(ValueError, match="round count"):
+    sequential_iteration_count(-2, 0.5) returned 0.  Each n goes through
+    the copy rules' family-size check, so the error names n, not a round
+    count (it once read "round count must be >= 1" for n = 0 and "round
+    counts must be an integer or a 1-d integer array" for n = 2.0)."""
+    name, unit = COUNT_NAMES[rule]
+    if isinstance(n, int) and not isinstance(n, bool):
+        message = f"need at least one {unit}"
+    else:
+        message = f"{name} must be an integer, got {n!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         COUNT_RULES[rule](n)
 
 

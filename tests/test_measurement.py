@@ -1,6 +1,7 @@
 """Collapse semantics, gentle measurement, union bound, Naimark forms, anti-Zeno."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,13 @@ class TestUnionBound:
         one = TwoOutcomeMeasurement.projector(proj(np.array([1.0, 0.0])))
         with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
             union_bound_bruteforce([one] * 3, plus_state(), epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [True, np.True_, "x"], ids=["bool", "numpy-bool", "string"])
+    def test_rejects_bool_and_non_real_epsilon(self, epsilon):
+        """epsilon=True once ran as epsilon = 1 (bound 12.0 at T = 3), and a
+        string raised a bare TypeError from the comparison."""
+        with pytest.raises(ValueError, match=re.escape(f"epsilon must lie in [0, 1], got {epsilon!r}")):
+            union_bound_bruteforce(anti_zeno_sequence(3), basis_state(QUBIT, (0,)), epsilon=epsilon)
 
 
 def _reference_union_bound(measurements, rho, epsilon=None) -> UnionBoundResult:

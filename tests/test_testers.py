@@ -70,10 +70,13 @@ from seqmeas.testers import (
     PATTERN_ATOL,
     _copy_reflection_applier,
     _eigen_accept_matvec,
+    _eigen_measure,
     _elementwise_power,
     _eigen_layout,
+    _genuine_measure,
     _joint_bits,
     _least_copies,
+    _membership_measure,
     _noncommuting_pair,
     _pair_swap_projectors,
     _sign_pattern_weights,
@@ -88,6 +91,7 @@ from seqmeas.testers import (
 )
 from seqmeas.gates import permutation_matrix
 from seqmeas.sampling import random_pure_state, random_unitary
+from seqmeas.states import _trusted
 from test_gates import dense_gate_reference
 
 QUBIT = RegisterShape((2,))
@@ -1183,6 +1187,115 @@ class TestJointBitCertificate:
         dist = and_power_distribution([(0, 0.25), (full, 0.75)], n_bits, 2)
         assert dist.keys() == {0, full}
         assert abs(dist[full] - 0.5625) <= 1e-12 and abs(dist[0] - 0.4375) <= 1e-12
+
+
+def joint_route_reference(unitaries, psi, copies_k):
+    """The joint route of ``eigen_or_accept_exact(..., method="joint")`` as it
+    ran before it skipped ``hermitian_stack``: the block reflections of the
+    checked family through :func:`joint_projector_bits`."""
+    mats = UnitarySet(tuple(unitaries))
+    base = np.kron(plus_state().amplitudes, psi.amplitudes)
+    atoms = joint_projector_bits([block_reflection(u) for u in mats], base)
+    measure = averaged_and_measure(atoms, len(mats), copies_k)
+    return mw_accept_from_spectrum(*measure, or_round_count(len(mats), 0))
+
+
+def commuting_tables():
+    """(family, input) for the commuting families of this file: the desk
+    swap group on the isomorphic and far pairs, {ZII, IZZ, ZZI} on a random
+    three-qubit state, and the conjugations of {I, X} on |V>|V>."""
+    rng = trial_rng(64, 0)
+    swaps = [pair_swap_unitary(s, 2) for s in DESK_GROUP]
+    v = random_unitary(rng, 2)
+    return {
+        "desk-iso": (swaps, pair_state(F_ISO, G_ISO)),
+        "desk-far": (swaps, pair_state(F_FAR, G_FAR)),
+        "z-strings": (
+            [z_string(b, 3) for b in (0b100, 0b011, 0b110)],
+            random_pure_state(rng, RegisterShape((2, 2, 2))),
+        ),
+        "conjugations": (
+            [conjugation_unitary(u) for u in (np.eye(2), PAULI_X)],
+            product_state([choi_state(v), choi_state(v)]),
+        ),
+    }
+
+
+class TestJointRoute:
+    """``method="joint"`` certifies the reflections it builds from a checked
+    family without passing them through ``hermitian_stack`` again."""
+
+    @pytest.mark.parametrize("copies_k", [1, 2, 3])
+    @pytest.mark.parametrize("table", sorted(commuting_tables()))
+    def test_matches_the_checked_route_bit_for_bit(self, table, copies_k, monkeypatch):
+        mats, psi = commuting_tables()[table]
+        expected = joint_route_reference(mats, psi, copies_k)
+        calls = []
+        real_stack = testers_module.hermitian_stack
+        monkeypatch.setattr(testers_module, "hermitian_stack", lambda *a: calls.append(a) or real_stack(*a))
+        assert eigen_or_accept_exact(mats, psi, copies_k, method="joint") == expected
+        assert calls == []
+
+    def test_keeps_both_errors(self):
+        with pytest.raises(ValueError, match="projectors 0 and 1 do not commute"):
+            eigen_or_accept_exact([PAULI_Z, PAULI_X], plus_state(), 2, method="joint")
+        # 2I passed as trusted: its reflection 1/2 [[I, 2I], [2I, I]] is no projector
+        not_unitary = _trusted(UnitarySet, (2.0 * np.eye(2),))
+        with pytest.raises(ValueError, match="not a projector family"):
+            eigen_or_accept_exact(not_unitary, plus_state(), 2, method="joint")
+
+
+def _commuting_unitaries(rng, dim, size):
+    """`size` unitaries V diag(+-1) V^dag sharing one random V: their block
+    reflections commute (U_i U_j^dag is Hermitian), and their +1
+    eigenspaces overlap at random."""
+    v = random_unitary(rng, dim)
+    return [(v * rng.choice([-1.0, 1.0], size=dim)) @ v.conj().T for _ in range(size)]
+
+
+def assert_measure(measure, accept, n_rounds):
+    evals, weights = (np.asarray(x) for x in measure)
+    assert evals.shape == weights.shape
+    assert np.all((evals >= 0.0) & (evals <= 1.0))
+    assert np.all(weights >= 0.0) and math.fsum(weights) <= 1.0 + 1e-12
+    assert accept == mw_accept_from_spectrum(*measure, n_rounds)
+
+
+class TestMeasureFunctions:
+    """Each structured oracle is its measure function fed to
+    ``mw_accept_from_spectrum``; the measures are sub-probability measures
+    on [0, 1]."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), dim=st.integers(2, 4), size=st.integers(1, 4), copies_k=st.integers(1, 3))
+    def test_eigen_measure(self, seed, dim, size, copies_k):
+        rng = trial_rng(seed, 0)
+        mats = UnitarySet(tuple(_commuting_unitaries(rng, dim, size)))
+        psi = random_pure_state(rng, RegisterShape((dim,)))
+        measure = _eigen_measure(mats, psi, copies_k)
+        assert measure is not None
+        assert_measure(measure, eigen_or_accept_exact(mats, psi, copies_k), or_round_count(size, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), dim=st.integers(2, 4), size=st.integers(1, 4), copies_k=st.integers(1, 4))
+    def test_membership_measure(self, seed, dim, size, copies_k):
+        rng = trial_rng(seed, 0)
+        shape = RegisterShape((dim,))
+        candidates = [random_pure_state(rng, shape) for _ in range(size)]
+        for psi in (random_pure_state(rng, shape), candidates[-1]):
+            measure = _membership_measure(candidates, psi, copies_k)
+            exact = membership_accept_exact(candidates, psi, copies_k)
+            assert_measure(measure, exact, or_round_count(size, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_parts=st.integers(2, 4), pairs=st.integers(1, 3))
+    def test_genuine_measure(self, seed, n_parts, pairs):
+        rng = trial_rng(seed, 0)
+        rest = random_pure_state(rng, RegisterShape((2,) * (n_parts - 1)))
+        for psi in (random_pure_state(rng, RegisterShape((2,) * n_parts)), product_state([plus_state(), rest])):
+            measure = _genuine_measure(psi, n_parts, 2 * pairs)
+            exact = genuine_ent_accept_exact(psi, n_parts, 2 * pairs)
+            assert_measure(measure, exact, or_round_count((1 << (n_parts - 1)) - 1, 0))
 
 
 class TestGIso:

@@ -55,6 +55,7 @@ from seqmeas import (
     genuine_ent_instance,
     genuine_ent_test,
     measure_collapse,
+    membership_accept_exact,
     membership_instance,
     merlin_slice_operators,
     mw_accept_from_spectrum,
@@ -62,6 +63,7 @@ from seqmeas import (
     one_ancilla_dilation,
     or_round_count,
     or_test,
+    or_test_accept_exact,
     or_test_instance,
     plus_state,
     product_state,
@@ -83,19 +85,10 @@ from seqmeas.experiments import _accept_ever_count, _demerlinize_case1, _desk_gi
 from seqmeas.gates import PAULI_X
 from seqmeas.measurement import is_idempotent
 from seqmeas.disturbance import _row_dot
-from seqmeas.quantum_or import _averaged_operator, _draw_rows, _ensemble, _mean_applier, _survivors
+from seqmeas.quantum_or import _averaged_operator, _draw_rows, _ensemble, _mean_applier, _single_measure, _survivors
 from seqmeas.rng import _CHUNK
 from seqmeas.states import DensityOperator, eigendecompose
-from seqmeas.testers import (
-    PATTERN_ATOL,
-    _g_iso_parts,
-    _joint_bits,
-    _sign_pattern_weights,
-    _span_rank_distribution,
-    _u_iso_parts,
-    averaged_and_measure,
-    block_reflection,
-)
+from seqmeas.testers import _eigen_measure, _g_iso_parts, _genuine_measure, _membership_measure, _u_iso_parts
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -688,71 +681,70 @@ def _merged_cells(observed, expected, least=5.0):
     return cells
 
 
-def _joint_measure(mats, psi, copies_k):
-    """The eigen oracle's joint route: _joint_bits on the block reflections,
-    then the AND-power measure of the averaged family."""
-    atoms = _joint_bits([block_reflection(u) for u in mats], np.kron(plus_state().amplitudes, psi.amplitudes))
-    assert atoms is not None  # the family passes the joint certificate
-    return averaged_and_measure(atoms, len(mats), copies_k)
-
-
-def _span_measure(psi, n_parts, copies_k):
-    """The genuine oracle's route: the span-rank distribution of the
-    sign patterns drawn by the k/2 copy pairs."""
-    w = _sign_pattern_weights(psi)
-    patterns = [s for s in range(w.size) if bin(s).count("1") % 2 == 0 and w[s] > PATTERN_ATOL]
-    ranks = _span_rank_distribution(patterns, w[patterns].tolist(), copies_k // 2)
-    n_cuts = (1 << (n_parts - 1)) - 1
-    return [((1 << (n_parts - 1 - r)) - 1) / n_cuts for r in ranks], list(ranks.values())
-
-
 def _oracle_cases():
     """(instance, spectral measure of its L from its exact oracle's own
-    route, that oracle's acceptance) for the remaining sampled CLI checks,
-    each at the CLI's small k: the desk isomorphic giso pair and the uiso
-    conjugate pair at k = 2 (joint route), the partly-product state at
-    k = 4 (span ranks) and de-Merlinization case 1 at eta = 2/3 (the
-    averaged slice operator's spectral measure)."""
+    measure function, that oracle's acceptance) for every amplification
+    check of the CLI, at its small k: the OR test and de-Merlinization case 1 at
+    eta = 2/3 (the averaged operator's measure), membership at k = 3 (Gram
+    route), the desk isomorphic giso pair and the uiso conjugate pair at
+    k = 2 (joint route) and the partly-product state at k = 4 (span ranks)."""
+    seq, zero = anti_zeno_sequence(8), basis_state(QUBIT, (0,))
+    candidates = [zero, basis_state(QUBIT, (1,))]
     group, iso_pair, _ = _desk_giso_instance()
     s_set = UnitarySet((np.eye(2), PAULI_X))
     v = random_unitary(trial_rng(0, 5000), 2)
     partly = product_state([basis_state(QUBIT, (0,)), bell_pair()])
     gamma, psi, eta = _demerlinize_case1(2.0 / 3.0)
-    lam = _averaged_operator(merlin_slice_operators(gamma)).matrix
-    evals, weights = spectral_measures(lam[None], psi.amplitudes[None])
     return {
+        "or-test": (
+            or_test_instance(seq, zero, 0),
+            _single_row(_averaged_operator(seq), zero),
+            or_test_accept_exact(seq, zero, 0),
+        ),
+        "membership": (
+            membership_instance(candidates, zero, 0.5, copies_k=3),
+            _membership_measure(candidates, zero, 3),
+            membership_accept_exact(candidates, zero, 3),
+        ),
         "giso": (
             g_iso_instance(*iso_pair, group, 1.0, copies_k=2),
-            _joint_measure(*_g_iso_parts(*iso_pair, group, 1.0, 2)),
+            _eigen_measure(*_g_iso_parts(*iso_pair, group, 1.0, 2)),
             g_iso_accept_exact(*iso_pair, group, 1.0, copies_k=2),
         ),
         "uiso": (
             unitary_s_iso_instance(s_set, v, v, 1.0, copies_k=2),
-            _joint_measure(*_u_iso_parts(s_set, v, v, 1.0, 2)),
+            _eigen_measure(*_u_iso_parts(s_set, v, v, 1.0, 2)),
             unitary_s_iso_accept_exact(s_set, v, v, 1.0, copies_k=2),
         ),
         "genuine-ent": (
             genuine_ent_instance(partly, 3, 0.5, copies_k=4),
-            _span_measure(partly, 3, 4),
+            _genuine_measure(partly, 3, 4),
             genuine_ent_accept_exact(partly, 3, 4),
         ),
         "demerlinize": (
             demerlinize_instance(gamma, psi, eta),
-            (evals[0], weights[0]),
+            _single_row(_averaged_operator(merlin_slice_operators(gamma)), psi),
             demerlinize_accept_exact(gamma, psi, eta),
         ),
     }
 
 
-@pytest.mark.parametrize("name", ["giso", "uiso", "genuine-ent", "demerlinize"])
+def _single_row(accept_op, rho):
+    """The measure ``_single_measure`` gives the quantum_or oracles, unstacked."""
+    evals, weights = _single_measure(accept_op, rho)
+    return evals[0], weights[0]
+
+
+@pytest.mark.parametrize("name", ["or-test", "membership", "giso", "uiso", "genuine-ent", "demerlinize"])
 def test_oracle_measures_give_the_law_and_the_oracle(name):
     """Each oracle's measure gives a law whose halting entries total
-    mw_accept_from_spectrum on it, which is the oracle's acceptance."""
+    mw_accept_from_spectrum on it, which is the oracle's acceptance bit for
+    bit (the oracle reads the same measure)."""
     inst, (evals, weights), exact = _oracle_cases()[name]
     law = mw_halting_law(evals, weights, inst.n_rounds)
     accept = mw_accept_from_spectrum(evals, weights, inst.n_rounds)
     assert abs(math.fsum(law[:-1]) - accept) <= 1e-15
-    assert abs(accept - exact) <= 1e-15
+    assert accept == exact
 
 
 def _assert_steps_follow(inst, law):
@@ -777,9 +769,9 @@ def test_halting_steps_follow_the_law(name):
     _assert_steps_follow(inst, mw_halting_law(*_spectral_measure(inst), inst.n_rounds))
 
 
-@pytest.mark.parametrize("name", ["giso", "uiso", "genuine-ent", "demerlinize"])
+@pytest.mark.parametrize("name", ["or-test", "membership", "giso", "uiso", "genuine-ent", "demerlinize"])
 def test_halting_steps_follow_the_oracle_law(name):
-    """The same, on the remaining sampled CLI checks, with the law from the
-    measure each exact oracle builds."""
+    """The same, on every amplification check of the CLI, with the law from
+    the measure each exact oracle reads."""
     inst, measure, _ = _oracle_cases()[name]
     _assert_steps_follow(inst, mw_halting_law(*measure, inst.n_rounds))
