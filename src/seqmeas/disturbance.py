@@ -12,32 +12,35 @@ certainty (H maps |+> back to |0>), so the check only ever accepts once the
 measurements have actually disturbed the joint state; that disturbance is
 exactly the signal the procedure feeds on.
 
-Both samplers wrap one core, ``_sequential_runs``, which runs independent
-trials side by side; a single run is a batch of one.  Draw order: a mixed
-input's eigen-ensemble index for every trial from one array of uniforms by
-``quantum_or._draw_rows`` (what ``rng.choice`` draws; a pure input draws
-none); then per iteration, for every live trial, a branch uniform, a
-measurement index and an outcome uniform, each drawn as one array in that
-order (the check branch leaves its index unused).
+Every sampler is one halting core, ``_sequential_runs``, fed by uniforms,
+as the OR's samplers are.  Draw order: a mixed input's eigen-ensemble index
+for every trial by ``quantum_or._draw_rows`` (what ``rng.choice`` draws; a
+pure input draws none); then per iteration, for every live trial, a branch,
+a member and an outcome uniform, each drawn as one array in that order (the
+check branch leaves its member unused).  A single run and the trials of
+:func:`run_sequential_sampled_batch` share one generator;
+:func:`sample_blocks` gives trial t its own stream-block row, so each of
+its outcomes equals a single run on that trial's stream.
 
 Each iteration is one step over all live trials.  Every row gets the
 probability of the branch it drew -- the check's outcome-1 mass
 ||(top - bottom)/sqrt(2)||^2 or the hit mass ||L_j bottom||^2 of its member
 -- and accepts when its outcome uniform falls below it.  The rows that
 neither ran the check nor accepted keep their residual, renormalised, and
-the live trials shrink to them; the loop over members only fills each
-row's L_j bottom.  Sampler and oracle read the L_j from the instance's
-``accept_ops`` stack.
+the live trials shrink to them.
 
 The exact oracle propagates the unnormalised not-yet-halted density operator
-tau on control (x) system through the k iterations.  The measurement branch
-is one Kraus channel on all of tau, tau <- (1 - q)/n sum_j K_j tau K_j with
-K_j = I (+) (I - L_j) (the identity on the control-0 block, the miss
-operator on the control-1 block), applied as one stacked ``K @ tau @ K``.
-What halts in an iteration is read off tau by three linear functionals --
-its trace, the check's outcome-1 mass and the measurement hit mass -- so the
-accept mass splits into its check-driven and measurement-driven parts and
-the soundness bound 2*k*zeta can be checked against either.
+tau on control (x) system through the k iterations, in ``_sequential_law``,
+the recursion that also gives the law of the sampler's halting cell.  The
+measurement branch is one Kraus channel on all of tau,
+tau <- (1 - q)/n sum_j K_j tau K_j with K_j = I (+) (I - L_j) (the identity
+on the control-0 block, the miss operator on the control-1 block), applied
+as one stacked ``K @ tau @ K``.  What halts in an iteration is read off tau
+by three linear functionals -- its trace, the check's outcome-1 mass and the
+measurement hit mass -- so the accept mass splits into its check-driven and
+measurement-driven parts and the soundness bound 2*k*zeta can be checked
+against either.  Sampler and oracle read the L_j from the instance's
+``accept_ops`` stack.
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
-from .quantum_or import _check_copies, _check_eta, _draw_rows, _ensemble, _round_counts
+from .quantum_or import _check_copies, _check_eta, _check_trials, _draw_rows, _ensemble, _round_counts
+from .rng import StreamBlock
 from .states import DensityOperator, PureState, RegisterShape, _trusted, plus_state
 
 MAX_ORACLE_DIM = 64
@@ -64,11 +68,13 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sequential_iteration_count(n: int, eta) -> int:
     """k = ceil(5n/eta + 5/eta^2) in exact rational arithmetic, for an
-    integer n >= 1 (within the int64 cap)."""
+    integer n >= 1; n and k must lie within the int64 cap."""
     _check_copies(n, "family size", "member")
     _round_counts(n, 1)
     eta_f = _check_eta(eta)
-    return math.ceil(Fraction(5 * n) / eta_f + Fraction(5) / eta_f**2)
+    k = math.ceil(Fraction(5 * n) / eta_f + Fraction(5) / eta_f**2)
+    _round_counts(k, 1)
+    return k
 
 
 @dataclass(frozen=True)
@@ -106,49 +112,66 @@ class SequentialInstance:
         return max(accept_probability(m, self.initial) for m in self.measurements)
 
 
-def _sequential_runs(inst: SequentialInstance, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Per-trial accept flags of independent runs, one step per iteration
-    over every live trial."""
-    d = inst.initial.shape.total_dim
+def _sequential_runs(inst: SequentialInstance, draw: Callable[[np.ndarray], np.ndarray], trials: int) -> np.ndarray:
+    """The halting core: each of `trials` independent runs' halting cell.
+
+    ``draw(live)`` returns one uniform for each trial in the index array
+    `live`, in that order; the member uniform u gives j = min(floor(u n),
+    n - 1).  Cell 3i is a check reject at iteration i, 3i + 1 a check
+    accept, 3i + 2 a measurement accept and 3k the rejection after all k
+    iterations, so a run accepts exactly when its cell is not a multiple
+    of 3.
+    """
+    d, n = inst.initial.shape.total_dim, inst.n
     q = inst.check_probability
     live = np.arange(trials)  # the trial of each row of `states`
     vectors, cdf = _ensemble(inst.initial)
-    states = np.kron(plus_state().amplitudes, vectors[_draw_rows(cdf, lambda rows: rng.random(rows.size), live)])
-    accepted = np.zeros(trials, dtype=bool)
-    for _ in range(inst.k):
+    states = np.kron(plus_state().amplitudes, vectors[_draw_rows(cdf, draw, live)])
+    cells = np.full(trials, 3 * inst.k, dtype=np.intp)
+    for i in range(inst.k):
         if live.size == 0:
             break
-        u_branch = rng.random(live.size)
-        js = rng.integers(inst.n, size=live.size)
-        u_out = rng.random(live.size)
-        check = u_branch < q
+        check = draw(live) < q
+        js = np.minimum((draw(live) * n).astype(np.intp), n - 1)
+        u_out = draw(live)
         top, bottom = states[:, :d], states[:, d:]
-        hit = np.zeros_like(bottom)
-        for j in range(inst.n):
-            rows = (js == j) & ~check
-            hit[rows] = bottom[rows] @ inst.accept_ops[j].T
+        hit = (inst.accept_ops[js] @ bottom[..., None])[..., 0]
         # check branch: p(outcome 1) = ||(top - bottom)/sqrt(2)||^2; measurement: ||L_j bottom||^2
         diff = (top - bottom) / math.sqrt(2)
-        p_accept = np.clip(np.where(check, _row_dot(diff, diff), _row_dot(hit, hit)), 0.0, 1.0)
-        acc = u_out < p_accept
-        accepted[live[acc]] = True
-        keep = ~(check | acc)
+        acc = u_out < np.clip(np.where(check, _row_dot(diff, diff), _row_dot(hit, hit)), 0.0, 1.0)
+        halt = check | acc
+        cells[live[halt]] = 3 * i + np.where(check, acc, 2)[halt]
+        keep = ~halt
         live, states = live[keep], states[keep]
         states[:, d:] -= hit[keep]
         states /= np.linalg.norm(states, axis=1)[:, None]
-    return accepted
+    return cells
 
 
 def run_sequential_sampled(inst: SequentialInstance, rng: np.random.Generator) -> bool:
     """One sampled run: a batch of one."""
-    return bool(_sequential_runs(inst, rng, 1)[0])
+    return bool(_sequential_runs(inst, lambda live: rng.random(live.size), 1)[0] % 3)
 
 
 def run_sequential_sampled_batch(
     inst: SequentialInstance, rng: np.random.Generator, trials: int
 ) -> int:
-    """Accept count over independent trials of :func:`run_sequential_sampled`."""
-    return int(np.count_nonzero(_sequential_runs(inst, rng, trials)))
+    """Accept count over independent trials of :func:`run_sequential_sampled`
+    that share one generator."""
+    _check_trials(trials)
+    return int(np.count_nonzero(_sequential_runs(inst, lambda live: rng.random(live.size), trials) % 3))
+
+
+def sample_blocks(inst: SequentialInstance, blocks: Iterable[StreamBlock]) -> Iterator[np.ndarray]:
+    """Independent runs of one instance, one per row of each stream block
+    (:func:`rng.trial_blocks`): per block, each row's halting cell (see
+    ``_sequential_runs``; a run accepts when its cell is not a multiple of 3).
+
+    Row t draws only from its own stream, in a single run's order, so its
+    outcome equals :func:`run_sequential_sampled` on that stream's generator.
+    """
+    for block in blocks:
+        yield _sequential_runs(inst, block.random, block.size)
 
 
 @dataclass(frozen=True)
@@ -162,19 +185,23 @@ class SequentialExactResult:
     max_conservation_error: float
 
 
-def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
-    """Propagate the unnormalised not-yet-halted operator through all k iterations.
+def _sequential_law(inst: SequentialInstance) -> tuple[np.ndarray, float, np.ndarray]:
+    """The recursion behind the exact oracle and the halting-cell law.
 
-    With tau's control blocks A, B, B^dagger, D, iteration i halts the check
-    branch's share q tr tau, of which 1/2 tr(A - B - B^dagger + D) accepts,
-    and the measurement branch's hit mass (1 - q) tr(Mbar D), Mbar the mean
-    of the L_j; the rest goes on as tau <- (1 - q)/n sum_j K_j tau K_j,
-    K_j = I (+) (I - L_j), one stacked Kraus step of (2d)^3 products per
-    distinct member, summed over all n members in their order.  One
-    (3, 4d^2) matvec reads the three masses off each iterate; they are
-    summed once after the loop.  Probability is conserved exactly; the worst
-    drift between tr tau before and after an iteration and the mass that
-    halted in it is reported.
+    With tau's control blocks A, B, B^dagger, D, iteration i runs the check
+    with probability q, whose outcome 1 has mass m_i = 1/2 tr(A - B -
+    B^dagger + D), and the measurement branch, whose hit mass is
+    h_i = tr(Mbar D), Mbar the mean of the L_j; the rest goes on as
+    tau <- (1 - q)/n sum_j K_j tau K_j, K_j = I (+) (I - L_j), one stacked
+    Kraus step of (2d)^3 products per distinct member, summed over all n
+    members in their order.  One (3, 4d^2) matvec reads tr tau_i, m_i and
+    h_i off each iterate.
+
+    Returns the (k, 3) array with rows (tr tau_i - m_i, m_i, h_i): cell
+    3i + c of ``_sequential_runs`` has mass (q, q, 1 - q)[c] times entry
+    (i, c), and cell 3k mass tr tau_k, also returned; then each iteration's
+    drift |tr tau_i - q tr tau_i - (1 - q) h_i - tr tau_{i+1}|, zero in
+    exact arithmetic.
     """
     d = inst.initial.shape.total_dim
     if d > MAX_ORACLE_DIM:
@@ -200,12 +227,19 @@ def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
         tau = (1.0 - q) / inst.n * (distinct @ tau @ distinct)[member].sum(axis=0)
     masses[inst.k] = (functionals @ tau.reshape(-1)).real
     before, check_one, hit_mass = masses[:-1].T
-    after = masses[1:, 0]
-    # conservation: before = halted check mass + measurement accepts + surviving trace
-    drift = np.abs(before - q * before - (1.0 - q) * hit_mass - after)
-    check_acc = q * check_one.sum()
-    meas_acc = (1.0 - q) * hit_mass.sum()
-    reject = q * (before - check_one).sum() + masses[inst.k, 0]
+    drift = np.abs(before - q * before - (1.0 - q) * hit_mass - masses[1:, 0])
+    return np.column_stack([before - check_one, check_one, hit_mass]), float(masses[inst.k, 0]), drift
+
+
+def exact_sequential_accept(inst: SequentialInstance) -> SequentialExactResult:
+    """The exact acceptance decomposition, from :func:`_sequential_law`: each
+    branch's masses summed over the k iterations, then scaled by the
+    branch probability once; the worst drift is reported."""
+    masses, survived, drift = _sequential_law(inst)
+    q = inst.check_probability
+    check_acc = q * masses[:, 1].sum()
+    meas_acc = (1.0 - q) * masses[:, 2].sum()
+    reject = q * masses[:, 0].sum() + survived
     total = check_acc + meas_acc
     return SequentialExactResult(
         total_accept=float(min(1.0, total)),

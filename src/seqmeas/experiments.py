@@ -190,12 +190,17 @@ def _trial_blocks(config: ExperimentConfig, trials: int):
     return trial_blocks(config.seed, range(_FIRST_TRIAL_INDEX, _FIRST_TRIAL_INDEX + trials))
 
 
+def _count_accepts(accepted) -> int:
+    """The accept count of a sampled check, from its accept flags, one array
+    per stream block."""
+    return sum(int(np.count_nonzero(flags)) for flags in accepted)
+
+
 def _sampled_accepts(inst, config: ExperimentConfig, trials: int) -> int:
     """Accepts among `trials` runs of one amplification instance, trial t
     drawing from its own stream, decided a block of trials at a time."""
     n_steps = 2 * inst.n_rounds
-    blocks = qor.sample_blocks(inst, _trial_blocks(config, trials))
-    return sum(int(np.count_nonzero(steps < n_steps)) for steps in blocks)
+    return _count_accepts(steps < n_steps for steps in qor.sample_blocks(inst, _trial_blocks(config, trials)))
 
 
 def _accept_ever_count(accept_probs: np.ndarray, blocks) -> int:
@@ -208,13 +213,14 @@ def _accept_ever_count(accept_probs: np.ndarray, blocks) -> int:
     draws them; a row that has accepted keeps drawing, but its later
     uniforms cannot change the count.
     """
-    count = 0
-    for block in blocks:
+
+    def ever_below(block) -> np.ndarray:
         accepted = np.zeros(block.size, dtype=bool)
         for p in accept_probs:
             accepted |= block.random() < p
-        count += int(np.count_nonzero(accepted))
-    return count
+        return accepted
+
+    return _count_accepts(map(ever_below, blocks))
 
 
 # -- individual experiments -------------------------------------------------------
@@ -369,7 +375,7 @@ def _exp_disturbance(config: ExperimentConfig, rec: _Recorder, trials: int):
 
     inst = dist.certain_member_instance(4, eta=1.0)
     exact = dist.exact_sequential_accept(inst).total_accept
-    count = dist.run_sequential_sampled_batch(inst, trial_rng(config.seed, 999), trials)
+    count = _count_accepts(cells % 3 != 0 for cells in dist.sample_blocks(inst, _trial_blocks(config, trials)))
     rec.value("sampled_instance_exact", exact)
     rec.check_sampled("sampled_vs_exact", count, trials, exact)
 

@@ -38,10 +38,9 @@ Draw order.  Every sampler is one halting core
 (``_Survivors.halting_steps``) fed by one of three draw sources.  A single
 run (:func:`run_mw_sampled`, or :func:`run_averaged_or_sampled` on the
 instance's fields) draws a mixed input's ensemble index from one uniform
-by ``_draw_rows``, the rule the sequential test (``disturbance``) reads
-too: ``Generator.choice``'s, on its cdf (a pure input is one row and draws
-no index); then one uniform per step taken: the Pi measurement, then
-Delta, round after round.  :func:`sample_blocks` gives
+by ``_draw_rows``: ``Generator.choice``'s rule on its cdf (a pure input is
+one row and draws no index); then one uniform per step taken: the Pi
+measurement, then Delta, round after round.  :func:`sample_blocks` gives
 trial t its own row of a stream block (:func:`rng.trial_blocks`) and draws
 from it in exactly that order, with no ``Generator`` per trial, so each of
 its outcomes equals a single run on that trial's stream, however many
@@ -313,6 +312,7 @@ def run_mw_sampled(inst: AveragedInstance, rng: np.random.Generator) -> MWResult
 def run_mw_sampled_batch(inst: AveragedInstance, rng: np.random.Generator, trials: int) -> int:
     """Accept count over independent trials of :func:`run_mw_sampled` that
     share one generator."""
+    _check_trials(trials)
     return int(np.count_nonzero(_survivors(inst).shared_steps(rng, trials) < 2 * inst.n_rounds))
 
 
@@ -633,29 +633,45 @@ def _check_eta(eta) -> Fraction:
     return value
 
 
+def _check_integer(value, name: str) -> None:
+    """An integer (``operator.index``); a bool or a float, even an integral
+    one, is refused."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_copies(copies_k: int, name: str = "copy count k", unit: str = "copy") -> None:
     """The copy-count check of every k-copy tester, and the family-size check
-    of every round or copy rule: an integer >= 1 (a bool or a float, even an
-    integral one, is refused)."""
-    if isinstance(copies_k, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {copies_k!r}")
-    try:
-        operator.index(copies_k)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {copies_k!r}") from None
+    of every round or copy rule: an integer >= 1."""
+    _check_integer(copies_k, name)
     if copies_k < 1:
         raise ValueError(f"need at least one {unit}")
 
 
+def _check_trials(trials: int) -> None:
+    """The trial-count check of the shared-generator batch samplers: an
+    integer >= 0 (no trials accept 0 times)."""
+    _check_integer(trials, "trials")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+
+
 def or_round_count(n: int, epsilon) -> int:
     """N = ceil(n / (1 - eps)), evaluated in exact rational arithmetic, for
-    an integer n >= 1 (within the int64 cap) and a real eps in [0, 1/2]."""
+    an integer n >= 1 and a real eps in [0, 1/2]; n and N must lie within
+    the int64 cap."""
     _check_copies(n, "family size", "member")
     _round_counts(n, 1)
     eps = _exact_fraction(epsilon)
     if eps is None or not 0 <= eps <= Fraction(1, 2):
         raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon!r}")
-    return math.ceil(Fraction(n) / (1 - eps))
+    n_rounds = math.ceil(Fraction(n) / (1 - eps))
+    _round_counts(n_rounds, 1)
+    return n_rounds
 
 
 def _averaged_operator(family) -> HermitianOperator:
@@ -750,11 +766,13 @@ def merlin_best_witness_accept(gamma: HermitianOperator, psi: PureState) -> floa
 
 
 def demerlinize_round_count(d: int, eta) -> int:
-    """N = ceil(d / eta) in exact rational arithmetic, for an integer d >= 1
-    (within the int64 cap)."""
+    """N = ceil(d / eta) in exact rational arithmetic, for an integer d >= 1;
+    d and N must lie within the int64 cap."""
     _check_copies(d, "witness dimension", "witness basis state")
     _round_counts(d, 1)
-    return math.ceil(Fraction(d) / _check_eta(eta))
+    n_rounds = math.ceil(Fraction(d) / _check_eta(eta))
+    _round_counts(n_rounds, 1)
+    return n_rounds
 
 
 def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> AveragedInstance:

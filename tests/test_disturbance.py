@@ -8,6 +8,9 @@ member; the oracle, which multiplies each distinct member once, is held to
 it bit for bit.
 ``_reference_sequential_runs`` is the sampler loop that split the live trials
 by member; the one-step sampler is held to it flag for flag and draw for draw.
+Each row of ``sample_blocks`` is held to a single run on its own stream, and
+the halting cells the core draws to the law of the oracle's recursion,
+``_sequential_law``.
 """
 
 import math
@@ -30,17 +33,21 @@ from seqmeas import (
     run_sequential_sampled_batch,
     sequential_iteration_count,
     completeness_bound_sweep,
+    trial_blocks,
     trial_rng,
 )
 from seqmeas.disturbance import (
     SequentialExactResult,
+    _sequential_law,
     _sequential_runs,
     anti_zeno_sequential_instance,
     certain_member_instance,
+    sample_blocks,
 )
 from seqmeas.gates import HADAMARD
+from seqmeas.rng import _CHUNK
 from seqmeas.sampling import random_density_operator, random_projector, random_pure_state, random_unitary
-from test_trial_batches import _choice_rows
+from test_trial_batches import _choice_rows, _merged_cells
 
 QUBIT = RegisterShape((2,))
 RESULT_FIELDS = ("total_accept", "check_accept", "measurement_accept", "reject")
@@ -292,7 +299,8 @@ def test_distinct_members_bit_identical_to_per_member_step(case):
 def _reference_sequential_runs(inst, rng, trials):
     """The per-member sampler loop, frozen: the check rows are scored
     together, the measurement rows member by member, and the survivors
-    written back through hand-kept index lists."""
+    written back through hand-kept index lists.  The member of a row is
+    min(floor(u n), n - 1) of its member uniform u."""
     def row_dot(a, b):
         return np.einsum("ij,ij->i", a.real, b.real) + np.einsum("ij,ij->i", a.imag, b.imag)
 
@@ -308,7 +316,7 @@ def _reference_sequential_runs(inst, rng, trials):
         if idx_alive.size == 0:
             break
         u_branch = rng.random(idx_alive.size)
-        js = rng.integers(inst.n, size=idx_alive.size)
+        js = np.minimum(np.floor(rng.random(idx_alive.size) * inst.n).astype(int), inst.n - 1)
         u_out = rng.random(idx_alive.size)
         live = states[idx_alive]
         check_mask = u_branch < q
@@ -385,8 +393,8 @@ def _sampler_case(name):
 
 def _assert_sampler_matches_reference(inst, seed, trials):
     rng, ref_rng = trial_rng(seed, trials), trial_rng(seed, trials)
-    flags = _sequential_runs(inst, rng, trials)
-    assert np.array_equal(flags, _reference_sequential_runs(inst, ref_rng, trials))
+    cells = _sequential_runs(inst, lambda live: rng.random(live.size), trials)
+    assert np.array_equal(cells % 3 != 0, _reference_sequential_runs(inst, ref_rng, trials))
     assert rng.random() == ref_rng.random()
 
 
@@ -404,6 +412,114 @@ class TestSamplerAgainstMemberLoop:
     @pytest.mark.parametrize("name", SAMPLER_CASES)
     def test_cases(self, name, trials):
         _assert_sampler_matches_reference(_sampler_case(name), 24, trials)
+
+
+def _block_cells(inst, seed, indices):
+    """Trial t's halting cell on row t of the stream blocks of `indices`."""
+    return np.concatenate(list(sample_blocks(inst, trial_blocks(seed, indices))))
+
+
+def _commuting_table():
+    """Three projectors diagonal in one random basis of C^4, each onto a
+    random nonempty proper subset of it, and a random mixed input."""
+    rng = trial_rng(26, 0)
+    shape = RegisterShape((4,))
+    basis = random_unitary(rng, 4)
+    ms = []
+    for _ in range(3):
+        bits = np.zeros(4)
+        bits[rng.permutation(4)[: int(rng.integers(1, 4))]] = 1.0
+        proj = HermitianOperator(shape, basis @ np.diag(bits) @ basis.conj().T)
+        ms.append(TwoOutcomeMeasurement(proj, is_projector=True))
+    return SequentialInstance(tuple(ms), random_density_operator(rng, shape), eta=0.5)
+
+
+STREAM_CASES = {
+    "cli-certain-member": lambda: certain_member_instance(4, eta=1.0),
+    "anti-zeno-4": lambda: anti_zeno_sequential_instance(4),
+    "random-table-d3": lambda: _random_instance(trial_rng(25, 0), RegisterShape((3,)), 3),
+    "pure-state": lambda: _sampler_case("pure-state"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_stream_block_rows_match_single_runs(case):
+    """Row t of ``sample_blocks`` is a single run on the t-th stream: the
+    same halting cell as the core on that stream's generator, and the same
+    verdict as ``run_sequential_sampled``.  The indices start at 1000, as
+    the CLI's do."""
+    inst = STREAM_CASES[case]()
+    indices = range(1000, 1300)
+    cells = _block_cells(inst, 7, indices)
+    single = [
+        _sequential_runs(inst, lambda live, rng=trial_rng(7, i): rng.random(live.size), 1)[0] for i in indices
+    ]
+    assert cells.tolist() == single
+    assert (cells % 3 != 0).tolist() == [run_sequential_sampled(inst, trial_rng(7, i)) for i in indices]
+
+
+def test_stream_blocks_across_chunk_boundaries():
+    """Past one chunk of ``trial_blocks``, every row still equals the core on
+    its own stream."""
+    inst = anti_zeno_sequential_instance(4)
+    indices = range(500, 500 + 2 * _CHUNK + 7)
+    single = [_sequential_runs(inst, lambda live, rng=trial_rng(8, i): rng.random(live.size), 1)[0] for i in indices]
+    assert _block_cells(inst, 8, indices).tolist() == single
+
+
+def _halting_law(inst):
+    """The law of the halting cell from the oracle's recursion: cell 3i + c
+    has mass (q, q, 1 - q)[c] times column c of row i, and cell 3k the mass
+    that survives all k iterations."""
+    masses, survived, _ = _sequential_law(inst)
+    q = inst.check_probability
+    return np.append((masses * [q, q, 1.0 - q]).reshape(-1), survived)
+
+
+LAW_CASES = {
+    "cli-certain-member": lambda: certain_member_instance(4, eta=1.0),
+    "anti-zeno-4": lambda: anti_zeno_sequential_instance(4),
+    "commuting-table": _commuting_table,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_halting_cells_follow_the_law(case):
+    """The core's halting-cell counts over stream blocks, merged cell by
+    cell, within 4 sigma of the law of ``_sequential_law``."""
+    inst = LAW_CASES[case]()
+    law = _halting_law(inst)
+    trials = 20000
+    counts = np.bincount(_block_cells(inst, 21, range(trials)), minlength=law.size)
+    assert counts.size == law.size
+    cells = _merged_cells(counts, trials * law)
+    assert len(cells) >= 3
+    for obs, exp in cells:
+        p = exp / trials
+        assert abs(obs - exp) <= 4.0 * math.sqrt(trials * p * (1.0 - p)) + 1e-9, (obs, exp)
+
+
+@pytest.mark.parametrize("case", sorted(LAW_CASES) + sorted(DISTINCT_MEMBER_CASES))
+def test_oracle_is_the_sum_of_the_law(case):
+    """The law's cells total 1 to 1e-12, and every field of
+    ``exact_sequential_accept`` is its branch's masses summed over the
+    iterations and scaled once by the branch probability, bit for bit; the
+    scaled cells add up to the same fields to rounding."""
+    inst = {**LAW_CASES, **DISTINCT_MEMBER_CASES}[case]()
+    masses, survived, drift = _sequential_law(inst)
+    law = _halting_law(inst)
+    assert law.shape == (3 * inst.k + 1,) and law.min() >= -1e-15
+    assert abs(math.fsum(law) - 1.0) <= 1e-12
+    q = inst.check_probability
+    res = exact_sequential_accept(inst)
+    assert res.check_accept == q * masses[:, 1].sum()
+    assert res.measurement_accept == (1.0 - q) * masses[:, 2].sum()
+    assert res.reject == min(1.0, q * masses[:, 0].sum() + survived)
+    assert res.total_accept == min(1.0, res.check_accept + res.measurement_accept)
+    assert res.max_conservation_error == drift.max()
+    for cell, field in ((1, res.check_accept), (2, res.measurement_accept)):
+        assert abs(math.fsum(law[cell:-1:3]) - field) <= 1e-15
+    assert abs(math.fsum(law[0:-1:3]) + survived - res.reject) <= 1e-15
 
 
 class TestCaseOneFamilies:
@@ -440,6 +556,7 @@ class TestSampledRuns:
         inst = certain_member_instance(2, eta=1.0)
         assert type(run_sequential_sampled(inst, trial_rng(13, 1))) is bool
         assert type(run_sequential_sampled_batch(inst, trial_rng(13, 2), 5)) is int
+        assert run_sequential_sampled_batch(inst, trial_rng(13, 2), 0) == 0
 
     def test_batch_statistics_random_instances(self):
         trials = 10_000

@@ -106,6 +106,7 @@ class TestRunExperiment:
         "antizeno": (0.0325, 0.041),
         "or-test": (0.9785, 0.9875),
         "demerlinize": (0.9975, 0.998),
+        "disturbance": (0.608, 0.5993333333333334),
         "membership": (0.9315, 0.9505),
         "giso": (0.965, 0.96),
         "uiso": (0.95, 0.95),
@@ -513,8 +514,8 @@ class TestPinnedDocuments:
         ("mw-bounds", 1): ("1dbb7e5fd27b7f7076af5eb6e1f33a007d6cc8d40abcb8e2a3fd50e4f0fd7e9e", "d96b789ca747051f431064071ed31dbae04ec81c50b73f649caed374f0c815bf"),
         ("or-test", 0): ("e7656fe56b0d520ea7ee9d62bc0590ccbdeff2871fba83f886266151bf936901", None),
         ("or-test", 1): ("6119fc9e096413b0051c0146b2e4d47808347a0e7875e606d1899bdd0aae2919", None),
-        ("disturbance", 0): ("c5420b9ea22fc7458da2883f120a56fd7974583c75ffaea9804eb4fe88f80c64", None),
-        ("disturbance", 1): ("00569360a7e254717acf8d4340b17d06899959b6c48ee5f76f9bd37f16f13b18", None),
+        ("disturbance", 0): ("d6d34e59d3a5d8ecd88b8cbbe0784d5ef3102004ff29c8bcc319b1a133a13741", None),
+        ("disturbance", 1): ("f945e513ba005280fd62f1121ea7bb43e0662a2353cc64f4b1d3de39c006b3a1", None),
         ("union-bound", 0): ("f0e8e66b825339f78522068488b98c4288a33fc4d4742e671bd84992e3093c3e", "d3c0308fd1a292636aae0b750e340e5467ce4cad81f9829d6be3a0b6d7cabf6b"),
         ("union-bound", 1): ("ad40a626cf45810353f6c7fb09f547f9c9429f1434341e2b031e1188b63f9cc9", "8b12bd9ae66f2d16c10396127bcd8a71653594042406d4fc92459d2d954eab22"),
         ("gentle", 0): ("35233c2910c8319a46e84ca1523497dcbee9a722bff1ea6ccfc36791c0eebc31", None),

@@ -63,6 +63,8 @@ from seqmeas import (
     product_state,
     qft_matrix,
     reject_path,
+    run_mw_sampled_batch,
+    run_sequential_sampled_batch,
     sequential_iteration_count,
     state_membership_test,
     trial_rng,
@@ -395,6 +397,60 @@ def test_round_counts_up_to_the_int64_cap_pass_the_check():
     assert or_round_count(2**63 - 1, 0) == 2**63 - 1
     with pytest.raises(ValueError, match=re.escape("int64 cap 2**63 - 1, got a 64-bit integer")):
         or_round_count(2**63, 0)
+
+
+# a count within the int64 cap whose rule gives an N past it, and the bit
+# length of that N
+COUNTS_PAST_THE_CAP = {
+    "or_round_count": (lambda: or_round_count(2**62 + 1, 0.5), 64),
+    "demerlinize_round_count": (lambda: demerlinize_round_count(2**62, 0.5), 64),
+    "sequential_iteration_count": (lambda: sequential_iteration_count(2**62, 0.5), 66),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(COUNTS_PAST_THE_CAP))
+def test_count_rules_refuse_an_n_past_the_int64_cap(rule):
+    """or_round_count(2**62 + 1, 0.5) returned 2**63 + 2 and
+    demerlinize_round_count(2**62, 0.5) 2**63; sequential_iteration_count(2**62,
+    0.5) returned a 66-bit k, for which exact_sequential_accept then tried to
+    allocate a (k + 1, 3) array."""
+    call, bits = COUNTS_PAST_THE_CAP[rule]
+    with pytest.raises(ValueError, match=re.escape(f"int64 cap 2**63 - 1, got a {bits}-bit integer")):
+        call()
+
+
+# every shared-generator batch sampler, as a function of its trial count
+BATCH_SAMPLERS = {
+    "run_mw_sampled_batch": lambda trials: run_mw_sampled_batch(
+        or_test_instance([P_QUBIT], ZERO, 0), trial_rng(0, 0), trials
+    ),
+    "run_sequential_sampled_batch": lambda trials: run_sequential_sampled_batch(
+        certain_member_instance(2, eta=1.0), trial_rng(0, 0), trials
+    ),
+}
+
+
+@pytest.mark.parametrize("trials", [True, np.True_, 2.0, 2.5, np.float64(3.0), "3"], ids=repr)
+@pytest.mark.parametrize("sampler", sorted(BATCH_SAMPLERS))
+def test_batch_samplers_refuse_non_integer_trials(sampler, trials):
+    """True and 2.0 failed inside numpy with TypeError ("expected a sequence
+    of integers")."""
+    with pytest.raises(ValueError, match=re.escape(f"trials must be an integer, got {trials!r}")):
+        BATCH_SAMPLERS[sampler](trials)
+
+
+@pytest.mark.parametrize("sampler", sorted(BATCH_SAMPLERS))
+def test_batch_samplers_refuse_negative_trials(sampler):
+    """-1 failed inside numpy ("negative dimensions are not allowed")."""
+    with pytest.raises(ValueError, match=re.escape("trials must be >= 0, got -1")):
+        BATCH_SAMPLERS[sampler](-1)
+
+
+@pytest.mark.parametrize("sampler", sorted(BATCH_SAMPLERS))
+def test_batch_samplers_take_zero_and_numpy_integer_trials(sampler):
+    """No trials accept 0 times; np.int64(50) runs as 50 trials."""
+    assert BATCH_SAMPLERS[sampler](0) == 0
+    assert BATCH_SAMPLERS[sampler](np.int64(50)) == BATCH_SAMPLERS[sampler](50) > 0
 
 
 # every copy rule, as a function of its family size
