@@ -53,9 +53,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
-from .quantum_or import _check_copies, _check_eta, _check_trials, _draw_rows, _ensemble, _round_counts
+from .quantum_or import _check_copies, _check_eta, _draw_rows, _ensemble, _round_counts
 from .rng import StreamBlock
-from .states import DensityOperator, PureState, RegisterShape, _trusted, plus_state
+from .states import DensityOperator, PureState, RegisterShape, _trusted, check_integer, plus_state
 
 MAX_ORACLE_DIM = 64
 
@@ -158,7 +158,7 @@ def run_sequential_sampled_batch(
 ) -> int:
     """Accept count over independent trials of :func:`run_sequential_sampled`
     that share one generator."""
-    _check_trials(trials)
+    check_integer(trials, "trials", 0)
     return int(np.count_nonzero(_sequential_runs(inst, lambda live: rng.random(live.size), trials) % 3))
 
 

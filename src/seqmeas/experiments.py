@@ -43,10 +43,12 @@ from .states import (
     _trusted,
     bell_pair,
     basis_state,
+    check_integer,
     eigendecompose_stack,
     ghz_state,
     plus_state,
     product_state,
+    real_fraction,
     trace_distance_pure,
 )
 
@@ -140,18 +142,7 @@ class _Recorder:
 
 
 def _int_param(config: ExperimentConfig, key: str, default: int, minimum: int | None = None) -> int:
-    raw = config.params.get(key, default)
-    if isinstance(raw, bool):
-        raise ValueError(f"parameter {key!r} must be an integer, got {raw!r}")
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"parameter {key!r} must be an integer, got {raw!r}")
-    if isinstance(raw, float) and value != raw:
-        raise ValueError(f"parameter {key!r} must be an integer, got {raw!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"parameter {key!r} must be >= {minimum}, got {value}")
-    return value
+    return check_integer(config.params.get(key, default), f"parameter {key!r}", minimum)
 
 
 def _float_param(
@@ -162,17 +153,12 @@ def _float_param(
     high: float | None = None,
     high_reason: str | None = None,
 ) -> float:
-    """The parameter as a finite float in (low, high]; `high_reason`, if
-    given, says in the error what the upper limit is."""
+    """The parameter, a finite real number, as a float in (low, high];
+    `high_reason`, if given, says in the error what the upper limit is."""
     raw = config.params.get(key, default)
-    if isinstance(raw, bool):
+    if real_fraction(raw) is None:
         raise ValueError(f"parameter {key!r} must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"parameter {key!r} must be a number, got {raw!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"parameter {key!r} must be finite, got {value}")
+    value = float(raw)
     if low is not None and value <= low:
         raise ValueError(f"parameter {key!r} must be > {low}, got {value}")
     if high is not None and value > high:
@@ -700,16 +686,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
             f"unknown parameter {', '.join(map(repr, unknown))} for {config.name}; "
             f"accepted: {', '.join(keys) if keys else 'none'}"
         )
-    # the streams read the seed as an integer: 1.5 or True would run another seed's streams
-    if isinstance(config.seed, bool) or not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
-    trials = config.trials if config.trials is not None else default_trials
-    # True would run as one trial; numpy integers are recorded as ints
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    config, trials = dataclasses.replace(config, seed=int(config.seed)), int(trials)
+    # the streams read the seed as an integer: 1.5 or True would run another
+    # seed's streams, and True as trials one trial; numpy integers are
+    # recorded as ints
+    try:
+        seed = check_integer(config.seed, "seed", 0)
+    except ValueError:
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}") from None
+    trials = check_integer(config.trials if config.trials is not None else default_trials, "trials", 1)
+    config = dataclasses.replace(config, seed=seed)
     given = [f"{name} ({flag})" for name, flag in _GISO_INPUTS.items() if getattr(config, name) is not None]
     if given and config.name != "giso":
         raise ValueError(f"{config.name} takes no giso input; got {', '.join(given)}")

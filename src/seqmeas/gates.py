@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .states import check_integer
+
 UNITARY_ATOL = 1e-10
 
 
@@ -38,8 +40,10 @@ class GateSpec:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        targets = tuple(int(t) for t in self.targets)
-        controls = tuple((int(r), int(v)) for r, v in self.controls)
+        targets = tuple(check_integer(t, "target register") for t in self.targets)
+        controls = tuple(
+            (check_integer(r, "control register"), check_integer(v, "control value")) for r, v in self.controls
+        )
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"gate matrix must be square, got shape {mat.shape}")
@@ -97,7 +101,7 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 def qft_matrix(n: int) -> np.ndarray:
     """Quantum Fourier transform over Z_n: Q|j> = n^{-1/2} sum_k exp(2 pi i jk/n)|k>."""
-    if n < 1:
+    if check_integer(n, "QFT dimension") < 1:
         raise ValueError("QFT dimension must be >= 1")
     j = np.arange(n)
     return np.exp(2j * math.pi * np.outer(j, j) / n) / math.sqrt(n)
@@ -110,7 +114,7 @@ class PermutationAction:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(x) for x in self.mapping)
+        mapping = tuple(check_integer(x, "permutation image") for x in self.mapping)
         if sorted(mapping) != list(range(len(mapping))):
             raise ValueError(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
         object.__setattr__(self, "mapping", mapping)

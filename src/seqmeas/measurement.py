@@ -10,7 +10,6 @@ Naimark form Delta Pi Delta = L (x) |0><0|^m on an ancilla-extended space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +25,8 @@ from .states import (
     _canonical_eigh,
     _complex_array,
     _trusted,
+    check_integer,
+    check_interval,
     check_slices,
     hermitian_stack,
     state_stack,
@@ -142,7 +143,7 @@ def measure_collapse(
     hit, p1 = _accept_split(measurement.accept_op.matrix, psi.amplitudes)
     if branch is None:
         branch = 1 if rng.random() < p1 else 0
-    branch = int(branch)
+    branch = check_integer(branch, "branch")
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
     prob = p1 if branch == 1 else 1.0 - p1
@@ -191,7 +192,7 @@ def _register_branch(
     probs = np.clip(weights, 0.0, 1.0)
     if branch is None:
         branch = int(rng.choice(len(probs), p=probs / probs.sum()))
-    branch = int(branch)
+    branch = check_integer(branch, "branch")
     if not 0 <= branch < len(probs):
         raise ValueError("branch value out of range for register")
     prob = float(probs[branch])
@@ -321,12 +322,11 @@ def union_bound_bruteforce(
     t_steps = len(measurements)
     if t_steps > MAX_ENUMERATION_STEPS:
         raise ValueError(f"T = {t_steps} too large for exhaustive enumeration")
-    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, (bool, np.bool_))
-    if epsilon is not None and not (real and 0.0 <= epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     rho_op = rho.density() if isinstance(rho, PureState) else rho
     if epsilon is None:
         epsilon = max(accept_probability(m, rho_op) for m in measurements)
+    else:
+        check_interval(epsilon, "epsilon", 0, 1)
     shape = rho_op.shape
     d = shape.total_dim
     taus = rho_op.matrix[None]
@@ -389,7 +389,7 @@ class NaimarkForm:
     pi: np.ndarray
 
     def _store(self):
-        ancilla_dims = tuple(int(d) for d in self.ancilla_dims)
+        ancilla_dims = tuple(check_integer(d, "ancilla dimension") for d in self.ancilla_dims)
         dim = RegisterShape(self.system_shape.dims + ancilla_dims).total_dim
         object.__setattr__(self, "ancilla_dims", ancilla_dims)
         object.__setattr__(self, "pi", _complex_array(self.pi, (dim, dim)))
@@ -506,9 +506,9 @@ def build_averaged_naimark(measurements: Sequence[TwoOutcomeMeasurement]) -> Nai
 def anti_zeno_state(n: int, k: int) -> PureState:
     """|psi_k> = cos(pi k / 2n)|0> + sin(pi k / 2n)|1>, for n >= 1 and
     0 <= k <= n."""
-    if n < 1:
+    if check_integer(n, "n") < 1:
         raise ValueError("need n >= 1")
-    if not 0 <= k <= n:
+    if not 0 <= check_integer(k, "k") <= n:
         raise ValueError(f"need 0 <= k <= n, got k = {k} for n = {n}")
     theta = math.pi * k / (2 * n)
     return _trusted(PureState, RegisterShape((2,)), np.array([math.cos(theta), math.sin(theta)]))
@@ -521,7 +521,7 @@ def anti_zeno_sequence(n: int) -> list[TwoOutcomeMeasurement]:
     |psi_k> behind, so performing all n in order walks the state to |1> while
     the chance of ever accepting stays O(1/n).
     """
-    if n < 1:
+    if check_integer(n, "n") < 1:
         raise ValueError("need n >= 1")
     shape = RegisterShape((2,))
     out = []
@@ -535,6 +535,6 @@ def anti_zeno_sequence(n: int) -> list[TwoOutcomeMeasurement]:
 def anti_zeno_accept_ever(n: int) -> float:
     """Closed form 1 - cos(pi/2n)^{2n} for the sequential accept-ever
     probability, n >= 1."""
-    if n < 1:
+    if check_integer(n, "n") < 1:
         raise ValueError("need n >= 1")
     return 1.0 - math.cos(math.pi / (2 * n)) ** (2 * n)

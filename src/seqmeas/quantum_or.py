@@ -56,8 +56,6 @@ round, so appliers whose mean is no operator in [0, I] are not sampled.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -82,6 +80,8 @@ from .states import (
     RegisterShape,
     _canonical_eigh,
     _trusted,
+    check_integer,
+    check_interval,
     check_slices,
     eigendecompose,
     hermitian_stack,
@@ -312,7 +312,7 @@ def run_mw_sampled(inst: AveragedInstance, rng: np.random.Generator) -> MWResult
 def run_mw_sampled_batch(inst: AveragedInstance, rng: np.random.Generator, trials: int) -> int:
     """Accept count over independent trials of :func:`run_mw_sampled` that
     share one generator."""
-    _check_trials(trials)
+    check_integer(trials, "trials", 0)
     return int(np.count_nonzero(_survivors(inst).shared_steps(rng, trials) < 2 * inst.n_rounds))
 
 
@@ -571,6 +571,7 @@ def mw_accept_survival_stack(pis, ancilla_dim: int, inputs, n_rounds) -> np.ndar
     """
     pis = hermitian_stack(pis, "Pi")
     b, dim = pis.shape[:2]
+    ancilla_dim = check_integer(ancilla_dim, "ancilla dimension")
     if ancilla_dim < 1 or dim % ancilla_dim:
         raise ValueError(f"ancilla dimension {ancilla_dim} does not divide {dim}")
     naimark_checks(pis, ancilla_dim)
@@ -614,50 +615,16 @@ def mw_bounds(
 # -- sequential-measurement property test (the OR wrapper) -------------------------
 
 
-def _exact_fraction(x) -> Fraction | None:
-    """x as an exact fraction (a float by its exact binary value), or None
-    for a bool, a value that is not a real number and a non-finite float."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-        return None
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return Fraction(x) if math.isfinite(x := float(x)) else None
-
-
 def _check_eta(eta) -> Fraction:
-    """eta as an exact fraction, after the check 0 < eta <= 1 (NaN, +-inf,
-    a bool and a non-real are refused)."""
-    value = _exact_fraction(eta)
-    if value is None or not 0 < value <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    return value
-
-
-def _check_integer(value, name: str) -> None:
-    """An integer (``operator.index``); a bool or a float, even an integral
-    one, is refused."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """eta as an exact fraction in (0, 1]."""
+    return check_interval(eta, "eta", 0, 1, open_low=True)
 
 
 def _check_copies(copies_k: int, name: str = "copy count k", unit: str = "copy") -> None:
     """The copy-count check of every k-copy tester, and the family-size check
     of every round or copy rule: an integer >= 1."""
-    _check_integer(copies_k, name)
-    if copies_k < 1:
+    if check_integer(copies_k, name) < 1:
         raise ValueError(f"need at least one {unit}")
-
-
-def _check_trials(trials: int) -> None:
-    """The trial-count check of the shared-generator batch samplers: an
-    integer >= 0 (no trials accept 0 times)."""
-    _check_integer(trials, "trials")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
 
 
 def or_round_count(n: int, epsilon) -> int:
@@ -666,9 +633,7 @@ def or_round_count(n: int, epsilon) -> int:
     the int64 cap."""
     _check_copies(n, "family size", "member")
     _round_counts(n, 1)
-    eps = _exact_fraction(epsilon)
-    if eps is None or not 0 <= eps <= Fraction(1, 2):
-        raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon!r}")
+    eps = check_interval(epsilon, "epsilon", 0, Fraction(1, 2))
     n_rounds = math.ceil(Fraction(n) / (1 - eps))
     _round_counts(n_rounds, 1)
     return n_rounds

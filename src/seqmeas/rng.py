@@ -68,8 +68,8 @@ _DOUBLE_UNIT = 2.0**-53
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """The generator for stream `index` derived from the master seed (both
-    integers; a float or a bool seed raises TypeError, not another stream)."""
-    seq = np.random.SeedSequence(entropy=_seed_int(seed), spawn_key=(operator.index(index),))
+    integers; a float or a bool seed or index raises TypeError)."""
+    seq = np.random.SeedSequence(entropy=_checked_int(seed), spawn_key=(_checked_int(index, "stream index"),))
     return np.random.default_rng(seq)
 
 
@@ -79,7 +79,7 @@ def trial_rngs(seed: int, indices):
     Each generator is built when it is reached, and `indices` is read one
     chunk at a time, so an endless iterable is fine.  The seed and the
     indices must be integers (``operator.index``; a float or a bool seed
-    raises TypeError).
+    or index raises TypeError).
     A negative seed raises ValueError at the call; an index outside
     [0, 2^64) raises ValueError when its chunk is reached.
     """
@@ -206,17 +206,18 @@ def _hash_constants(hash_const: int, mult: int, n: int) -> list[tuple[int, int]]
 _OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
-def _seed_int(seed: int) -> int:
-    """The master seed as an int; a bool would run seed 0 or 1 (TypeError)."""
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer, not a bool ({seed!r})")
-    return operator.index(seed)
+def _checked_int(value: int, name: str = "seed") -> int:
+    """The master seed or a stream index as an int; a bool would run seed (or
+    read stream) 0 or 1, so it raises TypeError, as a float does."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not a bool ({value!r})")
+    return operator.index(value)
 
 
 def _seed_pool(seed: int) -> tuple[list[int], list[tuple[int, int]]]:
     """SeedSequence's pool after the seed's entropy words, and the hash
     constants of the spawn-key words (four per word, up to two words)."""
-    seed = _seed_int(seed)
+    seed = _checked_int(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -262,7 +263,9 @@ def _word_chunks(seed: int, indices) -> Iterator[np.ndarray]:
 
 
 def _chunk_words(pool: list[int], spawn_constants, indices) -> Iterator[np.ndarray]:
-    while chunk := [operator.index(i) for i in itertools.islice(indices, _CHUNK)]:
+    while chunk := list(itertools.islice(indices, _CHUNK)):
+        if set(map(type, chunk)) != {int}:  # plain ints skip the per-index call (7x the chunk's cost)
+            chunk = [_checked_int(i, "stream index") for i in chunk]
         low, high = min(chunk), max(chunk)
         if low < 0 or high >= 1 << 64:
             raise ValueError(f"stream index must be in [0, 2**64), got {low if low < 0 else high}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityOperator, HermitianOperator, PureState, RegisterShape, _trusted
+from .states import DensityOperator, HermitianOperator, PureState, RegisterShape, _trusted, check_integer
 
 
 def ginibre(rng: np.random.Generator, size) -> np.ndarray:
@@ -55,7 +55,7 @@ def random_density_operator(
     rng: np.random.Generator, shape: RegisterShape, rank: int | None = None
 ) -> DensityOperator:
     d = shape.total_dim
-    rank = d if rank is None else rank
+    rank = d if rank is None else check_integer(rank, "rank")
     if not 1 <= rank <= d:
         raise ValueError("density rank out of range")
     return _trusted(DensityOperator, shape, density_from_ginibre(ginibre(rng, (d, rank))))
@@ -63,7 +63,7 @@ def random_density_operator(
 
 def random_projector(rng: np.random.Generator, shape: RegisterShape, rank: int) -> HermitianOperator:
     d = shape.total_dim
-    if not 0 <= rank <= d:
+    if not 0 <= check_integer(rank, "rank") <= d:
         raise ValueError("projector rank out of range")
     if rank == 0:
         return _trusted(HermitianOperator, shape, np.zeros((d, d)))

@@ -4,13 +4,19 @@ Provides the value types shared by every other module (pure states, density
 operators, Hermitian operators, eigendecompositions) together with the basic
 metric and reduction operations: pure-state trace distance, partial trace and
 subsystem purity.  All values are immutable after construction and all
-operations are pure functions.
+operations are pure functions.  The array checks (:func:`hermitian_stack`,
+:func:`state_stack`) and the scalar ones (:func:`check_integer` for counts,
+sizes, indices and labels, :func:`check_interval` for epsilon and eta) of
+every module live here too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +51,39 @@ def check_slices(ok: np.ndarray, name: str, problem: str) -> None:
         raise ValueError(f"{which} is {problem}")
 
 
+def check_integer(value, name: str, minimum: int | None = None) -> int:
+    """`value` as an int (what ``operator.index`` takes), at least `minimum` if
+    given; a bool, a numpy bool, a float (integral too) or a string fails."""
+    if type(value) is not int:
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def real_fraction(x) -> Fraction | None:
+    """x as an exact fraction (a float by its exact binary value), or None
+    for a bool, a value that is not a real number and a non-finite float."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        return None
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return Fraction(x) if math.isfinite(x := float(x)) else None
+
+
+def check_interval(value, name: str, low, high, *, open_low: bool = False) -> Fraction:
+    """`value` as an exact fraction in [low, high], or (low, high] if `open_low`."""
+    frac = real_fraction(value)
+    if frac is None or not (low < frac if open_low else low <= frac) or frac > high:
+        raise ValueError(f"{name} must lie in {'(' if open_low else '['}{low}, {high}], got {value!r}")
+    return frac
+
+
 @dataclass(frozen=True)
 class RegisterShape:
     """Ordered list of subsystem dimensions; the tensor structure of a system."""
@@ -52,7 +91,7 @@ class RegisterShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_integer(d, "register dimension") for d in self.dims)
         if not dims:
             raise ValueError("a register shape needs at least one register")
         if any(d < 2 for d in dims):
@@ -68,6 +107,7 @@ class RegisterShape:
         return len(self.dims)
 
     def check_register(self, index: int) -> int:
+        index = check_integer(index, "register index")
         if not 0 <= index < len(self.dims):
             raise ValueError(f"register index {index} out of range for {self.dims}")
         return index
@@ -306,11 +346,12 @@ def basis_state(shape: RegisterShape, labels: Sequence[int]) -> PureState:
     """Computational basis state |labels[0], labels[1], ...> on `shape`."""
     if len(labels) != shape.num_registers:
         raise ValueError("need one basis label per register")
+    labels = tuple(check_integer(v, "basis label") for v in labels)
     for r, v in enumerate(labels):
         if not 0 <= v < shape.dims[r]:
             raise ValueError(f"label {v} out of range for register {r}")
     amps = np.zeros(shape.total_dim, dtype=np.complex128)
-    amps[int(np.ravel_multi_index(tuple(labels), shape.dims))] = 1.0
+    amps[int(np.ravel_multi_index(labels, shape.dims))] = 1.0
     return _trusted(PureState, shape, amps)
 
 
@@ -335,7 +376,7 @@ def bell_pair() -> PureState:
 
 
 def ghz_state(n_parts: int, dim: int = 2) -> PureState:
-    if n_parts < 2:
+    if check_integer(n_parts, "n_parts") < 2:
         raise ValueError("GHZ state needs at least two parts")
     shape = RegisterShape((dim,) * n_parts)
     amps = np.zeros(shape.total_dim, dtype=np.complex128)

@@ -29,7 +29,6 @@ sizes in the test suite.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
@@ -53,6 +52,8 @@ from .states import (
     _split_registers,
     _trusted,
     basis_state,
+    check_integer,
+    check_interval,
     eigendecompose,
     hermitian_stack,
     product_state,
@@ -82,10 +83,10 @@ class FunctionTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
-        if len(values) != self.domain_size:
+        values = tuple(check_integer(v, "function value") for v in self.values)
+        if len(values) != check_integer(self.domain_size, "domain size"):
             raise ValueError("value list length must equal the domain size")
-        if self.domain_size < 1 or self.codomain_size < 1:
+        if self.domain_size < 1 or check_integer(self.codomain_size, "codomain size") < 1:
             raise ValueError("domain and codomain must be nonempty")
         if any(not 0 <= v < self.codomain_size for v in values):
             raise ValueError("function value out of codomain range")
@@ -198,7 +199,6 @@ def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
     the logarithm, confirmed among k - 1, k and k + 1 on that predicate
     itself.  Past 2^53 floats cannot tell k from k + 1: epsilon is too small."""
     _check_copies(n_measurements, "family size", "member")
-    _check_epsilon(epsilon)
     if 4 * n_measurements * base <= CASE2_BUDGET:
         return 1
     if base < 1.0 and (k := math.ceil(math.log(CASE2_BUDGET / (4 * n_measurements)) / math.log(base))) <= 1 << 53:
@@ -210,22 +210,20 @@ def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
 
 def eigen_copies(n_measurements: int, epsilon: float) -> int:
     """Least k with 4 n (1 - eps/2)^k below the 1/8 wrong-accept budget."""
+    _check_epsilon(epsilon)
     return _least_copies(n_measurements, epsilon, 1 - epsilon / 2)
 
 
 def _check_epsilon(epsilon: float) -> None:
-    """The distance check of every k-copy tester and copy rule: a real
-    epsilon in (0, 1] (NaN and +-inf fail the comparison; a bool is refused)."""
-    if isinstance(epsilon, (bool, np.bool_)) or not isinstance(epsilon, numbers.Real) or not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    """The distance check of every k-copy tester and copy rule: epsilon in (0, 1]."""
+    check_interval(epsilon, "epsilon", 0, 1, open_low=True)
 
 
 def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copies_k: int | None) -> int:
-    """The copy count of a k-copy tester on a family of n: the rule's k at
-    epsilon if copies_k is None, else copies_k.  Epsilon is checked on both
-    paths (the rule checks n first, so its errors come first)."""
-    k = rule(n, epsilon) if copies_k is None else copies_k
+    """The copy count of a k-copy tester on a family of n, after the epsilon
+    check: the rule's k at epsilon if copies_k is None, else copies_k."""
     _check_epsilon(epsilon)
+    k = rule(n, epsilon) if copies_k is None else copies_k
     _check_copies(k)
     return k
 
@@ -662,6 +660,7 @@ def g_iso_accept_exact(
 
 def membership_copies(n_candidates: int, epsilon: float) -> int:
     """Least k with 4 |P| (1 - eps^2)^k below the 1/8 wrong-accept budget."""
+    _check_epsilon(epsilon)
     return _least_copies(n_candidates, epsilon, 1 - epsilon**2)
 
 
@@ -852,6 +851,7 @@ def conjugation_unitary(u: np.ndarray) -> np.ndarray:
 def unitary_s_iso_copies(n_unitaries: int, epsilon: float) -> int:
     """Least k with 4 |S| (1 - eps^2/2)^k below the 1/8 wrong-accept budget:
     :func:`eigen_copies` at the gap eps^2, with errors that quote eps."""
+    _check_epsilon(epsilon)
     return _least_copies(n_unitaries, epsilon, 1 - epsilon**2 / 2)
 
 
@@ -909,7 +909,7 @@ def unitary_s_iso_accept_exact(
 
 def proper_cuts(n_parts: int) -> list[tuple[int, ...]]:
     """The 2^{n-1} - 1 bipartitions, each as the side containing part 0."""
-    if n_parts < 2:
+    if check_integer(n_parts, "n_parts") < 2:
         raise ValueError("need at least two parts")
     cuts = []
     for mask in range(1 << (n_parts - 1)):
@@ -951,6 +951,7 @@ def cut_product_test(psi: PureState, cut: Sequence[int], rng: np.random.Generato
 
 def genuine_ent_copies(n_cuts: int, epsilon: float) -> int:
     """Least even k with 4 n_cuts (1 - eps^2/2)^{k/2} below the 1/8 budget."""
+    _check_epsilon(epsilon)
     return 2 * _least_copies(n_cuts, epsilon, 1 - epsilon**2 / 2)
 
 
@@ -974,7 +975,7 @@ def _genuine_check(psi: PureState, n_parts: int) -> int:
     first), after the part check of :func:`genuine_ent_instance` and
     :func:`genuine_ent_accept_exact`: one part per register of psi and at
     least two parts.  Their copy check is :func:`_check_pairs`."""
-    if n_parts != psi.shape.num_registers:
+    if check_integer(n_parts, "n_parts") != psi.shape.num_registers:
         raise ValueError("n_parts must match the state's register count")
     if n_parts < 2:
         raise ValueError("need at least two parts")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from seqmeas import ExperimentConfig, run_experiment
+from seqmeas import experiments as experiments_module
 from seqmeas.cli import main as cli_main
 from seqmeas.experiments import EXPERIMENT_NAMES, _EXPERIMENTS, _giso_overlap_identity_error
 from seqmeas.gates import PermutationAction
@@ -158,6 +159,24 @@ class TestRunExperiment:
         assert type(record.seed) is int and type(record.trials) is int
         assert record.to_document() == run_experiment(ExperimentConfig(name="or-test", seed=1, trials=50)).to_document()
 
+    @pytest.mark.parametrize(
+        "name, key, value, kind",
+        [
+            ("or-test", "n", np.True_, "an integer"),  # ran at n = 1, then failed to serialise
+            ("uiso", "epsilon", np.True_, "a number"),  # ran at epsilon = 1
+            ("or-test", "n", "8", "an integer"),  # wrote "n": "8" into the document
+        ],
+        ids=repr,
+    )
+    def test_cast_parameter_rejected_before_sampling(self, name, key, value, kind, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials sampled")
+
+        monkeypatch.setattr(experiments_module, "_trial_blocks", no_trials)
+        message = f"parameter {key!r} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(ExperimentConfig(name=name, trials=10, params={key: value}))
+
     @pytest.mark.parametrize("name", [n for n in EXPERIMENT_NAMES if n != "giso"])
     @pytest.mark.parametrize("field", ["function_f", "function_g", "group"])
     def test_giso_input_refused_elsewhere(self, name, field):
@@ -245,6 +264,13 @@ class TestCli:
         assert cli_main(["demerlinize", "--param", "eta=1e-300", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "int64 cap 2**63 - 1" in err and not re.search(r"\d{30}", err)
+        assert not out.exists()
+
+    def test_integral_float_for_an_integer_param_exit_code(self, tmp_path, capsys):
+        """n=16.0 ran as n = 16, and n=1e300 allocated until out of memory."""
+        out = tmp_path / "res.json"
+        assert cli_main(["antizeno", "--param", "n=16.0", "--out", str(out)]) == 2
+        assert "parameter 'n' must be an integer, got 16.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_uiso_epsilon_too_small_is_quoted_as_given(self, tmp_path, capsys):

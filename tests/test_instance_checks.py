@@ -22,6 +22,7 @@ import pytest
 from seqmeas import (
     AveragedInstance,
     DensityOperator,
+    ExperimentConfig,
     FunctionTable,
     HermitianOperator,
     NaimarkForm,
@@ -32,7 +33,9 @@ from seqmeas import (
     TwoOutcomeMeasurement,
     UnitarySet,
     analytic_eigen_accept,
+    anti_zeno_accept_ever,
     anti_zeno_sequence,
+    anti_zeno_state,
     basis_state,
     build_averaged_naimark,
     demerlinize_accept_exact,
@@ -61,13 +64,17 @@ from seqmeas import (
     or_test_instance,
     plus_state,
     product_state,
+    proper_cuts,
     qft_matrix,
     reject_path,
+    run_experiment,
     run_mw_sampled_batch,
     run_sequential_sampled_batch,
     sequential_iteration_count,
     state_membership_test,
+    trial_blocks,
     trial_rng,
+    trial_rngs,
     trivial_naimark,
     union_bound_bruteforce,
     unitary_s_iso_accept_exact,
@@ -80,7 +87,7 @@ from seqmeas.disturbance import certain_member_instance
 from seqmeas.experiments import _case2_or_instance
 from seqmeas.gates import HADAMARD, PAULI_X, GateSpec, _apply_gate_array, permutation_matrix
 from seqmeas.measurement import is_idempotent
-from seqmeas.quantum_or import mw_accept_polynomial
+from seqmeas.quantum_or import mw_accept_polynomial, mw_accept_survival_stack
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -636,3 +643,157 @@ def test_by_construction_projectors_skip_the_checks(monkeypatch):
     assert all(m.is_projector and is_idempotent(m.accept_op.matrix) for m in family)
     inst = certain_member_instance(4, eta=1.0, dim=3)
     assert all(is_idempotent(m.accept_op.matrix) for m in inst.measurements)
+
+
+# every entry point that takes an integer scalar, as a function of that
+# scalar, and what its error calls it; None marks the stream indices, which
+# keep rng's own rule (TypeError)
+INTEGER_INPUTS = {
+    "RegisterShape": (lambda v: RegisterShape((v, 3)), "register dimension"),
+    "RegisterShape.check_register": (lambda v: TWO_QUBITS.check_register(v), "register index"),
+    "basis_state": (lambda v: basis_state(QUBIT, (v,)), "basis label"),
+    "ghz_state": (lambda v: ghz_state(v), "n_parts"),
+    "GateSpec targets": (lambda v: GateSpec((v,), np.eye(2)), "target register"),
+    "GateSpec control register": (lambda v: GateSpec((0,), PAULI_X, ((v, 1),)), "control register"),
+    "GateSpec control value": (lambda v: GateSpec((0,), PAULI_X, ((1, v),)), "control value"),
+    "PermutationAction": (lambda v: PermutationAction((0, v)), "permutation image"),
+    "qft_matrix": (lambda v: qft_matrix(v), "QFT dimension"),
+    "measure_collapse": (lambda v: measure_collapse(P_QUBIT, plus_state(), branch=v), "branch"),
+    "measure_register_collapse branch": (
+        lambda v: measure_register_collapse(plus_state(), 0, branch=v),
+        "branch",
+    ),
+    "measure_register_collapse register": (
+        lambda v: measure_register_collapse(product_state([plus_state(), plus_state()]), v, branch=0),
+        "register index",
+    ),
+    "eigen_measurement_cycle": (
+        lambda v: eigen_measurement_cycle(eigen_tester_state(plus_state(), 1), PAULI_X, QUBIT, 1, branch=v),
+        "branch",
+    ),
+    "NaimarkForm": (lambda v: NaimarkForm(QUBIT, (v,), np.eye(4)), "ancilla dimension"),
+    "mw_accept_survival_stack": (
+        lambda v: mw_accept_survival_stack(np.eye(4)[None], v, np.array([[1.0, 0.0]]), 1),
+        "ancilla dimension",
+    ),
+    "anti_zeno_state n": (lambda v: anti_zeno_state(v, 1), "n"),
+    "anti_zeno_state k": (lambda v: anti_zeno_state(2, v), "k"),
+    "anti_zeno_sequence": (lambda v: anti_zeno_sequence(v), "n"),
+    "anti_zeno_accept_ever": (lambda v: anti_zeno_accept_ever(v), "n"),
+    "FunctionTable values": (lambda v: FunctionTable(2, 3, (0, v)), "function value"),
+    "FunctionTable domain size": (lambda v: FunctionTable(v, 3, (0, 1)), "domain size"),
+    "FunctionTable codomain size": (lambda v: FunctionTable(2, v, (0, 1)), "codomain size"),
+    "proper_cuts": (lambda v: proper_cuts(v), "n_parts"),
+    "genuine_ent_accept_exact": (lambda v: genuine_ent_accept_exact(ghz_state(3), v, 2), "n_parts"),
+    "genuine_ent_instance": (lambda v: genuine_ent_instance(ghz_state(3), v, 0.5, copies_k=2), "n_parts"),
+    "random_density_operator": (
+        lambda v: random_density_operator(trial_rng(0, 0), TWO_QUBITS, rank=v),
+        "rank",
+    ),
+    "random_projector": (lambda v: random_projector(trial_rng(0, 0), TWO_QUBITS, v), "rank"),
+    "run_experiment trials": (lambda v: run_experiment(ExperimentConfig(name="gentle", trials=v)), "trials"),
+    "--param n (antizeno)": (
+        lambda v: run_experiment(ExperimentConfig(name="antizeno", trials=1, params={"n": v})),
+        "parameter 'n'",
+    ),
+    "--param n (or-test)": (
+        lambda v: run_experiment(ExperimentConfig(name="or-test", trials=1, params={"n": v})),
+        "parameter 'n'",
+    ),
+    "--param case2_instances": (
+        lambda v: run_experiment(ExperimentConfig(name="disturbance", trials=1, params={"case2_instances": v})),
+        "parameter 'case2_instances'",
+    ),
+    "--param identity_checks": (
+        lambda v: run_experiment(ExperimentConfig(name="uiso", trials=1, params={"identity_checks": v})),
+        "parameter 'identity_checks'",
+    ),
+    "trial_rng": (lambda v: trial_rng(0, v), None),
+    "trial_rngs": (lambda v: next(iter(trial_rngs(0, [v]))), None),
+    "trial_blocks": (lambda v: next(trial_blocks(0, [v])), None),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.True_, "2"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+def test_integer_inputs_refuse_what_is_not_an_integer(entry, value):
+    """Each was truncated (RegisterShape((2.7, 3)) had dims (2, 3)), cast
+    (True ran as 1, "8" as 8), taken as is (qft_matrix(2.5) was a 3 x 3
+    matrix) or failed with a bare TypeError (ghz_state(2.0))."""
+    call, name = INTEGER_INPUTS[entry]
+    if name is None:
+        with pytest.raises(TypeError):
+            call(value)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+def test_integer_inputs_take_numpy_integers(entry):
+    """What ``operator.index`` takes passes the check: np.int64(2) is 2."""
+    call, _ = INTEGER_INPUTS[entry]
+    try:
+        call(np.int64(2))
+    except ValueError as exc:
+        assert "must be an integer" not in str(exc)
+
+
+# every entry point that takes a real scalar, as a function of it, and the
+# start of its error
+REAL_INPUTS = {
+    **{f"{rule} epsilon": (lambda v, rule=rule: COPY_RULES[rule](2, v), "epsilon must lie in (0, 1]") for rule in COPY_RULES},
+    "eigen_instance epsilon": (
+        lambda v: eigen_instance([PAULI_X], ZERO, v, copies_k=2),
+        "epsilon must lie in (0, 1]",
+    ),
+    "or_round_count epsilon": (lambda v: or_round_count(2, v), "epsilon must lie in [0, 1/2]"),
+    "or_test_instance epsilon": (lambda v: or_test_instance([P_QUBIT], ZERO, v), "epsilon must lie in [0, 1/2]"),
+    "demerlinize_round_count eta": (lambda v: demerlinize_round_count(2, v), "eta must lie in (0, 1]"),
+    "SequentialInstance eta": (lambda v: SequentialInstance([P_QUBIT], ZERO, v), "eta must lie in (0, 1]"),
+    "union_bound_bruteforce epsilon": (
+        lambda v: union_bound_bruteforce([P_QUBIT], ZERO, v),
+        "epsilon must lie in [0, 1]",
+    ),
+    **{
+        f"--param {key} ({name})": (
+            lambda v, name=name, key=key: run_experiment(ExperimentConfig(name=name, trials=1, params={key: v})),
+            f"parameter {key!r} must be a number",
+        )
+        for name, key in [
+            ("or-test", "delta"),
+            ("giso", "epsilon"),
+            ("membership", "epsilon"),
+            ("uiso", "epsilon"),
+            ("genuine-ent", "epsilon"),
+            ("demerlinize", "eta"),
+            ("demerlinize", "zeta"),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("entry", sorted(REAL_INPUTS))
+def test_real_inputs_refuse_what_is_not_a_finite_real(entry, value):
+    """A bool is no distance, "0.5" no number (the union bound refused it,
+    the testers raised TypeError), and a NaN or infinite value no point of
+    an interval."""
+    call, message = REAL_INPUTS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
+        call(value)
+
+
+def test_scalar_rules_live_in_states_alone():
+    """The integer and real-number type tests are written in ``states``
+    (and rng's own TypeError rule); every other module calls them."""
+    package = Path(testers_module.__file__).parent
+    pattern = re.compile(r"numbers\.|operator\.index|isinstance\(.*\bbool")
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(package.rglob("*.py"))
+        if path.name not in ("states.py", "rng.py")
+        for line in path.read_text().splitlines()
+        if pattern.search(line)
+    ]
+    assert hits == []

@@ -3,6 +3,7 @@ construction in trial_rng."""
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -201,3 +202,20 @@ def test_ensemble_index_rule_matches_choice(probs):
     (block,) = trial_blocks(4, range(500))
     got = cdf.searchsorted(block.random(), side="right")
     assert np.array_equal(got, [trial_rng(4, t).choice(p.size, p=p) for t in range(500)])
+
+
+STREAM_INDEX_CALLS = {
+    "trial_rng": lambda index: trial_rng(0, index),
+    "trial_rngs": lambda index: next(iter(trial_rngs(0, [index]))),
+    "trial_blocks": lambda index: next(trial_blocks(0, [index])),
+}
+
+
+@pytest.mark.parametrize("index", [True, np.True_], ids=repr)
+@pytest.mark.parametrize("entry", sorted(STREAM_INDEX_CALLS))
+def test_bool_stream_index_is_refused(entry, index):
+    """operator.index(True) is 1, so trial_rng(0, True) silently read
+    stream 1; trial_blocks(0, [np.True_]) failed with numpy's "cannot be
+    interpreted as an integer"."""
+    with pytest.raises(TypeError, match=re.escape(f"stream index must be an integer, not a bool ({index!r})")):
+        STREAM_INDEX_CALLS[entry](index)
