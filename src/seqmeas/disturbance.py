@@ -209,8 +209,12 @@ def _sequential_law(inst: SequentialInstance) -> tuple[np.ndarray, float, np.nda
     rho = inst.initial.density() if isinstance(inst.initial, PureState) else inst.initial
     tau = np.kron(plus_state().density().matrix, rho.matrix)
     mats = inst.accept_ops
-    kraus = np.broadcast_to(np.eye(2 * d), (inst.n, 2 * d, 2 * d)).astype(mats.dtype)
-    kraus[:, d:, d:] -= mats
+    # each distinct L_j, keyed by its bytes in order of first occurrence, and
+    # each member's index among them
+    slot: dict[bytes, tuple[int, np.ndarray]] = {}
+    member = [slot.setdefault(m.tobytes(), (len(slot), m))[0] for m in mats]
+    kraus = np.broadcast_to(np.eye(2 * d), (len(slot), 2 * d, 2 * d)).astype(mats.dtype)
+    kraus[:, d:, d:] -= np.stack([m for _, m in slot.values()])
     minus = np.kron(np.array([[0.5, -0.5], [-0.5, 0.5]]), np.eye(d))  # |-><-| (x) I
     hit = np.zeros((2 * d, 2 * d), dtype=mats.dtype)
     hit[d:, d:] = mats.mean(axis=0)
@@ -220,11 +224,9 @@ def _sequential_law(inst: SequentialInstance) -> tuple[np.ndarray, float, np.nda
     q = inst.check_probability
     masses = np.empty((inst.k + 1, 3))
     # K_j tau K_j once per distinct member, summed back in member order
-    distinct, member = np.unique(kraus, axis=0, return_inverse=True)
-    member = member.reshape(-1)
     for i in range(inst.k):
         masses[i] = (functionals @ tau.reshape(-1)).real
-        tau = (1.0 - q) / inst.n * (distinct @ tau @ distinct)[member].sum(axis=0)
+        tau = (1.0 - q) / inst.n * (kraus @ tau @ kraus)[member].sum(axis=0)
     masses[inst.k] = (functionals @ tau.reshape(-1)).real
     before, check_one, hit_mass = masses[:-1].T
     drift = np.abs(before - q * before - (1.0 - q) * hit_mass - masses[1:, 0])

@@ -14,8 +14,10 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -24,7 +26,7 @@ from . import disturbance as dist
 from . import measurement as meas
 from . import quantum_or as qor
 from . import testers
-from .gates import PAULI_X, PAULI_Z, PermutationAction
+from .gates import PAULI_X, PAULI_Z, PermutationAction, is_unitary
 from .rng import trial_blocks, trial_rng, trial_rngs
 from .sampling import (
     contraction_from_ginibre,
@@ -35,6 +37,7 @@ from .sampling import (
     random_projector,
     random_pure_state,
     random_unitary,
+    unitary_from_ginibre,
 )
 from .states import (
     HermitianOperator,
@@ -44,6 +47,7 @@ from .states import (
     bell_pair,
     basis_state,
     check_integer,
+    check_slices,
     eigendecompose_stack,
     ghz_state,
     plus_state,
@@ -102,6 +106,8 @@ def _round_sig(obj, digits: int = 12):
         return _round_sig(float(obj), digits)
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, Fraction):  # a real parameter given exactly: the float the run used
+        return _round_sig(float(obj), digits)
     return obj
 
 
@@ -149,21 +155,26 @@ def _float_param(
     config: ExperimentConfig,
     key: str,
     default: float,
-    low: float | None = None,
-    high: float | None = None,
+    low: float,
+    high: float,
     high_reason: str | None = None,
 ) -> float:
     """The parameter, a finite real number, as a float in (low, high];
-    `high_reason`, if given, says in the error what the upper limit is."""
+    `high_reason`, if given, says in the error what the upper limit is.
+
+    Both limits are compared on the exact value, so a number past the float
+    range is refused before it is converted; the lower one also on the float
+    the run uses, which a tiny fraction may round down to."""
     raw = config.params.get(key, default)
-    if real_fraction(raw) is None:
+    frac = real_fraction(raw)
+    if frac is None:
         raise ValueError(f"parameter {key!r} must be a number, got {raw!r}")
-    value = float(raw)
-    if low is not None and value <= low:
-        raise ValueError(f"parameter {key!r} must be > {low}, got {value}")
-    if high is not None and value > high:
+    value = float(frac) if abs(frac) <= sys.float_info.max else raw  # float() overflows past the range
+    if frac > high:
         why = f" ({high_reason})" if high_reason else ""
         raise ValueError(f"parameter {key!r} must be <= {high}{why}, got {value}")
+    if frac <= low or value <= low:
+        raise ValueError(f"parameter {key!r} must be > {low}, got {value}")
     return value
 
 
@@ -548,18 +559,33 @@ def _exp_membership(config: ExperimentConfig, rec: _Recorder, trials: int):
 
 
 def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
+    """Identity check t draws from its own stream trial_rng(seed, t): the
+    dimension d, then the Ginibre matrices of U, V, a and b, in that order,
+    each real part before its imaginary part.  Per dimension the draws are
+    then stacked: ``unitary_from_ginibre`` builds every U and V of the group
+    at once, bit for bit as ``random_unitary`` would, one check refuses a
+    stack that is not unitary, and the channel states (vec(M)/sqrt(d)),
+    tr(U^dag V)/d, kron(a, b) and a V b^T are formed on the stack.  Each
+    check's two errors are still reduced on its own slice, so the worst
+    errors equal the per-trial ones bit for bit."""
     n_random = _int_param(config, "identity_checks", 100, minimum=1)
-    worst_inner = worst_ab = 0.0
+    groups: dict[int, list] = {}
     for rng in trial_rngs(config.seed, range(n_random)):
         d = int(rng.integers(2, 5))
-        u, v = random_unitary(rng, d), random_unitary(rng, d)
-        su, sv = testers.choi_state(u), testers.choi_state(v)
-        worst_inner = max(worst_inner, abs(su.overlap(sv) - testers.hs_inner(u, v)))
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        lhs = np.kron(a, b) @ testers.choi_vector(v)
-        rhs = testers.choi_vector(a @ v @ b.T)
-        worst_ab = max(worst_ab, np.abs(lhs - rhs).max())
+        groups.setdefault(d, []).append([ginibre(rng, (d, d)) for _ in range(4)])
+    worst_inner = worst_ab = 0.0
+    for d in sorted(groups):
+        g_u, g_v, a, b = map(np.stack, zip(*groups.pop(d)))
+        m, root_d = len(a), math.sqrt(d)
+        u, v = unitary_from_ginibre(g_u), unitary_from_ginibre(g_v)
+        check_slices(is_unitary(u) & is_unitary(v), "random unitary pair", "not unitary within tolerance")
+        inner = np.trace(u.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1) / d
+        cu, cv = u.reshape(m, -1) / root_d, v.reshape(m, -1) / root_d
+        kr = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(m, d * d, d * d)
+        rhs = (a @ v @ b.swapaxes(-1, -2)).reshape(m, -1) / root_d
+        for i in range(m):
+            worst_inner = max(worst_inner, abs(complex(np.vdot(cu[i], cv[i])) - complex(inner[i])))
+            worst_ab = max(worst_ab, np.abs(kr[i] @ cv[i] - rhs[i]).max())
     rec.check_le("channel_state_inner_product_identity", worst_inner, 1e-10)
     rec.check_le("channel_state_local_action_identity", worst_ab, 1e-10)
 

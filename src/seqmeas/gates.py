@@ -22,9 +22,11 @@ from .states import check_integer
 UNITARY_ATOL = 1e-10
 
 
-def is_unitary(mat: np.ndarray) -> bool:
-    """Whether U @ U^dagger = I to UNITARY_ATOL (a non-finite entry fails)."""
-    return bool(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max() <= UNITARY_ATOL)
+def is_unitary(mat: np.ndarray) -> bool | np.ndarray:
+    """Whether U @ U^dagger = I to UNITARY_ATOL (a non-finite entry fails);
+    for a stack of matrices, one bool per slice."""
+    ok = np.abs(mat @ np.swapaxes(mat.conj(), -1, -2) - np.eye(mat.shape[-1])).max(axis=(-2, -1)) <= UNITARY_ATOL
+    return bool(ok) if mat.ndim == 2 else ok
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ POVM_RANGE_ATOL = 1e-10
 PROJECTOR_ATOL = 1e-8
 
 MAX_ENUMERATION_STEPS = 12
+# anti-Zeno sequence length cap: each measurement costs about 80 us and 1 KiB
+MAX_SEQUENCE_STEPS = 10**4
 
 
 def in_unit_interval(evals: np.ndarray) -> bool | np.ndarray:
@@ -523,6 +525,8 @@ def anti_zeno_sequence(n: int) -> list[TwoOutcomeMeasurement]:
     """
     if check_integer(n, "n") < 1:
         raise ValueError("need n >= 1")
+    if n > MAX_SEQUENCE_STEPS:
+        raise ValueError(f"anti-Zeno sequence capped at n = {MAX_SEQUENCE_STEPS} (MAX_SEQUENCE_STEPS), got {n}")
     shape = RegisterShape((2,))
     out = []
     for k in range(1, n + 1):

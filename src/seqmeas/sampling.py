@@ -2,11 +2,12 @@
 
 Each generator builds a value that is valid by construction, so it takes
 the trusted construction path of :mod:`states`.  The arithmetic that turns a
-Ginibre draw into a density operator or a contraction lives in
-:func:`density_from_ginibre` and :func:`contraction_from_ginibre`, which work
-on ``(..., d, d)`` stacks: a sweep draws each trial's matrices from its own
-stream and runs that arithmetic once on the stack, with the same result, bit
-for bit, as one generator call per trial.
+Ginibre draw into a density operator, a contraction or a Haar unitary lives
+in :func:`density_from_ginibre`, :func:`contraction_from_ginibre` and
+:func:`unitary_from_ginibre`, which work on ``(..., d, d)`` stacks: a sweep
+draws each trial's matrices from its own stream and runs that arithmetic once
+on the stack, with the same result, bit for bit, as one generator call per
+trial.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ def contraction_from_ginibre(g: np.ndarray, top) -> np.ndarray:
     return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
 
+def unitary_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """The Haar unitary Q diag(r_ii/|r_ii|) of g = QR, for each (d, d)
+    matrix of a (..., d, d) stack."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
 def random_pure_state(rng: np.random.Generator, shape: RegisterShape) -> PureState:
     d = shape.total_dim
     v = ginibre(rng, d)
@@ -45,10 +55,7 @@ def random_pure_state(rng: np.random.Generator, shape: RegisterShape) -> PureSta
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre(rng, (dim, dim)))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return unitary_from_ginibre(ginibre(rng, (dim, dim)))
 
 
 def random_density_operator(

@@ -12,8 +12,9 @@ inputs, N = 1, mixed round counts), hold both experiments to a frozen copy of
 the per-trial loops and oracles they replaced (``_reference_*`` below),
 document for document, and check that every stacked entry point rejects bad
 input loudly.  ``gentle`` also builds its instances on the stack
-(``density_from_ginibre``, ``contraction_from_ginibre``); those helpers are
-held to one call per slice, bit for bit.
+(``density_from_ginibre``, ``contraction_from_ginibre``), and ``uiso`` its
+unitaries (``unitary_from_ginibre``); those helpers are held to one call per
+slice, bit for bit.
 """
 
 import csv
@@ -57,6 +58,8 @@ from seqmeas.sampling import (
     random_povm_contraction,
     random_projector,
     random_pure_state,
+    random_unitary,
+    unitary_from_ginibre,
 )
 
 # -- the reference: the per-trial oracles and sweeps, frozen --------------------
@@ -281,6 +284,32 @@ def test_stacked_generation_matches_per_slice_calls(d):
     for i in range(5):
         assert np.array_equal(rho[i], density_from_ginibre(g[i]))
         assert np.array_equal(lam[i], contraction_from_ginibre(g[i], top[i]))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_stacked_unitaries_match_per_slice_calls(d):
+    """unitary_from_ginibre on a (5, d, d) stack equals one call per slice,
+    and random_unitary is unitary_from_ginibre of the same Ginibre draw, bit
+    for bit."""
+    g = ginibre(trial_rng(25, d), (5, d, d))
+    u = unitary_from_ginibre(g)
+    for i in range(5):
+        assert np.array_equal(u[i], unitary_from_ginibre(g[i]))
+    for i in range(3):
+        g = ginibre(trial_rng(26, i), (d, d))
+        assert np.array_equal(random_unitary(trial_rng(26, i), d), unitary_from_ginibre(g))
+
+
+def test_non_unitary_stack_fails_the_uiso_sweep(monkeypatch, capsys):
+    """uiso checks each dimension's stacked U and V: a stack that is not
+    unitary is an error, not a skipped identity check."""
+    monkeypatch.setattr(
+        experiments, "unitary_from_ginibre", lambda g: 1.5 * np.broadcast_to(np.eye(g.shape[-1]), g.shape)
+    )
+    with pytest.raises(ValueError, match="not unitary within tolerance"):
+        run_experiment(ExperimentConfig("uiso", seed=0, trials=5))
+    assert cli.main(["uiso", "--trials", "5"]) == 2
+    assert "not unitary within tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rank", [0, -1, 4])

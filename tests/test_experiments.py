@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="must be given together"):
             run_experiment(ExperimentConfig(name="giso", trials=5, **{field: table}))
 
+    def test_fraction_param_recorded_as_the_float_used(self):
+        """A Fraction epsilon ran, and then to_document raised "Object of
+        type Fraction is not JSON serializable"; the document now records
+        the float the run used, as for epsilon = 0.5."""
+        exact = run_experiment(ExperimentConfig("membership", trials=50, params={"epsilon": Fraction(1, 2)}))
+        binary = run_experiment(ExperimentConfig("membership", trials=50, params={"epsilon": 0.5}))
+        assert exact.all_passed
+        assert exact.to_document() == binary.to_document()
+        assert json.loads(exact.to_document())["params"] == {"epsilon": 0.5}
+
+    def test_fraction_param_that_rounds_to_the_lower_limit_rejected(self):
+        """A positive Fraction below the float range would run at delta = 0.0."""
+        with pytest.raises(ValueError, match="parameter 'delta' must be > 0.0"):
+            run_experiment(ExperimentConfig("or-test", trials=5, params={"delta": Fraction(1, 10**400)}))
+
     def test_seed_past_64_bits_runs(self):
         record = run_experiment(ExperimentConfig(name="antizeno", seed=2**70 + 1, trials=50))
         assert record.all_passed
@@ -271,6 +287,35 @@ class TestCli:
         out = tmp_path / "res.json"
         assert cli_main(["antizeno", "--param", "n=16.0", "--out", str(out)]) == 2
         assert "parameter 'n' must be an integer, got 16.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, message", [(10**400, "must be <= 0.5"), (-(10**400), "must be > 0.0")], ids=["above", "below"]
+    )
+    def test_real_param_past_the_float_range_exit_code(self, value, message, tmp_path, capsys):
+        """delta = +-10**400 passed the number check and then raised
+        OverflowError at float(); both bounds are now checked on the exact value."""
+        out = tmp_path / "res.json"
+        assert cli_main(["or-test", "--param", f"delta={value}", "--out", str(out)]) == 2
+        assert f"parameter 'delta' {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["antizeno", "or-test"])
+    def test_sequence_past_its_cap_exit_code(self, name, tmp_path, capsys, monkeypatch):
+        """n = MAX_SEQUENCE_STEPS + 1 is refused before any measurement of
+        the sequence is built."""
+        from seqmeas import measurement
+
+        def built(*args):
+            raise AssertionError("a measurement was built")
+
+        monkeypatch.setattr(measurement, "anti_zeno_state", built)
+        n = measurement.MAX_SEQUENCE_STEPS + 1
+        with pytest.raises(ValueError, match=f"capped at n = {measurement.MAX_SEQUENCE_STEPS}"):
+            measurement.anti_zeno_sequence(n)
+        out = tmp_path / "res.json"
+        assert cli_main([name, "--trials", "5", "--param", f"n={n}", "--out", str(out)]) == 2
+        assert "MAX_SEQUENCE_STEPS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_uiso_epsilon_too_small_is_quoted_as_given(self, tmp_path, capsys):
