@@ -6,17 +6,23 @@ set, membership of a state in a finite candidate set, the analogous tests
 for unitaries through their channel states, and product/genuine-entanglement
 tests via subsystem swap tests.
 
-Each exact oracle is one private function returning the spectral measure
-(eigenvalues, weights) of the tester's L seen from its input, fed to
-``quantum_or.mw_accept_from_spectrum``; the halting-law tests read the
-same function.  All three are exact at any copy count:
+Each exact oracle is one private function that the halting-law tests
+read too.  Two return the spectral measure (eigenvalues, weights) of the
+tester's L seen from its input, fed to
+``quantum_or.mw_accept_from_spectrum``:
 
-* ``_membership_measure``: the Gram matrix of the candidates' k-th powers;
 * ``_eigen_measure``: commuting interference measurements, whose joint
   bitmasks one ``eigh`` of sum_i 2^i P_i gives and certifies, and whose
   averaged spectrum is a distribution of bit-vector ANDs;
 * ``_genuine_measure``: the rank of the span of the per-register swap sign
   patterns the copy pairs draw, weighted from subsystem purities.
+
+The third, ``_membership_law``, returns the run's halting law itself, by a
+walk in the Gram space of the candidates' k-th powers: N = |P| matvecs on
+a |P| x |P| matrix, O(|P|^3) time and O(|P|^2) memory, with k entering
+only through the log k squarings of the Gram power.  The oracle is the sum
+of its halting entries, and the acceptance at any N' <= N a partial sum.
+All three are exact at any copy count.
 
 The one exception is interference with non-commuting unitaries, which
 takes 1 - ||(I - L)^N v||^2 (``quantum_or.mw_accept_polynomial``) on the
@@ -54,7 +60,6 @@ from .states import (
     basis_state,
     check_integer,
     check_interval,
-    eigendecompose,
     hermitian_stack,
     product_state,
     plus_state,
@@ -66,7 +71,6 @@ MAX_DENSE_DIM = 1 << 12
 CASE2_BUDGET = 1.0 / 8.0
 COMMUTATOR_ATOL = 1e-9
 PATTERN_ATOL = 1e-15  # weight floor of the joint-eigenspace and pattern distributions
-GRAM_ATOL = 1e-14  # eigenvalue floor of the membership oracle's Gram matrix
 MAX_GENUINE_PARTIES = 8
 MAX_GENUINE_DRAWS = 10**6  # copy pairs k/2 the genuine oracle's span DP walks
 
@@ -219,6 +223,12 @@ def _check_epsilon(epsilon: float) -> None:
     check_interval(epsilon, "epsilon", 0, 1, open_low=True)
 
 
+def _check_pure(state, name: str) -> None:
+    """The input check of every pure-state tester: `name` is a PureState."""
+    if not isinstance(state, PureState):
+        raise ValueError(f"{name} must be a PureState, got {type(state).__name__}")
+
+
 def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copies_k: int | None) -> int:
     """The copy count of a k-copy tester on a family of n, after the epsilon
     check: the rule's k at epsilon if copies_k is None, else copies_k."""
@@ -349,6 +359,7 @@ def analytic_eigen_accept(unitary: np.ndarray, psi: PureState, copies_k: int) ->
     """Closed-form single-measurement acceptance (1/2 + Re<psi|U|psi>/2)^k,
     after the instance check of the interference test (k >= 1, a unitary of
     psi's dimension)."""
+    _check_pure(psi, "psi")
     (unitary,) = _eigen_check((unitary,), psi.shape, copies_k)
     overlap = np.vdot(psi.amplitudes, unitary @ psi.amplitudes)
     return float((0.5 + 0.5 * overlap.real) ** copies_k)
@@ -396,6 +407,7 @@ def _eigen_builder(unitaries: UnitarySet | Sequence[np.ndarray], psi: PureState,
     """The eigenvector test's run at a resolved k, for every eigen-family
     builder: the k-copy interference state, one applier that is already the
     family's mean L (``_copy_reflection_applier``) and N = number of unitaries."""
+    _check_pure(psi, "psi")
     mats = _eigen_check(unitaries, psi.shape, copies_k)
     phi = _copies_state([plus_state(), psi], copies_k)
     return AveragedInstance((_copy_reflection_applier(mats, copies_k),), phi, or_round_count(len(mats), 0))
@@ -560,6 +572,7 @@ def eigen_or_accept_exact(
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
+    _check_pure(psi, "psi")
     mats = _eigen_check(unitaries, psi.shape, copies_k)
     rounds = or_round_count(len(mats), 0)
     measure = _eigen_measure(mats, psi, copies_k, method)
@@ -698,9 +711,12 @@ def state_membership_test(
 
 def _membership_check(candidates: Sequence[PureState], psi: PureState, copies_k: int) -> None:
     """The instance check of :func:`membership_instance` and
-    :func:`membership_accept_exact`: candidates on psi's shape, k >= 1."""
+    :func:`membership_accept_exact`: pure candidates on pure psi's shape, k >= 1."""
+    _check_pure(psi, "psi")
     if not candidates:
         raise ValueError("candidate set is empty")
+    for i, c in enumerate(candidates):
+        _check_pure(c, f"candidates[{i}]")
     if any(c.shape != psi.shape for c in candidates):
         raise ValueError("candidates and input state must share a shape")
     _check_copies(copies_k)
@@ -708,14 +724,16 @@ def _membership_check(candidates: Sequence[PureState], psi: PureState, copies_k:
 
 def _elementwise_power(x: np.ndarray, k: int) -> np.ndarray:
     """x ** k entrywise for an integer k >= 0, by repeated squaring (numpy's
-    complex ``**`` takes the general power routine, far slower at large k)."""
+    complex ``**`` takes the general power routine, far slower at large k),
+    in two owned buffers: x itself is never written."""
     result = np.ones_like(x)
+    square = np.array(x)
     while k:
         if k & 1:
-            result = result * x
+            np.multiply(result, square, out=result)
         k >>= 1
         if k:
-            x = x * x
+            np.multiply(square, square, out=square)
     return result
 
 
@@ -725,33 +743,48 @@ def membership_accept_exact(
     copies_k: int,
 ) -> float:
     """Exact acceptance of the membership test at any copy count, with
-    N = |P| rounds as in its sampler.
-
-    The averaged operator has rank at most |P|; its nonzero spectrum is that
-    of the k-th-power Gram matrix of the candidates divided by |P|, and the
-    initial-state weights follow from the candidate overlaps, so no k-copy
-    space is ever built.
-    """
+    N = |P| rounds as in its sampler: the sum of the halting entries of
+    :func:`_membership_law`, clipped at 1 as
+    :func:`quantum_or.mw_accept_from_spectrum` clips.  No k-copy space is
+    ever built."""
     _membership_check(candidates, psi, copies_k)
-    return mw_accept_from_spectrum(*_membership_measure(candidates, psi, copies_k), or_round_count(len(candidates), 0))
+    return min(math.fsum(_membership_law(candidates, psi, copies_k)[:-1]), 1.0)
 
 
-def _membership_measure(candidates: Sequence[PureState], psi: PureState, copies_k: int) -> tuple[list, list]:
-    """The Gram route's measure of :func:`membership_accept_exact` (an
-    eigenvalue rounded past 1 is clipped, as every reader of a measure does)."""
+def _membership_law(candidates: Sequence[PureState], psi: PureState, copies_k: int) -> np.ndarray:
+    """The halting law of the membership run (as
+    :func:`quantum_or.mw_halting_law` lays it out) by a walk in Gram space.
+
+    With Phi the candidates' k-th powers as columns, L = Phi Phi^dag / n and
+    Phi^dag L = M Phi^dag for M = G/n, G the k-th-power Gram matrix.  So
+    entry s, <v|L (I - L)^s|v> on v = psi^k, is t^dag (I - M)^s t / n with
+    t_i = <phi_i|psi>^k: round m holds y = (I - M)^m t and writes
+    ||y||^2/n and (||y||^2 - y^dag M y)/n, both in [0, ||y||^2/n].  N = n
+    rounds are n matvecs on an n x n matrix, O(n^3) time and O(n^2)
+    memory; k enters only through the log k squarings of the Gram power.
+    The last entry is the rejection, 1 minus the halting entries, and the
+    acceptance at any N' <= N is the sum of the first 2 N' entries.
+
+    Rounding in the inputs' norms, raised to the k-th power, can put M a
+    few k ulps past I and the halting mass as far past 1; the odd entries
+    and the rejection are then clipped at 0, as readers of a measure clip
+    its eigenvalues and acceptance into [0, 1].
+    """
     n = len(candidates)
     amps = np.array([c.amplitudes for c in candidates])
-    gram = _elementwise_power(amps.conj() @ amps.T, copies_k)
-    t = _elementwise_power(amps.conj() @ psi.amplitudes, copies_k)
-    dec = eigendecompose(gram / n)
-    evals, weights = [], []
-    for mu, coef in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if mu <= GRAM_ATOL:
-            continue
-        amp = np.dot(coef.conj(), t) / math.sqrt(n * mu)
-        evals.append(min(float(mu), 1.0))
-        weights.append(float(abs(amp) ** 2))
-    return evals, weights
+    m = _elementwise_power(amps.conj() @ amps.T, copies_k)
+    m /= n
+    y = _elementwise_power(amps.conj() @ psi.amplitudes, copies_k)
+    rounds = or_round_count(n, 0)
+    law = np.empty(2 * rounds + 1)
+    for r in range(rounds):
+        z = m @ y
+        norm = np.vdot(y, y).real
+        law[2 * r] = norm / n
+        law[2 * r + 1] = max(norm - np.vdot(y, z).real, 0.0) / n
+        y -= z
+    law[-1] = max(1.0 - math.fsum(law[:-1]), 0.0)
+    return law
 
 
 def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) -> float:
@@ -973,8 +1006,9 @@ def _cut_and_applier(
 def _genuine_check(psi: PureState, n_parts: int) -> int:
     """The cut count 2^{n-1} - 1 (no cut is listed, so the callers' caps come
     first), after the part check of :func:`genuine_ent_instance` and
-    :func:`genuine_ent_accept_exact`: one part per register of psi and at
-    least two parts.  Their copy check is :func:`_check_pairs`."""
+    :func:`genuine_ent_accept_exact`: a pure psi, one part per register of
+    it and at least two parts.  Their copy check is :func:`_check_pairs`."""
+    _check_pure(psi, "psi")
     if check_integer(n_parts, "n_parts") != psi.shape.num_registers:
         raise ValueError("n_parts must match the state's register count")
     if n_parts < 2:

@@ -214,6 +214,45 @@ def test_negative_copy_counts_rejected(copies_k):
         eigen_tester_state(ZERO, copies_k)
 
 
+# entries fed an input that is not a PureState -> (the call, the message)
+NOT_PURE_CALLS = {
+    "membership_accept_exact": (
+        lambda: membership_accept_exact([ZERO], ZERO.density(), 2),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "membership_instance": (
+        lambda: membership_instance([ZERO], ZERO.density(), 0.5, copies_k=2),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "state_membership_test": (
+        lambda: state_membership_test([ZERO], ZERO.density(), 0.5, trial_rng(0, 0), copies_k=2),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "membership_accept_exact-ndarray-candidate": (
+        lambda: membership_accept_exact([ZERO, ZERO.amplitudes], ZERO, 2),
+        "candidates[1] must be a PureState, got ndarray",
+    ),
+    "eigen_or_accept_exact": (
+        lambda: eigen_or_accept_exact([np.diag([1.0, -1.0])], ZERO.density(), 2),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "genuine_ent_accept_exact": (
+        lambda: genuine_ent_accept_exact(ghz_state(3).density(), 3, 4),
+        "psi must be a PureState, got DensityOperator",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_PURE_CALLS))
+def test_non_pure_inputs_rejected(entry):
+    """Each once raised AttributeError from deep inside (a bare ndarray
+    candidate read "candidates and input state must share a shape"); the
+    instance checks now name the argument that is not a PureState."""
+    call, message = NOT_PURE_CALLS[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 # every k-copy entry point, as a function of k
 COPY_COUNT_CALLS = {
     "analytic_eigen_accept": lambda k: analytic_eigen_accept(PAULI_X, ZERO, k),

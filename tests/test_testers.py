@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -60,7 +61,7 @@ from seqmeas import gates as gates_module
 from seqmeas import quantum_or as quantum_or_module
 from seqmeas.gates import HADAMARD, PAULI_X, PAULI_Z, GateSpec, _apply_gate_array
 from seqmeas.measurement import measure_register_collapse
-from seqmeas.quantum_or import mw_accept_from_spectrum, or_round_count
+from seqmeas.quantum_or import mw_accept_from_spectrum, mw_halting_law, or_round_count
 from seqmeas.testers import (
     CASE2_BUDGET,
     MAX_DENSE_DIM,
@@ -76,7 +77,7 @@ from seqmeas.testers import (
     _genuine_measure,
     _joint_bits,
     _least_copies,
-    _membership_measure,
+    _membership_law,
     _noncommuting_pair,
     _pair_swap_projectors,
     _sign_pattern_weights,
@@ -1261,6 +1262,50 @@ def assert_measure(measure, accept, n_rounds):
     assert accept == mw_accept_from_spectrum(*measure, n_rounds)
 
 
+def _reference_membership_measure(candidates, psi, copies_k):
+    """The Gram route the membership oracle once took: the spectral measure
+    of L seen from psi^k, from the eigenpairs of the k-th-power Gram matrix
+    over |P| (eigenvalues at most 1e-14 dropped, one rounded past 1
+    clipped).  It leaves out the kernel of L, so its weights add up to the
+    mass of psi^k in the span of the candidates' k-th powers."""
+    n = len(candidates)
+    amps = np.array([c.amplitudes for c in candidates])
+    gram = _elementwise_power(amps.conj() @ amps.T, copies_k)
+    t = _elementwise_power(amps.conj() @ psi.amplitudes, copies_k)
+    dec = eigendecompose(gram / n)
+    evals, weights = [], []
+    for mu, coef in zip(dec.eigenvalues, dec.eigenvectors.T):
+        if mu <= 1e-14:
+            continue
+        amp = np.dot(coef.conj(), t) / math.sqrt(n * mu)
+        evals.append(min(float(mu), 1.0))
+        weights.append(float(abs(amp) ** 2))
+    return evals, weights
+
+
+def assert_law_matches_reference(candidates, psi, copies_k):
+    """The Gram-space walk's law against the reference measure, returned.
+
+    Every halting entry lies within 1e-12 of ``mw_halting_law`` on the
+    measure, and every partial sum up to N' <= N within 1e-12 of
+    ``mw_accept_from_spectrum`` at N'.  The entries are >= 0 and add up to
+    1 within 1e-12, the halting mass's excess past 1 from rounding in the
+    inputs' norms (raised to the k-th power), which the rejection entry,
+    clipped at 0, cannot take back.  The measure leaves out L's kernel, so
+    its own last entry lacks the mass of psi^k outside the candidates' span.
+    """
+    law = _membership_law(candidates, psi, copies_k)
+    measure = _reference_membership_measure(candidates, psi, copies_k)
+    n_rounds = or_round_count(len(candidates), 0)
+    assert law.shape == (2 * n_rounds + 1,)
+    np.testing.assert_allclose(law[:-1], mw_halting_law(*measure, n_rounds)[:-1], rtol=0, atol=1e-12)
+    for rounds in range(1, n_rounds + 1):
+        assert abs(math.fsum(law[: 2 * rounds]) - mw_accept_from_spectrum(*measure, rounds)) <= 1e-12
+    assert law.min() >= 0.0
+    assert abs(math.fsum(law) - 1.0) <= 1e-12
+    return law
+
+
 class TestMeasureFunctions:
     """Each structured oracle is its measure function fed to
     ``mw_accept_from_spectrum``; the measures are sub-probability measures
@@ -1279,13 +1324,15 @@ class TestMeasureFunctions:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), dim=st.integers(2, 4), size=st.integers(1, 4), copies_k=st.integers(1, 4))
     def test_membership_measure(self, seed, dim, size, copies_k):
+        """The membership oracle reads a law, not a measure: it is the fsum
+        of that law's halting entries, and the law is the Gram measure's."""
         rng = trial_rng(seed, 0)
         shape = RegisterShape((dim,))
         candidates = [random_pure_state(rng, shape) for _ in range(size)]
         for psi in (random_pure_state(rng, shape), candidates[-1]):
-            measure = _membership_measure(candidates, psi, copies_k)
+            law = assert_law_matches_reference(candidates, psi, copies_k)
             exact = membership_accept_exact(candidates, psi, copies_k)
-            assert_measure(measure, exact, or_round_count(size, 0))
+            assert exact == min(math.fsum(law[:-1]), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n_parts=st.integers(2, 4), pairs=st.integers(1, 3))
@@ -1409,6 +1456,95 @@ class TestMembership:
 
 def plus_state_local():
     return PureState(QUBIT, np.array([1.0, 1.0]) / math.sqrt(2))
+
+
+def _fraction_law(candidates, psi, copies_k):
+    """The walk of ``_membership_law`` in exact rationals, on real amplitude
+    lists of Fractions."""
+    n = len(candidates)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    m = [[dot(a, b) ** copies_k / n for b in candidates] for a in candidates]
+    y = [dot(a, psi) ** copies_k for a in candidates]
+    law = []
+    for _ in range(n):
+        z = [dot(row, y) for row in m]
+        norm = dot(y, y)
+        law += [norm / n, (norm - dot(y, z)) / n]
+        y = [a - b for a, b in zip(y, z)]
+    return law + [1 - sum(law)]
+
+
+RATIONAL_PAIR = (Fraction(3, 5), Fraction(4, 5))
+RATIONAL_TRIPLE = (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
+
+
+class TestMembershipLaw:
+    """The oracle's Gram-space walk where its Gram matrix or its input is
+    degenerate, at a large k, and against the same walk in rationals."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), case=st.sampled_from(["rank-deficient", "repeated", "single"]))
+    def test_degenerate_gram(self, seed, case):
+        rng = trial_rng(seed, 0)
+        a, b = random_pure_state(rng, QUBIT), random_pure_state(rng, QUBIT)
+        candidates, copies_k = {
+            "rank-deficient": ([random_pure_state(rng, QUBIT) for _ in range(5)], 1),  # Gram rank 2
+            "repeated": ([a, b, a], 2),
+            "single": ([a], 3),
+        }[case]
+        for psi in (random_pure_state(rng, QUBIT), a):
+            assert_law_matches_reference(candidates, psi, copies_k)
+
+    def test_member_input(self):
+        candidates = [random_pure_state(trial_rng(61, t), RegisterShape((3,))) for t in range(4)]
+        k = membership_copies(4, 0.5)
+        assert_law_matches_reference(candidates, candidates[1], k)
+        assert membership_accept_exact(candidates, candidates[1], k) >= 1.0 / 7.0
+
+    def test_orthogonal_input(self):
+        shape = RegisterShape((3,))
+        candidates = [basis_state(shape, (0,)), basis_state(shape, (1,))]
+        psi = basis_state(shape, (2,))
+        law = assert_law_matches_reference(candidates, psi, 2)
+        assert law[-1] == 1.0
+        assert membership_accept_exact(candidates, psi, 2) == 0.0
+
+    def test_many_close_candidates_at_large_k(self):
+        """320 candidates about 1/sqrt(k) from the input at k = 10^5, so the
+        k-th-power Gram matrix is far from the identity."""
+        rng, k, shape = trial_rng(62, 0), 10**5, RegisterShape((4,))
+        base = random_pure_state(rng, shape).amplitudes
+        steps = (rng.normal(size=(319, 4)) + 1j * rng.normal(size=(319, 4))) / math.sqrt(k)
+        vectors = np.vstack([base, base + steps])
+        candidates = [PureState(shape, v / np.linalg.norm(v)) for v in vectors]
+        assert_law_matches_reference(candidates, candidates[0], k)
+        assert membership_accept_exact(candidates, candidates[0], k) >= 1.0 / 7.0
+
+    @pytest.mark.parametrize(
+        "psi, indices",
+        [
+            (RATIONAL_PAIR, (0, 1)),
+            (RATIONAL_PAIR, (1,)),
+            (RATIONAL_PAIR, (0, 1, 0)),
+            (RATIONAL_TRIPLE, (0, 1, 2)),
+            (RATIONAL_TRIPLE, (2, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("copies_k", [1, 2, 5])
+    def test_exact_rational_walk(self, psi, indices, copies_k):
+        """Computational-basis candidates and a rational psi make M and t
+        rational, so the float law is held to the exact walk."""
+        d = len(psi)
+        exact = _fraction_law([[Fraction(int(i == j)) for j in range(d)] for i in indices], psi, copies_k)
+        shape = RegisterShape((d,))
+        candidates = [basis_state(shape, (i,)) for i in indices]
+        law = _membership_law(candidates, PureState(shape, np.array([float(x) for x in psi])), copies_k)
+        assert len(law) == len(exact)
+        for got, want in zip(law.tolist(), exact):
+            assert abs(got - float(want)) <= 1e-15
 
 
 class TestChoi:

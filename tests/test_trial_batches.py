@@ -88,7 +88,7 @@ from seqmeas.disturbance import _row_dot
 from seqmeas.quantum_or import _averaged_operator, _draw_rows, _ensemble, _mean_applier, _single_measure, _survivors
 from seqmeas.rng import _CHUNK
 from seqmeas.states import DensityOperator, eigendecompose
-from seqmeas.testers import _eigen_measure, _g_iso_parts, _genuine_measure, _membership_measure, _u_iso_parts
+from seqmeas.testers import _eigen_measure, _g_iso_parts, _genuine_measure, _membership_law, _u_iso_parts
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -96,6 +96,7 @@ from seqmeas.sampling import (
     random_pure_state,
     random_unitary,
 )
+from test_testers import assert_law_matches_reference
 
 QUBIT = RegisterShape((2,))
 _STEPS = (None, "pi", "delta")
@@ -682,12 +683,15 @@ def _merged_cells(observed, expected, least=5.0):
 
 
 def _oracle_cases():
-    """(instance, spectral measure of its L from its exact oracle's own
-    measure function, that oracle's acceptance) for every amplification
-    check of the CLI, at its small k: the OR test and de-Merlinization case 1 at
-    eta = 2/3 (the averaged operator's measure), membership at k = 3 (Gram
-    route), the desk isomorphic giso pair and the uiso conjugate pair at
-    k = 2 (joint route) and the partly-product state at k = 4 (span ranks)."""
+    """(instance, halting law, acceptance, exact oracle's acceptance) for
+    every amplification check of the CLI, at its small k, the law and the
+    acceptance read off what the oracle itself reads: for the OR test and
+    de-Merlinization case 1 at eta = 2/3 (the averaged operator's measure),
+    the desk isomorphic giso pair and the uiso conjugate pair at k = 2
+    (joint route) and the partly-product state at k = 4 (span ranks), its
+    measure function through ``mw_halting_law`` and
+    ``mw_accept_from_spectrum``; for membership at k = 3, the Gram-space
+    walk's law and the fsum of its halting entries."""
     seq, zero = anti_zeno_sequence(8), basis_state(QUBIT, (0,))
     candidates = [zero, basis_state(QUBIT, (1,))]
     group, iso_pair, _ = _desk_giso_instance()
@@ -695,38 +699,46 @@ def _oracle_cases():
     v = random_unitary(trial_rng(0, 5000), 2)
     partly = product_state([basis_state(QUBIT, (0,)), bell_pair()])
     gamma, psi, eta = _demerlinize_case1(2.0 / 3.0)
+    membership_law = _membership_law(candidates, zero, 3)
     return {
-        "or-test": (
+        "or-test": _measure_case(
             or_test_instance(seq, zero, 0),
             _single_row(_averaged_operator(seq), zero),
             or_test_accept_exact(seq, zero, 0),
         ),
         "membership": (
             membership_instance(candidates, zero, 0.5, copies_k=3),
-            _membership_measure(candidates, zero, 3),
+            membership_law,
+            min(math.fsum(membership_law[:-1]), 1.0),
             membership_accept_exact(candidates, zero, 3),
         ),
-        "giso": (
+        "giso": _measure_case(
             g_iso_instance(*iso_pair, group, 1.0, copies_k=2),
             _eigen_measure(*_g_iso_parts(*iso_pair, group, 1.0, 2)),
             g_iso_accept_exact(*iso_pair, group, 1.0, copies_k=2),
         ),
-        "uiso": (
+        "uiso": _measure_case(
             unitary_s_iso_instance(s_set, v, v, 1.0, copies_k=2),
             _eigen_measure(*_u_iso_parts(s_set, v, v, 1.0, 2)),
             unitary_s_iso_accept_exact(s_set, v, v, 1.0, copies_k=2),
         ),
-        "genuine-ent": (
+        "genuine-ent": _measure_case(
             genuine_ent_instance(partly, 3, 0.5, copies_k=4),
             _genuine_measure(partly, 3, 4),
             genuine_ent_accept_exact(partly, 3, 4),
         ),
-        "demerlinize": (
+        "demerlinize": _measure_case(
             demerlinize_instance(gamma, psi, eta),
             _single_row(_averaged_operator(merlin_slice_operators(gamma)), psi),
             demerlinize_accept_exact(gamma, psi, eta),
         ),
     }
+
+
+def _measure_case(inst, measure, exact):
+    """An oracle case of a measure function: the law and the acceptance of
+    the measure at the instance's round count."""
+    return inst, mw_halting_law(*measure, inst.n_rounds), mw_accept_from_spectrum(*measure, inst.n_rounds), exact
 
 
 def _single_row(accept_op, rho):
@@ -737,14 +749,20 @@ def _single_row(accept_op, rho):
 
 @pytest.mark.parametrize("name", ["or-test", "membership", "giso", "uiso", "genuine-ent", "demerlinize"])
 def test_oracle_measures_give_the_law_and_the_oracle(name):
-    """Each oracle's measure gives a law whose halting entries total
-    mw_accept_from_spectrum on it, which is the oracle's acceptance bit for
-    bit (the oracle reads the same measure)."""
-    inst, (evals, weights), exact = _oracle_cases()[name]
-    law = mw_halting_law(evals, weights, inst.n_rounds)
-    accept = mw_accept_from_spectrum(evals, weights, inst.n_rounds)
+    """Each oracle's law has halting entries that total the acceptance read
+    off the same measure or walk, which is the oracle's acceptance bit for
+    bit (the oracle reads the same function)."""
+    _, law, accept, exact = _oracle_cases()[name]
     assert abs(math.fsum(law[:-1]) - accept) <= 1e-15
     assert accept == exact
+
+
+def test_membership_oracle_law_is_the_gram_measure_law():
+    """The membership walk's law against the eigh Gram measure it
+    replaced, entry by entry and partial sum by partial sum within 1e-12."""
+    _, law, _, _ = _oracle_cases()["membership"]
+    zero, one = basis_state(QUBIT, (0,)), basis_state(QUBIT, (1,))
+    assert np.array_equal(assert_law_matches_reference([zero, one], zero, 3), law)
 
 
 def _assert_steps_follow(inst, law):
@@ -771,7 +789,7 @@ def test_halting_steps_follow_the_law(name):
 
 @pytest.mark.parametrize("name", ["or-test", "membership", "giso", "uiso", "genuine-ent", "demerlinize"])
 def test_halting_steps_follow_the_oracle_law(name):
-    """The same, on every amplification check of the CLI, with the law from
-    the measure each exact oracle reads."""
-    inst, measure, _ = _oracle_cases()[name]
-    _assert_steps_follow(inst, mw_halting_law(*measure, inst.n_rounds))
+    """The same, on every amplification check of the CLI, with the law
+    from what each exact oracle reads (the membership walk's own law)."""
+    inst, law, _, _ = _oracle_cases()[name]
+    _assert_steps_follow(inst, law)
