@@ -20,19 +20,22 @@ batch axis (:func:`spectral_measures`, :func:`mw_accept_from_spectrum`,
 :func:`mw_bounds_from_spectrum`, :func:`mw_accept_survival_stack`); the
 single-instance oracles are the same cores on a stack of one.
 
-Every sampler reads one core, ``_amplify``.  On a pure input every trial
-sees the same not-yet-halted state, and randomness only decides where it
-halts, so the state path belongs to the instance: ``_amplify`` walks it
-once per distinct input vector (one for a pure input, one per
-eigen-ensemble index drawn for a mixed one) on the system space, given an
+On a pure input every trial sees the same not-yet-halted state, and
+randomness only decides where it halts, so the state path belongs to the
+instance: it is walked once per distinct input vector (one for a pure
+input, one per eigen-ensemble index drawn for a mixed one), grown lazily,
+only as far as the furthest step some trial reaches, and a trial halts at
+the first step whose halting region holds its uniform.  A run is one of two
+instances, each with its walk.  An :class:`AveragedInstance`, L the mean
+of its appliers, is walked by ``_amplify`` on the system space, given an
 L-applier (the path depends on Pi only through L; Pi itself is exercised by
-the survival oracle).  Each path is grown lazily, only as far as the
-furthest step some trial reaches, and a trial halts at the first step whose
-halting region holds its uniform.  Every run is an
-:class:`AveragedInstance`, L the mean of its appliers: the OR test and
-de-Merlinization give one matvec per member, and their exact oracles
-decompose the same mean; a Naimark form's run is the single applier
-``lambda v: L @ v`` of its induced operator.
+the survival oracle): the OR test and de-Merlinization give one matvec per
+member, and their exact oracles decompose the same mean; a Naimark form's
+run is the single applier ``lambda v: L @ v`` of its induced operator.  A
+:class:`TensorPowerInstance`, L the mean of k-th tensor powers of
+projectors on factor^(x)k, is walked by its ``_word_walk`` in the Gram
+space of reduced words, with no k-copy vector; it yields the same
+sequence.
 
 Draw order.  Every sampler is one halting core
 (``_Survivors.halting_steps``) fed by one of three draw sources.  A single
@@ -68,6 +71,7 @@ from .measurement import (
     _check_projective,
     accept_spectra,
     in_unit_interval,
+    is_idempotent,
     naimark_checks,
 )
 from .rng import StreamBlock
@@ -98,7 +102,7 @@ class AveragedInstance:
     whose mean is L, an input state and the round count N.
 
     Usually there is one applier per operator; a single applier may already
-    be a whole family's mean (the interference test's, see
+    be a whole family's mean (the interference test's vector route, see
     ``testers._copy_reflection_applier``), in which case n_rounds still
     carries the N of that family.  Only matvecs are needed, so instances are
     limited by state-vector size rather than dense-operator size.
@@ -114,6 +118,120 @@ class AveragedInstance:
             raise ValueError("need at least one measurement")
         _round_counts(self.n_rounds, 1)
         object.__setattr__(self, "appliers", appliers)
+
+
+@dataclass(frozen=True, eq=False)
+class TensorPowerInstance:
+    """One amplification run on L = (1/n) sum_i P_i^{(x)k}, the mean of the
+    k-th tensor powers of n projectors P_i on one factor space, from the
+    input factor^{(x)k}, with N rounds: the interference test's run on its
+    flag-0 block, P_i the block reflection of the i-th unitary.
+
+    No k-copy vector is built.  The survivor path stays in the span of the
+    vectors (P_w chi)^{(x)k} over the reduced words w of length <= N (no
+    letter twice in a row, as P_i^2 = P_i), chi the factor, and
+    ``_word_walk`` walks it on their coefficients: O(W^2 D) time once and
+    O(W^2) per step for W words on a D-dimensional factor, independent of k
+    but for the log k squarings of the Gram power.  W grows as (n - 1)^N,
+    so the caller chooses this route only where W is small
+    (``testers._eigen_builder``).  `projectors` is stored as a read-only
+    complex (n, D, D) stack.
+    """
+
+    projectors: np.ndarray
+    factor: PureState
+    copies_k: int
+    n_rounds: int
+
+    def _store(self):
+        mats = np.array(self.projectors, dtype=np.complex128)
+        mats.setflags(write=False)
+        object.__setattr__(self, "projectors", mats)
+
+    def __post_init__(self):
+        mats = hermitian_stack(self.projectors, "projector")
+        check_slices(is_idempotent(mats), "projector", "not idempotent within tolerance")
+        if not isinstance(self.factor, PureState):
+            raise ValueError(f"factor must be a PureState, got {type(self.factor).__name__}")
+        dim = self.factor.shape.total_dim
+        if mats.shape[1] != dim:
+            raise ValueError(f"projectors of dimension {mats.shape[1]} on a factor of dimension {dim}")
+        _check_copies(self.copies_k)
+        _round_counts(self.n_rounds, 1)
+        self._store()
+
+    def _word_walk(self, vector: np.ndarray) -> Iterator[float]:
+        """The survivor path of vector^{(x)k} in the Gram space of reduced
+        words: the sequence ``_amplify`` yields on the k-copy vector, step
+        by step and as lazily.
+
+        The rows x_w = P_w vector (x_empty = vector, x_{iw} = P_i x_w) give
+        the Gram power G = (X^* X^T)^{o k}, G_vw = <x_v^{(x)k}|x_w^{(x)k}>.
+        On coefficients c the path vector is sum_w c_w x_w^{(x)k}, and L
+        maps x_w^{(x)k} to the mean over i of x_{iw}^{(x)k}, where i = w_0
+        gives w itself: so L is the matrix M below, which sends w to iw
+        (i != w_0) and to w, each with weight 1/n.  Round by round, the Pi
+        accept probability is c^dag G (M c) and the Delta keep probability
+        ||(I - L) v||^2 / (1 - <v|L|v>) with ||(I - L) v||^2 = d^dag G d for
+        d = c - M c, clipped at 0 as ``testers._membership_law`` clips:
+        rounding can take the quadratic form a few ulps below 0 near a
+        vector that every P_i fixes.
+        """
+        n = len(self.projectors)
+        parents, blocks = _reduced_words(n, self.n_rounds)
+        x = np.empty((parents.size, vector.size), dtype=np.complex128)
+        x[0] = vector
+        for lo, hi, i in blocks:
+            x[lo:hi] = x[parents[lo:hi]] @ self.projectors[i].T
+        gram = _elementwise_power(x.conj() @ x.T, self.copies_k)
+        live = np.zeros(parents.size, dtype=np.complex128)
+        live[0] = 1.0
+        hit = np.zeros_like(live)
+        for _ in range(self.n_rounds):
+            np.add(live[parents[1:]], live[1:], out=hit[1:])
+            hit /= n
+            p_pi = np.vdot(live, gram @ hit).real
+            yield p_pi
+            live -= hit
+            p_rest = max(np.vdot(live, gram @ live).real, 0.0)
+            yield p_rest / (1.0 - p_pi)
+            live /= math.sqrt(p_rest)
+
+
+def _reduced_words(n: int, n_rounds: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The reduced words over n letters of length <= N, shortest first, the
+    empty word at index 0: each word's parent (iw's is w; entry 0 is unused)
+    and the blocks (lo, hi, i) of the words iw at indices lo..hi - 1, every
+    block after the blocks holding its parents."""
+    parents, blocks, size = [np.zeros(1, dtype=np.intp)], [], 1
+    level, level_first = np.zeros(1, dtype=np.intp), np.full(1, -1)
+    for _ in range(n_rounds):
+        tails = [level[level_first != i] for i in range(n)]
+        for i, t in enumerate(tails):
+            if t.size:
+                blocks.append((size, size + t.size, i))
+                size += t.size
+        if size == level[-1] + 1:
+            break  # one letter: no word is longer than 1
+        parents += tails
+        level = np.arange(level[-1] + 1, size)
+        level_first = np.repeat(np.arange(n), [t.size for t in tails])
+    return np.concatenate(parents), blocks
+
+
+def _word_count(n: int, n_rounds: int, cap: int) -> int | None:
+    """The number of reduced words over n letters of length <= N, or None
+    once it passes `cap` (the count grows as (n - 1)^N, so it is never
+    formed past the cap)."""
+    total = level = 1
+    for j in range(n_rounds):
+        level *= n if j == 0 else n - 1
+        total += level
+        if total > cap:
+            return None
+        if not level:
+            break
+    return total
 
 
 @dataclass(frozen=True)
@@ -194,25 +312,26 @@ class _Survivors:
     """The survivor paths of one instance, shared by all of its trials.
 
     A pure input has one path; a mixed input has one per eigen-ensemble
-    index some trial drew.  Each path is read from its ``_amplify``
-    generator only as far as the furthest step a trial reached, and a trial
-    halts at the first step whose halting region holds its uniform.
+    index some trial drew.  Each path is read from the generator that
+    ``walk`` returns for its input vector (``_amplify`` or ``_word_walk``)
+    only as far as the furthest step a trial reached, and a trial halts at
+    the first step whose halting region holds its uniform.
     """
 
     def __init__(
         self,
-        apply_l: Callable[[np.ndarray], np.ndarray],
+        walk: Callable[[np.ndarray], Iterator[float]],
         initial: PureState | DensityOperator,
         n_rounds: int,
     ):
-        self._apply_l, self.n_rounds = apply_l, n_rounds
+        self._walk, self.n_rounds = walk, n_rounds
         self._vectors, self._cdf = _ensemble(initial)
         self._paths: dict[int, tuple[Iterator[float], list[float]]] = {}
 
     def boundary(self, row: int, step: int) -> float:
         """Where the halting region of `step` begins on the path of `row`."""
         if row not in self._paths:
-            self._paths[row] = (_amplify(self._apply_l, self._vectors[row], self.n_rounds), [])
+            self._paths[row] = (self._walk(self._vectors[row]), [])
         path, read = self._paths[row]
         while len(read) <= step:
             read.append(next(path))
@@ -279,12 +398,20 @@ class _Survivors:
         return MWResult(True, step // 2 + 1, _HALTING_STEPS[step % 2]) if step < 2 * n else MWResult(False, n, None)
 
 
-def _survivors(inst: AveragedInstance) -> _Survivors:
-    """The instance's survivor paths, walked with L: the mean of its
-    appliers, or its single applier, which is L itself (it may already be a
-    whole family's mean)."""
-    apply_l = inst.appliers[0] if len(inst.appliers) == 1 else _mean_applier(inst.appliers)
-    return _Survivors(apply_l, inst.initial, inst.n_rounds)
+def _survivors(inst: AveragedInstance | TensorPowerInstance) -> _Survivors:
+    """The instance's survivor paths: a tensor-power instance's from its
+    word walk on the factor, an averaged instance's from ``_amplify`` with
+    its L-applier (:func:`_l_applier`)."""
+    if isinstance(inst, TensorPowerInstance):
+        return _Survivors(inst._word_walk, inst.factor, inst.n_rounds)
+    apply_l = _l_applier(inst)
+    return _Survivors(lambda vector: _amplify(apply_l, vector, inst.n_rounds), inst.initial, inst.n_rounds)
+
+
+def _l_applier(inst: AveragedInstance) -> Callable[[np.ndarray], np.ndarray]:
+    """An averaged instance's L: the mean of its appliers, or its single
+    applier, which is L itself (it may already be a whole family's mean)."""
+    return inst.appliers[0] if len(inst.appliers) == 1 else _mean_applier(inst.appliers)
 
 
 def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
@@ -304,12 +431,12 @@ def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.nda
     return apply
 
 
-def run_mw_sampled(inst: AveragedInstance, rng: np.random.Generator) -> MWResult:
+def run_mw_sampled(inst: AveragedInstance | TensorPowerInstance, rng: np.random.Generator) -> MWResult:
     """Simulate one run of the amplification procedure."""
     return _survivors(inst).run(rng)
 
 
-def run_mw_sampled_batch(inst: AveragedInstance, rng: np.random.Generator, trials: int) -> int:
+def run_mw_sampled_batch(inst: AveragedInstance | TensorPowerInstance, rng: np.random.Generator, trials: int) -> int:
     """Accept count over independent trials of :func:`run_mw_sampled` that
     share one generator."""
     check_integer(trials, "trials", 0)
@@ -327,12 +454,12 @@ def run_averaged_or_sampled(
     return _survivors(AveragedInstance(appliers, initial, n_rounds)).run(rng)
 
 
-def _run_once(inst: AveragedInstance, rng: np.random.Generator) -> bool:
-    """Whether one run of an averaged instance accepts (every single-run wrapper)."""
-    return run_averaged_or_sampled(inst.appliers, inst.initial, inst.n_rounds, rng).accepted
+def _run_once(inst: AveragedInstance | TensorPowerInstance, rng: np.random.Generator) -> bool:
+    """Whether one run of an instance accepts (every single-run wrapper)."""
+    return _survivors(inst).run(rng).accepted
 
 
-def sample_blocks(inst: AveragedInstance, blocks: Iterable[StreamBlock]) -> Iterator[np.ndarray]:
+def sample_blocks(inst: AveragedInstance | TensorPowerInstance, blocks: Iterable[StreamBlock]) -> Iterator[np.ndarray]:
     """Independent runs of one instance, one per row of each stream block
     (:func:`rng.trial_blocks`), on shared survivor paths: per block, each
     row's halting step, 2N for a rejection (see ``_Survivors.halting_steps``).
@@ -343,6 +470,21 @@ def sample_blocks(inst: AveragedInstance, blocks: Iterable[StreamBlock]) -> Iter
     survivors = _survivors(inst)
     for block in blocks:
         yield survivors.halting_steps(block.random, block.size)
+
+
+def _elementwise_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k entrywise for an integer k >= 0, by repeated squaring (numpy's
+    complex ``**`` takes the general power routine, far slower at large k),
+    in two owned buffers: x itself is never written."""
+    result = np.ones_like(x)
+    square = np.array(x)
+    while k:
+        if k & 1:
+            np.multiply(result, square, out=result)
+        k >>= 1
+        if k:
+            np.multiply(square, square, out=square)
+    return result
 
 
 # -- exact oracles ---------------------------------------------------------------

@@ -46,8 +46,11 @@ from .gates import PermutationAction, is_unitary, permutation_matrix
 from .measurement import _register_branch
 from .quantum_or import (
     AveragedInstance,
+    TensorPowerInstance,
     _check_copies,
+    _elementwise_power,
     _run_once,
+    _word_count,
     mw_accept_from_spectrum,
     mw_accept_polynomial,
     or_round_count,
@@ -241,6 +244,7 @@ def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copie
 def eigen_tester_state(psi: PureState, copies_k: int) -> PureState:
     """((|0>+|1>)/sqrt2 (x) |psi>)^k (x) |0>: k control-tagged copies plus a
     flag qubit, after checking its size against the vector cap."""
+    _check_pure(psi, "psi")
     _check_copies(copies_k)
     return _copies_state([plus_state(), psi], copies_k, [basis_state(RegisterShape((2,)), (0,))])
 
@@ -267,6 +271,7 @@ def eigen_measurement_cycle(
     oracle (see ``_copy_reflection_applier``).  Returns (outcome, outcome
     probability, residual state), outcome 1 accepting; the gate-circuit
     reference lives in the tests."""
+    _check_pure(state, "state")
     (unitary,) = _eigen_check((unitary,), psi_shape, copies_k)
     dims, _, _ = _eigen_layout(psi_shape, copies_k)
     if state.shape.dims != dims:
@@ -382,14 +387,21 @@ def _eigen_check(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: Regist
     return mats
 
 
-def _copies_state(parts: list[PureState], copies_k: int, tail: Sequence[PureState] = ()) -> PureState:
-    """(parts)^{(x)k} (x) tail, the state of every k-copy tester, after
-    checking its size against the vector cap (k is checked by the caller;
-    every register has dim >= 2, so a k past the cap's bit length fails
-    before any power is taken)."""
-    per_copy, tail_dim = (math.prod(p.shape.total_dim for p in ps) for ps in (parts, tail))
+def _copies_dim(per_copy: int, copies_k: int, tail_dim: int = 1) -> int:
+    """per_copy^k * tail_dim, the dimension of a k-copy state, after checking
+    it against the vector cap (k is checked by the caller; every register
+    has dim >= 2, so a k past the cap's bit length fails before any power is
+    taken)."""
     if copies_k > MAX_VECTOR_DIM.bit_length() or per_copy**copies_k * tail_dim > MAX_VECTOR_DIM:
         raise ValueError(f"k-copy state dim {per_copy}^{copies_k} * {tail_dim} exceeds the vector cap {MAX_VECTOR_DIM}")
+    return per_copy**copies_k * tail_dim
+
+
+def _copies_state(parts: list[PureState], copies_k: int, tail: Sequence[PureState] = ()) -> PureState:
+    """(parts)^{(x)k} (x) tail, the state of every k-copy tester, after the
+    cap check of :func:`_copies_dim`."""
+    per_copy, tail_dim = (math.prod(p.shape.total_dim for p in ps) for ps in (parts, tail))
+    _copies_dim(per_copy, copies_k, tail_dim)
     return product_state(parts * copies_k + list(tail))
 
 
@@ -398,19 +410,37 @@ def eigen_instance(
     psi: PureState,
     epsilon: float,
     copies_k: int | None = None,
-) -> AveragedInstance:
-    """The amplification run of :func:`eigen_test` at the k of :func:`_copy_count`."""
+) -> TensorPowerInstance | AveragedInstance:
+    """The amplification run of :func:`eigen_test` at the k of
+    :func:`_copy_count`, on the route of :func:`_eigen_builder`."""
     return _eigen_builder(unitaries, psi, _copy_count(eigen_copies, len(unitaries), epsilon, copies_k))
 
 
-def _eigen_builder(unitaries: UnitarySet | Sequence[np.ndarray], psi: PureState, copies_k: int) -> AveragedInstance:
+def _eigen_builder(
+    unitaries: UnitarySet | Sequence[np.ndarray], psi: PureState, copies_k: int
+) -> TensorPowerInstance | AveragedInstance:
     """The eigenvector test's run at a resolved k, for every eigen-family
-    builder: the k-copy interference state, one applier that is already the
-    family's mean L (``_copy_reflection_applier``) and N = number of unitaries."""
+    builder, with N = number of unitaries, after the vector-cap check of the
+    flag-0 block's (2d)^k amplitudes (one message on both routes).
+
+    With W the number of reduced words of length <= N over the n members,
+    a family with W^2 <= (2d)^k takes the word route: a
+    :class:`quantum_or.TensorPowerInstance` of the block reflections on the
+    factor |+> (x) psi, whose Gram matrix is never larger than one k-copy
+    vector and which builds no such vector.  Past that (n >= 5 always, as
+    W^2 then passes the cap) the vector route: the k-copy interference state
+    and one applier that is already the family's mean L
+    (``_copy_reflection_applier``)."""
     _check_pure(psi, "psi")
     mats = _eigen_check(unitaries, psi.shape, copies_k)
+    n_rounds = or_round_count(len(mats), 0)
+    dim = _copies_dim(2 * mats.dim, copies_k)
+    if _word_count(len(mats), n_rounds, math.isqrt(dim)) is not None:
+        reflections = np.stack([block_reflection(u) for u in mats])
+        factor = product_state([plus_state(), psi])
+        return _trusted(TensorPowerInstance, reflections, factor, copies_k, n_rounds)
     phi = _copies_state([plus_state(), psi], copies_k)
-    return AveragedInstance((_copy_reflection_applier(mats, copies_k),), phi, or_round_count(len(mats), 0))
+    return AveragedInstance((_copy_reflection_applier(mats, copies_k),), phi, n_rounds)
 
 
 def eigen_test(
@@ -422,17 +452,19 @@ def eigen_test(
 ) -> bool:
     """Decide whether some unitary in the set fixes |psi>.
 
-    Builds the k-copy interference state and feeds one projective
-    measurement per unitary to the averaged OR run, with N equal to the
-    number of unitaries (the exact eigenvector in the positive case means no
-    slack is needed).  The run stays in the flag-0 block, where each
-    measurement is the k-fold power of the block reflection R = 1/2 W W^dag,
-    applied as k rank-d contractions by 1/2 W^dag and k by W.  One family
-    applier (``_copy_reflection_applier``) gives the mean L of all the
-    measurements per round, their last up steps and the 1/n in one matmul.
-    This sampler, :func:`eigen_measurement_cycle` and
-    :func:`eigen_or_accept_exact` share that applier; the gate-circuit
-    reference lives in the tests.
+    Feeds one projective measurement per unitary on the k-copy
+    interference state to the averaged OR run, with N equal to the number
+    of unitaries (the exact eigenvector in the positive case means no slack
+    is needed).  The run stays in the flag-0 block, where each measurement
+    is the k-fold power of the block reflection R = 1/2 W W^dag.  Its
+    survivor path takes one of the two routes of :func:`_eigen_builder`.
+    On the word route it is walked in the Gram space of the reduced words
+    of the R_i on |+> (x) psi, and no k-copy state is built.  On the vector
+    route one family applier (``_copy_reflection_applier``) gives the mean L
+    of all the measurements per round, applied as k rank-d contractions by
+    1/2 W^dag and k by W, their last up steps and the 1/n in one matmul;
+    :func:`eigen_measurement_cycle` and :func:`eigen_or_accept_exact` share
+    that applier.  The gate-circuit reference lives in the tests.
     """
     return _run_once(eigen_instance(unitaries, psi, epsilon, copies_k), rng)
 
@@ -632,10 +664,12 @@ def g_iso_instance(
     group: Sequence[PermutationAction],
     epsilon: float,
     copies_k: int | None = None,
-) -> AveragedInstance:
+) -> TensorPowerInstance | AveragedInstance:
     """The amplification run of :func:`g_iso_test`: the eigenvector test on
     the two-function superposition state with one swap unitary per
-    permutation."""
+    permutation, on the route of :func:`_eigen_builder` (a
+    :class:`quantum_or.TensorPowerInstance` for the CLI's two-member group
+    at k = 2)."""
     return _eigen_builder(*_g_iso_parts(f, g, group, epsilon, copies_k))
 
 
@@ -722,21 +756,6 @@ def _membership_check(candidates: Sequence[PureState], psi: PureState, copies_k:
     _check_copies(copies_k)
 
 
-def _elementwise_power(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k entrywise for an integer k >= 0, by repeated squaring (numpy's
-    complex ``**`` takes the general power routine, far slower at large k),
-    in two owned buffers: x itself is never written."""
-    result = np.ones_like(x)
-    square = np.array(x)
-    while k:
-        if k & 1:
-            np.multiply(result, square, out=result)
-        k >>= 1
-        if k:
-            np.multiply(square, square, out=square)
-    return result
-
-
 def membership_accept_exact(
     candidates: Sequence[PureState],
     psi: PureState,
@@ -790,6 +809,8 @@ def _membership_law(candidates: Sequence[PureState], psi: PureState, copies_k: i
 def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) -> float:
     """|<phi|psi>|^{2k}: the single-measurement acceptance on psi^k (k >= 1;
     the two states must share one register shape)."""
+    _check_pure(candidate, "candidate")
+    _check_pure(psi, "psi")
     _check_copies(copies_k)
     return float(abs(candidate.overlap(psi)) ** (2 * copies_k))
 
@@ -903,9 +924,12 @@ def unitary_s_iso_instance(
     w_unitary: np.ndarray,
     epsilon: float,
     copies_k: int | None = None,
-) -> AveragedInstance:
+) -> TensorPowerInstance | AveragedInstance:
     """The amplification run of :func:`unitary_s_iso_test`: the eigenvector
-    test on |V>|W> with one conjugation unitary per U and gap eps^2."""
+    test on |V>|W> with one conjugation unitary per U and gap eps^2, on the
+    route of :func:`_eigen_builder` (a
+    :class:`quantum_or.TensorPowerInstance` for the CLI's two-member set at
+    k = 2)."""
     return _eigen_builder(*_u_iso_parts(s_set, v_unitary, w_unitary, epsilon, copies_k))
 
 
@@ -964,6 +988,7 @@ def _cut_swap_order(n_axes: int, first: int, n_parts: int, cut: Iterable[int]) -
 
 def swap_overlap_two_copies(psi: PureState, cut: Sequence[int]) -> float:
     """<psi(x)psi| SWAP_S |psi(x)psi>, computed on the explicit two-copy state."""
+    _check_pure(psi, "psi")
     n = psi.shape.num_registers
     cut, _ = _split_registers(psi, cut)
     two = np.kron(psi.amplitudes, psi.amplitudes).reshape(psi.shape.dims * 2)
@@ -973,6 +998,7 @@ def swap_overlap_two_copies(psi: PureState, cut: Sequence[int]) -> float:
 
 def cut_product_accept(psi: PureState, cut: Sequence[int]) -> float:
     """(1 + tr rho_S^2)/2: the two-copy swap test's exact acceptance."""
+    _check_pure(psi, "psi")
     return 0.5 * (1.0 + subsystem_purity(psi, cut))
 
 

@@ -30,6 +30,7 @@ from seqmeas import (
     PureState,
     RegisterShape,
     SequentialInstance,
+    TensorPowerInstance,
     TwoOutcomeMeasurement,
     UnitarySet,
     analytic_eigen_accept,
@@ -240,6 +241,30 @@ NOT_PURE_CALLS = {
         lambda: genuine_ent_accept_exact(ghz_state(3).density(), 3, 4),
         "psi must be a PureState, got DensityOperator",
     ),
+    "eigen_tester_state": (
+        lambda: eigen_tester_state(ZERO.density(), 2),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "per_candidate_accept": (
+        lambda: testers_module.per_candidate_accept(ZERO, ZERO.density(), 2),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "per_candidate_accept-candidate": (
+        lambda: testers_module.per_candidate_accept(ZERO.density(), ZERO, 2),
+        "candidate must be a PureState, got DensityOperator",
+    ),
+    "cut_product_accept": (
+        lambda: testers_module.cut_product_accept(ghz_state(2).density(), [0]),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "swap_overlap_two_copies": (
+        lambda: testers_module.swap_overlap_two_copies(ghz_state(2).density(), [0]),
+        "psi must be a PureState, got DensityOperator",
+    ),
+    "eigen_measurement_cycle": (
+        lambda: eigen_measurement_cycle(eigen_tester_state(ZERO, 1).density(), np.diag([1.0, -1.0]), QUBIT, 1, branch=1),
+        "state must be a PureState, got DensityOperator",
+    ),
 }
 
 
@@ -334,6 +359,10 @@ def test_tiny_epsilon_runs_at_a_given_copy_count(entry):
     if isinstance(value, AveragedInstance):
         assert value.n_rounds == reference.n_rounds and len(value.appliers) == len(reference.appliers)
         assert np.array_equal(value.initial.amplitudes, reference.initial.amplitudes)
+    elif isinstance(value, TensorPowerInstance):
+        assert (value.copies_k, value.n_rounds) == (reference.copies_k, reference.n_rounds)
+        assert np.array_equal(value.projectors, reference.projectors)
+        assert np.array_equal(value.factor.amplitudes, reference.factor.amplitudes)
     else:
         assert value == reference
 

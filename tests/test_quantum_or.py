@@ -38,7 +38,7 @@ from seqmeas import (
     trial_blocks,
     trial_rng,
 )
-from seqmeas.quantum_or import AveragedInstance, _amplify, _averaged_operator, _mean_applier, _survivors
+from seqmeas.quantum_or import AveragedInstance, _amplify, _averaged_operator, _l_applier, _mean_applier, _survivors
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -579,7 +579,7 @@ class TestDemerlinize:
         lam = sum(s.matrix for s in slices) / witness
         inst = demerlinize_instance(gamma, psi, 0.5)
         assert (len(inst.appliers), inst.n_rounds) == (witness, demerlinize_round_count(witness, 0.5))
-        apply_l = _survivors(inst)._apply_l
+        apply_l = _l_applier(inst)
         eye = np.eye(lam.shape[0], dtype=np.complex128)
         assert np.array_equal(np.stack([apply_l(e) for e in eye], axis=1), lam)
         np.testing.assert_allclose(apply_l(psi.amplitudes), lam @ psi.amplitudes, rtol=0, atol=1e-15)

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmeas import (
+    AveragedInstance,
     FunctionTable,
     PermutationAction,
     PureState,
     RegisterShape,
+    TensorPowerInstance,
     UnitarySet,
     analytic_eigen_accept,
     basis_state,
@@ -28,6 +30,7 @@ from seqmeas import (
     cut_product_test,
     eigendecompose,
     eigen_copies,
+    eigen_instance,
     eigen_measurement_cycle,
     eigen_or_accept_exact,
     eigen_test,
@@ -49,8 +52,10 @@ from seqmeas import (
     plus_state,
     product_state,
     proper_cuts,
+    sample_blocks,
     state_membership_test,
     subsystem_purity,
+    trial_blocks,
     trial_rng,
     unitary_s_iso_accept_exact,
     unitary_s_iso_test,
@@ -69,8 +74,10 @@ from seqmeas.testers import (
     MAX_GENUINE_PARTIES,
     MAX_VECTOR_DIM,
     PATTERN_ATOL,
+    _copies_state,
     _copy_reflection_applier,
     _eigen_accept_matvec,
+    _eigen_builder,
     _eigen_measure,
     _elementwise_power,
     _eigen_layout,
@@ -1827,6 +1834,212 @@ class TestGenuineEntanglement:
                 genuine_ent_instance(psi, 12, 0.5, copies_k)
 
 
+def path_law(boundary, n_rounds):
+    """The halting law (``mw_halting_law``'s layout) a survivor path implies,
+    `boundary(step)` its boundaries: step s halts the mass still running
+    with its Pi accept probability, or with 1 minus its Delta keep
+    probability.  As the halting core reads a path, a step is read only
+    while some mass still runs, so an exact 0 or 1 is never divided by."""
+    law = np.zeros(2 * n_rounds + 1)
+    alive = 1.0
+    for step in range(2 * n_rounds):
+        b = boundary(step)
+        halt = b if step % 2 == 0 else 1.0 - b
+        law[step] = alive * halt
+        alive *= 1.0 - halt
+        if alive <= 0.0:
+            return law
+    law[-1] = alive
+    return law
+
+
+def _route_laws(mats, psi, copies_k):
+    """The word-route instance's law from its word walk, and the law of
+    ``_amplify`` on the family applier and the k-copy vector."""
+    inst = _eigen_builder(mats, psi, copies_k)
+    assert isinstance(inst, TensorPowerInstance)
+    n = inst.n_rounds
+    walk = inst._word_walk(inst.factor.amplitudes)
+    word = path_law(lambda step: next(walk), n)
+    vector = _copies_state([plus_state(), psi], copies_k).amplitudes
+    amplify = quantum_or_module._amplify(_copy_reflection_applier(mats, copies_k), vector, n)
+    return word, path_law(lambda step: next(amplify), n)
+
+
+def _rule_holds(dim, size, copies_k):
+    """W^2 <= (2d)^k, W the number of reduced words of length <= n over n letters."""
+    words = 1 + sum(size * (size - 1) ** (j - 1) for j in range(1, size + 1))
+    return words**2 <= (2 * dim) ** copies_k
+
+
+# (d, n, k) with d 2-4, n 1-4 and k 1-4 where the word route's rule holds,
+# and the first n = 4 case, at d = 4, k = 5
+WORD_CASES = [
+    c for c in itertools.product((2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4, 5)) if _rule_holds(*c) and (c[2] < 5 or c[1] == 4)
+]
+
+
+def _fixing_family(rng, dim, size):
+    """`size` random unitaries that all fix one random unit vector f, and f."""
+    q = random_unitary(rng, dim)
+    mats = []
+    for _ in range(size):
+        block = np.eye(dim, dtype=np.complex128)
+        block[1:, 1:] = random_unitary(rng, dim - 1)
+        mats.append(q @ block @ q.conj().T)
+    return mats, q[:, 0]
+
+
+class TestWordRoute:
+    """The word-Gram walk of ``TensorPowerInstance`` against ``_amplify`` on
+    the family applier: the halting laws the two paths imply agree cell by
+    cell within 1e-12.  Laws, not boundaries: near certain acceptance both
+    routes' Delta keep ratios are ill-conditioned, at steps the run reaches
+    with probability near 0."""
+
+    def test_cases_cover_the_rule(self):
+        assert len(WORD_CASES) >= 20 and {n for _, n, _ in WORD_CASES} == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("dim,size,copies_k", WORD_CASES)
+    def test_random_families(self, dim, size, copies_k):
+        for seed in range(2):
+            rng = trial_rng(400 + 10 * dim + size, 10 * copies_k + seed)
+            mats = [random_unitary(rng, dim) for _ in range(size)]
+            word, vector = _route_laws(mats, random_pure_state(rng, RegisterShape((dim,))), copies_k)
+            np.testing.assert_allclose(word, vector, rtol=0, atol=1e-12)
+
+    def test_commuting_z_strings(self):
+        """The benchmark's family {ZII, IZZ, ZZI} at k = 4: 22 words, 2^16 amplitudes."""
+        mats = [z_string(bits, 3) for bits in (0b100, 0b011, 0b110)]
+        psi = random_pure_state(trial_rng(410, 0), RegisterShape((2, 2, 2)))
+        word, vector = _route_laws(mats, psi, 4)
+        np.testing.assert_allclose(word, vector, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(word, mw_halting_law(*_eigen_measure(UnitarySet(mats), psi, 4), 3), rtol=0, atol=1e-12)
+
+    def test_repeated_member(self):
+        """A repeated member makes words equal as vectors (R_1 R_2 chi = R_1
+        chi): the Gram matrix is singular, which the walk never inverts."""
+        rng = trial_rng(411, 0)
+        u, v = random_unitary(rng, 3), random_unitary(rng, 3)
+        word, vector = _route_laws([u, u, v], random_pure_state(rng, RegisterShape((3,))), 4)
+        np.testing.assert_allclose(word, vector, rtol=0, atol=1e-12)
+
+    def test_eigenvector_of_one_member(self):
+        rng = trial_rng(412, 0)
+        (fixer,), f = _fixing_family(rng, 3, 1)
+        psi = PureState(RegisterShape((3,)), f)
+        word, vector = _route_laws([fixer, random_unitary(rng, 3)], psi, 3)
+        np.testing.assert_allclose(word, vector, rtol=0, atol=1e-12)
+        assert word[0] > 0.5
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-8])
+    def test_near_a_vector_every_member_fixes(self, delta):
+        """psi within delta of a common fixed vector: the kept mass nears 0,
+        where the unclipped quadratic form could turn negative."""
+        rng = trial_rng(413, 0)
+        mats, f = _fixing_family(rng, 3, 3)
+        g = random_pure_state(rng, RegisterShape((3,))).amplitudes
+        v = f + delta * g
+        word, vector = _route_laws(mats, PureState(RegisterShape((3,)), v / np.linalg.norm(v)), 4)
+        np.testing.assert_allclose(word, vector, rtol=0, atol=1e-12)
+        assert word[0] > 1.0 - 10 * delta
+
+    def test_kept_mass_clipped_at_a_fixed_vector(self):
+        """psi a vector every member fixes, to rounding: d^dag G d, the kept
+        mass after a Pi rejection, rounds below 0 on many draws (unclipped,
+        a keep probability near -0.1 follows a Pi accept probability of
+        1 - 1e-15).  Clipped, every Delta boundary the walk yields is >= 0;
+        it is read only after a Pi accept probability below 1, as the
+        halting core reads it."""
+        for seed in range(20):
+            mats, f = _fixing_family(trial_rng(417, seed), 3, 3)
+            inst = _eigen_builder(mats, PureState(RegisterShape((3,)), f), 4)
+            walk = inst._word_walk(inst.factor.amplitudes)
+            p_pi = next(walk)
+            assert abs(p_pi - 1.0) <= 1e-12
+            if p_pi < 1.0:
+                assert next(walk) >= 0.0
+
+    @pytest.mark.parametrize(
+        "dim,size,copies_k,route",
+        [
+            (2, 1, 1, TensorPowerInstance),  # W^2 = 4 = 4^1: the rule's equality side
+            (2, 2, 2, AveragedInstance),  # 25 > 16
+            (2, 2, 3, TensorPowerInstance),  # 25 <= 64
+            (2, 3, 2, AveragedInstance),  # 484 > 16: the survivor-path test's route
+            (3, 3, 3, AveragedInstance),  # 484 > 216
+            (3, 3, 4, TensorPowerInstance),  # 484 <= 1296
+        ],
+    )
+    def test_route_rule(self, dim, size, copies_k, route):
+        rng = trial_rng(414, dim)
+        psi = random_pure_state(rng, RegisterShape((dim,)))
+        inst = eigen_instance([random_unitary(rng, dim) for _ in range(size)], psi, 0.5, copies_k)
+        assert type(inst) is route and inst.n_rounds == size
+        if route is TensorPowerInstance:
+            assert inst.copies_k == copies_k and inst.factor.shape.dims == (2, dim)
+            assert inst.projectors.shape == (size, 2 * dim, 2 * dim) and not inst.projectors.flags.writeable
+        else:
+            assert inst.initial.shape.dims == (2, dim) * copies_k
+
+    def test_five_members_never_fit(self):
+        """From n = 5 on, W^2 passes the vector cap itself, so the vector
+        route is the only one under the cap."""
+        root = math.isqrt(MAX_VECTOR_DIM)
+        assert quantum_or_module._word_count(4, 4, root) == 161
+        assert quantum_or_module._word_count(5, 5, root) is None
+
+    @pytest.mark.parametrize("copies_k", [2, 3], ids=["vector-route", "word-route"])
+    def test_input_every_member_fixes(self, copies_k):
+        """Z and I fix |0>: Pi accepts every trial at step 0, the law is
+        [1, 0, ...] to rounding in the norm of |+> (x) |0> and no step
+        divides by a kept mass of 0."""
+        mats, zero = [PAULI_Z, np.eye(2)], basis_state(QUBIT, (0,))
+        inst = eigen_instance(mats, zero, 0.5, copies_k)
+        assert isinstance(inst, TensorPowerInstance) == (copies_k == 3)
+        steps = np.concatenate(list(sample_blocks(inst, trial_blocks(415, range(300)))))
+        assert not steps.any()
+        survivors = quantum_or_module._survivors(inst)
+        expected = np.eye(1, 5).ravel()
+        np.testing.assert_allclose(path_law(lambda s: survivors.boundary(0, s), 2), expected, rtol=0, atol=1e-12)
+        assert abs(eigen_or_accept_exact(mats, zero, copies_k) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("copies_k", [2, 3], ids=["vector-route", "word-route"])
+    def test_input_every_member_negates(self, copies_k):
+        """Z and -I map |1> to -|1>: every R_i chi is exactly 0, so every Pi
+        accept probability and the acceptance are exactly 0, each Delta
+        keeps all but rounding in the norm of |+> (x) |1>, and every trial
+        rejects."""
+        mats, one = [PAULI_Z, -np.eye(2)], basis_state(QUBIT, (1,))
+        inst = eigen_instance(mats, one, 0.5, copies_k)
+        assert isinstance(inst, TensorPowerInstance) == (copies_k == 3)
+        steps = np.concatenate(list(sample_blocks(inst, trial_blocks(416, range(300)))))
+        assert np.all(steps == 4)
+        survivors = quantum_or_module._survivors(inst)
+        law = path_law(lambda s: survivors.boundary(0, s), 2)
+        assert not law[0:4:2].any()
+        np.testing.assert_allclose(law, np.eye(1, 5, 4).ravel(), rtol=0, atol=1e-12)
+        assert eigen_or_accept_exact(mats, one, copies_k) == 0.0
+
+    def test_instance_checks(self):
+        reflections = np.stack([block_reflection(PAULI_Z)])
+        factor = product_state([plus_state(), basis_state(QUBIT, (0,))])
+        with pytest.raises(ValueError, match="not idempotent"):
+            TensorPowerInstance(2 * reflections, factor, 2, 1)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            TensorPowerInstance(reflections + np.triu(np.ones((4, 4)), 1), factor, 2, 1)
+        with pytest.raises(ValueError, match="factor must be a PureState, got DensityOperator"):
+            TensorPowerInstance(reflections, factor.density(), 2, 1)
+        with pytest.raises(ValueError, match="dimension 4 on a factor of dimension 2"):
+            TensorPowerInstance(reflections, plus_state(), 2, 1)
+        with pytest.raises(ValueError, match="need at least one copy"):
+            TensorPowerInstance(reflections, factor, 0, 1)
+        with pytest.raises(ValueError, match="round count must be >= 1"):
+            TensorPowerInstance(reflections, factor, 2, 0)
+        inst = TensorPowerInstance(reflections, factor, 2, 1)
+        assert not inst.projectors.flags.writeable
+
+
 class TestEigenTestEndToEnd:
     def test_eigenvector_present_sampled(self):
         psi = basis_state(QUBIT, (0,))
@@ -1880,20 +2093,22 @@ class TestEigenTestEndToEnd:
             gates_module._apply_gate_array(phi.amplitudes, phi.shape.dims, GateSpec((0,), PAULI_X))
 
     def test_runs_on_flag_zero_block(self, monkeypatch):
-        """The averaged OR run receives ((|0>+|1>)/sqrt2 (x) psi)^k: 2k
-        registers for a one-register psi, and no flag qubit."""
+        """The run receives the factor (|0>+|1>)/sqrt2 (x) psi, 2d amplitudes
+        on two registers for a one-register psi, and k copies of it: no
+        flag qubit.  Two members on d = 3 at k = 3 have 5 reduced words and
+        25 <= 6^3, so the run is a word-route TensorPowerInstance."""
         seen = []
-        original = quantum_or_module.run_averaged_or_sampled
+        original = quantum_or_module._survivors
 
-        def spy(appliers, initial, n_rounds, rng):
-            seen.append(initial.shape.dims)
-            return original(appliers, initial, n_rounds, rng)
+        def spy(inst):
+            seen.append((type(inst), inst.factor.shape.dims, inst.copies_k))
+            return original(inst)
 
-        monkeypatch.setattr(quantum_or_module, "run_averaged_or_sampled", spy)
+        monkeypatch.setattr(quantum_or_module, "_survivors", spy)
         rng = trial_rng(52, 0)
         psi = random_pure_state(rng, RegisterShape((3,)))
         eigen_test([random_unitary(rng, 3) for _ in range(2)], psi, 0.5, trial_rng(52, 1), copies_k=3)
-        assert seen == [(2, 3) * 3]
+        assert seen == [(TensorPowerInstance, (2, 3), 3)]
 
     def test_rejects_mismatched_or_non_unitary_family(self):
         psi = random_pure_state(trial_rng(51, 0), QUBIT)

@@ -36,6 +36,7 @@ from seqmeas import (
     PermutationAction,
     PureState,
     RegisterShape,
+    TensorPowerInstance,
     TwoOutcomeMeasurement,
     UnitarySet,
     anti_zeno_sequence,
@@ -47,6 +48,7 @@ from seqmeas import (
     demerlinize_instance,
     demerlinize_test,
     eigen_instance,
+    eigen_or_accept_exact,
     eigen_test,
     g_iso_accept_exact,
     g_iso_instance,
@@ -541,6 +543,7 @@ def _tester_pairs():
             lambda r: demerlinize_test(*random_case, r),
         ),
         "eigen": (eigen_instance([z, x], psi, 0.5, 2), lambda r: eigen_test([z, x], psi, 0.5, r, 2)),
+        "eigen-word": (eigen_instance([z, x], psi, 0.5, 4), lambda r: eigen_test([z, x], psi, 0.5, r, 4)),
         "membership": (
             membership_instance(candidates, psi, 0.5, 2),
             lambda r: state_membership_test(candidates, psi, 0.5, r, 2),
@@ -557,7 +560,7 @@ def _tester_pairs():
 
 
 @pytest.mark.parametrize(
-    "name", ["or-test", "demerlinize", "demerlinize-random", "eigen", "membership", "uiso", "genuine-ent"]
+    "name", ["or-test", "demerlinize", "demerlinize-random", "eigen", "eigen-word", "membership", "uiso", "genuine-ent"]
 )
 def test_tester_instances_match_single_testers(name):
     inst, single = _tester_pairs()[name]
@@ -688,7 +691,9 @@ def _oracle_cases():
     acceptance read off what the oracle itself reads: for the OR test and
     de-Merlinization case 1 at eta = 2/3 (the averaged operator's measure),
     the desk isomorphic giso pair and the uiso conjugate pair at k = 2
-    (joint route) and the partly-product state at k = 4 (span ranks), its
+    (joint route; both sample on the word route), the Z-string family
+    {ZII, IZZ, ZZI} at k = 4 (joint route, word-route sampler) and the
+    partly-product state at k = 4 (span ranks), its
     measure function through ``mw_halting_law`` and
     ``mw_accept_from_spectrum``; for membership at k = 3, the Gram-space
     walk's law and the fsum of its halting entries."""
@@ -700,6 +705,8 @@ def _oracle_cases():
     partly = product_state([basis_state(QUBIT, (0,)), bell_pair()])
     gamma, psi, eta = _demerlinize_case1(2.0 / 3.0)
     membership_law = _membership_law(candidates, zero, 3)
+    z_strings = UnitarySet(tuple(np.diag([(-1.0) ** bin(b & i).count("1") for i in range(8)]) for b in (4, 3, 6)))
+    three_qubits = random_pure_state(trial_rng(0, 5001), RegisterShape((2, 2, 2)))
     return {
         "or-test": _measure_case(
             or_test_instance(seq, zero, 0),
@@ -721,6 +728,11 @@ def _oracle_cases():
             unitary_s_iso_instance(s_set, v, v, 1.0, copies_k=2),
             _eigen_measure(*_u_iso_parts(s_set, v, v, 1.0, 2)),
             unitary_s_iso_accept_exact(s_set, v, v, 1.0, copies_k=2),
+        ),
+        "eigen-circuits": _measure_case(
+            eigen_instance(z_strings, three_qubits, 0.5, copies_k=4),
+            _eigen_measure(z_strings, three_qubits, 4),
+            eigen_or_accept_exact(z_strings, three_qubits, 4),
         ),
         "genuine-ent": _measure_case(
             genuine_ent_instance(partly, 3, 0.5, copies_k=4),
@@ -747,7 +759,10 @@ def _single_row(accept_op, rho):
     return evals[0], weights[0]
 
 
-@pytest.mark.parametrize("name", ["or-test", "membership", "giso", "uiso", "genuine-ent", "demerlinize"])
+ORACLE_CASES = ["or-test", "membership", "giso", "uiso", "eigen-circuits", "genuine-ent", "demerlinize"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
 def test_oracle_measures_give_the_law_and_the_oracle(name):
     """Each oracle's law has halting entries that total the acceptance read
     off the same measure or walk, which is the oracle's acceptance bit for
@@ -787,9 +802,15 @@ def test_halting_steps_follow_the_law(name):
     _assert_steps_follow(inst, mw_halting_law(*_spectral_measure(inst), inst.n_rounds))
 
 
-@pytest.mark.parametrize("name", ["or-test", "membership", "giso", "uiso", "genuine-ent", "demerlinize"])
+@pytest.mark.parametrize("name", ORACLE_CASES)
 def test_halting_steps_follow_the_oracle_law(name):
     """The same, on every amplification check of the CLI, with the law
     from what each exact oracle reads (the membership walk's own law)."""
     inst, law, _, _ = _oracle_cases()[name]
     _assert_steps_follow(inst, law)
+
+
+@pytest.mark.parametrize("name", ["giso", "uiso", "eigen-circuits"])
+def test_eigen_oracle_cases_sample_on_the_word_route(name):
+    """The eigen-family cases above exercise the word-Gram survivor path."""
+    assert isinstance(_oracle_cases()[name][0], TensorPowerInstance)
