@@ -55,7 +55,7 @@ import numpy as np
 from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
 from .quantum_or import _check_copies, _check_eta, _draw_rows, _ensemble, _round_counts
 from .rng import StreamBlock
-from .states import DensityOperator, PureState, RegisterShape, _trusted, check_integer, plus_state
+from .states import DensityOperator, PureState, RegisterShape, _trusted, check_integer, check_state, plus_state
 
 MAX_ORACLE_DIM = 64
 
@@ -92,6 +92,7 @@ class SequentialInstance:
 
     def __post_init__(self):
         measurements = tuple(self.measurements)
+        check_state(self.initial, "initial")
         _check_projective(measurements, self.initial.shape)
         accept_ops = np.stack([m.accept_op.matrix for m in measurements])
         accept_ops.setflags(write=False)

@@ -28,6 +28,7 @@ from .states import (
     check_integer,
     check_interval,
     check_slices,
+    check_state,
     hermitian_stack,
     state_stack,
     trace_distance_matrix,
@@ -95,6 +96,7 @@ class TwoOutcomeMeasurement:
 
 def accept_probability(m: TwoOutcomeMeasurement, rho: DensityOperator | PureState) -> float:
     """tr(L rho) clipped to [0, 1]."""
+    check_state(rho, "rho")
     if rho.shape != m.shape:
         raise ValueError("measurement and state shapes differ")
     if isinstance(rho, PureState):
@@ -141,6 +143,7 @@ def measure_collapse(
     """
     if (branch is None) == (rng is None):
         raise ValueError("pass exactly one of branch= or rng=")
+    check_state(psi, "psi", PureState)
     _check_projective([measurement], psi.shape)
     hit, p1 = _accept_split(measurement.accept_op.matrix, psi.amplitudes)
     if branch is None:
@@ -169,6 +172,7 @@ def reject_path(
     ZERO_BRANCH_ATOL ends the walk without raising: its accept probability
     is the last entry and the final state is None.
     """
+    check_state(psi, "psi", PureState)
     if not measurements:
         return np.array([]), psi
     _check_projective(measurements, psi.shape)
@@ -276,6 +280,7 @@ def gentle_measurement_gap(rho: DensityOperator, accept_op: HermitianOperator) -
     one for :func:`gentle_measurement_gap_stack`'s core.  Raises ValueError
     when tr(L rho) is numerically zero, as the post-acceptance state is then
     undefined."""
+    check_state(rho, "rho", DensityOperator)
     if rho.shape != accept_op.shape:
         raise ValueError("state and operator shapes differ")
     ops = accept_op.matrix[None]
@@ -320,6 +325,7 @@ def union_bound_bruteforce(
     the largest single-measurement accept probability on the initial state,
     which is the premise quantity of the union bound.
     """
+    check_state(rho, "rho")
     _check_projective(measurements, rho.shape)
     t_steps = len(measurements)
     if t_steps > MAX_ENUMERATION_STEPS:

@@ -26,16 +26,16 @@ instance: it is walked once per distinct input vector (one for a pure
 input, one per eigen-ensemble index drawn for a mixed one), grown lazily,
 only as far as the furthest step some trial reaches, and a trial halts at
 the first step whose halting region holds its uniform.  A run is one of two
-instances, each with its walk.  An :class:`AveragedInstance`, L the mean
-of its appliers, is walked by ``_amplify`` on the system space, given an
-L-applier (the path depends on Pi only through L; Pi itself is exercised by
-the survival oracle): the OR test and de-Merlinization give one matvec per
-member, and their exact oracles decompose the same mean; a Naimark form's
-run is the single applier ``lambda v: L @ v`` of its induced operator.  A
-:class:`TensorPowerInstance`, L the mean of k-th tensor powers of
-projectors on factor^(x)k, is walked by its ``_word_walk`` in the Gram
-space of reduced words, with no k-copy vector; it yields the same
-sequence.
+instances, each with its walk.  An :class:`AveragedInstance` is walked by
+``_amplify`` on the system space with L, the mean of its appliers (the
+path depends on Pi only through L; Pi itself is exercised by the survival
+oracle): the OR test, de-Merlinization and genuine entanglement give one
+matvec per member, and a Naimark form's run is the single applier
+``lambda v: L @ v`` of its induced operator.  A :class:`TensorPowerInstance`,
+L the mean of k-th tensor powers of projectors V_i V_i^dag on factor^(x)k,
+picks its own walk from its sizes (``TensorPowerInstance._walk``): the Gram
+space of reduced words, with no k-copy vector, or ``_amplify`` with
+:func:`_tensor_power_applier`; both yield the same sequence.
 
 Draw order.  Every sampler is one halting core
 (``_Survivors.halting_steps``) fed by one of three draw sources.  A single
@@ -71,7 +71,6 @@ from .measurement import (
     _check_projective,
     accept_spectra,
     in_unit_interval,
-    is_idempotent,
     naimark_checks,
 )
 from .rng import StreamBlock
@@ -87,25 +86,24 @@ from .states import (
     check_integer,
     check_interval,
     check_slices,
+    check_state,
     eigendecompose,
     hermitian_stack,
+    product_state,
     state_stack,
 )
 
 WEIGHT_ATOL = 1e-14
+MAX_VECTOR_DIM = 1 << 20
 
 
 @dataclass(frozen=True)
 class AveragedInstance:
     """One matrix-free amplification run on L = (1/n) sum_i A_i, the uniform
     average of n operators A_i in [0, I]: appliers (system vector -> vector)
-    whose mean is L, an input state and the round count N.
-
-    Usually there is one applier per operator; a single applier may already
-    be a whole family's mean (the interference test's vector route, see
-    ``testers._copy_reflection_applier``), in which case n_rounds still
-    carries the N of that family.  Only matvecs are needed, so instances are
-    limited by state-vector size rather than dense-operator size.
+    whose mean is L, an input state and the round count N.  Only matvecs
+    are needed, so instances are limited by state-vector size rather than
+    dense-operator size.
     """
 
     appliers: tuple[Callable[[np.ndarray], np.ndarray], ...]
@@ -116,73 +114,94 @@ class AveragedInstance:
         appliers = tuple(self.appliers)
         if not appliers:
             raise ValueError("need at least one measurement")
+        check_state(self.initial, "initial")
         _round_counts(self.n_rounds, 1)
         object.__setattr__(self, "appliers", appliers)
+
+
+def _copies_dim(per_copy: int, copies_k: int, tail_dim: int = 1) -> int:
+    """per_copy^k * tail_dim, the dimension of a k-copy state, after checking
+    it against the vector cap (k is checked by the caller; every register
+    has dim >= 2, so a k past the cap's bit length fails before any power is
+    taken)."""
+    if copies_k > MAX_VECTOR_DIM.bit_length() or per_copy**copies_k * tail_dim > MAX_VECTOR_DIM:
+        raise ValueError(f"k-copy state dim {per_copy}^{copies_k} * {tail_dim} exceeds the vector cap {MAX_VECTOR_DIM}")
+    return per_copy**copies_k * tail_dim
 
 
 @dataclass(frozen=True, eq=False)
 class TensorPowerInstance:
     """One amplification run on L = (1/n) sum_i P_i^{(x)k}, the mean of the
-    k-th tensor powers of n projectors P_i on one factor space, from the
-    input factor^{(x)k}, with N rounds: the interference test's run on its
-    flag-0 block, P_i the block reflection of the i-th unitary.
-
-    No k-copy vector is built.  The survivor path stays in the span of the
-    vectors (P_w chi)^{(x)k} over the reduced words w of length <= N (no
-    letter twice in a row, as P_i^2 = P_i), chi the factor, and
-    ``_word_walk`` walks it on their coefficients: O(W^2 D) time once and
-    O(W^2) per step for W words on a D-dimensional factor, independent of k
-    but for the log k squarings of the Gram power.  W grows as (n - 1)^N,
-    so the caller chooses this route only where W is small
-    (``testers._eigen_builder``).  `projectors` is stored as a read-only
-    complex (n, D, D) stack.
+    k-th tensor powers of n projectors P_i = V_i V_i^dag on a D-dimensional
+    factor space, from factor^{(x)k}, with N rounds: the interference
+    testers' run (V_i = [I; U_i^dag]/sqrt2) and membership's (V_i a
+    candidate).  `frames` is stored as a read-only complex (n, D, r) stack
+    of orthonormal columns; every construction path holds D^k to the vector
+    cap first.  The run picks its walk (:meth:`_walk`): ``_word_walk`` takes
+    O(W^2 D) time once and O(W^2) per step for W reduced words, independent
+    of k but for the log k squarings of the Gram power, and W grows as
+    (n - 1)^N, so past W^2 = D^k (n >= 5 always) the vector walk runs.
     """
 
-    projectors: np.ndarray
+    frames: np.ndarray
     factor: PureState
     copies_k: int
     n_rounds: int
 
     def _store(self):
-        mats = np.array(self.projectors, dtype=np.complex128)
-        mats.setflags(write=False)
-        object.__setattr__(self, "projectors", mats)
+        _copies_dim(np.shape(self.frames)[1], self.copies_k)
+        frames = np.array(self.frames, dtype=np.complex128)
+        frames.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
 
     def __post_init__(self):
-        mats = hermitian_stack(self.projectors, "projector")
-        check_slices(is_idempotent(mats), "projector", "not idempotent within tolerance")
-        if not isinstance(self.factor, PureState):
-            raise ValueError(f"factor must be a PureState, got {type(self.factor).__name__}")
-        dim = self.factor.shape.total_dim
-        if mats.shape[1] != dim:
-            raise ValueError(f"projectors of dimension {mats.shape[1]} on a factor of dimension {dim}")
+        frames = np.asarray(self.frames, dtype=np.complex128)
+        if frames.ndim != 3 or 0 in frames.shape:
+            raise ValueError(f"expected an (n, D, r) stack of frames, got shape {frames.shape}")
+        check_state(self.factor, "factor", PureState)
+        if frames.shape[1] != (dim := self.factor.shape.total_dim):
+            raise ValueError(f"frames of dimension {frames.shape[1]} on a factor of dimension {dim}")
+        gram = np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(frames.shape[2])
+        check_slices(np.abs(gram).max(axis=(1, 2)) <= STATE_ATOL, "frame", "not orthonormal (V^dag V != I)")
         _check_copies(self.copies_k)
         _round_counts(self.n_rounds, 1)
         self._store()
 
+    def _walk(self) -> tuple[Callable[[np.ndarray], Iterator[float]], PureState]:
+        """The survivor walk and its input: ``_word_walk`` on the factor when
+        the W reduced words have W^2 <= D^k (a Gram matrix no larger than one
+        k-copy vector), else ``_amplify`` with the vector applier on factor^{(x)k}."""
+        n, dim, _ = self.frames.shape
+        if _word_count(n, self.n_rounds, math.isqrt(dim**self.copies_k)) is not None:
+            return self._word_walk, self.factor
+        apply_l = _tensor_power_applier(self.frames, self.copies_k)
+        vector = product_state([self.factor] * self.copies_k)
+        return (lambda v: _amplify(apply_l, v, self.n_rounds)), vector
+
     def _word_walk(self, vector: np.ndarray) -> Iterator[float]:
         """The survivor path of vector^{(x)k} in the Gram space of reduced
         words: the sequence ``_amplify`` yields on the k-copy vector, step
-        by step and as lazily.
+        by step and as lazily, in the span of the (P_w vector)^{(x)k} over the
+        reduced words w of length <= N (no letter twice, as P_i^2 = P_i).
 
-        The rows x_w = P_w vector (x_empty = vector, x_{iw} = P_i x_w) give
-        the Gram power G = (X^* X^T)^{o k}, G_vw = <x_v^{(x)k}|x_w^{(x)k}>.
-        On coefficients c the path vector is sum_w c_w x_w^{(x)k}, and L
-        maps x_w^{(x)k} to the mean over i of x_{iw}^{(x)k}, where i = w_0
-        gives w itself: so L is the matrix M below, which sends w to iw
-        (i != w_0) and to w, each with weight 1/n.  Round by round, the Pi
-        accept probability is c^dag G (M c) and the Delta keep probability
-        ||(I - L) v||^2 / (1 - <v|L|v>) with ||(I - L) v||^2 = d^dag G d for
-        d = c - M c, clipped at 0 as ``testers._membership_law`` clips:
-        rounding can take the quadratic form a few ulps below 0 near a
-        vector that every P_i fixes.
+        The rows x_w = P_w vector (x_empty = vector, x_{iw} = V_i (V_i^dag
+        x_w)) give the Gram power G = (X^* X^T)^{o k}, G_vw =
+        <x_v^{(x)k}|x_w^{(x)k}>.  On coefficients c the path vector is
+        sum_w c_w x_w^{(x)k}, and L maps x_w^{(x)k} to the mean over i of
+        x_{iw}^{(x)k}, where i = w_0 gives w itself: so L is the matrix M
+        below, which sends w to iw (i != w_0) and to w, each with weight
+        1/n.  Round by round, the Pi accept probability is c^dag G (M c) and
+        the Delta keep probability ||(I - L) v||^2 / (1 - <v|L|v>) with
+        ||(I - L) v||^2 = d^dag G d for d = c - M c, clipped at 0 as
+        ``testers._membership_law`` clips: rounding can take the quadratic
+        form a few ulps below 0 near a vector that every P_i fixes.
         """
-        n = len(self.projectors)
+        n = len(self.frames)
         parents, blocks = _reduced_words(n, self.n_rounds)
         x = np.empty((parents.size, vector.size), dtype=np.complex128)
         x[0] = vector
         for lo, hi, i in blocks:
-            x[lo:hi] = x[parents[lo:hi]] @ self.projectors[i].T
+            x[lo:hi] = (x[parents[lo:hi]] @ self.frames[i].conj()) @ self.frames[i].T
         gram = _elementwise_power(x.conj() @ x.T, self.copies_k)
         live = np.zeros(parents.size, dtype=np.complex128)
         live[0] = 1.0
@@ -196,6 +215,57 @@ class TensorPowerInstance:
             p_rest = max(np.vdot(live, gram @ live).real, 0.0)
             yield p_rest / (1.0 - p_pi)
             live /= math.sqrt(p_rest)
+
+
+def _tensor_power_applier(frames: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> L x, L = (1/n) sum_i P_i^{(x)k} on k contiguous D-dimensional
+    axes, P_i = V_i V_i^dag for the (D, r) slices V_i of `frames`.
+
+    Every step is one matmul that contracts the leading axis and moves it
+    last: k down steps by V_i^dag, each scaling the size by r/D; one
+    transpose puts any trailing axes (the cycle's flag) back behind the k
+    system axes; k up steps by V_i.  A trailing axis of the input thus
+    leads in the output: (b_1, ..., b_k, f) -> (f, b_1, ..., b_k).
+
+    Each member's (k - 1)-th up step writes into its row of an (n, size r/D)
+    stack (at k = 1 the transposed vector is copied there); the n last up
+    steps and the 1/n are one matmul, ``stack.reshape(n r, -1).T @
+    vstack(V_i^T)/n``, on the stack's transpose, which is that operand
+    with no copy.  A stack holds at most MAX_VECTOR_DIM amplitudes (or one
+    member), so a larger family goes a group at a time and the memory one
+    application takes does not grow with n.
+    """
+    n, dim, rank = frames.shape
+    downs = frames.conj()  # (V_i^dag)^T
+    ups = np.ascontiguousarray(np.swapaxes(frames, 1, 2))  # V_i^T
+    last = ups.reshape(n * rank, dim) / n
+    system = rank**copies_k
+
+    def apply(vec: np.ndarray) -> np.ndarray:
+        part = vec.size // dim * rank
+        group = max(1, MAX_VECTOR_DIM // part)  # members per stack
+        stack = np.empty((min(group, n), part), dtype=np.complex128)
+        for lo in range(0, n, group):
+            rows = stack[: n - lo]
+            for row, down, up in zip(rows, downs[lo:], ups[lo:]):
+                t = vec
+                for _ in range(copies_k):
+                    t = t.reshape(dim, -1).T @ down
+                t = t.reshape(-1, system).T
+                if copies_k == 1:
+                    row.reshape(t.shape)[...] = t
+                    continue
+                for _ in range(copies_k - 2):
+                    t = t.reshape(rank, -1).T @ up
+                np.matmul(t.reshape(rank, -1).T, up, out=row.reshape(-1, dim))
+            total = rows.reshape(len(rows) * rank, -1).T @ last[lo * rank : (lo + len(rows)) * rank]
+            if lo == 0:
+                out = total
+            else:
+                out += total
+        return out.reshape(-1)
+
+    return apply
 
 
 def _reduced_words(n: int, n_rounds: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -399,19 +469,12 @@ class _Survivors:
 
 
 def _survivors(inst: AveragedInstance | TensorPowerInstance) -> _Survivors:
-    """The instance's survivor paths: a tensor-power instance's from its
-    word walk on the factor, an averaged instance's from ``_amplify`` with
-    its L-applier (:func:`_l_applier`)."""
+    """The instance's survivor paths: a tensor-power instance's on the walk it
+    picks, an averaged instance's from ``_amplify`` with its appliers' mean."""
     if isinstance(inst, TensorPowerInstance):
-        return _Survivors(inst._word_walk, inst.factor, inst.n_rounds)
-    apply_l = _l_applier(inst)
+        return _Survivors(*inst._walk(), inst.n_rounds)
+    apply_l = _mean_applier(inst.appliers)
     return _Survivors(lambda vector: _amplify(apply_l, vector, inst.n_rounds), inst.initial, inst.n_rounds)
-
-
-def _l_applier(inst: AveragedInstance) -> Callable[[np.ndarray], np.ndarray]:
-    """An averaged instance's L: the mean of its appliers, or its single
-    applier, which is L itself (it may already be a whole family's mean)."""
-    return inst.appliers[0] if len(inst.appliers) == 1 else _mean_applier(inst.appliers)
 
 
 def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
@@ -622,6 +685,7 @@ def _single_measure(
     accept_op: HermitianOperator | np.ndarray, rho: PureState | DensityOperator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The spectral measure of one operator and input, as a stack of one."""
+    check_state(rho, "rho")
     if isinstance(accept_op, HermitianOperator):
         ops = accept_op.matrix[None]
     else:
@@ -736,6 +800,7 @@ def mw_accept_survival(
     :func:`mw_accept_survival_stack`'s core.
     """
     rounds = _round_counts(n_rounds, 1)
+    check_state(initial, "initial")
     if initial.shape != naimark.system_shape:
         raise ValueError("initial state must live on the pre-ancilla system space")
     state = initial.amplitudes if isinstance(initial, PureState) else initial.matrix
@@ -801,6 +866,7 @@ def or_test_instance(
 ) -> AveragedInstance:
     """The amplification run of :func:`or_test`: the averaged projector
     family applied matrix-free, the input and N = ceil(n/(1-eps)) rounds."""
+    check_state(rho, "rho")
     _check_projective(measurements, rho.shape)
     return _family_instance(measurements, rho, or_round_count(len(measurements), epsilon))
 
@@ -827,6 +893,7 @@ def or_test_accept_exact(
     epsilon,
 ) -> float:
     """Exact acceptance probability of :func:`or_test` on this instance."""
+    check_state(rho, "rho")
     _check_projective(measurements, rho.shape)
     n_rounds = or_round_count(len(measurements), epsilon)
     return mw_accept_exact(_averaged_operator(measurements), rho, n_rounds)
@@ -853,6 +920,7 @@ def _check_gamma(gamma: HermitianOperator, psi: PureState) -> None:
     """The instance check of :func:`demerlinize_instance`,
     :func:`demerlinize_accept_exact` and :func:`merlin_best_witness_accept`:
     Gamma in [0, I] on message (x) witness, psi on the message registers."""
+    check_state(psi, "psi", PureState)
     if psi.shape.dims != gamma.shape.dims[:-1]:
         raise ValueError("psi must live on the message registers of gamma's message (x) witness system")
     if not in_unit_interval(np.linalg.eigvalsh(gamma.matrix)):

@@ -190,6 +190,14 @@ def _trusted(cls, *values):
     return obj
 
 
+def check_state(value, name: str, *kinds: type) -> None:
+    """The type check of every entry point that takes a state: ValueError,
+    naming `name` and its type, unless `value` is one of `kinds` (default: any state)."""
+    kinds = kinds or (PureState, DensityOperator)
+    if not isinstance(value, kinds):
+        raise ValueError(f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns.
@@ -211,7 +219,8 @@ def hermitian_stack(values, name: str = "matrix") -> np.ndarray:
     to STATE_ATOL; a non-finite entry fails."""
     mats = np.asarray(values, dtype=np.complex128)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or 0 in mats.shape:
-        raise ValueError(f"expected a (b, d, d) stack of {name}s, got shape {mats.shape}")
+        plural = "matrices" if name == "matrix" else f"{name}s"
+        raise ValueError(f"expected a (b, d, d) stack of {plural}, got shape {mats.shape}")
     check_slices(is_hermitian(mats), name, "not Hermitian within tolerance")
     return mats
 

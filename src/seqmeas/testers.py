@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,12 +44,14 @@ import numpy as np
 from .gates import PermutationAction, is_unitary, permutation_matrix
 from .measurement import _register_branch
 from .quantum_or import (
+    MAX_VECTOR_DIM,
     AveragedInstance,
     TensorPowerInstance,
     _check_copies,
+    _copies_dim,
     _elementwise_power,
     _run_once,
-    _word_count,
+    _tensor_power_applier,
     mw_accept_from_spectrum,
     mw_accept_polynomial,
     or_round_count,
@@ -63,13 +64,13 @@ from .states import (
     basis_state,
     check_integer,
     check_interval,
+    check_state,
     hermitian_stack,
     product_state,
     plus_state,
     subsystem_purity,
 )
 
-MAX_VECTOR_DIM = 1 << 20
 MAX_DENSE_DIM = 1 << 12
 CASE2_BUDGET = 1.0 / 8.0
 COMMUTATOR_ATOL = 1e-9
@@ -226,12 +227,6 @@ def _check_epsilon(epsilon: float) -> None:
     check_interval(epsilon, "epsilon", 0, 1, open_low=True)
 
 
-def _check_pure(state, name: str) -> None:
-    """The input check of every pure-state tester: `name` is a PureState."""
-    if not isinstance(state, PureState):
-        raise ValueError(f"{name} must be a PureState, got {type(state).__name__}")
-
-
 def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copies_k: int | None) -> int:
     """The copy count of a k-copy tester on a family of n, after the epsilon
     check: the rule's k at epsilon if copies_k is None, else copies_k."""
@@ -244,7 +239,7 @@ def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copie
 def eigen_tester_state(psi: PureState, copies_k: int) -> PureState:
     """((|0>+|1>)/sqrt2 (x) |psi>)^k (x) |0>: k control-tagged copies plus a
     flag qubit, after checking its size against the vector cap."""
-    _check_pure(psi, "psi")
+    check_state(psi, "psi", PureState)
     _check_copies(copies_k)
     return _copies_state([plus_state(), psi], copies_k, [basis_state(RegisterShape((2,)), (0,))])
 
@@ -268,17 +263,17 @@ def eigen_measurement_cycle(
 ) -> tuple[int, float, PureState]:
     """One projective measurement for one unitary on the tester layout,
     through the factored accept projector shared with the sampler and the
-    oracle (see ``_copy_reflection_applier``).  Returns (outcome, outcome
+    oracle (``quantum_or._tensor_power_applier``).  Returns (outcome, outcome
     probability, residual state), outcome 1 accepting; the gate-circuit
     reference lives in the tests."""
-    _check_pure(state, "state")
+    check_state(state, "state", PureState)
     (unitary,) = _eigen_check((unitary,), psi_shape, copies_k)
     dims, _, _ = _eigen_layout(psi_shape, copies_k)
     if state.shape.dims != dims:
         raise ValueError("state does not have the tester layout for this psi shape and k")
     x = state.amplitudes.reshape(-1, 2).T  # rows: flag 0, flag 1
     # after the k block steps the flag axis leads: rows (x)R x_0, (x)R x_1
-    rx = _copy_reflection_applier((unitary,), copies_k)(state.amplitudes).reshape(2, -1)
+    rx = _tensor_power_applier(_interference_frames((unitary,)), copies_k)(state.amplitudes).reshape(2, -1)
     dx = x - rx
     branches = ((dx[0], rx[1]), (rx[0], dx[1]))  # (flag-0, flag-1) parts of reject, accept
     weights = np.array([sum(np.vdot(v, v).real for v in b) for b in branches])
@@ -289,67 +284,18 @@ def eigen_measurement_cycle(
     return branch, prob, _trusted(PureState, state.shape, residual.reshape(-1))
 
 
-def _copy_reflection_applier(
-    unitaries: Sequence[np.ndarray], copies_k: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> L x, L = (1/n) sum_i (x)_b R_i on k contiguous (control, psi)
-    blocks, R_i = block_reflection(U_i), over the n members of the family.
-
-    V = C W, where W applies controlled-U and a Hadamard copy by copy and C
-    flips the flag when every control register is 0, so the accept
-    projector V^dag (flag=1) V is (x)_b R (x) |0><0| + (I - (x)_b R) (x) |1><1|:
-    on the flag-0 block, where the tester state starts and stays, it is
-    (x)_b R.  R has rank d: R = 1/2 W W^dag with W = [I; U^dag] (2d x d), so
-    each block is applied in two phases, every step one matmul that
-    contracts the leading axis and moves it last.  The k down steps apply
-    1/2 W^dag, each halving the vector; one transpose then puts any trailing
-    axes (the cycle's flag) back behind the k system axes, on a vector 2^-k
-    of the input's size; the k up steps apply W.  A trailing axis of the
-    input therefore leads in the output: (b_1, ..., b_k, f) -> (f, b_1, ..., b_k).
-
-    Each member runs its k down steps and k - 1 up steps, the last of which
-    writes into the member's row of an (n, size/2) stack (at k = 1 the
-    transposed vector is copied there).  The n last up steps and the 1/n
-    are then one matmul, ``stack.reshape(n d, -1).T @ vstack(W_i^T)/n``:
-    the stack's transpose is already laid out as that operand, so no copy
-    is made.  A stack holds at most MAX_VECTOR_DIM amplitudes (or one
-    member), so a larger family takes its members a group at a time and
-    adds the groups' matmuls: the memory one application takes does not
-    grow with n.  The cycle calls this on a family of one.
-    """
+def _interference_frames(unitaries: Iterable[np.ndarray]) -> np.ndarray:
+    """The (n, 2d, d) frames V_i = [I; U_i^dag]/sqrt2: V_i V_i^dag =
+    block_reflection(U_i), the accept projector of one (control, psi) copy
+    on the flag-0 block, where the tester state starts and stays."""
     mats = tuple(unitaries)
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    downs = [0.5 * np.vstack([eye, u.T]) for u in mats]  # (1/2 W_i^dag)^T
-    ups = [np.hstack([eye, u.conj()]) for u in mats]  # W_i^T
-    last = np.vstack(ups) / len(mats)
-    system = d**copies_k
+    eye = np.eye(mats[0].shape[0])
+    return np.stack([np.vstack([eye, u.conj().T]) for u in mats]) / math.sqrt(2)
 
-    def apply(vec: np.ndarray) -> np.ndarray:
-        half = vec.size // 2
-        group = max(1, MAX_VECTOR_DIM // half)  # members per stack
-        stack = np.empty((min(group, len(mats)), half), dtype=np.complex128)
-        for lo in range(0, len(mats), group):
-            rows = stack[: len(mats) - lo]
-            for row, down, up in zip(rows, downs[lo:], ups[lo:]):
-                t = vec
-                for _ in range(copies_k):
-                    t = t.reshape(2 * d, -1).T @ down
-                t = t.reshape(-1, system).T
-                if copies_k == 1:
-                    row.reshape(t.shape)[...] = t
-                    continue
-                for _ in range(copies_k - 2):
-                    t = t.reshape(d, -1).T @ up
-                np.matmul(t.reshape(d, -1).T, up, out=row.reshape(-1, 2 * d))
-            part = rows.reshape(len(rows) * d, -1).T @ last[lo * d : (lo + len(rows)) * d]
-            if lo == 0:
-                out = part
-            else:
-                out += part
-        return out.reshape(-1)
 
-    return apply
+def _interference_factor(psi: PureState) -> PureState:
+    """|+> (x) psi: one (control, psi) copy of the tester state's flag-0 block."""
+    return _trusted(PureState, RegisterShape((2, *psi.shape.dims)), np.kron(plus_state().amplitudes, psi.amplitudes))
 
 
 def block_reflection(unitary: np.ndarray) -> np.ndarray:
@@ -364,7 +310,7 @@ def analytic_eigen_accept(unitary: np.ndarray, psi: PureState, copies_k: int) ->
     """Closed-form single-measurement acceptance (1/2 + Re<psi|U|psi>/2)^k,
     after the instance check of the interference test (k >= 1, a unitary of
     psi's dimension)."""
-    _check_pure(psi, "psi")
+    check_state(psi, "psi", PureState)
     (unitary,) = _eigen_check((unitary,), psi.shape, copies_k)
     overlap = np.vdot(psi.amplitudes, unitary @ psi.amplitudes)
     return float((0.5 + 0.5 * overlap.real) ** copies_k)
@@ -387,16 +333,6 @@ def _eigen_check(unitaries: UnitarySet | Sequence[np.ndarray], psi_shape: Regist
     return mats
 
 
-def _copies_dim(per_copy: int, copies_k: int, tail_dim: int = 1) -> int:
-    """per_copy^k * tail_dim, the dimension of a k-copy state, after checking
-    it against the vector cap (k is checked by the caller; every register
-    has dim >= 2, so a k past the cap's bit length fails before any power is
-    taken)."""
-    if copies_k > MAX_VECTOR_DIM.bit_length() or per_copy**copies_k * tail_dim > MAX_VECTOR_DIM:
-        raise ValueError(f"k-copy state dim {per_copy}^{copies_k} * {tail_dim} exceeds the vector cap {MAX_VECTOR_DIM}")
-    return per_copy**copies_k * tail_dim
-
-
 def _copies_state(parts: list[PureState], copies_k: int, tail: Sequence[PureState] = ()) -> PureState:
     """(parts)^{(x)k} (x) tail, the state of every k-copy tester, after the
     cap check of :func:`_copies_dim`."""
@@ -410,37 +346,22 @@ def eigen_instance(
     psi: PureState,
     epsilon: float,
     copies_k: int | None = None,
-) -> TensorPowerInstance | AveragedInstance:
+) -> TensorPowerInstance:
     """The amplification run of :func:`eigen_test` at the k of
-    :func:`_copy_count`, on the route of :func:`_eigen_builder`."""
+    :func:`_copy_count`."""
     return _eigen_builder(unitaries, psi, _copy_count(eigen_copies, len(unitaries), epsilon, copies_k))
 
 
 def _eigen_builder(
     unitaries: UnitarySet | Sequence[np.ndarray], psi: PureState, copies_k: int
-) -> TensorPowerInstance | AveragedInstance:
+) -> TensorPowerInstance:
     """The eigenvector test's run at a resolved k, for every eigen-family
-    builder, with N = number of unitaries, after the vector-cap check of the
-    flag-0 block's (2d)^k amplitudes (one message on both routes).
-
-    With W the number of reduced words of length <= N over the n members,
-    a family with W^2 <= (2d)^k takes the word route: a
-    :class:`quantum_or.TensorPowerInstance` of the block reflections on the
-    factor |+> (x) psi, whose Gram matrix is never larger than one k-copy
-    vector and which builds no such vector.  Past that (n >= 5 always, as
-    W^2 then passes the cap) the vector route: the k-copy interference state
-    and one applier that is already the family's mean L
-    (``_copy_reflection_applier``)."""
-    _check_pure(psi, "psi")
+    builder: the frames of the family on the factor |+> (x) psi, with
+    N = number of unitaries."""
+    check_state(psi, "psi", PureState)
     mats = _eigen_check(unitaries, psi.shape, copies_k)
-    n_rounds = or_round_count(len(mats), 0)
-    dim = _copies_dim(2 * mats.dim, copies_k)
-    if _word_count(len(mats), n_rounds, math.isqrt(dim)) is not None:
-        reflections = np.stack([block_reflection(u) for u in mats])
-        factor = product_state([plus_state(), psi])
-        return _trusted(TensorPowerInstance, reflections, factor, copies_k, n_rounds)
-    phi = _copies_state([plus_state(), psi], copies_k)
-    return AveragedInstance((_copy_reflection_applier(mats, copies_k),), phi, n_rounds)
+    factor = _interference_factor(psi)
+    return _trusted(TensorPowerInstance, _interference_frames(mats), factor, copies_k, or_round_count(len(mats), 0))
 
 
 def eigen_test(
@@ -456,15 +377,10 @@ def eigen_test(
     interference state to the averaged OR run, with N equal to the number
     of unitaries (the exact eigenvector in the positive case means no slack
     is needed).  The run stays in the flag-0 block, where each measurement
-    is the k-fold power of the block reflection R = 1/2 W W^dag.  Its
-    survivor path takes one of the two routes of :func:`_eigen_builder`.
-    On the word route it is walked in the Gram space of the reduced words
-    of the R_i on |+> (x) psi, and no k-copy state is built.  On the vector
-    route one family applier (``_copy_reflection_applier``) gives the mean L
-    of all the measurements per round, applied as k rank-d contractions by
-    1/2 W^dag and k by W, their last up steps and the 1/n in one matmul;
+    is the k-fold power of the block reflection R = V V^dag, and is a
+    :class:`quantum_or.TensorPowerInstance`, which picks its own walk;
     :func:`eigen_measurement_cycle` and :func:`eigen_or_accept_exact` share
-    that applier.  The gate-circuit reference lives in the tests.
+    its vector applier.  The gate-circuit reference lives in the tests.
     """
     return _run_once(eigen_instance(unitaries, psi, epsilon, copies_k), rng)
 
@@ -604,7 +520,7 @@ def eigen_or_accept_exact(
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
-    _check_pure(psi, "psi")
+    check_state(psi, "psi", PureState)
     mats = _eigen_check(unitaries, psi.shape, copies_k)
     rounds = or_round_count(len(mats), 0)
     measure = _eigen_measure(mats, psi, copies_k, method)
@@ -617,7 +533,7 @@ def _eigen_measure(mats: UnitarySet, psi: PureState, copies_k: int, method: str 
     """The joint route's measure of :func:`eigen_or_accept_exact`; under
     ``"auto"`` None if the certificate fails or the 2^n masks do not fit."""
     reflections = [block_reflection(u) for u in mats]
-    base = np.kron(plus_state().amplitudes, psi.amplitudes)
+    base = _interference_factor(psi).amplitudes
     if method == "joint":
         atoms = _certified_bits(reflections, base)
     else:
@@ -631,7 +547,7 @@ def _eigen_accept_matvec(mats: UnitarySet, psi: PureState, copies_k: int, n_roun
     """The route of :func:`eigen_or_accept_exact` for any family: the
     polynomial acceptance on the flag-0 block, with L the family applier."""
     vec = _copies_state([plus_state(), psi], copies_k).amplitudes
-    return mw_accept_polynomial(_copy_reflection_applier(mats, copies_k), vec, n_rounds)
+    return mw_accept_polynomial(_tensor_power_applier(_interference_frames(mats), copies_k), vec, n_rounds)
 
 
 # -- function isomorphism under a permutation set ----------------------------------
@@ -653,6 +569,8 @@ def _g_iso_parts(f: FunctionTable, g: FunctionTable, group, epsilon: float, copi
     for sigma in group:
         if sigma.size != f.domain_size:
             raise ValueError("permutation size does not match the function domain")
+    if 2 * f.domain_size * f.codomain_size > MAX_DENSE_DIM:
+        raise ValueError(f"pair state dim 2 * {f.domain_size} * {f.codomain_size} exceeds the dense cap {MAX_DENSE_DIM}")
     psi = pair_state(f, g)
     mats = _trusted(UnitarySet, tuple(pair_swap_unitary(sigma, f.codomain_size) for sigma in group))
     return mats, psi, _copy_count(eigen_copies, len(mats), epsilon, copies_k)
@@ -664,12 +582,10 @@ def g_iso_instance(
     group: Sequence[PermutationAction],
     epsilon: float,
     copies_k: int | None = None,
-) -> TensorPowerInstance | AveragedInstance:
+) -> TensorPowerInstance:
     """The amplification run of :func:`g_iso_test`: the eigenvector test on
     the two-function superposition state with one swap unitary per
-    permutation, on the route of :func:`_eigen_builder` (a
-    :class:`quantum_or.TensorPowerInstance` for the CLI's two-member group
-    at k = 2)."""
+    permutation."""
     return _eigen_builder(*_g_iso_parts(f, g, group, epsilon, copies_k))
 
 
@@ -716,16 +632,15 @@ def membership_instance(
     psi: PureState,
     epsilon: float,
     copies_k: int | None = None,
-) -> AveragedInstance:
-    """The amplification run of :func:`state_membership_test`: psi^k, one
-    rank-one applier |phi^k><phi^k| per candidate and N = |P| rounds."""
+) -> TensorPowerInstance:
+    """The amplification run of :func:`state_membership_test`: the rank-one
+    frames phi of the candidates on the factor psi, k copies and
+    N = |P| rounds."""
     n = len(candidates)
     k = _copy_count(membership_copies, n, epsilon, copies_k)
     _membership_check(candidates, psi, k)
-    big = _copies_state([psi], k)
-    powers = [reduce(np.kron, [c.amplitudes] * k) for c in candidates]
-    appliers = [(lambda v, p=p: p * np.vdot(p, v)) for p in powers]
-    return AveragedInstance(appliers, big, or_round_count(n, 0))
+    frames = np.stack([c.amplitudes for c in candidates])[:, :, None]
+    return _trusted(TensorPowerInstance, frames, psi, k, or_round_count(n, 0))
 
 
 def state_membership_test(
@@ -746,11 +661,11 @@ def state_membership_test(
 def _membership_check(candidates: Sequence[PureState], psi: PureState, copies_k: int) -> None:
     """The instance check of :func:`membership_instance` and
     :func:`membership_accept_exact`: pure candidates on pure psi's shape, k >= 1."""
-    _check_pure(psi, "psi")
+    check_state(psi, "psi", PureState)
     if not candidates:
         raise ValueError("candidate set is empty")
     for i, c in enumerate(candidates):
-        _check_pure(c, f"candidates[{i}]")
+        check_state(c, f"candidates[{i}]", PureState)
     if any(c.shape != psi.shape for c in candidates):
         raise ValueError("candidates and input state must share a shape")
     _check_copies(copies_k)
@@ -809,8 +724,8 @@ def _membership_law(candidates: Sequence[PureState], psi: PureState, copies_k: i
 def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) -> float:
     """|<phi|psi>|^{2k}: the single-measurement acceptance on psi^k (k >= 1;
     the two states must share one register shape)."""
-    _check_pure(candidate, "candidate")
-    _check_pure(psi, "psi")
+    check_state(candidate, "candidate", PureState)
+    check_state(psi, "psi", PureState)
     _check_copies(copies_k)
     return float(abs(candidate.overlap(psi)) ** (2 * copies_k))
 
@@ -913,8 +828,11 @@ def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies
     """The conjugation unitaries (of checked unitaries: trusted), |V>|W> and k
     at gap eps^2: the eigenvector test's inputs, shared by its sampler and
     exact oracle."""
+    s_set = _unitary_set(s_set)
+    if s_set.dim**4 > MAX_DENSE_DIM:
+        raise ValueError(f"conjugation unitary dim {s_set.dim}^4 exceeds the dense cap {MAX_DENSE_DIM}")
     psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
-    mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in _unitary_set(s_set)))
+    mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in s_set))
     return mats, psi, _copy_count(unitary_s_iso_copies, len(mats), epsilon, copies_k)
 
 
@@ -924,12 +842,9 @@ def unitary_s_iso_instance(
     w_unitary: np.ndarray,
     epsilon: float,
     copies_k: int | None = None,
-) -> TensorPowerInstance | AveragedInstance:
+) -> TensorPowerInstance:
     """The amplification run of :func:`unitary_s_iso_test`: the eigenvector
-    test on |V>|W> with one conjugation unitary per U and gap eps^2, on the
-    route of :func:`_eigen_builder` (a
-    :class:`quantum_or.TensorPowerInstance` for the CLI's two-member set at
-    k = 2)."""
+    test on |V>|W> with one conjugation unitary per U and gap eps^2."""
     return _eigen_builder(*_u_iso_parts(s_set, v_unitary, w_unitary, epsilon, copies_k))
 
 
@@ -988,7 +903,7 @@ def _cut_swap_order(n_axes: int, first: int, n_parts: int, cut: Iterable[int]) -
 
 def swap_overlap_two_copies(psi: PureState, cut: Sequence[int]) -> float:
     """<psi(x)psi| SWAP_S |psi(x)psi>, computed on the explicit two-copy state."""
-    _check_pure(psi, "psi")
+    check_state(psi, "psi", PureState)
     n = psi.shape.num_registers
     cut, _ = _split_registers(psi, cut)
     two = np.kron(psi.amplitudes, psi.amplitudes).reshape(psi.shape.dims * 2)
@@ -998,7 +913,7 @@ def swap_overlap_two_copies(psi: PureState, cut: Sequence[int]) -> float:
 
 def cut_product_accept(psi: PureState, cut: Sequence[int]) -> float:
     """(1 + tr rho_S^2)/2: the two-copy swap test's exact acceptance."""
-    _check_pure(psi, "psi")
+    check_state(psi, "psi", PureState)
     return 0.5 * (1.0 + subsystem_purity(psi, cut))
 
 
@@ -1034,7 +949,7 @@ def _genuine_check(psi: PureState, n_parts: int) -> int:
     first), after the part check of :func:`genuine_ent_instance` and
     :func:`genuine_ent_accept_exact`: a pure psi, one part per register of
     it and at least two parts.  Their copy check is :func:`_check_pairs`."""
-    _check_pure(psi, "psi")
+    check_state(psi, "psi", PureState)
     if check_integer(n_parts, "n_parts") != psi.shape.num_registers:
         raise ValueError("n_parts must match the state's register count")
     if n_parts < 2:

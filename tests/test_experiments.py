@@ -379,6 +379,19 @@ class TestCli:
         assert "vector cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_large_codomain_past_dense_cap(self, tmp_path, capsys):
+        """A value of 10^9 in --fn-f makes a codomain of 10^9 + 1 points: the
+        pair state would need 59.6 GiB, so the exact oracle refuses it
+        (exit 2 with an error line, no traceback)."""
+        fpath, gpath = tmp_path / "f.txt", tmp_path / "g.txt"
+        fpath.write_text("0 0\n1 1\n2 0\n3 1000000000\n")
+        gpath.write_text("0 0\n1 0\n2 1\n3 1\n")
+        out = tmp_path / "res.json"
+        assert cli_main(["giso", "--fn-f", str(fpath), "--fn-g", str(gpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pair state dim 2 * 4 * 1000000001") and "dense cap" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("lines,code", [(20, 0), (21, 2)])
     def test_identity_group_mask_cap(self, lines, code, tmp_path, capsys):
         """n copies of the identity commute, so the exact oracle takes the

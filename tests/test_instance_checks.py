@@ -88,7 +88,15 @@ from seqmeas.disturbance import certain_member_instance
 from seqmeas.experiments import _case2_or_instance
 from seqmeas.gates import HADAMARD, PAULI_X, GateSpec, _apply_gate_array, permutation_matrix
 from seqmeas.measurement import is_idempotent
-from seqmeas.quantum_or import mw_accept_polynomial, mw_accept_survival_stack
+from seqmeas.measurement import accept_probability, gentle_measurement_gap
+from seqmeas.quantum_or import (
+    mw_accept_exact,
+    mw_accept_polynomial,
+    mw_accept_survival,
+    mw_accept_survival_stack,
+    mw_bounds,
+)
+from seqmeas.states import eigendecompose_stack
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -278,6 +286,63 @@ def test_non_pure_inputs_rejected(entry):
         call()
 
 
+RAW_VECTOR, RAW_MATRIX = np.array([1.0, 0.0]), np.diag([1.0, 0.0])
+ZERO_PROJECTOR = _projector(QUBIT, [1.0, 0.0])
+ANY_STATE = "must be a PureState or DensityOperator, got ndarray"
+# entries fed a raw array where a state belongs -> (the call, the message)
+RAW_STATE_CALLS = {
+    "mw_accept_exact": (lambda: mw_accept_exact(SOFT.accept_op, RAW_VECTOR, 2), f"rho {ANY_STATE}"),
+    "mw_bounds": (lambda: mw_bounds(SOFT.accept_op, RAW_MATRIX, 2), f"rho {ANY_STATE}"),
+    "or_test_instance": (lambda: or_test_instance([ZERO_PROJECTOR], RAW_VECTOR, 0), f"rho {ANY_STATE}"),
+    "or_test_accept_exact": (lambda: or_test_accept_exact([ZERO_PROJECTOR], RAW_MATRIX, 0), f"rho {ANY_STATE}"),
+    "SequentialInstance": (lambda: SequentialInstance([ZERO_PROJECTOR], RAW_VECTOR, 0.5), f"initial {ANY_STATE}"),
+    "union_bound_bruteforce": (lambda: union_bound_bruteforce([ZERO_PROJECTOR], RAW_MATRIX), f"rho {ANY_STATE}"),
+    "measure_collapse": (
+        lambda: measure_collapse(ZERO_PROJECTOR, RAW_VECTOR, branch=1),
+        "psi must be a PureState, got ndarray",
+    ),
+    "reject_path": (lambda: reject_path([], RAW_VECTOR), "psi must be a PureState, got ndarray"),
+    "demerlinize_accept_exact": (
+        lambda: demerlinize_accept_exact(HermitianOperator(TWO_QUBITS, np.eye(4) / 2), RAW_VECTOR, 0.5),
+        "psi must be a PureState, got ndarray",
+    ),
+    "merlin_best_witness_accept": (
+        lambda: merlin_best_witness_accept(HermitianOperator(TWO_QUBITS, np.eye(4) / 2), RAW_VECTOR),
+        "psi must be a PureState, got ndarray",
+    ),
+    "AveragedInstance": (lambda: AveragedInstance((lambda v: v,), RAW_VECTOR, 2), f"initial {ANY_STATE}"),
+    "accept_probability": (lambda: accept_probability(SOFT, RAW_MATRIX), f"rho {ANY_STATE}"),
+    "gentle_measurement_gap": (
+        lambda: gentle_measurement_gap(RAW_MATRIX, SOFT.accept_op),
+        "rho must be a DensityOperator, got ndarray",
+    ),
+    "gentle_measurement_gap-pure": (
+        lambda: gentle_measurement_gap(ZERO, SOFT.accept_op),
+        "rho must be a DensityOperator, got PureState",
+    ),
+    "mw_accept_survival": (
+        lambda: mw_accept_survival(trivial_naimark(ZERO_PROJECTOR), RAW_VECTOR, 2),
+        f"initial {ANY_STATE}",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RAW_STATE_CALLS))
+def test_raw_arrays_rejected_where_a_state_belongs(entry):
+    """Ten of these once raised AttributeError from deep inside, and four a
+    misleading ValueError (a shape mismatch, or "stack of matrixs" at
+    sampling time); ``states.check_state`` now names the argument and the
+    type it got."""
+    call, message = RAW_STATE_CALLS[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_hermitian_stack_plural():
+    with pytest.raises(ValueError, match=re.escape("stack of matrices, got shape (1, 2)")):
+        eigendecompose_stack(RAW_VECTOR[None])
+
+
 # every k-copy entry point, as a function of k
 COPY_COUNT_CALLS = {
     "analytic_eigen_accept": lambda k: analytic_eigen_accept(PAULI_X, ZERO, k),
@@ -361,7 +426,7 @@ def test_tiny_epsilon_runs_at_a_given_copy_count(entry):
         assert np.array_equal(value.initial.amplitudes, reference.initial.amplitudes)
     elif isinstance(value, TensorPowerInstance):
         assert (value.copies_k, value.n_rounds) == (reference.copies_k, reference.n_rounds)
-        assert np.array_equal(value.projectors, reference.projectors)
+        assert np.array_equal(value.frames, reference.frames)
         assert np.array_equal(value.factor.amplitudes, reference.factor.amplitudes)
     else:
         assert value == reference

@@ -31,6 +31,7 @@ from seqmeas import (
     or_test,
     or_test_accept_exact,
     plus_state,
+    product_state,
     run_averaged_or_sampled,
     run_mw_sampled,
     run_mw_sampled_batch,
@@ -38,7 +39,15 @@ from seqmeas import (
     trial_blocks,
     trial_rng,
 )
-from seqmeas.quantum_or import AveragedInstance, _amplify, _averaged_operator, _l_applier, _mean_applier, _survivors
+from seqmeas.quantum_or import (
+    AveragedInstance,
+    TensorPowerInstance,
+    _amplify,
+    _averaged_operator,
+    _mean_applier,
+    _survivors,
+    _tensor_power_applier,
+)
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -579,7 +588,7 @@ class TestDemerlinize:
         lam = sum(s.matrix for s in slices) / witness
         inst = demerlinize_instance(gamma, psi, 0.5)
         assert (len(inst.appliers), inst.n_rounds) == (witness, demerlinize_round_count(witness, 0.5))
-        apply_l = _l_applier(inst)
+        apply_l = _mean_applier(inst.appliers)
         eye = np.eye(lam.shape[0], dtype=np.complex128)
         assert np.array_equal(np.stack([apply_l(e) for e in eye], axis=1), lam)
         np.testing.assert_allclose(apply_l(psi.amplitudes), lam @ psi.amplitudes, rtol=0, atol=1e-15)
@@ -662,8 +671,9 @@ class TestAmplifyInPlace:
                 assert np.array_equal(cached, cached_before)
 
     def test_survivor_paths_match_out_of_place_walk(self):
-        """Through ``_survivors``: a single applier is taken as L itself, a
-        family through ``_mean_applier``; the eigen family applier walks a
+        """Through ``_survivors``: an averaged instance through
+        ``_mean_applier`` (one applier is its own mean), and an eigen
+        family past the word rule through its tensor-power applier on a
         complex tester state."""
         rng = trial_rng(96, 1)
         (fresh, cached_applier), cached = self.appliers(rng, 4)
@@ -679,6 +689,28 @@ class TestAmplifyInPlace:
         for inst in instances:
             survivors = _survivors(inst)
             got = [survivors.boundary(0, step) for step in range(2 * inst.n_rounds)]
-            expected = out_of_place_amplify(_mean_applier(inst.appliers), inst.initial.amplitudes, inst.n_rounds)
-            assert np.array_equal(got, expected)
+            if isinstance(inst, TensorPowerInstance):
+                apply_l = _tensor_power_applier(inst.frames, inst.copies_k)
+                vector = product_state([inst.factor] * inst.copies_k).amplitudes
+            else:
+                apply_l, vector = _mean_applier(inst.appliers), inst.initial.amplitudes
+            assert np.array_equal(got, out_of_place_amplify(apply_l, vector, inst.n_rounds))
         assert np.array_equal(cached, cached_before)
+
+    def test_tensor_power_instance_picks_the_vector_walk(self):
+        """Six rank-one qubit members at k = 2, N = 6 have 23437 reduced
+        words, whose Gram matrix would take about 8.8 GB; the instance
+        walks its vector applier on the 4 amplitudes of factor^(x)2 instead,
+        with the boundaries of the out-of-place walk bit for bit."""
+        rng = trial_rng(96, 2)
+        frames = np.stack([random_pure_state(rng, QUBIT).amplitudes for _ in range(6)])[:, :, None]
+        factor = random_pure_state(rng, QUBIT)
+        inst = TensorPowerInstance(frames, factor, 2, 6)
+        walk, start = inst._walk()
+        assert walk != inst._word_walk and start.shape.dims == (2, 2)
+        survivors = _survivors(inst)
+        got = [survivors.boundary(0, step) for step in range(12)]
+        vector = product_state([factor, factor]).amplitudes
+        expected = out_of_place_amplify(_tensor_power_applier(inst.frames, 2), vector, 6)
+        assert np.array_equal(got, expected)
+        assert 0.0 < got[0] < 1.0

@@ -47,6 +47,7 @@ from seqmeas import (
     hs_inner,
     membership_accept_exact,
     membership_copies,
+    membership_instance,
     mw_accept_exact,
     pair_state,
     plus_state,
@@ -66,7 +67,7 @@ from seqmeas import gates as gates_module
 from seqmeas import quantum_or as quantum_or_module
 from seqmeas.gates import HADAMARD, PAULI_X, PAULI_Z, GateSpec, _apply_gate_array
 from seqmeas.measurement import measure_register_collapse
-from seqmeas.quantum_or import mw_accept_from_spectrum, mw_halting_law, or_round_count
+from seqmeas.quantum_or import _tensor_power_applier, mw_accept_from_spectrum, mw_halting_law, or_round_count
 from seqmeas.testers import (
     CASE2_BUDGET,
     MAX_DENSE_DIM,
@@ -75,13 +76,13 @@ from seqmeas.testers import (
     MAX_VECTOR_DIM,
     PATTERN_ATOL,
     _copies_state,
-    _copy_reflection_applier,
     _eigen_accept_matvec,
     _eigen_builder,
     _eigen_measure,
     _elementwise_power,
     _eigen_layout,
     _genuine_measure,
+    _interference_frames,
     _joint_bits,
     _least_copies,
     _membership_law,
@@ -103,6 +104,13 @@ from seqmeas.states import _trusted
 from test_gates import dense_gate_reference
 
 QUBIT = RegisterShape((2,))
+
+
+def interference_applier(unitaries, copies_k):
+    """The interference family's vector applier: the tensor-power applier
+    on the frames [I; U_i^dag]/sqrt2."""
+    return _tensor_power_applier(_interference_frames(unitaries), copies_k)
+
 
 BIT_SWAP = PermutationAction((0, 2, 1, 3))
 DESK_GROUP = (PermutationAction.identity(4), BIT_SWAP)
@@ -377,6 +385,55 @@ def test_rule_copy_counts_hit_the_vector_cap_at_once():
         assert time.perf_counter() - start < 1.0
 
 
+class ReachedSentinel(Exception):
+    pass
+
+
+def _sentinel(*args, **kwargs):
+    raise ReachedSentinel
+
+
+@pytest.mark.parametrize("codomain,refused", [(512, False), (513, True)])
+def test_giso_pair_state_dense_cap(monkeypatch, codomain, refused):
+    """2 |X| |Y| = 4104 > MAX_DENSE_DIM is refused before the pair state or
+    any swap unitary is built (a codomain of 10^9 once asked for 59.6 GiB);
+    4096 itself goes on to build them."""
+    monkeypatch.setattr(testers_module, "pair_state", _sentinel)
+    f = FunctionTable(4, codomain, (0, 1, 0, codomain - 1))
+    group = (PermutationAction.identity(4),)
+    for call in (
+        lambda: g_iso_accept_exact(f, f, group, 0.5, copies_k=2),
+        lambda: g_iso_test(f, f, group, 0.5, trial_rng(0, 0), copies_k=2),
+    ):
+        if refused:
+            message = f"pair state dim 2 * 4 * {codomain} exceeds the dense cap {MAX_DENSE_DIM}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        else:
+            with pytest.raises(ReachedSentinel):
+                call()
+
+
+@pytest.mark.parametrize("dim,refused", [(8, False), (9, True)])
+def test_uiso_conjugation_dense_cap(monkeypatch, dim, refused):
+    """d^4 = 6561 > MAX_DENSE_DIM is refused before any conjugation unitary
+    is built; d = 8, 4096 itself, goes on to build them."""
+    monkeypatch.setattr(testers_module, "conjugation_unitary", _sentinel)
+    u = random_unitary(trial_rng(0, dim), dim)
+    s_set = UnitarySet((u,))
+    for call in (
+        lambda: unitary_s_iso_accept_exact(s_set, u, u, 0.5, copies_k=2),
+        lambda: unitary_s_iso_test(s_set, u, u, 0.5, trial_rng(0, 0), copies_k=2),
+    ):
+        if refused:
+            message = f"conjugation unitary dim 9^4 exceeds the dense cap {MAX_DENSE_DIM}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        else:
+            with pytest.raises(ReachedSentinel):
+                call()
+
+
 # Loop-built references for the basis permutations that the testers take
 # from gates.permutation_matrix; the entries must agree exactly.
 
@@ -638,7 +695,7 @@ class TestFactoredMeasurementCycle:
         full = rng.normal(size=2 * (2 * shape.total_dim) ** copies_k) * (1 + 0.5j)
         state = PureState(eigen_tester_state(psi, copies_k).shape, full / np.linalg.norm(full))
         x = state.amplitudes.reshape(-1, 2).T
-        rx = _copy_reflection_applier((u,), copies_k)(state.amplitudes).reshape(2, -1)
+        rx = interference_applier((u,), copies_k)(state.amplitudes).reshape(2, -1)
         branches = ((x[0] - rx[0], rx[1]), (rx[0], x[1] - rx[1]))
         for branch in (0, 1):
             _, prob, residual = eigen_measurement_cycle(state, u, shape, copies_k, branch=branch)
@@ -714,7 +771,7 @@ class TestFactoredEigenApplier:
         rng = trial_rng(48, 10 * len(dims) + copies_k)
         shape = RegisterShape(dims)
         u = random_unitary(rng, shape.total_dim)
-        factored = _copy_reflection_applier((u,), copies_k)
+        factored = interference_applier((u,), copies_k)
         reference = gate_route_applier(shape, u, copies_k)
         dim = (2 * shape.total_dim) ** copies_k
         full = rng.normal(size=(3, 2 * dim)) + 1j * rng.normal(size=(3, 2 * dim))
@@ -777,7 +834,7 @@ class TestRankFactorApplier:
         mats = [random_unitary(rng, d) for _ in range(n_members)]
         dim = (2 * d) ** copies_k
         vec = rng.normal(size=dim * trailing) + 1j * rng.normal(size=dim * trailing)
-        out = _copy_reflection_applier(mats, copies_k)(vec)
+        out = interference_applier(mats, copies_k)(vec)
         expected = dense_family_mean_apply(mats, copies_k, vec.reshape(dim, trailing)).T.reshape(-1)
         assert out.shape == vec.shape
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
@@ -792,12 +849,12 @@ class TestRankFactorApplier:
         base = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
         before = base.copy()
         view = base[0::2]
-        out = _copy_reflection_applier(mats, copies_k)(view)
+        out = interference_applier(mats, copies_k)(view)
         expected = dense_family_mean_apply(mats, copies_k, before[0::2])
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
         assert np.array_equal(base, before)
         contiguous = before[0::2].copy()
-        _copy_reflection_applier(mats, copies_k)(contiguous)
+        interference_applier(mats, copies_k)(contiguous)
         assert np.array_equal(contiguous, before[0::2])
 
 
@@ -836,7 +893,7 @@ class TestFamilyApplier:
         rng = trial_rng(95, 100 * n_members + 10 * copies_k + len(dims) + dims[-1])
         d = RegisterShape(dims).total_dim
         mats = [random_unitary(rng, d) for _ in range(n_members)]
-        family = _copy_reflection_applier(mats, copies_k)
+        family = interference_applier(mats, copies_k)
         reference = quantum_or_module._mean_applier([single_reflection_applier(u, copies_k) for u in mats])
         for trailing in (1, 2, 3):
             size = (2 * d) ** copies_k * trailing
@@ -853,14 +910,14 @@ class TestFamilyApplier:
         a time (two per stack at trailing 1, one at trailing 2): the result
         still matches the mean, and the memory one application allocates
         stops growing with n once there are three groups."""
-        monkeypatch.setattr(testers_module, "MAX_VECTOR_DIM", 1024)
+        monkeypatch.setattr(quantum_or_module, "MAX_VECTOR_DIM", 1024)
         rng = trial_rng(97, trailing)
         size = 8**3 * 2 * trailing
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
         peaks = {}
         for n_members in (1, 2, 3, 5, 12):
             mats = [random_unitary(rng, 4) for _ in range(n_members)]
-            family = _copy_reflection_applier(mats, 3)
+            family = interference_applier(mats, 3)
             reference = quantum_or_module._mean_applier([single_reflection_applier(u, 3) for u in mats])
             np.testing.assert_allclose(family(vec), reference(vec), rtol=0, atol=1e-12)
             tracemalloc.start()
@@ -977,7 +1034,8 @@ class TestMatvecOracle:
             raise AssertionError("a k-copy vector was built past the cap")
 
         monkeypatch.setattr(testers_module, "product_state", no_vector)
-        monkeypatch.setattr(testers_module, "_copy_reflection_applier", no_vector)
+        monkeypatch.setattr(quantum_or_module, "product_state", no_vector)
+        monkeypatch.setattr(testers_module, "_tensor_power_applier", no_vector)
         with pytest.raises(ValueError, match=f"vector cap {MAX_VECTOR_DIM}"):
             eigen_or_accept_exact(mats, psi, copies_k)
         with pytest.raises(ValueError, match=f"vector cap {MAX_VECTOR_DIM}"):
@@ -1862,7 +1920,7 @@ def _route_laws(mats, psi, copies_k):
     walk = inst._word_walk(inst.factor.amplitudes)
     word = path_law(lambda step: next(walk), n)
     vector = _copies_state([plus_state(), psi], copies_k).amplitudes
-    amplify = quantum_or_module._amplify(_copy_reflection_applier(mats, copies_k), vector, n)
+    amplify = quantum_or_module._amplify(interference_applier(mats, copies_k), vector, n)
     return word, path_law(lambda step: next(amplify), n)
 
 
@@ -1961,26 +2019,46 @@ class TestWordRoute:
                 assert next(walk) >= 0.0
 
     @pytest.mark.parametrize(
-        "dim,size,copies_k,route",
+        "dim,size,copies_k,walk",
         [
-            (2, 1, 1, TensorPowerInstance),  # W^2 = 4 = 4^1: the rule's equality side
-            (2, 2, 2, AveragedInstance),  # 25 > 16
-            (2, 2, 3, TensorPowerInstance),  # 25 <= 64
-            (2, 3, 2, AveragedInstance),  # 484 > 16: the survivor-path test's route
-            (3, 3, 3, AveragedInstance),  # 484 > 216
-            (3, 3, 4, TensorPowerInstance),  # 484 <= 1296
+            (2, 1, 1, "word"),  # W^2 = 4 = 4^1: the rule's equality side
+            (2, 2, 2, "vector"),  # 25 > 16
+            (2, 2, 3, "word"),  # 25 <= 64
+            (2, 3, 2, "vector"),  # 484 > 16: the survivor-path test's route
+            (3, 3, 3, "vector"),  # 484 > 216
+            (3, 3, 4, "word"),  # 484 <= 1296
         ],
     )
-    def test_route_rule(self, dim, size, copies_k, route):
+    def test_route_rule(self, dim, size, copies_k, walk):
+        """Every eigen family is one TensorPowerInstance, which walks its
+        words on the factor or its vector applier on the k-copy state."""
         rng = trial_rng(414, dim)
         psi = random_pure_state(rng, RegisterShape((dim,)))
         inst = eigen_instance([random_unitary(rng, dim) for _ in range(size)], psi, 0.5, copies_k)
-        assert type(inst) is route and inst.n_rounds == size
-        if route is TensorPowerInstance:
-            assert inst.copies_k == copies_k and inst.factor.shape.dims == (2, dim)
-            assert inst.projectors.shape == (size, 2 * dim, 2 * dim) and not inst.projectors.flags.writeable
-        else:
-            assert inst.initial.shape.dims == (2, dim) * copies_k
+        assert type(inst) is TensorPowerInstance and inst.n_rounds == size
+        assert inst.copies_k == copies_k and inst.factor.shape.dims == (2, dim)
+        assert inst.frames.shape == (size, 2 * dim, dim) and not inst.frames.flags.writeable
+        walker, start = inst._walk()
+        assert (walker == inst._word_walk) == (walk == "word")
+        assert start.shape.dims == ((2, dim) if walk == "word" else (2, dim) * copies_k)
+
+    @pytest.mark.parametrize("copies_k,word", [(3, False), (6, True)], ids=["vector-route", "word-route"])
+    def test_membership_on_both_sides_of_the_rule(self, copies_k, word):
+        """Two qubit candidates have W = 5 words: 25 > 2^3 walks the vector
+        applier, 25 <= 2^6 the words.  Either path's law is the Gram
+        oracle's law cell by cell."""
+        rng = trial_rng(418, 0)
+        candidates = [random_pure_state(rng, QUBIT) for _ in range(2)]
+        psi = random_pure_state(rng, QUBIT)
+        inst = membership_instance(candidates, psi, 0.5, copies_k)
+        assert isinstance(inst, TensorPowerInstance) and inst.frames.shape == (2, 2, 1)
+        walk, start = inst._walk()
+        assert (walk == inst._word_walk) == word and start.shape.dims == (2,) * (1 if word else copies_k)
+        survivors = quantum_or_module._survivors(inst)
+        law = path_law(lambda s: survivors.boundary(0, s), inst.n_rounds)
+        expected = _membership_law(candidates, psi, copies_k)
+        assert 0.05 < expected[:-1].sum() < 0.95
+        np.testing.assert_allclose(law, expected, rtol=0, atol=1e-12)
 
     def test_five_members_never_fit(self):
         """From n = 5 on, W^2 passes the vector cap itself, so the vector
@@ -1996,7 +2074,7 @@ class TestWordRoute:
         divides by a kept mass of 0."""
         mats, zero = [PAULI_Z, np.eye(2)], basis_state(QUBIT, (0,))
         inst = eigen_instance(mats, zero, 0.5, copies_k)
-        assert isinstance(inst, TensorPowerInstance) == (copies_k == 3)
+        assert isinstance(inst, TensorPowerInstance) and (inst._walk()[0] == inst._word_walk) == (copies_k == 3)
         steps = np.concatenate(list(sample_blocks(inst, trial_blocks(415, range(300)))))
         assert not steps.any()
         survivors = quantum_or_module._survivors(inst)
@@ -2012,7 +2090,7 @@ class TestWordRoute:
         rejects."""
         mats, one = [PAULI_Z, -np.eye(2)], basis_state(QUBIT, (1,))
         inst = eigen_instance(mats, one, 0.5, copies_k)
-        assert isinstance(inst, TensorPowerInstance) == (copies_k == 3)
+        assert isinstance(inst, TensorPowerInstance) and (inst._walk()[0] == inst._word_walk) == (copies_k == 3)
         steps = np.concatenate(list(sample_blocks(inst, trial_blocks(416, range(300)))))
         assert np.all(steps == 4)
         survivors = quantum_or_module._survivors(inst)
@@ -2022,23 +2100,27 @@ class TestWordRoute:
         assert eigen_or_accept_exact(mats, one, copies_k) == 0.0
 
     def test_instance_checks(self):
-        reflections = np.stack([block_reflection(PAULI_Z)])
+        frames = _interference_frames([PAULI_Z])
         factor = product_state([plus_state(), basis_state(QUBIT, (0,))])
-        with pytest.raises(ValueError, match="not idempotent"):
-            TensorPowerInstance(2 * reflections, factor, 2, 1)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            TensorPowerInstance(reflections + np.triu(np.ones((4, 4)), 1), factor, 2, 1)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            TensorPowerInstance(2 * frames, factor, 2, 1)
+        with pytest.raises(ValueError, match=re.escape("frame 1 of the stack is not orthonormal")):
+            TensorPowerInstance(np.stack([frames[0], frames[0] + np.triu(np.ones((4, 2)), 1)]), factor, 2, 1)
         with pytest.raises(ValueError, match="factor must be a PureState, got DensityOperator"):
-            TensorPowerInstance(reflections, factor.density(), 2, 1)
+            TensorPowerInstance(frames, factor.density(), 2, 1)
         with pytest.raises(ValueError, match="dimension 4 on a factor of dimension 2"):
-            TensorPowerInstance(reflections, plus_state(), 2, 1)
+            TensorPowerInstance(frames, plus_state(), 2, 1)
+        for shape in [(4, 2), (0, 4, 2), (1, 4, 0)]:
+            with pytest.raises(ValueError, match=re.escape(f"(n, D, r) stack of frames, got shape {shape}")):
+                TensorPowerInstance(np.zeros(shape), factor, 2, 1)
         with pytest.raises(ValueError, match="need at least one copy"):
-            TensorPowerInstance(reflections, factor, 0, 1)
+            TensorPowerInstance(frames, factor, 0, 1)
         with pytest.raises(ValueError, match="round count must be >= 1"):
-            TensorPowerInstance(reflections, factor, 2, 0)
-        inst = TensorPowerInstance(reflections, factor, 2, 1)
-        assert not inst.projectors.flags.writeable
-
+            TensorPowerInstance(frames, factor, 2, 0)
+        with pytest.raises(ValueError, match=f"k-copy state dim 4\\^11 \\* 1 exceeds the vector cap {MAX_VECTOR_DIM}"):
+            TensorPowerInstance(frames, factor, 11, 1)
+        inst = TensorPowerInstance(frames, factor, 2, 1)
+        assert not inst.frames.flags.writeable and inst.frames.dtype == np.complex128
 
 class TestEigenTestEndToEnd:
     def test_eigenvector_present_sampled(self):

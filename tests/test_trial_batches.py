@@ -87,7 +87,15 @@ from seqmeas.experiments import _accept_ever_count, _demerlinize_case1, _desk_gi
 from seqmeas.gates import PAULI_X
 from seqmeas.measurement import is_idempotent
 from seqmeas.disturbance import _row_dot
-from seqmeas.quantum_or import _averaged_operator, _draw_rows, _ensemble, _mean_applier, _single_measure, _survivors
+from seqmeas.quantum_or import (
+    _averaged_operator,
+    _draw_rows,
+    _ensemble,
+    _mean_applier,
+    _single_measure,
+    _survivors,
+    _tensor_power_applier,
+)
 from seqmeas.rng import _CHUNK
 from seqmeas.states import DensityOperator, eigendecompose
 from seqmeas.testers import _eigen_measure, _g_iso_parts, _genuine_measure, _membership_law, _u_iso_parts
@@ -635,12 +643,17 @@ def _law_instances():
 
 def _spectral_measure(inst):
     """L's spectral measure seen from the input, L read off the appliers'
-    mean column by column."""
-    apply_l = _mean_applier(inst.appliers)
-    eye = np.eye(inst.initial.shape.total_dim, dtype=np.complex128)
+    mean column by column (a tensor-power instance's vector applier on
+    factor^(x)k)."""
+    if isinstance(inst, TensorPowerInstance):
+        apply_l = _tensor_power_applier(inst.frames, inst.copies_k)
+        initial = product_state([inst.factor] * inst.copies_k)
+    else:
+        apply_l, initial = _mean_applier(inst.appliers), inst.initial
+    eye = np.eye(initial.shape.total_dim, dtype=np.complex128)
     lam = np.stack([apply_l(e) for e in eye], axis=1)
-    state = getattr(inst.initial, "amplitudes", None)
-    state = inst.initial.matrix if state is None else state
+    state = getattr(initial, "amplitudes", None)
+    state = initial.matrix if state is None else state
     evals, weights = spectral_measures(lam[None], state[None])
     return evals[0], weights[0]
 
@@ -808,6 +821,17 @@ def test_halting_steps_follow_the_oracle_law(name):
     from what each exact oracle reads (the membership walk's own law)."""
     inst, law, _, _ = _oracle_cases()[name]
     _assert_steps_follow(inst, law)
+
+
+def test_membership_word_route_steps_follow_the_law():
+    """Membership at k = 6 walks its reduced words (W^2 = 25 <= 2^6): the
+    halting steps follow the Gram oracle's law within 4 sigma."""
+    rng = trial_rng(98, 0)
+    candidates = [random_pure_state(rng, QUBIT) for _ in range(2)]
+    psi = random_pure_state(rng, QUBIT)
+    inst = membership_instance(candidates, psi, 0.5, copies_k=6)
+    assert inst._walk()[0] == inst._word_walk
+    _assert_steps_follow(inst, _membership_law(candidates, psi, 6))
 
 
 @pytest.mark.parametrize("name", ["giso", "uiso", "eigen-circuits"])
