@@ -564,8 +564,9 @@ def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
     each real part before its imaginary part.  Per dimension the draws are
     then stacked: ``unitary_from_ginibre`` builds every U and V of the group
     at once, bit for bit as ``random_unitary`` would, one check refuses a
-    stack that is not unitary, and the channel states (vec(M)/sqrt(d)),
-    tr(U^dag V)/d, kron(a, b) and a V b^T are formed on the stack.  Each
+    stack that is not unitary, and the library's channel states
+    (``testers.choi_vector``) and inner products (``testers.hs_inner``),
+    kron(a, b) and a V b^T are formed on the stack.  Each
     check's two errors are still reduced on its own slice, so the worst
     errors equal the per-trial ones bit for bit."""
     n_random = _int_param(config, "identity_checks", 100, minimum=1)
@@ -576,13 +577,13 @@ def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
     worst_inner = worst_ab = 0.0
     for d in sorted(groups):
         g_u, g_v, a, b = map(np.stack, zip(*groups.pop(d)))
-        m, root_d = len(a), math.sqrt(d)
+        m = len(a)
         u, v = unitary_from_ginibre(g_u), unitary_from_ginibre(g_v)
         check_slices(is_unitary(u) & is_unitary(v), "random unitary pair", "not unitary within tolerance")
-        inner = np.trace(u.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1) / d
-        cu, cv = u.reshape(m, -1) / root_d, v.reshape(m, -1) / root_d
+        inner = testers.hs_inner(u, v)
+        cu, cv = testers.choi_vector(u), testers.choi_vector(v)
         kr = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(m, d * d, d * d)
-        rhs = (a @ v @ b.swapaxes(-1, -2)).reshape(m, -1) / root_d
+        rhs = testers.choi_vector(a @ v @ b.swapaxes(-1, -2))
         for i in range(m):
             worst_inner = max(worst_inner, abs(complex(np.vdot(cu[i], cv[i])) - complex(inner[i])))
             worst_ab = max(worst_ab, np.abs(kr[i] @ cv[i] - rhs[i]).max())

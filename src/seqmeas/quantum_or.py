@@ -26,31 +26,30 @@ instance: it is walked once per distinct input vector (one for a pure
 input, one per eigen-ensemble index drawn for a mixed one), grown lazily,
 only as far as the furthest step some trial reaches, and a trial halts at
 the first step whose halting region holds its uniform.  A run is one of two
-instances, each with its walk.  An :class:`AveragedInstance` is walked by
+instances, each with its ``_walk``.  An :class:`AveragedInstance` is walked by
 ``_amplify`` on the system space with L, the mean of its appliers (the
 path depends on Pi only through L; Pi itself is exercised by the survival
 oracle): the OR test, de-Merlinization and genuine entanglement give one
 matvec per member, and a Naimark form's run is the single applier
 ``lambda v: L @ v`` of its induced operator.  A :class:`TensorPowerInstance`,
 L the mean of k-th tensor powers of projectors V_i V_i^dag on factor^(x)k,
-picks its own walk from its sizes (``TensorPowerInstance._walk``): the Gram
-space of reduced words, with no k-copy vector, or ``_amplify`` with
-:func:`_tensor_power_applier`; both yield the same sequence.
+picks its own walk from its sizes: the Gram space of reduced words, with no
+k-copy vector, or ``_amplify`` on its ``_vector_path`` (the pair the
+interference matvec oracle reads); both yield the same sequence.
 
 Draw order.  Every sampler is one halting core
 (``_Survivors.halting_steps``) fed by one of three draw sources.  A single
-run (:func:`run_mw_sampled`, or :func:`run_averaged_or_sampled` on the
-instance's fields) draws a mixed input's ensemble index from one uniform
-by ``_draw_rows``: ``Generator.choice``'s rule on its cdf (a pure input is
-one row and draws no index); then one uniform per step taken: the Pi
-measurement, then Delta, round after round.  :func:`sample_blocks` gives
-trial t its own row of a stream block (:func:`rng.trial_blocks`) and draws
-from it in exactly that order, with no ``Generator`` per trial, so each of
-its outcomes equals a single run on that trial's stream, however many
-trials share the paths.  :func:`run_mw_sampled_batch` shares one
-generator: every trial's ensemble index in one call, then per step one
-uniform per trial still running, in trial order.  The core checks
-the path it reads: a Pi accept probability outside [0, 1], a kept mass
+run, :func:`run_mw_sampled`, which every single-run entry point returns,
+draws a mixed input's ensemble index from one uniform by ``_draw_rows``:
+``Generator.choice``'s rule on its cdf (a pure input is one row and draws
+no index); then one uniform per step taken: the Pi measurement, then
+Delta, round after round.  :func:`sample_blocks` gives trial t its own row
+of a stream block (:func:`rng.trial_blocks`) and draws from it in exactly
+that order, with no ``Generator`` per trial, so each of its outcomes
+equals a single run on that trial's stream, however many trials share the
+paths.  :func:`run_mw_sampled_batch` shares one generator: every trial's
+ensemble index in one call, then per step one uniform per trial still
+running, in trial order.  The core checks the path it reads: a Pi accept probability outside [0, 1], a kept mass
 ||(I - L) v||^2 above 1 - <v|L|v>, or an applier that does not map the
 input's vectors to vectors of the same shape raises ValueError naming the
 round, so appliers whose mean is no operator in [0, I] are not sampled.
@@ -118,6 +117,12 @@ class AveragedInstance:
         _round_counts(self.n_rounds, 1)
         object.__setattr__(self, "appliers", appliers)
 
+    def _walk(self) -> tuple[Callable[[np.ndarray], Iterator[float]], PureState | DensityOperator]:
+        """The survivor walk and its input: ``_amplify`` with the appliers'
+        mean on the system space, from the initial state."""
+        apply_l = _mean_applier(self.appliers)
+        return (lambda v: _amplify(apply_l, v, self.n_rounds)), self.initial
+
 
 def _copies_dim(per_copy: int, copies_k: int, tail_dim: int = 1) -> int:
     """per_copy^k * tail_dim, the dimension of a k-copy state, after checking
@@ -174,9 +179,12 @@ class TensorPowerInstance:
         n, dim, _ = self.frames.shape
         if _word_count(n, self.n_rounds, math.isqrt(dim**self.copies_k)) is not None:
             return self._word_walk, self.factor
-        apply_l = _tensor_power_applier(self.frames, self.copies_k)
-        vector = product_state([self.factor] * self.copies_k)
+        apply_l, vector = self._vector_path()
         return (lambda v: _amplify(apply_l, v, self.n_rounds)), vector
+
+    def _vector_path(self) -> tuple[Callable[[np.ndarray], np.ndarray], PureState]:
+        """The vector walk's L (:func:`_tensor_power_applier`) and input factor^{(x)k}."""
+        return _tensor_power_applier(self.frames, self.copies_k), product_state([self.factor] * self.copies_k)
 
     def _word_walk(self, vector: np.ndarray) -> Iterator[float]:
         """The survivor path of vector^{(x)k} in the Gram space of reduced
@@ -455,26 +463,10 @@ class _Survivors:
         halted[live] = n_steps
         return halted
 
-    def shared_steps(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """The halting steps of `trials` trials sharing `rng`: every ensemble
-        index from one call, then per step one uniform per trial still
-        running, in trial order.  One trial draws as a single run does."""
-        return self.halting_steps(lambda live: rng.random(live.size), trials)
-
-    def run(self, rng: np.random.Generator) -> MWResult:
-        """One trial: its ensemble index, then one uniform per step taken."""
-        (step,) = self.shared_steps(rng, 1).tolist()
-        n = self.n_rounds
-        return MWResult(True, step // 2 + 1, _HALTING_STEPS[step % 2]) if step < 2 * n else MWResult(False, n, None)
-
 
 def _survivors(inst: AveragedInstance | TensorPowerInstance) -> _Survivors:
-    """The instance's survivor paths: a tensor-power instance's on the walk it
-    picks, an averaged instance's from ``_amplify`` with its appliers' mean."""
-    if isinstance(inst, TensorPowerInstance):
-        return _Survivors(*inst._walk(), inst.n_rounds)
-    apply_l = _mean_applier(inst.appliers)
-    return _Survivors(lambda vector: _amplify(apply_l, vector, inst.n_rounds), inst.initial, inst.n_rounds)
+    """The instance's survivor paths, on the walk the instance gives."""
+    return _Survivors(*inst._walk(), inst.n_rounds)
 
 
 def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
@@ -495,15 +487,18 @@ def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.nda
 
 
 def run_mw_sampled(inst: AveragedInstance | TensorPowerInstance, rng: np.random.Generator) -> MWResult:
-    """Simulate one run of the amplification procedure."""
-    return _survivors(inst).run(rng)
+    """One run of the amplification procedure: the halting core on one trial."""
+    (step,) = _survivors(inst).halting_steps(lambda live: rng.random(live.size), 1).tolist()
+    n = inst.n_rounds
+    return MWResult(True, step // 2 + 1, _HALTING_STEPS[step % 2]) if step < 2 * n else MWResult(False, n, None)
 
 
 def run_mw_sampled_batch(inst: AveragedInstance | TensorPowerInstance, rng: np.random.Generator, trials: int) -> int:
     """Accept count over independent trials of :func:`run_mw_sampled` that
     share one generator."""
     check_integer(trials, "trials", 0)
-    return int(np.count_nonzero(_survivors(inst).shared_steps(rng, trials) < 2 * inst.n_rounds))
+    steps = _survivors(inst).halting_steps(lambda live: rng.random(live.size), trials)
+    return int(np.count_nonzero(steps < 2 * inst.n_rounds))
 
 
 def run_averaged_or_sampled(
@@ -512,14 +507,9 @@ def run_averaged_or_sampled(
     n_rounds: int,
     rng: np.random.Generator,
 ) -> MWResult:
-    """One amplification run for an averaged family, matrix-free (see
-    :class:`AveragedInstance`)."""
-    return _survivors(AveragedInstance(appliers, initial, n_rounds)).run(rng)
-
-
-def _run_once(inst: AveragedInstance | TensorPowerInstance, rng: np.random.Generator) -> bool:
-    """Whether one run of an instance accepts (every single-run wrapper)."""
-    return _survivors(inst).run(rng).accepted
+    """One amplification run for an averaged family, matrix-free:
+    :func:`run_mw_sampled` on its :class:`AveragedInstance`."""
+    return run_mw_sampled(AveragedInstance(appliers, initial, n_rounds), rng)
 
 
 def sample_blocks(inst: AveragedInstance | TensorPowerInstance, blocks: Iterable[StreamBlock]) -> Iterator[np.ndarray]:
@@ -884,7 +874,7 @@ def or_test(
     probability >= (1-eps)^2/7; an input with mean acceptance <= delta accepts
     with probability <= 4 delta n.
     """
-    return _run_once(or_test_instance(measurements, rho, epsilon), rng)
+    return run_mw_sampled(or_test_instance(measurements, rho, epsilon), rng).accepted
 
 
 def or_test_accept_exact(
@@ -970,7 +960,7 @@ def demerlinize_test(
     >= eta^2/7; if no witness reaches zeta the acceptance probability is at
     most 2 zeta ceil(d/eta).
     """
-    return _run_once(demerlinize_instance(gamma, psi, eta), rng)
+    return run_mw_sampled(demerlinize_instance(gamma, psi, eta), rng).accepted
 
 
 def demerlinize_accept_exact(gamma: HermitianOperator, psi: PureState, eta) -> float:

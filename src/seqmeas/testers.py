@@ -26,7 +26,7 @@ All three are exact at any copy count.
 
 The one exception is interference with non-commuting unitaries, which
 takes 1 - ||(I - L)^N v||^2 (``quantum_or.mw_accept_polynomial``) on the
-sampler's own family applier, within the state-vector cap.
+vector path of the sampler's own instance, within the state-vector cap.
 
 All routes are cross-validated against dense spectral references at small
 sizes in the test suite.
@@ -50,11 +50,11 @@ from .quantum_or import (
     _check_copies,
     _copies_dim,
     _elementwise_power,
-    _run_once,
     _tensor_power_applier,
     mw_accept_from_spectrum,
     mw_accept_polynomial,
     or_round_count,
+    run_mw_sampled,
 )
 from .states import (
     PureState,
@@ -202,7 +202,7 @@ class UnitarySet:
         return self.matrices[0].shape[0]
 
 
-def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
+def _least_copies(n_measurements: int, epsilon, base: float) -> int:
     """Least k >= 1 with 4 n base^k below the 1/8 wrong-accept budget: k from
     the logarithm, confirmed among k - 1, k and k + 1 on that predicate
     itself.  Past 2^53 floats cannot tell k from k + 1: epsilon is too small."""
@@ -218,13 +218,13 @@ def _least_copies(n_measurements: int, epsilon: float, base: float) -> int:
 
 def eigen_copies(n_measurements: int, epsilon: float) -> int:
     """Least k with 4 n (1 - eps/2)^k below the 1/8 wrong-accept budget."""
-    _check_epsilon(epsilon)
-    return _least_copies(n_measurements, epsilon, 1 - epsilon / 2)
+    return _least_copies(n_measurements, epsilon, 1 - _check_epsilon(epsilon) / 2)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    """The distance check of every k-copy tester and copy rule: epsilon in (0, 1]."""
-    check_interval(epsilon, "epsilon", 0, 1, open_low=True)
+def _check_epsilon(epsilon) -> float:
+    """The distance check of every k-copy tester and copy rule: epsilon in
+    (0, 1], as the float the rules evaluate (no power of a Fraction)."""
+    return float(check_interval(epsilon, "epsilon", 0, 1, open_low=True))
 
 
 def _copy_count(rule: Callable[[int, float], int], n: int, epsilon: float, copies_k: int | None) -> int:
@@ -267,6 +267,7 @@ def eigen_measurement_cycle(
     probability, residual state), outcome 1 accepting; the gate-circuit
     reference lives in the tests."""
     check_state(state, "state", PureState)
+    _check_block(psi_shape.total_dim, "the unitary on psi")
     (unitary,) = _eigen_check((unitary,), psi_shape, copies_k)
     dims, _, _ = _eigen_layout(psi_shape, copies_k)
     if state.shape.dims != dims:
@@ -282,6 +283,14 @@ def eigen_measurement_cycle(
     for col, part in enumerate(branches[branch]):
         np.divide(part, math.sqrt(prob), out=residual[:, col])
     return branch, prob, _trusted(PureState, state.shape, residual.reshape(-1))
+
+
+def _check_block(dim: int, label: str) -> None:
+    """Refuse unitaries of dimension `dim` whose 2 dim x 2 dim block
+    reflections (or 2 dim x dim frames), which every interference route
+    builds, pass MAX_DENSE_DIM."""
+    if 2 * dim > MAX_DENSE_DIM:
+        raise ValueError(f"{label} needs block reflections of dim 2 * {dim}, past the dense cap {MAX_DENSE_DIM}")
 
 
 def _interference_frames(unitaries: Iterable[np.ndarray]) -> np.ndarray:
@@ -359,6 +368,7 @@ def _eigen_builder(
     builder: the frames of the family on the factor |+> (x) psi, with
     N = number of unitaries."""
     check_state(psi, "psi", PureState)
+    _check_block(psi.shape.total_dim, "the family on psi")
     mats = _eigen_check(unitaries, psi.shape, copies_k)
     factor = _interference_factor(psi)
     return _trusted(TensorPowerInstance, _interference_frames(mats), factor, copies_k, or_round_count(len(mats), 0))
@@ -382,7 +392,7 @@ def eigen_test(
     :func:`eigen_measurement_cycle` and :func:`eigen_or_accept_exact` share
     its vector applier.  The gate-circuit reference lives in the tests.
     """
-    return _run_once(eigen_instance(unitaries, psi, epsilon, copies_k), rng)
+    return run_mw_sampled(eigen_instance(unitaries, psi, epsilon, copies_k), rng).accepted
 
 
 # -- commuting-family exact oracle -------------------------------------------------
@@ -515,18 +525,19 @@ def eigen_or_accept_exact(
     (``method="joint"`` requires that; ``"auto"`` takes it whenever it holds
     and the 2^n masks fit).  Otherwise the acceptance 1 - ||(I - L)^N v||^2,
     N the family size as in the sampler, is computed by N applications of
-    the sampler's family applier (:func:`quantum_or.mw_accept_polynomial`),
-    so the flag-0 block must fit under MAX_VECTOR_DIM.
+    the family applier on the k-copy vector of the sampler's own instance
+    (its vector path, :func:`quantum_or.mw_accept_polynomial`), so the
+    flag-0 block must fit under MAX_VECTOR_DIM.
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
     check_state(psi, "psi", PureState)
+    _check_block(psi.shape.total_dim, "the family on psi")
     mats = _eigen_check(unitaries, psi.shape, copies_k)
-    rounds = or_round_count(len(mats), 0)
     measure = _eigen_measure(mats, psi, copies_k, method)
     if measure is None:
-        return _eigen_accept_matvec(mats, psi, copies_k, rounds)
-    return mw_accept_from_spectrum(*measure, rounds)
+        return _eigen_accept_matvec(_eigen_builder(mats, psi, copies_k))
+    return mw_accept_from_spectrum(*measure, or_round_count(len(mats), 0))
 
 
 def _eigen_measure(mats: UnitarySet, psi: PureState, copies_k: int, method: str = "auto") -> tuple[list, list] | None:
@@ -543,11 +554,11 @@ def _eigen_measure(mats: UnitarySet, psi: PureState, copies_k: int, method: str 
     return averaged_and_measure(atoms, len(mats), copies_k)
 
 
-def _eigen_accept_matvec(mats: UnitarySet, psi: PureState, copies_k: int, n_rounds: int) -> float:
+def _eigen_accept_matvec(inst: TensorPowerInstance) -> float:
     """The route of :func:`eigen_or_accept_exact` for any family: the
-    polynomial acceptance on the flag-0 block, with L the family applier."""
-    vec = _copies_state([plus_state(), psi], copies_k).amplitudes
-    return mw_accept_polynomial(_tensor_power_applier(_interference_frames(mats), copies_k), vec, n_rounds)
+    polynomial acceptance on the flag-0 block, on the instance's vector path."""
+    apply_l, vector = inst._vector_path()
+    return mw_accept_polynomial(apply_l, vector.amplitudes, inst.n_rounds)
 
 
 # -- function isomorphism under a permutation set ----------------------------------
@@ -569,8 +580,7 @@ def _g_iso_parts(f: FunctionTable, g: FunctionTable, group, epsilon: float, copi
     for sigma in group:
         if sigma.size != f.domain_size:
             raise ValueError("permutation size does not match the function domain")
-    if 2 * f.domain_size * f.codomain_size > MAX_DENSE_DIM:
-        raise ValueError(f"pair state dim 2 * {f.domain_size} * {f.codomain_size} exceeds the dense cap {MAX_DENSE_DIM}")
+    _check_block(2 * f.domain_size * f.codomain_size, f"pair state dim 2 * {f.domain_size} * {f.codomain_size}")
     psi = pair_state(f, g)
     mats = _trusted(UnitarySet, tuple(pair_swap_unitary(sigma, f.codomain_size) for sigma in group))
     return mats, psi, _copy_count(eigen_copies, len(mats), epsilon, copies_k)
@@ -604,7 +614,7 @@ def g_iso_test(
     one query to f and one to g, which is the reported query count.
     """
     mats, psi, k = _g_iso_parts(f, g, group, epsilon, copies_k)
-    return GIsoRun(_run_once(_eigen_builder(mats, psi, k), rng), k, k, k)
+    return GIsoRun(run_mw_sampled(_eigen_builder(mats, psi, k), rng).accepted, k, k, k)
 
 
 def g_iso_accept_exact(
@@ -623,8 +633,7 @@ def g_iso_accept_exact(
 
 def membership_copies(n_candidates: int, epsilon: float) -> int:
     """Least k with 4 |P| (1 - eps^2)^k below the 1/8 wrong-accept budget."""
-    _check_epsilon(epsilon)
-    return _least_copies(n_candidates, epsilon, 1 - epsilon**2)
+    return _least_copies(n_candidates, epsilon, 1 - _check_epsilon(epsilon) ** 2)
 
 
 def membership_instance(
@@ -655,7 +664,7 @@ def state_membership_test(
     Measures |phi><phi|^k for each candidate phi on psi^k through the
     averaged OR run with N = |P| rounds.
     """
-    return _run_once(membership_instance(candidates, psi, epsilon, copies_k), rng)
+    return run_mw_sampled(membership_instance(candidates, psi, epsilon, copies_k), rng).accepted
 
 
 def _membership_check(candidates: Sequence[PureState], psi: PureState, copies_k: int) -> None:
@@ -735,11 +744,11 @@ def per_candidate_accept(candidate: PureState, psi: PureState, copies_k: int) ->
 
 def choi_vector(matrix: np.ndarray) -> np.ndarray:
     """(M (x) I)|Phi> as a raw vector: amplitudes M[i, j]/sqrt(d), for a
-    nonempty square M."""
+    nonempty square M; a (..., d, d) stack gives a (..., d^2) stack."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.size:
         raise ValueError(f"choi_vector needs a nonempty square matrix, got shape {m.shape}")
-    return m.reshape(-1) / math.sqrt(m.shape[0])
+    return m.reshape(*m.shape[:-2], -1) / math.sqrt(m.shape[-1])
 
 
 def choi_state(unitary: np.ndarray) -> PureState:
@@ -755,10 +764,12 @@ def _choi_state(u: np.ndarray) -> PureState:
     return _trusted(PureState, RegisterShape((u.shape[0],) * 2), choi_vector(u))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Normalised Hilbert-Schmidt inner product tr(a^dag b)/d."""
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
+    """Normalised Hilbert-Schmidt inner product tr(a^dag b)/d: a complex for
+    one pair of d x d matrices, an array for (..., d, d) stacks."""
     a = np.asarray(a)
-    return complex(np.trace(a.conj().T @ b) / a.shape[0])
+    inner = np.trace(a.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1) / a.shape[-1]
+    return complex(inner) if inner.ndim == 0 else inner
 
 
 def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -820,8 +831,7 @@ def conjugation_unitary(u: np.ndarray) -> np.ndarray:
 def unitary_s_iso_copies(n_unitaries: int, epsilon: float) -> int:
     """Least k with 4 |S| (1 - eps^2/2)^k below the 1/8 wrong-accept budget:
     :func:`eigen_copies` at the gap eps^2, with errors that quote eps."""
-    _check_epsilon(epsilon)
-    return _least_copies(n_unitaries, epsilon, 1 - epsilon**2 / 2)
+    return _least_copies(n_unitaries, epsilon, 1 - _check_epsilon(epsilon) ** 2 / 2)
 
 
 def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies_k: int | None):
@@ -829,8 +839,7 @@ def _u_iso_parts(s_set: UnitarySet, v_unitary, w_unitary, epsilon: float, copies
     at gap eps^2: the eigenvector test's inputs, shared by its sampler and
     exact oracle."""
     s_set = _unitary_set(s_set)
-    if s_set.dim**4 > MAX_DENSE_DIM:
-        raise ValueError(f"conjugation unitary dim {s_set.dim}^4 exceeds the dense cap {MAX_DENSE_DIM}")
+    _check_block(s_set.dim**4, f"conjugation unitary dim {s_set.dim}^4")
     psi = product_state([choi_state(v_unitary), choi_state(w_unitary)])
     mats = _trusted(UnitarySet, tuple(conjugation_unitary(u) for u in s_set))
     return mats, psi, _copy_count(unitary_s_iso_copies, len(mats), epsilon, copies_k)
@@ -862,7 +871,7 @@ def unitary_s_iso_test(
     of eps in the normalised Hilbert-Schmidt metric becomes an eigenvector
     gap of eps^2; the conversion is applied explicitly here.
     """
-    return _run_once(unitary_s_iso_instance(s_set, v_unitary, w_unitary, epsilon, copies_k), rng)
+    return run_mw_sampled(unitary_s_iso_instance(s_set, v_unitary, w_unitary, epsilon, copies_k), rng).accepted
 
 
 def unitary_s_iso_accept_exact(
@@ -925,8 +934,7 @@ def cut_product_test(psi: PureState, cut: Sequence[int], rng: np.random.Generato
 
 def genuine_ent_copies(n_cuts: int, epsilon: float) -> int:
     """Least even k with 4 n_cuts (1 - eps^2/2)^{k/2} below the 1/8 budget."""
-    _check_epsilon(epsilon)
-    return 2 * _least_copies(n_cuts, epsilon, 1 - epsilon**2 / 2)
+    return 2 * _least_copies(n_cuts, epsilon, 1 - _check_epsilon(epsilon) ** 2 / 2)
 
 
 def _cut_and_applier(
@@ -995,7 +1003,7 @@ def genuine_ent_test(
     cut all accept" on psi^k; the cuts' measurements feed the averaged OR run
     with one round per cut.
     """
-    return _run_once(genuine_ent_instance(psi, n_parts, epsilon, copies_k), rng)
+    return run_mw_sampled(genuine_ent_instance(psi, n_parts, epsilon, copies_k), rng).accepted
 
 
 def _pair_swap_projectors(psi: PureState, cuts: Sequence[Sequence[int]]) -> list[np.ndarray]:

@@ -15,6 +15,7 @@ import pytest
 
 from seqmeas import ExperimentConfig, run_experiment
 from seqmeas import experiments as experiments_module
+from seqmeas import testers as testers_module
 from seqmeas.cli import main as cli_main
 from seqmeas.experiments import EXPERIMENT_NAMES, _EXPERIMENTS, _giso_overlap_identity_error
 from seqmeas.gates import PermutationAction
@@ -323,6 +324,25 @@ class TestCli:
         assert cli_main(["uiso", "--param", "epsilon=1e-10", "--out", str(out)]) == 2
         assert "epsilon 1e-10 is too small" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "function,assertion",
+        [
+            ("hs_inner", "channel_state_inner_product_identity"),
+            ("choi_vector", "channel_state_inner_product_identity"),
+            ("choi_vector", "channel_state_local_action_identity"),
+        ],
+    )
+    def test_uiso_identity_checks_read_the_library(self, function, assertion, tmp_path, monkeypatch):
+        """The uiso identity sweep checks ``testers.choi_vector`` and
+        ``testers.hs_inner`` themselves: with either off by 1e-6 its
+        assertion fails."""
+        original = getattr(testers_module, function)
+        monkeypatch.setattr(testers_module, function, lambda *args: original(*args) + 1e-6)
+        out = tmp_path / "res.json"
+        assert cli_main(["uiso", "--trials", "4", "--out", str(out)]) == 1
+        failed = {a["name"] for a in json.loads(out.read_text())["assertions"] if not a["passed"]}
+        assert assertion in failed
 
     def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch):
         def runner(config, rec, trials):

@@ -1,6 +1,7 @@
 """Application testers: function isomorphism, eigenvector circuits, membership,
 channel-state tests, productness and genuine entanglement."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -110,6 +111,13 @@ def interference_applier(unitaries, copies_k):
     """The interference family's vector applier: the tensor-power applier
     on the frames [I; U_i^dag]/sqrt2."""
     return _tensor_power_applier(_interference_frames(unitaries), copies_k)
+
+
+def matvec_accept(unitaries, psi, copies_k, n_rounds):
+    """``_eigen_accept_matvec`` on the family's sampler instance, read at
+    `n_rounds` rounds."""
+    inst = _eigen_builder(UnitarySet(unitaries), psi, copies_k)
+    return _eigen_accept_matvec(dataclasses.replace(inst, n_rounds=n_rounds))
 
 
 BIT_SWAP = PermutationAction((0, 2, 1, 3))
@@ -366,6 +374,41 @@ def test_copy_rule_past_float_exact_counts():
     assert 4 * 2 * (1 - 3e-8**2) ** k <= CASE2_BUDGET
 
 
+def test_copy_rules_evaluate_a_fraction_epsilon_as_its_float(monkeypatch):
+    """An exact Fraction epsilon gives each rule's k at float(epsilon), the
+    value the CLI passes, with no rational power: eigen_copies(3,
+    Fraction(1, 10^5)) once took 12 s in rational arithmetic, and 1/10^7
+    would have built integers of about 7 * 10^8 digits.  A too-small
+    epsilon is still quoted as the caller gave it."""
+    rng = np.random.default_rng(2033)
+    denominators = rng.integers(1, 10**9, size=300)
+    epsilons = [Fraction(1, 10**5), Fraction(1, 10**7), Fraction(1, 10**9)] + [
+        Fraction(int(rng.integers(1, q + 1)), int(q)) for q in denominators
+    ]
+    rules = (eigen_copies, membership_copies, testers_module.unitary_s_iso_copies, genuine_ent_copies)
+    expected = {}
+    for rule in rules:
+        for n in (1, 3):
+            for eps in epsilons:
+                try:
+                    expected[rule, n, eps] = rule(n, float(eps))
+                except ValueError:
+                    expected[rule, n, eps] = None
+
+    def no_rational_power(*args):
+        raise AssertionError("a copy rule took a rational power")
+
+    monkeypatch.setattr(Fraction, "__pow__", no_rational_power)
+    assert eigen_copies(3, Fraction(1, 10**5)) == eigen_copies(3, 1e-5) == 912868
+    for (rule, n, eps), k in expected.items():
+        if k is None:
+            with pytest.raises(ValueError, match=re.escape(f"epsilon {eps} is too small")):
+                rule(n, eps)
+        else:
+            assert rule(n, eps) == k, (rule.__name__, n, eps)
+    assert None in expected.values()
+
+
 def test_rule_copy_counts_hit_the_vector_cap_at_once():
     """A tester run at the rule's k, billions of copies at small epsilon,
     fails on the vector cap before any power of that size is taken."""
@@ -393,11 +436,12 @@ def _sentinel(*args, **kwargs):
     raise ReachedSentinel
 
 
-@pytest.mark.parametrize("codomain,refused", [(512, False), (513, True)])
+@pytest.mark.parametrize("codomain,refused", [(256, False), (257, True)])
 def test_giso_pair_state_dense_cap(monkeypatch, codomain, refused):
-    """2 |X| |Y| = 4104 > MAX_DENSE_DIM is refused before the pair state or
-    any swap unitary is built (a codomain of 10^9 once asked for 59.6 GiB);
-    4096 itself goes on to build them."""
+    """The block reflections of the pair space are 4 |X| |Y| wide: 4112 >
+    MAX_DENSE_DIM is refused before the pair state or any swap unitary is
+    built (a codomain of 10^9 once asked for 59.6 GiB); 4096 itself goes on
+    to build them."""
     monkeypatch.setattr(testers_module, "pair_state", _sentinel)
     f = FunctionTable(4, codomain, (0, 1, 0, codomain - 1))
     group = (PermutationAction.identity(4),)
@@ -406,7 +450,10 @@ def test_giso_pair_state_dense_cap(monkeypatch, codomain, refused):
         lambda: g_iso_test(f, f, group, 0.5, trial_rng(0, 0), copies_k=2),
     ):
         if refused:
-            message = f"pair state dim 2 * 4 * {codomain} exceeds the dense cap {MAX_DENSE_DIM}"
+            message = (
+                f"pair state dim 2 * 4 * {codomain} needs block reflections of dim 2 * {8 * codomain}, "
+                f"past the dense cap {MAX_DENSE_DIM}"
+            )
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
         else:
@@ -414,11 +461,13 @@ def test_giso_pair_state_dense_cap(monkeypatch, codomain, refused):
                 call()
 
 
-@pytest.mark.parametrize("dim,refused", [(8, False), (9, True)])
+@pytest.mark.parametrize("dim,refused", [(6, False), (7, True)])
 def test_uiso_conjugation_dense_cap(monkeypatch, dim, refused):
-    """d^4 = 6561 > MAX_DENSE_DIM is refused before any conjugation unitary
-    is built; d = 8, 4096 itself, goes on to build them."""
+    """The block reflections of the conjugation unitaries are 2 d^4 wide:
+    4802 > MAX_DENSE_DIM at d = 7 is refused before |V>|W> or any
+    conjugation unitary is built; d = 6, 2592, goes on to build them."""
     monkeypatch.setattr(testers_module, "conjugation_unitary", _sentinel)
+    monkeypatch.setattr(testers_module, "choi_state", _sentinel)
     u = random_unitary(trial_rng(0, dim), dim)
     s_set = UnitarySet((u,))
     for call in (
@@ -426,8 +475,35 @@ def test_uiso_conjugation_dense_cap(monkeypatch, dim, refused):
         lambda: unitary_s_iso_test(s_set, u, u, 0.5, trial_rng(0, 0), copies_k=2),
     ):
         if refused:
-            message = f"conjugation unitary dim 9^4 exceeds the dense cap {MAX_DENSE_DIM}"
+            message = f"conjugation unitary dim 7^4 needs block reflections of dim 2 * 2401, past the dense cap {MAX_DENSE_DIM}"
             with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        else:
+            with pytest.raises(ReachedSentinel):
+                call()
+
+
+@pytest.mark.parametrize("dim,refused", [(MAX_DENSE_DIM // 2, False), (MAX_DENSE_DIM // 2 + 1, True)])
+def test_eigen_family_dense_cap(monkeypatch, dim, refused):
+    """A caller's own family of d x d unitaries has 2d x 2d block
+    reflections: d = 2049 is refused by ``eigen_or_accept_exact``, the
+    sampler's builder and ``eigen_measurement_cycle`` before the family is
+    even checked as unitary, let alone a reflection or frame built; d =
+    2048 goes on to the unitarity check."""
+    monkeypatch.setattr(testers_module, "is_unitary", _sentinel)
+    monkeypatch.setattr(testers_module, "block_reflection", _sentinel)
+    monkeypatch.setattr(testers_module, "_interference_frames", _sentinel)
+    psi = basis_state(RegisterShape((dim,)), (0,))
+    family = [np.eye(dim)]
+    for call in (
+        lambda: eigen_or_accept_exact(family, psi, 1),
+        lambda: eigen_or_accept_exact(family, psi, 1, method="joint"),
+        lambda: eigen_instance(family, psi, 0.5, copies_k=1),
+        lambda: eigen_test(family, psi, 0.5, trial_rng(0, 0), copies_k=1),
+        lambda: eigen_measurement_cycle(psi, family[0], psi.shape, 1, branch=1),
+    ):
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(f"dim 2 * {dim}, past the dense cap {MAX_DENSE_DIM}")):
                 call()
         else:
             with pytest.raises(ReachedSentinel):
@@ -966,7 +1042,7 @@ class TestMatvecOracle:
         spectrum = dense_eigen_spectrum(mats, psi, copies_k)
         for rounds in (3, 7):
             dense = mw_accept_from_spectrum(*spectrum, rounds)
-            assert abs(_eigen_accept_matvec(UnitarySet(mats), psi, copies_k, rounds) - dense) <= 1e-12
+            assert abs(matvec_accept(mats, psi, copies_k, rounds) - dense) <= 1e-12
         dense = mw_accept_from_spectrum(*spectrum, len(mats))  # the default N = family size
         assert abs(eigen_or_accept_exact(mats, psi, copies_k) - dense) <= 1e-12
 
@@ -1007,7 +1083,7 @@ class TestMatvecOracle:
         assert 16**5 == MAX_VECTOR_DIM > MAX_DENSE_DIM
         joint = eigen_or_accept_exact(mats, psi, 5, method="joint")
         assert 0.01 < joint < 0.99
-        assert abs(_eigen_accept_matvec(UnitarySet(mats), psi, 5, 3) - joint) <= 1e-12
+        assert abs(matvec_accept(mats, psi, 5, 3) - joint) <= 1e-12
 
     def test_family_past_the_mask_space(self):
         """21 members have 2^21 masks, past the joint route's mask space:
@@ -1020,7 +1096,7 @@ class TestMatvecOracle:
         psi = random_pure_state(rng, QUBIT)
         auto = eigen_or_accept_exact(mats, psi, 2)
         assert 0.0 < auto <= 1.0
-        assert auto == _eigen_accept_matvec(UnitarySet(mats), psi, 2, or_round_count(n, 0))
+        assert auto == matvec_accept(mats, psi, 2, or_round_count(n, 0))
         with pytest.raises(ValueError, match=f"2\\^21 bitmasks exceed the vector cap {MAX_VECTOR_DIM}"):
             eigen_or_accept_exact(mats, psi, 2, method="joint")
 
@@ -1105,7 +1181,7 @@ class TestJointBitOracle:
         psi = pair_state(F_FAR, G_FAR)
         for k in (1, 2):
             joint = eigen_or_accept_exact(mats, psi, k, method="joint")
-            matvec = _eigen_accept_matvec(UnitarySet(mats), psi, k, len(mats))
+            matvec = matvec_accept(mats, psi, k, len(mats))
             assert abs(joint - matvec) <= 1e-10
 
     def test_zero_sector_reduction_matches_full_space(self):
@@ -1115,7 +1191,7 @@ class TestJointBitOracle:
         psi = random_pure_state(rng, QUBIT)
         mats = [random_unitary(rng, 2) for _ in range(2)]
         k = 2
-        reduced = _eigen_accept_matvec(UnitarySet(mats), psi, k, len(mats))
+        reduced = matvec_accept(mats, psi, k, len(mats))
         lam = sum(eigen_measurement_projector(u, psi.shape, k) for u in mats) / 2
         phi = eigen_tester_state(psi, k)
         full = mw_accept_exact(lam, phi, 2)
@@ -2141,7 +2217,7 @@ class TestEigenTestEndToEnd:
         psi = random_pure_state(rng, RegisterShape((3,)))
         mats = [random_unitary(rng, 3) for _ in range(3)]
         assert _noncommuting_pair([block_reflection(u) for u in mats]) is not None
-        exact = _eigen_accept_matvec(UnitarySet(mats), psi, 2, len(mats))
+        exact = matvec_accept(mats, psi, 2, len(mats))
         assert 0.05 < exact < 0.95
         trials = 3000
         count = sum(eigen_test(mats, psi, 0.5, trial_rng(49, t + 1), copies_k=2) for t in range(trials))

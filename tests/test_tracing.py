@@ -2,7 +2,8 @@
 it lists must still resolve, or tracing a run fails at install time.
 
 ``perfbench/tracer.py`` is read as text and its ``LAYERS`` table evaluated as
-a literal, so nothing from the benchmark is imported or executed.
+a literal, and the library calls of ``perfbench/workloads.py`` are read from
+its syntax tree, so nothing from the benchmark is imported or executed.
 """
 
 import ast
@@ -63,28 +64,89 @@ def test_exact_eigen_oracle_takes_joint_method():
     assert abs(eigen_or_accept_exact(family, psi, 3, method="joint") - 1.0) <= 1e-12
 
 
-# The library call shapes of ``perfbench/workloads.py``, as (module, function,
-# positional arguments, keyword arguments); only the names are bound.
-WORKLOAD_CALLS = [
-    ("testers", "eigen_or_accept_exact", ("family", "psi", "k"), {"method": "joint"}),
-    ("testers", "membership_accept_exact", ("candidates", "psi", "k"), {}),
-    ("testers", "genuine_ent_accept_exact", ("psi", "n", "k"), {}),
-    ("testers", "eigen_tester_state", ("psi", "k"), {}),
-    ("testers", "analytic_eigen_accept", ("u", "psi", "k"), {}),
-    ("testers", "eigen_measurement_cycle", ("phi", "u", "shape", "k"), {"rng": "rng"}),
-    ("testers", "eigen_test", ("family", "psi", "eps", "rng"), {"copies_k": "k"}),
-    ("states", "ghz_state", ("n",), {}),
-]
+WORKLOADS = TRACER.parent / "workloads.py"
 
 
-@pytest.mark.parametrize("module,name,args,kwargs", WORKLOAD_CALLS, ids=[c[1] for c in WORKLOAD_CALLS])
-def test_workload_call_shapes_bind(module, name, args, kwargs):
-    """A signature change that breaks a benchmark call fails here, not in the benchmark run."""
-    import seqmeas
+def _workload_calls():
+    """Every call shape of ``perfbench/workloads.py`` into seqmeas, read
+    from its syntax tree, as sorted distinct (callee, positional count,
+    keyword names).
 
-    fn = getattr(importlib.import_module(f"seqmeas.{module}"), name)
-    assert getattr(seqmeas, name) is fn
-    inspect.signature(fn).bind(*args, **kwargs)
+    A callee is reached through a seqmeas module the file imports (``seqmeas``
+    itself, ``from seqmeas import testers``) or a name it imports from one
+    (``from seqmeas.states import PureState``), and is given as that path
+    (``seqmeas.eigen_test``, ``testers.membership_accept_exact``,
+    ``PureState``)."""
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "seqmeas":
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "seqmeas":
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                try:
+                    importlib.import_module(full)
+                except ImportError:
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = full
+    calls = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            callee = func.id
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            callee = f"{func.value.id}.{func.attr}"
+        else:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), f"line {node.lineno}: starred argument"
+        assert all(k.arg is not None for k in node.keywords), f"line {node.lineno}: ** argument"
+        calls.add((callee, len(node.args), tuple(sorted(k.arg for k in node.keywords))))
+    return modules, names, sorted(calls)
+
+
+WORKLOAD_MODULES, WORKLOAD_NAMES, WORKLOAD_CALLS = _workload_calls()
+
+
+def _resolve(callee):
+    """The library object a workload callee names."""
+    head, _, attr = callee.partition(".")
+    if not attr:
+        module, name = WORKLOAD_NAMES[head]
+        return getattr(importlib.import_module(module), name)
+    return getattr(importlib.import_module(WORKLOAD_MODULES[head]), attr)
+
+
+@pytest.mark.parametrize(
+    "callee,positional,keywords", WORKLOAD_CALLS, ids=["-".join([c[0], str(c[1]), *c[2]]) for c in WORKLOAD_CALLS]
+)
+def test_workload_call_shapes_bind(callee, positional, keywords):
+    """A rename, or a signature change that breaks a benchmark call, fails
+    here, not in the benchmark run."""
+    fn = _resolve(callee)
+    args = [f"arg{i}" for i in range(positional)]
+    inspect.signature(fn).bind(*args, **{k: k for k in keywords})
+
+
+def test_workload_calls_cover_the_benchmark():
+    """The parse finds every library call shape the benchmark makes, so a
+    parser that found none could not pass vacuously."""
+    assert {
+        ("testers.eigen_or_accept_exact", 3, ("method",)),
+        ("testers.membership_accept_exact", 3, ()),
+        ("testers.genuine_ent_accept_exact", 3, ()),
+        ("seqmeas.eigen_tester_state", 2, ()),
+        ("seqmeas.analytic_eigen_accept", 3, ()),
+        ("seqmeas.eigen_measurement_cycle", 4, ("rng",)),
+        ("seqmeas.eigen_test", 4, ("copies_k",)),
+        ("seqmeas.ghz_state", 1, ()),
+        ("cli.main", 1, ()),
+    } <= set(WORKLOAD_CALLS)
 
 
 # The arguments the count hooks of ``perfbench/tracer.py`` read, as (module,

@@ -23,6 +23,7 @@ steps the core draws are held to the exact halting law ``mw_halting_law``.
 
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -82,11 +83,13 @@ from seqmeas import (
     unitary_s_iso_accept_exact,
     unitary_s_iso_instance,
     unitary_s_iso_test,
+    unitary_set_test,
 )
 from seqmeas.experiments import _accept_ever_count, _demerlinize_case1, _desk_giso_instance
 from seqmeas.gates import PAULI_X
 from seqmeas.measurement import is_idempotent
 from seqmeas.disturbance import _row_dot
+from seqmeas import quantum_or as quantum_or_module
 from seqmeas.quantum_or import (
     _averaged_operator,
     _draw_rows,
@@ -414,13 +417,19 @@ def test_chunked_sources_across_chunk_boundaries(case):
     assert _block_outcomes(inst, 19, indices) == expected
 
 
+def _shared_steps(inst, rng, trials):
+    """The halting steps of `trials` trials sharing `rng`: the halting core
+    on the generator's draw, as ``run_mw_sampled_batch`` feeds it."""
+    return _survivors(inst).halting_steps(lambda live: rng.random(live.size), trials)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_shared_generator_trials_match_reference(case):
     """Trials sharing one generator, trial for trial against the reference
     on the same generator, and ``run_mw_sampled_batch``'s count of them."""
     inst, form = CASES[case]()
     for t in range(2):
-        steps = _survivors(inst).shared_steps(trial_rng(20, t), 300)
+        steps = _shared_steps(inst, trial_rng(20, t), 300)
         expected = _reference_shared(inst, trial_rng(20, t), 300, form)
         assert _step_outcomes(steps, inst.n_rounds) == expected
         count = run_mw_sampled_batch(inst, trial_rng(20, t), 300)
@@ -458,7 +467,7 @@ def _source_outcomes(inst, trials):
     shared generator."""
     return {
         "blocks": _block_outcomes(inst, 12, range(trials)),
-        "shared": _step_outcomes(_survivors(inst).shared_steps(trial_rng(12, 0), trials), inst.n_rounds),
+        "shared": _step_outcomes(_shared_steps(inst, trial_rng(12, 0), trials), inst.n_rounds),
     }
 
 
@@ -575,6 +584,40 @@ def test_tester_instances_match_single_testers(name):
     batch = [step is not None for _, step in _block_outcomes(inst, 16, range(200))]
     assert batch == [single(rng) for rng in _streams(16, 200)]
     assert 0 < sum(batch) < 200
+
+
+def _single_runs():
+    """Every single-run entry point, as a function of its generator that
+    returns the accept flag it reports."""
+    runs = {name: single for name, (_, single) in _tester_pairs().items()}
+    f, g = FunctionTable(4, 2, (0, 1, 0, 1)), FunctionTable(4, 2, (1, 1, 0, 0))
+    group = (PermutationAction.identity(4), PermutationAction((0, 2, 1, 3)))
+    s_set, u = UnitarySet((np.eye(2), PAULI_X)), random_unitary(trial_rng(95, 2), 2)
+    runs["giso"] = lambda r: g_iso_test(f, g, group, 0.5, r, copies_k=2).accepted
+    runs["unitary-set"] = lambda r: unitary_set_test(s_set, u, 0.5, r, copies_k=2).accepted
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(_single_runs()))
+def test_single_runs_return_run_mw_sampled(name, monkeypatch):
+    """Each single-run entry point is one ``quantum_or.run_mw_sampled`` call
+    per run and reports its ``accepted``: the sampler is wrapped in every
+    seqmeas namespace that binds it, as the benchmark tracer wraps it."""
+    original, results = quantum_or_module.run_mw_sampled, []
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "seqmeas" or module_name.startswith("seqmeas."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    single = _single_runs()[name]
+    accepted = [single(rng) for rng in _streams(16, 200)]
+    assert accepted == [result.accepted for result in results]
+    assert 0 < sum(accepted) < 200
 
 
 def test_g_iso_instance_matches_single_tests():
