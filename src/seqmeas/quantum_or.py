@@ -49,10 +49,11 @@ that order, with no ``Generator`` per trial, so each of its outcomes
 equals a single run on that trial's stream, however many trials share the
 paths.  :func:`run_mw_sampled_batch` shares one generator: every trial's
 ensemble index in one call, then per step one uniform per trial still
-running, in trial order.  The core checks the path it reads: a Pi accept probability outside [0, 1], a kept mass
-||(I - L) v||^2 above 1 - <v|L|v>, or an applier that does not map the
-input's vectors to vectors of the same shape raises ValueError naming the
-round, so appliers whose mean is no operator in [0, I] are not sampled.
+running, in trial order.  The core checks the path it reads: a Pi accept
+probability outside [0, 1], a kept mass ||(I - L) v||^2 above
+1 - <v|L|v>, or an applier that does not map the input's vectors to
+vectors of the same shape raises ValueError naming the round, so appliers
+whose mean is no operator in [0, I] are not sampled.
 """
 
 from __future__ import annotations

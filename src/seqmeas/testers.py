@@ -286,9 +286,8 @@ def eigen_measurement_cycle(
 
 
 def _check_block(dim: int, label: str) -> None:
-    """Refuse unitaries of dimension `dim` whose 2 dim x 2 dim block
-    reflections (or 2 dim x dim frames), which every interference route
-    builds, pass MAX_DENSE_DIM."""
+    """Refuse unitaries of dimension `dim` whose 2 dim wide block reflections
+    and frames, built by every interference route, pass MAX_DENSE_DIM."""
     if 2 * dim > MAX_DENSE_DIM:
         raise ValueError(f"{label} needs block reflections of dim 2 * {dim}, past the dense cap {MAX_DENSE_DIM}")
 

@@ -127,8 +127,13 @@ def _resolve(callee):
 )
 def test_workload_call_shapes_bind(callee, positional, keywords):
     """A rename, or a signature change that breaks a benchmark call, fails
-    here, not in the benchmark run."""
+    here, not in the benchmark run.  The callee must be the very object its
+    defining seqmeas module binds: the recorder rebinds only names whose
+    value *is* the function it wraps, so a re-export that became a copy
+    would leave the benchmark's calls through it untraced."""
     fn = _resolve(callee)
+    assert fn.__module__.split(".")[0] == "seqmeas", f"{callee} is defined in {fn.__module__}"
+    assert fn is getattr(importlib.import_module(fn.__module__), fn.__name__)
     args = [f"arg{i}" for i in range(positional)]
     inspect.signature(fn).bind(*args, **{k: k for k in keywords})
 
