@@ -7,10 +7,10 @@
 Writes the result document (JSON, byte-identical for a fixed configuration)
 to --out or stdout and prints one pass/fail line per assertion on stderr.
 Exits 0 when every assertion passed and 1 when one failed.  Bad input exits
-2 with an ``error:`` line: a malformed argument, an unknown or invalid
-parameter, or an input file that is missing or malformed, with no document;
-or an --out or --csv path that cannot be written.  File errors read
-``error: <path>: <reason>``.
+2 with an ``error:`` line: a malformed argument, an unknown, invalid or
+repeated parameter, or an input file that is missing, malformed or empty,
+with no document; or an --out or --csv path that cannot be written.  File
+errors read ``error: <path>: <reason>``.
 """
 
 from __future__ import annotations
@@ -98,7 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     """The experiment configuration, with each given --fn-f, --fn-g and
-    --group file read and parsed; run_experiment checks which it may take."""
+    --group file read and parsed; run_experiment checks which it may take.
+    A --param key given twice is refused, not overridden."""
+    params = {}
+    for key, value in args.param:
+        if key in params:
+            raise ValueError(f"parameter {key!r} given more than once")
+        params[key] = value
     fn_f = _read_lines(args.fn_f, FunctionTable.from_lines)
     fn_g = _read_lines(args.fn_g, FunctionTable.from_lines)
     if fn_f is not None and fn_g is not None and fn_f.codomain_size != fn_g.codomain_size:
@@ -110,7 +116,7 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         name=args.experiment,
         seed=args.seed,
         trials=args.trials,
-        params=dict(args.param),
+        params=params,
         function_f=fn_f,
         function_g=fn_g,
         group=group,

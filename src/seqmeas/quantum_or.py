@@ -25,17 +25,18 @@ randomness only decides where it halts, so the state path belongs to the
 instance: it is walked once per distinct input vector (one for a pure
 input, one per eigen-ensemble index drawn for a mixed one), grown lazily,
 only as far as the furthest step some trial reaches, and a trial halts at
-the first step whose halting region holds its uniform.  A run is one of two
-instances, each with its ``_walk``.  An :class:`AveragedInstance` is walked by
-``_amplify`` on the system space with L, the mean of its appliers (the
-path depends on Pi only through L; Pi itself is exercised by the survival
-oracle): the OR test, de-Merlinization and genuine entanglement give one
-matvec per member, and a Naimark form's run is the single applier
-``lambda v: L @ v`` of its induced operator.  A :class:`TensorPowerInstance`,
-L the mean of k-th tensor powers of projectors V_i V_i^dag on factor^(x)k,
-picks its own walk from its sizes: the Gram space of reduced words, with no
-k-copy vector, or ``_amplify`` on its ``_vector_path`` (the pair the
-interference matvec oracle reads); both yield the same sequence.
+the first step whose halting region holds its uniform.  Every path is one
+loop, ``_amplify``, walking one L.  A run is one of two instances, each with
+its ``_walk``.  An :class:`AveragedInstance` is walked on the system space
+with L, the mean of its appliers (the path depends on Pi only through L;
+Pi itself is exercised by the survival oracle): genuine entanglement gives
+one matvec per member, while the OR test, de-Merlinization and a Naimark
+form's run give the single applier ``lambda v: L @ v`` of the L their exact
+oracles decompose.  A :class:`TensorPowerInstance`, L the mean of k-th
+tensor powers of projectors V_i V_i^dag on factor^(x)k, picks its own walk
+from its sizes: on coefficients over reduced words with their Gram power,
+no k-copy vector, or on its ``_vector_path`` (the pair the interference
+matvec oracle reads); both yield the same sequence.
 
 Draw order.  Every sampler is one halting core
 (``_Survivors.halting_steps``) fed by one of three draw sources.  A single
@@ -189,21 +190,19 @@ class TensorPowerInstance:
 
     def _word_walk(self, vector: np.ndarray) -> Iterator[float]:
         """The survivor path of vector^{(x)k} in the Gram space of reduced
-        words: the sequence ``_amplify`` yields on the k-copy vector, step
-        by step and as lazily, in the span of the (P_w vector)^{(x)k} over the
-        reduced words w of length <= N (no letter twice, as P_i^2 = P_i).
+        words: ``_amplify`` on coefficients over the (P_w vector)^{(x)k}, w
+        the reduced words of length <= N (no letter twice, as P_i^2 = P_i),
+        with their Gram power; it yields the vector walk's sequence with no
+        k-copy vector.
 
         The rows x_w = P_w vector (x_empty = vector, x_{iw} = V_i (V_i^dag
         x_w)) give the Gram power G = (X^* X^T)^{o k}, G_vw =
         <x_v^{(x)k}|x_w^{(x)k}>.  On coefficients c the path vector is
         sum_w c_w x_w^{(x)k}, and L maps x_w^{(x)k} to the mean over i of
-        x_{iw}^{(x)k}, where i = w_0 gives w itself: so L is the matrix M
-        below, which sends w to iw (i != w_0) and to w, each with weight
-        1/n.  Round by round, the Pi accept probability is c^dag G (M c) and
-        the Delta keep probability ||(I - L) v||^2 / (1 - <v|L|v>) with
-        ||(I - L) v||^2 = d^dag G d for d = c - M c, clipped at 0 as
-        ``testers._membership_law`` clips: rounding can take the quadratic
-        form a few ulps below 0 near a vector that every P_i fixes.
+        x_{iw}^{(x)k}, where i = w_0 gives w itself: so L acts on c as the
+        matrix M that sends w to iw (i != w_0) and to w, each with weight
+        1/n, that is (M c)_{iw} = (c_w + c_{iw}) / n and (M c)_empty = 0.
+        The walk starts from c = 1 on the empty word.
         """
         n = len(self.frames)
         parents, blocks = _reduced_words(n, self.n_rounds)
@@ -211,19 +210,9 @@ class TensorPowerInstance:
         x[0] = vector
         for lo, hi, i in blocks:
             x[lo:hi] = (x[parents[lo:hi]] @ self.frames[i].conj()) @ self.frames[i].T
+        empty = np.eye(1, parents.size, dtype=np.complex128)[0]
         gram = _elementwise_power(x.conj() @ x.T, self.copies_k)
-        live = np.zeros(parents.size, dtype=np.complex128)
-        live[0] = 1.0
-        hit = np.zeros_like(live)
-        for _ in range(self.n_rounds):
-            np.add(live[parents[1:]], live[1:], out=hit[1:])
-            hit /= n
-            p_pi = np.vdot(live, gram @ hit).real
-            yield p_pi
-            live -= hit
-            p_rest = max(np.vdot(live, gram @ live).real, 0.0)
-            yield p_rest / (1.0 - p_pi)
-            live /= math.sqrt(p_rest)
+        return _amplify(lambda c: np.append(0.0, c[parents[1:]] + c[1:]) / n, empty, self.n_rounds, gram)
 
 
 def _tensor_power_applier(frames: np.ndarray, copies_k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -346,7 +335,7 @@ def _draw_rows(cdf: np.ndarray | None, draw: Callable, live: np.ndarray) -> np.n
 
 
 def _amplify(
-    apply_l: Callable[[np.ndarray], np.ndarray], vector: np.ndarray, n_rounds: int
+    apply_l: Callable[[np.ndarray], np.ndarray], vector: np.ndarray, n_rounds: int, gram: np.ndarray | None = None
 ) -> Iterator[float]:
     """The survivor path of one input vector: the run's state while no
     measurement has halted it, walked on the system space.
@@ -364,11 +353,16 @@ def _amplify(
     lie in [0, 1), so the probabilities need no clipping, and a Delta step
     is read only after a Pi accept probability below 1.
 
+    With `gram` G (the word route) the vectors are coefficients, <a|b> is
+    read as <a|G|b> and the kept mass is clipped at 0, as rounding can take
+    that quadratic form a few ulps below 0; on vectors the clip is a no-op.
+
     The first round's difference is a new array, which later rounds update
     in place; neither `vector` nor any array ``apply_l`` returns is written.
     An applier that fails on the vector, or returns another shape, raises
     ValueError naming the round.
     """
+    inner = np.vdot if gram is None else (lambda a, b: np.vdot(a, gram @ b))
     live = vector
     for r in range(1, n_rounds + 1):
         try:
@@ -379,10 +373,10 @@ def _amplify(
             raise ValueError(
                 f"round {r}: the L-applier returned shape {np.shape(hit)} for a vector of shape {live.shape}"
             )
-        p_pi = np.vdot(live, hit).real
+        p_pi = inner(live, hit).real
         yield p_pi
         live = np.subtract(live, hit, out=None if live is vector else live)
-        p_rest = np.vdot(live, live).real
+        p_rest = max(inner(live, live).real, 0.0)
         yield p_rest / (1.0 - p_pi)
         np.divide(live, math.sqrt(p_rest), out=live)
 
@@ -391,10 +385,10 @@ class _Survivors:
     """The survivor paths of one instance, shared by all of its trials.
 
     A pure input has one path; a mixed input has one per eigen-ensemble
-    index some trial drew.  Each path is read from the generator that
-    ``walk`` returns for its input vector (``_amplify`` or ``_word_walk``)
-    only as far as the furthest step a trial reached, and a trial halts at
-    the first step whose halting region holds its uniform.
+    index some trial drew.  Each path is read from the ``_amplify`` generator
+    that ``walk`` returns for its input vector only as far as the furthest
+    step a trial reached, and a trial halts at the first step whose halting
+    region holds its uniform.
     """
 
     def __init__(
@@ -845,9 +839,10 @@ def _averaged_operator(family) -> HermitianOperator:
 
 
 def _family_instance(family, rho: PureState | DensityOperator, n_rounds: int) -> AveragedInstance:
-    """The samplers' run on the same family: one matvec applier per A_i."""
-    mats = [getattr(m, "accept_op", m).matrix for m in family]
-    return AveragedInstance([(lambda v, mat=mat: mat @ v) for mat in mats], rho, n_rounds)
+    """The samplers' run on the same family: the one applier v -> L v of the
+    L that the exact oracles decompose (:func:`_averaged_operator`)."""
+    lam = _averaged_operator(family).matrix
+    return AveragedInstance((lambda v: lam @ v,), rho, n_rounds)
 
 
 def or_test_instance(

@@ -129,6 +129,8 @@ class FunctionTable:
             if x in pairs:
                 raise ValueError(f"duplicate domain point {x}")
             pairs[x] = y
+        if not pairs:
+            raise ValueError("no 'x y' pairs found")
         if sorted(pairs) != list(range(len(pairs))):
             raise ValueError("domain points must cover 0..|X|-1 exactly")
         values = tuple(pairs[x] for x in range(len(pairs)))

@@ -266,6 +266,7 @@ class TestCli:
             (["genuine-ent", "--param", "typo=5"], "typo"),
             (["or-test", "--param", "delta=nan"], "delta"),
             (["demerlinize", "--param", "eta=nan"], "eta"),
+            (["membership", "--param", "epsilon=0.3", "--param", "epsilon=0.4"], "epsilon"),
         ],
     )
     def test_bad_param_exit_code(self, argv, key, tmp_path, capsys):
@@ -552,6 +553,7 @@ class TestCli:
             ("--fn-f", None, "No such file or directory"),
             ("--fn-f", "0 0\n1 1 x\n", "expected 'x y'"),
             ("--fn-g", "0 0\n1 x\n", "invalid literal"),
+            ("--fn-f", "", "no 'x y' pairs found"),
         ],
     )
     def test_bad_input_file_exit_code(self, flag, content, reason, tmp_path, capsys):

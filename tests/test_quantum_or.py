@@ -1,5 +1,6 @@
 """Amplification procedure: oracles, bounds, sampled runs, OR and de-Merlinization."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from seqmeas import (
     or_round_count,
     or_test,
     or_test_accept_exact,
+    or_test_instance,
     plus_state,
     product_state,
     run_averaged_or_sampled,
@@ -44,7 +46,9 @@ from seqmeas.quantum_or import (
     TensorPowerInstance,
     _amplify,
     _averaged_operator,
+    _elementwise_power,
     _mean_applier,
+    _reduced_words,
     _survivors,
     _tensor_power_applier,
 )
@@ -575,25 +579,46 @@ class TestDemerlinize:
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(count / trials - exact) <= 4 * sigma + 1e-9
 
-    @pytest.mark.parametrize("case", ["desk", ((2, 2), 3), ((3,), 2)], ids=["desk", "2x2-3", "3-2"])
+    @staticmethod
+    def _or_case(case):
+        """An OR family with a pure input: the anti-Zeno sequence from |0>,
+        or four random projectors of ranks 1-3 on C^4."""
+        if case == "or-anti-zeno":
+            return anti_zeno_sequence(4), basis_state(QUBIT, (0,))
+        rng = trial_rng(97, 0)
+        shape = RegisterShape((4,))
+        family = [TwoOutcomeMeasurement(random_projector(rng, shape, 1 + i % 3), is_projector=True) for i in range(4)]
+        return family, random_pure_state(rng, shape)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["desk", ((2, 2), 3), ((3,), 2), "or-anti-zeno", "or-random"],
+        ids=["desk", "2x2-3", "3-2", "or-anti-zeno", "or-random"],
+    )
     def test_instance_walks_the_oracle_operator(self, case):
-        """The sampler's L-applier, the mean of the instance's per-slice
-        matvecs, has the oracle's L = (1/d) sum_j Gamma_j as its matrix bit
-        for bit (read column by column on the basis vectors), and the oracle
-        decomposes that same L.  On a general vector the two products sum
-        in different orders, so they agree to rounding only."""
-        gamma, psi = self._case1() if case == "desk" else self._random_case(*case)
-        witness = gamma.shape.dims[-1]
-        slices = merlin_slice_operators(gamma)
-        lam = sum(s.matrix for s in slices) / witness
-        inst = demerlinize_instance(gamma, psi, 0.5)
-        assert (len(inst.appliers), inst.n_rounds) == (witness, demerlinize_round_count(witness, 0.5))
+        """The sampler's run has one applier, v -> L v for the oracle's L =
+        (1/n) sum_i A_i over the witness slices (de-Merlinization) or the
+        OR family's projectors (:func:`or_test_instance`): its matrix, read
+        column by column on the basis vectors, and the product the walk
+        takes on psi are those of L bit for bit, and the oracle decomposes
+        that same L."""
+        if case in ("or-anti-zeno", "or-random"):
+            family, psi = self._or_case(case)
+            ops = [m.accept_op for m in family]
+            inst = or_test_instance(family, psi, 0.25)
+            n_rounds, exact = or_round_count(len(family), 0.25), or_test_accept_exact(family, psi, 0.25)
+        else:
+            gamma, psi = self._case1() if case == "desk" else self._random_case(*case)
+            ops = merlin_slice_operators(gamma)
+            inst = demerlinize_instance(gamma, psi, 0.5)
+            n_rounds, exact = demerlinize_round_count(len(ops), 0.5), demerlinize_accept_exact(gamma, psi, 0.5)
+        lam = sum(op.matrix for op in ops) / len(ops)
+        assert (len(inst.appliers), inst.n_rounds) == (1, n_rounds)
         apply_l = _mean_applier(inst.appliers)
         eye = np.eye(lam.shape[0], dtype=np.complex128)
         assert np.array_equal(np.stack([apply_l(e) for e in eye], axis=1), lam)
-        np.testing.assert_allclose(apply_l(psi.amplitudes), lam @ psi.amplitudes, rtol=0, atol=1e-15)
-        exact = mw_accept_exact(HermitianOperator(psi.shape, lam), psi, inst.n_rounds)
-        assert demerlinize_accept_exact(gamma, psi, 0.5) == exact
+        assert np.array_equal(apply_l(psi.amplitudes), lam @ psi.amplitudes)
+        assert exact == mw_accept_exact(HermitianOperator(psi.shape, lam), psi, n_rounds)
 
 
 def test_averaged_operator_helper():
@@ -714,3 +739,80 @@ class TestAmplifyInPlace:
         expected = out_of_place_amplify(_tensor_power_applier(inst.frames, 2), vector, 6)
         assert np.array_equal(got, expected)
         assert 0.0 < got[0] < 1.0
+
+
+def word_loop(frames, vector, copies_k, n_rounds):
+    """The word route's own survivor loop, as it stood before the route
+    went through ``_amplify``: all 2 n_rounds boundaries on the Gram power
+    of the reduced words, no step skipped."""
+    n = len(frames)
+    parents, blocks = _reduced_words(n, n_rounds)
+    x = np.empty((parents.size, vector.size), dtype=np.complex128)
+    x[0] = vector
+    for lo, hi, i in blocks:
+        x[lo:hi] = (x[parents[lo:hi]] @ frames[i].conj()) @ frames[i].T
+    gram = _elementwise_power(x.conj() @ x.T, copies_k)
+    live = np.zeros(parents.size, dtype=np.complex128)
+    live[0] = 1.0
+    hit = np.zeros_like(live)
+    out = []
+    for _ in range(n_rounds):
+        np.add(live[parents[1:]], live[1:], out=hit[1:])
+        hit /= n
+        p_pi = np.vdot(live, gram @ hit).real
+        out.append(p_pi)
+        live -= hit
+        p_rest = max(np.vdot(live, gram @ live).real, 0.0)
+        out.append(p_rest / (1.0 - p_pi))
+        live /= math.sqrt(p_rest)
+    return out
+
+
+class TestWordWalkBitForBit:
+    """``TensorPowerInstance._word_walk``, which runs ``_amplify`` on word
+    coefficients with the Gram power, yields the boundaries of the word
+    route's own loop (:func:`word_loop`) bit for bit, on rank-one frames
+    (membership's shape) and rank-d frames on 2d dimensions (the
+    interference testers'), n = 1-4 members, N = 1-4 rounds, k = 1-3."""
+
+    @staticmethod
+    def assert_bit_for_bit(frames, factor, copies_k, n_rounds):
+        """Every boundary, read past a Pi accept probability of 1 or a kept
+        mass of 0 too (where both loops divide by 0 alike)."""
+        inst = TensorPowerInstance(frames, factor, copies_k, n_rounds)
+        with np.errstate(all="ignore"):
+            got = list(inst._word_walk(factor.amplitudes))
+            expected = word_loop(inst.frames, factor.amplitudes, copies_k, n_rounds)
+        assert len(got) == 2 * n_rounds
+        assert np.array_equal(got, expected, equal_nan=True)
+        return got
+
+    @staticmethod
+    def frame_shape(rank, d):
+        return (d, 1) if rank == "one" else (2 * d, d)
+
+    @pytest.mark.parametrize("rank", ["one", "d"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_random_families(self, size, rank):
+        for n_rounds, copies_k in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+            rng = trial_rng(420 + size, 100 * (rank == "d") + 10 * n_rounds + copies_k)
+            dim, r = self.frame_shape(rank, 2 + (n_rounds + copies_k) % 2)
+            frames = np.stack([random_unitary(rng, dim)[:, :r] for _ in range(size)])
+            self.assert_bit_for_bit(frames, random_pure_state(rng, RegisterShape((dim,))), copies_k, n_rounds)
+
+    @pytest.mark.parametrize("rank", ["one", "d"])
+    def test_family_that_fixes_the_factor(self, rank):
+        """Three frames whose ranges all hold the factor: Pi accepts with 1
+        to rounding, and the kept mass sits at 0, where it is clipped."""
+        for n_rounds, copies_k in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+            rng = trial_rng(425, 100 * (rank == "d") + 10 * n_rounds + copies_k)
+            dim, r = self.frame_shape(rank, 3)
+            q = random_unitary(rng, dim)
+            frames = []
+            for _ in range(3):
+                block = np.eye(dim, dtype=np.complex128)
+                block[1:, 1:] = random_unitary(rng, dim - 1)
+                frames.append((q @ block)[:, :r])
+            factor = PureState(RegisterShape((dim,)), q[:, 0])
+            got = self.assert_bit_for_bit(np.stack(frames), factor, copies_k, n_rounds)
+            assert abs(got[0] - 1.0) <= 1e-12
