@@ -2,7 +2,8 @@
 
 Each experiment builds its instances from deterministic per-stream
 generators, evaluates the exact oracles and bounds, optionally samples runs
-for statistical consistency, and emits an :class:`ExperimentRecord`.  The
+for statistical consistency, and writes its values and pass/fail assertions
+into the :class:`ExperimentRecord` that :func:`run_experiment` returns.  The
 serialised record has a fixed field order and reals rounded to 12
 significant digits, so a rerun with the same configuration is byte-identical
 (wall-clock time is reported on the console, never in the document).
@@ -69,15 +70,45 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
+    """One experiment's result, which its runner writes into: values,
+    pass/fail assertions and CSV rows; ``all_passed`` reads the assertions."""
+
     experiment: str
     seed: int
     trials: int
     params: dict
-    values: dict
-    assertions: list[dict]
-    all_passed: bool
+    _: dataclasses.KW_ONLY
+    values: dict = field(default_factory=dict)
+    assertions: list[dict] = field(default_factory=list)
     wall_clock_seconds: float = 0.0  # console-only; excluded from the document
     csv_rows: list[dict] = field(default_factory=list)
+
+    @property
+    def all_passed(self) -> bool:
+        return all(a["passed"] for a in self.assertions)
+
+    def value(self, name: str, v):
+        self.values[name] = v
+
+    def check(self, name: str, passed: bool, observed, bound):
+        self.assertions.append(
+            {"name": name, "passed": bool(passed), "observed": observed, "bound": bound}
+        )
+
+    def check_le(self, name: str, observed: float, bound: float, slack: float = 0.0):
+        self.check(name, observed <= bound + slack, observed, bound)
+
+    def check_ge(self, name: str, observed: float, bound: float, slack: float = 0.0):
+        self.check(name, observed >= bound - slack, observed, bound)
+
+    def check_close(self, name: str, observed: float, expected: float, atol: float):
+        self.check(name, abs(observed - expected) <= atol, observed, expected)
+
+    def check_sampled(self, name: str, count: int, trials: int, p_exact: float):
+        """Empirical rate within 4 binomial standard deviations of the oracle."""
+        sigma = math.sqrt(max(p_exact * (1.0 - p_exact), 0.0) / trials)
+        rate = count / trials
+        self.check(name, abs(rate - p_exact) <= 4.0 * sigma + 1e-9, rate, p_exact)
 
     def to_document(self) -> str:
         body = {
@@ -109,42 +140,6 @@ def _round_sig(obj, digits: int = 12):
     if isinstance(obj, Fraction):  # a real parameter given exactly: the float the run used
         return _round_sig(float(obj), digits)
     return obj
-
-
-class _Recorder:
-    """Accumulates ordered values and pass/fail assertions for one experiment."""
-
-    def __init__(self):
-        self.values: dict = {}
-        self.assertions: list[dict] = []
-        self.csv_rows: list[dict] = []
-
-    def value(self, name: str, v):
-        self.values[name] = v
-
-    def check(self, name: str, passed: bool, observed, bound):
-        self.assertions.append(
-            {"name": name, "passed": bool(passed), "observed": observed, "bound": bound}
-        )
-
-    def check_le(self, name: str, observed: float, bound: float, slack: float = 0.0):
-        self.check(name, observed <= bound + slack, observed, bound)
-
-    def check_ge(self, name: str, observed: float, bound: float, slack: float = 0.0):
-        self.check(name, observed >= bound - slack, observed, bound)
-
-    def check_close(self, name: str, observed: float, expected: float, atol: float):
-        self.check(name, abs(observed - expected) <= atol, observed, expected)
-
-    def check_sampled(self, name: str, count: int, trials: int, p_exact: float):
-        """Empirical rate within 4 binomial standard deviations of the oracle."""
-        sigma = math.sqrt(max(p_exact * (1.0 - p_exact), 0.0) / trials)
-        rate = count / trials
-        self.check(name, abs(rate - p_exact) <= 4.0 * sigma + 1e-9, rate, p_exact)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(a["passed"] for a in self.assertions)
 
 
 def _int_param(config: ExperimentConfig, key: str, default: int, minimum: int | None = None) -> int:
@@ -223,7 +218,7 @@ def _accept_ever_count(accept_probs: np.ndarray, blocks) -> int:
 # -- individual experiments -------------------------------------------------------
 
 
-def _exp_antizeno(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_antizeno(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     n = _int_param(config, "n", 64, minimum=1)
     seq = meas.anti_zeno_sequence(n)
     states = [meas.anti_zeno_state(n, k) for k in range(n + 1)]
@@ -261,7 +256,7 @@ def _exp_antizeno(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.value("sampled_accepts", count)
 
 
-def _exp_mw_bounds(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_mw_bounds(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     """Trial t's instance (L, rho, N) comes from its own stream
     trial_rng(seed, t), as when each trial ran alone; the oracles then run
     once per dimension on the stacked instances, every L decomposed once for
@@ -316,7 +311,7 @@ def _case2_or_instance(rng, n: int, dim: int, delta: float):
     return psi, measurements
 
 
-def _exp_or_test(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_or_test(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     n = _int_param(config, "n", 8, minimum=1)
     zero = basis_state(RegisterShape((2,)), (0,))
     seq = meas.anti_zeno_sequence(n)
@@ -345,7 +340,7 @@ def _random_projective(rng, shape: RegisterShape) -> meas.TwoOutcomeMeasurement:
     return _trusted(meas.TwoOutcomeMeasurement, random_projector(rng, shape, rank=rank), True)
 
 
-def _exp_disturbance(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_disturbance(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     rows = dist.completeness_bound_sweep(dist.anti_zeno_sequential_instance, (4, 8, 16))
     rows += dist.completeness_bound_sweep(dist.certain_member_instance, (8, 16, 32))
     for row in rows:
@@ -377,7 +372,7 @@ def _exp_disturbance(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_sampled("sampled_vs_exact", count, trials, exact)
 
 
-def _exp_union_bound(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_union_bound(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     ok = 0
     worst_sum = 0.0
     for t, rng in enumerate(trial_rngs(config.seed, range(trials))):
@@ -409,7 +404,7 @@ def _exp_union_bound(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_le("antizeno_under_bound", res.p_any_one, res.bound, slack=1e-9)
 
 
-def _exp_gentle(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_gentle(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     """Trial t draws from its own stream trial_rng(seed, t), in the order of
     one ``random_density_operator`` and one ``random_povm_contraction`` call:
     the dimension, rho's Ginibre matrix, L's, then L's top eigenvalue.  Per
@@ -458,7 +453,7 @@ def _group_distance(f: testers.FunctionTable, g: testers.FunctionTable, group) -
     return min(f.compose(sigma).distance(g) for sigma in group)
 
 
-def _exp_giso(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_giso(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     """Each pair is scored by its distance d_G to G-isomorphism under the
     group in use: at least 1/7 when d_G = 0, at most 1/8 when d_G >= epsilon,
     and no bound in between.  The desk far pair is scored only when the
@@ -523,7 +518,7 @@ def _giso_overlap_identity_error(nx: int, ny: int, sigmas) -> float:
     return float(worst)
 
 
-def _exp_membership(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_membership(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     """The far state (sqrt(1 - eps^2), eps) lies at trace distance eps from
     |0> and sqrt(1 - eps^2) from |1>, so it is eps-far from both candidates
     while eps <= 1/sqrt(2)."""
@@ -558,7 +553,7 @@ def _exp_membership(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_sampled("sampled_vs_exact_smallk", count, trials, exact_small)
 
 
-def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_uiso(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     """Identity check t draws from its own stream trial_rng(seed, t): the
     dimension d, then the Ginibre matrices of U, V, a and b, in that order,
     each real part before its imaginary part.  Per dimension the draws are
@@ -613,7 +608,7 @@ def _exp_uiso(config: ExperimentConfig, rec: _Recorder, trials: int):
     rec.check_sampled("sampled_vs_exact_smallk", count, trials, exact_small)
 
 
-def _exp_genuine_ent(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_genuine_ent(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     ghz = ghz_state(3)
     cuts = testers.proper_cuts(3)
     worst = 0.0
@@ -655,7 +650,7 @@ def _demerlinize_case1(eta: float):
     return gamma, psi, eta
 
 
-def _exp_demerlinize(config: ExperimentConfig, rec: _Recorder, trials: int):
+def _exp_demerlinize(config: ExperimentConfig, rec: ExperimentRecord, trials: int):
     eta1 = _float_param(config, "eta", 2.0 / 3.0, low=0.0, high=1.0)
     gamma, psi, eta1 = _demerlinize_case1(eta1)
     best = qor.merlin_best_witness_accept(gamma, psi)
@@ -681,7 +676,7 @@ def _exp_demerlinize(config: ExperimentConfig, rec: _Recorder, trials: int):
 
 # name -> (runner, default trial count, accepted --param keys), in CLI listing order
 _EXPERIMENTS: dict[
-    str, tuple[Callable[[ExperimentConfig, _Recorder, int], None], int, tuple[str, ...]]
+    str, tuple[Callable[[ExperimentConfig, ExperimentRecord, int], None], int, tuple[str, ...]]
 ] = {
     "antizeno": (_exp_antizeno, 2000, ("n",)),
     "mw-bounds": (_exp_mw_bounds, 200, ()),
@@ -727,18 +722,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         raise ValueError(f"{config.name} takes no giso input; got {', '.join(given)}")
     if (config.function_f is None) != (config.function_g is None):
         raise ValueError("function_f (--fn-f) and function_g (--fn-g) must be given together")
-    rec = _Recorder()
+    record = ExperimentRecord(config.name, seed, trials, dict(sorted(config.params.items())))
     start = time.perf_counter()
-    runner(config, rec, trials)
-    elapsed = time.perf_counter() - start
-    return ExperimentRecord(
-        experiment=config.name,
-        seed=config.seed,
-        trials=trials,
-        params={k: config.params[k] for k in sorted(config.params)},
-        values=rec.values,
-        assertions=rec.assertions,
-        all_passed=rec.all_passed,
-        wall_clock_seconds=elapsed,
-        csv_rows=rec.csv_rows,
-    )
+    runner(config, record, trials)
+    record.wall_clock_seconds = time.perf_counter() - start
+    return record

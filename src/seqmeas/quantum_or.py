@@ -556,14 +556,24 @@ def _round_counts(n_rounds, rows: int) -> np.ndarray:
 
 def _spectrum_rows(eigenvalues, weights) -> tuple[np.ndarray, np.ndarray, bool]:
     """A spectral measure or a (b, d) stack of them as two float (b, d)
-    arrays, and whether the input was a single measure."""
-    evals = np.asarray(eigenvalues, dtype=float)
-    single = evals.ndim == 1
-    evals = evals.reshape(1, -1) if single else evals
-    weights = np.asarray(weights, dtype=float).reshape(evals.shape)
-    if evals.ndim != 2:
+    arrays, and whether the input was a single measure: the check of every
+    spectral oracle.  The eigenvalues must be finite and in [0, 1] (to
+    POVM_RANGE_ATOL), the weights finite, no lower than -WEIGHT_ATOL and of
+    the eigenvalues' shape."""
+    evals, weights = np.asarray(eigenvalues, dtype=float), np.asarray(weights, dtype=float)
+    if evals.ndim not in (1, 2):
         raise ValueError(f"expected a spectrum or a (b, d) stack of them, got shape {evals.shape}")
-    return evals, weights, single
+    if weights.shape != evals.shape:
+        raise ValueError(f"weights of shape {weights.shape} do not match eigenvalues of shape {evals.shape}")
+    if evals.size and not np.all(in_unit_interval(evals)):
+        raise ValueError("eigenvalues must be finite and in [0, 1]")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    if weights.size and weights.min() < -WEIGHT_ATOL:
+        raise ValueError(f"weights must be >= -{WEIGHT_ATOL}, got {weights.min()}")
+    if evals.ndim == 1:
+        return evals[None], weights[None], True
+    return evals, weights, False
 
 
 def mw_accept_from_spectrum(eigenvalues, weights, n_rounds):

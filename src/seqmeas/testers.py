@@ -115,8 +115,10 @@ class FunctionTable:
         return sum(a != b for a, b in zip(self.values, other.values)) / self.domain_size
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str], codomain_size: int | None = None) -> "FunctionTable":
-        """Parse `x y` pairs (decimal, one per line; blank lines ignored)."""
+    def from_lines(cls, lines: Iterable[str]) -> "FunctionTable":
+        """Parse `x y` pairs (decimal, one per line; blank lines ignored).  The
+        codomain is inferred as max(y) + 1, at least 1, so a negative value is
+        refused as out of range."""
         pairs = {}
         for raw in lines:
             line = raw.strip()
@@ -134,8 +136,7 @@ class FunctionTable:
         if sorted(pairs) != list(range(len(pairs))):
             raise ValueError("domain points must cover 0..|X|-1 exactly")
         values = tuple(pairs[x] for x in range(len(pairs)))
-        cod = codomain_size if codomain_size is not None else max(values) + 1
-        return cls(len(values), cod, values)
+        return cls(len(values), max(max(values) + 1, 1), values)
 
 
 def function_state(f: FunctionTable) -> PureState:
@@ -164,6 +165,7 @@ def pair_swap_unitary(sigma: PermutationAction, codomain_size: int) -> np.ndarra
     A pure permutation of the (flag, domain, codomain) basis:
     (0, x, y) -> (1, sigma^-1(x), y) and (1, x, y) -> (0, sigma(x), y).
     """
+    check_integer(codomain_size, "codomain size", 1)
     labels = np.arange(2 * sigma.size * codomain_size).reshape(2, sigma.size, codomain_size)
     image = np.stack([labels[1][list(sigma.inverse().mapping)], labels[0][list(sigma.mapping)]])
     return permutation_matrix(PermutationAction(image.reshape(-1)))
@@ -437,9 +439,10 @@ def _noncommuting_pair(projectors: Sequence[np.ndarray]) -> tuple[int, int] | No
 
 
 def _check_mask_space(n_bits: int) -> None:
-    """Refuse 2^n_bits masks past MAX_VECTOR_DIM (which also keeps the norm of
-    sum_i 2^i P_i below 2^20, where rounding its spectrum is exact)."""
-    if n_bits >= MAX_VECTOR_DIM.bit_length():
+    """Refuse a negative n_bits, and 2^n_bits masks past MAX_VECTOR_DIM (which
+    also keeps the norm of sum_i 2^i P_i below 2^20, where rounding its
+    spectrum is exact)."""
+    if check_integer(n_bits, "n_bits", 0) >= MAX_VECTOR_DIM.bit_length():
         raise ValueError(f"2^{n_bits} bitmasks exceed the vector cap {MAX_VECTOR_DIM}")
 
 
@@ -486,11 +489,23 @@ def and_power_distribution(
     pairs.  Uses P(AND superset of m) = P(single superset of m)^factors: a
     superset zeta butterfly, the power, and the superset Moebius butterfly,
     O(n_bits 2^n_bits) in all, 2^n_bits <= MAX_VECTOR_DIM; exact for any
-    factor count.
+    factor count.  Each mask must lie in [0, 2^n_bits) and each probability
+    be finite and >= 0.
     """
     _check_mask_space(n_bits)
+    masks = np.asarray([m for m, _ in atoms])
+    if masks.dtype.kind not in "iu":  # a float or bool mask, or one past int64; no atoms read as float
+        for m, _ in atoms:
+            check_integer(m, "mask")
+    bad = masks[(masks < 0) | (masks >= 1 << n_bits)]
+    if bad.size:
+        raise ValueError(f"mask {bad[0]} lies outside [0, 2^{n_bits})")
+    probs = np.array([w for _, w in atoms], dtype=float)
+    bad = probs[~(np.isfinite(probs) & (probs >= 0.0))]
+    if bad.size:
+        raise ValueError(f"atom probabilities must be finite and >= 0, got {bad[0]}")
     q = np.zeros(1 << n_bits)
-    np.add.at(q, np.array([m for m, _ in atoms], dtype=np.int64), [w for _, w in atoms])
+    np.add.at(q, masks.astype(np.int64), probs)
     for lo, hi in _bit_pairs(q):
         lo += hi
     dist = q**factors
@@ -503,8 +518,9 @@ def averaged_and_measure(
     atoms: Sequence[tuple[int, float]], n_bits: int, factors: int
 ) -> tuple[list[float], list[float]]:
     """Spectral measure of the averaged AND-projector family: eigenvalue
-    popcount(mask)/n with the AND-distribution probability as weight."""
-    dist = and_power_distribution(atoms, n_bits, factors)
+    popcount(mask)/n with the AND-distribution probability as weight; a
+    family of n >= 1 projectors."""
+    dist = and_power_distribution(atoms, check_integer(n_bits, "n_bits", 1), factors)
     evals = [bin(m).count("1") / n_bits for m in dist]
     weights = [p for p in dist.values()]
     return evals, weights
@@ -767,8 +783,10 @@ def _choi_state(u: np.ndarray) -> PureState:
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
     """Normalised Hilbert-Schmidt inner product tr(a^dag b)/d: a complex for
-    one pair of d x d matrices, an array for (..., d, d) stacks."""
-    a = np.asarray(a)
+    one pair of d x d matrices, an array for (..., d, d) stacks of one shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"the two matrices must be square and of one shape, got {a.shape} and {b.shape}")
     inner = np.trace(a.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1) / a.shape[-1]
     return complex(inner) if inner.ndim == 0 else inner
 

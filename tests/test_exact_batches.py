@@ -49,7 +49,6 @@ from seqmeas import (
     trial_rng,
 )
 from seqmeas import cli, experiments
-from seqmeas.experiments import _Recorder
 from seqmeas.sampling import (
     contraction_from_ginibre,
     density_from_ginibre,
@@ -227,10 +226,9 @@ def _csv_text(rows):
 def _reference_record(name, seed, trials):
     runner, default_trials = _REFERENCE_SWEEPS[name]
     trials = default_trials if trials is None else trials
-    rec = _Recorder()
-    runner(ExperimentConfig(name, seed=seed), rec, trials)
-    record = ExperimentRecord(name, seed, trials, {}, rec.values, rec.assertions, rec.all_passed)
-    return record.to_document(), _csv_text(rec.csv_rows)
+    record = ExperimentRecord(name, seed, trials, {})
+    runner(ExperimentConfig(name, seed=seed), record, trials)
+    return record.to_document(), _csv_text(record.csv_rows)
 
 
 # -- the batched experiments against the reference --------------------------------

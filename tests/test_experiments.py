@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmeas import ExperimentConfig, run_experiment
+from seqmeas import ExperimentConfig, ExperimentRecord, run_experiment
 from seqmeas import experiments as experiments_module
 from seqmeas import testers as testers_module
 from seqmeas.cli import main as cli_main
@@ -220,6 +220,21 @@ class TestRunExperiment:
         b = run_experiment(ExperimentConfig(name="antizeno", seed=2, trials=400))
         # exact values agree; the sampled count is allowed to differ
         assert a.values["accept_ever_exact"] == b.values["accept_ever_exact"]
+
+
+class TestExperimentRecord:
+    def test_all_passed_reads_the_assertions(self):
+        record = ExperimentRecord("antizeno", 0, 1, {})
+        record.check_le("within", 0.5, 1.0)
+        record.check_le("beyond", 2.0, 1.0)
+        assert [a["passed"] for a in record.assertions] == [True, False]
+        assert record.all_passed is False
+        assert '"all_passed": false' in record.to_document()
+
+    def test_fields_after_params_are_keyword_only(self):
+        """A caller passing all_passed 7th must not bind it to wall_clock_seconds."""
+        with pytest.raises(TypeError):
+            ExperimentRecord("antizeno", 0, 1, {}, {}, [], True)
 
 
 @pytest.mark.parametrize("nx, ny", [(2, 3), (3, 3), (4, 2)])
@@ -554,6 +569,7 @@ class TestCli:
             ("--fn-f", "0 0\n1 1 x\n", "expected 'x y'"),
             ("--fn-g", "0 0\n1 x\n", "invalid literal"),
             ("--fn-f", "", "no 'x y' pairs found"),
+            ("--fn-f", "0 -1\n1 -1\n", "function value out of codomain range"),
         ],
     )
     def test_bad_input_file_exit_code(self, flag, content, reason, tmp_path, capsys):

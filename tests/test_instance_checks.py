@@ -84,6 +84,7 @@ from seqmeas import (
     unitary_set_test,
 )
 from seqmeas import testers as testers_module
+from seqmeas.testers import and_power_distribution, averaged_and_measure, hs_distance, hs_inner, pair_swap_unitary
 from seqmeas.disturbance import certain_member_instance
 from seqmeas.experiments import _case2_or_instance
 from seqmeas.gates import HADAMARD, PAULI_X, GateSpec, _apply_gate_array, permutation_matrix
@@ -91,10 +92,13 @@ from seqmeas.measurement import is_idempotent
 from seqmeas.measurement import accept_probability, gentle_measurement_gap
 from seqmeas.quantum_or import (
     mw_accept_exact,
+    mw_accept_from_spectrum,
     mw_accept_polynomial,
     mw_accept_survival,
     mw_accept_survival_stack,
     mw_bounds,
+    mw_bounds_from_spectrum,
+    mw_halting_law,
 )
 from seqmeas.states import eigendecompose_stack
 from seqmeas.sampling import (
@@ -930,3 +934,73 @@ def test_scalar_rules_live_in_states_alone():
         if pattern.search(line)
     ]
     assert hits == []
+
+
+SPECTRAL_ORACLES = {
+    "mw_accept_from_spectrum": mw_accept_from_spectrum,
+    "mw_halting_law": mw_halting_law,
+    "mw_bounds_from_spectrum": mw_bounds_from_spectrum,
+}
+# (eigenvalues, weights) with the start of the error that names the fault
+BAD_MEASURES = {
+    "nan eigenvalue": ([math.nan], [1.0], "eigenvalues must be finite and in [0, 1]"),
+    "eigenvalue above 1": ([2.0], [1.0], "eigenvalues must be finite and in [0, 1]"),
+    "negative eigenvalue": ([-0.5, 0.5], [0.5, 0.5], "eigenvalues must be finite and in [0, 1]"),
+    "nan eigenvalue in a stack": ([[0.5], [math.nan]], [[1.0], [1.0]], "eigenvalues must be finite and in [0, 1]"),
+    "negative weight": ([0.5], [-1.0], "weights must be >= -1e-14"),
+    "nan weight": ([0.5], [math.nan], "weights must be finite"),
+    "infinite weight": ([0.5], [math.inf], "weights must be finite"),
+    "weights too long": ([0.5], [1.0, 0.0], "weights of shape (2,) do not match eigenvalues of shape (1,)"),
+    "flat weights for a stack": ([[0.5, 0.5]], [0.5, 0.5], "weights of shape (2,) do not match"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MEASURES))
+@pytest.mark.parametrize("oracle", sorted(SPECTRAL_ORACLES))
+def test_spectral_oracles_refuse_bad_measures(oracle, case):
+    """Each returned a wrong value (nan, or (0.0, 1.0) for the bounds),
+    clipped the eigenvalue, dropped the weight as if 0, or failed with
+    numpy's reshape message."""
+    evals, weights, message = BAD_MEASURES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SPECTRAL_ORACLES[oracle](evals, weights, 1)
+
+
+def test_spectral_oracles_take_rounding_level_measures():
+    """Eigenvalues within POVM_RANGE_ATOL of [0, 1] and a weight within
+    WEIGHT_ATOL below 0 pass the check, clipped and skipped as before."""
+    tiny = -1e-11
+    assert mw_accept_from_spectrum([tiny, 1.0 - tiny], [1.0, -1e-15], 2) == 0.0
+
+# each tester helper's bad input, with the start of its error
+BAD_TESTER_HELPER_INPUTS = {
+    "negative mask": (lambda: and_power_distribution([(-1, 1.0)], 2, 3), "mask -1 lies outside [0, 2^2)"),
+    "mask past the space": (lambda: and_power_distribution([(8, 1.0)], 2, 3), "mask 8 lies outside [0, 2^2)"),
+    "fractional mask": (lambda: and_power_distribution([(1.5, 1.0)], 2, 3), "mask must be an integer, got 1.5"),
+    "mask past int64": (lambda: and_power_distribution([(2**70, 1.0)], 2, 3), f"mask {2**70} lies outside [0, 2^2)"),
+    "nan probability": (
+        lambda: and_power_distribution([(0, 0.5), (1, math.nan)], 2, 3),
+        "atom probabilities must be finite and >= 0, got nan",
+    ),
+    "negative probability": (
+        lambda: and_power_distribution([(0, 1.5), (1, -0.5)], 2, 3),
+        "atom probabilities must be finite and >= 0, got -0.5",
+    ),
+    "negative n_bits": (lambda: and_power_distribution([(0, 1.0)], -1, 3), "n_bits must be >= 0, got -1"),
+    "a family of no projectors": (lambda: averaged_and_measure([(0, 1.0)], 0, 3), "n_bits must be >= 1, got 0"),
+    "empty codomain": (lambda: pair_swap_unitary(PermutationAction((1, 0)), 0), "codomain size must be >= 1, got 0"),
+    "hs_inner shapes": (lambda: hs_inner(np.eye(2), np.eye(3)), "the two matrices must be square and of one shape"),
+    "hs_inner non-square": (lambda: hs_inner(np.ones((2, 3)), np.ones((2, 3))), "must be square and of one shape"),
+    "hs_distance shapes": (lambda: hs_distance(np.eye(2), np.eye(3)), "the two matrices must be square and of one shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TESTER_HELPER_INPUTS))
+def test_tester_helpers_refuse_bad_input(case):
+    """Each returned a wrong value (mask -1 read as mask 3, mask 1.5 as
+    mask 1, a NaN atom dropped, a 0 x 0 unitary, 2 as the inner product of
+    two 2 x 3 matrices) or failed with a bare IndexError, OverflowError,
+    ZeroDivisionError or numpy's matmul message."""
+    call, message = BAD_TESTER_HELPER_INPUTS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
