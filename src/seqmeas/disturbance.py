@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .measurement import TwoOutcomeMeasurement, _check_projective, accept_probability, anti_zeno_sequence
-from .quantum_or import _check_copies, _check_eta, _draw_rows, _ensemble, _round_counts
+from .quantum_or import _ceil_count, _check_eta, _draw_rows, _ensemble
 from .rng import StreamBlock
 from .states import DensityOperator, PureState, RegisterShape, _trusted, check_integer, check_state, plus_state
 
@@ -69,12 +68,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def sequential_iteration_count(n: int, eta) -> int:
     """k = ceil(5n/eta + 5/eta^2) in exact rational arithmetic, for an
     integer n >= 1; n and k must lie within the int64 cap."""
-    _check_copies(n, "family size", "member")
-    _round_counts(n, 1)
-    eta_f = _check_eta(eta)
-    k = math.ceil(Fraction(5 * n) / eta_f + Fraction(5) / eta_f**2)
-    _round_counts(k, 1)
-    return k
+    return _ceil_count(n, "family size", "member", lambda n: 5 * n / (e := _check_eta(eta)) + 5 / e**2)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ form's run give the single applier ``lambda v: L @ v`` of the L their exact
 oracles decompose.  A :class:`TensorPowerInstance`, L the mean of k-th
 tensor powers of projectors V_i V_i^dag on factor^(x)k, picks its own walk
 from its sizes: on coefficients over reduced words with their Gram power,
-no k-copy vector, or on its ``_vector_path`` (the pair the interference
-matvec oracle reads); both yield the same sequence.
+no k-copy vector, or with the family applier on factor^(x)k; both yield the
+same sequence, and its kept mass gives the exact acceptance (``_path_accept``).
 
 Draw order.  Every sampler is one halting core
 (``_Survivors.halting_steps``) fed by one of three draw sources.  A single
@@ -181,12 +181,8 @@ class TensorPowerInstance:
         n, dim, _ = self.frames.shape
         if _word_count(n, self.n_rounds, math.isqrt(dim**self.copies_k)) is not None:
             return self._word_walk, self.factor
-        apply_l, vector = self._vector_path()
-        return (lambda v: _amplify(apply_l, v, self.n_rounds)), vector
-
-    def _vector_path(self) -> tuple[Callable[[np.ndarray], np.ndarray], PureState]:
-        """The vector walk's L (:func:`_tensor_power_applier`) and input factor^{(x)k}."""
-        return _tensor_power_applier(self.frames, self.copies_k), product_state([self.factor] * self.copies_k)
+        apply_l = _tensor_power_applier(self.frames, self.copies_k)
+        return (lambda v: _amplify(apply_l, v, self.n_rounds)), product_state([self.factor] * self.copies_k)
 
     def _word_walk(self, vector: np.ndarray) -> Iterator[float]:
         """The survivor path of vector^{(x)k} in the Gram space of reduced
@@ -462,6 +458,18 @@ class _Survivors:
 def _survivors(inst: AveragedInstance | TensorPowerInstance) -> _Survivors:
     """The instance's survivor paths, on the walk the instance gives."""
     return _Survivors(*inst._walk(), inst.n_rounds)
+
+
+def _path_accept(inst: TensorPowerInstance) -> float:
+    """The run's exact acceptance, 1 minus the mass its survivor path (row 0:
+    the input is pure) keeps through 2N checked steps, read while any is kept."""
+    survivors, kept = _survivors(inst), 1.0
+    for step in range(2 * inst.n_rounds):
+        boundary = survivors._checked_boundary(0, step)
+        kept *= 1.0 - boundary if step % 2 == 0 else boundary
+        if kept <= 0.0:
+            break
+    return min(1.0, max(0.0, 1.0 - kept))
 
 
 def _mean_applier(appliers: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
@@ -829,16 +837,22 @@ def _check_copies(copies_k: int, name: str = "copy count k", unit: str = "copy")
         raise ValueError(f"need at least one {unit}")
 
 
+def _ceil_count(n: int, name: str, unit: str, rule: Callable[[int], Fraction]) -> int:
+    """ceil(rule(n)), n >= 1 passed as a Python int so that the exact rule
+    cannot overflow; n and the count lie within the int64 cap."""
+    _check_copies(n, name, unit)
+    _round_counts(n, 1)
+    _round_counts(count := math.ceil(rule(int(n))), 1)
+    return count
+
+
 def or_round_count(n: int, epsilon) -> int:
     """N = ceil(n / (1 - eps)), evaluated in exact rational arithmetic, for
     an integer n >= 1 and a real eps in [0, 1/2]; n and N must lie within
     the int64 cap."""
-    _check_copies(n, "family size", "member")
-    _round_counts(n, 1)
-    eps = check_interval(epsilon, "epsilon", 0, Fraction(1, 2))
-    n_rounds = math.ceil(Fraction(n) / (1 - eps))
-    _round_counts(n_rounds, 1)
-    return n_rounds
+    return _ceil_count(
+        n, "family size", "member", lambda n: n / (1 - check_interval(epsilon, "epsilon", 0, Fraction(1, 2)))
+    )
 
 
 def _averaged_operator(family) -> HermitianOperator:
@@ -939,11 +953,7 @@ def merlin_best_witness_accept(gamma: HermitianOperator, psi: PureState) -> floa
 def demerlinize_round_count(d: int, eta) -> int:
     """N = ceil(d / eta) in exact rational arithmetic, for an integer d >= 1;
     d and N must lie within the int64 cap."""
-    _check_copies(d, "witness dimension", "witness basis state")
-    _round_counts(d, 1)
-    n_rounds = math.ceil(Fraction(d) / _check_eta(eta))
-    _round_counts(n_rounds, 1)
-    return n_rounds
+    return _ceil_count(d, "witness dimension", "witness basis state", lambda d: d / _check_eta(eta))
 
 
 def demerlinize_instance(gamma: HermitianOperator, psi: PureState, eta) -> AveragedInstance:

@@ -24,9 +24,9 @@ only through the log k squarings of the Gram power.  The oracle is the sum
 of its halting entries, and the acceptance at any N' <= N a partial sum.
 All three are exact at any copy count.
 
-The one exception is interference with non-commuting unitaries, which
-takes 1 - ||(I - L)^N v||^2 (``quantum_or.mw_accept_polynomial``) on the
-vector path of the sampler's own instance, within the state-vector cap.
+The one exception is interference with non-commuting unitaries, whose
+acceptance is the mass that the sampler's own survivor path halts
+(``quantum_or._path_accept``), on whichever walk the sampler takes.
 
 All routes are cross-validated against dense spectral references at small
 sizes in the test suite.
@@ -50,9 +50,9 @@ from .quantum_or import (
     _check_copies,
     _copies_dim,
     _elementwise_power,
+    _path_accept,
     _tensor_power_applier,
     mw_accept_from_spectrum,
-    mw_accept_polynomial,
     or_round_count,
     run_mw_sampled,
 )
@@ -392,7 +392,7 @@ def eigen_test(
     is needed).  The run stays in the flag-0 block, where each measurement
     is the k-fold power of the block reflection R = V V^dag, and is a
     :class:`quantum_or.TensorPowerInstance`, which picks its own walk;
-    :func:`eigen_measurement_cycle` and :func:`eigen_or_accept_exact` share
+    :func:`eigen_or_accept_exact` reads that walk, :func:`eigen_measurement_cycle`
     its vector applier.  The gate-circuit reference lives in the tests.
     """
     return run_mw_sampled(eigen_instance(unitaries, psi, epsilon, copies_k), rng).accepted
@@ -540,11 +540,9 @@ def eigen_or_accept_exact(
     joint-eigenbasis route (:func:`_eigen_measure`, 2^n <= MAX_VECTOR_DIM) is
     exact at any k when its certificate shows the R_i commute
     (``method="joint"`` requires that; ``"auto"`` takes it whenever it holds
-    and the 2^n masks fit).  Otherwise the acceptance 1 - ||(I - L)^N v||^2,
-    N the family size as in the sampler, is computed by N applications of
-    the family applier on the k-copy vector of the sampler's own instance
-    (its vector path, :func:`quantum_or.mw_accept_polynomial`), so the
-    flag-0 block must fit under MAX_VECTOR_DIM.
+    and the 2^n masks fit).  Otherwise it is the mass that the sampler's own
+    walk halts (``quantum_or._path_accept``), so the flag-0 block must fit
+    under MAX_VECTOR_DIM.
     """
     if method not in ("auto", "joint"):
         raise ValueError("method must be 'auto' or 'joint'")
@@ -553,7 +551,7 @@ def eigen_or_accept_exact(
     mats = _eigen_check(unitaries, psi.shape, copies_k)
     measure = _eigen_measure(mats, psi, copies_k, method)
     if measure is None:
-        return _eigen_accept_matvec(_eigen_builder(mats, psi, copies_k))
+        return _path_accept(_eigen_builder(mats, psi, copies_k))
     return mw_accept_from_spectrum(*measure, or_round_count(len(mats), 0))
 
 
@@ -569,13 +567,6 @@ def _eigen_measure(mats: UnitarySet, psi: PureState, copies_k: int, method: str 
         if atoms is None:
             return None
     return averaged_and_measure(atoms, len(mats), copies_k)
-
-
-def _eigen_accept_matvec(inst: TensorPowerInstance) -> float:
-    """The route of :func:`eigen_or_accept_exact` for any family: the
-    polynomial acceptance on the flag-0 block, on the instance's vector path."""
-    apply_l, vector = inst._vector_path()
-    return mw_accept_polynomial(apply_l, vector.amplitudes, inst.n_rounds)
 
 
 # -- function isomorphism under a permutation set ----------------------------------

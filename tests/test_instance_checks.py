@@ -563,6 +563,18 @@ def test_count_rules_refuse_an_n_past_the_int64_cap(rule):
         call()
 
 
+def test_count_rules_compute_a_numpy_count_exactly():
+    """A numpy n made a rule's arithmetic numpy's: at n = np.int32(7) each
+    rule below raised OverflowError on the denominator of its float
+    parameter, and sequential_iteration_count(np.int64(2**61), 0.5) wrapped
+    5 n, returning a k within the cap for a 65-bit rule value."""
+    assert or_round_count(np.int32(7), 0.1) == or_round_count(7, 0.1) == 8
+    assert demerlinize_round_count(np.int32(7), 0.6) == demerlinize_round_count(7, 0.6) == 12
+    assert sequential_iteration_count(np.int32(7), 0.6) == sequential_iteration_count(7, 0.6) == 73
+    with pytest.raises(ValueError, match=re.escape("int64 cap 2**63 - 1, got a 65-bit integer")):
+        sequential_iteration_count(np.int64(2**61), 0.5)
+
+
 # every shared-generator batch sampler, as a function of its trial count
 BATCH_SAMPLERS = {
     "run_mw_sampled_batch": lambda trials: run_mw_sampled_batch(

@@ -68,7 +68,14 @@ from seqmeas import gates as gates_module
 from seqmeas import quantum_or as quantum_or_module
 from seqmeas.gates import HADAMARD, PAULI_X, PAULI_Z, GateSpec, _apply_gate_array
 from seqmeas.measurement import measure_register_collapse
-from seqmeas.quantum_or import _tensor_power_applier, mw_accept_from_spectrum, mw_halting_law, or_round_count
+from seqmeas.quantum_or import (
+    _path_accept,
+    _tensor_power_applier,
+    mw_accept_from_spectrum,
+    mw_accept_polynomial,
+    mw_halting_law,
+    or_round_count,
+)
 from seqmeas.testers import (
     CASE2_BUDGET,
     MAX_DENSE_DIM,
@@ -77,7 +84,6 @@ from seqmeas.testers import (
     MAX_VECTOR_DIM,
     PATTERN_ATOL,
     _copies_state,
-    _eigen_accept_matvec,
     _eigen_builder,
     _eigen_measure,
     _elementwise_power,
@@ -114,10 +120,19 @@ def interference_applier(unitaries, copies_k):
 
 
 def matvec_accept(unitaries, psi, copies_k, n_rounds):
-    """``_eigen_accept_matvec`` on the family's sampler instance, read at
+    """``_path_accept`` on the family's sampler instance, read at
     `n_rounds` rounds."""
     inst = _eigen_builder(UnitarySet(unitaries), psi, copies_k)
-    return _eigen_accept_matvec(dataclasses.replace(inst, n_rounds=n_rounds))
+    return _path_accept(dataclasses.replace(inst, n_rounds=n_rounds))
+
+
+def loop_accept(unitaries, psi, copies_k):
+    """The independent reference of the non-commuting oracle: the (I - L)^N
+    loop ``mw_accept_polynomial`` on the family applier and factor^{(x)k},
+    N the family size."""
+    inst = _eigen_builder(UnitarySet(unitaries), psi, copies_k)
+    vector = product_state([inst.factor] * copies_k).amplitudes
+    return mw_accept_polynomial(_tensor_power_applier(inst.frames, copies_k), vector, inst.n_rounds)
 
 
 BIT_SWAP = PermutationAction((0, 2, 1, 3))
@@ -1028,9 +1043,54 @@ class TestClosedFormChecks:
             per_candidate_accept(plus, product_state([plus, plus]), 1)
 
 
+# (d, n, k) on both sides of the walk rule W^2 <= (2d)^k, each side also
+# past MAX_DENSE_DIM: (4, 3, 6) and (4, 4, 5) walk words, (2, 5, 7) the vector
+LOOP_CASES = [(2, 3, 5), (3, 3, 4), (4, 3, 6), (4, 4, 5), (2, 3, 3), (4, 3, 2), (3, 4, 3), (2, 5, 7)]
+
+
 class TestMatvecOracle:
-    """The polynomial route of eigen_or_accept_exact against the dense
-    spectral reference and, past its cap, against the joint route."""
+    """The non-commuting route of eigen_or_accept_exact, the mass the
+    sampler's own walk halts, against the dense spectral reference, the
+    (I - L)^N loop and, past the dense cap, the joint route."""
+
+    def test_loop_cases_cover_both_walks(self):
+        sides = {(_rule_holds(d, n, k), (2 * d) ** k > MAX_DENSE_DIM) for d, n, k in LOOP_CASES}
+        assert sides == {(True, False), (True, True), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("kind", ["random", "repeated", "fixed"])
+    @pytest.mark.parametrize("dim,size,copies_k", LOOP_CASES)
+    def test_matches_the_loop(self, dim, size, copies_k, kind):
+        """Random families, one with a repeated member, and one whose first
+        member fixes psi."""
+        rng = trial_rng(60, 100 * dim + 10 * size + copies_k)
+        psi = random_pure_state(rng, RegisterShape((dim,)))
+        mats = noncommuting_family(rng, dim, size)
+        if kind == "repeated":
+            mats[-1] = mats[0]
+        elif kind == "fixed":
+            (mats[0],), fixed = _fixing_family(rng, dim, 1)
+            psi = PureState(RegisterShape((dim,)), fixed)
+            assert np.allclose(mats[0] @ fixed, fixed, rtol=0, atol=1e-12)
+        assert _noncommuting_pair([block_reflection(u) for u in mats]) is not None
+        exact = eigen_or_accept_exact(mats, psi, copies_k)
+        assert abs(exact - loop_accept(mats, psi, copies_k)) <= 1e-12
+
+    def test_word_route_builds_no_vector(self, monkeypatch):
+        """At d = 4, n = 3, k = 6 the oracle walks the 22 reduced words: with
+        the family applier and the k-copy state made to raise, it still
+        returns the loop's value."""
+        rng = trial_rng(61, 0)
+        psi = random_pure_state(rng, RegisterShape((4,)))
+        mats = noncommuting_family(rng, 4)
+        assert _rule_holds(4, 3, 6)
+        expected = loop_accept(mats, psi, 6)
+
+        def no_vector(*args, **kwargs):
+            raise AssertionError("the word route built a k-copy vector")
+
+        monkeypatch.setattr(quantum_or_module, "_tensor_power_applier", no_vector)
+        monkeypatch.setattr(quantum_or_module, "product_state", no_vector)
+        assert abs(eigen_or_accept_exact(mats, psi, 6) - expected) <= 1e-12
 
     @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3)])
     @pytest.mark.parametrize("copies_k", [1, 2, 3])

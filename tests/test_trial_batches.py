@@ -86,7 +86,7 @@ from seqmeas import (
     unitary_set_test,
 )
 from seqmeas.experiments import _accept_ever_count, _demerlinize_case1, _desk_giso_instance
-from seqmeas.gates import PAULI_X
+from seqmeas.gates import HADAMARD, PAULI_X, PAULI_Z
 from seqmeas.measurement import is_idempotent
 from seqmeas.disturbance import _row_dot
 from seqmeas import quantum_or as quantum_or_module
@@ -95,13 +95,22 @@ from seqmeas.quantum_or import (
     _draw_rows,
     _ensemble,
     _mean_applier,
+    _path_accept,
     _single_measure,
     _survivors,
     _tensor_power_applier,
 )
 from seqmeas.rng import _CHUNK
 from seqmeas.states import DensityOperator, eigendecompose
-from seqmeas.testers import _eigen_measure, _g_iso_parts, _genuine_measure, _membership_law, _u_iso_parts
+from seqmeas.testers import (
+    _eigen_measure,
+    _g_iso_parts,
+    _genuine_measure,
+    _membership_law,
+    _noncommuting_pair,
+    _u_iso_parts,
+    block_reflection,
+)
 from seqmeas.sampling import (
     random_density_operator,
     random_povm_contraction,
@@ -109,7 +118,7 @@ from seqmeas.sampling import (
     random_pure_state,
     random_unitary,
 )
-from test_testers import assert_law_matches_reference
+from test_testers import assert_law_matches_reference, dense_eigen_spectrum, path_law
 
 QUBIT = RegisterShape((2,))
 _STEPS = (None, "pi", "delta")
@@ -875,6 +884,26 @@ def test_membership_word_route_steps_follow_the_law():
     inst = membership_instance(candidates, psi, 0.5, copies_k=6)
     assert inst._walk()[0] == inst._word_walk
     _assert_steps_follow(inst, _membership_law(candidates, psi, 6))
+
+
+@pytest.mark.parametrize("copies_k,word", [(2, False), (3, False), (5, True)])
+def test_noncommuting_law_from_the_walk(copies_k, word):
+    """{X, Z, H} on a qubit do not commute and have W = 22 reduced words, so
+    k = 2, 3 walk the vector and k = 5 the words (484 <= 4^5).  The halting
+    law read off the survivor path is the dense spectral law cell by cell,
+    and the sampled halting steps follow it within 4 sigma."""
+    mats = [PAULI_X, PAULI_Z, HADAMARD]
+    psi = random_pure_state(trial_rng(99, copies_k), QUBIT)
+    inst = eigen_instance(mats, psi, 0.5, copies_k)
+    assert _noncommuting_pair([block_reflection(u) for u in mats]) is not None
+    assert isinstance(inst, TensorPowerInstance) and (inst._walk()[0] == inst._word_walk) == word
+    assert eigen_or_accept_exact(mats, psi, copies_k) == _path_accept(inst)
+    survivors = _survivors(inst)
+    law = path_law(lambda step: survivors.boundary(0, step), inst.n_rounds)
+    expected = mw_halting_law(*dense_eigen_spectrum(mats, psi, copies_k), inst.n_rounds)
+    assert 0.05 < expected[:-1].sum() < 0.95
+    np.testing.assert_allclose(law, expected, rtol=0, atol=1e-12)
+    _assert_steps_follow(inst, expected)
 
 
 @pytest.mark.parametrize("name", ["giso", "uiso", "eigen-circuits"])
